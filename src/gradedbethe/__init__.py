@@ -20,8 +20,6 @@ from .chain import (
     PoleError,
     TwistConfig,
     VacuumFunctions,
-    l_operator,
-    monodromy,
     monodromy_blocks,
     r_matrix,
     transfer_matrix,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec, PoleError, TwistConfig, VacuumFunctions, f_fun
+from .chain import ChainSpec, PoleError, TwistConfig, VacuumFunctions, _c2pair, f_fun
 
 __all__ = [
     "BetheRoots",
@@ -34,11 +34,6 @@ __all__ = [
 
 class BetheSolverError(RuntimeError):
     """Newton iteration or continuation failed."""
-
-
-def _c2pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 @dataclass(frozen=True)
@@ -457,17 +452,16 @@ def subset_seed_candidates(sector: tuple[int, int], vac: VacuumFunctions,
 class RootTrajectory:
     """Root motion along one twist direction around kappa = 1.
 
-    Holds the two-sided grid (1-delta .. 1+delta in component ``direction``),
-    the solved roots at each grid point, and central-difference derivative
-    estimates at kappa = 1.  Roots that stay at infinity are carried as
-    infinite counts; roots that descend from infinity under the twist are
-    solved at large finite values, where their contribution to the vacuum
-    ratio functions remains finite.
+    Holds the solved roots at each point of the two-sided grid (1-delta ..
+    1+delta in component ``direction``; each point carries its twist) and
+    central-difference derivative estimates at kappa = 1.  Roots that stay at
+    infinity are carried as infinite counts; roots that descend from infinity
+    under the twist are solved at large finite values, where their
+    contribution to the vacuum ratio functions remains finite.
     """
 
     direction: int
     delta: float
-    kappas: list[TwistConfig]
     points: list[BetheRoots]
     d_u: tuple[complex, ...]
     d_v: tuple[complex, ...]
@@ -489,15 +483,6 @@ class RootTrajectory:
         num = (vac.ell_product(1, hi.u, m) / vac.ell_product(1, lo.u, m))
         den = (vac.ell_product(3, hi.v, m) / vac.ell_product(3, lo.v, m))
         return (np.log(num) - np.log(den)) / (2 * self.delta)
-
-    def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "delta": self.delta,
-            "points": [p.to_json() for p in self.points],
-            "d_u": [_c2pair(x) for x in self.d_u],
-            "d_v": [_c2pair(x) for x in self.d_v],
-        }
 
 
 def _descent_seed(kind: str, roots: BetheRoots, vac: VacuumFunctions,
@@ -557,7 +542,7 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
     if not seed.twist.is_identity:
         raise ValueError("continuation seeds must be on shell at kappa = 1")
     if delta == 0.0:
-        return RootTrajectory(direction, 0.0, [seed.twist], [seed],
+        return RootTrajectory(direction, 0.0, [seed],
                               tuple(0j for _ in seed.u), tuple(0j for _ in seed.v))
 
     steps = max(1, int(steps))
@@ -588,7 +573,6 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
     fwd = walk(+1.0)
     bwd = walk(-1.0)
     points = list(reversed(bwd)) + [seed] + fwd
-    kappas = [p.twist for p in points]
 
     lo, hi = points[0], points[-1]
     d_u = tuple(
@@ -599,4 +583,4 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
         (hi.v[j] - lo.v[j]) / (2 * delta) if j < min(len(hi.v), len(lo.v)) else complex("inf")
         for j in range(max(len(hi.v), len(lo.v)))
     )
-    return RootTrajectory(direction, delta, kappas, points, d_u, d_v)
+    return RootTrajectory(direction, delta, points, d_u, d_v)

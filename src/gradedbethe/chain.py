@@ -1,16 +1,18 @@
 """Inhomogeneous fundamental chain: R-matrix, L-operators, monodromy, transfer.
 
 The chain lives on M three-dimensional graded sites with grading (0,0,1).
-All operators are dense matrices on the graded tensor product of one or two
-auxiliary copies of the fundamental space with the chain Hilbert space.
-Products of L-operators are accumulated with O(N^2) signed-permutation
-applications, never O(N^3) matrix products, which keeps the RTT conformance
-checks fast at M = 5.
+Every L-operator permutes tensor factors, so every chain operator on
+aux (x) H preserves the local letter content and is stored only as its
+content-group blocks (see _content_partition).  Products of L-operators are
+accumulated per block with O(N^2) signed-permutation applications, never
+O(N^3) matrix products.
 
-Monodromy entries T_ij are extracted from the (i,j) auxiliary block with a
-fixed sign table BLOCK_SIGNS.  The table is pinned by requiring the zero-mode
-commutation algebra to hold entrywise (an exact integer-arithmetic criterion)
-together with the RTT residual test; see tests/test_chain.py.
+The monodromy entries T_ij, operators on H, are read off the blocks through
+one cached gather map per chain length, with a fixed sign table BLOCK_SIGNS.
+The table is pinned by requiring the zero-mode commutation algebra to hold
+entrywise (an exact integer-arithmetic criterion) together with the RTT
+residual test; see tests/test_chain.py.  A single-site monodromy is the
+L-operator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .graded import (
     SignedPermutation,
     graded_permutation,
     permutation_between,
-    product_space,
 )
 
 __all__ = [
@@ -39,8 +40,6 @@ __all__ = [
     "PoleError",
     "r_matrix",
     "yang_baxter_residual",
-    "l_operator",
-    "monodromy",
     "monodromy_blocks",
     "transfer_matrix",
     "vacuum_eigenvalue",
@@ -53,8 +52,8 @@ __all__ = [
     "g_fun",
 ]
 
-#: sign applied when reading the abstract entry T_ij off the (i,j) block of
-#: the concrete monodromy matrix; flips the two even-row/odd-column blocks.
+#: sign applied when reading the abstract entry T_ij off the (i,j) auxiliary
+#: block of the concrete monodromy; flips the two even-row/odd-column blocks.
 BLOCK_SIGNS = np.array([[1, 1, -1], [1, 1, -1], [1, 1, 1]], dtype=float)
 
 _PAR = np.array(FUNDAMENTAL_PARITIES)
@@ -142,12 +141,6 @@ class ChainSpec:
     def hilbert_dim(self) -> int:
         return 3**self.M
 
-    def site_space(self) -> GradedSpace:
-        return GradedSpace.fundamental()
-
-    def hilbert_space(self) -> GradedSpace:
-        return product_space([GradedSpace.fundamental()] * self.M)
-
     def all_sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.M + 1))
 
@@ -198,13 +191,14 @@ def _chain_permutation(n_factors: int, x: int, y: int) -> SignedPermutation:
 
 
 @lru_cache(maxsize=16)
-def _content_partition(n_factors: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Basis index groups of equal letter content, plus global-to-local map.
+def _content_partition(n_factors: int):
+    """Basis index groups of equal letter content, global-to-local map, contents.
 
     Every L-operator and R-matrix permutes tensor factors, so it preserves
     the multiset of local indices; all chain operators are block diagonal
     over these groups.  Working per group turns the O(9^M) dense algebra
-    into a sum of small blocks.
+    into a sum of small blocks.  Each group lists its indices in ascending
+    order; ``contents[k]`` holds the letter counts (n1, n2, n3) of group k.
     """
     n = 3**n_factors
     idx = np.arange(n)
@@ -221,7 +215,9 @@ def _content_partition(n_factors: int) -> tuple[tuple[np.ndarray, ...], np.ndarr
     g2l = np.empty(n, dtype=np.int64)
     for ix in groups:
         g2l[ix] = np.arange(ix.size)
-    return groups, g2l
+    n2, n1 = np.divmod(sorted_key[np.r_[0, splits]], n_factors + 1)
+    contents = tuple((int(a), int(b), n_factors - int(a + b)) for a, b in zip(n1, n2))
+    return groups, g2l, contents
 
 
 def _blocked_eye(groups) -> list[np.ndarray]:
@@ -239,10 +235,41 @@ def _blocked_perm_apply(blocks, groups, g2l, perm: SignedPermutation, g: complex
         blocks[k] = x + g * y
 
 
-def _blocked_assemble(blocks, groups, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    for ix, blk in zip(groups, blocks):
-        out[np.ix_(ix, ix)] = blk
+@lru_cache(maxsize=16)
+def _gather_map(m_sites: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Where the entries of the aux (x) H content-group blocks land among the T_ij.
+
+    Concatenating the raveled blocks gives one flat array; its entry e is an
+    entry of the (i,j) auxiliary block and sits at flat position ``dest[e]``
+    of a (3, 3, 3^M, 3^M) array.  ``diag[i]`` lists the entries of the
+    auxiliary block (i,i) with their flat positions on H alone.
+    """
+    groups, _, _ = _content_partition(m_sites + 1)
+    dh = 3**m_sites
+    aux_row, h_row = np.divmod(np.concatenate([np.repeat(ix, ix.size) for ix in groups]), dh)
+    aux_col, h_col = np.divmod(np.concatenate([np.tile(ix, ix.size) for ix in groups]), dh)
+    on_h = h_row * dh + h_col
+    dest = (3 * aux_row + aux_col) * dh * dh + on_h
+    diag = []
+    for i in range(3):
+        entries = np.nonzero((aux_row == i) & (aux_col == i))[0]
+        diag.append((entries, on_h[entries]))
+    return dest, tuple(diag)
+
+
+def _read_off(spec: ChainSpec, blocks) -> np.ndarray:
+    """3x3 object array of the entries T_ij on H, signed by BLOCK_SIGNS."""
+    dh = spec.hilbert_dim
+    dest, _ = _gather_map(spec.M)
+    entries = np.zeros(9 * dh * dh, dtype=complex)
+    entries[dest] = np.concatenate([blk.ravel() for blk in blocks])
+    entries = entries.reshape(3, 3, dh, dh)
+    out = np.empty((3, 3), dtype=object)
+    for i in range(3):
+        for j in range(3):
+            # +1 entries too: the complex multiply fixes the sign of zeros
+            entries[i, j] *= BLOCK_SIGNS[i, j]
+            out[i, j] = entries[i, j]
     return out
 
 
@@ -321,13 +348,6 @@ class VacuumFunctions:
 
     # products over root sets (empty product = 1; non-finite roots skipped)
 
-    def r_product(self, k: int, roots, sites=None) -> complex:
-        out = 1.0 + 0j
-        for x in roots:
-            if np.isfinite(x):
-                out *= self.r(k, x, sites)
-        return out
-
     def ell_product(self, k: int, roots, m: int) -> complex:
         out = 1.0 + 0j
         for x in roots:
@@ -387,20 +407,19 @@ def _apply_l_blocked(spec: ChainSpec, blocks, groups, g2l, n: int, u: complex,
     _blocked_perm_apply(blocks, groups, g2l, perm, g)
 
 
-def _monodromy_mat(spec: ChainSpec, u: complex, sites: tuple[int, ...],
-                   n_aux: int = 1, aux: int = 0) -> np.ndarray:
-    """Dense ordered product L_{sites[-1]} ... L_{sites[0]} on aux (x) H.
+def _monodromy_groups(spec: ChainSpec, u: complex, sites: tuple[int, ...]) -> list[np.ndarray]:
+    """Content-group blocks of the ordered product L_{sites[-1]} ... L_{sites[0]}.
 
     ``sites`` must be ascending; the leftmost factor is the largest site,
     matching the ordered-product convention of the total monodromy.
     """
     _check_poles(spec, u, sites)
-    n_factors = n_aux + spec.M
-    groups, g2l = _content_partition(n_factors)
+    n_factors = 1 + spec.M
+    groups, g2l, _ = _content_partition(n_factors)
     blocks = _blocked_eye(groups)
     for n in sites:
-        _apply_l_blocked(spec, blocks, groups, g2l, n, u, n_factors, aux, n_aux)
-    return _blocked_assemble(blocks, groups, 3**n_factors)
+        _apply_l_blocked(spec, blocks, groups, g2l, n, u, n_factors, 0, 1)
+    return blocks
 
 
 def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
@@ -412,42 +431,16 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def l_operator(spec: ChainSpec, n: int, u: complex) -> GradedMatrix:
-    """L_n(u) = I + g(u, xi_n) P_{0n} embedded in the full chain space."""
-    sites = _resolve_sites(spec, [n])
-    space = GradedSpace.fundamental().tensor(spec.hilbert_space())
-    return GradedMatrix(space, _monodromy_mat(spec, u, sites))
-
-
-def monodromy(spec: ChainSpec, u: complex, sites=None) -> GradedMatrix:
-    """Monodromy over a site interval; the full chain when sites is None.
-
-    The factorization T(u) = T^(2)(u) T^(1)(u) holds as matrices for every
-    split of the full interval.
-    """
-    sites = _resolve_sites(spec, sites)
-    space = GradedSpace.fundamental().tensor(spec.hilbert_space())
-    return GradedMatrix(space, _monodromy_mat(spec, u, sites))
-
-
 def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
     """3x3 object array of the entries T_ij(u) as operators on H.
 
-    Blocks are read off the concrete monodromy with the BLOCK_SIGNS table so
-    that the entries satisfy the graded RTT commutation relations verbatim.
+    The monodromy over a site interval; the full chain when sites is None,
+    the L-operator L_n(u) = I + g(u, xi_n) P_{0n} when sites is [n].  Entries
+    are signed with BLOCK_SIGNS so that they satisfy the graded RTT
+    commutation relations verbatim.
     """
     sites = _resolve_sites(spec, sites)
-    mat = _monodromy_mat(spec, u, sites)
-    return _extract_blocks(mat, spec.hilbert_dim)
-
-
-def _extract_blocks(mat: np.ndarray, dh: int) -> np.ndarray:
-    resh = mat.reshape(3, dh, 3, dh)
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = BLOCK_SIGNS[i, j] * resh[i, :, j, :]
-    return out
+    return _read_off(spec, _monodromy_groups(spec, u, sites))
 
 
 def transfer_matrix(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
@@ -455,14 +448,13 @@ def transfer_matrix(spec: ChainSpec, u: complex, twist: TwistConfig | None = Non
     """Twisted transfer matrix sum_i (-1)^{[i]} kappa_i T_ii(u) on H."""
     sites = _resolve_sites(spec, sites)
     twist = twist if twist is not None else spec.twist
-    mat = _monodromy_mat(spec, u, sites)
+    flat = np.concatenate([blk.ravel() for blk in _monodromy_groups(spec, u, sites)])
+    _, diag = _gather_map(spec.M)
     dh = spec.hilbert_dim
-    resh = mat.reshape(3, dh, 3, dh)
-    out = np.zeros((dh, dh), dtype=complex)
-    for i in range(3):
-        w = (-1) ** _PAR[i] * twist.kappa[i]
-        out += w * resh[i, :, i, :]
-    return out
+    out = np.zeros(dh * dh, dtype=complex)
+    for i, (entries, on_h) in enumerate(diag):
+        out[on_h] += (-1) ** _PAR[i] * twist.kappa[i] * flat[entries]
+    return out.reshape(dh, dh)
 
 
 def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
@@ -499,22 +491,23 @@ def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _zero_mode_cached(spec: ChainSpec, sites: tuple[int, ...]) -> np.ndarray:
-    dh = spec.hilbert_dim
-    total = np.zeros((3 * dh, 3 * dh), dtype=complex)
     n_factors = 1 + spec.M
+    groups, g2l, _ = _content_partition(n_factors)
+    blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
     for n in sites:
         perm = _chain_permutation(n_factors, 0, n)
-        total += perm.to_matrix()
-    return _extract_blocks(total, dh)
+        for blk, ix in zip(blocks, groups):
+            blk[g2l[perm.dest[ix]], np.arange(ix.size)] += perm.sign[ix]
+    return _read_off(spec, blocks)
 
 
 def zero_mode_limit(spec: ChainSpec, sites=None, scale: float = 1e6) -> np.ndarray:
     """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only."""
     sites = _resolve_sites(spec, sites)
     u = scale * spec.c
-    mat = _monodromy_mat(spec, u, sites)
-    mat = (u / spec.c) * (mat - np.eye(mat.shape[0]))
-    return _extract_blocks(mat, spec.hilbert_dim)
+    blocks = [(u / spec.c) * (blk - np.eye(blk.shape[0]))
+              for blk in _monodromy_groups(spec, u, sites)]
+    return _read_off(spec, blocks)
 
 
 # -- RTT conformance ----------------------------------------------------------
@@ -533,7 +526,7 @@ def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
     n_factors = 2 + spec.M
     g = g_fun(u, v, spec.c)
     p_ab = _chain_permutation(n_factors, 0, 1)
-    groups, g2l = _content_partition(n_factors)
+    groups, g2l, _ = _content_partition(n_factors)
 
     # LHS = R . T_a(u) . T_b(v), built right factor first
     lhs = _blocked_eye(groups)

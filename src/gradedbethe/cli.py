@@ -1,9 +1,10 @@
 """Batch runner: load a scenario config, run verification suites, emit reports.
 
-The scenario is a single JSON document; all randomness (probe jitter, RTT
-sample points) derives from its one integer seed, so identical configs give
-byte-identical report files.  Reports are written as JSON lines in the fixed
-seven-key schema plus a human-readable summary grid.
+The scenario is a single JSON document; all randomness (the spectral points
+of the algebra checks and the vacuum factorization split) derives from its
+one integer seed, so identical configs give byte-identical report files.
+Reports are written as JSON lines in the fixed seven-key schema plus a
+human-readable summary grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .chain import (
     ChainSpec,
     TwistConfig,
     VacuumFunctions,
-    monodromy,
+    _default_xi,
+    monodromy_blocks,
     tm1_residual,
     vacuum_eigenvalue,
     verify_rtt,
@@ -36,6 +38,7 @@ from .formfactors import (
     check_proposition1,
     check_theorem1,
     check_theorem2,
+    make_report,
     twisted_dual_pair,
     zero_mode_ladder_checks,
 )
@@ -73,7 +76,6 @@ class Scenario:
     seed: int = 7
     tol_exact: float = 1e-8
     tol_fd: float = 1e-5
-    probes: int = 5
     rtt_pairs: int = 20
     rtt_sizes: tuple[int, ...] = (1, 2, 3, 4, 5)
     beta_magnitude: float = 1e-2
@@ -92,8 +94,7 @@ class Scenario:
         chain_data.setdefault("kappa", [[1.0, 0.0]] * 3)
         if chain_data.get("xi") is None:
             c = complex(chain_data["c"][0], chain_data["c"][1])
-            chain_data["xi"] = [[(0.1 * n * c).real, (0.1 * n * c).imag]
-                                for n in range(1, m + 1)]
+            chain_data["xi"] = [[x.real, x.imag] for x in _default_xi(m, c)]
         chain_data["M"] = m
         try:
             chain = ChainSpec.from_json(chain_data)
@@ -125,7 +126,6 @@ class Scenario:
             seed=int(data.get("seed", 7)),
             tol_exact=float(data.get("tol_exact", 1e-8)),
             tol_fd=float(data.get("tol_fd", 1e-5)),
-            probes=int(data.get("probes", 5)),
             rtt_pairs=int(data.get("rtt_pairs", 20)),
             rtt_sizes=rtt_sizes,
             beta_magnitude=float(data.get("beta_magnitude", 1e-2)),
@@ -153,31 +153,6 @@ def default_scenario_dict(m: int = 4, seed: int = 7) -> dict:
         "splits": list(range(1, m)),
         "checks": list(KNOWN_CHECKS),
     }
-
-
-def _residual_report(identity: str, spec: ChainSpec, value: float, tol: float,
-                     m: int = 0, sectors=((0, 0), (0, 0))) -> FormFactorReport:
-    return FormFactorReport(
-        identity=identity, spec_hash=spec.content_hash(),
-        sectors=tuple(tuple(s) for s in sectors), m=m,
-        roots_c=None, roots_b=None,
-        lhs=complex(value), rhs=0.0,
-        rel_residual=float(value), tolerance=tol,
-        verdict="pass" if value < tol else "fail",
-    )
-
-
-def _count_report(identity: str, spec: ChainSpec, got: int, want: int,
-                  sector=(0, 0)) -> FormFactorReport:
-    ok = got == want
-    return FormFactorReport(
-        identity=identity, spec_hash=spec.content_hash(),
-        sectors=(tuple(sector), tuple(sector)), m=0,
-        roots_c=None, roots_b=None,
-        lhs=complex(got), rhs=complex(want),
-        rel_residual=0.0 if ok else 1.0, tolerance=0.5,
-        verdict="pass" if ok else "fail",
-    )
 
 
 class _Workspace:
@@ -235,7 +210,7 @@ def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
         v = _random_point(rng, spec.c, -3.0 * spec.c)
         w = _random_point(rng, spec.c, 1.5j * spec.c)
         resid = yang_baxter_residual(u, v, w, spec.c)
-        out.append(_residual_report(f"ybe:{k}", spec, resid, 1e-10))
+        out.append(make_report(f"ybe:{k}", resid, 0.0, 1e-10, residual=resid))
     return out
 
 
@@ -250,12 +225,13 @@ def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
             u = _random_point(rng, sub.c, 3.0 * sub.c)
             v = _random_point(rng, sub.c, -3.0 * sub.c)
             resid = verify_rtt(sub, u, v)
-            out.append(_residual_report(f"rtt:M{m_sites}.{k}", sub, resid, 1e-10))
+            out.append(make_report(f"rtt:M{m_sites}.{k}", resid, 0.0, 1e-10,
+                                   residual=resid))
     # entry-level commutation relation spot check on the scenario chain
     u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
     v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
     resid = tm1_residual(sc.chain, u, v, (1, 2, 2, 3))
-    out.append(_residual_report("rtt:tm1-1223", sc.chain, resid, 1e-10))
+    out.append(make_report("rtt:tm1-1223", resid, 0.0, 1e-10, residual=resid))
     return out
 
 
@@ -263,24 +239,24 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, rng = ws.spec, ws.vac, ws.rng
     out = []
     u = _random_point(rng, spec.c, 2.5 * spec.c)
-    blocks = monodromy(spec, u).mat.reshape(3, spec.hilbert_dim, 3, spec.hilbert_dim)
+    blocks = monodromy_blocks(spec, u)
     vec = spec.vacuum_vector()
     worst_ann = 0.0
     worst_eig = 0.0
     for i in range(3):
         for j in range(3):
-            right = blocks[i, :, j, :] @ vec
-            left = vec @ blocks[i, :, j, :]
+            right = blocks[i, j] @ vec
+            left = vec @ blocks[i, j]
             if i > j:
                 worst_ann = max(worst_ann, float(np.abs(right).max()))
             if i < j:
                 worst_ann = max(worst_ann, float(np.abs(left).max()))
     for k in (1, 2, 3):
         lam = vac.lam(k, u)
-        image = blocks[k - 1, :, k - 1, :] @ vec
+        image = blocks[k - 1, k - 1] @ vec
         worst_eig = max(worst_eig, float(np.abs(image - lam * vec).max()) / max(1, abs(lam)))
-    out.append(_residual_report("vacuum:annihilation", spec, worst_ann, 1e-10))
-    out.append(_residual_report("vacuum:eigenvalue", spec, worst_eig, 1e-10))
+    out.append(make_report("vacuum:annihilation", worst_ann, 0.0, 1e-10, residual=worst_ann))
+    out.append(make_report("vacuum:eigenvalue", worst_eig, 0.0, 1e-10, residual=worst_eig))
 
     # factorization lambda = lambda^(1) lambda^(2) at a random split
     m = int(rng.integers(1, spec.M)) if spec.M > 1 else 1
@@ -290,14 +266,15 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
         lam_1 = vacuum_eigenvalue(spec, k, range(1, m + 1), u)
         lam_2 = vacuum_eigenvalue(spec, k, range(m + 1, spec.M + 1), u) if m < spec.M else 1.0
         worst_fact = max(worst_fact, abs(lam_full - lam_1 * lam_2) / max(1, abs(lam_full)))
-    out.append(_residual_report("vacuum:factorization", spec, worst_fact, 1e-12, m=m))
+    out.append(make_report("vacuum:factorization", worst_fact, 0.0, 1e-12, m=m,
+                           residual=worst_fact))
 
     # zero modes: structural vs large-u limit; the next-order coefficient
     # grows like M^2, so the evaluation point scales out with the chain
     zm = zero_mode(spec)
     zl = zero_mode_limit(spec, scale=1e6 * spec.M)
     diff = max(float(np.abs(zm[i, j] - zl[i, j]).max()) for i in range(3) for j in range(3))
-    out.append(_residual_report("vacuum:zero-mode-limit", spec, diff, 1e-5))
+    out.append(make_report("vacuum:zero-mode-limit", diff, 0.0, 1e-5, residual=diff))
     return out
 
 
@@ -305,15 +282,17 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac = ws.spec, ws.vac
     out = []
     dec = ws.decomposition()
-    out.append(_residual_report("spectrum:consistency", spec, dec.consistency, 1e-9))
+    out.append(make_report("spectrum:consistency", dec.consistency, 0.0, 1e-9,
+                           residual=dec.consistency))
     for sector in ws.scenario.sectors:
+        name = f"spectrum-match:{sector[0]}{sector[1]}"
         states = dec.by_sector(tuple(sector))
         classified = [c for c in ws.classified() if c.state.sector == tuple(sector)]
         prims = [c for c in classified if c.kind == "primitive"]
         n_unresolved = sum(1 for c in classified if c.kind == "unresolved")
         if not states:
-            out.append(_count_report(f"spectrum-match:{sector[0]}{sector[1]}:empty-sector",
-                                     spec, 0, 0, sector))
+            out.append(make_report(f"{name}:empty-sector", 0, 0, 0.5, sectors=(sector, sector),
+                                   residual=0.0))
             continue
         # every solution found must match exactly one state, and the sector
         # labels recovered from the zero modes must agree with the root counts
@@ -326,12 +305,13 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
                 n_label_ok += 1
             res = bethe_residual(pair.roots, vac)
             worst_res = max(worst_res, float(np.abs(res).max()) if res.size else 0.0)
-        out.append(_count_report(f"spectrum-match:{sector[0]}{sector[1]}:labels",
-                                 spec, n_label_ok, len(prims), sector))
-        out.append(_count_report(f"spectrum-match:{sector[0]}{sector[1]}:unresolved",
-                                 spec, n_unresolved, 0, sector))
-        out.append(_residual_report(f"spectrum-match:{sector[0]}{sector[1]}:bethe-residual",
-                                    spec, worst_res, 1e-10, sectors=(sector, sector)))
+        out.append(make_report(f"{name}:labels", n_label_ok, len(prims), 0.5,
+                               sectors=(sector, sector),
+                               residual=float(n_label_ok != len(prims))))
+        out.append(make_report(f"{name}:unresolved", n_unresolved, 0, 0.5,
+                               sectors=(sector, sector), residual=float(n_unresolved != 0)))
+        out.append(make_report(f"{name}:bethe-residual", worst_res, 0.0, 1e-10,
+                               sectors=(sector, sector), residual=worst_res))
     return out
 
 
@@ -407,9 +387,9 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
                 consistency = abs(d_coarse - d_fine) / abs(d_coarse)
             else:
                 consistency = abs(d_coarse - d_fine)
-            out.append(_residual_report(
-                f"theorem2-fd:{i}.{pair.sector[0]}{pair.sector[1]}", spec,
-                consistency, 1e-3, m=sc.splits[-1], sectors=(pair.sector, pair.sector)))
+            out.append(make_report(
+                f"theorem2-fd:{i}.{pair.sector[0]}{pair.sector[1]}", consistency, 0.0, 1e-3,
+                sectors=(pair.sector, pair.sector), m=sc.splits[-1], residual=consistency))
     return out
 
 

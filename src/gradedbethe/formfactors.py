@@ -30,11 +30,11 @@ from .spectrum import OnShellPair, SpectralDecomposition, match_roots_to_state
 
 __all__ = [
     "FormFactorReport",
+    "make_report",
     "ZetaFactors",
     "matrix_element",
     "universal_form_factor",
     "partial_zero_mode_ff",
-    "local_operator_ff",
     "sector_step",
     "check_theorem1",
     "check_local_corollary",
@@ -59,11 +59,8 @@ class FormFactorReport:
     """Structured record of one identity verification."""
 
     identity: str
-    spec_hash: str
     sectors: tuple[tuple[int, int], tuple[int, int]]
     m: int
-    roots_c: BetheRoots | None
-    roots_b: BetheRoots | None
     lhs: complex
     rhs: complex
     rel_residual: float
@@ -89,28 +86,26 @@ class FormFactorReport:
         return json.dumps(self.to_line_dict())
 
 
-def _make_report(identity: str, spec: ChainSpec, pair_c: OnShellPair | None,
-                 pair_b: OnShellPair | None, m: int, lhs: complex, rhs: complex,
-                 tol: float, floor: float) -> FormFactorReport:
-    mag = max(abs(lhs), abs(rhs))
-    if mag < floor:
-        verdict, residual = "trivial", abs(lhs - rhs)
-    else:
-        residual = abs(lhs - rhs) / mag
+def make_report(identity: str, lhs: complex, rhs: complex, tol: float, *,
+                sectors=((0, 0), (0, 0)), m: int = 0, floor: float = 0.0,
+                residual: float | None = None) -> FormFactorReport:
+    """The one constructor of report rows.
+
+    Without an explicit ``residual`` the row carries |lhs - rhs| relative to
+    the larger side, and sides that both sit below ``floor`` make the row
+    ``trivial``.  An explicit residual is compared with ``tol`` as given.
+    """
+    verdict = None
+    if residual is None:
+        mag = max(abs(lhs), abs(rhs))
+        if mag < floor:
+            verdict, residual = "trivial", abs(lhs - rhs)
+        else:
+            residual = abs(lhs - rhs) / mag
+    if verdict is None:
         verdict = "pass" if residual < tol else "fail"
-    return FormFactorReport(
-        identity=identity,
-        spec_hash=spec.content_hash(),
-        sectors=(pair_c.sector if pair_c else (0, 0), pair_b.sector if pair_b else (0, 0)),
-        m=m,
-        roots_c=pair_c.roots if pair_c else None,
-        roots_b=pair_b.roots if pair_b else None,
-        lhs=complex(lhs),
-        rhs=complex(rhs),
-        rel_residual=float(residual),
-        tolerance=tol,
-        verdict=verdict,
-    )
+    return FormFactorReport(identity, tuple(tuple(s) for s in sectors), m, complex(lhs),
+                            complex(rhs), float(residual), tol, verdict)
 
 
 def _pair_floor(pair_c: OnShellPair, pair_b: OnShellPair, rel: float = 1e-13) -> float:
@@ -177,13 +172,6 @@ def partial_zero_mode_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPa
     return matrix_element(pair_c.left, zm[i - 1, j - 1], pair_b.right)
 
 
-def local_operator_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
-                      i: int, j: int, m: int) -> complex:
-    """Form factor <C| (L_m[0])_ij |B> of the local operator at site m."""
-    zm = zero_mode(spec, sites=[m])
-    return matrix_element(pair_c.left, zm[i - 1, j - 1], pair_b.right)
-
-
 @dataclass
 class ZetaFactors:
     """The vacuum-ratio products that carry all the split-point dependence."""
@@ -223,8 +211,8 @@ def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j)
     rhs = (zeta.rho - 1.0) * ff
-    return _make_report(f"theorem1:{i}{j}", spec, pair_c, pair_b, m, lhs, rhs, tol,
-                        floor=_pair_floor(pair_c, pair_b))
+    return make_report(f"theorem1:{i}{j}", lhs, rhs, tol, sectors=(pair_c.sector, pair_b.sector),
+                       m=m, floor=_pair_floor(pair_c, pair_b))
 
 
 def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
@@ -234,13 +222,14 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
 
     <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j).
     """
-    lhs = local_operator_ff(spec, pair_c, pair_b, i, j, m)
+    lhs = matrix_element(pair_c.left, zero_mode(spec, sites=[m])[i - 1, j - 1], pair_b.right)
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j)
     prefactor = (zeta.site_factors[m - 1] - 1.0) * np.prod(zeta.site_factors[:m - 1] or (1.0,))
     rhs = prefactor * ff
-    return _make_report(f"theorem1-local:{i}{j}", spec, pair_c, pair_b, m, lhs, rhs, tol,
-                        floor=_pair_floor(pair_c, pair_b))
+    return make_report(f"theorem1-local:{i}{j}", lhs, rhs, tol,
+                       sectors=(pair_c.sector, pair_b.sector), m=m,
+                       floor=_pair_floor(pair_c, pair_b))
 
 
 def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
@@ -262,7 +251,8 @@ def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
     rhs = vac.lam_zero_mode(i, sites=range(1, m + 1)) + (-1) ** _PAR[i - 1] * dlog
     # both sides are scale-free and O(m) when nonzero; the zero floor sits
     # above the finite-difference resolution (solver tolerance over delta)
-    return _make_report(f"theorem2:{i}", spec, pair, pair, m, lhs, rhs, tol, floor=1e-7)
+    return make_report(f"theorem2:{i}", lhs, rhs, tol, sectors=(pair.sector, pair.sector), m=m,
+                       floor=1e-7)
 
 
 def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
@@ -327,8 +317,9 @@ def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
     zeta = ZetaFactors.build(vac, pair_c_twisted.roots, pair_b.roots, m)
     overlap = complex(pair_c_twisted.left @ pair_b.right)
     rhs = np.exp(_script_q(vac, beta, m)) * zeta.rho * overlap
-    return _make_report("proposition1", spec, pair_c_twisted, pair_b, m, lhs, rhs, tol,
-                        floor=_pair_floor(pair_c_twisted, pair_b))
+    return make_report("proposition1", lhs, rhs, tol,
+                       sectors=(pair_c_twisted.sector, pair_b.sector), m=m,
+                       floor=_pair_floor(pair_c_twisted, pair_b))
 
 
 def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
@@ -359,8 +350,9 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
     rhs = (-1) ** _PAR[i - 1] * d_emel - ff
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, i, m)
     # the zero floor sits above the finite-difference noise in d_emel
-    return _make_report(f"genfun-derivative:{i}", spec, pair_c, pair_b, m, lhs, rhs, tol,
-                        floor=_pair_floor(pair_c, pair_b, rel=1e-8))
+    return make_report(f"genfun-derivative:{i}", lhs, rhs, tol,
+                       sectors=(pair_c.sector, pair_b.sector), m=m,
+                       floor=_pair_floor(pair_c, pair_b, rel=1e-8))
 
 
 def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
@@ -394,31 +386,16 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
         sign = (-1) ** ((_PAR[i - 1] * _PAR[j - 1] + _PAR[i - 1] * _PAR[l - 1]
                          + _PAR[j - 1] * _PAR[l - 1]) % 2)
         rhs = sign * matrix_element(pair_c.left, comm, pair_b.right)
-        resid = abs(lhs - rhs) / norm_cb
-        reports.append(FormFactorReport(
-            identity=f"ladder-commutator:{i}{j}{k}{l}",
-            spec_hash=spec.content_hash(),
-            sectors=(pair_c.sector, pair_b.sector),
-            m=m,
-            roots_c=pair_c.roots, roots_b=pair_b.roots,
-            lhs=complex(lhs), rhs=complex(rhs),
-            rel_residual=float(resid), tolerance=tol,
-            verdict="pass" if resid < tol else "fail",
-        ))
+        reports.append(make_report(f"ladder-commutator:{i}{j}{k}{l}", lhs, rhs, tol,
+                                   sectors=(pair_c.sector, pair_b.sector), m=m,
+                                   residual=abs(lhs - rhs) / norm_cb))
 
     # (b) dual annihilation, stated for finite-root (primitive) dual states
     if pair_c.sector[0] >= 1 and pair_c.roots.n_u_inf == 0:
         img = pair_c.left @ zm_tot[0, 1]
         resid = float(np.linalg.norm(img) / np.linalg.norm(pair_c.left))
-        reports.append(FormFactorReport(
-            identity="ladder-dual-annihilation",
-            spec_hash=spec.content_hash(),
-            sectors=(pair_c.sector, pair_c.sector), m=m,
-            roots_c=pair_c.roots, roots_b=None,
-            lhs=complex(resid), rhs=0.0,
-            rel_residual=resid, tolerance=eig_tol,
-            verdict="pass" if resid < eig_tol else "fail",
-        ))
+        reports.append(make_report("ladder-dual-annihilation", resid, 0.0, eig_tol,
+                                   sectors=(pair_c.sector, pair_c.sector), m=m, residual=resid))
 
     # (c) raising image of B is on shell one sector up
     img = zm_tot[0, 1] @ pair_b.right
@@ -432,13 +409,7 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
             tau = pair_b.tau_samples[q]
             worst = max(worst, float(np.linalg.norm(t @ img - tau * img)) / img_norm
                         / max(1.0, abs(tau)))
-        reports.append(FormFactorReport(
-            identity="ladder-raising-eigenvector",
-            spec_hash=spec.content_hash(),
-            sectors=((pair_b.sector[0] + 1, pair_b.sector[1]), pair_b.sector), m=m,
-            roots_c=None, roots_b=pair_b.roots,
-            lhs=complex(worst), rhs=0.0,
-            rel_residual=worst, tolerance=eig_tol,
-            verdict="pass" if worst < eig_tol else "fail",
-        ))
+        up = (pair_b.sector[0] + 1, pair_b.sector[1])
+        reports.append(make_report("ladder-raising-eigenvector", worst, 0.0, eig_tol,
+                                   sectors=(up, pair_b.sector), m=m, residual=worst))
     return reports

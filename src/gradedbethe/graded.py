@@ -15,7 +15,6 @@ chain tests), which is the only conformance criterion that matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class GradedSpace:
         return np.array(self.parities, dtype=np.int64)
 
 
-def product_space(factors: list[GradedSpace] | tuple[GradedSpace, ...]) -> GradedSpace:
-    return reduce(GradedSpace.tensor, factors)
-
-
 @dataclass
 class GradedMatrix:
     """Dense complex operator on a graded space, with its grading metadata."""
@@ -98,22 +93,6 @@ class GradedMatrix:
             raise ValueError("operators act on different spaces")
         return GradedMatrix(self.space, self.mat @ other.mat)
 
-    def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
-        if self.space != other.space:
-            raise ValueError("operators act on different spaces")
-        return GradedMatrix(self.space, self.mat + other.mat)
-
-    def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
-        if self.space != other.space:
-            raise ValueError("operators act on different spaces")
-        return GradedMatrix(self.space, self.mat - other.mat)
-
-    def __rmul__(self, scalar: complex) -> "GradedMatrix":
-        return GradedMatrix(self.space, scalar * self.mat)
-
-    def norm_max(self) -> float:
-        """Max absolute entry; the residual norm used throughout."""
-        return float(np.abs(self.mat).max())
 
 
 def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -143,16 +122,6 @@ class SignedPermutation:
 
     dest: np.ndarray
     sign: np.ndarray
-
-    def apply_left(self, x: np.ndarray) -> np.ndarray:
-        """P @ x for a vector or matrix x."""
-        out = np.empty_like(x)
-        out[self.dest] = self.sign[:, None] * x if x.ndim > 1 else self.sign * x
-        return out
-
-    def apply_right(self, x: np.ndarray) -> np.ndarray:
-        """x @ P for a matrix x."""
-        return x[:, self.dest] * self.sign[None, :]
 
     def to_matrix(self) -> np.ndarray:
         n = self.dest.size

@@ -24,7 +24,14 @@ import scipy.linalg
 
 from .bethe import BetheRoots, BetheSolverError, fit_roots_to_samples, solve_bethe, \
     subset_seed_candidates, tau_eigenvalue
-from .chain import ChainSpec, TwistConfig, VacuumFunctions, transfer_matrix, zero_mode
+from .chain import (
+    ChainSpec,
+    TwistConfig,
+    VacuumFunctions,
+    _content_partition,
+    transfer_matrix,
+    zero_mode,
+)
 
 __all__ = [
     "SpectralDecomposition",
@@ -61,32 +68,16 @@ def default_probes(spec: ChainSpec, p: int = 5) -> np.ndarray:
     return np.array([(1.7 + 0.3 * j) * c + 0.41j * c for j in range(p)], dtype=complex)
 
 
-def _basis_content(spec: ChainSpec) -> np.ndarray:
-    """Per-basis-state counts (n1, n2, n3) of local indices, shape (dim, 3)."""
-    dim = spec.hilbert_dim
-    counts = np.zeros((dim, 3), dtype=np.int64)
-    idx = np.arange(dim)
-    for _ in range(spec.M):
-        digit = idx % 3
-        for k in range(3):
-            counts[:, k] += digit == k
-        idx //= 3
-    return counts
-
-
 def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
     """Basis indices per sector (a, b) = (M - n1, n3), ordered by index.
 
     Sectors are labelled against the vacuum at local index 1; the labels
-    coincide with the Bethe root cardinalities.
+    coincide with the Bethe root cardinalities.  The arrays are shared with
+    the chain's content partition; callers treat them as read-only.
     """
-    counts = _basis_content(spec)
-    a = spec.M - counts[:, 0]
-    b = counts[:, 2]
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for key in sorted({(int(x), int(y)) for x, y in zip(a, b)}):
-        out[key] = np.where((a == key[0]) & (b == key[1]))[0]
-    return out
+    groups, _, contents = _content_partition(spec.M)
+    sectors = {(spec.M - n1, n3): ix for ix, (n1, _, n3) in zip(groups, contents)}
+    return dict(sorted(sectors.items()))
 
 
 @dataclass
@@ -346,10 +337,6 @@ def on_shell_pair(dec: SpectralDecomposition, cls: ClassifiedState) -> OnShellPa
 
 
 # -- spectral cache -------------------------------------------------------------
-
-
-def cache_dir(default: str) -> str:
-    return os.environ.get(CACHE_ENV_VAR, default)
 
 
 def _cache_path(directory: str, spec: ChainSpec, twist: TwistConfig) -> str:

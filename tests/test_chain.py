@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from gradedbethe.chain import (
     PoleError,
     TwistConfig,
     VacuumFunctions,
-    l_operator,
-    monodromy,
+    _zero_mode_cached,
     monodromy_blocks,
     r_matrix,
     tm1_residual,
@@ -22,13 +22,18 @@ from gradedbethe.chain import (
     zero_mode_limit,
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_commutator, graded_permutation, \
-    GradedSpace, permutation_between
+    GradedSpace, permutation_between, supertrace_over_aux
 
 PAR = FUNDAMENTAL_PARITIES
 
 
 def rand_pt(rng, shift=0.0):
     return complex(rng.normal(0, 2), rng.normal(0, 2)) + shift
+
+
+def concrete(blocks):
+    """The operator on aux (x) H whose (i,j) auxiliary block is signed T_ij."""
+    return np.block([[BLOCK_SIGNS[i, j] * blocks[i, j] for j in range(3)] for i in range(3)])
 
 
 # -- R-matrix -----------------------------------------------------------------
@@ -63,16 +68,16 @@ def test_yang_baxter_residual():
 
 def test_l_operator_single_site_unit_g():
     spec = ChainSpec(M=1, xi=(0.0,))
-    l_op = l_operator(spec, 1, 1.0)  # g(c, 0) = 1
+    l_op = concrete(monodromy_blocks(spec, 1.0, sites=[1]))  # g(c, 0) = 1
     p01 = permutation_between([GradedSpace.fundamental()] * 2, 0, 1)
-    assert np.abs(l_op.mat - (np.eye(9) + p01.to_matrix())).max() < 1e-14
+    assert np.abs(l_op - (np.eye(9) + p01.to_matrix())).max() < 1e-14
 
 
 def test_l_operator_large_u_limit_is_zero_mode():
     spec = ChainSpec(M=3)
     u = 1e6 * spec.c
     n = 2
-    l_op = l_operator(spec, n, u).mat
+    l_op = concrete(monodromy_blocks(spec, u, sites=[n]))
     approx = (u / spec.c) * (l_op - np.eye(l_op.shape[0]))
     p = permutation_between([GradedSpace.fundamental()] * 4, 0, n)
     assert np.abs(approx - p.to_matrix()).max() < 1e-5
@@ -81,23 +86,17 @@ def test_l_operator_large_u_limit_is_zero_mode():
 def test_l_operator_pole():
     spec = ChainSpec(M=2)
     with pytest.raises(PoleError):
-        l_operator(spec, 1, spec.xi[0])
-
-
-def test_monodromy_single_site_is_l_operator():
-    spec = ChainSpec(M=1)
-    u = 2.3 + 0.7j
-    assert np.array_equal(monodromy(spec, u).mat, l_operator(spec, 1, u).mat)
+        monodromy_blocks(spec, spec.xi[0], sites=[1])
 
 
 def test_monodromy_factorizes_at_every_split():
     spec = ChainSpec(M=4)
     rng = np.random.default_rng(11)
     u = rand_pt(rng, 3)
-    total = monodromy(spec, u).mat
+    total = concrete(monodromy_blocks(spec, u))
     for m in range(1, spec.M):
-        t1 = monodromy(spec, u, sites=range(1, m + 1)).mat
-        t2 = monodromy(spec, u, sites=range(m + 1, spec.M + 1)).mat
+        t1 = concrete(monodromy_blocks(spec, u, sites=range(1, m + 1)))
+        t2 = concrete(monodromy_blocks(spec, u, sites=range(m + 1, spec.M + 1)))
         assert np.abs(total - t2 @ t1).max() < 1e-12
 
 
@@ -179,6 +178,15 @@ def test_transfer_matrices_commute():
     s_u = transfer_matrix(spec, u, twist=twist)
     s_v = transfer_matrix(spec, v, twist=twist)
     assert np.abs(s_u @ s_v - s_v @ s_u).max() < 1e-10
+
+
+def test_transfer_matrix_is_twisted_supertrace_of_monodromy():
+    spec = ChainSpec(M=3, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
+    rng = np.random.default_rng(15)
+    u = rand_pt(rng, 2)
+    oracle = supertrace_over_aux(concrete(monodromy_blocks(spec, u)),
+                                 weights=np.array(spec.twist.kappa))
+    assert np.abs(transfer_matrix(spec, u) - oracle).max() < 1e-13
 
 
 def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
@@ -316,3 +324,35 @@ def test_chain_spec_validation():
         ChainSpec(M=2, vacuum_index=4)
     with pytest.raises(ValueError):
         TwistConfig((0.0, 1.0, 1.0))
+
+
+# -- allocation -------------------------------------------------------------------
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m_sites", [4, 5])
+def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
+    # one dense (3^(M+1))^2 complex matrix on aux (x) H
+    dense = 16 * 9 ** (m_sites + 1)
+    spec = ChainSpec(M=m_sites)
+    u = 2.1 + 0.4j
+    transfer_matrix(spec, u)  # warm the partition and gather-map caches
+
+    def uncached_zero_mode():
+        _zero_mode_cached.cache_clear()
+        return zero_mode(spec)
+
+    assert _peak_bytes(lambda: transfer_matrix(spec, u)) < 0.8 * dense
+    assert _peak_bytes(lambda: monodromy_blocks(spec, u)) < 1.5 * dense
+    assert _peak_bytes(uncached_zero_mode) < 1.5 * dense
+    assert _peak_bytes(lambda: zero_mode_limit(spec)) < 1.5 * dense

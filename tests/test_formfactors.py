@@ -12,7 +12,6 @@ from gradedbethe.formfactors import (
     check_theorem1,
     check_theorem2,
     generating_functional,
-    local_operator_ff,
     matrix_element,
     partial_zero_mode_ff,
     sector_step,
@@ -152,7 +151,7 @@ def test_partial_zero_mode_empty_range(spec4, p10):
 
 def test_local_operator_is_zero_mode_difference(spec4, p10, p20):
     for m in (1, 2, 3):
-        direct = local_operator_ff(spec4, p20[0], p10[0], 1, 2, m)
+        direct = matrix_element(p20[0].left, zero_mode(spec4, sites=[m])[0, 1], p10[0].right)
         diff = partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m) \
             - partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m - 1)
         assert abs(direct - diff) < 1e-12 * max(1.0, abs(direct))

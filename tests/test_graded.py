@@ -139,17 +139,6 @@ def test_permutation_between_matches_adjacent_composition():
     assert np.abs(p13 - p12 @ p23 @ p12).max() < 1e-14
 
 
-def test_signed_permutation_apply_matches_dense():
-    perm = permutation_between([FUND, FUND, FUND], 0, 2)
-    dense = perm.to_matrix()
-    gen = np.random.default_rng(6)
-    x = gen.normal(size=(27, 27)) + 1j * gen.normal(size=(27, 27))
-    assert np.allclose(perm.apply_left(x), dense @ x)
-    assert np.allclose(perm.apply_right(x), x @ dense)
-    v = gen.normal(size=27)
-    assert np.allclose(perm.apply_left(v), dense @ v)
-
-
 def test_supertrace_over_aux_identity():
     prod = FUND.tensor(FUND)
     out = supertrace_over_aux(GradedMatrix(prod, np.eye(9)))

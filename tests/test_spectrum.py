@@ -187,3 +187,18 @@ def test_cache_roundtrip(tmp_path, spec4, dec4):
     # a different spec misses the cache
     other = ChainSpec(M=3)
     assert load_cache(str(tmp_path), other, other.twist) is None
+
+
+@pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+def test_sector_indices_match_digit_count(m_sites):
+    # brute force: read every basis index digit by digit
+    spec = ChainSpec(M=m_sites)
+    oracle = {}
+    for index in range(spec.hilbert_dim):
+        digits = [(index // 3**t) % 3 for t in range(m_sites)]
+        sector = (m_sites - digits.count(0), digits.count(2))
+        oracle.setdefault(sector, []).append(index)
+    got = sector_indices(spec)
+    assert list(got) == sorted(oracle)
+    for sector, indices in oracle.items():
+        assert got[sector].tolist() == indices
