@@ -7,12 +7,16 @@ content-group blocks (see _content_partition).  Products of L-operators are
 accumulated per block with O(N^2) signed-permutation applications, never
 O(N^3) matrix products.
 
-The monodromy entries T_ij, operators on H, are read off the blocks through
-one cached gather map per chain length, with a fixed sign table BLOCK_SIGNS.
-The table is pinned by requiring the zero-mode commutation algebra to hold
-entrywise (an exact integer-arithmetic criterion) together with the RTT
-residual test; see tests/test_chain.py.  A single-site monodromy is the
-L-operator.
+An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
+is one sub-block of the aux (x) H group of content s + e_j per H group.
+``entry_blocks`` slices these out through one cached block map per chain
+length, signed with a fixed table BLOCK_SIGNS, as {s: (image, block)}; every
+check of ``gradedbethe verify`` works on that form.  The dense read-offs
+(``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``, ``zero_mode_limit``)
+fill 3^M x 3^M matrices from the same blocks: public API and test oracle.
+The sign table is pinned by requiring the zero-mode commutation algebra to
+hold entrywise (an exact integer-arithmetic criterion) together with the RTT
+residual test; see tests/test_chain.py.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -40,10 +44,19 @@ __all__ = [
     "PoleError",
     "r_matrix",
     "yang_baxter_residual",
+    "monodromy_groups",
     "monodromy_blocks",
+    "entry_blocks",
+    "combine",
+    "apply",
+    "apply_left",
+    "sandwich",
+    "transfer_blocks",
     "transfer_matrix",
     "vacuum_eigenvalue",
+    "zero_mode_groups",
     "zero_mode",
+    "zero_mode_limit_groups",
     "zero_mode_limit",
     "verify_rtt",
     "tm1_residual",
@@ -225,51 +238,113 @@ def _blocked_eye(groups) -> list[np.ndarray]:
 
 
 def _blocked_perm_apply(blocks, groups, g2l, perm: SignedPermutation, g: complex) -> None:
-    """blocks <- (I + g P) blocks, per content group, in place."""
+    """blocks <- (I + g P) blocks, per content group, in place; None blocks stay None."""
     for k, ix in enumerate(groups):
+        x = blocks[k]
+        if x is None:
+            continue
         dl = g2l[perm.dest[ix]]
         sl = perm.sign[ix]
-        x = blocks[k]
         y = np.empty_like(x)
         y[dl] = sl[:, None] * x
         blocks[k] = x + g * y
 
 
 @lru_cache(maxsize=16)
-def _gather_map(m_sites: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Where the entries of the aux (x) H content-group blocks land among the T_ij.
+def _block_map(m_sites: int):
+    """Where the block of each monodromy entry on each H content group sits.
 
-    Concatenating the raveled blocks gives one flat array; its entry e is an
-    entry of the (i,j) auxiliary block and sits at flat position ``dest[e]``
-    of a (3, 3, 3^M, 3^M) array.  ``diag[i]`` lists the entries of the
-    auxiliary block (i,i) with their flat positions on H alone.
+    The block of T_ij on H content s is the part of the aux (x) H group of
+    content s + e_j with aux letter i in the rows and j in the columns.  The
+    aux letter is the leading digit, so both runs are contiguous and list H
+    indices in ascending order, as the H groups do.  Returns ``index`` (H
+    content -> basis indices) and ``entries[i][j]`` (0-based): tuples (s,
+    image, aux group, row slice, column slice) where T_ij does not vanish.
     """
-    groups, _, _ = _content_partition(m_sites + 1)
-    dh = 3**m_sites
-    aux_row, h_row = np.divmod(np.concatenate([np.repeat(ix, ix.size) for ix in groups]), dh)
-    aux_col, h_col = np.divmod(np.concatenate([np.tile(ix, ix.size) for ix in groups]), dh)
-    on_h = h_row * dh + h_col
-    dest = (3 * aux_row + aux_col) * dh * dh + on_h
-    diag = []
-    for i in range(3):
-        entries = np.nonzero((aux_row == i) & (aux_col == i))[0]
-        diag.append((entries, on_h[entries]))
-    return dest, tuple(diag)
-
-
-def _read_off(spec: ChainSpec, blocks) -> np.ndarray:
-    """3x3 object array of the entries T_ij on H, signed by BLOCK_SIGNS."""
-    dh = spec.hilbert_dim
-    dest, _ = _gather_map(spec.M)
-    entries = np.zeros(9 * dh * dh, dtype=complex)
-    entries[dest] = np.concatenate([blk.ravel() for blk in blocks])
-    entries = entries.reshape(3, 3, dh, dh)
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
+    h_groups, _, h_contents = _content_partition(m_sites)
+    aux_groups, _, aux_contents = _content_partition(m_sites + 1)
+    index = dict(zip(h_contents, h_groups))
+    aux_of = {s: g for g, s in enumerate(aux_contents)}
+    entries = [[[] for _ in range(3)] for _ in range(3)]
+    for s in h_contents:
         for j in range(3):
-            # +1 entries too: the complex multiply fixes the sign of zeros
-            entries[i, j] *= BLOCK_SIGNS[i, j]
-            out[i, j] = entries[i, j]
+            up = tuple(n + (t == j) for t, n in enumerate(s))
+            g = aux_of[up]
+            runs = np.searchsorted(aux_groups[g], np.arange(4) * 3**m_sites)
+            for i in range(3):
+                image = tuple(n - (t == i) for t, n in enumerate(up))
+                if image in index:
+                    entries[i][j].append((s, image, g, slice(runs[i], runs[i + 1]),
+                                          slice(runs[j], runs[j + 1])))
+    return index, entries
+
+
+def entry_blocks(spec: ChainSpec, groups, i: int, j: int) -> dict:
+    """The entry T_ij (1-based) of an aux (x) H operator given by its group blocks.
+
+    Returns {s: (image, block)}, blocks signed with BLOCK_SIGNS, each mapping
+    H content s onto ``image``.  Groups T_ij annihilates, or whose aux (x) H
+    group was not computed (None), are absent.
+    """
+    _, entries = _block_map(spec.M)
+    sign = BLOCK_SIGNS[i - 1, j - 1]
+    return {s: (image, sign * groups[g][rows, cols])
+            for s, image, g, rows, cols in entries[i - 1][j - 1] if groups[g] is not None}
+
+
+def combine(*terms) -> dict:
+    """sum_t c_t A_t for (c_t, A_t) pairs of H operators given as {s: (image, block)}."""
+    out = {}
+    for coef, op in terms:
+        for s, (image, blk) in op.items():
+            out[s] = (image, out[s][1] + coef * blk) if s in out else (image, coef * blk)
+    return out
+
+
+def _compose(a: dict, b: dict) -> dict:
+    """The product a . b of H operators given as {s: (image, block)}."""
+    return {s: (a[m][0], a[m][1] @ blk) for s, (m, blk) in b.items() if m in a}
+
+
+def apply(spec: ChainSpec, op: dict, v: np.ndarray) -> np.ndarray:
+    """op . v for a vector on H."""
+    index, _ = _block_map(spec.M)
+    out = np.zeros(spec.hilbert_dim, dtype=complex)
+    for s, (image, blk) in op.items():
+        out[index[image]] += blk @ v[index[s]]
+    return out
+
+
+def apply_left(spec: ChainSpec, v: np.ndarray, op: dict) -> np.ndarray:
+    """v . op for a row vector on H."""
+    index, _ = _block_map(spec.M)
+    out = np.zeros(spec.hilbert_dim, dtype=complex)
+    for s, (image, blk) in op.items():
+        out[index[s]] += v[index[image]] @ blk
+    return out
+
+
+def sandwich(spec: ChainSpec, left: np.ndarray, op: dict, right: np.ndarray) -> complex:
+    """Bilinear sandwich left . op . right."""
+    index, _ = _block_map(spec.M)
+    return complex(sum(left[index[image]] @ (blk @ right[index[s]])
+                       for s, (image, blk) in op.items()))
+
+
+def _dense(spec: ChainSpec, op: dict) -> np.ndarray:
+    dh = spec.hilbert_dim
+    index, _ = _block_map(spec.M)
+    out = np.zeros((dh, dh), dtype=complex)
+    for s, (image, blk) in op.items():
+        out[np.ix_(index[image], index[s])] = blk
+    return out
+
+
+def _read_off(spec: ChainSpec, groups) -> np.ndarray:
+    """3x3 object array of the dense entries T_ij on H, signed by BLOCK_SIGNS."""
+    out = np.empty((3, 3), dtype=object)
+    for i, j in np.ndindex(3, 3):
+        out[i, j] = _dense(spec, entry_blocks(spec, groups, i + 1, j + 1))
     return out
 
 
@@ -407,21 +482,6 @@ def _apply_l_blocked(spec: ChainSpec, blocks, groups, g2l, n: int, u: complex,
     _blocked_perm_apply(blocks, groups, g2l, perm, g)
 
 
-def _monodromy_groups(spec: ChainSpec, u: complex, sites: tuple[int, ...]) -> list[np.ndarray]:
-    """Content-group blocks of the ordered product L_{sites[-1]} ... L_{sites[0]}.
-
-    ``sites`` must be ascending; the leftmost factor is the largest site,
-    matching the ordered-product convention of the total monodromy.
-    """
-    _check_poles(spec, u, sites)
-    n_factors = 1 + spec.M
-    groups, g2l, _ = _content_partition(n_factors)
-    blocks = _blocked_eye(groups)
-    for n in sites:
-        _apply_l_blocked(spec, blocks, groups, g2l, n, u, n_factors, 0, 1)
-    return blocks
-
-
 def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     sites = spec.all_sites() if sites is None else tuple(sites)
     if any(not 1 <= n <= spec.M for n in sites):
@@ -431,30 +491,47 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
-    """3x3 object array of the entries T_ij(u) as operators on H.
+def monodromy_groups(spec: ChainSpec, u: complex, sites=None, keep=None) -> list:
+    """Content-group blocks of the monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u).
 
-    The monodromy over a site interval; the full chain when sites is None,
-    the L-operator L_n(u) = I + g(u, xi_n) P_{0n} when sites is [n].  Entries
-    are signed with BLOCK_SIGNS so that they satisfy the graded RTT
-    commutation relations verbatim.
+    The monodromy over an ascending site interval; the full chain when sites
+    is None, the L-operator L_n(u) = I + g(u, xi_n) P_{0n} when sites is [n].
+    The leftmost factor is the largest site.  Groups never mix, so ``keep``
+    may name the aux (x) H groups to compute; the others are None.
     """
     sites = _resolve_sites(spec, sites)
-    return _read_off(spec, _monodromy_groups(spec, u, sites))
+    _check_poles(spec, u, sites)
+    n_factors = 1 + spec.M
+    groups, g2l, _ = _content_partition(n_factors)
+    blocks = [np.eye(ix.size, dtype=complex) if keep is None or k in keep else None
+              for k, ix in enumerate(groups)]
+    for n in sites:
+        _apply_l_blocked(spec, blocks, groups, g2l, n, u, n_factors, 0, 1)
+    return blocks
+
+
+def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
+    """3x3 object array of the dense entries T_ij(u) on H (see monodromy_groups)."""
+    return _read_off(spec, monodromy_groups(spec, u, sites))
+
+
+def transfer_blocks(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
+                    sites=None, contents=None) -> dict:
+    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given."""
+    twist = twist if twist is not None else spec.twist
+    _, entries = _block_map(spec.M)
+    keep = None if contents is None else \
+        {g for i in range(3) for s, _, g, _, _ in entries[i][i] if s in contents}
+    groups = monodromy_groups(spec, u, sites, keep)
+    t = combine(*[((-1) ** _PAR[i] * twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
+                  for i in range(3)])
+    return t if contents is None else {s: t[s] for s in contents}
 
 
 def transfer_matrix(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
                     sites=None) -> np.ndarray:
-    """Twisted transfer matrix sum_i (-1)^{[i]} kappa_i T_ii(u) on H."""
-    sites = _resolve_sites(spec, sites)
-    twist = twist if twist is not None else spec.twist
-    flat = np.concatenate([blk.ravel() for blk in _monodromy_groups(spec, u, sites)])
-    _, diag = _gather_map(spec.M)
-    dh = spec.hilbert_dim
-    out = np.zeros(dh * dh, dtype=complex)
-    for i, (entries, on_h) in enumerate(diag):
-        out[on_h] += (-1) ** _PAR[i] * twist.kappa[i] * flat[entries]
-    return out.reshape(dh, dh)
+    """Dense twisted transfer matrix on H (see transfer_blocks)."""
+    return _dense(spec, transfer_blocks(spec, u, twist, sites))
 
 
 def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
@@ -464,10 +541,9 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
     Raises if the partial vacuum fails to be an eigenvector at ``rtol``,
     which signals a broken vacuum assumption.
     """
-    sites = _resolve_sites(spec, sites)
-    blocks = monodromy_blocks(spec, u, sites)
+    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites), k, k)
     vac = spec.vacuum_vector()
-    image = blocks[k - 1, k - 1] @ vac
+    image = apply(spec, t_kk, vac)
     lam = complex(vac.conj() @ image)
     resid = float(np.abs(image - lam * vac).max())
     if resid > rtol * max(1.0, abs(lam)):
@@ -477,20 +553,18 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
     return lam
 
 
-def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
-    """3x3 object array of zero modes T_ij[0] over a site range.
+def zero_mode_groups(spec: ChainSpec, sites=None) -> list[np.ndarray]:
+    """Content-group blocks of the zero modes T[0] = sum_{n in range} P_{0n}.
 
-    Computed structurally as the sum of the local permutation blocks,
-    sum_{n in range} (L_n[0])_ij with L_n[0] = P_{0n}; exact integer matrices.
-    An empty range gives zero operators.  Results are cached per (spec,
-    range); callers treat the blocks as read-only.
+    Exact integer entries; an empty range gives zero operators.  Cached per
+    (spec, range); callers treat the blocks as read-only.
     """
     sites = () if sites == () else _resolve_sites(spec, sites)
-    return _zero_mode_cached(spec, sites)
+    return _zero_mode_groups(spec, sites)
 
 
 @lru_cache(maxsize=64)
-def _zero_mode_cached(spec: ChainSpec, sites: tuple[int, ...]) -> np.ndarray:
+def _zero_mode_groups(spec: ChainSpec, sites: tuple[int, ...]) -> list[np.ndarray]:
     n_factors = 1 + spec.M
     groups, g2l, _ = _content_partition(n_factors)
     blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
@@ -498,16 +572,24 @@ def _zero_mode_cached(spec: ChainSpec, sites: tuple[int, ...]) -> np.ndarray:
         perm = _chain_permutation(n_factors, 0, n)
         for blk, ix in zip(blocks, groups):
             blk[g2l[perm.dest[ix]], np.arange(ix.size)] += perm.sign[ix]
-    return _read_off(spec, blocks)
+    return blocks
+
+
+def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
+    """3x3 object array of the dense zero modes T_ij[0] (see zero_mode_groups)."""
+    return _read_off(spec, zero_mode_groups(spec, sites))
+
+
+def zero_mode_limit_groups(spec: ChainSpec, sites=None, scale: float = 1e6) -> list[np.ndarray]:
+    """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only."""
+    u = scale * spec.c
+    return [(u / spec.c) * (blk - np.eye(blk.shape[0]))
+            for blk in monodromy_groups(spec, u, sites)]
 
 
 def zero_mode_limit(spec: ChainSpec, sites=None, scale: float = 1e6) -> np.ndarray:
-    """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only."""
-    sites = _resolve_sites(spec, sites)
-    u = scale * spec.c
-    blocks = [(u / spec.c) * (blk - np.eye(blk.shape[0]))
-              for blk in _monodromy_groups(spec, u, sites)]
-    return _read_off(spec, blocks)
+    """3x3 object array of the dense zero_mode_limit_groups read-off."""
+    return _read_off(spec, zero_mode_limit_groups(spec, sites, scale))
 
 
 # -- RTT conformance ----------------------------------------------------------
@@ -556,12 +638,18 @@ def tm1_residual(spec: ChainSpec, u: complex, v: complex,
     for the given (i,j,k,l), normalized by the largest entry magnitude.
     """
     i, j, k, l = indices
-    bu = monodromy_blocks(spec, u)
-    bv = monodromy_blocks(spec, v)
+    gu, gv = monodromy_groups(spec, u), monodromy_groups(spec, v)
+    t = partial(entry_blocks, spec)
     pi, pj, pk, pl = (_PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
-    lhs = bu[i - 1, j - 1] @ bv[k - 1, l - 1] - sign_comm * bv[k - 1, l - 1] @ bu[i - 1, j - 1]
+    lhs = combine((1.0, _compose(t(gu, i, j), t(gv, k, l))),
+                  (-sign_comm, _compose(t(gv, k, l), t(gu, i, j))))
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
-    rhs = pref * (bv[k - 1, j - 1] @ bu[i - 1, l - 1] - bu[k - 1, j - 1] @ bv[i - 1, l - 1])
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
-    return float(np.abs(lhs - rhs).max()) / scale
+    rhs = combine((pref, _compose(t(gv, k, j), t(gu, i, l))),
+                  (-pref, _compose(t(gu, k, j), t(gv, i, l))))
+
+    def largest(op):
+        return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)
+
+    scale = max(largest(lhs), largest(rhs), 1.0)
+    return largest(combine((1.0, lhs), (-1.0, rhs))) / scale

@@ -10,6 +10,7 @@ human-readable summary grid.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -23,13 +24,16 @@ from .chain import (
     TwistConfig,
     VacuumFunctions,
     _default_xi,
-    monodromy_blocks,
+    apply,
+    apply_left,
+    entry_blocks,
+    monodromy_groups,
     tm1_residual,
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
-    zero_mode,
-    zero_mode_limit,
+    zero_mode_groups,
+    zero_mode_limit_groups,
 )
 from .formfactors import (
     FormFactorReport,
@@ -40,6 +44,7 @@ from .formfactors import (
     check_theorem2,
     make_report,
     twisted_dual_pair,
+    universal_form_factor,
     zero_mode_ladder_checks,
 )
 from .spectrum import (
@@ -239,21 +244,17 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, rng = ws.spec, ws.vac, ws.rng
     out = []
     u = _random_point(rng, spec.c, 2.5 * spec.c)
-    blocks = monodromy_blocks(spec, u)
+    groups = monodromy_groups(spec, u)
     vec = spec.vacuum_vector()
     worst_ann = 0.0
     worst_eig = 0.0
-    for i in range(3):
-        for j in range(3):
-            right = blocks[i, j] @ vec
-            left = vec @ blocks[i, j]
-            if i > j:
-                worst_ann = max(worst_ann, float(np.abs(right).max()))
-            if i < j:
-                worst_ann = max(worst_ann, float(np.abs(left).max()))
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        t_ij = entry_blocks(spec, groups, i, j)
+        image = apply(spec, t_ij, vec) if i > j else apply_left(spec, vec, t_ij)
+        worst_ann = max(worst_ann, float(np.abs(image).max()))
     for k in (1, 2, 3):
         lam = vac.lam(k, u)
-        image = blocks[k - 1, k - 1] @ vec
+        image = apply(spec, entry_blocks(spec, groups, k, k), vec)
         worst_eig = max(worst_eig, float(np.abs(image - lam * vec).max()) / max(1, abs(lam)))
     out.append(make_report("vacuum:annihilation", worst_ann, 0.0, 1e-10, residual=worst_ann))
     out.append(make_report("vacuum:eigenvalue", worst_eig, 0.0, 1e-10, residual=worst_eig))
@@ -270,10 +271,11 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
                            residual=worst_fact))
 
     # zero modes: structural vs large-u limit; the next-order coefficient
-    # grows like M^2, so the evaluation point scales out with the chain
-    zm = zero_mode(spec)
-    zl = zero_mode_limit(spec, scale=1e6 * spec.M)
-    diff = max(float(np.abs(zm[i, j] - zl[i, j]).max()) for i in range(3) for j in range(3))
+    # grows like M^2, so the evaluation point scales out with the chain;
+    # compared group by group, as |s a - s b| = |a - b| for the signs s
+    zm = zero_mode_groups(spec)
+    zl = zero_mode_limit_groups(spec, scale=1e6 * spec.M)
+    diff = max(float(np.abs(a - b).max()) for a, b in zip(zm, zl))
     out.append(make_report("vacuum:zero-mode-limit", diff, 0.0, 1e-5, residual=diff))
     return out
 
@@ -357,10 +359,14 @@ def _theorem1_plan(ws: _Workspace):
 def _run_theorem1(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, sc = ws.spec, ws.vac, ws.scenario
     out = []
-    for (i, j, pc, pb) in _theorem1_plan(ws):
+    for (i, j, pc, pb) in _theorem1_plan(ws) if sc.splits else []:
+        # the universal form factor does not depend on the split point; with
+        # no split point there is no row and nothing to compute
+        ff = universal_form_factor(spec, vac, pc, pb, i, j)
         for m in sc.splits:
-            out.append(check_theorem1(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact))
-            out.append(check_local_corollary(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact))
+            out.append(check_theorem1(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))
+            out.append(check_local_corollary(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact,
+                                             ff=ff))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -22,11 +23,17 @@ from .chain import (
     ChainSpec,
     TwistConfig,
     VacuumFunctions,
-    monodromy_blocks,
-    zero_mode,
+    apply,
+    apply_left,
+    combine,
+    entry_blocks,
+    monodromy_groups,
+    sandwich,
+    transfer_blocks,
+    zero_mode_groups,
 )
-from .graded import FUNDAMENTAL_PARITIES, graded_commutator
-from .spectrum import OnShellPair, SpectralDecomposition, match_roots_to_state
+from .graded import FUNDAMENTAL_PARITIES
+from .spectrum import OnShellPair, SpectralDecomposition, _content, match_roots_to_state
 
 __all__ = [
     "FormFactorReport",
@@ -160,16 +167,16 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
             if z is not None:
                 raise ValueError("eigenvalue difference vanishes at z; pick another z")
             continue
-        blocks = monodromy_blocks(spec, zc)
-        return matrix_element(pair_c.left, blocks[i - 1, j - 1], pair_b.right) / dtau
+        t_ij = entry_blocks(spec, monodromy_groups(spec, zc), i, j)
+        return sandwich(spec, pair_c.left, t_ij, pair_b.right) / dtau
     raise ValueError("no probe point separates the two eigenvalue functions")
 
 
 def partial_zero_mode_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
                          i: int, j: int, m: int) -> complex:
     """Form factor <C| T^(1)_ij[0] |B> of the partial zero mode over sites 1..m."""
-    zm = zero_mode(spec, sites=range(1, m + 1))
-    return matrix_element(pair_c.left, zm[i - 1, j - 1], pair_b.right)
+    zm = entry_blocks(spec, zero_mode_groups(spec, sites=range(1, m + 1)), i, j)
+    return sandwich(spec, pair_c.left, zm, pair_b.right)
 
 
 @dataclass
@@ -201,15 +208,17 @@ class ZetaFactors:
 
 def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
                    pair_c: OnShellPair, pair_b: OnShellPair,
-                   i: int, j: int, m: int, tol: float = 1e-8) -> FormFactorReport:
+                   i: int, j: int, m: int, tol: float = 1e-8,
+                   ff: complex | None = None) -> FormFactorReport:
     """Partial-zero-mode form factor against (rho - 1) times the universal one.
 
     Requires two on-shell states with distinct eigenvalue functions; both
-    sides carry the same eigenvector pair, so normalization cancels.
+    sides carry the same eigenvector pair, so normalization cancels.  The
+    universal form factor ``ff`` does not depend on m; pass it to reuse it.
     """
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, j, m)
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
-    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j)
+    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff
     rhs = (zeta.rho - 1.0) * ff
     return make_report(f"theorem1:{i}{j}", lhs, rhs, tol, sectors=(pair_c.sector, pair_b.sector),
                        m=m, floor=_pair_floor(pair_c, pair_b))
@@ -217,14 +226,17 @@ def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
 
 def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
                           pair_c: OnShellPair, pair_b: OnShellPair,
-                          i: int, j: int, m: int, tol: float = 1e-8) -> FormFactorReport:
+                          i: int, j: int, m: int, tol: float = 1e-8,
+                          ff: complex | None = None) -> FormFactorReport:
     """Local-operator form factor against its product representation.
 
-    <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j).
+    <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j);
+    ``ff`` as in check_theorem1.
     """
-    lhs = matrix_element(pair_c.left, zero_mode(spec, sites=[m])[i - 1, j - 1], pair_b.right)
+    local = entry_blocks(spec, zero_mode_groups(spec, sites=[m]), i, j)
+    lhs = sandwich(spec, pair_c.left, local, pair_b.right)
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
-    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j)
+    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff
     prefactor = (zeta.site_factors[m - 1] - 1.0) * np.prod(zeta.site_factors[:m - 1] or (1.0,))
     rhs = prefactor * ff
     return make_report(f"theorem1-local:{i}{j}", lhs, rhs, tol,
@@ -260,19 +272,20 @@ def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellP
     """<C| exp(Q_beta) |B> with Q_beta built from the partial zero modes.
 
     Q_beta = sum_i (-1)^{[i]} beta_i T^(1)_ii[0] is diagonal in the product
-    basis, so its exponential is exact; a dense expm fallback covers any
+    basis, so its exponential is exact; a per-group expm fallback covers any
     non-diagonal zero-mode input.
     """
     if m == 0:
         return complex(pair_c.left @ pair_b.right)
-    zm = zero_mode(spec, sites=range(1, m + 1))
-    q = sum((-1) ** _PAR[i] * beta[i] * zm[i, i] for i in range(3))
-    off = q - np.diag(np.diag(q))
-    if np.abs(off).max() < 1e-12:
-        exp_q = np.diag(np.exp(np.diag(q)))
+    zm = zero_mode_groups(spec, sites=range(1, m + 1))
+    q = combine(*[((-1) ** _PAR[i] * beta[i], entry_blocks(spec, zm, i + 1, i + 1))
+                  for i in range(3)])
+    off = max(float(np.abs(blk - np.diag(np.diag(blk))).max()) for _, blk in q.values())
+    if off < 1e-12:
+        exp_q = {s: (s, np.diag(np.exp(np.diag(blk)))) for s, (_, blk) in q.items()}
     else:
-        exp_q = scipy.linalg.expm(q)
-    return matrix_element(pair_c.left, exp_q, pair_b.right)
+        exp_q = {s: (s, scipy.linalg.expm(blk)) for s, (_, blk) in q.items()}
+    return sandwich(spec, pair_c.left, exp_q, pair_b.right)
 
 
 def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
@@ -370,46 +383,48 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
     (c) T_12[0] B is itself an eigenvector one sector up whenever nonzero.
     """
     reports = []
-    zm_part = zero_mode(spec, sites=range(1, m + 1))
-    zm_tot = zero_mode(spec)
+    zm_part = zero_mode_groups(spec, sites=range(1, m + 1))
+    zm_tot = zero_mode_groups(spec)
+    left, right = pair_c.left, pair_b.right
     norm_cb = _pair_floor(pair_c, pair_b, rel=1.0)
-
+    part = partial(entry_blocks, spec, zm_part)
     for (i, j, k, l) in quadruples:
         lhs = 0.0 + 0j
         if i == l:
-            lhs += matrix_element(pair_c.left, zm_part[k - 1, j - 1], pair_b.right)
+            lhs += sandwich(spec, left, part(k, j), right)
         if k == j:
-            lhs -= matrix_element(pair_c.left, zm_part[i - 1, l - 1], pair_b.right)
-        pa = (_PAR[i - 1] + _PAR[j - 1]) % 2
-        pb = (_PAR[k - 1] + _PAR[l - 1]) % 2
-        comm = graded_commutator(zm_part[i - 1, j - 1], zm_tot[k - 1, l - 1], pa, pb)
+            lhs -= sandwich(spec, left, part(i, l), right)
+        # the graded commutator [A, B_op} sandwiched without forming it
+        a_op, b_op = part(i, j), entry_blocks(spec, zm_tot, k, l)
+        odd = (_PAR[i - 1] + _PAR[j - 1]) % 2 and (_PAR[k - 1] + _PAR[l - 1]) % 2
+        comm = apply_left(spec, left, a_op) @ apply(spec, b_op, right) \
+            - (-1.0 if odd else 1.0) * (apply_left(spec, left, b_op) @ apply(spec, a_op, right))
         sign = (-1) ** ((_PAR[i - 1] * _PAR[j - 1] + _PAR[i - 1] * _PAR[l - 1]
                          + _PAR[j - 1] * _PAR[l - 1]) % 2)
-        rhs = sign * matrix_element(pair_c.left, comm, pair_b.right)
+        rhs = sign * complex(comm)
         reports.append(make_report(f"ladder-commutator:{i}{j}{k}{l}", lhs, rhs, tol,
                                    sectors=(pair_c.sector, pair_b.sector), m=m,
                                    residual=abs(lhs - rhs) / norm_cb))
 
     # (b) dual annihilation, stated for finite-root (primitive) dual states
+    raise_op = entry_blocks(spec, zm_tot, 1, 2)
     if pair_c.sector[0] >= 1 and pair_c.roots.n_u_inf == 0:
-        img = pair_c.left @ zm_tot[0, 1]
-        resid = float(np.linalg.norm(img) / np.linalg.norm(pair_c.left))
+        img = apply_left(spec, left, raise_op)
+        resid = float(np.linalg.norm(img) / np.linalg.norm(left))
         reports.append(make_report("ladder-dual-annihilation", resid, 0.0, eig_tol,
                                    sectors=(pair_c.sector, pair_c.sector), m=m, residual=resid))
 
     # (c) raising image of B is on shell one sector up
-    img = zm_tot[0, 1] @ pair_b.right
+    img = apply(spec, raise_op, right)
     img_norm = float(np.linalg.norm(img))
-    if img_norm > 1e-10 * np.linalg.norm(pair_b.right):
-        from .chain import transfer_matrix
-
+    if img_norm > 1e-10 * np.linalg.norm(right):
+        up = (pair_b.sector[0] + 1, pair_b.sector[1])
         worst = 0.0
         for q, w in enumerate(pair_b.probes):
-            t = transfer_matrix(spec, w)
+            t_img = apply(spec, transfer_blocks(spec, w, contents=[_content(spec, up)]), img)
             tau = pair_b.tau_samples[q]
-            worst = max(worst, float(np.linalg.norm(t @ img - tau * img)) / img_norm
+            worst = max(worst, float(np.linalg.norm(t_img - tau * img)) / img_norm
                         / max(1.0, abs(tau)))
-        up = (pair_b.sector[0] + 1, pair_b.sector[1])
         reports.append(make_report("ladder-raising-eigenvector", worst, 0.0, eig_tol,
                                    sectors=(up, pair_b.sector), m=m, residual=worst))
     return reports

@@ -29,8 +29,10 @@ from .chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
-    transfer_matrix,
-    zero_mode,
+    entry_blocks,
+    sandwich,
+    transfer_blocks,
+    zero_mode_groups,
 )
 
 __all__ = [
@@ -66,6 +68,11 @@ def default_probes(spec: ChainSpec, p: int = 5) -> np.ndarray:
     """Generic probe points away from roots and inhomogeneities."""
     c = spec.c
     return np.array([(1.7 + 0.3 * j) * c + 0.41j * c for j in range(p)], dtype=complex)
+
+
+def _content(spec: ChainSpec, sector: tuple[int, int]) -> tuple[int, int, int]:
+    """Letter content (n1, n2, n3) of the basis states of sector (a, b)."""
+    return (spec.M - sector[0], sector[0] - sector[1], sector[1])
 
 
 def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
@@ -145,12 +152,13 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     twist = twist if twist is not None else spec.twist
     probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
     sectors = sector_indices(spec)
-    t_mats = [transfer_matrix(spec, w, twist=twist) for w in probes]
+    t_ops = [transfer_blocks(spec, w, twist=twist) for w in probes]
 
     states: list[EigenState] = []
     worst = 0.0
     for sector, idx in sectors.items():
-        block0 = t_mats[0][np.ix_(idx, idx)]
+        content = _content(spec, sector)
+        block0 = t_ops[0][content][1]
         w0, vl, vr = scipy.linalg.eig(block0, left=True, right=True)
         order = np.lexsort((w0.imag, w0.real))
         w0, vl, vr = w0[order], vl[:, order], vr[:, order]
@@ -171,7 +179,7 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
         samples[:, 0] = w0
         safe = ~clustered
         for q in range(1, probes.size):
-            blk = t_mats[q][np.ix_(idx, idx)]
+            blk = t_ops[q][content][1]
             tv = blk @ vr
             num = np.einsum("ij,ji->i", left_rows, tv)
             samples[:, q] = w0
@@ -236,10 +244,10 @@ def sector_labels_from_zero_modes(spec: ChainSpec, pair: OnShellPair,
     On a matched on-shell state, T_11[0] acts as lambda_1[0] - a and
     T_33[0] as lambda_3[0] - b; both expectation values are exact integers.
     """
-    zm = zero_mode(spec)
+    zm = zero_mode_groups(spec)
     cb = pair.pairing
-    t11 = complex(pair.left @ (zm[0, 0] @ pair.right)) / cb
-    t33 = complex(pair.left @ (zm[2, 2] @ pair.right)) / cb
+    t11 = sandwich(spec, pair.left, entry_blocks(spec, zm, 1, 1), pair.right) / cb
+    t33 = sandwich(spec, pair.left, entry_blocks(spec, zm, 3, 3), pair.right) / cb
     a = vac.lam_zero_mode(1) - t11
     b = vac.lam_zero_mode(3) - t33
     return (int(round(a.real)), int(round(b.real)))
@@ -271,15 +279,17 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
     wanted = sorted(sectors or {s.sector for s in dec.states})
     classified: list[ClassifiedState] = []
     done: list[ClassifiedState] = []
-    t_cache: dict[complex, np.ndarray] = {}
+    t_cache: dict[tuple, dict] = {}
 
     def tau_fn_for(st: EigenState):
+        content = _content(spec, st.sector)
+
         def fn(w: complex) -> complex:
-            t = t_cache.get(w)
+            t = t_cache.get((w, content))
             if t is None:
-                t = transfer_matrix(spec, w, twist=dec.twist)
-                t_cache[w] = t
-            return complex(st.left @ (t @ st.right)) / st.pairing
+                t = transfer_blocks(spec, w, twist=dec.twist, contents=[content])
+                t_cache[(w, content)] = t
+            return sandwich(spec, st.left, t, st.right) / st.pairing
         return fn
 
     for sector in wanted:
@@ -376,21 +386,19 @@ def load_cache(directory: str, spec: ChainSpec,
     if not os.path.exists(path):
         return None
     try:
-        data = np.load(path)
-        if int(data["schema"][0]) != CACHE_SCHEMA:
-            return None
+        # each npz member decompresses on every access: read each one once
+        with np.load(path) as data:
+            if int(data["schema"][0]) != CACHE_SCHEMA:
+                return None
+            fields = {key: data[key] for key in ("probes", "sectors", "samples", "rights",
+                                                 "lefts", "clustered", "consistency")}
         states = [
-            EigenState(
-                sector=(int(data["sectors"][k][0]), int(data["sectors"][k][1])),
-                index=k,
-                tau_samples=data["samples"][k],
-                right=data["rights"][k],
-                left=data["lefts"][k],
-                clustered=bool(data["clustered"][k]),
-            )
-            for k in range(data["sectors"].shape[0])
+            EigenState(sector=(int(sector[0]), int(sector[1])), index=k,
+                       tau_samples=fields["samples"][k], right=fields["rights"][k],
+                       left=fields["lefts"][k], clustered=bool(fields["clustered"][k]))
+            for k, sector in enumerate(fields["sectors"])
         ]
-        return SpectralDecomposition(spec, twist, data["probes"], states,
-                                     float(data["consistency"][0]))
+        return SpectralDecomposition(spec, twist, fields["probes"], states,
+                                     float(fields["consistency"][0]))
     except (OSError, KeyError, ValueError):
         return None

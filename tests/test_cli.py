@@ -124,3 +124,53 @@ def test_all_known_checks_have_runners():
 
     assert set(KNOWN_CHECKS) == set(_CHECK_RUNNERS)
     assert set(KNOWN_CHECKS) == set(_CHECK_ORDER)
+
+
+DENSE_READ_OFFS = ("monodromy_blocks", "zero_mode", "zero_mode_limit", "transfer_matrix")
+
+
+def _package_modules():
+    import gradedbethe
+    from gradedbethe import bethe, chain, cli, formfactors, graded, spectrum
+
+    return (gradedbethe, bethe, chain, cli, formfactors, graded, spectrum)
+
+
+def test_verify_never_reads_a_dense_operator(tmp_path, monkeypatch):
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    code, expected = run_scenario(scenario, str(tmp_path / "dense"))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify read a dense operator")
+
+    for module in _package_modules():
+        for name in DENSE_READ_OFFS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    guarded_code, reports = run_scenario(scenario, str(tmp_path / "guarded"))
+    assert guarded_code == code == 0
+    key = [(r.identity, r.m, r.sectors, r.verdict) for r in reports]
+    assert key == [(r.identity, r.m, r.sectors, r.verdict) for r in expected]
+
+
+def test_universal_form_factor_once_per_theorem1_pair(tmp_path, monkeypatch):
+    from gradedbethe import cli, formfactors
+
+    calls = []
+    original = formfactors.universal_form_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(formfactors, "universal_form_factor", counted)
+    monkeypatch.setattr(cli, "universal_form_factor", counted)
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    scenario.checks = ["theorem1", "proposition1"]
+    _, reports = run_scenario(scenario, str(tmp_path / "out"))
+    n_plan = len(cli._theorem1_plan(cli._Workspace(scenario, None)))
+    n_genfun = sum(r.identity.startswith("genfun-derivative") for r in reports)
+    n_theorem1 = sum(r.identity.startswith("theorem1:") for r in reports)
+    assert n_plan > 0 and n_genfun > 0
+    assert n_theorem1 == n_plan * len(scenario.splits)
+    assert len(calls) == n_plan + n_genfun

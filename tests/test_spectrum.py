@@ -181,9 +181,15 @@ def test_cache_roundtrip(tmp_path, spec4, dec4):
     again = load_cache(str(tmp_path), spec4, spec4.twist)
     assert again is not None
     assert len(again.states) == len(dec4.states)
-    k = 7
-    assert np.array_equal(again.states[k].right, dec4.states[k].right)
-    assert np.array_equal(again.states[k].tau_samples, dec4.states[k].tau_samples)
+    for new, old in zip(again.states, dec4.states):
+        assert new.sector == old.sector and new.clustered == old.clustered
+        for name in ("left", "right", "tau_samples"):
+            assert np.array_equal(getattr(new, name), getattr(old, name))
+    assert np.array_equal(again.probes, dec4.probes)
+    assert again.consistency == dec4.consistency
+    # each cache member is read once: the states' vectors are rows of one array
+    assert again.states[0].right.base is again.states[1].right.base
+    assert again.states[0].left.base is again.states[1].left.base
     # a different spec misses the cache
     other = ChainSpec(M=3)
     assert load_cache(str(tmp_path), other, other.twist) is None
