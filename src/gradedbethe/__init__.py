@@ -35,7 +35,6 @@ from .formfactors import (
     check_theorem1,
     check_theorem2,
     generating_functional,
-    matrix_element,
     partial_zero_mode_ff,
     universal_form_factor,
     zero_mode_ladder_checks,

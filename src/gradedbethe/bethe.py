@@ -453,18 +453,15 @@ class RootTrajectory:
     """Root motion along one twist direction around kappa = 1.
 
     Holds the solved roots at each point of the two-sided grid (1-delta ..
-    1+delta in component ``direction``; each point carries its twist) and
-    central-difference derivative estimates at kappa = 1.  Roots that stay at
-    infinity are carried as infinite counts; roots that descend from infinity
-    under the twist are solved at large finite values, where their
-    contribution to the vacuum ratio functions remains finite.
+    1+delta in component ``direction``; each point carries its twist).
+    Roots that stay at infinity are carried as infinite counts; roots that
+    descend from infinity under the twist are solved at large finite values,
+    where their contribution to the vacuum ratio functions remains finite.
     """
 
     direction: int
     delta: float
     points: list[BetheRoots]
-    d_u: tuple[complex, ...]
-    d_v: tuple[complex, ...]
 
     @property
     def seed(self) -> BetheRoots:
@@ -534,16 +531,14 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
 
     Predictor-corrector: at each grid point the previous solution seeds a
     Newton solve; consecutive solutions are required to move by less than a
-    step-bound or a trajectory-jump error is raised.  Derivatives of each
-    finite root are estimated by central differences at the endpoints.
+    step-bound or a trajectory-jump error is raised.
     """
     if direction not in (1, 2, 3):
         raise ValueError("twist direction must be 1, 2 or 3")
     if not seed.twist.is_identity:
         raise ValueError("continuation seeds must be on shell at kappa = 1")
     if delta == 0.0:
-        return RootTrajectory(direction, 0.0, [seed],
-                              tuple(0j for _ in seed.u), tuple(0j for _ in seed.v))
+        return RootTrajectory(direction, 0.0, [seed])
 
     steps = max(1, int(steps))
     grid = [1.0 + delta * k / steps for k in range(1, steps + 1)]
@@ -572,15 +567,4 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
 
     fwd = walk(+1.0)
     bwd = walk(-1.0)
-    points = list(reversed(bwd)) + [seed] + fwd
-
-    lo, hi = points[0], points[-1]
-    d_u = tuple(
-        (hi.u[j] - lo.u[j]) / (2 * delta) if j < min(len(hi.u), len(lo.u)) else complex("inf")
-        for j in range(max(len(hi.u), len(lo.u)))
-    )
-    d_v = tuple(
-        (hi.v[j] - lo.v[j]) / (2 * delta) if j < min(len(hi.v), len(lo.v)) else complex("inf")
-        for j in range(max(len(hi.v), len(lo.v)))
-    )
-    return RootTrajectory(direction, delta, points, d_u, d_v)
+    return RootTrajectory(direction, delta, list(reversed(bwd)) + [seed] + fwd)

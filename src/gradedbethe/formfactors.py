@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .bethe import BetheRoots, RootTrajectory, continue_twist, tau_eigenvalue
+from .bethe import BetheRoots, RootTrajectory, _solve_at_twist, continue_twist, tau_eigenvalue
 from .chain import (
     ChainSpec,
     TwistConfig,
@@ -33,13 +33,12 @@ from .chain import (
     zero_mode_groups,
 )
 from .graded import FUNDAMENTAL_PARITIES
-from .spectrum import OnShellPair, SpectralDecomposition, _content, match_roots_to_state
+from .spectrum import OnShellPair, _content, diagonalize_transfer, match_roots_to_state
 
 __all__ = [
     "FormFactorReport",
     "make_report",
     "ZetaFactors",
-    "matrix_element",
     "universal_form_factor",
     "partial_zero_mode_ff",
     "sector_step",
@@ -118,11 +117,6 @@ def make_report(identity: str, lhs: complex, rhs: complex, tol: float, *,
 def _pair_floor(pair_c: OnShellPair, pair_b: OnShellPair, rel: float = 1e-13) -> float:
     """Scale-invariant zero floor for bilinear quantities in (C, B)."""
     return rel * float(np.linalg.norm(pair_c.left) * np.linalg.norm(pair_b.right))
-
-
-def matrix_element(left: np.ndarray, op: np.ndarray, right: np.ndarray) -> complex:
-    """Bilinear sandwich C . O . B."""
-    return complex(left @ (op @ right))
 
 
 def sector_step(i: int, j: int) -> tuple[int, int]:
@@ -290,20 +284,19 @@ def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellP
 
 def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
                       beta: tuple[complex, complex, complex],
-                      dec_twisted: SpectralDecomposition,
                       smooth_reference: np.ndarray | None = None) -> OnShellPair:
     """Deform an on-shell pair to the twist kappa_i = exp(beta_i).
 
-    Solves the twisted Bethe equations from the untwisted roots and matches
-    the twisted eigenstate.  When ``smooth_reference`` is given, the left
-    vector is rescaled so its overlap with the reference is preserved, which
-    makes beta-derivatives of matrix elements well defined.
+    Solves the twisted Bethe equations from the untwisted roots, diagonalizes
+    the twisted transfer matrix in the twisted roots' sector only, and
+    matches the twisted eigenstate there.  When ``smooth_reference`` is
+    given, the left vector is rescaled so its overlap with the reference is
+    preserved, which makes beta-derivatives of matrix elements well defined.
     """
     twist = TwistConfig(tuple(np.exp(b) for b in beta))
-    from .bethe import _solve_at_twist  # deliberate: shared descent machinery
-
     twisted_roots = _solve_at_twist(pair.roots, vac, twist, tol=1e-13)
-    tp = match_roots_to_state(dec_twisted, twisted_roots, vac)
+    dec = diagonalize_transfer(spec, twist=twist, sectors=[twisted_roots.sector])
+    tp = match_roots_to_state(dec, twisted_roots, vac)
     if smooth_reference is not None:
         want = complex(pair.left @ smooth_reference)
         have = complex(tp.left @ smooth_reference)
@@ -337,8 +330,7 @@ def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
 
 def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
                             pair_c: OnShellPair, pair_b: OnShellPair,
-                            i: int, m: int, dec_plus: SpectralDecomposition,
-                            dec_minus: SpectralDecomposition,
+                            i: int, m: int,
                             delta: float = 1e-3, tol: float = 1e-5) -> FormFactorReport:
     """Diagonal form factor from the beta_i-derivative of the generating
     functional, for two distinct untwisted on-shell states.
@@ -347,18 +339,20 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
     derivative is a central difference with the twisted dual normalized
     smoothly against a fixed reference vector (the dual state's own right
     eigenvector), which pins the scale without knowing any canonical
-    Bethe-vector normalization.
+    Bethe-vector normalization.  Each twisted dual comes from
+    ``twisted_dual_pair``, which diagonalizes only its own sector at the
+    twist beta_i = +-delta.
     """
     # smooth-normalization reference: the right eigenvector paired with C
     ref = pair_c.right
 
-    def emel(side: int, dec: SpectralDecomposition) -> complex:
+    def emel(side: int) -> complex:
         beta = [0.0, 0.0, 0.0]
         beta[i - 1] = side * delta
-        tp = twisted_dual_pair(spec, vac, pair_c, tuple(beta), dec, smooth_reference=ref)
+        tp = twisted_dual_pair(spec, vac, pair_c, tuple(beta), smooth_reference=ref)
         return generating_functional(spec, tp, pair_b, tuple(beta), m)
 
-    d_emel = (emel(+1, dec_plus) - emel(-1, dec_minus)) / (2 * delta)
+    d_emel = (emel(+1) - emel(-1)) / (2 * delta)
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, i)
     rhs = (-1) ** _PAR[i - 1] * d_emel - ff
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, i, m)

@@ -140,23 +140,28 @@ class OnShellPair:
 
 def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
                          twist: TwistConfig | None = None,
-                         cluster_gap: float = 1e-8) -> SpectralDecomposition:
+                         cluster_gap: float = 1e-8,
+                         sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition:
     """Sector-blocked eigendecomposition of the (twisted) transfer matrix.
 
     The full decomposition is computed at the first probe; eigenvalues at the
     remaining probes come from sandwiching the fixed eigenvectors, and their
     off-diagonal leakage is returned as the consistency figure.  States whose
     eigenvalue samples are closer than ``cluster_gap`` (relative) to another
-    state in the same sector are flagged as clustered.
+    state in the same sector are flagged as clustered.  ``sectors`` restricts
+    the work to those sectors (default: all); sectors are diagonalized
+    independently, so the states of a covered sector are the same either way.
     """
     twist = twist if twist is not None else spec.twist
     probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
-    sectors = sector_indices(spec)
-    t_ops = [transfer_blocks(spec, w, twist=twist) for w in probes]
+    blocks = {s: idx for s, idx in sector_indices(spec).items()
+              if sectors is None or s in sectors}
+    contents = None if sectors is None else [_content(spec, s) for s in blocks]
+    t_ops = [transfer_blocks(spec, w, twist=twist, contents=contents) for w in probes]
 
     states: list[EigenState] = []
     worst = 0.0
-    for sector, idx in sectors.items():
+    for sector, idx in blocks.items():
         content = _content(spec, sector)
         block0 = t_ops[0][content][1]
         w0, vl, vr = scipy.linalg.eig(block0, left=True, right=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,3 +54,14 @@ def descendant_pairs(pairs, sector):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

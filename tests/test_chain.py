@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from gradedbethe.chain import (
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_commutator, graded_permutation, \
     GradedSpace, permutation_between, supertrace_over_aux
+
+from conftest import peak_bytes
 
 PAR = FUNDAMENTAL_PARITIES
 
@@ -448,17 +449,6 @@ def test_chain_spec_validation():
 # -- allocation -------------------------------------------------------------------
 
 
-def _peak_bytes(fn):
-    """Peak traced allocation while fn runs, its result included."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("m_sites", [4, 5])
 def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     # one dense (3^(M+1))^2 complex matrix on aux (x) H
@@ -471,10 +461,10 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
         _zero_mode_groups.cache_clear()
         return zero_mode(spec)
 
-    assert _peak_bytes(lambda: transfer_matrix(spec, u)) < 0.8 * dense
-    assert _peak_bytes(lambda: monodromy_blocks(spec, u)) < 1.5 * dense
-    assert _peak_bytes(uncached_zero_mode) < 1.5 * dense
-    assert _peak_bytes(lambda: zero_mode_limit(spec)) < 1.5 * dense
+    assert peak_bytes(lambda: transfer_matrix(spec, u)) < 0.8 * dense
+    assert peak_bytes(lambda: monodromy_blocks(spec, u)) < 1.5 * dense
+    assert peak_bytes(uncached_zero_mode) < 1.5 * dense
+    assert peak_bytes(lambda: zero_mode_limit(spec)) < 1.5 * dense
 
 
 def test_form_factors_never_allocate_a_dense_aux_matrix():
@@ -498,8 +488,8 @@ def test_form_factors_never_allocate_a_dense_aux_matrix():
         return run
 
     # measured 0.11x, 0.08x and 0.11x; dense read-offs made these 1.13x-1.33x
-    assert _peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.2 * dense
-    assert _peak_bytes(uncached(lambda: partial_zero_mode_ff(spec, pc, pb, 2, 2, 2))) \
+    assert peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.2 * dense
+    assert peak_bytes(uncached(lambda: partial_zero_mode_ff(spec, pc, pb, 2, 2, 2))) \
         < 0.2 * dense
-    assert _peak_bytes(uncached(lambda: generating_functional(spec, pc, pb, beta, 2))) \
+    assert peak_bytes(uncached(lambda: generating_functional(spec, pc, pb, beta, 2))) \
         < 0.2 * dense

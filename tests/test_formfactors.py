@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradedbethe.bethe import continue_twist
-from gradedbethe.chain import TwistConfig, monodromy_blocks, transfer_matrix, zero_mode
+from gradedbethe.chain import monodromy_blocks, transfer_matrix, zero_mode
 from gradedbethe.formfactors import (
     SelectionRuleZero,
     ZetaFactors,
@@ -12,15 +12,12 @@ from gradedbethe.formfactors import (
     check_theorem1,
     check_theorem2,
     generating_functional,
-    matrix_element,
     partial_zero_mode_ff,
     sector_step,
     twisted_dual_pair,
     universal_form_factor,
     zero_mode_ladder_checks,
 )
-from gradedbethe.spectrum import diagonalize_transfer
-
 from conftest import descendant_pairs, primitive_pairs
 
 
@@ -60,30 +57,12 @@ def other_descendant(d11, bpair):
 # -- matrix elements -------------------------------------------------------------
 
 
-def test_matrix_element_identity_is_pairing(p10):
-    pair = p10[0]
-    eye = np.eye(pair.right.size)
-    assert matrix_element(pair.left, eye, pair.right) == pytest.approx(pair.pairing)
-
-
 def test_matrix_element_transfer_gives_tau(spec4, p10):
     pair = p10[0]
     w = pair.probes[2]
     t = transfer_matrix(spec4, w)
-    val = matrix_element(pair.left, t, pair.right)
+    val = pair.left @ t @ pair.right
     assert val == pytest.approx(pair.tau_samples[2] * pair.pairing, rel=1e-10)
-
-
-def test_matrix_element_bilinear(spec4, p10):
-    pair = p10[0]
-    rng = np.random.default_rng(5)
-    o1 = rng.normal(size=(81, 81)) + 1j * rng.normal(size=(81, 81))
-    o2 = rng.normal(size=(81, 81))
-    alpha = 0.7 - 0.2j
-    lhs = matrix_element(pair.left, alpha * o1 + o2, pair.right)
-    rhs = alpha * matrix_element(pair.left, o1, pair.right) \
-        + matrix_element(pair.left, o2, pair.right)
-    assert lhs == pytest.approx(rhs)
 
 
 # -- universal form factors ---------------------------------------------------------
@@ -111,7 +90,7 @@ def test_universal_ff_selection_rule(spec4, vac4, p10, p20):
         universal_form_factor(spec4, vac4, p20[0], p10[0], 2, 2)
     # the underlying matrix element itself vanishes for the wrong step
     blocks = monodromy_blocks(spec4, 1.3 + 0.8j)
-    val = matrix_element(p20[0].left, blocks[1, 1], p10[0].right)
+    val = p20[0].left @ blocks[1, 1] @ p10[0].right
     scale = np.linalg.norm(p20[0].left) * np.linalg.norm(p10[0].right)
     assert abs(val) < 1e-10 * scale
 
@@ -151,7 +130,7 @@ def test_partial_zero_mode_empty_range(spec4, p10):
 
 def test_local_operator_is_zero_mode_difference(spec4, p10, p20):
     for m in (1, 2, 3):
-        direct = matrix_element(p20[0].left, zero_mode(spec4, sites=[m])[0, 1], p10[0].right)
+        direct = p20[0].left @ zero_mode(spec4, sites=[m])[0, 1] @ p10[0].right
         diff = partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m) \
             - partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m - 1)
         assert abs(direct - diff) < 1e-12 * max(1.0, abs(direct))
@@ -303,31 +282,21 @@ def test_generating_functional_full_range_closed_form(spec4, p10):
 def test_proposition1_small_twists(spec4, vac4, p10, p21, i):
     beta = [0.0, 0.0, 0.0]
     beta[i - 1] = 1e-2
-    twist = TwistConfig(tuple(np.exp(x) for x in beta))
-    dec_tw = diagonalize_transfer(spec4, twist=twist)
     pc, pb = (p21[0], p21[1]) if i == 3 else (p10[0], p10[1])
-    tp = twisted_dual_pair(spec4, vac4, pc, tuple(beta), dec_tw)
+    tp = twisted_dual_pair(spec4, vac4, pc, tuple(beta))
     rep = check_proposition1(spec4, vac4, tp, pb, tuple(beta), 2)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-7
     # same-state version is order one and passes too
-    tp_same = twisted_dual_pair(spec4, vac4, pb, tuple(beta), dec_tw)
+    tp_same = twisted_dual_pair(spec4, vac4, pb, tuple(beta))
     rep_same = check_proposition1(spec4, vac4, tp_same, pb, tuple(beta), 2)
     assert rep_same.verdict == "pass"
     assert abs(rep_same.lhs) > 0.1
 
 
 def test_genfun_derivative_consistency(spec4, vac4, p21):
-    delta = 1e-3
     for i in (1, 3):
-        bp = [0.0, 0.0, 0.0]
-        bp[i - 1] = delta
-        bm = [0.0, 0.0, 0.0]
-        bm[i - 1] = -delta
-        dec_p = diagonalize_transfer(spec4, twist=TwistConfig(tuple(np.exp(x) for x in bp)))
-        dec_m = diagonalize_transfer(spec4, twist=TwistConfig(tuple(np.exp(x) for x in bm)))
-        rep = check_genfun_derivative(spec4, vac4, p21[0], p21[1], i, 2, dec_p, dec_m,
-                                      delta=delta)
+        rep = check_genfun_derivative(spec4, vac4, p21[0], p21[1], i, 2, delta=1e-3)
         assert rep.verdict == "pass"
         assert rep.rel_residual < 1e-5
 

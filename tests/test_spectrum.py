@@ -156,6 +156,20 @@ def test_twisted_decomposition_perturbs_continuously(spec4, dec4):
         assert rel < 1e-3
 
 
+@pytest.mark.parametrize("sector", [(1, 0), (2, 1)])
+def test_restricted_diagonalization_matches_full_sectors(sector):
+    spec = ChainSpec(M=4, twist=TwistConfig((1.01, 1.0, 0.99)))
+    full = diagonalize_transfer(spec).by_sector(sector)
+    part = diagonalize_transfer(spec, sectors=[sector])
+    assert {s.sector for s in part.states} == {sector}
+    assert len(part.states) == len(full) > 0
+    for a, b in zip(part.states, full):
+        assert np.array_equal(a.right, b.right)
+        assert np.array_equal(a.left, b.left)
+        assert np.array_equal(a.tau_samples, b.tau_samples)
+        assert a.clustered == b.clustered
+
+
 def test_descendants_carry_infinite_roots(classified4):
     d11 = [c for c in classified4 if c.state.sector == (1, 1) and c.kind == "descendant"]
     assert len(d11) == 4
