@@ -57,7 +57,6 @@ from .spectrum import (
     classify_spectrum,
     diagonalize_transfer,
     match_roots_to_state,
-    pair_left_right,
 )
 
 __version__ = "0.1.0"

@@ -74,10 +74,6 @@ class BetheRoots:
     def sector(self) -> tuple[int, int]:
         return (self.a, self.b)
 
-    @property
-    def on_shell(self) -> bool:
-        return self.residual is not None and self.residual < 1e-10
-
     def to_json(self) -> dict:
         out = {
             "u": [_c2pair(x) for x in self.u],

@@ -4,11 +4,14 @@ The chain lives on M three-dimensional graded sites with grading (0,0,1).
 Every L-operator permutes tensor factors, so every chain operator on
 aux (x) H preserves the local letter content and is stored only as its
 content-group blocks (see _content_partition).  Products of L-operators are
-accumulated per block with O(N^2) signed-permutation applications, never
-O(N^3) matrix products.
+accumulated with O(N^2) signed-permutation applications, never O(N^3)
+matrix products, one content group at a time: every factor runs on a
+group's block before the next group starts.
 
 An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
-is one sub-block of the aux (x) H group of content s + e_j per H group.
+is one sub-block of the aux (x) H group of content s + e_j per H group, so
+``monodromy_groups(..., contents=)`` builds only the groups s + e_j that a
+read on the states of contents s touches.
 ``entry_blocks`` slices these out through one cached block map per chain
 length, signed with a fixed table BLOCK_SIGNS, as {s: (image, block)}; every
 check of ``gradedbethe verify`` works on that form.  The dense read-offs
@@ -21,8 +24,6 @@ residual test; see tests/test_chain.py.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -32,7 +33,6 @@ from .graded import (
     FUNDAMENTAL_PARITIES,
     GradedMatrix,
     GradedSpace,
-    SignedPermutation,
     graded_permutation,
     permutation_between,
 )
@@ -189,18 +189,8 @@ class ChainSpec:
             twist=TwistConfig.from_json(data["kappa"]),
         )
 
-    def content_hash(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 # -- permutation and content-sector caches ----------------------------------
-
-
-@lru_cache(maxsize=128)
-def _chain_permutation(n_factors: int, x: int, y: int) -> SignedPermutation:
-    factors = tuple([GradedSpace.fundamental()] * n_factors)
-    return permutation_between(factors, x, y)
 
 
 @lru_cache(maxsize=16)
@@ -233,21 +223,41 @@ def _content_partition(n_factors: int):
     return groups, g2l, contents
 
 
-def _blocked_eye(groups) -> list[np.ndarray]:
-    return [np.eye(ix.size, dtype=complex) for ix in groups]
+@lru_cache(maxsize=128)
+def _step_plan(n_factors: int, x: int, y: int) -> tuple:
+    """The graded permutation P_xy per content group, as (source rows, signs).
+
+    Row q of P X is sign[q] * X[src[q]] within each group; the signs form a
+    column so they broadcast over a group's columns.
+    """
+    groups, g2l, _ = _content_partition(n_factors)
+    perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
+    plans = []
+    for ix in groups:
+        src = np.empty(ix.size, dtype=np.int64)
+        src[g2l[perm.dest[ix]]] = np.arange(ix.size)
+        plans.append((src, perm.sign[ix][src][:, None]))
+    return tuple(plans)
 
 
-def _blocked_perm_apply(blocks, groups, g2l, perm: SignedPermutation, g: complex) -> None:
-    """blocks <- (I + g P) blocks, per content group, in place; None blocks stay None."""
-    for k, ix in enumerate(groups):
-        x = blocks[k]
-        if x is None:
-            continue
-        dl = g2l[perm.dest[ix]]
-        sl = perm.sign[ix]
-        y = np.empty_like(x)
-        y[dl] = sl[:, None] * x
-        blocks[k] = x + g * y
+def _group_product(k: int, size: int, steps) -> np.ndarray:
+    """Block of (I + g_S P_S) ... (I + g_1 P_1) on content group k, for steps [(plan, g), ...].
+
+    Every step runs on this one group, so its block stays in cache, with two
+    scratch buffers.  Each entry sees x + g * (sign * x[src]) with the
+    operations in this order and ``g`` as the first operand: the bits a
+    step applied to all groups at once gives.
+    """
+    x = np.eye(size, dtype=complex)
+    a, b = np.empty_like(x), np.empty_like(x)
+    for plan, g in steps:
+        src, sign = plan[k]
+        np.take(x, src, axis=0, out=a, mode="clip")
+        np.multiply(sign, a, out=b)
+        np.multiply(g, b, out=a)
+        np.add(x, a, out=b)
+        x, b = b, x
+    return x
 
 
 @lru_cache(maxsize=16)
@@ -279,17 +289,19 @@ def _block_map(m_sites: int):
     return index, entries
 
 
-def entry_blocks(spec: ChainSpec, groups, i: int, j: int) -> dict:
+def entry_blocks(spec: ChainSpec, groups, i: int, j: int, contents=None) -> dict:
     """The entry T_ij (1-based) of an aux (x) H operator given by its group blocks.
 
     Returns {s: (image, block)}, blocks signed with BLOCK_SIGNS, each mapping
-    H content s onto ``image``.  Groups T_ij annihilates, or whose aux (x) H
-    group was not computed (None), are absent.
+    H content s onto ``image``, for every s or only the given ``contents``.
+    Groups T_ij annihilates, or whose aux (x) H group was not computed (None),
+    are absent.
     """
     _, entries = _block_map(spec.M)
     sign = BLOCK_SIGNS[i - 1, j - 1]
     return {s: (image, sign * groups[g][rows, cols])
-            for s, image, g, rows, cols in entries[i - 1][j - 1] if groups[g] is not None}
+            for s, image, g, rows, cols in entries[i - 1][j - 1]
+            if groups[g] is not None and (contents is None or s in contents)}
 
 
 def combine(*terms) -> dict:
@@ -474,12 +486,14 @@ def _check_poles(spec: ChainSpec, u: complex, sites) -> None:
             raise PoleError(f"spectral parameter hits inhomogeneity xi_{n}")
 
 
-def _apply_l_blocked(spec: ChainSpec, blocks, groups, g2l, n: int, u: complex,
-                     n_factors: int, aux: int, site_offset: int) -> None:
-    """blocks <- L_n(u) blocks with L_n = I + g(u, xi_n) P_{aux,n}."""
-    g = g_fun(u, spec.xi[n - 1], spec.c)
-    perm = _chain_permutation(n_factors, aux, site_offset + n - 1)
-    _blocked_perm_apply(blocks, groups, g2l, perm, g)
+def _l_steps(spec: ChainSpec, u: complex, sites, n_factors: int, aux: int) -> list:
+    """Steps of L_{sites[-1]}(u) ... L_{sites[0]}(u), L_n = I + g(u, xi_n) P_{aux,n}.
+
+    The sites are the last M of the n_factors tensor factors.
+    """
+    offset = n_factors - spec.M - 1
+    return [(_step_plan(n_factors, aux, offset + n), g_fun(u, spec.xi[n - 1], spec.c))
+            for n in sites]
 
 
 def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
@@ -491,23 +505,25 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def monodromy_groups(spec: ChainSpec, u: complex, sites=None, keep=None) -> list:
+def monodromy_groups(spec: ChainSpec, u: complex, sites=None, contents=None) -> list:
     """Content-group blocks of the monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u).
 
     The monodromy over an ascending site interval; the full chain when sites
     is None, the L-operator L_n(u) = I + g(u, xi_n) P_{0n} when sites is [n].
-    The leftmost factor is the largest site.  Groups never mix, so ``keep``
-    may name the aux (x) H groups to compute; the others are None.
+    The leftmost factor is the largest site.  Groups never mix, so given H
+    ``contents`` only the aux (x) H groups s + e_j are computed, which hold
+    every T_ij on each s; the others are None.
     """
     sites = _resolve_sites(spec, sites)
     _check_poles(spec, u, sites)
-    n_factors = 1 + spec.M
-    groups, g2l, _ = _content_partition(n_factors)
-    blocks = [np.eye(ix.size, dtype=complex) if keep is None or k in keep else None
-              for k, ix in enumerate(groups)]
-    for n in sites:
-        _apply_l_blocked(spec, blocks, groups, g2l, n, u, n_factors, 0, 1)
-    return blocks
+    groups, _, _ = _content_partition(spec.M + 1)
+    wanted = range(len(groups))
+    if contents is not None:
+        _, entries = _block_map(spec.M)
+        wanted = {g for j in range(3) for s, _, g, _, _ in entries[j][j] if s in contents}
+    steps = _l_steps(spec, u, sites, spec.M + 1, aux=0)
+    return [_group_product(k, ix.size, steps) if k in wanted else None
+            for k, ix in enumerate(groups)]
 
 
 def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
@@ -519,10 +535,7 @@ def transfer_blocks(spec: ChainSpec, u: complex, twist: TwistConfig | None = Non
                     sites=None, contents=None) -> dict:
     """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given."""
     twist = twist if twist is not None else spec.twist
-    _, entries = _block_map(spec.M)
-    keep = None if contents is None else \
-        {g for i in range(3) for s, _, g, _, _ in entries[i][i] if s in contents}
-    groups = monodromy_groups(spec, u, sites, keep)
+    groups = monodromy_groups(spec, u, sites, contents)
     t = combine(*[((-1) ** _PAR[i] * twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
                   for i in range(3)])
     return t if contents is None else {s: t[s] for s in contents}
@@ -541,7 +554,8 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
     Raises if the partial vacuum fails to be an eigenvector at ``rtol``,
     which signals a broken vacuum assumption.
     """
-    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites), k, k)
+    vac_content = tuple(spec.M * (t == spec.vacuum_index - 1) for t in range(3))
+    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites, [vac_content]), k, k)
     vac = spec.vacuum_vector()
     image = apply(spec, t_kk, vac)
     lam = complex(vac.conj() @ image)
@@ -565,13 +579,11 @@ def zero_mode_groups(spec: ChainSpec, sites=None) -> list[np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _zero_mode_groups(spec: ChainSpec, sites: tuple[int, ...]) -> list[np.ndarray]:
-    n_factors = 1 + spec.M
-    groups, g2l, _ = _content_partition(n_factors)
+    groups, _, _ = _content_partition(spec.M + 1)
     blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
     for n in sites:
-        perm = _chain_permutation(n_factors, 0, n)
-        for blk, ix in zip(blocks, groups):
-            blk[g2l[perm.dest[ix]], np.arange(ix.size)] += perm.sign[ix]
+        for blk, (src, sign) in zip(blocks, _step_plan(spec.M + 1, 0, n)):
+            blk[np.arange(src.size), src] += sign[:, 0]
     return blocks
 
 
@@ -606,27 +618,15 @@ def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
     _check_poles(spec, u, spec.all_sites())
     _check_poles(spec, v, spec.all_sites())
     n_factors = 2 + spec.M
-    g = g_fun(u, v, spec.c)
-    p_ab = _chain_permutation(n_factors, 0, 1)
-    groups, g2l, _ = _content_partition(n_factors)
-
-    # LHS = R . T_a(u) . T_b(v), built right factor first
-    lhs = _blocked_eye(groups)
-    for n in spec.all_sites():
-        _apply_l_blocked(spec, lhs, groups, g2l, n, v, n_factors, aux=1, site_offset=2)
-    for n in spec.all_sites():
-        _apply_l_blocked(spec, lhs, groups, g2l, n, u, n_factors, aux=0, site_offset=2)
-    _blocked_perm_apply(lhs, groups, g2l, p_ab, g)
-
-    # RHS = T_b(v) . T_a(u) . R
-    rhs = _blocked_eye(groups)
-    _blocked_perm_apply(rhs, groups, g2l, p_ab, g)
-    for n in spec.all_sites():
-        _apply_l_blocked(spec, rhs, groups, g2l, n, u, n_factors, aux=0, site_offset=2)
-    for n in spec.all_sites():
-        _apply_l_blocked(spec, rhs, groups, g2l, n, v, n_factors, aux=1, site_offset=2)
-
-    return max(float(np.abs(a - b).max()) for a, b in zip(lhs, rhs))
+    r = [(_step_plan(n_factors, 0, 1), g_fun(u, v, spec.c))]
+    t_a = _l_steps(spec, u, spec.all_sites(), n_factors, aux=0)
+    t_b = _l_steps(spec, v, spec.all_sites(), n_factors, aux=1)
+    groups, _, _ = _content_partition(n_factors)
+    # LHS = R . T_a(u) . T_b(v) and RHS = T_b(v) . T_a(u) . R, right factor first,
+    # compared one group at a time
+    return max(float(np.abs(_group_product(k, ix.size, t_b + t_a + r)
+                            - _group_product(k, ix.size, r + t_a + t_b)).max())
+               for k, ix in enumerate(groups))
 
 
 def tm1_residual(spec: ChainSpec, u: complex, v: complex,

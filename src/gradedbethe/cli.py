@@ -48,6 +48,7 @@ from .formfactors import (
 )
 from .spectrum import (
     CACHE_ENV_VAR,
+    _content,
     classify_spectrum,
     diagonalize_transfer,
     load_cache,
@@ -120,6 +121,10 @@ class Scenario:
             if a < 0 or b < 0 or a > m:
                 raise ScenarioError(f"sector {(a, b)} out of range for M={m}")
         splits = [int(x) for x in data.get("splits", list(range(1, m)))]
+        if not splits:
+            # theorem2, proposition1 and ladder read a split point; --check may
+            # select them after validation, so reject whatever the checks are
+            raise ScenarioError("empty split list; give at least one split point in 1..M")
         for split in splits:
             if not 1 <= split <= m:
                 raise ScenarioError(f"split m={split} out of range")
@@ -240,7 +245,7 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, rng = ws.spec, ws.vac, ws.rng
     out = []
     u = _random_point(rng, spec.c, 2.5 * spec.c)
-    groups = monodromy_groups(spec, u)
+    groups = monodromy_groups(spec, u, contents=[_content(spec, (0, 0))])
     vec = spec.vacuum_vector()
     worst_ann = 0.0
     worst_eig = 0.0
@@ -355,9 +360,8 @@ def _theorem1_plan(ws: _Workspace):
 def _run_theorem1(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, sc = ws.spec, ws.vac, ws.scenario
     out = []
-    for (i, j, pc, pb) in _theorem1_plan(ws) if sc.splits else []:
-        # the universal form factor does not depend on the split point; with
-        # no split point there is no row and nothing to compute
+    for (i, j, pc, pb) in _theorem1_plan(ws):
+        # the universal form factor does not depend on the split point
         ff = universal_form_factor(spec, vac, pc, pb, i, j)
         for m in sc.splits:
             out.append(check_theorem1(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))

@@ -161,7 +161,8 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
             if z is not None:
                 raise ValueError("eigenvalue difference vanishes at z; pick another z")
             continue
-        t_ij = entry_blocks(spec, monodromy_groups(spec, zc), i, j)
+        groups = monodromy_groups(spec, zc, contents=[_content(spec, pair_b.sector)])
+        t_ij = entry_blocks(spec, groups, i, j)
         return sandwich(spec, pair_c.left, t_ij, pair_b.right) / dtau
     raise ValueError("no probe point separates the two eigenvalue functions")
 
@@ -169,7 +170,8 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
 def partial_zero_mode_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
                          i: int, j: int, m: int) -> complex:
     """Form factor <C| T^(1)_ij[0] |B> of the partial zero mode over sites 1..m."""
-    zm = entry_blocks(spec, zero_mode_groups(spec, sites=range(1, m + 1)), i, j)
+    zm = entry_blocks(spec, zero_mode_groups(spec, sites=range(1, m + 1)), i, j,
+                      contents=[_content(spec, pair_b.sector)])
     return sandwich(spec, pair_c.left, zm, pair_b.right)
 
 
@@ -227,7 +229,8 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
     <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j);
     ``ff`` as in check_theorem1.
     """
-    local = entry_blocks(spec, zero_mode_groups(spec, sites=[m]), i, j)
+    local = entry_blocks(spec, zero_mode_groups(spec, sites=[m]), i, j,
+                         contents=[_content(spec, pair_b.sector)])
     lhs = sandwich(spec, pair_c.left, local, pair_b.right)
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff

@@ -45,7 +45,6 @@ __all__ = [
     "sector_indices",
     "diagonalize_transfer",
     "match_roots_to_state",
-    "pair_left_right",
     "classify_spectrum",
     "sector_labels_from_zero_modes",
     "save_cache",
@@ -228,18 +227,6 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
             "matched state lies in a degenerate cluster; perturb the inhomogeneities"
         )
     return OnShellPair(roots, st.right, st.left, st.sector, st.tau_samples, dec.probes)
-
-
-def pair_left_right(pair: OnShellPair, floor: float = 1e-12) -> complex:
-    """Bilinear pairing <C|B>; callers use it only inside ratios.
-
-    Rejects accidentally orthogonal pairs, where no ratio is meaningful.
-    """
-    val = pair.pairing
-    scale = float(np.linalg.norm(pair.left) * np.linalg.norm(pair.right))
-    if abs(val) < floor * max(scale, 1e-300):
-        raise MatchError("left/right pairing vanishes; reject this state")
-    return val
 
 
 def sector_labels_from_zero_modes(spec: ChainSpec, pair: OnShellPair,

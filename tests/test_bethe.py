@@ -68,7 +68,7 @@ def test_solver_fixed_point(spec3, vac3):
     u = one_root_pool(spec3)[0]
     sol = solve_bethe(BetheRoots(u=(u,)), vac3)
     assert abs(sol.u[0] - u) < 1e-12
-    assert sol.on_shell
+    assert sol.residual is not None and sol.residual < 1e-10
 
 
 def test_solver_converges_from_perturbed_seed(spec3, vac3):

@@ -15,6 +15,7 @@ from gradedbethe.chain import (
     apply,
     apply_left,
     entry_blocks,
+    g_fun,
     monodromy_blocks,
     monodromy_groups,
     r_matrix,
@@ -396,6 +397,75 @@ def test_tm1_residual_sees_a_flipped_block_sign(monkeypatch):
     assert abs(blocked - tm1_dense(spec, u, v, (1, 2, 2, 3))) < 1e-12
 
 
+# -- group-outer products against the site-outer kernel ------------------------------
+
+
+def site_outer_apply(blocks, n_factors, steps):
+    """The former kernel: each step (x, y, g) = I + g P_xy on every group, then the next."""
+    groups, g2l, _ = _content_partition(n_factors)
+    for x, y, g in steps:
+        perm = permutation_between([GradedSpace.fundamental()] * n_factors, x, y)
+        for k, ix in enumerate(groups):
+            if blocks[k] is None:
+                continue
+            moved = np.empty_like(blocks[k])
+            moved[g2l[perm.dest[ix]]] = perm.sign[ix][:, None] * blocks[k]
+            blocks[k] = blocks[k] + g * moved
+    return blocks
+
+
+def site_outer_monodromy(spec, u, sites):
+    sites = spec.all_sites() if sites is None else sites
+    eye = [np.eye(ix.size, dtype=complex) for ix in _content_partition(spec.M + 1)[0]]
+    return site_outer_apply(eye, spec.M + 1, [(0, n, g_fun(u, spec.xi[n - 1], spec.c))
+                                              for n in sites])
+
+
+def site_outer_rtt(spec, u, v):
+    n_factors = spec.M + 2
+    r = [(0, 1, g_fun(u, v, spec.c))]
+    t_a = [(0, n + 1, g_fun(u, spec.xi[n - 1], spec.c)) for n in spec.all_sites()]
+    t_b = [(1, n + 1, g_fun(v, spec.xi[n - 1], spec.c)) for n in spec.all_sites()]
+    sides = [site_outer_apply([np.eye(ix.size, dtype=complex)
+                               for ix in _content_partition(n_factors)[0]], n_factors, steps)
+             for steps in (t_b + t_a + r, r + t_a + t_b)]
+    return max(float(np.abs(a - b).max()) for a, b in zip(*sides))
+
+
+@pytest.mark.parametrize("make_spec", ORACLE_SPECS)
+@pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+def test_group_outer_products_are_bit_identical(m_sites, make_spec):
+    spec = make_spec(m_sites)
+    rng = np.random.default_rng(80 + m_sites)
+    u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
+    for sites in oracle_ranges(m_sites):
+        new = monodromy_groups(spec, u, sites)
+        old = site_outer_monodromy(spec, u, sites)
+        assert all(np.array_equal(a, b) for a, b in zip(new, old, strict=True))
+    assert verify_rtt(spec, u, v) == site_outer_rtt(spec, u, v)
+
+
+@pytest.mark.parametrize("m_sites", [1, 3, 5])
+def test_restricted_builds_compute_only_the_read_groups(m_sites):
+    spec = ChainSpec(M=m_sites, c=0.8 + 0.3j)
+    u = 1.7 - 0.6j
+    _, _, h_contents = _content_partition(m_sites)
+    _, _, aux_contents = _content_partition(m_sites + 1)
+    full = monodromy_groups(spec, u)
+    for read in ([h_contents[0]], [h_contents[-1]], list(h_contents[1:3])):
+        part = monodromy_groups(spec, u, contents=read)
+        wanted = {tuple(n + (t == j) for t, n in enumerate(s)) for s in read for j in range(3)}
+        for a, blk, ref in zip(aux_contents, part, full, strict=True):
+            assert (blk is None) == (a not in wanted)
+            assert blk is None or np.array_equal(blk, ref)
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            whole = entry_blocks(spec, full, i, j)
+            restricted = entry_blocks(spec, part, i, j, contents=read)
+            assert list(restricted) == [s for s in whole if s in read]
+            for s, (image, blk) in restricted.items():
+                assert image == whole[s][0] and np.array_equal(blk, whole[s][1])
+
+
 # -- RTT conformance --------------------------------------------------------------
 
 
@@ -432,7 +502,7 @@ def test_chain_spec_json_roundtrip():
                      twist=TwistConfig((1.0, 0.9 + 0.2j, 1.1)))
     again = ChainSpec.from_json(spec.to_json())
     assert again == spec
-    assert again.content_hash() == spec.content_hash()
+    assert again.to_json() == spec.to_json()
 
 
 def test_chain_spec_validation():
@@ -467,9 +537,9 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     assert peak_bytes(lambda: zero_mode_limit(spec)) < 1.5 * dense
 
 
-def test_form_factors_never_allocate_a_dense_aux_matrix():
-    from gradedbethe.formfactors import (generating_functional, partial_zero_mode_ff,
-                                         universal_form_factor)
+@pytest.fixture(scope="module")
+def pairs5():
+    """The M=5 chain, its vacuum functions and two primitive (1,0) pairs."""
     from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, on_shell_pair
 
     spec = ChainSpec(M=5)
@@ -477,6 +547,14 @@ def test_form_factors_never_allocate_a_dense_aux_matrix():
     dec = diagonalize_transfer(spec)
     pc, pb = [on_shell_pair(dec, c) for c in classify_spectrum(dec, vac, sectors=[(1, 0)])
               if c.kind == "primitive"][:2]
+    return spec, vac, pc, pb
+
+
+def test_form_factors_never_allocate_a_dense_aux_matrix(pairs5):
+    from gradedbethe.formfactors import (generating_functional, partial_zero_mode_ff,
+                                         universal_form_factor)
+
+    spec, vac, pc, pb = pairs5
     dense = 16 * 9 ** (spec.M + 1)
     beta = (0.01, 0.0, 0.0)
     universal_form_factor(spec, vac, pc, pb, 2, 2)  # warm the partition and block-map caches
@@ -493,3 +571,17 @@ def test_form_factors_never_allocate_a_dense_aux_matrix():
         < 0.2 * dense
     assert peak_bytes(uncached(lambda: generating_functional(spec, pc, pb, beta, 2))) \
         < 0.2 * dense
+
+
+def test_restricted_reads_allocate_a_fraction_of_the_group_set(pairs5):
+    from gradedbethe.formfactors import universal_form_factor
+
+    spec, vac, pc, pb = pairs5
+    u = 2.1 + 0.4j
+    # every content-group block of one aux (x) H operator
+    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
+    universal_form_factor(spec, vac, pc, pb, 2, 2)  # warm the partition and plan caches
+    vacuum_eigenvalue(spec, 1, None, u)
+    # measured 0.12x and 0.03x; building every group made both 1.7x
+    assert peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.25 * group_set
+    assert peak_bytes(lambda: vacuum_eigenvalue(spec, 1, None, u)) < 0.25 * group_set

@@ -205,3 +205,37 @@ def test_proposition1_holds_no_twisted_spectrum():
     # entries; measured 0.53x, and 10.2x when every twist diagonalized every sector
     one_decomposition = 2 * 9 ** scenario.chain.M * 16
     assert peak_bytes(lambda: cli._run_proposition1(ws)) < one_decomposition
+
+
+def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
+    from gradedbethe import chain
+
+    unrestricted = []
+    original = chain.monodromy_groups
+
+    def counted(spec, u, sites=None, contents=None):
+        if contents is None:
+            unrestricted.append(sites)
+        return original(spec, u, sites, contents)
+
+    for module in _package_modules():
+        if hasattr(module, "monodromy_groups"):
+            monkeypatch.setattr(module, "monodromy_groups", counted)
+    code, _ = run_scenario(Scenario.from_dict(default_scenario_dict(m=4, seed=1)),
+                           str(tmp_path / "out"))
+    assert code == 0
+    # the five probes of the all-sector diagonalization, the two spectral points
+    # of tm1_residual and the zero-mode limit; the other reads build only the
+    # groups of their states' sectors (32 full builds when every read built all)
+    assert len(unrestricted) == 8
+
+
+def test_empty_split_list_rejected(tmp_path):
+    cfg = default_scenario_dict(m=4, seed=1)
+    cfg["splits"] = []
+    with pytest.raises(ScenarioError, match="empty split list"):
+        Scenario.from_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--check", "theorem2", "--out", str(out)]) == 2
+    assert not os.path.exists(out)

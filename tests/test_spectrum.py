@@ -11,7 +11,6 @@ from gradedbethe.spectrum import (
     load_cache,
     match_roots_to_state,
     on_shell_pair,
-    pair_left_right,
     save_cache,
     sector_indices,
     sector_labels_from_zero_modes,
@@ -131,9 +130,10 @@ def test_dual_annihilation_for_primitive_duals(dec4, classified4):
 def test_pairing_and_rescale(dec4, classified4):
     c = next(c for c in classified4 if c.kind == "primitive")
     pair = on_shell_pair(dec4, c)
-    base = pair_left_right(pair)
+    base = pair.pairing
+    assert abs(base) > 1e-12 * np.linalg.norm(pair.left) * np.linalg.norm(pair.right)
     scaled = pair.rescaled(3.0 - 1.0j, 0.5j)
-    assert pair_left_right(scaled) == pytest.approx(base * (3.0 - 1.0j) * 0.5j)
+    assert scaled.pairing == pytest.approx(base * (3.0 - 1.0j) * 0.5j)
 
 
 def test_cross_pairing_vanishes(dec4, classified4):
