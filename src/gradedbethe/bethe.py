@@ -413,8 +413,6 @@ def subset_seed_candidates(sector: tuple[int, int], vac: VacuumFunctions,
     """
     a, b = sector
     spec = vac.spec
-    if spec.vacuum_index != 1:
-        return
     twist = twist or TwistConfig()
     k1, k2, k3 = twist.kappa
     c = spec.c

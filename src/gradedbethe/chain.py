@@ -14,9 +14,11 @@ is one sub-block of the aux (x) H group of content s + e_j per H group, so
 read on the states of contents s touches.
 ``entry_blocks`` slices these out through one cached block map per chain
 length, signed with a fixed table BLOCK_SIGNS, as {s: (image, block)}; every
-check of ``gradedbethe verify`` works on that form.  The dense read-offs
-(``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``, ``zero_mode_limit``)
-fill 3^M x 3^M matrices from the same blocks: public API and test oracle.
+check of ``gradedbethe verify`` works on that form, as do the zero modes
+T_ij[0], written straight from their closed form (``zero_mode_entry``).  The
+dense read-offs (``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
+``zero_mode_limit``) fill 3^M x 3^M matrices from the same blocks: public API
+and test oracle.
 The sign table is pinned by requiring the zero-mode commutation algebra to
 hold entrywise (an exact integer-arithmetic criterion) together with the RTT
 residual test; see tests/test_chain.py.
@@ -54,7 +56,7 @@ __all__ = [
     "transfer_blocks",
     "transfer_matrix",
     "vacuum_eigenvalue",
-    "zero_mode_groups",
+    "zero_mode_entry",
     "zero_mode",
     "zero_mode_limit_groups",
     "zero_mode_limit",
@@ -145,8 +147,9 @@ class ChainSpec:
             raise ValueError("need one inhomogeneity per site")
         if len({x for x in xi}) != self.M:
             raise ValueError("inhomogeneities must be pairwise distinct")
-        if self.vacuum_index not in (1, 2, 3):
-            raise ValueError("vacuum_index must be 1, 2 or 3")
+        if self.vacuum_index != 1:
+            # root seeding and the sector labels count against the vacuum e_1
+            raise ValueError(f"unsupported vacuum_index {self.vacuum_index}: only 1 is supported")
 
     # -- geometry ---------------------------------------------------------
 
@@ -157,15 +160,10 @@ class ChainSpec:
     def all_sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.M + 1))
 
-    def vacuum_vector(self, sites: tuple[int, ...] | None = None) -> np.ndarray:
-        """Product state |vac> = e_k0 (x) ... (x) e_k0 over the given sites."""
-        sites = sites or self.all_sites()
-        dim = 3 ** len(sites)
-        idx = 0
-        for _ in sites:
-            idx = idx * 3 + (self.vacuum_index - 1)
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
+    def vacuum_vector(self) -> np.ndarray:
+        """Product state |vac> = e_1 (x) ... (x) e_1."""
+        v = np.zeros(self.hilbert_dim, dtype=complex)
+        v[0] = 1.0
         return v
 
     # -- serialization ----------------------------------------------------
@@ -185,7 +183,7 @@ class ChainSpec:
             M=int(data["M"]),
             c=_pair2c(data["c"]),
             xi=tuple(_pair2c(p) for p in data["xi"]),
-            vacuum_index=int(data["vacuum_index"]),
+            vacuum_index=int(data.get("vacuum_index", 1)),
             twist=TwistConfig.from_json(data["kappa"]),
         )
 
@@ -352,11 +350,11 @@ def _dense(spec: ChainSpec, op: dict) -> np.ndarray:
     return out
 
 
-def _read_off(spec: ChainSpec, groups) -> np.ndarray:
-    """3x3 object array of the dense entries T_ij on H, signed by BLOCK_SIGNS."""
+def _read_off(spec: ChainSpec, entry) -> np.ndarray:
+    """3x3 object array of the dense entries on H of entry(i, j) = {s: (image, block)}."""
     out = np.empty((3, 3), dtype=object)
     for i, j in np.ndindex(3, 3):
-        out[i, j] = _dense(spec, entry_blocks(spec, groups, i + 1, j + 1))
+        out[i, j] = _dense(spec, entry(i + 1, j + 1))
     return out
 
 
@@ -422,15 +420,11 @@ class VacuumFunctions:
     def dlog_r(self, k: int, u: complex, sites=None) -> complex:
         """d/du log r_k(u) over a site range (analytic)."""
         c = self.spec.c
-        k0 = self.spec.vacuum_index
         total = 0.0 + 0j
         for n in self._sites(sites):
             x = self.spec.xi[n - 1]
-            if k == k0:
+            if k == self.spec.vacuum_index:
                 total += self._sgn * (-c / (u - x) ** 2) / (1.0 + self._sgn * c / (u - x))
-            if k0 == 2:
-                # dividing by lambda_2 contributes for every k
-                total -= self._sgn * (-c / (u - x) ** 2) / (1.0 + self._sgn * c / (u - x))
         return total
 
     # products over root sets (empty product = 1; non-finite roots skipped)
@@ -528,7 +522,7 @@ def monodromy_groups(spec: ChainSpec, u: complex, sites=None, contents=None) -> 
 
 def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
     """3x3 object array of the dense entries T_ij(u) on H (see monodromy_groups)."""
-    return _read_off(spec, monodromy_groups(spec, u, sites))
+    return _read_off(spec, partial(entry_blocks, spec, monodromy_groups(spec, u, sites)))
 
 
 def transfer_blocks(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
@@ -554,8 +548,7 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
     Raises if the partial vacuum fails to be an eigenvector at ``rtol``,
     which signals a broken vacuum assumption.
     """
-    vac_content = tuple(spec.M * (t == spec.vacuum_index - 1) for t in range(3))
-    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites, [vac_content]), k, k)
+    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites, [(spec.M, 0, 0)]), k, k)
     vac = spec.vacuum_vector()
     image = apply(spec, t_kk, vac)
     lam = complex(vac.conj() @ image)
@@ -567,29 +560,43 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
     return lam
 
 
-def zero_mode_groups(spec: ChainSpec, sites=None) -> list[np.ndarray]:
-    """Content-group blocks of the zero modes T[0] = sum_{n in range} P_{0n}.
+@lru_cache(maxsize=16)
+def _letters(m_sites: int):
+    """Letter on site n (row n - 1) of every H basis index, and the odd letters before it."""
+    letters = np.arange(3**m_sites) // 3 ** np.arange(m_sites - 1, -1, -1)[:, None] % 3
+    return letters, np.cumsum(letters == 2, axis=0) - (letters == 2)
 
-    Exact integer entries; an empty range gives zero operators.  Cached per
-    (spec, range); callers treat the blocks as read-only.
+
+def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, contents=None) -> dict:
+    """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)}.
+
+    T_ij[0] = sum_{n in range} (-1)^{[j]} (-1)^{([i]+[j]) N_odd(<n)} E^(n)_{i->j}:
+    E^(n)_{i->j} turns letter i on site n (site 1 is the leading base-3 digit)
+    into j, and N_odd(<n) counts the odd letters on the sites before n.  Exact
+    integers, the blocks entry_blocks reads off the large-u limit; for every
+    H content s with an image, or only the given ``contents``.
     """
     sites = () if sites == () else _resolve_sites(spec, sites)
-    return _zero_mode_groups(spec, sites)
-
-
-@lru_cache(maxsize=64)
-def _zero_mode_groups(spec: ChainSpec, sites: tuple[int, ...]) -> list[np.ndarray]:
-    groups, _, _ = _content_partition(spec.M + 1)
-    blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
-    for n in sites:
-        for blk, (src, sign) in zip(blocks, _step_plan(spec.M + 1, 0, n)):
-            blk[np.arange(src.size), src] += sign[:, 0]
-    return blocks
+    n = np.asarray(sites, dtype=np.int64) - 1
+    letters, odd_before = (table[n] for table in _letters(spec.M))
+    _, g2l, _ = _content_partition(spec.M)
+    index, entries = _block_map(spec.M)
+    out = {}
+    for s, image, *_ in entries[i - 1][j - 1]:
+        if contents is None or s in contents:
+            row, col = np.nonzero(letters[:, index[s]] == i - 1)
+            x = index[s][col]
+            odd = (_PAR[i - 1] + _PAR[j - 1]) * odd_before[row, x]
+            blk = np.zeros((index[image].size, index[s].size), dtype=complex)
+            np.add.at(blk, (g2l[x + (j - i) * 3 ** (spec.M - 1 - n[row])], col),
+                      (-1.0) ** _PAR[j - 1] * (-1.0) ** odd)
+            out[s] = (image, blk)
+    return out
 
 
 def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
-    """3x3 object array of the dense zero modes T_ij[0] (see zero_mode_groups)."""
-    return _read_off(spec, zero_mode_groups(spec, sites))
+    """3x3 object array of the dense zero modes T_ij[0] (see zero_mode_entry)."""
+    return _read_off(spec, partial(zero_mode_entry, spec, sites=sites))
 
 
 def zero_mode_limit_groups(spec: ChainSpec, sites=None, scale: float = 1e6) -> list[np.ndarray]:
@@ -601,7 +608,7 @@ def zero_mode_limit_groups(spec: ChainSpec, sites=None, scale: float = 1e6) -> l
 
 def zero_mode_limit(spec: ChainSpec, sites=None, scale: float = 1e6) -> np.ndarray:
     """3x3 object array of the dense zero_mode_limit_groups read-off."""
-    return _read_off(spec, zero_mode_limit_groups(spec, sites, scale))
+    return _read_off(spec, partial(entry_blocks, spec, zero_mode_limit_groups(spec, sites, scale)))
 
 
 # -- RTT conformance ----------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from .bethe import bethe_residual, continue_twist
 from .chain import (
     ChainSpec,
+    PoleError,
     VacuumFunctions,
     _default_xi,
     apply,
@@ -31,7 +32,7 @@ from .chain import (
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
-    zero_mode_groups,
+    zero_mode_entry,
     zero_mode_limit_groups,
 )
 from .formfactors import (
@@ -95,7 +96,6 @@ class Scenario:
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
         chain_data.setdefault("c", [1.0, 0.0])
-        chain_data.setdefault("vacuum_index", 1)
         chain_data.setdefault("kappa", [[1.0, 0.0]] * 3)
         if chain_data.get("xi") is None:
             c = complex(chain_data["c"][0], chain_data["c"][1])
@@ -105,10 +105,6 @@ class Scenario:
             chain = ChainSpec.from_json(chain_data)
         except (ValueError, KeyError) as exc:
             raise ScenarioError(f"invalid chain spec: {exc}") from exc
-        if chain.vacuum_index != 1:
-            # root seeding and the sector labels count against the vacuum e_1
-            raise ScenarioError(f"unsupported vacuum_index {chain.vacuum_index}: "
-                                "verify supports vacuum_index 1 only")
         checks = list(data.get("checks", list(KNOWN_CHECKS)))
         if not checks:
             raise ScenarioError("empty check list")
@@ -226,7 +222,7 @@ def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
     sizes = sc.rtt_sizes
     per_size = max(1, sc.rtt_pairs // len(sizes))
     for m_sites in sizes:
-        sub = ChainSpec(M=m_sites, c=sc.chain.c, vacuum_index=sc.chain.vacuum_index)
+        sub = ChainSpec(M=m_sites, c=sc.chain.c)
         for k in range(per_size):
             u = _random_point(rng, sub.c, 3.0 * sub.c)
             v = _random_point(rng, sub.c, -3.0 * sub.c)
@@ -271,12 +267,14 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     out.append(make_report("vacuum:factorization", worst_fact, 0.0, 1e-12, m=m,
                            residual=worst_fact))
 
-    # zero modes: structural vs large-u limit; the next-order coefficient
+    # zero modes: closed form vs large-u limit; the next-order coefficient
     # grows like M^2, so the evaluation point scales out with the chain;
-    # compared group by group, as |s a - s b| = |a - b| for the signs s
-    zm = zero_mode_groups(spec)
+    # compared entry block by entry block, which tile the limit's groups,
+    # as |s a - s b| = |a - b| for the signs s
     zl = zero_mode_limit_groups(spec, scale=1e6 * spec.M)
-    diff = max(float(np.abs(a - b).max()) for a, b in zip(zm, zl))
+    diff = max(float(np.abs(blk - entry_blocks(spec, zl, i, j, [s])[s][1]).max())
+               for i, j in itertools.product((1, 2, 3), repeat=2)
+               for s, (_, blk) in zero_mode_entry(spec, i, j).items())
     out.append(make_report("vacuum:zero-mode-limit", diff, 0.0, 1e-5, residual=diff))
     return out
 
@@ -555,6 +553,9 @@ def main(argv: list[str] | None = None) -> int:
         code, reports = run_scenario(scenario, args.out)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except PoleError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     n_fail = sum(1 for r in reports if r.verdict == "fail")
     print(f"{len(reports)} checks, {n_fail} failures -> {args.out}/reports.jsonl")

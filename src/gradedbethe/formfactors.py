@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .bethe import BetheRoots, RootTrajectory, _solve_at_twist, continue_twist, tau_eigenvalue
 from .chain import (
@@ -30,7 +29,7 @@ from .chain import (
     monodromy_groups,
     sandwich,
     transfer_blocks,
-    zero_mode_groups,
+    zero_mode_entry,
 )
 from .graded import FUNDAMENTAL_PARITIES
 from .spectrum import OnShellPair, _content, diagonalize_transfer, match_roots_to_state
@@ -170,8 +169,7 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
 def partial_zero_mode_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
                          i: int, j: int, m: int) -> complex:
     """Form factor <C| T^(1)_ij[0] |B> of the partial zero mode over sites 1..m."""
-    zm = entry_blocks(spec, zero_mode_groups(spec, sites=range(1, m + 1)), i, j,
-                      contents=[_content(spec, pair_b.sector)])
+    zm = zero_mode_entry(spec, i, j, range(1, m + 1), contents=[_content(spec, pair_b.sector)])
     return sandwich(spec, pair_c.left, zm, pair_b.right)
 
 
@@ -229,8 +227,7 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
     <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j);
     ``ff`` as in check_theorem1.
     """
-    local = entry_blocks(spec, zero_mode_groups(spec, sites=[m]), i, j,
-                         contents=[_content(spec, pair_b.sector)])
+    local = zero_mode_entry(spec, i, j, [m], contents=[_content(spec, pair_b.sector)])
     lhs = sandwich(spec, pair_c.left, local, pair_b.right)
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff
@@ -269,19 +266,13 @@ def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellP
     """<C| exp(Q_beta) |B> with Q_beta built from the partial zero modes.
 
     Q_beta = sum_i (-1)^{[i]} beta_i T^(1)_ii[0] is diagonal in the product
-    basis, so its exponential is exact; a per-group expm fallback covers any
-    non-diagonal zero-mode input.
+    basis (T_ii[0] counts letters i), so its exponential is exact.
     """
-    if m == 0:
-        return complex(pair_c.left @ pair_b.right)
-    zm = zero_mode_groups(spec, sites=range(1, m + 1))
-    q = combine(*[((-1) ** _PAR[i] * beta[i], entry_blocks(spec, zm, i + 1, i + 1))
+    on_b = [_content(spec, pair_b.sector)]
+    q = combine(*[((-1) ** _PAR[i] * beta[i],
+                   zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), contents=on_b))
                   for i in range(3)])
-    off = max(float(np.abs(blk - np.diag(np.diag(blk))).max()) for _, blk in q.values())
-    if off < 1e-12:
-        exp_q = {s: (s, np.diag(np.exp(np.diag(blk)))) for s, (_, blk) in q.items()}
-    else:
-        exp_q = {s: (s, scipy.linalg.expm(blk)) for s, (_, blk) in q.items()}
+    exp_q = {s: (s, np.diag(np.exp(np.diag(blk)))) for s, (_, blk) in q.items()}
     return sandwich(spec, pair_c.left, exp_q, pair_b.right)
 
 
@@ -359,10 +350,11 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, i)
     rhs = (-1) ** _PAR[i - 1] * d_emel - ff
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, i, m)
-    # the zero floor sits above the finite-difference noise in d_emel
+    # the zero floor sits above the finite-difference noise in d_emel: up to M = 7
+    # the rhs is below 4.5e-6 |C||B| where lhs = 0 (m = M), other sides above 0.09 |C||B|
     return make_report(f"genfun-derivative:{i}", lhs, rhs, tol,
                        sectors=(pair_c.sector, pair_b.sector), m=m,
-                       floor=_pair_floor(pair_c, pair_b, rel=1e-8))
+                       floor=_pair_floor(pair_c, pair_b, rel=3e-5))
 
 
 def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
@@ -380,19 +372,20 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
     (c) T_12[0] B is itself an eigenvector one sector up whenever nonzero.
     """
     reports = []
-    zm_part = zero_mode_groups(spec, sites=range(1, m + 1))
-    zm_tot = zero_mode_groups(spec)
     left, right = pair_c.left, pair_b.right
     norm_cb = _pair_floor(pair_c, pair_b, rel=1.0)
-    part = partial(entry_blocks, spec, zm_part)
     for (i, j, k, l) in quadruples:
+        # B's content and its images under the two zero modes
+        on = [_content(spec, (pair_b.sector[0] + da, pair_b.sector[1] + db))
+              for da, db in ((0, 0), sector_step(i, j), sector_step(k, l))]
+        part = partial(zero_mode_entry, spec, sites=range(1, m + 1), contents=on)
         lhs = 0.0 + 0j
         if i == l:
             lhs += sandwich(spec, left, part(k, j), right)
         if k == j:
             lhs -= sandwich(spec, left, part(i, l), right)
         # the graded commutator [A, B_op} sandwiched without forming it
-        a_op, b_op = part(i, j), entry_blocks(spec, zm_tot, k, l)
+        a_op, b_op = part(i, j), zero_mode_entry(spec, k, l, contents=on)
         odd = (_PAR[i - 1] + _PAR[j - 1]) % 2 and (_PAR[k - 1] + _PAR[l - 1]) % 2
         comm = apply_left(spec, left, a_op) @ apply(spec, b_op, right) \
             - (-1.0 if odd else 1.0) * (apply_left(spec, left, b_op) @ apply(spec, a_op, right))
@@ -403,8 +396,10 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
                                    sectors=(pair_c.sector, pair_b.sector), m=m,
                                    residual=abs(lhs - rhs) / norm_cb))
 
-    # (b) dual annihilation, stated for finite-root (primitive) dual states
-    raise_op = entry_blocks(spec, zm_tot, 1, 2)
+    # (b) dual annihilation, stated for finite-root (primitive) dual states;
+    # T_12[0] maps the content below C's sector onto C's
+    below_c = _content(spec, (pair_c.sector[0] - 1, pair_c.sector[1]))
+    raise_op = zero_mode_entry(spec, 1, 2, contents=[_content(spec, pair_b.sector), below_c])
     if pair_c.sector[0] >= 1 and pair_c.roots.n_u_inf == 0:
         img = apply_left(spec, left, raise_op)
         resid = float(np.linalg.norm(img) / np.linalg.norm(left))

@@ -29,10 +29,9 @@ from .chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
-    entry_blocks,
     sandwich,
     transfer_blocks,
-    zero_mode_groups,
+    zero_mode_entry,
 )
 
 __all__ = [
@@ -236,10 +235,10 @@ def sector_labels_from_zero_modes(spec: ChainSpec, pair: OnShellPair,
     On a matched on-shell state, T_11[0] acts as lambda_1[0] - a and
     T_33[0] as lambda_3[0] - b; both expectation values are exact integers.
     """
-    zm = zero_mode_groups(spec)
+    on = [_content(spec, pair.sector)]
     cb = pair.pairing
-    t11 = sandwich(spec, pair.left, entry_blocks(spec, zm, 1, 1), pair.right) / cb
-    t33 = sandwich(spec, pair.left, entry_blocks(spec, zm, 3, 3), pair.right) / cb
+    t11 = sandwich(spec, pair.left, zero_mode_entry(spec, 1, 1, contents=on), pair.right) / cb
+    t33 = sandwich(spec, pair.left, zero_mode_entry(spec, 3, 3, contents=on), pair.right) / cb
     a = vac.lam_zero_mode(1) - t11
     b = vac.lam_zero_mode(3) - t33
     return (int(round(a.real)), int(round(b.real)))
@@ -310,7 +309,7 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
 
             roots = None
             seeds: list[BetheRoots] = []
-            if b == 0 and spec.vacuum_index == 1:
+            if b == 0:
                 guess = fit_roots_to_samples(sector, tau_fn_for(st), vac, twist=dec.twist)
                 if guess is not None:
                     seeds.append(guess)

@@ -11,7 +11,7 @@ from gradedbethe.chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
-    _zero_mode_groups,
+    _step_plan,
     apply,
     apply_left,
     entry_blocks,
@@ -27,7 +27,7 @@ from gradedbethe.chain import (
     verify_rtt,
     yang_baxter_residual,
     zero_mode,
-    zero_mode_groups,
+    zero_mode_entry,
     zero_mode_limit,
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_commutator, graded_permutation, \
@@ -45,6 +45,21 @@ def rand_pt(rng, shift=0.0):
 def concrete(blocks):
     """The operator on aux (x) H whose (i,j) auxiliary block is signed T_ij."""
     return np.block([[BLOCK_SIGNS[i, j] * blocks[i, j] for j in range(3)] for i in range(3)])
+
+
+def structural_zero_mode_groups(spec, sites=None):
+    """Content-group blocks of the zero modes T[0] = sum_{n in range} P_{0n} on aux (x) H.
+
+    Oracle for the closed form of zero_mode_entry: the graded permutations
+    summed group by group, exact integers.
+    """
+    sites = spec.all_sites() if sites is None else tuple(sites)
+    groups, _, _ = _content_partition(spec.M + 1)
+    blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
+    for n in sites:
+        for blk, (src, sign) in zip(blocks, _step_plan(spec.M + 1, 0, n)):
+            blk[np.arange(src.size), src] += sign[:, 0]
+    return blocks
 
 
 def dense_entry(spec, groups, i, j):
@@ -306,6 +321,36 @@ def test_commutator_example_t12_t21():
     assert np.abs(lhs - (zm[1, 1] - zm[0, 0])).max() == 0.0
 
 
+def all_ranges(m_sites):
+    """None, the empty range, every prefix, every single site and every interval."""
+    intervals = [range(a, b + 1) for a in range(1, m_sites + 1) for b in range(a, m_sites + 1)]
+    return [None, ()] + [range(1, m + 1) for m in range(1, m_sites + 1)] \
+        + [[n] for n in range(1, m_sites + 1)] + intervals
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+def test_zero_mode_entry_matches_structural_sum(m_sites, twisted):
+    spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1))) \
+        if twisted else ChainSpec(M=m_sites)
+    h_contents = _content_partition(m_sites)[2]
+    some = h_contents[::2]
+    for sites in all_ranges(m_sites):
+        groups = structural_zero_mode_groups(spec, sites)
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            expect = entry_blocks(spec, groups, i, j)
+            got = zero_mode_entry(spec, i, j, sites)
+            assert got.keys() == expect.keys()
+            for s, (image, blk) in got.items():
+                assert image == expect[s][0]
+                assert np.array_equal(blk, expect[s][1])
+            restricted = zero_mode_entry(spec, i, j, sites, contents=some)
+            assert restricted.keys() == {s for s in expect if s in some}
+            for s, (image, blk) in restricted.items():
+                assert image == expect[s][0]
+                assert np.array_equal(blk, expect[s][1])
+
+
 def test_block_sign_table():
     # pinned by the exact zero-mode algebra; see the tests above
     assert BLOCK_SIGNS.tolist() == [[1, 1, -1], [1, 1, -1], [1, 1, 1]]
@@ -339,7 +384,7 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     u = rand_pt(rng, 2.5)
     for sites in oracle_ranges(m_sites):
         operators = [(monodromy_groups(spec, u, sites), monodromy_blocks(spec, u, sites)),
-                     (zero_mode_groups(spec, sites), zero_mode(spec, sites))]
+                     (structural_zero_mode_groups(spec, sites), zero_mode(spec, sites))]
         for groups, read_off in operators:
             for i, j in itertools.product((1, 2, 3), repeat=2):
                 dense = read_off[i - 1, j - 1]
@@ -498,7 +543,7 @@ def test_entrywise_commutation_relations(indices):
 
 
 def test_chain_spec_json_roundtrip():
-    spec = ChainSpec(M=3, c=0.8 + 0.1j, vacuum_index=2,
+    spec = ChainSpec(M=3, c=0.8 + 0.1j, vacuum_index=1,
                      twist=TwistConfig((1.0, 0.9 + 0.2j, 1.1)))
     again = ChainSpec.from_json(spec.to_json())
     assert again == spec
@@ -510,8 +555,9 @@ def test_chain_spec_validation():
         ChainSpec(M=0)
     with pytest.raises(ValueError):
         ChainSpec(M=2, xi=(0.1, 0.1))
-    with pytest.raises(ValueError):
-        ChainSpec(M=2, vacuum_index=4)
+    for vacuum_index in (2, 3, 4):
+        with pytest.raises(ValueError, match="unsupported vacuum_index"):
+            ChainSpec(M=2, vacuum_index=vacuum_index)
     with pytest.raises(ValueError):
         TwistConfig((0.0, 1.0, 1.0))
 
@@ -526,14 +572,9 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     spec = ChainSpec(M=m_sites)
     u = 2.1 + 0.4j
     transfer_matrix(spec, u)  # warm the partition and gather-map caches
-
-    def uncached_zero_mode():
-        _zero_mode_groups.cache_clear()
-        return zero_mode(spec)
-
     assert peak_bytes(lambda: transfer_matrix(spec, u)) < 0.8 * dense
     assert peak_bytes(lambda: monodromy_blocks(spec, u)) < 1.5 * dense
-    assert peak_bytes(uncached_zero_mode) < 1.5 * dense
+    assert peak_bytes(lambda: zero_mode(spec)) < 1.5 * dense
     assert peak_bytes(lambda: zero_mode_limit(spec)) < 1.5 * dense
 
 
@@ -558,19 +599,11 @@ def test_form_factors_never_allocate_a_dense_aux_matrix(pairs5):
     dense = 16 * 9 ** (spec.M + 1)
     beta = (0.01, 0.0, 0.0)
     universal_form_factor(spec, vac, pc, pb, 2, 2)  # warm the partition and block-map caches
-
-    def uncached(fn):
-        def run():
-            _zero_mode_groups.cache_clear()
-            return fn()
-        return run
-
-    # measured 0.11x, 0.08x and 0.11x; dense read-offs made these 1.13x-1.33x
+    # measured 0.007x, 0.002x and 0.002x (the zero modes as aux (x) H groups made
+    # the last two 0.07x and 0.04x); dense read-offs made these 1.13x-1.33x
     assert peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.2 * dense
-    assert peak_bytes(uncached(lambda: partial_zero_mode_ff(spec, pc, pb, 2, 2, 2))) \
-        < 0.2 * dense
-    assert peak_bytes(uncached(lambda: generating_functional(spec, pc, pb, beta, 2))) \
-        < 0.2 * dense
+    assert peak_bytes(lambda: partial_zero_mode_ff(spec, pc, pb, 2, 2, 2)) < 0.2 * dense
+    assert peak_bytes(lambda: generating_functional(spec, pc, pb, beta, 2)) < 0.2 * dense
 
 
 def test_restricted_reads_allocate_a_fraction_of_the_group_set(pairs5):

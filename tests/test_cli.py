@@ -192,15 +192,11 @@ def test_universal_form_factor_once_per_theorem1_pair(tmp_path, monkeypatch):
 
 def test_proposition1_holds_no_twisted_spectrum():
     from gradedbethe import cli
-    from gradedbethe.chain import zero_mode_groups
 
     scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
     ws = cli._Workspace(scenario, None)
-    # warm: the untwisted decomposition and its classification, and the
-    # zero-mode blocks of the split range, which theorem1 fills in a full run
+    # warm: the untwisted decomposition and its classification
     ws.classified()
-    m = scenario.splits[len(scenario.splits) // 2]
-    zero_mode_groups(ws.spec, sites=range(1, m + 1))
     # the right and left vectors of one decomposition: 2 * 3^M states of 3^M
     # entries; measured 0.53x, and 10.2x when every twist diagonalized every sector
     one_decomposition = 2 * 9 ** scenario.chain.M * 16
@@ -239,3 +235,51 @@ def test_empty_split_list_rejected(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--check", "theorem2", "--out", str(out)]) == 2
     assert not os.path.exists(out)
+
+
+def test_theorem1_retains_no_zero_mode_blocks():
+    import tracemalloc
+
+    from gradedbethe import cli
+    from gradedbethe.chain import _content_partition
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
+    ws = cli._Workspace(scenario, None)
+    ws.classified()
+    # every content-group block of one aux (x) H operator
+    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports = cli._run_theorem1(ws)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert reports and all(r.verdict == "pass" for r in reports)
+    # measured 0.32x; caching the zero-mode groups of every split range kept 7.1x
+    assert retained < group_set
+
+
+def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):
+    cfg = default_scenario_dict(m=3, seed=1)
+    # xi_1 on the first default probe point at c = 1
+    cfg["chain"]["xi"] = [[1.7, 0.41], [0.2, 0.0], [0.3, 0.0]]
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Traceback" not in err
+    assert not os.path.exists(out / "reports.jsonl")
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_genfun_derivative_on_the_full_chain_is_trivial(tmp_path, m):
+    # the total zero mode between distinct same-sector states vanishes, and the
+    # finite-difference side stays below the row's zero floor
+    cfg = default_scenario_dict(m=m, seed=1)
+    cfg["splits"] = [m]
+    cfg["checks"] = ["proposition1"]
+    code, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "out"))
+    genfun = [r for r in reports if r.identity.startswith("genfun-derivative")]
+    assert code == 0 and len(genfun) == 3
+    assert all(r.verdict == "trivial" for r in genfun)
+    assert "zero*" in (tmp_path / "out" / "summary.txt").read_text()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gradedbethe.bethe import continue_twist
-from gradedbethe.chain import monodromy_blocks, transfer_matrix, zero_mode
+from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_blocks, transfer_matrix, zero_mode
 from gradedbethe.formfactors import (
     SelectionRuleZero,
     ZetaFactors,
@@ -18,6 +19,8 @@ from gradedbethe.formfactors import (
     universal_form_factor,
     zero_mode_ladder_checks,
 )
+from gradedbethe.graded import FUNDAMENTAL_PARITIES
+from gradedbethe.spectrum import diagonalize_transfer
 from conftest import descendant_pairs, primitive_pairs
 
 
@@ -276,6 +279,22 @@ def test_generating_functional_full_range_closed_form(spec4, p10):
     val = generating_functional(spec4, pair, pair, beta, spec4.M)
     expo = beta[0] * (spec4.M - a) + beta[1] * (a - b) + beta[2] * b
     assert val == pytest.approx(np.exp(expo) * pair.pairing, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_generating_functional_matches_expm_of_dense_zero_modes(m):
+    # oracle: Q_beta assembled from the dense zero modes and exponentiated by expm
+    spec = ChainSpec(M=4, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
+    beta = (0.3 + 0.2j, -0.25 + 0.1j, 0.15 - 0.35j)
+    zm = zero_mode(spec, sites=range(1, m + 1))
+    q = sum((-1) ** FUNDAMENTAL_PARITIES[i] * beta[i] * zm[i, i] for i in range(3))
+    assert np.array_equal(q, np.diag(np.diag(q)))
+    exp_q = scipy.linalg.expm(q)
+    states = diagonalize_transfer(spec, sectors=[(2, 1)]).states
+    for c, b in ((states[0], states[1]), (states[2], states[2])):
+        expect = c.left @ exp_q @ b.right
+        scale = np.linalg.norm(c.left) * np.linalg.norm(b.right)
+        assert abs(generating_functional(spec, c, b, beta, m) - expect) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
