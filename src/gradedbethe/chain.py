@@ -26,6 +26,7 @@ residual test; see tests/test_chain.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -223,10 +224,11 @@ def _content_partition(n_factors: int):
 
 @lru_cache(maxsize=128)
 def _step_plan(n_factors: int, x: int, y: int) -> tuple:
-    """The graded permutation P_xy per content group, as (source rows, signs).
+    """The graded permutation P_xy per content group, as (source rows, flipped rows).
 
-    Row q of P X is sign[q] * X[src[q]] within each group; the signs form a
-    column so they broadcast over a group's columns.
+    Row q of P X is X[src[q]] within each group, negated where flipped[q];
+    ``flipped`` is a boolean column, so it broadcasts over a group's columns,
+    or None when P_xy flips no sign on the group.
     """
     groups, g2l, _ = _content_partition(n_factors)
     perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
@@ -234,27 +236,30 @@ def _step_plan(n_factors: int, x: int, y: int) -> tuple:
     for ix in groups:
         src = np.empty(ix.size, dtype=np.int64)
         src[g2l[perm.dest[ix]]] = np.arange(ix.size)
-        plans.append((src, perm.sign[ix][src][:, None]))
+        flipped = perm.sign[ix][src] < 0
+        plans.append((src, flipped[:, None] if flipped.any() else None))
     return tuple(plans)
 
 
-def _group_product(k: int, size: int, steps) -> np.ndarray:
-    """Block of (I + g_S P_S) ... (I + g_1 P_1) on content group k, for steps [(plan, g), ...].
+def _group_product(k: int, size: int, steps, start=None) -> np.ndarray:
+    """Block of (I + g_S P_S) ... (I + g_1 P_1) X on content group k, for steps [(plan, g), ...].
 
-    Every step runs on this one group, so its block stays in cache, with two
-    scratch buffers.  Each entry sees x + g * (sign * x[src]) with the
-    operations in this order and ``g`` as the first operand: the bits a
-    step applied to all groups at once gives.
+    X is ``start`` (overwritten), or the identity.  Every step runs on this one
+    group, so its block stays in cache, with two scratch buffers: the rows
+    gathered, b = g * rows (``g`` first, out of place), then x + b, or x - b on
+    the flipped rows.  Each entry gets the bits of x + g * (sign * x[src])
+    with no multiply by the sign.
     """
-    x = np.eye(size, dtype=complex)
+    x = np.eye(size, dtype=complex) if start is None else start
     a, b = np.empty_like(x), np.empty_like(x)
     for plan, g in steps:
-        src, sign = plan[k]
-        np.take(x, src, axis=0, out=a, mode="clip")
-        np.multiply(sign, a, out=b)
-        np.multiply(g, b, out=a)
-        np.add(x, a, out=b)
-        x, b = b, x
+        src, flipped = plan[k]
+        x.take(src, axis=0, out=a, mode="clip")
+        np.multiply(g, a, out=b)
+        np.add(x, b, out=a)
+        if flipped is not None:
+            np.subtract(x, b, out=a, where=flipped)
+        x, a = a, x
     return x
 
 
@@ -397,7 +402,7 @@ class VacuumFunctions:
         return 1.0 + self._sgn * g_fun(u, self.spec.xi[n - 1], self.spec.c)
 
     def lam(self, k: int, u: complex, sites=None) -> complex:
-        return complex(np.prod([self.lam_site(k, u, n) for n in self._sites(sites)] or [1.0]))
+        return complex(math.prod(self.lam_site(k, u, n) for n in self._sites(sites)))
 
     def lam_zero_mode(self, k: int, sites=None) -> complex:
         """Coefficient in lambda_k^(range)(u) = 1 + coeff * c/u + O(u^-2)."""
@@ -619,6 +624,9 @@ def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
 
     Builds R(u,v) (T(u) (x) I) (I (x) T(v)) and the reversed side with O(N^2)
     permutation applications and returns the largest entry of the difference.
+    The left side starts from I (x) T(v), which is block diagonal in the first
+    auxiliary letter with the aux (x) H group blocks of T(v) on the diagonal,
+    so only the M + 1 steps of T(u) and R run on aux (x) aux (x) H there.
     """
     if u == v:
         raise PoleError("RTT check needs u != v")
@@ -628,11 +636,28 @@ def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
     r = [(_step_plan(n_factors, 0, 1), g_fun(u, v, spec.c))]
     t_a = _l_steps(spec, u, spec.all_sites(), n_factors, aux=0)
     t_b = _l_steps(spec, v, spec.all_sites(), n_factors, aux=1)
+    # T(v) on aux (x) H, and the diagonal runs (first letter l, content s) of
+    # each aux (x) aux (x) H group where its blocks sit in I (x) T(v)
+    t_v_steps = _l_steps(spec, v, spec.all_sites(), n_factors - 1, aux=0)
+    inner, _, inner_contents = _content_partition(n_factors - 1)
+    t_v = {s: _group_product(k, ix.size, t_v_steps)
+           for k, (ix, s) in enumerate(zip(inner, inner_contents))}
     groups, _, _ = _content_partition(n_factors)
+    _, entries = _block_map(n_factors - 1)
+    runs = [[] for _ in groups]
+    for letter in range(3):
+        for s, _, g, rows, _ in entries[letter][letter]:
+            runs[g].append((rows, s))
+
+    def lhs(k: int, size: int) -> np.ndarray:
+        x = np.zeros((size, size), dtype=complex)
+        for rows, s in runs[k]:
+            x[rows, rows] = t_v[s]
+        return _group_product(k, size, t_a + r, x)
+
     # LHS = R . T_a(u) . T_b(v) and RHS = T_b(v) . T_a(u) . R, right factor first,
     # compared one group at a time
-    return max(float(np.abs(_group_product(k, ix.size, t_b + t_a + r)
-                            - _group_product(k, ix.size, r + t_a + t_b)).max())
+    return max(float(np.abs(lhs(k, ix.size) - _group_product(k, ix.size, r + t_a + t_b)).max())
                for k, ix in enumerate(groups))
 
 

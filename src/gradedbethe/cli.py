@@ -125,8 +125,13 @@ class Scenario:
             if not 1 <= split <= m:
                 raise ScenarioError(f"split m={split} out of range")
         rtt_sizes = tuple(int(x) for x in data.get("rtt_sizes", (1, 2, 3, 4, 5)))
+        if not rtt_sizes:
+            raise ScenarioError("empty rtt_sizes; give at least one sub-chain size")
         if any(x < 1 or x > MAX_SITES for x in rtt_sizes):
             raise ScenarioError("rtt_sizes out of range")
+        rtt_pairs = int(data.get("rtt_pairs", 20))
+        if rtt_pairs < 1:
+            raise ScenarioError(f"rtt_pairs={rtt_pairs}; need at least one spectral pair")
         return cls(
             chain=chain,
             sectors=sectors,
@@ -135,7 +140,7 @@ class Scenario:
             seed=int(data.get("seed", 7)),
             tol_exact=float(data.get("tol_exact", 1e-8)),
             tol_fd=float(data.get("tol_fd", 1e-5)),
-            rtt_pairs=int(data.get("rtt_pairs", 20)),
+            rtt_pairs=rtt_pairs,
             rtt_sizes=rtt_sizes,
             beta_magnitude=float(data.get("beta_magnitude", 1e-2)),
             fd_delta=float(data.get("fd_delta", 1e-5)),

@@ -11,7 +11,6 @@ from gradedbethe.chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
-    _step_plan,
     apply,
     apply_left,
     entry_blocks,
@@ -54,11 +53,12 @@ def structural_zero_mode_groups(spec, sites=None):
     summed group by group, exact integers.
     """
     sites = spec.all_sites() if sites is None else tuple(sites)
-    groups, _, _ = _content_partition(spec.M + 1)
+    groups, g2l, _ = _content_partition(spec.M + 1)
     blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
     for n in sites:
-        for blk, (src, sign) in zip(blocks, _step_plan(spec.M + 1, 0, n)):
-            blk[np.arange(src.size), src] += sign[:, 0]
+        perm = permutation_between([GradedSpace.fundamental()] * (spec.M + 1), 0, n)
+        for blk, ix in zip(blocks, groups):
+            blk[g2l[perm.dest[ix]], g2l[ix]] += perm.sign[ix]
     return blocks
 
 
@@ -521,6 +521,24 @@ def test_verify_rtt_small_chains(m_sites):
     for _ in range(3):
         u, v = rand_pt(rng, 3), rand_pt(rng, -3)
         assert verify_rtt(spec, u, v) < 1e-10
+
+
+def test_rtt_left_side_starts_from_the_monodromy(monkeypatch):
+    spec = ChainSpec(M=5)
+    work = []
+    original = chain._group_product
+
+    def counted(k, size, steps, *start):
+        work.append(len(steps) * size ** 2)
+        return original(k, size, steps, *start)
+
+    monkeypatch.setattr(chain, "_group_product", counted)
+    assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) < 1e-10
+    # both sides as 2M + 1 steps on every aux (x) aux (x) H group
+    both_sides = 2 * (2 * spec.M + 1) * sum(ix.size ** 2
+                                            for ix in _content_partition(spec.M + 2)[0])
+    # measured 0.80x; 1.0x when the left side also ran the steps of T(v) there
+    assert sum(work) <= 0.85 * both_sides
 
 
 def test_verify_rtt_rejects_poles():

@@ -237,6 +237,20 @@ def test_empty_split_list_rejected(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key, value, message", [("rtt_sizes", [], "empty rtt_sizes"),
+                                                 ("rtt_pairs", 0, "rtt_pairs=0"),
+                                                 ("rtt_pairs", -3, "rtt_pairs=-3")])
+def test_rtt_sample_counts_rejected(tmp_path, key, value, message):
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg[key] = value
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.from_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--check", "rtt", "--out", str(out)]) == 2
+    assert not os.path.exists(out)
+
+
 def test_theorem1_retains_no_zero_mode_blocks():
     import tracemalloc
 
