@@ -21,7 +21,6 @@ from .chain import (
     TwistConfig,
     VacuumFunctions,
     monodromy_blocks,
-    r_matrix,
     transfer_matrix,
     vacuum_eigenvalue,
     verify_rtt,
@@ -42,12 +41,8 @@ from .formfactors import (
 from .graded import (
     GradedMatrix,
     GradedSpace,
-    graded_commutator,
-    graded_kron,
     graded_permutation,
     parity_of_index,
-    supertrace,
-    supertrace_over_aux,
 )
 from .spectrum import (
     DegenerateSpectrumError,

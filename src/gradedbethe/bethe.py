@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec, PoleError, TwistConfig, VacuumFunctions, _c2pair, f_fun
+from .chain import ChainSpec, PoleError, TwistConfig, VacuumFunctions, f_fun
 
 __all__ = [
     "BetheRoots",
@@ -73,29 +73,6 @@ class BetheRoots:
     @property
     def sector(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def to_json(self) -> dict:
-        out = {
-            "u": [_c2pair(x) for x in self.u],
-            "v": [_c2pair(x) for x in self.v],
-            "kappa": self.twist.to_json(),
-            "residual": self.residual,
-        }
-        if self.n_u_inf or self.n_v_inf:
-            out["u_inf"] = self.n_u_inf
-            out["v_inf"] = self.n_v_inf
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BetheRoots":
-        return cls(
-            u=tuple(complex(p[0], p[1]) for p in data["u"]),
-            v=tuple(complex(p[0], p[1]) for p in data["v"]),
-            n_u_inf=int(data.get("u_inf", 0)),
-            n_v_inf=int(data.get("v_inf", 0)),
-            twist=TwistConfig.from_json(data["kappa"]),
-            residual=data.get("residual"),
-        )
 
 
 def _prod_f(xs, ys, c: complex) -> complex:
@@ -460,9 +437,6 @@ class RootTrajectory:
     @property
     def seed(self) -> BetheRoots:
         return self.points[len(self.points) // 2]
-
-    def endpoint(self, side: int = +1) -> BetheRoots:
-        return self.points[-1] if side > 0 else self.points[0]
 
     def dlog_ell_ratio(self, vac: VacuumFunctions, m: int) -> complex:
         """Central-difference d/dkappa_i of log(ell_1(ubar)/ell_3(vbar)) at 1.

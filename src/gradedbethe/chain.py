@@ -1,4 +1,4 @@
-"""Inhomogeneous fundamental chain: R-matrix, L-operators, monodromy, transfer.
+"""Inhomogeneous fundamental chain: L-operators, monodromy, transfer, zero modes.
 
 The chain lives on M three-dimensional graded sites with grading (0,0,1).
 Every L-operator permutes tensor factors, so every chain operator on
@@ -15,7 +15,9 @@ read on the states of contents s touches.
 ``entry_blocks`` slices these out through one cached block map per chain
 length, signed with a fixed table BLOCK_SIGNS, as {s: (image, block)}; every
 check of ``gradedbethe verify`` works on that form, as do the zero modes
-T_ij[0], written straight from their closed form (``zero_mode_entry``).  The
+T_ij[0], written straight from their closed form (``zero_mode_entry``).
+The states these operators act on are vectors on one content group each
+(``spectrum.sandwich`` reads the one block between two of them).  The
 dense read-offs (``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
 ``zero_mode_limit``) fill 3^M x 3^M matrices from the same blocks: public API
 and test oracle.
@@ -32,28 +34,19 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .graded import (
-    FUNDAMENTAL_PARITIES,
-    GradedMatrix,
-    GradedSpace,
-    graded_permutation,
-    permutation_between,
-)
+from .graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
 
 __all__ = [
     "TwistConfig",
     "ChainSpec",
     "VacuumFunctions",
     "PoleError",
-    "r_matrix",
     "yang_baxter_residual",
     "monodromy_groups",
     "monodromy_blocks",
     "entry_blocks",
     "combine",
-    "apply",
-    "apply_left",
-    "sandwich",
+    "compose",
     "transfer_blocks",
     "transfer_matrix",
     "vacuum_eigenvalue",
@@ -160,12 +153,6 @@ class ChainSpec:
 
     def all_sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.M + 1))
-
-    def vacuum_vector(self) -> np.ndarray:
-        """Product state |vac> = e_1 (x) ... (x) e_1."""
-        v = np.zeros(self.hilbert_dim, dtype=complex)
-        v[0] = 1.0
-        return v
 
     # -- serialization ----------------------------------------------------
 
@@ -316,34 +303,9 @@ def combine(*terms) -> dict:
     return out
 
 
-def _compose(a: dict, b: dict) -> dict:
+def compose(a: dict, b: dict) -> dict:
     """The product a . b of H operators given as {s: (image, block)}."""
     return {s: (a[m][0], a[m][1] @ blk) for s, (m, blk) in b.items() if m in a}
-
-
-def apply(spec: ChainSpec, op: dict, v: np.ndarray) -> np.ndarray:
-    """op . v for a vector on H."""
-    index, _ = _block_map(spec.M)
-    out = np.zeros(spec.hilbert_dim, dtype=complex)
-    for s, (image, blk) in op.items():
-        out[index[image]] += blk @ v[index[s]]
-    return out
-
-
-def apply_left(spec: ChainSpec, v: np.ndarray, op: dict) -> np.ndarray:
-    """v . op for a row vector on H."""
-    index, _ = _block_map(spec.M)
-    out = np.zeros(spec.hilbert_dim, dtype=complex)
-    for s, (image, blk) in op.items():
-        out[index[s]] += v[index[image]] @ blk
-    return out
-
-
-def sandwich(spec: ChainSpec, left: np.ndarray, op: dict, right: np.ndarray) -> complex:
-    """Bilinear sandwich left . op . right."""
-    index, _ = _block_map(spec.M)
-    return complex(sum(left[index[image]] @ (blk @ right[index[s]])
-                       for s, (image, blk) in op.items()))
 
 
 def _dense(spec: ChainSpec, op: dict) -> np.ndarray:
@@ -449,15 +411,7 @@ class VacuumFunctions:
         return out
 
 
-# -- R-matrix and Yang-Baxter ------------------------------------------------
-
-
-def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:
-    """R(u,v) = I + g(u,v) P on the product of two fundamental spaces."""
-    g = g_fun(u, v, c)
-    fund = GradedSpace.fundamental()
-    p = graded_permutation(fund, fund)
-    return GradedMatrix(p.space, np.eye(9) + g * p.mat)
+# -- Yang-Baxter -------------------------------------------------------------
 
 
 def yang_baxter_residual(u: complex, v: complex, w: complex, c: complex) -> float:
@@ -546,23 +500,16 @@ def transfer_matrix(spec: ChainSpec, u: complex, twist: TwistConfig | None = Non
     return _dense(spec, transfer_blocks(spec, u, twist, sites))
 
 
-def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex,
-                      rtol: float = 1e-10) -> complex:
-    """lambda_k over the sub-chain, read off by applying T_kk to the vacuum.
+def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
+    """lambda_k over the sub-chain, read off T_kk on the vacuum e_1 (x) ... (x) e_1.
 
-    Raises if the partial vacuum fails to be an eigenvector at ``rtol``,
-    which signals a broken vacuum assumption.
+    The vacuum is the only basis vector of content (M, 0, 0) and T_kk keeps
+    content, so the vacuum is an eigenvector by construction and lambda_k is
+    the 1 x 1 block of T_kk there.
     """
-    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites, [(spec.M, 0, 0)]), k, k)
-    vac = spec.vacuum_vector()
-    image = apply(spec, t_kk, vac)
-    lam = complex(vac.conj() @ image)
-    resid = float(np.abs(image - lam * vac).max())
-    if resid > rtol * max(1.0, abs(lam)):
-        raise ValueError(
-            f"partial vacuum is not an eigenvector of T_{k}{k} (residual {resid:.2e})"
-        )
-    return lam
+    vac = (spec.M, 0, 0)
+    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites, [vac]), k, k, [vac])
+    return complex(t_kk[vac][1][0, 0])
 
 
 @lru_cache(maxsize=16)
@@ -674,11 +621,11 @@ def tm1_residual(spec: ChainSpec, u: complex, v: complex,
     t = partial(entry_blocks, spec)
     pi, pj, pk, pl = (_PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
-    lhs = combine((1.0, _compose(t(gu, i, j), t(gv, k, l))),
-                  (-sign_comm, _compose(t(gv, k, l), t(gu, i, j))))
+    lhs = combine((1.0, compose(t(gu, i, j), t(gv, k, l))),
+                  (-sign_comm, compose(t(gv, k, l), t(gu, i, j))))
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
-    rhs = combine((pref, _compose(t(gv, k, j), t(gu, i, l))),
-                  (-pref, _compose(t(gu, k, j), t(gv, i, l))))
+    rhs = combine((pref, compose(t(gv, k, j), t(gu, i, l))),
+                  (-pref, compose(t(gu, k, j), t(gv, i, l))))
 
     def largest(op):
         return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)

@@ -24,8 +24,6 @@ from .chain import (
     PoleError,
     VacuumFunctions,
     _default_xi,
-    apply,
-    apply_left,
     entry_blocks,
     monodromy_groups,
     tm1_residual,
@@ -130,8 +128,9 @@ class Scenario:
         if any(x < 1 or x > MAX_SITES for x in rtt_sizes):
             raise ScenarioError("rtt_sizes out of range")
         rtt_pairs = int(data.get("rtt_pairs", 20))
-        if rtt_pairs < 1:
-            raise ScenarioError(f"rtt_pairs={rtt_pairs}; need at least one spectral pair")
+        if rtt_pairs < len(rtt_sizes):
+            raise ScenarioError(f"rtt_pairs={rtt_pairs}; need at least one spectral pair "
+                                f"for each of the {len(rtt_sizes)} rtt_sizes")
         return cls(
             chain=chain,
             sectors=sectors,
@@ -224,11 +223,11 @@ def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
 def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
     sc, rng = ws.scenario, ws.rng
     out = []
-    sizes = sc.rtt_sizes
-    per_size = max(1, sc.rtt_pairs // len(sizes))
-    for m_sites in sizes:
+    # rtt_pairs pairs in all, the remainder going to the first sizes
+    per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
+    for n, m_sites in enumerate(sc.rtt_sizes):
         sub = ChainSpec(M=m_sites, c=sc.chain.c)
-        for k in range(per_size):
+        for k in range(per_size + (n < extra)):
             u = _random_point(rng, sub.c, 3.0 * sub.c)
             v = _random_point(rng, sub.c, -3.0 * sub.c)
             resid = verify_rtt(sub, u, v)
@@ -246,18 +245,21 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, rng = ws.spec, ws.vac, ws.rng
     out = []
     u = _random_point(rng, spec.c, 2.5 * spec.c)
-    groups = monodromy_groups(spec, u, contents=[_content(spec, (0, 0))])
-    vec = spec.vacuum_vector()
+    # the vacuum e_1 (x) ... (x) e_1 is the one basis vector of its content
+    vac_s = _content(spec, (0, 0))
+    groups = monodromy_groups(spec, u, contents=[vac_s])
     worst_ann = 0.0
     worst_eig = 0.0
     for i, j in itertools.permutations((1, 2, 3), 2):
-        t_ij = entry_blocks(spec, groups, i, j)
-        image = apply(spec, t_ij, vec) if i > j else apply_left(spec, vec, t_ij)
-        worst_ann = max(worst_ann, float(np.abs(image).max()))
+        # T_ij |vac> (i > j) and <vac| T_ij (i < j); blocks that do not exist act as zero
+        images = [blk[:, 0] if i > j else blk[0]
+                  for s, (image, blk) in entry_blocks(spec, groups, i, j).items()
+                  if (s if i > j else image) == vac_s]
+        worst_ann = max([worst_ann] + [float(np.abs(x).max()) for x in images])
     for k in (1, 2, 3):
         lam = vac.lam(k, u)
-        image = apply(spec, entry_blocks(spec, groups, k, k), vec)
-        worst_eig = max(worst_eig, float(np.abs(image - lam * vec).max()) / max(1, abs(lam)))
+        image = entry_blocks(spec, groups, k, k)[vac_s][1][:, 0]
+        worst_eig = max(worst_eig, float(np.abs(image - lam).max()) / max(1, abs(lam)))
     out.append(make_report("vacuum:annihilation", worst_ann, 0.0, 1e-10, residual=worst_ann))
     out.append(make_report("vacuum:eigenvalue", worst_eig, 0.0, 1e-10, residual=worst_eig))
 

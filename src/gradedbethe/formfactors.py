@@ -22,17 +22,15 @@ from .chain import (
     ChainSpec,
     TwistConfig,
     VacuumFunctions,
-    apply,
-    apply_left,
     combine,
+    compose,
     entry_blocks,
     monodromy_groups,
-    sandwich,
     transfer_blocks,
     zero_mode_entry,
 )
 from .graded import FUNDAMENTAL_PARITIES
-from .spectrum import OnShellPair, _content, diagonalize_transfer, match_roots_to_state
+from .spectrum import OnShellPair, _content, diagonalize_transfer, match_roots_to_state, sandwich
 
 __all__ = [
     "FormFactorReport",
@@ -162,7 +160,7 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
             continue
         groups = monodromy_groups(spec, zc, contents=[_content(spec, pair_b.sector)])
         t_ij = entry_blocks(spec, groups, i, j)
-        return sandwich(spec, pair_c.left, t_ij, pair_b.right) / dtau
+        return sandwich(spec, pair_c, t_ij, pair_b) / dtau
     raise ValueError("no probe point separates the two eigenvalue functions")
 
 
@@ -170,34 +168,27 @@ def partial_zero_mode_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPa
                          i: int, j: int, m: int) -> complex:
     """Form factor <C| T^(1)_ij[0] |B> of the partial zero mode over sites 1..m."""
     zm = zero_mode_entry(spec, i, j, range(1, m + 1), contents=[_content(spec, pair_b.sector)])
-    return sandwich(spec, pair_c.left, zm, pair_b.right)
+    return sandwich(spec, pair_c, zm, pair_b)
 
 
 @dataclass
 class ZetaFactors:
     """The vacuum-ratio products that carry all the split-point dependence."""
 
-    ell1_c: complex
-    ell1_b: complex
-    ell3_c: complex
-    ell3_b: complex
     rho: complex
     site_factors: tuple[complex, ...]
 
     @classmethod
     def build(cls, vac: VacuumFunctions, roots_c: BetheRoots, roots_b: BetheRoots,
               m: int) -> "ZetaFactors":
-        e1c = vac.ell_product(1, roots_c.u, m)
-        e1b = vac.ell_product(1, roots_b.u, m)
-        e3c = vac.ell_product(3, roots_c.v, m)
-        e3b = vac.ell_product(3, roots_b.v, m)
-        rho = e1c * e3b / (e1b * e3c)
+        rho = (vac.ell_product(1, roots_c.u, m) * vac.ell_product(3, roots_b.v, m)
+               / (vac.ell_product(1, roots_b.u, m) * vac.ell_product(3, roots_c.v, m)))
         site = tuple(
             vac.ell_site_product(1, roots_c.u, n) * vac.ell_site_product(3, roots_b.v, n)
             / (vac.ell_site_product(1, roots_b.u, n) * vac.ell_site_product(3, roots_c.v, n))
             for n in range(1, m + 1)
         )
-        return cls(e1c, e1b, e3c, e3b, rho, site)
+        return cls(rho, site)
 
 
 def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
@@ -228,7 +219,7 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
     ``ff`` as in check_theorem1.
     """
     local = zero_mode_entry(spec, i, j, [m], contents=[_content(spec, pair_b.sector)])
-    lhs = sandwich(spec, pair_c.left, local, pair_b.right)
+    lhs = sandwich(spec, pair_c, local, pair_b)
     zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
     ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff
     prefactor = (zeta.site_factors[m - 1] - 1.0) * np.prod(zeta.site_factors[:m - 1] or (1.0,))
@@ -273,27 +264,28 @@ def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellP
                    zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), contents=on_b))
                   for i in range(3)])
     exp_q = {s: (s, np.diag(np.exp(np.diag(blk)))) for s, (_, blk) in q.items()}
-    return sandwich(spec, pair_c.left, exp_q, pair_b.right)
+    return sandwich(spec, pair_c, exp_q, pair_b)
 
 
 def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
                       beta: tuple[complex, complex, complex],
-                      smooth_reference: np.ndarray | None = None) -> OnShellPair:
+                      smooth_reference: OnShellPair | None = None) -> OnShellPair:
     """Deform an on-shell pair to the twist kappa_i = exp(beta_i).
 
     Solves the twisted Bethe equations from the untwisted roots, diagonalizes
     the twisted transfer matrix in the twisted roots' sector only, and
     matches the twisted eigenstate there.  When ``smooth_reference`` is
-    given, the left vector is rescaled so its overlap with the reference is
-    preserved, which makes beta-derivatives of matrix elements well defined.
+    given, the left vector is rescaled so its overlap with the reference's
+    right vector is preserved, which makes beta-derivatives of matrix
+    elements well defined.
     """
     twist = TwistConfig(tuple(np.exp(b) for b in beta))
     twisted_roots = _solve_at_twist(pair.roots, vac, twist, tol=1e-13)
     dec = diagonalize_transfer(spec, twist=twist, sectors=[twisted_roots.sector])
     tp = match_roots_to_state(dec, twisted_roots, vac)
     if smooth_reference is not None:
-        want = complex(pair.left @ smooth_reference)
-        have = complex(tp.left @ smooth_reference)
+        want = sandwich(spec, pair, None, smooth_reference)
+        have = sandwich(spec, tp, None, smooth_reference)
         tp = tp.rescaled(1.0, want / have)
     return tp
 
@@ -315,7 +307,7 @@ def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
     """
     lhs = generating_functional(spec, pair_c_twisted, pair_b, beta, m)
     zeta = ZetaFactors.build(vac, pair_c_twisted.roots, pair_b.roots, m)
-    overlap = complex(pair_c_twisted.left @ pair_b.right)
+    overlap = sandwich(spec, pair_c_twisted, None, pair_b)
     rhs = np.exp(_script_q(vac, beta, m)) * zeta.rho * overlap
     return make_report("proposition1", lhs, rhs, tol,
                        sectors=(pair_c_twisted.sector, pair_b.sector), m=m,
@@ -337,13 +329,11 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
     ``twisted_dual_pair``, which diagonalizes only its own sector at the
     twist beta_i = +-delta.
     """
-    # smooth-normalization reference: the right eigenvector paired with C
-    ref = pair_c.right
 
     def emel(side: int) -> complex:
         beta = [0.0, 0.0, 0.0]
         beta[i - 1] = side * delta
-        tp = twisted_dual_pair(spec, vac, pair_c, tuple(beta), smooth_reference=ref)
+        tp = twisted_dual_pair(spec, vac, pair_c, tuple(beta), smooth_reference=pair_c)
         return generating_functional(spec, tp, pair_b, tuple(beta), m)
 
     d_emel = (emel(+1) - emel(-1)) / (2 * delta)
@@ -372,8 +362,8 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
     (c) T_12[0] B is itself an eigenvector one sector up whenever nonzero.
     """
     reports = []
-    left, right = pair_c.left, pair_b.right
     norm_cb = _pair_floor(pair_c, pair_b, rel=1.0)
+    on_b = _content(spec, pair_b.sector)
     for (i, j, k, l) in quadruples:
         # B's content and its images under the two zero modes
         on = [_content(spec, (pair_b.sector[0] + da, pair_b.sector[1] + db))
@@ -381,39 +371,40 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
         part = partial(zero_mode_entry, spec, sites=range(1, m + 1), contents=on)
         lhs = 0.0 + 0j
         if i == l:
-            lhs += sandwich(spec, left, part(k, j), right)
+            lhs += sandwich(spec, pair_c, part(k, j), pair_b)
         if k == j:
-            lhs -= sandwich(spec, left, part(i, l), right)
-        # the graded commutator [A, B_op} sandwiched without forming it
+            lhs -= sandwich(spec, pair_c, part(i, l), pair_b)
+        # the graded commutator [A, B_op} = A B_op -+ B_op A on B's content
         a_op, b_op = part(i, j), zero_mode_entry(spec, k, l, contents=on)
         odd = (_PAR[i - 1] + _PAR[j - 1]) % 2 and (_PAR[k - 1] + _PAR[l - 1]) % 2
-        comm = apply_left(spec, left, a_op) @ apply(spec, b_op, right) \
-            - (-1.0 if odd else 1.0) * (apply_left(spec, left, b_op) @ apply(spec, a_op, right))
+        comm = combine((1.0, compose(a_op, b_op)), (1.0 if odd else -1.0, compose(b_op, a_op)))
         sign = (-1) ** ((_PAR[i - 1] * _PAR[j - 1] + _PAR[i - 1] * _PAR[l - 1]
                          + _PAR[j - 1] * _PAR[l - 1]) % 2)
-        rhs = sign * complex(comm)
+        rhs = sign * sandwich(spec, pair_c, comm, pair_b)
         reports.append(make_report(f"ladder-commutator:{i}{j}{k}{l}", lhs, rhs, tol,
                                    sectors=(pair_c.sector, pair_b.sector), m=m,
                                    residual=abs(lhs - rhs) / norm_cb))
 
     # (b) dual annihilation, stated for finite-root (primitive) dual states;
-    # T_12[0] maps the content below C's sector onto C's
+    # T_12[0] maps the content below C's sector onto C's.  A block that does
+    # not exist (no content below C, no T_12 image of B) acts as zero.
     below_c = _content(spec, (pair_c.sector[0] - 1, pair_c.sector[1]))
-    raise_op = zero_mode_entry(spec, 1, 2, contents=[_content(spec, pair_b.sector), below_c])
+    raise_op = zero_mode_entry(spec, 1, 2, contents=[on_b, below_c])
     if pair_c.sector[0] >= 1 and pair_c.roots.n_u_inf == 0:
-        img = apply_left(spec, left, raise_op)
-        resid = float(np.linalg.norm(img) / np.linalg.norm(left))
+        img = pair_c.left @ raise_op[below_c][1] if below_c in raise_op else 0.0
+        resid = float(np.linalg.norm(img) / np.linalg.norm(pair_c.left))
         reports.append(make_report("ladder-dual-annihilation", resid, 0.0, eig_tol,
                                    sectors=(pair_c.sector, pair_c.sector), m=m, residual=resid))
 
     # (c) raising image of B is on shell one sector up
-    img = apply(spec, raise_op, right)
+    img = raise_op[on_b][1] @ pair_b.right if on_b in raise_op else np.zeros(0)
     img_norm = float(np.linalg.norm(img))
-    if img_norm > 1e-10 * np.linalg.norm(right):
+    if img_norm > 1e-10 * np.linalg.norm(pair_b.right):
         up = (pair_b.sector[0] + 1, pair_b.sector[1])
+        on_up = _content(spec, up)
         worst = 0.0
         for q, w in enumerate(pair_b.probes):
-            t_img = apply(spec, transfer_blocks(spec, w, contents=[_content(spec, up)]), img)
+            t_img = transfer_blocks(spec, w, contents=[on_up])[on_up][1] @ img
             tau = pair_b.tau_samples[q]
             worst = max(worst, float(np.linalg.norm(t_img - tau * img)) / img_norm
                         / max(1.0, abs(tau)))

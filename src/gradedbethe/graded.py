@@ -1,4 +1,4 @@
-"""Z2-graded linear algebra: graded spaces, tensor products, permutations.
+"""Z2-graded linear algebra: graded spaces, operators, signed permutations.
 
 Everything downstream (monodromy matrices, transfer matrices, form factors)
 is built on the primitives in this module, so the sign conventions live here
@@ -7,9 +7,11 @@ and nowhere else.  The tensor-product sign convention is
     (A (x) B)[(i,k),(j,l)] = A[i,j] * B[k,l] * (-1)**((p[k]+p[l]) * p[j]),
 
 i.e. an entry of B of odd parity picks up a sign when it moves past an odd
-column index of A.  The convention is certified operationally: with it, the
-RTT relation and the zero-mode commutation algebra hold verbatim (see the
-chain tests), which is the only conformance criterion that matters.
+column index of A; the graded permutations below follow it, and
+tests/oracles.py implements it as ``graded_kron``.  The convention is
+certified operationally: with it, the RTT relation and the zero-mode
+commutation algebra hold verbatim (see the chain tests), which is the only
+conformance criterion that matters.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ __all__ = [
     "GradedMatrix",
     "SignedPermutation",
     "parity_of_index",
-    "graded_kron",
     "graded_permutation",
     "permutation_between",
-    "supertrace",
-    "supertrace_over_aux",
-    "graded_commutator",
 ]
 
 #: parities of the fundamental basis e_1, e_2, e_3 (1-based indices 1,2,3)
@@ -92,24 +90,6 @@ class GradedMatrix:
         if self.space != other.space:
             raise ValueError("operators act on different spaces")
         return GradedMatrix(self.space, self.mat @ other.mat)
-
-
-
-def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Graded tensor product of two operators (Koszul signs, see module doc).
-
-    Reduces to the plain Kronecker product whenever ``b`` is an even operator.
-    Associative: kron(kron(a,b),c) == kron(a,kron(b,c)) entrywise.
-    """
-    pa = a.space.parity_array()
-    pb = b.space.parity_array()
-    raw = np.kron(a.mat, b.mat)
-    # sign[(ik),(jl)] = (-1)^{pb[k]*pa[j]} * (-1)^{pb[l]*pa[j]}
-    row_k = np.tile(pb, a.space.dim)          # pb[k] indexed by row (i,k)
-    col_j = np.repeat(pa, b.space.dim)        # pa[j] indexed by column (j,l)
-    col_l = np.tile(pb, a.space.dim)          # pb[l] indexed by column (j,l)
-    sign = np.where((np.outer(row_k, col_j) + col_l * col_j) % 2, -1.0, 1.0)
-    return GradedMatrix(a.space.tensor(b.space), raw * sign)
 
 
 @dataclass
@@ -179,52 +159,3 @@ def graded_permutation(s1: GradedSpace, s2: GradedSpace) -> GradedMatrix:
         raise ValueError("graded permutation needs equal-dimensional factors")
     perm = permutation_between([s1, s2], 0, 1)
     return GradedMatrix(s1.tensor(s2), perm.to_matrix())
-
-
-def supertrace(o: GradedMatrix) -> complex:
-    """Supertrace over the whole space: sum of (-1)^parity weighted diagonal."""
-    w = np.where(o.space.parity_array() % 2, -1.0, 1.0)
-    return complex(np.sum(w * np.diag(o.mat)))
-
-
-def supertrace_over_aux(
-    o: GradedMatrix | np.ndarray,
-    aux: GradedSpace | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Supertrace over the first (auxiliary) factor of an operator on V (x) H.
-
-    Returns sum_i (-1)^{[i]} O_{ii-block} as a dense matrix on H.  Optional
-    ``weights`` multiply each diagonal block (used for twisted traces).
-    """
-    aux = aux or GradedSpace.fundamental()
-    mat = o.mat if isinstance(o, GradedMatrix) else np.asarray(o)
-    d = aux.dim
-    if mat.shape[0] % d:
-        raise ValueError("operator dimension is not a multiple of the auxiliary dimension")
-    dh = mat.shape[0] // d
-    blocks = mat.reshape(d, dh, d, dh)
-    w = np.where(aux.parity_array() % 2, -1.0, 1.0)
-    if weights is not None:
-        w = w * np.asarray(weights)
-    out = np.zeros((dh, dh), dtype=complex)
-    for i in range(d):
-        out += w[i] * blocks[i, :, i, :]
-    return out
-
-
-def graded_commutator(
-    a: np.ndarray | GradedMatrix,
-    b: np.ndarray | GradedMatrix,
-    parity_a: int,
-    parity_b: int,
-) -> np.ndarray:
-    """[A, B} = AB - (-1)^{|A||B|} BA for operators of given index-pair parities.
-
-    An operator labelled by monodromy indices (i,j) has parity [i]+[j] mod 2;
-    the bracket is the anticommutator exactly when both labels are odd.
-    """
-    am = a.mat if isinstance(a, GradedMatrix) else a
-    bm = b.mat if isinstance(b, GradedMatrix) else b
-    s = -1.0 if (parity_a % 2) and (parity_b % 2) else 1.0
-    return am @ bm - s * (bm @ am)

@@ -12,6 +12,12 @@ charges, forcing exact cross-sector degeneracies (descendant multiplets) that
 no inhomogeneity choice can lift.  Within a sector, states of distinct
 ancestry are nondegenerate for generic inhomogeneities; states that still
 cluster are quarantined and never matched.
+
+Each state is kept on its own sector only: its right and left vectors are
+the coordinates on the basis indices of the sector's content group
+(``sector_indices``), never embedded in the 3^M space.  Matrix elements go
+through ``sandwich``, which reads the one operator block from B's content to
+C's and reads zero where that block does not exist.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
-    sandwich,
     transfer_blocks,
     zero_mode_entry,
 )
@@ -38,6 +43,7 @@ __all__ = [
     "SpectralDecomposition",
     "OnShellPair",
     "EigenState",
+    "sandwich",
     "DegenerateSpectrumError",
     "MatchError",
     "default_probes",
@@ -51,7 +57,7 @@ __all__ = [
 ]
 
 CACHE_ENV_VAR = "GRADEDBETHE_CACHE"
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -87,10 +93,13 @@ def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
 
 @dataclass
 class EigenState:
-    """One transfer-matrix eigenstate, embedded in the full Hilbert space."""
+    """One transfer-matrix eigenstate on its own sector.
+
+    ``right`` and ``left`` hold its coordinates on the basis indices of the
+    sector's content group, in ``sector_indices`` order.
+    """
 
     sector: tuple[int, int]
-    index: int
     tau_samples: np.ndarray
     right: np.ndarray
     left: np.ndarray
@@ -117,7 +126,7 @@ class SpectralDecomposition:
 
 @dataclass
 class OnShellPair:
-    """Matched triple: Bethe roots with the right and left eigenvectors."""
+    """Matched triple: Bethe roots with the right and left eigenvectors (sector-local)."""
 
     roots: BetheRoots
     right: np.ndarray
@@ -136,6 +145,21 @@ class OnShellPair:
                            self.sector, self.tau_samples, self.probes)
 
 
+def sandwich(spec: ChainSpec, c, op: dict | None, b) -> complex:
+    """<C| op |B> for states of any sectors; ``op`` as {s: (image, block)}, None for 1.
+
+    Only the block of ``op`` on B's content can act, and only if it maps onto
+    C's content; otherwise the matrix element vanishes by content and reads 0.
+    """
+    s, image = _content(spec, b.sector), _content(spec, c.sector)
+    if op is None:
+        return complex(c.left @ b.right) if s == image else 0j
+    entry = op.get(s)
+    if entry is None or entry[0] != image:
+        return 0j
+    return complex(c.left @ (entry[1] @ b.right))
+
+
 def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
                          twist: TwistConfig | None = None,
                          cluster_gap: float = 1e-8,
@@ -152,20 +176,19 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     """
     twist = twist if twist is not None else spec.twist
     probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
-    blocks = {s: idx for s, idx in sector_indices(spec).items()
-              if sectors is None or s in sectors}
-    contents = None if sectors is None else [_content(spec, s) for s in blocks]
+    wanted = [s for s in sector_indices(spec) if sectors is None or s in sectors]
+    contents = None if sectors is None else [_content(spec, s) for s in wanted]
     t_ops = [transfer_blocks(spec, w, twist=twist, contents=contents) for w in probes]
 
     states: list[EigenState] = []
     worst = 0.0
-    for sector, idx in blocks.items():
+    for sector in wanted:
         content = _content(spec, sector)
         block0 = t_ops[0][content][1]
         w0, vl, vr = scipy.linalg.eig(block0, left=True, right=True)
         order = np.lexsort((w0.imag, w0.real))
         w0, vl, vr = w0[order], vl[:, order], vr[:, order]
-        n = idx.size
+        n = w0.size
         left_rows = vl.conj().T          # bilinear left eigenvectors as rows
         pairing = np.einsum("ij,ji->i", left_rows, vr)
 
@@ -191,13 +214,10 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
                 resid = np.linalg.norm(tv - vr * samples[:, q][None, :], axis=0)
                 resid = resid[safe] / np.maximum(1.0, np.abs(samples[safe, q]))
                 worst = max(worst, float(resid.max()))
-        for k in range(n):
-            right = np.zeros(spec.hilbert_dim, dtype=complex)
-            left = np.zeros(spec.hilbert_dim, dtype=complex)
-            right[idx] = vr[:, k]
-            left[idx] = left_rows[k]
-            states.append(EigenState(sector, len(states), samples[k], right, left,
-                                     clustered=bool(clustered[k])))
+        # contiguous rows, as a cached decomposition loads them
+        rights, lefts = np.ascontiguousarray(vr.T), np.ascontiguousarray(left_rows)
+        states += [EigenState(sector, samples[k], rights[k], lefts[k],
+                              clustered=bool(clustered[k])) for k in range(n)]
     return SpectralDecomposition(spec, twist, probes, states, worst)
 
 
@@ -237,8 +257,8 @@ def sector_labels_from_zero_modes(spec: ChainSpec, pair: OnShellPair,
     """
     on = [_content(spec, pair.sector)]
     cb = pair.pairing
-    t11 = sandwich(spec, pair.left, zero_mode_entry(spec, 1, 1, contents=on), pair.right) / cb
-    t33 = sandwich(spec, pair.left, zero_mode_entry(spec, 3, 3, contents=on), pair.right) / cb
+    t11 = sandwich(spec, pair, zero_mode_entry(spec, 1, 1, contents=on), pair) / cb
+    t33 = sandwich(spec, pair, zero_mode_entry(spec, 3, 3, contents=on), pair) / cb
     a = vac.lam_zero_mode(1) - t11
     b = vac.lam_zero_mode(3) - t33
     return (int(round(a.real)), int(round(b.real)))
@@ -280,7 +300,7 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             if t is None:
                 t = transfer_blocks(spec, w, twist=dec.twist, contents=[content])
                 t_cache[(w, content)] = t
-            return sandwich(spec, st.left, t, st.right) / st.pairing
+            return sandwich(spec, st, t, st) / st.pairing
         return fn
 
     for sector in wanted:
@@ -351,7 +371,11 @@ def _cache_path(directory: str, spec: ChainSpec, twist: TwistConfig) -> str:
 
 
 def save_cache(directory: str, dec: SpectralDecomposition) -> str:
-    """Persist a decomposition keyed by (spec hash, twist, schema version)."""
+    """Persist a decomposition keyed by (spec hash, twist, schema version).
+
+    Each side is one flat array of the sector-local vectors end to end;
+    the sectors give the lengths back on load.
+    """
     os.makedirs(directory, exist_ok=True)
     path = _cache_path(directory, dec.spec, dec.twist)
     sectors = np.array([s.sector for s in dec.states], dtype=np.int64)
@@ -361,8 +385,8 @@ def save_cache(directory: str, dec: SpectralDecomposition) -> str:
         probes=dec.probes,
         sectors=sectors,
         samples=np.array([s.tau_samples for s in dec.states]),
-        rights=np.array([s.right for s in dec.states]),
-        lefts=np.array([s.left for s in dec.states]),
+        rights=np.concatenate([s.right for s in dec.states]),
+        lefts=np.concatenate([s.left for s in dec.states]),
         clustered=np.array([s.clustered for s in dec.states]),
         consistency=np.array([dec.consistency]),
     )
@@ -383,12 +407,13 @@ def load_cache(directory: str, spec: ChainSpec,
                 return None
             fields = {key: data[key] for key in ("probes", "sectors", "samples", "rights",
                                                  "lefts", "clustered", "consistency")}
-        states = [
-            EigenState(sector=(int(sector[0]), int(sector[1])), index=k,
-                       tau_samples=fields["samples"][k], right=fields["rights"][k],
-                       left=fields["lefts"][k], clustered=bool(fields["clustered"][k]))
-            for k, sector in enumerate(fields["sectors"])
-        ]
+        sizes = {s: ix.size for s, ix in sector_indices(spec).items()}
+        sectors = [(int(a), int(b)) for a, b in fields["sectors"]]
+        ends = np.cumsum([sizes[s] for s in sectors])[:-1]
+        rights, lefts = (np.split(fields[key], ends) for key in ("rights", "lefts"))
+        states = [EigenState(sector, fields["samples"][k], rights[k], lefts[k],
+                             clustered=bool(fields["clustered"][k]))
+                  for k, sector in enumerate(sectors)]
         return SpectralDecomposition(spec, twist, fields["probes"], states,
                                      float(fields["consistency"][0]))
     except (OSError, KeyError, ValueError):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gradedbethe.chain import ChainSpec, VacuumFunctions
-from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, on_shell_pair
+from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, on_shell_pair, \
+    sector_indices
 
 # the Bethe residual warns near the log branch cut during wide seed sweeps;
 # that is expected behaviour, not a test failure
@@ -50,6 +51,13 @@ def primitive_pairs(pairs, sector):
 
 def descendant_pairs(pairs, sector):
     return pairs.get((sector, "descendant"), [])
+
+
+def embed(spec, sector, vec):
+    """A sector-local state vector placed on all 3^M basis indices, for dense oracles."""
+    out = np.zeros(spec.hilbert_dim, dtype=complex)
+    out[sector_indices(spec)[sector]] = vec
+    return out
 
 
 def rng(seed=0):

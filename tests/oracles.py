@@ -1,0 +1,86 @@
+"""Dense graded-algebra oracles used only by the tests.
+
+The package works on content-group blocks and signed permutations; these
+dense forms (graded Kronecker product, supertraces, graded commutator and
+the two-site R-matrix) state the same conventions the textbook way, so the
+tests can compare against them.
+"""
+
+import numpy as np
+
+from gradedbethe.chain import g_fun
+from gradedbethe.graded import GradedMatrix, GradedSpace, graded_permutation
+
+
+def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:
+    """R(u,v) = I + g(u,v) P on the product of two fundamental spaces."""
+    g = g_fun(u, v, c)
+    fund = GradedSpace.fundamental()
+    p = graded_permutation(fund, fund)
+    return GradedMatrix(p.space, np.eye(9) + g * p.mat)
+
+
+def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """Graded tensor product of two operators (Koszul signs, see module doc).
+
+    Reduces to the plain Kronecker product whenever ``b`` is an even operator.
+    Associative: kron(kron(a,b),c) == kron(a,kron(b,c)) entrywise.
+    """
+    pa = a.space.parity_array()
+    pb = b.space.parity_array()
+    raw = np.kron(a.mat, b.mat)
+    # sign[(ik),(jl)] = (-1)^{pb[k]*pa[j]} * (-1)^{pb[l]*pa[j]}
+    row_k = np.tile(pb, a.space.dim)          # pb[k] indexed by row (i,k)
+    col_j = np.repeat(pa, b.space.dim)        # pa[j] indexed by column (j,l)
+    col_l = np.tile(pb, a.space.dim)          # pb[l] indexed by column (j,l)
+    sign = np.where((np.outer(row_k, col_j) + col_l * col_j) % 2, -1.0, 1.0)
+    return GradedMatrix(a.space.tensor(b.space), raw * sign)
+
+
+def supertrace(o: GradedMatrix) -> complex:
+    """Supertrace over the whole space: sum of (-1)^parity weighted diagonal."""
+    w = np.where(o.space.parity_array() % 2, -1.0, 1.0)
+    return complex(np.sum(w * np.diag(o.mat)))
+
+
+def supertrace_over_aux(
+    o: GradedMatrix | np.ndarray,
+    aux: GradedSpace | None = None,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Supertrace over the first (auxiliary) factor of an operator on V (x) H.
+
+    Returns sum_i (-1)^{[i]} O_{ii-block} as a dense matrix on H.  Optional
+    ``weights`` multiply each diagonal block (used for twisted traces).
+    """
+    aux = aux or GradedSpace.fundamental()
+    mat = o.mat if isinstance(o, GradedMatrix) else np.asarray(o)
+    d = aux.dim
+    if mat.shape[0] % d:
+        raise ValueError("operator dimension is not a multiple of the auxiliary dimension")
+    dh = mat.shape[0] // d
+    blocks = mat.reshape(d, dh, d, dh)
+    w = np.where(aux.parity_array() % 2, -1.0, 1.0)
+    if weights is not None:
+        w = w * np.asarray(weights)
+    out = np.zeros((dh, dh), dtype=complex)
+    for i in range(d):
+        out += w[i] * blocks[i, :, i, :]
+    return out
+
+
+def graded_commutator(
+    a: np.ndarray | GradedMatrix,
+    b: np.ndarray | GradedMatrix,
+    parity_a: int,
+    parity_b: int,
+) -> np.ndarray:
+    """[A, B} = AB - (-1)^{|A||B|} BA for operators of given index-pair parities.
+
+    An operator labelled by monodromy indices (i,j) has parity [i]+[j] mod 2;
+    the bracket is the anticommutator exactly when both labels are odd.
+    """
+    am = a.mat if isinstance(a, GradedMatrix) else a
+    bm = b.mat if isinstance(b, GradedMatrix) else b
+    s = -1.0 if (parity_a % 2) and (parity_b % 2) else 1.0
+    return am @ bm - s * (bm @ am)

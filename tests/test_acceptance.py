@@ -28,7 +28,7 @@ from gradedbethe.formfactors import (
     twisted_dual_pair,
     zero_mode_ladder_checks,
 )
-from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_commutator
+from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import (
     classify_spectrum,
     diagonalize_transfer,
@@ -37,6 +37,7 @@ from gradedbethe.spectrum import (
 )
 
 from conftest import TESTED_SECTORS, descendant_pairs, primitive_pairs
+from oracles import graded_commutator
 
 PAR = FUNDAMENTAL_PARITIES
 

@@ -163,7 +163,7 @@ def test_continue_twist_zero_delta_is_constant(spec3, vac3):
 def test_continue_twist_endpoints_solve_twisted_equations(spec3, vac3):
     seed = on_shell_10(spec3, vac3)
     traj = continue_twist(seed, vac3, direction=1, delta=1e-3)
-    hi = traj.endpoint(+1)
+    hi = traj.points[-1]
     assert hi.twist.kappa[0] == pytest.approx(1.001)
     assert np.abs(bethe_residual(hi, vac3)).max() < 1e-12
     # the middle grid point is the seed itself
@@ -173,13 +173,13 @@ def test_continue_twist_endpoints_solve_twisted_equations(spec3, vac3):
 def test_continue_twist_reversible(spec3, vac3):
     seed = on_shell_10(spec3, vac3)
     traj = continue_twist(seed, vac3, direction=2, delta=1e-3, steps=2)
-    end = traj.endpoint(+1)
+    end = traj.points[-1]
     back = continue_twist(
         BetheRoots(u=seed.u, v=seed.v, twist=seed.twist, residual=seed.residual),
         vac3, direction=2, delta=1e-3, steps=2)
     # walking forward from the seed reproduces the endpoint, and the stored
     # seed stays bit-identical at the grid midpoint
-    assert abs(back.endpoint(+1).u[0] - end.u[0]) < 1e-9
+    assert abs(back.points[-1].u[0] - end.u[0]) < 1e-9
 
 
 def test_untwisted_limit_matches_untwisted_solution(spec3, vac3):
@@ -204,13 +204,13 @@ def test_descending_root_comes_down_from_infinity(spec3, vac3):
     u = one_root_pool(spec3)[0]
     seed = solve_bethe(BetheRoots(u=(u,), n_v_inf=1), vac3)
     traj = continue_twist(seed, vac3, direction=3, delta=1e-5)
-    hi = traj.endpoint(+1)
+    hi = traj.points[-1]
     assert hi.n_v_inf == 0
     assert abs(hi.v[0]) > 1e3
     assert np.abs(bethe_residual(hi, vac3)).max() < 1e-11
     # direction 1 keeps the v-root at infinity
     traj1 = continue_twist(seed, vac3, direction=1, delta=1e-5)
-    assert traj1.endpoint(+1).n_v_inf == 1
+    assert traj1.points[-1].n_v_inf == 1
 
 
 def test_empty_v_set_has_no_kappa3_dependence(spec3, vac3):
@@ -218,12 +218,3 @@ def test_empty_v_set_has_no_kappa3_dependence(spec3, vac3):
     seed = on_shell_10(spec3, vac3)
     traj = continue_twist(seed, vac3, direction=3, delta=1e-5)
     assert traj.dlog_ell_ratio(vac3, 2) == 0
-
-
-def test_roots_json_roundtrip(spec3, vac3):
-    sol = solve_bethe(BetheRoots(u=(one_root_pool(spec3)[0],), n_v_inf=1), vac3)
-    again = BetheRoots.from_json(sol.to_json())
-    assert again.u == sol.u
-    assert again.n_v_inf == 1
-    assert again.twist == sol.twist
-    assert again.residual == sol.residual

@@ -11,14 +11,10 @@ from gradedbethe.chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
-    apply,
-    apply_left,
     entry_blocks,
     g_fun,
     monodromy_blocks,
     monodromy_groups,
-    r_matrix,
-    sandwich,
     tm1_residual,
     transfer_blocks,
     transfer_matrix,
@@ -29,10 +25,12 @@ from gradedbethe.chain import (
     zero_mode_entry,
     zero_mode_limit,
 )
-from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_commutator, graded_permutation, \
-    GradedSpace, permutation_between, supertrace_over_aux
+from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_permutation, GradedSpace, \
+    permutation_between
+from gradedbethe.spectrum import EigenState, sandwich
 
-from conftest import peak_bytes
+from conftest import embed, peak_bytes
+from oracles import graded_commutator, r_matrix, supertrace_over_aux
 
 PAR = FUNDAMENTAL_PARITIES
 
@@ -44,6 +42,13 @@ def rand_pt(rng, shift=0.0):
 def concrete(blocks):
     """The operator on aux (x) H whose (i,j) auxiliary block is signed T_ij."""
     return np.block([[BLOCK_SIGNS[i, j] * blocks[i, j] for j in range(3)] for i in range(3)])
+
+
+def vacuum_vector(spec):
+    """Product state e_1 (x) ... (x) e_1 on all 3^M basis indices."""
+    v = np.zeros(spec.hilbert_dim, dtype=complex)
+    v[0] = 1.0
+    return v
 
 
 def structural_zero_mode_groups(spec, sites=None):
@@ -157,7 +162,7 @@ def test_vacuum_annihilation_and_eigenvalues(sites):
     rng = np.random.default_rng(12)
     u = rand_pt(rng, 2.5)
     blocks = monodromy_blocks(spec, u, sites=sites)
-    vec = spec.vacuum_vector()
+    vec = vacuum_vector(spec)
     site_list = list(sites) if sites is not None else None
     for i in range(1, 4):
         for j in range(1, 4):
@@ -242,7 +247,7 @@ def test_transfer_matrix_is_twisted_supertrace_of_monodromy():
 def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
     spec = ChainSpec(M=3)
     vac = VacuumFunctions(spec)
-    vec = spec.vacuum_vector()
+    vec = vacuum_vector(spec)
     w = 2.2 + 0.5j
     t = transfer_matrix(spec, w)
     tau = vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
@@ -376,11 +381,18 @@ def oracle_ranges(m_sites):
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
 def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
+    # sandwich between random sector-local states of every pair of sectors
+    # equals the dense matrix element of the embedded vectors, zero included
     spec = make_spec(m_sites)
     rng = np.random.default_rng(40 + m_sites)
-    dh = spec.hilbert_dim
-    left = rng.normal(size=dh) + 1j * rng.normal(size=dh)
-    right = rng.normal(size=dh) + 1j * rng.normal(size=dh)
+    groups_h, _, contents = _content_partition(m_sites)
+
+    def state(n1, n2, n3):
+        size = groups_h[contents.index((n1, n2, n3))].size
+        left, right = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
+        return EigenState((m_sites - n1, n3), np.zeros(1), right, left)
+
+    states = [state(*s) for s in contents]
     u = rand_pt(rng, 2.5)
     for sites in oracle_ranges(m_sites):
         operators = [(monodromy_groups(spec, u, sites), monodromy_blocks(spec, u, sites)),
@@ -390,10 +402,10 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
                 dense = read_off[i - 1, j - 1]
                 assert np.array_equal(dense, dense_entry(spec, groups, i, j))
                 op = entry_blocks(spec, groups, i, j)
-                scale = 1e-12 * max(1.0, float(np.abs(dense).max())) * dh
-                assert np.abs(apply(spec, op, right) - dense @ right).max() < scale
-                assert np.abs(apply_left(spec, left, op) - left @ dense).max() < scale
-                assert abs(sandwich(spec, left, op, right) - left @ dense @ right) < scale * dh
+                scale = 1e-12 * max(1.0, float(np.abs(dense).max())) * spec.hilbert_dim
+                for c, b in itertools.product(states, repeat=2):
+                    expect = embed(spec, c.sector, c.left) @ dense @ embed(spec, b.sector, b.right)
+                    assert abs(sandwich(spec, c, op, b) - expect) < scale * c.left.size
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)

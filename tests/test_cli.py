@@ -239,7 +239,8 @@ def test_empty_split_list_rejected(tmp_path):
 
 @pytest.mark.parametrize("key, value, message", [("rtt_sizes", [], "empty rtt_sizes"),
                                                  ("rtt_pairs", 0, "rtt_pairs=0"),
-                                                 ("rtt_pairs", -3, "rtt_pairs=-3")])
+                                                 ("rtt_pairs", -3, "rtt_pairs=-3"),
+                                                 ("rtt_pairs", 3, "each of the 5 rtt_sizes")])
 def test_rtt_sample_counts_rejected(tmp_path, key, value, message):
     cfg = default_scenario_dict(m=3, seed=1)
     cfg[key] = value
@@ -249,6 +250,15 @@ def test_rtt_sample_counts_rejected(tmp_path, key, value, message):
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--check", "rtt", "--out", str(out)]) == 2
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("pairs, per_size", [(23, [5, 5, 5, 4, 4]), (20, [4, 4, 4, 4, 4])])
+def test_rtt_runs_the_configured_number_of_pairs(tmp_path, pairs, per_size):
+    cfg = {"chain": {"M": 2}, "checks": ["rtt"], "splits": [1], "rtt_pairs": pairs}
+    code, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "out"))
+    names = [r.identity for r in reports if r.identity.startswith("rtt:M")]
+    assert code == 0 and len(names) == pairs
+    assert [sum(n.startswith(f"rtt:M{m}.") for n in names) for m in range(1, 6)] == per_size
 
 
 def test_theorem1_retains_no_zero_mode_blocks():

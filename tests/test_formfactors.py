@@ -21,7 +21,7 @@ from gradedbethe.formfactors import (
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import diagonalize_transfer
-from conftest import descendant_pairs, primitive_pairs
+from conftest import descendant_pairs, embed, primitive_pairs
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_matrix_element_transfer_gives_tau(spec4, p10):
     pair = p10[0]
     w = pair.probes[2]
     t = transfer_matrix(spec4, w)
-    val = pair.left @ t @ pair.right
+    val = embed(spec4, pair.sector, pair.left) @ t @ embed(spec4, pair.sector, pair.right)
     assert val == pytest.approx(pair.tau_samples[2] * pair.pairing, rel=1e-10)
 
 
@@ -93,7 +93,7 @@ def test_universal_ff_selection_rule(spec4, vac4, p10, p20):
         universal_form_factor(spec4, vac4, p20[0], p10[0], 2, 2)
     # the underlying matrix element itself vanishes for the wrong step
     blocks = monodromy_blocks(spec4, 1.3 + 0.8j)
-    val = p20[0].left @ blocks[1, 1] @ p10[0].right
+    val = embed(spec4, (2, 0), p20[0].left) @ blocks[1, 1] @ embed(spec4, (1, 0), p10[0].right)
     scale = np.linalg.norm(p20[0].left) * np.linalg.norm(p10[0].right)
     assert abs(val) < 1e-10 * scale
 
@@ -133,7 +133,8 @@ def test_partial_zero_mode_empty_range(spec4, p10):
 
 def test_local_operator_is_zero_mode_difference(spec4, p10, p20):
     for m in (1, 2, 3):
-        direct = p20[0].left @ zero_mode(spec4, sites=[m])[0, 1] @ p10[0].right
+        direct = embed(spec4, (2, 0), p20[0].left) @ zero_mode(spec4, sites=[m])[0, 1] \
+            @ embed(spec4, (1, 0), p10[0].right)
         diff = partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m) \
             - partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m - 1)
         assert abs(direct - diff) < 1e-12 * max(1.0, abs(direct))
@@ -292,7 +293,7 @@ def test_generating_functional_matches_expm_of_dense_zero_modes(m):
     exp_q = scipy.linalg.expm(q)
     states = diagonalize_transfer(spec, sectors=[(2, 1)]).states
     for c, b in ((states[0], states[1]), (states[2], states[2])):
-        expect = c.left @ exp_q @ b.right
+        expect = embed(spec, c.sector, c.left) @ exp_q @ embed(spec, b.sector, b.right)
         scale = np.linalg.norm(c.left) * np.linalg.norm(b.right)
         assert abs(generating_functional(spec, c, b, beta, m) - expect) < 1e-12 * scale
 
@@ -345,7 +346,7 @@ def test_raising_image_lands_in_next_sector(spec4, vac4, p10):
     # T_12[0] B_{a,b} is an eigenvector with sector (a+1, b)
     pair = p10[0]
     zm = zero_mode(spec4)
-    img = zm[0, 1] @ pair.right
+    img = zm[0, 1] @ embed(spec4, pair.sector, pair.right)
     assert np.linalg.norm(img) > 1e-8
     for i, expect in ((0, vac4.lam_zero_mode(1) - 2), (2, vac4.lam_zero_mode(3) - 0)):
         val = zm[i, i] @ img

@@ -4,14 +4,12 @@ import pytest
 from gradedbethe.graded import (
     GradedMatrix,
     GradedSpace,
-    graded_commutator,
-    graded_kron,
     graded_permutation,
     parity_of_index,
     permutation_between,
-    supertrace,
-    supertrace_over_aux,
 )
+
+from oracles import graded_commutator, graded_kron, supertrace, supertrace_over_aux
 
 FUND = GradedSpace.fundamental()
 

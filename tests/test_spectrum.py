@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradedbethe.bethe import BetheRoots
-from gradedbethe.chain import ChainSpec, TwistConfig, VacuumFunctions, transfer_matrix, \
-    zero_mode
+from gradedbethe.chain import ChainSpec, TwistConfig, VacuumFunctions, _content_partition, \
+    transfer_blocks, transfer_matrix, zero_mode, zero_mode_entry
 from gradedbethe.spectrum import (
     MatchError,
     default_probes,
@@ -11,12 +11,13 @@ from gradedbethe.spectrum import (
     load_cache,
     match_roots_to_state,
     on_shell_pair,
+    sandwich,
     save_cache,
     sector_indices,
     sector_labels_from_zero_modes,
 )
 
-from conftest import primitive_pairs
+from conftest import embed, primitive_pairs
 
 
 def test_single_site_spectrum():
@@ -55,8 +56,9 @@ def test_left_right_residuals(spec4, dec4):
         for q, w in enumerate(dec4.probes):
             t = transfer_matrix(spec4, w)
             scale = max(1.0, abs(st.tau_samples[q]))
-            right = np.linalg.norm(t @ st.right - st.tau_samples[q] * st.right) / scale
-            left = np.linalg.norm(st.left @ t - st.tau_samples[q] * st.left) / scale
+            r, l = embed(spec4, st.sector, st.right), embed(spec4, st.sector, st.left)
+            right = np.linalg.norm(t @ r - st.tau_samples[q] * r) / scale
+            left = np.linalg.norm(l @ t - st.tau_samples[q] * l) / scale
             assert right < 1e-8 and left < 1e-8
 
 
@@ -111,9 +113,10 @@ def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classifi
         expect = {0: vac4.lam_zero_mode(1) - a,
                   1: vac4.lam_zero_mode(2) + a - b,
                   2: vac4.lam_zero_mode(3) - b}
+        right = embed(spec4, pair.sector, pair.right)
         for i, val in expect.items():
-            img = zm[i, i] @ pair.right
-            assert np.linalg.norm(img - val * pair.right) < 1e-8 * np.linalg.norm(pair.right)
+            img = zm[i, i] @ right
+            assert np.linalg.norm(img - val * right) < 1e-8 * np.linalg.norm(right)
 
 
 def test_dual_annihilation_for_primitive_duals(dec4, classified4):
@@ -123,7 +126,8 @@ def test_dual_annihilation_for_primitive_duals(dec4, classified4):
         if c.kind != "primitive" or c.state.sector[0] < 1:
             continue
         pair = on_shell_pair(dec4, c)
-        resid = np.linalg.norm(pair.left @ zm[0, 1]) / np.linalg.norm(pair.left)
+        left = embed(dec4.spec, pair.sector, pair.left)
+        resid = np.linalg.norm(left @ zm[0, 1]) / np.linalg.norm(left)
         assert resid < 1e-8
 
 
@@ -207,6 +211,51 @@ def test_cache_roundtrip(tmp_path, spec4, dec4):
     # a different spec misses the cache
     other = ChainSpec(M=3)
     assert load_cache(str(tmp_path), other, other.twist) is None
+
+
+def test_states_live_on_their_own_sector():
+    # every vector holds one coordinate per basis index of its content group,
+    # so the states of a sector of size |G| take |G|^2 entries per side
+    spec = ChainSpec(M=5)
+    dec = diagonalize_transfer(spec)
+    groups = _content_partition(spec.M)[0]
+    assert len(dec.states) == spec.hilbert_dim
+    for side in ("right", "left"):
+        assert sum(getattr(st, side).size for st in dec.states) == sum(g.size ** 2 for g in groups)
+
+
+def test_sandwich_across_sectors_is_zero(spec4, dec4):
+    # (1,1) and (1,0) both hold M = 4 states, so a bare product of their vectors
+    # is defined and nonzero; the matrix element itself vanishes by content
+    c = dec4.by_sector((1, 1))[0]
+    b = dec4.by_sector((1, 0))[0]
+    assert c.left.size == b.right.size == spec4.M
+    assert abs(c.left @ b.right) > 1e-3 * np.linalg.norm(c.left) * np.linalg.norm(b.right)
+    diagonal = transfer_blocks(spec4, 2.1 + 0.4j)
+    assert sandwich(spec4, c, None, b) == 0
+    assert sandwich(spec4, c, diagonal, b) == 0
+    assert sandwich(spec4, c, zero_mode_entry(spec4, 3, 3), b) == 0
+    # and the content check passes the matrix elements the step allows
+    up = zero_mode_entry(spec4, 2, 3)
+    dense = embed(spec4, c.sector, c.left) @ zero_mode(spec4)[1, 2] \
+        @ embed(spec4, b.sector, b.right)
+    assert abs(sandwich(spec4, c, up, b) - dense) < 1e-12 * abs(dense)
+    assert abs(dense) > 1e-6
+
+
+def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
+    # a cache in the former layout: every state embedded in the 3^M space
+    path = save_cache(str(tmp_path), dec4)
+    states = dec4.states
+    dense = [[embed(spec4, st.sector, getattr(st, side)) for st in states]
+             for side in ("right", "left")]
+    np.savez_compressed(path, schema=np.array([1]), probes=dec4.probes,
+                        sectors=np.array([st.sector for st in states], dtype=np.int64),
+                        samples=np.array([st.tau_samples for st in states]),
+                        rights=np.array(dense[0]), lefts=np.array(dense[1]),
+                        clustered=np.array([st.clustered for st in states]),
+                        consistency=np.array([dec4.consistency]))
+    assert load_cache(str(tmp_path), spec4, spec4.twist) is None
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
