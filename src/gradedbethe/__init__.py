@@ -46,8 +46,8 @@ from .graded import (
 )
 from .spectrum import (
     DegenerateSpectrumError,
+    EigenState,
     MatchError,
-    OnShellPair,
     SpectralDecomposition,
     classify_spectrum,
     diagonalize_transfer,

@@ -120,12 +120,15 @@ def _default_xi(m: int, c: complex) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Model definition: site count, coupling, inhomogeneities, vacuum, twist."""
+    """Model definition: site count, coupling, inhomogeneities, twist.
+
+    The vacuum is e_1 on every site; root seeding and the sector labels
+    count against it.
+    """
 
     M: int
     c: complex = 1.0 + 0j
     xi: tuple[complex, ...] | None = None
-    vacuum_index: int = 1
     twist: TwistConfig = field(default_factory=TwistConfig)
 
     def __post_init__(self):
@@ -141,9 +144,6 @@ class ChainSpec:
             raise ValueError("need one inhomogeneity per site")
         if len({x for x in xi}) != self.M:
             raise ValueError("inhomogeneities must be pairwise distinct")
-        if self.vacuum_index != 1:
-            # root seeding and the sector labels count against the vacuum e_1
-            raise ValueError(f"unsupported vacuum_index {self.vacuum_index}: only 1 is supported")
 
     # -- geometry ---------------------------------------------------------
 
@@ -161,7 +161,6 @@ class ChainSpec:
             "M": self.M,
             "c": _c2pair(self.c),
             "xi": [_c2pair(x) for x in self.xi],
-            "vacuum_index": self.vacuum_index,
             "kappa": self.twist.to_json(),
         }
 
@@ -171,7 +170,6 @@ class ChainSpec:
             M=int(data["M"]),
             c=_pair2c(data["c"]),
             xi=tuple(_pair2c(p) for p in data["xi"]),
-            vacuum_index=int(data.get("vacuum_index", 1)),
             twist=TwistConfig.from_json(data["kappa"]),
         )
 
@@ -343,34 +341,34 @@ def f_fun(u: complex, v: complex, c: complex) -> complex:
 class VacuumFunctions:
     """Closed-form vacuum eigenvalues and their ratios for a chain spec.
 
-    For vacuum index k0 the single-site diagonal eigenvalues are
-    lambda_k(u|n) = 1 + (-1)^{[k0]} g(u, xi_n) for k = k0 and 1 otherwise;
-    every multi-site quantity is the product over the relevant sites.  The
-    closed forms are cross-checked against direct application of the
-    monodromy to the vacuum in vacuum_eigenvalue().
+    The vacuum is e_1 on every site, and index 1 is even, so the single-site
+    diagonal eigenvalues are lambda_1(u|n) = 1 + g(u, xi_n) and
+    lambda_2 = lambda_3 = 1; every multi-site quantity is the product over
+    the relevant sites.  The closed forms are cross-checked against direct
+    application of the monodromy to the vacuum in vacuum_eigenvalue().
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self._sgn = (-1) ** _PAR[spec.vacuum_index - 1]
 
     def _sites(self, sites) -> tuple[int, ...]:
         return self.spec.all_sites() if sites is None else tuple(sites)
 
     def lam_site(self, k: int, u: complex, n: int) -> complex:
         """lambda_k(u|n), vacuum eigenvalue of the n-th local L-operator."""
-        if k != self.spec.vacuum_index:
+        if k != 1:
             return 1.0 + 0j
-        return 1.0 + self._sgn * g_fun(u, self.spec.xi[n - 1], self.spec.c)
+        # a numpy scalar, so the ratios built from it divide as numpy does
+        return 1.0 + np.complex128(g_fun(u, self.spec.xi[n - 1], self.spec.c))
 
     def lam(self, k: int, u: complex, sites=None) -> complex:
         return complex(math.prod(self.lam_site(k, u, n) for n in self._sites(sites)))
 
     def lam_zero_mode(self, k: int, sites=None) -> complex:
         """Coefficient in lambda_k^(range)(u) = 1 + coeff * c/u + O(u^-2)."""
-        if k != self.spec.vacuum_index:
+        if k != 1:
             return 0.0 + 0j
-        return complex(self._sgn * len(self._sites(sites)))
+        return complex(len(self._sites(sites)))
 
     def r(self, k: int, u: complex, sites=None) -> complex:
         """Ratio r_k = lambda_k / lambda_2 over a site range, k in {1,3}."""
@@ -386,12 +384,14 @@ class VacuumFunctions:
 
     def dlog_r(self, k: int, u: complex, sites=None) -> complex:
         """d/du log r_k(u) over a site range (analytic)."""
+        if k != 1:
+            return 0.0 + 0j
         c = self.spec.c
         total = 0.0 + 0j
         for n in self._sites(sites):
             x = self.spec.xi[n - 1]
-            if k == self.spec.vacuum_index:
-                total += self._sgn * (-c / (u - x) ** 2) / (1.0 + self._sgn * c / (u - x))
+            # numpy scalars here too, as in lam_site
+            total += np.complex128(-c / (u - x) ** 2) / (1.0 + np.complex128(c) / (u - x))
         return total
 
     # products over root sets (empty product = 1; non-finite roots skipped)

@@ -51,7 +51,6 @@ from .spectrum import (
     classify_spectrum,
     diagonalize_transfer,
     load_cache,
-    on_shell_pair,
     save_cache,
     sector_labels_from_zero_modes,
 )
@@ -90,6 +89,10 @@ class Scenario:
         if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {data.get('schema_version')}")
         chain_data = dict(data.get("chain", {}))
+        vacuum_index = chain_data.pop("vacuum_index", 1)
+        if vacuum_index != 1:
+            # root seeding and the sector labels count against the vacuum e_1
+            raise ScenarioError(f"unsupported vacuum_index {vacuum_index}: only 1 is supported")
         m = int(chain_data.get("M", 4))
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
@@ -198,10 +201,8 @@ class _Workspace:
                 self.decomposition(), self.vac, sectors=self.scenario.sectors)
         return self._classified
 
-    def pairs(self, sector, kind="primitive"):
-        dec = self.decomposition()
-        return [on_shell_pair(dec, c) for c in self.classified()
-                if c.state.sector == sector and c.kind == kind]
+    def states(self, sector, kind="primitive"):
+        return [st for st in self.classified() if st.sector == sector and st.kind == kind]
 
 
 def _random_point(rng, c: complex, offset: complex) -> complex:
@@ -295,9 +296,9 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
     for sector in ws.scenario.sectors:
         name = f"spectrum-match:{sector[0]}{sector[1]}"
         states = dec.by_sector(tuple(sector))
-        classified = [c for c in ws.classified() if c.state.sector == tuple(sector)]
-        prims = [c for c in classified if c.kind == "primitive"]
-        n_unresolved = sum(1 for c in classified if c.kind == "unresolved")
+        classified = [st for st in ws.classified() if st.sector == tuple(sector)]
+        prims = [st for st in classified if st.kind == "primitive"]
+        n_unresolved = sum(1 for st in classified if st.kind == "unresolved")
         if not states:
             out.append(make_report(f"{name}:empty-sector", 0, 0, 0.5, sectors=(sector, sector),
                                    residual=0.0))
@@ -306,12 +307,11 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
         # labels recovered from the zero modes must agree with the root counts
         n_label_ok = 0
         worst_res = 0.0
-        for c in prims:
-            pair = on_shell_pair(dec, c)
-            labels = sector_labels_from_zero_modes(spec, pair, vac)
-            if labels == tuple(sector) == pair.roots.sector:
+        for st in prims:
+            labels = sector_labels_from_zero_modes(spec, st, vac)
+            if labels == tuple(sector) == st.roots.sector:
                 n_label_ok += 1
-            res = bethe_residual(pair.roots, vac)
+            res = bethe_residual(st.roots, vac)
             worst_res = max(worst_res, float(np.abs(res).max()) if res.size else 0.0)
         out.append(make_report(f"{name}:labels", n_label_ok, len(prims), 0.5,
                                sectors=(sector, sector),
@@ -325,11 +325,11 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
 
 def _theorem1_plan(ws: _Workspace):
     """Deterministic pairs spanning diagonal and off-diagonal index pairs."""
-    p00 = ws.pairs((0, 0))
-    p10 = ws.pairs((1, 0))
-    p20 = ws.pairs((2, 0))
-    p21 = ws.pairs((2, 1))
-    d11 = ws.pairs((1, 1), "descendant")
+    p00 = ws.states((0, 0))
+    p10 = ws.states((1, 0))
+    p20 = ws.states((2, 0))
+    p21 = ws.states((2, 1))
+    d11 = ws.states((1, 1), "descendant")
     plan = []
     if len(p10) >= 2:
         plan.append((2, 2, p10[0], p10[1]))
@@ -379,10 +379,10 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, sc = ws.spec, ws.vac, ws.scenario
     out = []
     candidates = []
-    p10 = ws.pairs((1, 0))
+    p10 = ws.states((1, 0))
     if p10:
         candidates.append(p10[0])
-    d11 = ws.pairs((1, 1), "descendant")
+    d11 = ws.states((1, 1), "descendant")
     if d11:
         candidates.append(d11[0])
     for pair in candidates:
@@ -406,8 +406,8 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
 
 def _prop1_pairs(ws: _Workspace, direction: int):
     """Same-sector state pairs; directions touching kappa_3 need b >= 1."""
-    p21 = ws.pairs((2, 1))
-    p10 = ws.pairs((1, 0))
+    p21 = ws.states((2, 1))
+    p10 = ws.states((1, 0))
     if direction == 3 and len(p21) >= 2:
         return p21[0], p21[1]
     if len(p10) >= 2:
@@ -439,9 +439,9 @@ def _run_ladder(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac, sc = ws.spec, ws.vac, ws.scenario
     out = []
     m = sc.splits[len(sc.splits) // 2]
-    p10 = ws.pairs((1, 0))
-    p20 = ws.pairs((2, 0))
-    d11 = ws.pairs((1, 1), "descendant")
+    p10 = ws.states((1, 0))
+    p20 = ws.states((2, 0))
+    d11 = ws.states((1, 1), "descendant")
     if p20 and p10:
         out.extend(zero_mode_ladder_checks(spec, vac, p20[0], p10[0], m,
                                            quadruples=((2, 2, 1, 2),)))

@@ -22,6 +22,7 @@ from .chain import (
     ChainSpec,
     TwistConfig,
     VacuumFunctions,
+    _PAR,
     combine,
     compose,
     entry_blocks,
@@ -29,8 +30,7 @@ from .chain import (
     transfer_blocks,
     zero_mode_entry,
 )
-from .graded import FUNDAMENTAL_PARITIES
-from .spectrum import OnShellPair, _content, diagonalize_transfer, match_roots_to_state, sandwich
+from .spectrum import EigenState, _content, diagonalize_transfer, match_roots_to_state, sandwich
 
 __all__ = [
     "FormFactorReport",
@@ -49,9 +49,6 @@ __all__ = [
     "twisted_dual_pair",
     "SelectionRuleZero",
 ]
-
-_PAR = np.array(FUNDAMENTAL_PARITIES)
-
 
 class SelectionRuleZero(RuntimeError):
     """Matrix element vanishes because the sectors violate the ladder step."""
@@ -111,7 +108,7 @@ def make_report(identity: str, lhs: complex, rhs: complex, tol: float, *,
                             complex(rhs), float(residual), tol, verdict)
 
 
-def _pair_floor(pair_c: OnShellPair, pair_b: OnShellPair, rel: float = 1e-13) -> float:
+def _pair_floor(pair_c: EigenState, pair_b: EigenState, rel: float = 1e-13) -> float:
     """Scale-invariant zero floor for bilinear quantities in (C, B)."""
     return rel * float(np.linalg.norm(pair_c.left) * np.linalg.norm(pair_b.right))
 
@@ -128,13 +125,13 @@ def sector_step(i: int, j: int) -> tuple[int, int]:
     return (da, db)
 
 
-def _sectors_compatible(pair_c: OnShellPair, pair_b: OnShellPair, i: int, j: int) -> bool:
+def _sectors_compatible(pair_c: EigenState, pair_b: EigenState, i: int, j: int) -> bool:
     da, db = sector_step(i, j)
     return pair_c.sector == (pair_b.sector[0] + da, pair_b.sector[1] + db)
 
 
 def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
-                          pair_c: OnShellPair, pair_b: OnShellPair,
+                          pair_c: EigenState, pair_b: EigenState,
                           i: int, j: int, z: complex | None = None,
                           dtau_floor: float = 1e-12) -> complex:
     """Universal form factor <C| T_ij(z) |B> / (tau(z|C) - tau(z|B)).
@@ -164,7 +161,7 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
     raise ValueError("no probe point separates the two eigenvalue functions")
 
 
-def partial_zero_mode_ff(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
+def partial_zero_mode_ff(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                          i: int, j: int, m: int) -> complex:
     """Form factor <C| T^(1)_ij[0] |B> of the partial zero mode over sites 1..m."""
     zm = zero_mode_entry(spec, i, j, range(1, m + 1), contents=[_content(spec, pair_b.sector)])
@@ -192,7 +189,7 @@ class ZetaFactors:
 
 
 def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
-                   pair_c: OnShellPair, pair_b: OnShellPair,
+                   pair_c: EigenState, pair_b: EigenState,
                    i: int, j: int, m: int, tol: float = 1e-8,
                    ff: complex | None = None) -> FormFactorReport:
     """Partial-zero-mode form factor against (rho - 1) times the universal one.
@@ -210,7 +207,7 @@ def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
 
 
 def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
-                          pair_c: OnShellPair, pair_b: OnShellPair,
+                          pair_c: EigenState, pair_b: EigenState,
                           i: int, j: int, m: int, tol: float = 1e-8,
                           ff: complex | None = None) -> FormFactorReport:
     """Local-operator form factor against its product representation.
@@ -229,7 +226,7 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
                        floor=_pair_floor(pair_c, pair_b))
 
 
-def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
+def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
                    i: int, m: int, delta: float = 1e-5, steps: int = 1,
                    tol: float = 1e-5,
                    trajectory: RootTrajectory | None = None) -> FormFactorReport:
@@ -252,7 +249,7 @@ def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
                        floor=1e-7)
 
 
-def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellPair,
+def generating_functional(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                           beta: tuple[complex, complex, complex], m: int) -> complex:
     """<C| exp(Q_beta) |B> with Q_beta built from the partial zero modes.
 
@@ -267,10 +264,10 @@ def generating_functional(spec: ChainSpec, pair_c: OnShellPair, pair_b: OnShellP
     return sandwich(spec, pair_c, exp_q, pair_b)
 
 
-def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: OnShellPair,
+def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
                       beta: tuple[complex, complex, complex],
-                      smooth_reference: OnShellPair | None = None) -> OnShellPair:
-    """Deform an on-shell pair to the twist kappa_i = exp(beta_i).
+                      smooth_reference: EigenState | None = None) -> EigenState:
+    """Deform an on-shell state to the twist kappa_i = exp(beta_i).
 
     Solves the twisted Bethe equations from the untwisted roots, diagonalizes
     the twisted transfer matrix in the twisted roots' sector only, and
@@ -296,7 +293,7 @@ def _script_q(vac: VacuumFunctions, beta, m: int) -> complex:
 
 
 def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
-                       pair_c_twisted: OnShellPair, pair_b: OnShellPair,
+                       pair_c_twisted: EigenState, pair_b: EigenState,
                        beta: tuple[complex, complex, complex], m: int,
                        tol: float = 1e-7) -> FormFactorReport:
     """Generating functional against its closed product form.
@@ -315,7 +312,7 @@ def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
 
 
 def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
-                            pair_c: OnShellPair, pair_b: OnShellPair,
+                            pair_c: EigenState, pair_b: EigenState,
                             i: int, m: int,
                             delta: float = 1e-3, tol: float = 1e-5) -> FormFactorReport:
     """Diagonal form factor from the beta_i-derivative of the generating
@@ -348,7 +345,7 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
 
 
 def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
-                            pair_c: OnShellPair, pair_b: OnShellPair, m: int,
+                            pair_c: EigenState, pair_b: EigenState, m: int,
                             quadruples=((2, 2, 1, 2), (2, 2, 2, 3), (1, 2, 2, 1)),
                             tol: float = 1e-10,
                             eig_tol: float = 1e-8) -> list[FormFactorReport]:

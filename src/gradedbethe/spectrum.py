@@ -41,7 +41,6 @@ from .chain import (
 
 __all__ = [
     "SpectralDecomposition",
-    "OnShellPair",
     "EigenState",
     "sandwich",
     "DegenerateSpectrumError",
@@ -93,21 +92,41 @@ def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
 
 @dataclass
 class EigenState:
-    """One transfer-matrix eigenstate on its own sector.
+    """One transfer-matrix eigenstate on its own sector, with its Bethe roots once known.
 
     ``right`` and ``left`` hold its coordinates on the basis indices of the
-    sector's content group, in ``sector_indices`` order.
+    sector's content group, in ``sector_indices`` order; ``tau_samples`` are
+    its eigenvalues at ``probes``.  ``roots`` stays None until
+    ``classify_spectrum`` or ``match_roots_to_state`` attaches them, which
+    makes the state an on-shell Bethe vector; its ``kind`` follows from them.
     """
 
     sector: tuple[int, int]
     tau_samples: np.ndarray
     right: np.ndarray
     left: np.ndarray
+    probes: np.ndarray
     clustered: bool = False
+    roots: BetheRoots | None = None
+
+    @property
+    def kind(self) -> str:
+        """One of cluster, unresolved (no roots), descendant (roots at infinity), primitive."""
+        if self.clustered:
+            return "cluster"
+        if self.roots is None:
+            return "unresolved"
+        if self.roots.n_u_inf or self.roots.n_v_inf:
+            return "descendant"
+        return "primitive"
 
     @property
     def pairing(self) -> complex:
         return complex(self.left @ self.right)
+
+    def rescaled(self, s_right: complex, s_left: complex) -> "EigenState":
+        """Same state with rescaled vectors; every check must be invariant."""
+        return replace(self, right=s_right * self.right, left=s_left * self.left)
 
 
 @dataclass
@@ -122,27 +141,6 @@ class SpectralDecomposition:
 
     def by_sector(self, sector: tuple[int, int]) -> list[EigenState]:
         return [s for s in self.states if s.sector == sector]
-
-
-@dataclass
-class OnShellPair:
-    """Matched triple: Bethe roots with the right and left eigenvectors (sector-local)."""
-
-    roots: BetheRoots
-    right: np.ndarray
-    left: np.ndarray
-    sector: tuple[int, int]
-    tau_samples: np.ndarray
-    probes: np.ndarray
-
-    @property
-    def pairing(self) -> complex:
-        return complex(self.left @ self.right)
-
-    def rescaled(self, s_right: complex, s_left: complex) -> "OnShellPair":
-        """Same state with rescaled vectors; every check must be invariant."""
-        return OnShellPair(self.roots, s_right * self.right, s_left * self.left,
-                           self.sector, self.tau_samples, self.probes)
 
 
 def sandwich(spec: ChainSpec, c, op: dict | None, b) -> complex:
@@ -216,14 +214,14 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
                 worst = max(worst, float(resid.max()))
         # contiguous rows, as a cached decomposition loads them
         rights, lefts = np.ascontiguousarray(vr.T), np.ascontiguousarray(left_rows)
-        states += [EigenState(sector, samples[k], rights[k], lefts[k],
+        states += [EigenState(sector, samples[k], rights[k], lefts[k], probes,
                               clustered=bool(clustered[k])) for k in range(n)]
     return SpectralDecomposition(spec, twist, probes, states, worst)
 
 
 def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
-                         vac: VacuumFunctions, rtol: float = 1e-6) -> OnShellPair:
-    """Find the unique eigenstate whose eigenvalue samples match the roots.
+                         vac: VacuumFunctions, rtol: float = 1e-6) -> EigenState:
+    """Find the unique eigenstate whose eigenvalue samples match the roots; attach them.
 
     Matching is restricted to the sector given by the root cardinalities and
     must succeed at every probe simultaneously.  Raises MatchError when no
@@ -245,20 +243,20 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
         raise DegenerateSpectrumError(
             "matched state lies in a degenerate cluster; perturb the inhomogeneities"
         )
-    return OnShellPair(roots, st.right, st.left, st.sector, st.tau_samples, dec.probes)
+    return replace(st, roots=roots)
 
 
-def sector_labels_from_zero_modes(spec: ChainSpec, pair: OnShellPair,
+def sector_labels_from_zero_modes(spec: ChainSpec, state: EigenState,
                                   vac: VacuumFunctions) -> tuple[int, int]:
     """Sector labels read off the diagonal total zero modes.
 
     On a matched on-shell state, T_11[0] acts as lambda_1[0] - a and
     T_33[0] as lambda_3[0] - b; both expectation values are exact integers.
     """
-    on = [_content(spec, pair.sector)]
-    cb = pair.pairing
-    t11 = sandwich(spec, pair, zero_mode_entry(spec, 1, 1, contents=on), pair) / cb
-    t33 = sandwich(spec, pair, zero_mode_entry(spec, 3, 3, contents=on), pair) / cb
+    on = [_content(spec, state.sector)]
+    cb = state.pairing
+    t11 = sandwich(spec, state, zero_mode_entry(spec, 1, 1, contents=on), state) / cb
+    t33 = sandwich(spec, state, zero_mode_entry(spec, 3, 3, contents=on), state) / cb
     a = vac.lam_zero_mode(1) - t11
     b = vac.lam_zero_mode(3) - t33
     return (int(round(a.real)), int(round(b.real)))
@@ -267,29 +265,27 @@ def sector_labels_from_zero_modes(spec: ChainSpec, pair: OnShellPair,
 # -- spectrum classification ---------------------------------------------------
 
 
-@dataclass
-class ClassifiedState:
-    state: EigenState
-    kind: str                      # "primitive" | "descendant" | "cluster" | "unresolved"
-    roots: BetheRoots | None = None
-
-
 def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
                       sectors: list[tuple[int, int]] | None = None,
-                      rtol: float = 1e-6, newton_tol: float = 1e-12) -> list[ClassifiedState]:
-    """Attach Bethe roots to every eigenstate of the requested sectors.
+                      rtol: float = 1e-6, newton_tol: float = 1e-12) -> list[EigenState]:
+    """The states of the requested sectors, each with Bethe roots attached where found.
 
-    Sectors are swept in increasing order.  Each state is first compared
-    against already-classified lower-sector states: an exact eigenvalue
-    match identifies a descendant, whose roots are the ancestor's plus roots
-    at infinity.  Remaining states get finite roots from the TQ fit followed
-    by a Newton polish on the Bethe equations, validated by re-matching the
-    eigenvalue samples.
+    Sectors are swept in increasing order, and every sector below a
+    requested one is swept too, since it may hold an ancestor.  Each state is
+    first compared against the states with roots in lower sectors: an exact
+    eigenvalue match identifies a descendant, whose roots are the ancestor's
+    plus roots at infinity.  Remaining states get finite roots from the TQ
+    fit followed by a Newton polish on the Bethe equations, validated by
+    re-matching the eigenvalue samples.  Clustered states and states no seed
+    reaches keep ``roots=None``; ``EigenState.kind`` tells the four apart.
+    Only the requested sectors' states are returned.
     """
     spec = dec.spec
-    wanted = sorted(sectors or {s.sector for s in dec.states})
-    classified: list[ClassifiedState] = []
-    done: list[ClassifiedState] = []
+    wanted = set(sectors or {s.sector for s in dec.states})
+    swept = sorted({s.sector for s in dec.states
+                    if any(s.sector[0] <= a and s.sector[1] <= b for a, b in wanted)})
+    classified: list[EigenState] = []
+    done: list[EigenState] = []
     t_cache: dict[tuple, dict] = {}
 
     def tau_fn_for(st: EigenState):
@@ -303,28 +299,24 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             return sandwich(spec, st, t, st) / st.pairing
         return fn
 
-    for sector in wanted:
+    for sector in swept:
         a, b = sector
+        found: list[EigenState] = []
         for st in dec.by_sector(sector):
             if st.clustered:
-                classified.append(ClassifiedState(st, "cluster"))
+                found.append(st)
                 continue
             scale = max(float(np.abs(st.tau_samples).max()), 1e-300)
-            parent = None
-            for prev in done:
-                pa, pb = prev.state.sector
-                if prev.kind not in ("primitive", "descendant"):
-                    continue
-                if (pa, pb) == sector or pa > a or pb > b:
-                    continue
-                if np.abs(prev.state.tau_samples - st.tau_samples).max() < rtol * scale:
-                    parent = prev
-                    break
+            # done holds lower sectors only
+            parent = next((prev for prev in done
+                           if prev.sector[0] <= a and prev.sector[1] <= b
+                           and np.abs(prev.tau_samples - st.tau_samples).max() < rtol * scale),
+                          None)
             if parent is not None:
                 roots = replace(parent.roots,
-                                n_u_inf=parent.roots.n_u_inf + (a - parent.state.sector[0]),
-                                n_v_inf=parent.roots.n_v_inf + (b - parent.state.sector[1]))
-                classified.append(ClassifiedState(st, "descendant", roots))
+                                n_u_inf=parent.roots.n_u_inf + (a - parent.sector[0]),
+                                n_v_inf=parent.roots.n_v_inf + (b - parent.sector[1]))
+                found.append(replace(st, roots=roots))
                 continue
 
             roots = None
@@ -343,18 +335,11 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
                 if np.abs(target - st.tau_samples).max() < rtol * scale:
                     roots = polished
                     break
-            kind = "primitive" if roots is not None else "unresolved"
-            classified.append(ClassifiedState(st, kind, roots))
-        done = [c for c in classified if c.kind in ("primitive", "descendant")]
+            found.append(replace(st, roots=roots))
+        done += [st for st in found if st.roots is not None]
+        if sector in wanted:
+            classified += found
     return classified
-
-
-def on_shell_pair(dec: SpectralDecomposition, cls: ClassifiedState) -> OnShellPair:
-    """OnShellPair view of a classified primitive or descendant state."""
-    if cls.roots is None:
-        raise MatchError(f"state is {cls.kind}; it carries no root assignment")
-    st = cls.state
-    return OnShellPair(cls.roots, st.right, st.left, st.sector, st.tau_samples, dec.probes)
 
 
 # -- spectral cache -------------------------------------------------------------
@@ -412,7 +397,7 @@ def load_cache(directory: str, spec: ChainSpec,
         ends = np.cumsum([sizes[s] for s in sectors])[:-1]
         rights, lefts = (np.split(fields[key], ends) for key in ("rights", "lefts"))
         states = [EigenState(sector, fields["samples"][k], rights[k], lefts[k],
-                             clustered=bool(fields["clustered"][k]))
+                             fields["probes"], clustered=bool(fields["clustered"][k]))
                   for k, sector in enumerate(sectors)]
         return SpectralDecomposition(spec, twist, fields["probes"], states,
                                      float(fields["consistency"][0]))

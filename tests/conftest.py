@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from gradedbethe.chain import ChainSpec, VacuumFunctions
-from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, on_shell_pair, \
-    sector_indices
+from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, sector_indices
 
 # the Bethe residual warns near the log branch cut during wide seed sweeps;
 # that is expected behaviour, not a test failure
@@ -36,12 +35,12 @@ def classified4(dec4, vac4):
 
 
 @pytest.fixture(scope="session")
-def pairs4(dec4, classified4):
-    """Matched on-shell pairs of the M=4 chain, keyed by (sector, kind)."""
+def pairs4(classified4):
+    """On-shell states (roots attached) of the M=4 chain, keyed by (sector, kind)."""
     out = {}
-    for c in classified4:
-        if c.kind in ("primitive", "descendant"):
-            out.setdefault((c.state.sector, c.kind), []).append(on_shell_pair(dec4, c))
+    for st in classified4:
+        if st.roots is not None:
+            out.setdefault((st.sector, st.kind), []).append(st)
     return out
 
 

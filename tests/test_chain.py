@@ -390,7 +390,7 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     def state(n1, n2, n3):
         size = groups_h[contents.index((n1, n2, n3))].size
         left, right = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
-        return EigenState((m_sites - n1, n3), np.zeros(1), right, left)
+        return EigenState((m_sites - n1, n3), np.zeros(1), right, left, np.zeros(1))
 
     states = [state(*s) for s in contents]
     u = rand_pt(rng, 2.5)
@@ -573,7 +573,7 @@ def test_entrywise_commutation_relations(indices):
 
 
 def test_chain_spec_json_roundtrip():
-    spec = ChainSpec(M=3, c=0.8 + 0.1j, vacuum_index=1,
+    spec = ChainSpec(M=3, c=0.8 + 0.1j,
                      twist=TwistConfig((1.0, 0.9 + 0.2j, 1.1)))
     again = ChainSpec.from_json(spec.to_json())
     assert again == spec
@@ -585,9 +585,6 @@ def test_chain_spec_validation():
         ChainSpec(M=0)
     with pytest.raises(ValueError):
         ChainSpec(M=2, xi=(0.1, 0.1))
-    for vacuum_index in (2, 3, 4):
-        with pytest.raises(ValueError, match="unsupported vacuum_index"):
-            ChainSpec(M=2, vacuum_index=vacuum_index)
     with pytest.raises(ValueError):
         TwistConfig((0.0, 1.0, 1.0))
 
@@ -611,13 +608,13 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
 @pytest.fixture(scope="module")
 def pairs5():
     """The M=5 chain, its vacuum functions and two primitive (1,0) pairs."""
-    from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, on_shell_pair
+    from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer
 
     spec = ChainSpec(M=5)
     vac = VacuumFunctions(spec)
     dec = diagonalize_transfer(spec)
-    pc, pb = [on_shell_pair(dec, c) for c in classify_spectrum(dec, vac, sectors=[(1, 0)])
-              if c.kind == "primitive"][:2]
+    pc, pb = [st for st in classify_spectrum(dec, vac, sectors=[(1, 0)])
+              if st.kind == "primitive"][:2]
     return spec, vac, pc, pb
 
 

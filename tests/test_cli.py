@@ -58,6 +58,20 @@ def test_unsupported_vacuum_rejected(tmp_path, vacuum_index):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("sectors", [[[1, 0], [2, 0]], [[1, 1]]])
+def test_descendants_of_unrequested_sectors_are_resolved(tmp_path, sectors):
+    # (1,0) and (1,1) hold descendants of the vacuum, and (2,0) of (1,0): their
+    # ancestors are found even where the scenario does not list their sectors
+    cfg = default_scenario_dict(m=4, seed=1)
+    cfg["sectors"] = sectors
+    cfg["checks"] = ["spectrum-match", "theorem1"]
+    code, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "out"))
+    unresolved = [r for r in reports if r.identity.endswith(":unresolved")]
+    assert len(unresolved) == len(sectors)
+    assert all(r.verdict == "pass" for r in unresolved)
+    assert code == 0
+
+
 def test_emit_report_refuses_empty(tmp_path):
     with pytest.raises(ScenarioError):
         emit_report([], str(tmp_path))

@@ -10,14 +10,13 @@ from gradedbethe.spectrum import (
     diagonalize_transfer,
     load_cache,
     match_roots_to_state,
-    on_shell_pair,
     sandwich,
     save_cache,
     sector_indices,
     sector_labels_from_zero_modes,
 )
 
-from conftest import embed, primitive_pairs
+from conftest import TESTED_SECTORS, embed, primitive_pairs
 
 
 def test_single_site_spectrum():
@@ -86,29 +85,50 @@ def test_match_rejects_perturbed_roots(spec4, dec4, vac4, pairs4):
 def test_every_solution_matches_exactly_one_state(dec4, vac4, classified4):
     # completeness at the tested sectors: each primitive's roots match back
     # to their own state and to no other
-    for c in classified4:
-        if c.kind != "primitive":
+    for st in classified4:
+        if st.kind != "primitive":
             continue
-        pair = match_roots_to_state(dec4, c.roots, vac4)
-        assert pair.sector == c.state.sector
-        assert np.abs(pair.tau_samples - c.state.tau_samples).max() < 1e-9
+        pair = match_roots_to_state(dec4, st.roots, vac4)
+        assert pair.sector == st.sector
+        assert np.abs(pair.tau_samples - st.tau_samples).max() < 1e-9
+        # the matched state is the classified one: same vectors, same roots
+        assert pair.right is st.right and pair.left is st.left
+        assert pair.roots is st.roots and pair.kind == "primitive"
 
 
-def test_sector_labels_from_zero_modes(spec4, dec4, vac4, classified4):
-    for c in classified4:
-        if c.kind not in ("primitive", "descendant"):
+def test_classified_states_are_the_decomposition_states_with_roots(dec4, classified4):
+    # classification attaches roots to dec4's own states, and a state's kind
+    # follows from its roots and cluster flag alone
+    assert len(classified4) == sum(len(dec4.by_sector(s)) for s in TESTED_SECTORS)
+    originals = {id(st.right): st for st in dec4.states}
+    for st in classified4:
+        original = originals[id(st.right)]
+        assert st.left is original.left and st.sector == original.sector
+        assert st.probes is dec4.probes
+        if st.clustered:
+            assert st.roots is None and st.kind == "cluster"
+        elif st.roots is None:
+            assert st.kind == "unresolved"
+        elif st.roots.n_u_inf or st.roots.n_v_inf:
+            assert st.kind == "descendant"
+        else:
+            assert st.kind == "primitive"
+    assert {st.kind for st in classified4} == {"primitive", "descendant", "cluster"}
+
+
+def test_sector_labels_from_zero_modes(spec4, vac4, classified4):
+    for st in classified4:
+        if st.kind not in ("primitive", "descendant"):
             continue
-        pair = on_shell_pair(dec4, c)
-        assert sector_labels_from_zero_modes(spec4, pair, vac4) == pair.roots.sector
+        assert sector_labels_from_zero_modes(spec4, st, vac4) == st.roots.sector
 
 
 def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classified4):
     # T_11[0] B = (lambda_1[0] - a) B and cyclic, as operator actions
     zm = zero_mode(spec4)
-    for c in classified4[:12]:
-        if c.kind not in ("primitive", "descendant"):
+    for pair in classified4[:12]:
+        if pair.kind not in ("primitive", "descendant"):
             continue
-        pair = on_shell_pair(dec4, c)
         a, b = pair.sector
         expect = {0: vac4.lam_zero_mode(1) - a,
                   1: vac4.lam_zero_mode(2) + a - b,
@@ -122,28 +142,25 @@ def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classifi
 def test_dual_annihilation_for_primitive_duals(dec4, classified4):
     # C_{a+1,b} T_12[0] = 0 for finite-root dual states
     zm = zero_mode(dec4.spec)
-    for c in classified4:
-        if c.kind != "primitive" or c.state.sector[0] < 1:
+    for pair in classified4:
+        if pair.kind != "primitive" or pair.sector[0] < 1:
             continue
-        pair = on_shell_pair(dec4, c)
         left = embed(dec4.spec, pair.sector, pair.left)
         resid = np.linalg.norm(left @ zm[0, 1]) / np.linalg.norm(left)
         assert resid < 1e-8
 
 
-def test_pairing_and_rescale(dec4, classified4):
-    c = next(c for c in classified4 if c.kind == "primitive")
-    pair = on_shell_pair(dec4, c)
+def test_pairing_and_rescale(classified4):
+    pair = next(st for st in classified4 if st.kind == "primitive")
     base = pair.pairing
     assert abs(base) > 1e-12 * np.linalg.norm(pair.left) * np.linalg.norm(pair.right)
     scaled = pair.rescaled(3.0 - 1.0j, 0.5j)
     assert scaled.pairing == pytest.approx(base * (3.0 - 1.0j) * 0.5j)
+    assert scaled.roots is pair.roots and scaled.kind == "primitive"
 
 
-def test_cross_pairing_vanishes(dec4, classified4):
-    prims = [c for c in classified4 if c.kind == "primitive" and c.state.sector == (1, 0)]
-    p0 = on_shell_pair(dec4, prims[0])
-    p1 = on_shell_pair(dec4, prims[1])
+def test_cross_pairing_vanishes(classified4):
+    p0, p1 = [st for st in classified4 if st.kind == "primitive" and st.sector == (1, 0)][:2]
     num = abs(p0.left @ p1.right)
     assert num / (np.linalg.norm(p0.left) * np.linalg.norm(p1.right)) < 1e-8
 
@@ -175,7 +192,7 @@ def test_restricted_diagonalization_matches_full_sectors(sector):
 
 
 def test_descendants_carry_infinite_roots(classified4):
-    d11 = [c for c in classified4 if c.state.sector == (1, 1) and c.kind == "descendant"]
+    d11 = [st for st in classified4 if st.sector == (1, 1) and st.kind == "descendant"]
     assert len(d11) == 4
     for c in d11:
         assert c.roots.b == 1
@@ -184,7 +201,7 @@ def test_descendants_carry_infinite_roots(classified4):
 
 
 def test_forced_clusters_only_in_multiplet_sectors(classified4):
-    clusters = {c.state.sector for c in classified4 if c.kind == "cluster"}
+    clusters = {st.sector for st in classified4 if st.kind == "cluster"}
     assert clusters == {(2, 1)}
 
 
