@@ -16,6 +16,10 @@ read on the states of contents s touches.
 length, signed with a fixed table BLOCK_SIGNS, as {s: (image, block)}; every
 check of ``gradedbethe verify`` works on that form, as do the zero modes
 T_ij[0], written straight from their closed form (``zero_mode_entry``).
+The reads that need every group (``transfer_blocks`` on all contents,
+``tm1_residual`` and ``zero_mode_limit_groups``) take the groups one at a
+time and drop each once its blocks are read, so their peak memory follows
+the largest aux (x) H group rather than the whole group set.
 The states these operators act on are vectors on one content group each
 (``spectrum.sandwich`` reads the one block between two of them).  The
 dense read-offs (``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
@@ -226,17 +230,24 @@ def _step_plan(n_factors: int, x: int, y: int) -> tuple:
     return tuple(plans)
 
 
-def _group_product(k: int, size: int, steps, start=None) -> np.ndarray:
+def _group_product(k: int, size: int, steps, start=None, scratch=None) -> np.ndarray:
     """Block of (I + g_S P_S) ... (I + g_1 P_1) X on content group k, for steps [(plan, g), ...].
 
     X is ``start`` (overwritten), or the identity.  Every step runs on this one
     group, so its block stays in cache, with two scratch buffers: the rows
     gathered, b = g * rows (``g`` first, out of place), then x + b, or x - b on
     the flipped rows.  Each entry gets the bits of x + g * (sign * x[src])
-    with no multiply by the sign.
+    with no multiply by the sign.  Given ``scratch``, three flat buffers of at
+    least size^2 entries, X = I and both buffers are laid out in them, so the
+    block returned lives there until they are used again.
     """
-    x = np.eye(size, dtype=complex) if start is None else start
-    a, b = np.empty_like(x), np.empty_like(x)
+    if scratch is None:
+        x = np.eye(size, dtype=complex) if start is None else start
+        a, b = np.empty_like(x), np.empty_like(x)
+    else:
+        x, a, b = (buf[:size * size].reshape(size, size) for buf in scratch)
+        x.fill(0)
+        x.flat[::size + 1] = 1
     for plan, g in steps:
         src, flipped = plan[k]
         x.take(src, axis=0, out=a, mode="clip")
@@ -467,6 +478,13 @@ def monodromy_groups(spec: ChainSpec, u: complex, sites=None, contents=None) -> 
     ``contents`` only the aux (x) H groups s + e_j are computed, which hold
     every T_ij on each s; the others are None.
     """
+    steps, wanted = _monodromy_steps(spec, u, sites, contents)
+    return [_group_product(k, ix.size, steps) if k in wanted else None
+            for k, ix in enumerate(_content_partition(spec.M + 1)[0])]
+
+
+def _monodromy_steps(spec: ChainSpec, u: complex, sites, contents) -> tuple:
+    """Steps of the monodromy over ``sites``; the aux (x) H groups a read on ``contents`` needs."""
     sites = _resolve_sites(spec, sites)
     _check_poles(spec, u, sites)
     groups, _, _ = _content_partition(spec.M + 1)
@@ -474,9 +492,42 @@ def monodromy_groups(spec: ChainSpec, u: complex, sites=None, contents=None) -> 
     if contents is not None:
         _, entries = _block_map(spec.M)
         wanted = {g for j in range(3) for s, _, g, _, _ in entries[j][j] if s in contents}
-    steps = _l_steps(spec, u, sites, spec.M + 1, aux=0)
-    return [_group_product(k, ix.size, steps) if k in wanted else None
-            for k, ix in enumerate(groups)]
+    return _l_steps(spec, u, sites, spec.M + 1, aux=0), wanted
+
+
+def _groups_in_turn(spec: ChainSpec, u: complex, sites=None, contents=None):
+    """The groups of monodromy_groups one at a time, as (k, groups) with only group k built.
+
+    ``groups`` is one list for the whole iteration, and every group is built
+    in the same three scratch buffers, sized for the largest: group k is
+    dropped from the list and overwritten by the next build.  So read it
+    (entry_blocks copies its blocks out) before asking for the next.  Peak
+    memory then follows the largest aux (x) H group, not the set, and the
+    buffers are not allocated afresh for every group.
+    """
+    steps, wanted = _monodromy_steps(spec, u, sites, contents)
+    groups = _content_partition(spec.M + 1)[0]
+    largest = max((groups[k].size for k in wanted), default=0)
+    scratch = [np.empty(largest ** 2, dtype=complex) for _ in range(3)]
+    one = [None] * len(groups)
+    for k, ix in enumerate(groups):
+        if k in wanted:
+            one[k] = _group_product(k, ix.size, steps, scratch=scratch)
+            yield k, one
+            one[k] = None
+
+
+def _entries_at(spec: ChainSpec, u: complex, pairs) -> dict:
+    """The entries (i, j) in ``pairs`` of the full-chain T(u), as {(i, j): {s: (image, block)}}.
+
+    Each aux (x) H group is built once and dropped as soon as its blocks of
+    these entries are copied out.
+    """
+    out = {ij: {} for ij in pairs}
+    for _, one in _groups_in_turn(spec, u):
+        for (i, j), op in out.items():
+            op.update(entry_blocks(spec, one, i, j))
+    return out
 
 
 def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
@@ -486,12 +537,25 @@ def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
 
 def transfer_blocks(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
                     sites=None, contents=None) -> dict:
-    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given."""
+    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given.
+
+    The three blocks T_ii on content s sit in three aux (x) H groups, s + e_i.
+    The groups are built one at a time (_groups_in_turn), each block is held
+    until its content has all three, and they are summed in i order as
+    ``combine`` sums them, so the result is the same to the bit as combine
+    over the whole group set.
+    """
     twist = twist if twist is not None else spec.twist
-    groups = monodromy_groups(spec, u, sites, contents)
-    t = combine(*[((-1) ** _PAR[i] * twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
-                  for i in range(3)])
-    return t if contents is None else {s: t[s] for s in contents}
+    coefs = [(-1) ** _PAR[i] * twist.kappa[i] for i in range(3)]
+    held, t = {}, {}
+    for _, one in _groups_in_turn(spec, u, sites, contents):
+        for i in range(3):
+            for s, entry in entry_blocks(spec, one, i + 1, i + 1, contents).items():
+                held.setdefault(s, {})[i] = {s: entry}
+                if len(held[s]) == 3:
+                    terms = held.pop(s)
+                    t[s] = combine(*[(coefs[n], terms[n]) for n in range(3)])[s]
+    return {s: t[s] for s in (_block_map(spec.M)[0] if contents is None else contents)}
 
 
 def transfer_matrix(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
@@ -551,16 +615,27 @@ def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
     return _read_off(spec, partial(zero_mode_entry, spec, sites=sites))
 
 
-def zero_mode_limit_groups(spec: ChainSpec, sites=None, scale: float = 1e6) -> list[np.ndarray]:
-    """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only."""
+def zero_mode_limit_groups(spec: ChainSpec, sites=None, scale: float = 1e6):
+    """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only.
+
+    Yields (k, groups) with only group k present, one aux (x) H group at a
+    time in _groups_in_turn's scratch buffers: read or copy each before
+    asking for the next.
+    """
     u = scale * spec.c
-    return [(u / spec.c) * (blk - np.eye(blk.shape[0]))
-            for blk in monodromy_groups(spec, u, sites)]
+    for k, one in _groups_in_turn(spec, u, sites):
+        # (u/c)(T - 1) in place, with the bits of the out-of-place form
+        one[k].flat[::one[k].shape[0] + 1] -= 1
+        np.multiply(u / spec.c, one[k], out=one[k])
+        yield k, one
 
 
 def zero_mode_limit(spec: ChainSpec, sites=None, scale: float = 1e6) -> np.ndarray:
     """3x3 object array of the dense zero_mode_limit_groups read-off."""
-    return _read_off(spec, partial(entry_blocks, spec, zero_mode_limit_groups(spec, sites, scale)))
+    groups = [None] * len(_content_partition(spec.M + 1)[0])
+    for k, one in zero_mode_limit_groups(spec, sites, scale):
+        groups[k] = one[k].copy()
+    return _read_off(spec, partial(entry_blocks, spec, groups))
 
 
 # -- RTT conformance ----------------------------------------------------------
@@ -615,20 +690,30 @@ def tm1_residual(spec: ChainSpec, u: complex, v: complex,
     Checks [T_ij(u), T_kl(v)} =
     (-1)^{[i]([k]+[l]) + [k][l]} g(u,v) (T_kj(v) T_il(u) - T_kj(u) T_il(v))
     for the given (i,j,k,l), normalized by the largest entry magnitude.
+    Only the six entries the relation reads are kept, T_ij, T_il and T_kj at
+    u and T_kl, T_kj and T_il at v, each aux (x) H group built once per point;
+    both sides are then formed one H content at a time.
     """
     i, j, k, l = indices
-    gu, gv = monodromy_groups(spec, u), monodromy_groups(spec, v)
-    t = partial(entry_blocks, spec)
+    at_u = _entries_at(spec, u, {(i, j), (i, l), (k, j)})
+    at_v = _entries_at(spec, v, {(k, l), (k, j), (i, l)})
     pi, pj, pk, pl = (_PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
-    lhs = combine((1.0, compose(t(gu, i, j), t(gv, k, l))),
-                  (-sign_comm, compose(t(gv, k, l), t(gu, i, j))))
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
-    rhs = combine((pref, compose(t(gv, k, j), t(gu, i, l))),
-                  (-pref, compose(t(gu, k, j), t(gv, i, l))))
 
     def largest(op):
         return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)
 
-    scale = max(largest(lhs), largest(rhs), 1.0)
-    return largest(combine((1.0, lhs), (-1.0, rhs))) / scale
+    def on(op, s):
+        return {s: op[s]} if s in op else {}
+
+    # both sides content by content: a product a . b on s reads only b's block on s
+    scale, diff = 1.0, 0.0
+    for s in _block_map(spec.M)[0]:
+        lhs = combine((1.0, compose(at_u[i, j], on(at_v[k, l], s))),
+                      (-sign_comm, compose(at_v[k, l], on(at_u[i, j], s))))
+        rhs = combine((pref, compose(at_v[k, j], on(at_u[i, l], s))),
+                      (-pref, compose(at_u[k, j], on(at_v[i, l], s))))
+        scale = max(scale, largest(lhs), largest(rhs))
+        diff = max(diff, largest(combine((1.0, lhs), (-1.0, rhs))))
+    return diff / scale

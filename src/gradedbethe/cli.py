@@ -278,11 +278,16 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     # zero modes: closed form vs large-u limit; the next-order coefficient
     # grows like M^2, so the evaluation point scales out with the chain;
     # compared entry block by entry block, which tile the limit's groups,
-    # as |s a - s b| = |a - b| for the signs s
-    zl = zero_mode_limit_groups(spec, scale=1e6 * spec.M)
-    diff = max(float(np.abs(blk - entry_blocks(spec, zl, i, j, [s])[s][1]).max())
-               for i, j in itertools.product((1, 2, 3), repeat=2)
-               for s, (_, blk) in zero_mode_entry(spec, i, j).items())
+    # as |s a - s b| = |a - b| for the signs s; each aux (x) H group of the
+    # limit is compared as soon as it is built
+    diff = 0.0
+    for _, zl in zero_mode_limit_groups(spec, scale=1e6 * spec.M):
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            limit = entry_blocks(spec, zl, i, j)
+            if limit:
+                exact = zero_mode_entry(spec, i, j, contents=limit)
+                diff = max([diff] + [float(np.abs(blk - limit[s][1]).max())
+                                     for s, (_, blk) in exact.items()])
     out.append(make_report("vacuum:zero-mode-limit", diff, 0.0, 1e-5, residual=diff))
     return out
 
@@ -478,15 +483,20 @@ def run_scenario(scenario: Scenario, out_dir: str,
     """Execute the scenario's checks in dependency order and write reports.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
-    passed, 1 means at least one failed.  Configuration problems raise
-    ScenarioError before anything runs (exit code 2 at the CLI level).
+    passed, 1 means at least one failed.  A check that emits no rows emits
+    one ``skipped`` row instead, so it cannot pass silently.  Configuration
+    problems raise ScenarioError before anything runs (exit code 2 at the CLI
+    level).
     """
     cache_directory = cache_directory or os.environ.get(CACHE_ENV_VAR)
     ws = _Workspace(scenario, cache_directory)
     reports: list[FormFactorReport] = []
     for name in _CHECK_ORDER:
         if name in scenario.checks:
-            reports.extend(_CHECK_RUNNERS[name](ws))
+            # every runner that emits nothing found none of the states it reads
+            reports.extend(_CHECK_RUNNERS[name](ws) or [
+                make_report(f"{name}:skipped:no-eligible-states", 0, 0, 0.0, residual=0.0,
+                            skipped=True)])
     emit_report(reports, out_dir)
     failed = [r for r in reports if r.verdict == "fail"]
     return (1 if failed else 0), reports
@@ -508,15 +518,20 @@ def emit_report(reports: list[FormFactorReport], out_dir: str) -> tuple[str, str
     lines.append("-" * (width + 40))
     for rep in reports:
         sect = f"{rep.sectors[0]}<-{rep.sectors[1]}"
-        mark = {"pass": "pass", "fail": "FAIL", "trivial": "zero*"}[rep.verdict]
+        mark = {"pass": "pass", "fail": "FAIL", "trivial": "zero*", "skipped": "skip"}[rep.verdict]
         lines.append(
             f"{rep.identity:<{width}}{rep.m:>3} {sect:<16}{rep.rel_residual:>12.3e} {mark}"
         )
     n_fail = sum(1 for r in reports if r.verdict == "fail")
     n_triv = sum(1 for r in reports if r.verdict == "trivial")
     lines.append("-" * (width + 40))
-    lines.append(f"total {len(reports)}  failed {n_fail}  trivially-zero {n_triv}")
+    n_skip = sum(1 for r in reports if r.verdict == "skipped")
+    lines.append(f"total {len(reports)}  failed {n_fail}  trivially-zero {n_triv}"
+                 + (f"  skipped {n_skip}" if n_skip else ""))
     lines.append("(zero* rows have both sides below the zero floor and never count as passes)")
+    if n_skip:
+        lines.append("(skip rows stand for checks that found none of the states they read "
+                     "in the requested sectors and tested nothing)")
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

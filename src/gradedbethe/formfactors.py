@@ -65,7 +65,7 @@ class FormFactorReport:
     rhs: complex
     rel_residual: float
     tolerance: float
-    verdict: str                      # "pass" | "fail" | "trivial"
+    verdict: str                      # "pass" | "fail" | "trivial" | "skipped"
 
     @property
     def passed(self) -> bool:
@@ -88,14 +88,16 @@ class FormFactorReport:
 
 def make_report(identity: str, lhs: complex, rhs: complex, tol: float, *,
                 sectors=((0, 0), (0, 0)), m: int = 0, floor: float = 0.0,
-                residual: float | None = None) -> FormFactorReport:
+                residual: float | None = None, skipped: bool = False) -> FormFactorReport:
     """The one constructor of report rows.
 
     Without an explicit ``residual`` the row carries |lhs - rhs| relative to
     the larger side, and sides that both sit below ``floor`` make the row
     ``trivial``.  An explicit residual is compared with ``tol`` as given.
+    A ``skipped`` row stands for a check that tested nothing: it neither
+    passes nor fails.
     """
-    verdict = None
+    verdict = "skipped" if skipped else None
     if residual is None:
         mag = max(abs(lhs), abs(rhs))
         if mag < floor:

@@ -176,14 +176,12 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
     wanted = [s for s in sector_indices(spec) if sectors is None or s in sectors]
     contents = None if sectors is None else [_content(spec, s) for s in wanted]
-    t_ops = [transfer_blocks(spec, w, twist=twist, contents=contents) for w in probes]
-
-    states: list[EigenState] = []
-    worst = 0.0
+    # one probe's transfer blocks at a time: every sector is diagonalized at the
+    # first probe, then each later probe is sandwiched on every sector
+    t_op = transfer_blocks(spec, probes[0], twist=twist, contents=contents)
+    bases = {}
     for sector in wanted:
-        content = _content(spec, sector)
-        block0 = t_ops[0][content][1]
-        w0, vl, vr = scipy.linalg.eig(block0, left=True, right=True)
+        w0, vl, vr = scipy.linalg.eig(t_op[_content(spec, sector)][1], left=True, right=True)
         order = np.lexsort((w0.imag, w0.real))
         w0, vl, vr = w0[order], vl[:, order], vr[:, order]
         n = w0.size
@@ -198,24 +196,33 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
             for j in range(i + 1, n):
                 if abs(w0[i] - w0[j]) < cluster_gap * scale0:
                     clustered[i] = clustered[j] = True
-
         samples = np.zeros((n, probes.size), dtype=complex)
         samples[:, 0] = w0
-        safe = ~clustered
-        for q in range(1, probes.size):
-            blk = t_ops[q][content][1]
-            tv = blk @ vr
+        bases[sector] = (vr, left_rows, pairing, clustered, samples)
+    del t_op
+
+    worst = 0.0
+    for q in range(1, probes.size):
+        t_op = transfer_blocks(spec, probes[q], twist=twist, contents=contents)
+        for sector, (vr, left_rows, pairing, clustered, samples) in bases.items():
+            safe = ~clustered
+            tv = t_op[_content(spec, sector)][1] @ vr
             num = np.einsum("ij,ji->i", left_rows, tv)
-            samples[:, q] = w0
+            samples[:, q] = samples[:, 0]
             samples[safe, q] = num[safe] / pairing[safe]
             if np.any(safe):
                 resid = np.linalg.norm(tv - vr * samples[:, q][None, :], axis=0)
                 resid = resid[safe] / np.maximum(1.0, np.abs(samples[safe, q]))
                 worst = max(worst, float(resid.max()))
+        del t_op
+
+    states: list[EigenState] = []
+    for sector in wanted:
+        vr, left_rows, _, clustered, samples = bases.pop(sector)
         # contiguous rows, as a cached decomposition loads them
         rights, lefts = np.ascontiguousarray(vr.T), np.ascontiguousarray(left_rows)
         states += [EigenState(sector, samples[k], rights[k], lefts[k], probes,
-                              clustered=bool(clustered[k])) for k in range(n)]
+                              clustered=bool(clustered[k])) for k in range(samples.shape[0])]
     return SpectralDecomposition(spec, twist, probes, states, worst)
 
 

@@ -1,15 +1,20 @@
-"""Dense graded-algebra oracles used only by the tests.
+"""Oracles used only by the tests.
 
-The package works on content-group blocks and signed permutations; these
-dense forms (graded Kronecker product, supertraces, graded commutator and
-the two-site R-matrix) state the same conventions the textbook way, so the
-tests can compare against them.
+The package works on content-group blocks and signed permutations; the
+dense forms here (graded Kronecker product, supertraces, graded commutator
+and the two-site R-matrix) state the same conventions the textbook way, so
+the tests can compare against them.  The full-set forms of transfer_blocks
+and tm1_residual hold every aux (x) H group at once, as the package did
+before it streamed them; the streamed forms must match them to the bit.
 """
 
 import numpy as np
 
-from gradedbethe.chain import g_fun
-from gradedbethe.graded import GradedMatrix, GradedSpace, graded_permutation
+from gradedbethe.chain import combine, compose, entry_blocks, g_fun, monodromy_groups
+from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
+    graded_permutation
+
+PAR = np.array(FUNDAMENTAL_PARITIES)
 
 
 def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:
@@ -84,3 +89,35 @@ def graded_commutator(
     bm = b.mat if isinstance(b, GradedMatrix) else b
     s = -1.0 if (parity_a % 2) and (parity_b % 2) else 1.0
     return am @ bm - s * (bm @ am)
+
+
+def transfer_blocks_full_set(spec, u, twist=None, sites=None, contents=None) -> dict:
+    """sum_i (-1)^{[i]} kappa_i T_ii(u) by ``combine`` over the whole group set."""
+    twist = twist if twist is not None else spec.twist
+    groups = monodromy_groups(spec, u, sites, contents)
+    t = combine(*[((-1) ** PAR[i] * twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
+                  for i in range(3)])
+    return t if contents is None else {s: t[s] for s in contents}
+
+
+def tm1_residual_full_set(spec, u, v, indices) -> float:
+    """tm1_residual by ``compose`` and ``combine`` over the whole group sets at u and v."""
+    i, j, k, l = indices
+    gu, gv = monodromy_groups(spec, u), monodromy_groups(spec, v)
+
+    def t(groups, a, b):
+        return entry_blocks(spec, groups, a, b)
+
+    pi, pj, pk, pl = (PAR[x - 1] for x in indices)
+    sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
+    lhs = combine((1.0, compose(t(gu, i, j), t(gv, k, l))),
+                  (-sign_comm, compose(t(gv, k, l), t(gu, i, j))))
+    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
+    rhs = combine((pref, compose(t(gv, k, j), t(gu, i, l))),
+                  (-pref, compose(t(gu, k, j), t(gv, i, l))))
+
+    def largest(op):
+        return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)
+
+    scale = max(largest(lhs), largest(rhs), 1.0)
+    return largest(combine((1.0, lhs), (-1.0, rhs))) / scale

@@ -30,7 +30,8 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_permutation, GradedS
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes
-from oracles import graded_commutator, r_matrix, supertrace_over_aux
+from oracles import graded_commutator, r_matrix, supertrace_over_aux, tm1_residual_full_set, \
+    transfer_blocks_full_set
 
 PAR = FUNDAMENTAL_PARITIES
 
@@ -454,6 +455,34 @@ def test_tm1_residual_sees_a_flipped_block_sign(monkeypatch):
     assert abs(blocked - tm1_dense(spec, u, v, (1, 2, 2, 3))) < 1e-12
 
 
+COMMUTATION_INDICES = [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("make_spec", ORACLE_SPECS)
+@pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
+    # transfer_blocks and tm1_residual build one aux (x) H group at a time; the
+    # full-set path holds every group and is the reference, to the bit
+    spec = make_spec(m_sites)
+    rng = np.random.default_rng(90 + m_sites)
+    u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
+    _, _, contents = _content_partition(m_sites)
+    for sites in oracle_ranges(m_sites):
+        streamed = transfer_blocks(spec, u, sites=sites)
+        full = transfer_blocks_full_set(spec, u, sites=sites)
+        assert list(streamed) == list(full) == list(contents)
+        for s, (image, blk) in full.items():
+            assert streamed[s][0] == image and np.array_equal(streamed[s][1], blk)
+        for read in ([contents[-1]], list(contents[::2])):
+            part = transfer_blocks(spec, u, sites=sites, contents=read)
+            ref = transfer_blocks_full_set(spec, u, sites=sites, contents=read)
+            assert list(part) == list(ref) == read
+            assert all(np.array_equal(part[s][1], ref[s][1]) for s in read)
+    assert transfer_blocks(spec, u, contents=[]) == {}
+    for indices in COMMUTATION_INDICES:
+        assert tm1_residual(spec, u, v, indices) == tm1_residual_full_set(spec, u, v, indices)
+
+
 # -- group-outer products against the site-outer kernel ------------------------------
 
 
@@ -561,7 +590,7 @@ def test_verify_rtt_rejects_poles():
         verify_rtt(spec, spec.xi[0], 5.0)
 
 
-@pytest.mark.parametrize("indices", [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1)])
+@pytest.mark.parametrize("indices", COMMUTATION_INDICES)
 def test_entrywise_commutation_relations(indices):
     spec = ChainSpec(M=2)
     rng = np.random.default_rng(30)
@@ -645,3 +674,17 @@ def test_restricted_reads_allocate_a_fraction_of_the_group_set(pairs5):
     # measured 0.12x and 0.03x; building every group made both 1.7x
     assert peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.25 * group_set
     assert peak_bytes(lambda: vacuum_eigenvalue(spec, 1, None, u)) < 0.25 * group_set
+
+
+def test_full_chain_builds_peak_below_two_group_sets():
+    from gradedbethe.spectrum import diagonalize_transfer
+
+    spec = ChainSpec(M=5)
+    u, v = 1.3 + 2.1j, -2.2 + 0.7j
+    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
+    tm1_residual(spec, u, v, (1, 2, 2, 3))  # warm the partition and plan caches
+    # measured 1.40x and 1.35x, three scratch buffers of the largest group
+    # included; holding both group sets made tm1 2.57x, and every probe's group
+    # set and transfer blocks made the diagonalization 2.17x
+    assert peak_bytes(lambda: tm1_residual(spec, u, v, (1, 2, 2, 3))) < 1.75 * group_set
+    assert peak_bytes(lambda: diagonalize_transfer(spec)) < 1.75 * group_set

@@ -72,6 +72,27 @@ def test_descendants_of_unrequested_sectors_are_resolved(tmp_path, sectors):
     assert code == 0
 
 
+@pytest.mark.parametrize("m, sectors, empty", [
+    (2, None, ["proposition1"]),
+    (4, [[3, 1]], ["theorem1", "theorem2", "proposition1", "ladder"]),
+])
+def test_checks_without_rows_report_skipped(tmp_path, m, sectors, empty):
+    # M=2 has fewer than two primitive (1,0) states; (3,1) holds none of the
+    # states the form-factor checks read
+    cfg = default_scenario_dict(m=m, seed=1)
+    if sectors is not None:
+        cfg["sectors"] = sectors
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "reports.jsonl") as fh:
+        rows = [json.loads(line) for line in fh]
+    skipped = [r["identity"] for r in rows if r["verdict"] == "skipped"]
+    assert skipped == [f"{name}:skipped:no-eligible-states" for name in empty]
+    summary = (out / "summary.txt").read_text()
+    assert f"  skipped {len(empty)}\n" in summary
+    assert summary.count(" skip\n") == len(empty)
+
+
 def test_emit_report_refuses_empty(tmp_path):
     with pytest.raises(ScenarioError):
         emit_report([], str(tmp_path))
@@ -231,13 +252,41 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     for module in _package_modules():
         if hasattr(module, "monodromy_groups"):
             monkeypatch.setattr(module, "monodromy_groups", counted)
-    code, _ = run_scenario(Scenario.from_dict(default_scenario_dict(m=4, seed=1)),
-                           str(tmp_path / "out"))
+
+    # every aux (x) H group built while a full-chain build streams all groups,
+    # keyed by the group and the steps' g values, which fix the spectral point
+    streamed, streaming = [], []
+    product, in_turn = chain._group_product, chain._groups_in_turn
+
+    def recorded(k, size, steps, *args, **kwargs):
+        if streaming and streaming[-1]:
+            streamed.append((k, size, tuple(g for _, g in steps)))
+        return product(k, size, steps, *args, **kwargs)
+
+    def tracked(spec, u, sites=None, contents=None):
+        groups = in_turn(spec, u, sites, contents)
+        while True:
+            streaming.append(contents is None)
+            try:
+                item = next(groups)
+            except StopIteration:
+                return
+            finally:
+                streaming.pop()
+            yield item
+
+    monkeypatch.setattr(chain, "_group_product", recorded)
+    monkeypatch.setattr(chain, "_groups_in_turn", tracked)
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # the five probes of the all-sector diagonalization, the two spectral points
-    # of tm1_residual and the zero-mode limit; the other reads build only the
-    # groups of their states' sectors (32 full builds when every read built all)
-    assert len(unrestricted) == 8
+    # the full builds stream their groups (8 unrestricted calls held whole group
+    # sets): the five probes of the all-sector diagonalization, the two spectral
+    # points of tm1_residual and the zero-mode limit, each group built once
+    assert unrestricted == []
+    n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
+    assert len(set(streamed)) == len(streamed) == 8 * n_groups
+    assert len({g for _, _, g in streamed}) == 8
 
 
 def test_empty_split_list_rejected(tmp_path):
@@ -296,6 +345,21 @@ def test_theorem1_retains_no_zero_mode_blocks():
     assert reports and all(r.verdict == "pass" for r in reports)
     # measured 0.32x; caching the zero-mode groups of every split range kept 7.1x
     assert retained < group_set
+
+
+def test_zero_mode_limit_peaks_below_one_group_set():
+    from gradedbethe import cli
+    from gradedbethe.chain import _content_partition
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
+    ws = cli._Workspace(scenario, None)
+    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
+    cli._run_vacuum(ws)  # warm the partition, plan and letter caches
+    reports = []
+    # measured 0.83x; building the limit's whole group set first made it 2.12x
+    assert peak_bytes(lambda: reports.extend(cli._run_vacuum(ws))) < 1.25 * group_set
+    assert [r.identity for r in reports][-1] == "vacuum:zero-mode-limit"
+    assert all(r.verdict == "pass" for r in reports)
 
 
 def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):
