@@ -9,20 +9,18 @@ matrix products, one content group at a time: every factor runs on a
 group's block before the next group starts.
 
 An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
-is one sub-block of the aux (x) H group of content s + e_j per H group, so
-``monodromy_groups(..., contents=)`` builds only the groups s + e_j that a
-read on the states of contents s touches.
-``entry_blocks`` slices these out through one cached block map per chain
-length, signed with a fixed table BLOCK_SIGNS, as {s: (image, block)}; every
-check of ``gradedbethe verify`` works on that form, as do the zero modes
-T_ij[0], written straight from their closed form (``zero_mode_entry``).
-The reads that need every group (``transfer_blocks`` on all contents,
-``tm1_residual`` and ``zero_mode_limit_groups``) take the groups one at a
-time and drop each once its blocks are read, so their peak memory follows
-the largest aux (x) H group rather than the whole group set.
-The states these operators act on are vectors on one content group each
-(``spectrum.sandwich`` reads the one block between two of them).  The
-dense read-offs (``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
+is one sub-block of the aux (x) H group of content s + e_j per H group.  So
+entries are read with ``monodromy_entries(spec, u, pairs, sites, contents)``: the
+named entries on the named contents, as {(i, j): {s: (image, block)}}, built
+from only the groups that hold them, one group at a time, each dropped once
+its blocks are copied out (``entry_blocks``, signed with a fixed table
+BLOCK_SIGNS).  ``transfer_blocks`` and ``zero_mode_limit_groups`` read the
+same one-group-at-a-time stream, so no read holds a whole group set.  The
+zero modes T_ij[0] come straight from their closed form in the same
+{s: (image, block)} form (``zero_mode_entry``).  The states these operators
+act on are vectors on one content group each (``spectrum.sandwich`` reads
+the one block between two of them).  The dense read-offs
+(``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
 ``zero_mode_limit``) fill 3^M x 3^M matrices from the same blocks: public API
 and test oracle.
 The sign table is pinned by requiring the zero-mode commutation algebra to
@@ -32,6 +30,7 @@ residual test; see tests/test_chain.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -46,7 +45,7 @@ __all__ = [
     "VacuumFunctions",
     "PoleError",
     "yang_baxter_residual",
-    "monodromy_groups",
+    "monodromy_entries",
     "monodromy_blocks",
     "entry_blocks",
     "combine",
@@ -70,6 +69,7 @@ __all__ = [
 BLOCK_SIGNS = np.array([[1, 1, -1], [1, 1, -1], [1, 1, 1]], dtype=float)
 
 _PAR = np.array(FUNDAMENTAL_PARITIES)
+_DIAGONAL = ((1, 1), (2, 2), (3, 3))
 
 
 class PoleError(ValueError):
@@ -288,19 +288,19 @@ def _block_map(m_sites: int):
     return index, entries
 
 
-def entry_blocks(spec: ChainSpec, groups, i: int, j: int, contents=None) -> dict:
-    """The entry T_ij (1-based) of an aux (x) H operator given by its group blocks.
+def entry_blocks(spec: ChainSpec, groups: dict, i: int, j: int, contents=None) -> dict:
+    """The entry T_ij (1-based) of an aux (x) H operator given by group blocks {k: block}.
 
-    Returns {s: (image, block)}, blocks signed with BLOCK_SIGNS, each mapping
-    H content s onto ``image``, for every s or only the given ``contents``.
-    Groups T_ij annihilates, or whose aux (x) H group was not computed (None),
-    are absent.
+    Returns {s: (image, block)}, blocks copied and signed with BLOCK_SIGNS,
+    each mapping H content s onto ``image``, for every s or only the given
+    ``contents``.  Contents T_ij annihilates, or whose aux (x) H group is not
+    in ``groups``, are absent.
     """
     _, entries = _block_map(spec.M)
     sign = BLOCK_SIGNS[i - 1, j - 1]
     return {s: (image, sign * groups[g][rows, cols])
             for s, image, g, rows, cols in entries[i - 1][j - 1]
-            if groups[g] is not None and (contents is None or s in contents)}
+            if g in groups and (contents is None or s in contents)}
 
 
 def combine(*terms) -> dict:
@@ -469,88 +469,60 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def monodromy_groups(spec: ChainSpec, u: complex, sites=None, contents=None) -> list:
-    """Content-group blocks of the monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u).
+def _stream(spec: ChainSpec, u: complex, pairs, sites=None, contents=None):
+    """(k, block) for each aux (x) H group k holding an entry (i, j) in ``pairs`` on ``contents``.
 
-    The monodromy over an ascending site interval; the full chain when sites
-    is None, the L-operator L_n(u) = I + g(u, xi_n) P_{0n} when sites is [n].
-    The leftmost factor is the largest site.  Groups never mix, so given H
-    ``contents`` only the aux (x) H groups s + e_j are computed, which hold
-    every T_ij on each s; the others are None.
+    The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over an ascending site
+    interval, the full chain when sites is None.  Every group is built once, in
+    ascending k, in the same three scratch buffers sized for the largest: read
+    a block (entry_blocks copies it out) before asking for the next.
     """
-    steps, wanted = _monodromy_steps(spec, u, sites, contents)
-    return [_group_product(k, ix.size, steps) if k in wanted else None
-            for k, ix in enumerate(_content_partition(spec.M + 1)[0])]
-
-
-def _monodromy_steps(spec: ChainSpec, u: complex, sites, contents) -> tuple:
-    """Steps of the monodromy over ``sites``; the aux (x) H groups a read on ``contents`` needs."""
     sites = _resolve_sites(spec, sites)
     _check_poles(spec, u, sites)
-    groups, _, _ = _content_partition(spec.M + 1)
-    wanted = range(len(groups))
-    if contents is not None:
-        _, entries = _block_map(spec.M)
-        wanted = {g for j in range(3) for s, _, g, _, _ in entries[j][j] if s in contents}
-    return _l_steps(spec, u, sites, spec.M + 1, aux=0), wanted
-
-
-def _groups_in_turn(spec: ChainSpec, u: complex, sites=None, contents=None):
-    """The groups of monodromy_groups one at a time, as (k, groups) with only group k built.
-
-    ``groups`` is one list for the whole iteration, and every group is built
-    in the same three scratch buffers, sized for the largest: group k is
-    dropped from the list and overwritten by the next build.  So read it
-    (entry_blocks copies its blocks out) before asking for the next.  Peak
-    memory then follows the largest aux (x) H group, not the set, and the
-    buffers are not allocated afresh for every group.
-    """
-    steps, wanted = _monodromy_steps(spec, u, sites, contents)
+    steps = _l_steps(spec, u, sites, spec.M + 1, aux=0)
     groups = _content_partition(spec.M + 1)[0]
+    _, entries = _block_map(spec.M)
+    wanted = sorted({g for i, j in pairs for s, _, g, _, _ in entries[i - 1][j - 1]
+                     if contents is None or s in contents})
     largest = max((groups[k].size for k in wanted), default=0)
     scratch = [np.empty(largest ** 2, dtype=complex) for _ in range(3)]
-    one = [None] * len(groups)
-    for k, ix in enumerate(groups):
-        if k in wanted:
-            one[k] = _group_product(k, ix.size, steps, scratch=scratch)
-            yield k, one
-            one[k] = None
+    for k in wanted:
+        yield k, _group_product(k, groups[k].size, steps, scratch=scratch)
 
 
-def _entries_at(spec: ChainSpec, u: complex, pairs) -> dict:
-    """The entries (i, j) in ``pairs`` of the full-chain T(u), as {(i, j): {s: (image, block)}}.
+def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, contents=None) -> dict:
+    """The entries (i, j) in ``pairs`` of T(u) over ``sites``, as {(i, j): {s: (image, block)}}.
 
-    Each aux (x) H group is built once and dropped as soon as its blocks of
-    these entries are copied out.
+    Only the aux (x) H groups holding one of these entries on ``contents`` (all
+    H contents if None) are built, each once, and each is dropped as soon as
+    its blocks are copied out (see _stream).
     """
-    out = {ij: {} for ij in pairs}
-    for _, one in _groups_in_turn(spec, u):
+    out = {(i, j): {} for i, j in pairs}
+    for k, block in _stream(spec, u, out, sites, contents):
         for (i, j), op in out.items():
-            op.update(entry_blocks(spec, one, i, j))
+            op.update(entry_blocks(spec, {k: block}, i, j, contents))
     return out
 
 
 def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
-    """3x3 object array of the dense entries T_ij(u) on H (see monodromy_groups)."""
-    return _read_off(spec, partial(entry_blocks, spec, monodromy_groups(spec, u, sites)))
+    """3x3 object array of the dense entries T_ij(u) on H (see monodromy_entries)."""
+    entries = monodromy_entries(spec, u, itertools.product((1, 2, 3), repeat=2), sites)
+    return _read_off(spec, lambda i, j: entries[i, j])
 
 
-def transfer_blocks(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
-                    sites=None, contents=None) -> dict:
+def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
     """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given.
 
-    The three blocks T_ii on content s sit in three aux (x) H groups, s + e_i.
-    The groups are built one at a time (_groups_in_turn), each block is held
-    until its content has all three, and they are summed in i order as
-    ``combine`` sums them, so the result is the same to the bit as combine
-    over the whole group set.
+    The three blocks T_ii on content s sit in three aux (x) H groups, s + e_i,
+    taken from _stream one at a time.  Each block is held until its content has
+    all three, and they are summed in i order as ``combine`` sums them, so no
+    group set is ever held and the sum has the bits of combine over one.
     """
-    twist = twist if twist is not None else spec.twist
-    coefs = [(-1) ** _PAR[i] * twist.kappa[i] for i in range(3)]
+    coefs = [(-1) ** _PAR[i] * spec.twist.kappa[i] for i in range(3)]
     held, t = {}, {}
-    for _, one in _groups_in_turn(spec, u, sites, contents):
+    for k, block in _stream(spec, u, _DIAGONAL, contents=contents):
         for i in range(3):
-            for s, entry in entry_blocks(spec, one, i + 1, i + 1, contents).items():
+            for s, entry in entry_blocks(spec, {k: block}, i + 1, i + 1, contents).items():
                 held.setdefault(s, {})[i] = {s: entry}
                 if len(held[s]) == 3:
                     terms = held.pop(s)
@@ -558,10 +530,9 @@ def transfer_blocks(spec: ChainSpec, u: complex, twist: TwistConfig | None = Non
     return {s: t[s] for s in (_block_map(spec.M)[0] if contents is None else contents)}
 
 
-def transfer_matrix(spec: ChainSpec, u: complex, twist: TwistConfig | None = None,
-                    sites=None) -> np.ndarray:
+def transfer_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
     """Dense twisted transfer matrix on H (see transfer_blocks)."""
-    return _dense(spec, transfer_blocks(spec, u, twist, sites))
+    return _dense(spec, transfer_blocks(spec, u))
 
 
 def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
@@ -569,10 +540,10 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
 
     The vacuum is the only basis vector of content (M, 0, 0) and T_kk keeps
     content, so the vacuum is an eigenvector by construction and lambda_k is
-    the 1 x 1 block of T_kk there.
+    the 1 x 1 block of T_kk there, in the one aux (x) H group vacuum + e_k.
     """
     vac = (spec.M, 0, 0)
-    t_kk = entry_blocks(spec, monodromy_groups(spec, u, sites, [vac]), k, k, [vac])
+    t_kk = monodromy_entries(spec, u, [(k, k)], sites, [vac])[k, k]
     return complex(t_kk[vac][1][0, 0])
 
 
@@ -615,26 +586,24 @@ def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
     return _read_off(spec, partial(zero_mode_entry, spec, sites=sites))
 
 
-def zero_mode_limit_groups(spec: ChainSpec, sites=None, scale: float = 1e6):
+def zero_mode_limit_groups(spec: ChainSpec, scale: float = 1e6):
     """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only.
 
-    Yields (k, groups) with only group k present, one aux (x) H group at a
-    time in _groups_in_turn's scratch buffers: read or copy each before
-    asking for the next.
+    Yields (k, block) for every aux (x) H group k, one at a time in _stream's
+    scratch buffers (every group holds a diagonal entry): read or copy each
+    block before asking for the next.
     """
     u = scale * spec.c
-    for k, one in _groups_in_turn(spec, u, sites):
+    for k, block in _stream(spec, u, _DIAGONAL):
         # (u/c)(T - 1) in place, with the bits of the out-of-place form
-        one[k].flat[::one[k].shape[0] + 1] -= 1
-        np.multiply(u / spec.c, one[k], out=one[k])
-        yield k, one
+        block.flat[::block.shape[0] + 1] -= 1
+        np.multiply(u / spec.c, block, out=block)
+        yield k, block
 
 
-def zero_mode_limit(spec: ChainSpec, sites=None, scale: float = 1e6) -> np.ndarray:
+def zero_mode_limit(spec: ChainSpec, scale: float = 1e6) -> np.ndarray:
     """3x3 object array of the dense zero_mode_limit_groups read-off."""
-    groups = [None] * len(_content_partition(spec.M + 1)[0])
-    for k, one in zero_mode_limit_groups(spec, sites, scale):
-        groups[k] = one[k].copy()
+    groups = {k: block.copy() for k, block in zero_mode_limit_groups(spec, scale)}
     return _read_off(spec, partial(entry_blocks, spec, groups))
 
 
@@ -690,13 +659,13 @@ def tm1_residual(spec: ChainSpec, u: complex, v: complex,
     Checks [T_ij(u), T_kl(v)} =
     (-1)^{[i]([k]+[l]) + [k][l]} g(u,v) (T_kj(v) T_il(u) - T_kj(u) T_il(v))
     for the given (i,j,k,l), normalized by the largest entry magnitude.
-    Only the six entries the relation reads are kept, T_ij, T_il and T_kj at
-    u and T_kl, T_kj and T_il at v, each aux (x) H group built once per point;
-    both sides are then formed one H content at a time.
+    Only the six entries the relation reads are built, T_ij, T_il and T_kj at
+    u and T_kl, T_kj and T_il at v (monodromy_entries); both sides are then
+    formed one H content at a time.
     """
     i, j, k, l = indices
-    at_u = _entries_at(spec, u, {(i, j), (i, l), (k, j)})
-    at_v = _entries_at(spec, v, {(k, l), (k, j), (i, l)})
+    at_u = monodromy_entries(spec, u, [(i, j), (i, l), (k, j)])
+    at_v = monodromy_entries(spec, v, [(k, l), (k, j), (i, l)])
     pi, pj, pk, pl = (_PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)

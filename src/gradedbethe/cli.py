@@ -25,7 +25,7 @@ from .chain import (
     VacuumFunctions,
     _default_xi,
     entry_blocks,
-    monodromy_groups,
+    monodromy_entries,
     tm1_residual,
     vacuum_eigenvalue,
     verify_rtt,
@@ -187,7 +187,7 @@ class _Workspace:
         if self._dec is None:
             dec = None
             if self.cache_directory:
-                dec = load_cache(self.cache_directory, self.spec, self.spec.twist)
+                dec = load_cache(self.cache_directory, self.spec)
             if dec is None:
                 dec = diagonalize_transfer(self.spec)
                 if self.cache_directory:
@@ -248,18 +248,18 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     u = _random_point(rng, spec.c, 2.5 * spec.c)
     # the vacuum e_1 (x) ... (x) e_1 is the one basis vector of its content
     vac_s = _content(spec, (0, 0))
-    groups = monodromy_groups(spec, u, contents=[vac_s])
+    t = monodromy_entries(spec, u, itertools.product((1, 2, 3), repeat=2), contents=[vac_s])
     worst_ann = 0.0
     worst_eig = 0.0
     for i, j in itertools.permutations((1, 2, 3), 2):
         # T_ij |vac> (i > j) and <vac| T_ij (i < j); blocks that do not exist act as zero
         images = [blk[:, 0] if i > j else blk[0]
-                  for s, (image, blk) in entry_blocks(spec, groups, i, j).items()
+                  for s, (image, blk) in t[i, j].items()
                   if (s if i > j else image) == vac_s]
         worst_ann = max([worst_ann] + [float(np.abs(x).max()) for x in images])
     for k in (1, 2, 3):
         lam = vac.lam(k, u)
-        image = entry_blocks(spec, groups, k, k)[vac_s][1][:, 0]
+        image = t[k, k][vac_s][1][:, 0]
         worst_eig = max(worst_eig, float(np.abs(image - lam).max()) / max(1, abs(lam)))
     out.append(make_report("vacuum:annihilation", worst_ann, 0.0, 1e-10, residual=worst_ann))
     out.append(make_report("vacuum:eigenvalue", worst_eig, 0.0, 1e-10, residual=worst_eig))
@@ -268,7 +268,7 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     m = int(rng.integers(1, spec.M)) if spec.M > 1 else 1
     worst_fact = 0.0
     for k in (1, 2, 3):
-        lam_full = vacuum_eigenvalue(spec, k, None, u)
+        lam_full = complex(t[k, k][vac_s][1][0, 0])
         lam_1 = vacuum_eigenvalue(spec, k, range(1, m + 1), u)
         lam_2 = vacuum_eigenvalue(spec, k, range(m + 1, spec.M + 1), u) if m < spec.M else 1.0
         worst_fact = max(worst_fact, abs(lam_full - lam_1 * lam_2) / max(1, abs(lam_full)))
@@ -281,9 +281,9 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     # as |s a - s b| = |a - b| for the signs s; each aux (x) H group of the
     # limit is compared as soon as it is built
     diff = 0.0
-    for _, zl in zero_mode_limit_groups(spec, scale=1e6 * spec.M):
+    for k, block in zero_mode_limit_groups(spec, scale=1e6 * spec.M):
         for i, j in itertools.product((1, 2, 3), repeat=2):
-            limit = entry_blocks(spec, zl, i, j)
+            limit = entry_blocks(spec, {k: block}, i, j)
             if limit:
                 exact = zero_mode_entry(spec, i, j, contents=limit)
                 diff = max([diff] + [float(np.abs(blk - limit[s][1]).max())

@@ -12,7 +12,7 @@ sides that both vanish (below a scale-invariant floor) is reported as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -25,8 +25,7 @@ from .chain import (
     _PAR,
     combine,
     compose,
-    entry_blocks,
-    monodromy_groups,
+    monodromy_entries,
     transfer_blocks,
     zero_mode_entry,
 )
@@ -157,9 +156,8 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
             if z is not None:
                 raise ValueError("eigenvalue difference vanishes at z; pick another z")
             continue
-        groups = monodromy_groups(spec, zc, contents=[_content(spec, pair_b.sector)])
-        t_ij = entry_blocks(spec, groups, i, j)
-        return sandwich(spec, pair_c, t_ij, pair_b) / dtau
+        t_ij = monodromy_entries(spec, zc, [(i, j)], contents=[_content(spec, pair_b.sector)])
+        return sandwich(spec, pair_c, t_ij[i, j], pair_b) / dtau
     raise ValueError("no probe point separates the two eigenvalue functions")
 
 
@@ -280,7 +278,7 @@ def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
     """
     twist = TwistConfig(tuple(np.exp(b) for b in beta))
     twisted_roots = _solve_at_twist(pair.roots, vac, twist, tol=1e-13)
-    dec = diagonalize_transfer(spec, twist=twist, sectors=[twisted_roots.sector])
+    dec = diagonalize_transfer(replace(spec, twist=twist), sectors=[twisted_roots.sector])
     tp = match_roots_to_state(dec, twisted_roots, vac)
     if smooth_reference is not None:
         want = sandwich(spec, pair, None, smooth_reference)

@@ -32,7 +32,6 @@ from .bethe import BetheRoots, BetheSolverError, fit_roots_to_samples, solve_bet
     subset_seed_candidates, tau_eigenvalue
 from .chain import (
     ChainSpec,
-    TwistConfig,
     VacuumFunctions,
     _content_partition,
     transfer_blocks,
@@ -134,7 +133,6 @@ class SpectralDecomposition:
     """Joint right/left eigendecomposition of the transfer family at p probes."""
 
     spec: ChainSpec
-    twist: TwistConfig
     probes: np.ndarray
     states: list[EigenState]
     consistency: float
@@ -159,7 +157,6 @@ def sandwich(spec: ChainSpec, c, op: dict | None, b) -> complex:
 
 
 def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
-                         twist: TwistConfig | None = None,
                          cluster_gap: float = 1e-8,
                          sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition:
     """Sector-blocked eigendecomposition of the (twisted) transfer matrix.
@@ -172,13 +169,12 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     the work to those sectors (default: all); sectors are diagonalized
     independently, so the states of a covered sector are the same either way.
     """
-    twist = twist if twist is not None else spec.twist
     probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
     wanted = [s for s in sector_indices(spec) if sectors is None or s in sectors]
     contents = None if sectors is None else [_content(spec, s) for s in wanted]
     # one probe's transfer blocks at a time: every sector is diagonalized at the
     # first probe, then each later probe is sandwiched on every sector
-    t_op = transfer_blocks(spec, probes[0], twist=twist, contents=contents)
+    t_op = transfer_blocks(spec, probes[0], contents=contents)
     bases = {}
     for sector in wanted:
         w0, vl, vr = scipy.linalg.eig(t_op[_content(spec, sector)][1], left=True, right=True)
@@ -203,7 +199,7 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
 
     worst = 0.0
     for q in range(1, probes.size):
-        t_op = transfer_blocks(spec, probes[q], twist=twist, contents=contents)
+        t_op = transfer_blocks(spec, probes[q], contents=contents)
         for sector, (vr, left_rows, pairing, clustered, samples) in bases.items():
             safe = ~clustered
             tv = t_op[_content(spec, sector)][1] @ vr
@@ -223,7 +219,7 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
         rights, lefts = np.ascontiguousarray(vr.T), np.ascontiguousarray(left_rows)
         states += [EigenState(sector, samples[k], rights[k], lefts[k], probes,
                               clustered=bool(clustered[k])) for k in range(samples.shape[0])]
-    return SpectralDecomposition(spec, twist, probes, states, worst)
+    return SpectralDecomposition(spec, probes, states, worst)
 
 
 def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
@@ -301,7 +297,7 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
         def fn(w: complex) -> complex:
             t = t_cache.get((w, content))
             if t is None:
-                t = transfer_blocks(spec, w, twist=dec.twist, contents=[content])
+                t = transfer_blocks(spec, w, contents=[content])
                 t_cache[(w, content)] = t
             return sandwich(spec, st, t, st) / st.pairing
         return fn
@@ -329,10 +325,10 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             roots = None
             seeds: list[BetheRoots] = []
             if b == 0:
-                guess = fit_roots_to_samples(sector, tau_fn_for(st), vac, twist=dec.twist)
+                guess = fit_roots_to_samples(sector, tau_fn_for(st), vac, twist=spec.twist)
                 if guess is not None:
                     seeds.append(guess)
-            seeds.extend(subset_seed_candidates(sector, vac, twist=dec.twist))
+            seeds.extend(subset_seed_candidates(sector, vac, twist=spec.twist))
             for seed in seeds:
                 try:
                     polished = solve_bethe(seed, vac, tol=newton_tol)
@@ -352,24 +348,24 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
 # -- spectral cache -------------------------------------------------------------
 
 
-def _cache_path(directory: str, spec: ChainSpec, twist: TwistConfig) -> str:
+def _cache_path(directory: str, spec: ChainSpec) -> str:
     import hashlib
     import json as _json
 
-    key = _json.dumps({"spec": spec.to_json(), "twist": twist.to_json(),
-                       "schema": CACHE_SCHEMA}, sort_keys=True)
+    # the spec's JSON holds the twist as "kappa"
+    key = _json.dumps({"spec": spec.to_json(), "schema": CACHE_SCHEMA}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:20]
     return os.path.join(directory, f"spectrum_{digest}.npz")
 
 
 def save_cache(directory: str, dec: SpectralDecomposition) -> str:
-    """Persist a decomposition keyed by (spec hash, twist, schema version).
+    """Persist a decomposition keyed by (spec hash, schema version).
 
     Each side is one flat array of the sector-local vectors end to end;
     the sectors give the lengths back on load.
     """
     os.makedirs(directory, exist_ok=True)
-    path = _cache_path(directory, dec.spec, dec.twist)
+    path = _cache_path(directory, dec.spec)
     sectors = np.array([s.sector for s in dec.states], dtype=np.int64)
     np.savez_compressed(
         path,
@@ -385,11 +381,9 @@ def save_cache(directory: str, dec: SpectralDecomposition) -> str:
     return path
 
 
-def load_cache(directory: str, spec: ChainSpec,
-               twist: TwistConfig | None = None) -> SpectralDecomposition | None:
+def load_cache(directory: str, spec: ChainSpec) -> SpectralDecomposition | None:
     """Load a cached decomposition; stale or mismatched caches return None."""
-    twist = twist if twist is not None else spec.twist
-    path = _cache_path(directory, spec, twist)
+    path = _cache_path(directory, spec)
     if not os.path.exists(path):
         return None
     try:
@@ -406,7 +400,7 @@ def load_cache(directory: str, spec: ChainSpec,
         states = [EigenState(sector, fields["samples"][k], rights[k], lefts[k],
                              fields["probes"], clustered=bool(fields["clustered"][k]))
                   for k, sector in enumerate(sectors)]
-        return SpectralDecomposition(spec, twist, fields["probes"], states,
+        return SpectralDecomposition(spec, fields["probes"], states,
                                      float(fields["consistency"][0]))
     except (OSError, KeyError, ValueError):
         return None

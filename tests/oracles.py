@@ -3,14 +3,16 @@
 The package works on content-group blocks and signed permutations; the
 dense forms here (graded Kronecker product, supertraces, graded commutator
 and the two-site R-matrix) state the same conventions the textbook way, so
-the tests can compare against them.  The full-set forms of transfer_blocks
-and tm1_residual hold every aux (x) H group at once, as the package did
-before it streamed them; the streamed forms must match them to the bit.
+the tests can compare against them.  The full-set forms of the monodromy,
+transfer_blocks and tm1_residual hold every aux (x) H group at once, each
+product built from its own identity; the package's entry reads, which build
+one group at a time in shared buffers, must match them to the bit.
 """
 
 import numpy as np
 
-from gradedbethe.chain import combine, compose, entry_blocks, g_fun, monodromy_groups
+from gradedbethe.chain import _content_partition, _group_product, _l_steps, combine, compose, \
+    entry_blocks, g_fun
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
     graded_permutation
 
@@ -91,11 +93,18 @@ def graded_commutator(
     return am @ bm - s * (bm @ am)
 
 
-def transfer_blocks_full_set(spec, u, twist=None, sites=None, contents=None) -> dict:
+def monodromy_group_set(spec, u, sites=None) -> dict:
+    """Every aux (x) H group block of the monodromy over ``sites`` at once, as {k: block}."""
+    sites = spec.all_sites() if sites is None else tuple(sites)
+    steps = _l_steps(spec, u, sites, spec.M + 1, aux=0)
+    return {k: _group_product(k, ix.size, steps)
+            for k, ix in enumerate(_content_partition(spec.M + 1)[0])}
+
+
+def transfer_blocks_full_set(spec, u, contents=None) -> dict:
     """sum_i (-1)^{[i]} kappa_i T_ii(u) by ``combine`` over the whole group set."""
-    twist = twist if twist is not None else spec.twist
-    groups = monodromy_groups(spec, u, sites, contents)
-    t = combine(*[((-1) ** PAR[i] * twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
+    groups = monodromy_group_set(spec, u)
+    t = combine(*[((-1) ** PAR[i] * spec.twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
                   for i in range(3)])
     return t if contents is None else {s: t[s] for s in contents}
 
@@ -103,7 +112,7 @@ def transfer_blocks_full_set(spec, u, twist=None, sites=None, contents=None) -> 
 def tm1_residual_full_set(spec, u, v, indices) -> float:
     """tm1_residual by ``compose`` and ``combine`` over the whole group sets at u and v."""
     i, j, k, l = indices
-    gu, gv = monodromy_groups(spec, u), monodromy_groups(spec, v)
+    gu, gv = monodromy_group_set(spec, u), monodromy_group_set(spec, v)
 
     def t(groups, a, b):
         return entry_blocks(spec, groups, a, b)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gradedbethe.chain import (
     entry_blocks,
     g_fun,
     monodromy_blocks,
-    monodromy_groups,
+    monodromy_entries,
     tm1_residual,
     transfer_blocks,
     transfer_matrix,
@@ -30,10 +31,11 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_permutation, GradedS
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes
-from oracles import graded_commutator, r_matrix, supertrace_over_aux, tm1_residual_full_set, \
-    transfer_blocks_full_set
+from oracles import graded_commutator, monodromy_group_set, r_matrix, supertrace_over_aux, \
+    tm1_residual_full_set, transfer_blocks_full_set
 
 PAR = FUNDAMENTAL_PARITIES
+ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
 
 
 def rand_pt(rng, shift=0.0):
@@ -60,11 +62,11 @@ def structural_zero_mode_groups(spec, sites=None):
     """
     sites = spec.all_sites() if sites is None else tuple(sites)
     groups, g2l, _ = _content_partition(spec.M + 1)
-    blocks = [np.zeros((ix.size, ix.size), dtype=complex) for ix in groups]
+    blocks = {k: np.zeros((ix.size, ix.size), dtype=complex) for k, ix in enumerate(groups)}
     for n in sites:
         perm = permutation_between([GradedSpace.fundamental()] * (spec.M + 1), 0, n)
-        for blk, ix in zip(blocks, groups):
-            blk[g2l[perm.dest[ix]], g2l[ix]] += perm.sign[ix]
+        for k, ix in enumerate(groups):
+            blocks[k][g2l[perm.dest[ix]], g2l[ix]] += perm.sign[ix]
     return blocks
 
 
@@ -73,8 +75,8 @@ def dense_entry(spec, groups, i, j):
     aux_groups, _, _ = _content_partition(spec.M + 1)
     dh = spec.hilbert_dim
     full = np.zeros((3 * dh, 3 * dh), dtype=complex)
-    for ix, blk in zip(aux_groups, groups):
-        full[np.ix_(ix, ix)] = blk
+    for k, ix in enumerate(aux_groups):
+        full[np.ix_(ix, ix)] = groups[k]
     return BLOCK_SIGNS[i - 1, j - 1] * full[(i - 1) * dh:i * dh, (j - 1) * dh:j * dh]
 
 
@@ -230,9 +232,9 @@ def test_transfer_matrices_commute():
     t_v = transfer_matrix(spec, v)
     assert np.abs(t_u @ t_v - t_v @ t_u).max() < 1e-10
     # twisted and untwisted at the same twist commute across spectral points
-    twist = TwistConfig((1.3, 0.8, 1.1))
-    s_u = transfer_matrix(spec, u, twist=twist)
-    s_v = transfer_matrix(spec, v, twist=twist)
+    twisted = replace(spec, twist=TwistConfig((1.3, 0.8, 1.1)))
+    s_u = transfer_matrix(twisted, u)
+    s_v = transfer_matrix(twisted, v)
     assert np.abs(s_u @ s_v - s_v @ s_u).max() < 1e-10
 
 
@@ -253,7 +255,7 @@ def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
     t = transfer_matrix(spec, w)
     tau = vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
     assert np.abs(t @ vec - tau * vec).max() < 1e-12
-    t2 = transfer_matrix(spec, w, twist=TwistConfig((2.0, 1.0, 1.0)))
+    t2 = transfer_matrix(replace(spec, twist=TwistConfig((2.0, 1.0, 1.0))), w)
     tau2 = 2 * vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
     assert np.abs(t2 @ vec - tau2 * vec).max() < 1e-12
 
@@ -396,7 +398,7 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     states = [state(*s) for s in contents]
     u = rand_pt(rng, 2.5)
     for sites in oracle_ranges(m_sites):
-        operators = [(monodromy_groups(spec, u, sites), monodromy_blocks(spec, u, sites)),
+        operators = [(monodromy_group_set(spec, u, sites), monodromy_blocks(spec, u, sites)),
                      (structural_zero_mode_groups(spec, sites), zero_mode(spec, sites))]
         for groups, read_off in operators:
             for i, j in itertools.product((1, 2, 3), repeat=2):
@@ -416,20 +418,19 @@ def test_transfer_blocks_are_the_sector_blocks(m_sites, make_spec):
     rng = np.random.default_rng(50 + m_sites)
     u = rand_pt(rng, 2.5)
     groups, _, contents = _content_partition(m_sites)
-    for sites in oracle_ranges(m_sites):
-        oracle = supertrace_over_aux(concrete(monodromy_blocks(spec, u, sites)),
-                                     weights=np.array(spec.twist.kappa))
-        dense = transfer_matrix(spec, u, sites=sites)
-        blocks = transfer_blocks(spec, u, sites=sites)
-        assert list(blocks) == list(contents)
-        for idx, s in zip(groups, contents):
-            image, blk = blocks[s]
-            assert image == s
-            assert np.array_equal(blk, dense[np.ix_(idx, idx)])
-            assert np.abs(blk - oracle[np.ix_(idx, idx)]).max() < 1e-13
-            # restricting to one group computes the same block
-            assert np.array_equal(transfer_blocks(spec, u, sites=sites, contents=[s])[s][1], blk)
-        assert np.abs(dense - oracle).max() < 1e-13  # nothing outside the sector blocks
+    oracle = supertrace_over_aux(concrete(monodromy_blocks(spec, u)),
+                                 weights=np.array(spec.twist.kappa))
+    dense = transfer_matrix(spec, u)
+    blocks = transfer_blocks(spec, u)
+    assert list(blocks) == list(contents)
+    for idx, s in zip(groups, contents):
+        image, blk = blocks[s]
+        assert image == s
+        assert np.array_equal(blk, dense[np.ix_(idx, idx)])
+        assert np.abs(blk - oracle[np.ix_(idx, idx)]).max() < 1e-13
+        # restricting to one group computes the same block
+        assert np.array_equal(transfer_blocks(spec, u, contents=[s])[s][1], blk)
+    assert np.abs(dense - oracle).max() < 1e-13  # nothing outside the sector blocks
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
@@ -461,23 +462,28 @@ COMMUTATION_INDICES = [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1)]
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
-    # transfer_blocks and tm1_residual build one aux (x) H group at a time; the
-    # full-set path holds every group and is the reference, to the bit
+    # monodromy_entries, transfer_blocks and tm1_residual build one aux (x) H
+    # group at a time; the full-set path holds every group and is the
+    # reference, to the bit, on every site range and every read
     spec = make_spec(m_sites)
     rng = np.random.default_rng(90 + m_sites)
     u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
     _, _, contents = _content_partition(m_sites)
+    reads = (None, [contents[-1]], list(contents[::2]))
     for sites in oracle_ranges(m_sites):
-        streamed = transfer_blocks(spec, u, sites=sites)
-        full = transfer_blocks_full_set(spec, u, sites=sites)
-        assert list(streamed) == list(full) == list(contents)
-        for s, (image, blk) in full.items():
-            assert streamed[s][0] == image and np.array_equal(streamed[s][1], blk)
-        for read in ([contents[-1]], list(contents[::2])):
-            part = transfer_blocks(spec, u, sites=sites, contents=read)
-            ref = transfer_blocks_full_set(spec, u, sites=sites, contents=read)
-            assert list(part) == list(ref) == read
-            assert all(np.array_equal(part[s][1], ref[s][1]) for s in read)
+        full = monodromy_group_set(spec, u, sites)
+        for read in reads:
+            got = monodromy_entries(spec, u, ALL_PAIRS, sites, read)
+            for i, j in ALL_PAIRS:
+                ref = entry_blocks(spec, full, i, j, read)
+                assert got[i, j].keys() == ref.keys()
+                assert all(got[i, j][s][0] == image and np.array_equal(got[i, j][s][1], blk)
+                           for s, (image, blk) in ref.items())
+    for read in reads:
+        part = transfer_blocks(spec, u, contents=read)
+        ref = transfer_blocks_full_set(spec, u, contents=read)
+        assert list(part) == list(ref) == list(contents if read is None else read)
+        assert all(part[s][0] == ref[s][0] and np.array_equal(part[s][1], ref[s][1]) for s in ref)
     assert transfer_blocks(spec, u, contents=[]) == {}
     for indices in COMMUTATION_INDICES:
         assert tm1_residual(spec, u, v, indices) == tm1_residual_full_set(spec, u, v, indices)
@@ -525,31 +531,77 @@ def test_group_outer_products_are_bit_identical(m_sites, make_spec):
     rng = np.random.default_rng(80 + m_sites)
     u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
     for sites in oracle_ranges(m_sites):
-        new = monodromy_groups(spec, u, sites)
-        old = site_outer_monodromy(spec, u, sites)
-        assert all(np.array_equal(a, b) for a, b in zip(new, old, strict=True))
+        # the entry blocks tile every group, so equal entries are equal groups
+        new = monodromy_entries(spec, u, ALL_PAIRS, sites)
+        old = dict(enumerate(site_outer_monodromy(spec, u, sites)))
+        for i, j in ALL_PAIRS:
+            ref = entry_blocks(spec, old, i, j)
+            assert new[i, j].keys() == ref.keys()
+            assert all(np.array_equal(new[i, j][s][1], blk) for s, (_, blk) in ref.items())
     assert verify_rtt(spec, u, v) == site_outer_rtt(spec, u, v)
 
 
+def record_builds(monkeypatch) -> list:
+    """Every aux (x) H group product built from now on, as (group, g values of its steps)."""
+    built = []
+    product = chain._group_product
+
+    def recorded(k, size, steps, *args, **kwargs):
+        built.append((k, tuple(g for _, g in steps)))
+        return product(k, size, steps, *args, **kwargs)
+
+    monkeypatch.setattr(chain, "_group_product", recorded)
+    return built
+
+
 @pytest.mark.parametrize("m_sites", [1, 3, 5])
-def test_restricted_builds_compute_only_the_read_groups(m_sites):
+def test_restricted_builds_compute_only_the_read_groups(m_sites, monkeypatch):
     spec = ChainSpec(M=m_sites, c=0.8 + 0.3j)
     u = 1.7 - 0.6j
     _, _, h_contents = _content_partition(m_sites)
     _, _, aux_contents = _content_partition(m_sites + 1)
-    full = monodromy_groups(spec, u)
-    for read in ([h_contents[0]], [h_contents[-1]], list(h_contents[1:3])):
-        part = monodromy_groups(spec, u, contents=read)
-        wanted = {tuple(n + (t == j) for t, n in enumerate(s)) for s in read for j in range(3)}
-        for a, blk, ref in zip(aux_contents, part, full, strict=True):
-            assert (blk is None) == (a not in wanted)
-            assert blk is None or np.array_equal(blk, ref)
-        for i, j in itertools.product((1, 2, 3), repeat=2):
-            whole = entry_blocks(spec, full, i, j)
-            restricted = entry_blocks(spec, part, i, j, contents=read)
-            assert list(restricted) == [s for s in whole if s in read]
-            for s, (image, blk) in restricted.items():
-                assert image == whole[s][0] and np.array_equal(blk, whole[s][1])
+    full = monodromy_group_set(spec, u)
+    built = record_builds(monkeypatch)
+    for pairs in ([(1, 2)], [(3, 3), (2, 1)], ALL_PAIRS):
+        for read in ([h_contents[0]], [h_contents[-1]], list(h_contents[1:3])):
+            built.clear()
+            got = monodromy_entries(spec, u, pairs, contents=read)
+            # the group s + e_j of every requested T_ij with a block on a read s
+            wanted = set()
+            for i, j in pairs:
+                whole = entry_blocks(spec, full, i, j)
+                assert got[i, j].keys() == {s for s in whole if s in read}
+                for s, (image, blk) in got[i, j].items():
+                    assert image == whole[s][0] and np.array_equal(blk, whole[s][1])
+                    wanted.add(aux_contents.index(tuple(n + (t == j - 1)
+                                                        for t, n in enumerate(s))))
+            assert sorted(k for k, _ in built) == sorted(wanted)
+
+
+def test_single_entry_reads_build_one_group(pairs5, monkeypatch):
+    from gradedbethe.formfactors import universal_form_factor
+
+    spec, vac, pc, pb = pairs5
+    vac_plus_e1 = _content_partition(spec.M + 1)[2].index((spec.M + 1, 0, 0))
+    built = record_builds(monkeypatch)
+    # both built the three groups s + e_j of the read content before
+    universal_form_factor(spec, vac, pc, pb, 2, 2)
+    assert len(built) == 1
+    built.clear()
+    vacuum_eigenvalue(spec, 1, None, 2.1 + 0.4j)
+    assert [k for k, _ in built] == [vac_plus_e1]
+
+
+def test_tm1_residual_builds_only_the_groups_of_its_entries(monkeypatch):
+    spec = ChainSpec(M=4)
+    u, v = 1.3 + 2.1j, -2.2 + 0.7j
+    built = record_builds(monkeypatch)
+    tm1_residual(spec, u, v, (1, 2, 2, 3))
+    # T_12, T_13, T_22 at u and T_23, T_22, T_13 at v: every group but (5,0,0)
+    # and (0,0,5) holds one, 19 of 21 at each point, each built once
+    aux_contents = _content_partition(spec.M + 1)[2]
+    assert len(set(built)) == len(built) == 2 * 19
+    assert {aux_contents[k] for k, _ in built} == set(aux_contents) - {(5, 0, 0), (0, 0, 5)}
 
 
 # -- RTT conformance --------------------------------------------------------------

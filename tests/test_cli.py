@@ -241,30 +241,18 @@ def test_proposition1_holds_no_twisted_spectrum():
 def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     from gradedbethe import chain
 
-    unrestricted = []
-    original = chain.monodromy_groups
-
-    def counted(spec, u, sites=None, contents=None):
-        if contents is None:
-            unrestricted.append(sites)
-        return original(spec, u, sites, contents)
-
-    for module in _package_modules():
-        if hasattr(module, "monodromy_groups"):
-            monkeypatch.setattr(module, "monodromy_groups", counted)
-
-    # every aux (x) H group built while a full-chain build streams all groups,
+    # every aux (x) H group built while a read with no contents streams,
     # keyed by the group and the steps' g values, which fix the spectral point
     streamed, streaming = [], []
-    product, in_turn = chain._group_product, chain._groups_in_turn
+    product, stream = chain._group_product, chain._stream
 
     def recorded(k, size, steps, *args, **kwargs):
         if streaming and streaming[-1]:
             streamed.append((k, size, tuple(g for _, g in steps)))
         return product(k, size, steps, *args, **kwargs)
 
-    def tracked(spec, u, sites=None, contents=None):
-        groups = in_turn(spec, u, sites, contents)
+    def tracked(spec, u, pairs, sites=None, contents=None):
+        groups = stream(spec, u, pairs, sites, contents)
         while True:
             streaming.append(contents is None)
             try:
@@ -276,16 +264,16 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
             yield item
 
     monkeypatch.setattr(chain, "_group_product", recorded)
-    monkeypatch.setattr(chain, "_groups_in_turn", tracked)
+    monkeypatch.setattr(chain, "_stream", tracked)
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # the full builds stream their groups (8 unrestricted calls held whole group
-    # sets): the five probes of the all-sector diagonalization, the two spectral
-    # points of tm1_residual and the zero-mode limit, each group built once
-    assert unrestricted == []
+    # the full-chain reads: the five probes of the all-sector diagonalization
+    # and the zero-mode limit build all 21 groups, tm1_residual at its two
+    # spectral points only the 19 holding its six entries (21 each before);
+    # each group at most once per point
     n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
-    assert len(set(streamed)) == len(streamed) == 8 * n_groups
+    assert len(set(streamed)) == len(streamed) == 6 * n_groups + 2 * 19 == 164
     assert len({g for _, _, g in streamed}) == 8
 
 

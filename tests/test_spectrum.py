@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,7 @@ def test_cross_pairing_vanishes(classified4):
 
 def test_twisted_decomposition_perturbs_continuously(spec4, dec4):
     twist = TwistConfig((1 + 1e-5, 1.0, 1.0))
-    dec_tw = diagonalize_transfer(spec4, twist=twist)
+    dec_tw = diagonalize_transfer(replace(spec4, twist=twist))
     base = sorted(dec4.by_sector((1, 0)), key=lambda s: (s.tau_samples[0].real,
                                                          s.tau_samples[0].imag))
     moved = sorted(dec_tw.by_sector((1, 0)), key=lambda s: (s.tau_samples[0].real,
@@ -213,7 +215,7 @@ def test_probe_formula(spec4):
 
 def test_cache_roundtrip(tmp_path, spec4, dec4):
     path = save_cache(str(tmp_path), dec4)
-    again = load_cache(str(tmp_path), spec4, spec4.twist)
+    again = load_cache(str(tmp_path), spec4)
     assert again is not None
     assert len(again.states) == len(dec4.states)
     for new, old in zip(again.states, dec4.states):
@@ -225,9 +227,10 @@ def test_cache_roundtrip(tmp_path, spec4, dec4):
     # each cache member is read once: the states' vectors are rows of one array
     assert again.states[0].right.base is again.states[1].right.base
     assert again.states[0].left.base is again.states[1].left.base
-    # a different spec misses the cache
+    # a different spec misses the cache, a different twist included
     other = ChainSpec(M=3)
-    assert load_cache(str(tmp_path), other, other.twist) is None
+    assert load_cache(str(tmp_path), other) is None
+    assert load_cache(str(tmp_path), replace(spec4, twist=TwistConfig((1.0, 1.0, 1.1)))) is None
 
 
 def test_states_live_on_their_own_sector():
@@ -272,7 +275,7 @@ def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
                         rights=np.array(dense[0]), lefts=np.array(dense[1]),
                         clustered=np.array([st.clustered for st in states]),
                         consistency=np.array([dec4.consistency]))
-    assert load_cache(str(tmp_path), spec4, spec4.twist) is None
+    assert load_cache(str(tmp_path), spec4) is None
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
