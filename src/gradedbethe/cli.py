@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; pay for it at start-up
 
 from .bethe import bethe_residual, continue_twist
 from .chain import (

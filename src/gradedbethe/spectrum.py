@@ -18,6 +18,14 @@ the coordinates on the basis indices of the sector's content group
 (``sector_indices``), never embedded in the 3^M space.  Matrix elements go
 through ``sandwich``, which reads the one operator block from B's content to
 C's and reads zero where that block does not exist.
+
+Each sector block is diagonalized once, by ``np.linalg.eig`` for the
+eigenvalues and the right eigenvectors (the columns of vr).  The bilinear left
+eigenvectors are the rows of vr^-1, each scaled to unit 2-norm like the right
+ones, so ``EigenState.pairing`` = left . right is the reciprocal condition
+number of the eigenvalue: a vanishing pairing marks a nearly defective pair.
+A vr singular to working precision has no inverse; its sector's left rows are
+zero, and the zero pairing flags every state of that sector as clustered.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .bethe import BetheRoots, BetheSolverError, fit_roots_to_samples, solve_bethe, \
     subset_seed_candidates, tau_eigenvalue
@@ -55,7 +62,7 @@ __all__ = [
 ]
 
 CACHE_ENV_VAR = "GRADEDBETHE_CACHE"
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -156,6 +163,36 @@ def sandwich(spec: ChainSpec, c, op: dict | None, b) -> complex:
     return complex(c.left @ (entry[1] @ b.right))
 
 
+def _sector_eigenbasis(block: np.ndarray, cluster_gap: float):
+    """Eigenvalues, right columns, left rows, pairings and cluster flags of one block.
+
+    Sorted by eigenvalue.  Right columns are unit, left rows are the rows of
+    vr^-1 scaled to unit 2-norm, or zero when vr is singular to working
+    precision.  A state is clustered when its pairing is below 1e-10 or its
+    eigenvalue lies within ``cluster_gap`` (relative) of another one.
+    """
+    w0, vr = np.linalg.eig(block)
+    try:
+        left_rows = np.linalg.solve(vr, np.eye(w0.size, dtype=vr.dtype))
+    except np.linalg.LinAlgError:
+        left_rows = np.zeros_like(vr)
+    else:
+        left_rows /= np.linalg.norm(left_rows, axis=1, keepdims=True)
+    order = np.lexsort((w0.imag, w0.real))
+    w0, vr, left_rows = w0[order], vr[:, order], left_rows[order]
+    pairing = np.einsum("ij,ji->i", left_rows, vr)
+
+    # degenerate multiplets collide already at the first probe; nearly
+    # defective pairs betray themselves through a vanishing pairing
+    scale0 = max(1.0, float(np.abs(w0).max()))
+    clustered = np.abs(pairing) < 1e-10
+    for i in range(w0.size):
+        for j in range(i + 1, w0.size):
+            if abs(w0[i] - w0[j]) < cluster_gap * scale0:
+                clustered[i] = clustered[j] = True
+    return w0, vr, left_rows, pairing, clustered
+
+
 def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
                          cluster_gap: float = 1e-8,
                          sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition:
@@ -168,6 +205,10 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     state in the same sector are flagged as clustered.  ``sectors`` restricts
     the work to those sectors (default: all); sectors are diagonalized
     independently, so the states of a covered sector are the same either way.
+    Left eigenvectors are the unit-norm rows of vr^-1, so a state's pairing
+    is the reciprocal condition number of its eigenvalue; pairings below
+    1e-10 flag nearly defective states as clustered, and a sector whose vr is
+    singular to working precision has all its states flagged clustered.
     """
     probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
     wanted = [s for s in sector_indices(spec) if sectors is None or s in sectors]
@@ -177,22 +218,9 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     t_op = transfer_blocks(spec, probes[0], contents=contents)
     bases = {}
     for sector in wanted:
-        w0, vl, vr = scipy.linalg.eig(t_op[_content(spec, sector)][1], left=True, right=True)
-        order = np.lexsort((w0.imag, w0.real))
-        w0, vl, vr = w0[order], vl[:, order], vr[:, order]
-        n = w0.size
-        left_rows = vl.conj().T          # bilinear left eigenvectors as rows
-        pairing = np.einsum("ij,ji->i", left_rows, vr)
-
-        # degenerate multiplets collide already at the first probe; nearly
-        # defective pairs betray themselves through a vanishing pairing
-        scale0 = max(1.0, float(np.abs(w0).max()))
-        clustered = np.abs(pairing) < 1e-10
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(w0[i] - w0[j]) < cluster_gap * scale0:
-                    clustered[i] = clustered[j] = True
-        samples = np.zeros((n, probes.size), dtype=complex)
+        w0, vr, left_rows, pairing, clustered = _sector_eigenbasis(
+            t_op[_content(spec, sector)][1], cluster_gap)
+        samples = np.zeros((w0.size, probes.size), dtype=complex)
         samples[:, 0] = w0
         bases[sector] = (vr, left_rows, pairing, clustered, samples)
     del t_op

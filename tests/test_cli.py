@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gradedbethe
 from gradedbethe.cli import (
     KNOWN_CHECKS,
     Scenario,
@@ -14,6 +17,8 @@ from gradedbethe.cli import (
 )
 
 from conftest import peak_bytes
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedbethe.__file__)))
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -373,3 +378,22 @@ def test_genfun_derivative_on_the_full_chain_is_trivial(tmp_path, m):
     assert code == 0 and len(genfun) == 3
     assert all(r.verdict == "trivial" for r in genfun)
     assert "zero*" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: block scipy in a fresh interpreter, run the
+    # M=3 default scenario, and check that importing the CLI loads no scipy module
+    env = {k: v for k, v in os.environ.items() if k != "GRADEDBETHE_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path, default_scenario_dict(m=3))
+    blocked = ("import sys; sys.modules['scipy'] = None; from gradedbethe.cli import main; "
+               f"sys.exit(main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]))")
+    run = subprocess.run([sys.executable, "-c", blocked], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    loaded = ("import sys, gradedbethe.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", loaded], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

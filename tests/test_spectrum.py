@@ -8,6 +8,8 @@ from gradedbethe.chain import ChainSpec, TwistConfig, VacuumFunctions, _content_
     transfer_blocks, transfer_matrix, zero_mode, zero_mode_entry
 from gradedbethe.spectrum import (
     MatchError,
+    _content,
+    _sector_eigenbasis,
     default_probes,
     diagonalize_transfer,
     load_cache,
@@ -264,18 +266,74 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
 
 
 def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
-    # a cache in the former layout: every state embedded in the 3^M space
+    # former caches under the current file name: schema 1 embedded every state
+    # in the 3^M space, schema 2 held sector-local vectors from another eigensolver
     path = save_cache(str(tmp_path), dec4)
     states = dec4.states
-    dense = [[embed(spec4, st.sector, getattr(st, side)) for st in states]
-             for side in ("right", "left")]
-    np.savez_compressed(path, schema=np.array([1]), probes=dec4.probes,
-                        sectors=np.array([st.sector for st in states], dtype=np.int64),
-                        samples=np.array([st.tau_samples for st in states]),
-                        rights=np.array(dense[0]), lefts=np.array(dense[1]),
-                        clustered=np.array([st.clustered for st in states]),
-                        consistency=np.array([dec4.consistency]))
-    assert load_cache(str(tmp_path), spec4) is None
+    former = {
+        1: [np.array([embed(spec4, st.sector, getattr(st, side)) for st in states])
+            for side in ("right", "left")],
+        2: [np.concatenate([getattr(st, side) for st in states]) for side in ("right", "left")],
+    }
+    for schema, (rights, lefts) in former.items():
+        np.savez_compressed(path, schema=np.array([schema]), probes=dec4.probes,
+                            sectors=np.array([st.sector for st in states], dtype=np.int64),
+                            samples=np.array([st.tau_samples for st in states]),
+                            rights=rights, lefts=lefts,
+                            clustered=np.array([st.clustered for st in states]),
+                            consistency=np.array([dec4.consistency]))
+        assert load_cache(str(tmp_path), spec4) is None
+
+
+@pytest.mark.parametrize("m_sites", [3, 4, 5])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_left_rows_are_unit_biorthogonal_eigenvectors(m_sites, twisted):
+    # every non-clustered state: left . T = lambda left on its sector block at
+    # the first probe, unit vectors on both sides, and a diagonal pairing matrix
+    spec = ChainSpec(M=m_sites)
+    if twisted:
+        spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
+    dec = diagonalize_transfer(spec)
+    blocks = transfer_blocks(spec, dec.probes[0])
+    for sector in sector_indices(spec):
+        safe = [st for st in dec.by_sector(sector) if not st.clustered]
+        if not safe:
+            continue
+        t = blocks[_content(spec, sector)][1]
+        for st in safe:
+            lam = st.tau_samples[0]
+            assert np.linalg.norm(st.left @ t - lam * st.left) / max(1.0, abs(lam)) <= 1e-12
+            assert abs(np.linalg.norm(st.left) - 1) <= 1e-12
+            assert abs(np.linalg.norm(st.right) - 1) <= 1e-12
+        pairings = np.array([st.left for st in safe]) @ np.array([st.right for st in safe]).T
+        assert np.abs(pairings - np.diag(np.diag(pairings))).max() <= 1e-12
+
+
+def test_singular_eigenvectors_flag_clusters_without_raising():
+    # a 2x2 Jordan block: the two computed eigenvectors are parallel to working
+    # precision, so both states are flagged
+    _, _, _, pairing, clustered = _sector_eigenbasis(np.array([[2.0, 1.0], [0.0, 2.0]],
+                                                              dtype=complex), 1e-8)
+    assert clustered.all() and np.abs(pairing).max() < 1e-10
+    # the 3x3 nilpotent Jordan block gives an exactly singular vr: zero left
+    # rows, zero pairings, every state flagged
+    nilpotent = np.eye(3, k=1, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.linalg.eig(nilpotent)[1], np.eye(3))
+    _, _, left, pairing, clustered = _sector_eigenbasis(nilpotent, 1e-8)
+    assert clustered.all() and not left.any() and not pairing.any()
+
+
+def test_pairing_is_the_reciprocal_condition_number():
+    # [[a, b], [0, d]] has eigenvalue condition number sqrt(1 + |b / (a - d)|^2);
+    # at b / (a - d) = 1e11 the eigenvalues are well apart (no cluster_gap
+    # flag) and only the vanishing pairing flags the nearly defective pair
+    for ratio, flagged in ((10.0, False), (1e11, True)):
+        block = np.array([[1.0, ratio * 1e-3], [0.0, 1.001]], dtype=complex)
+        w, _, _, pairing, clustered = _sector_eigenbasis(block, 1e-8)
+        assert np.allclose(w, [1.0, 1.001])
+        assert np.allclose(np.abs(pairing), 1 / np.sqrt(1 + ratio**2), rtol=1e-6)
+        assert list(clustered) == [flagged, flagged]
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
