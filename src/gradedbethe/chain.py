@@ -23,6 +23,12 @@ the one block between two of them).  The dense read-offs
 (``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
 ``zero_mode_limit``) fill 3^M x 3^M matrices from the same blocks: public API
 and test oracle.
+``verify_rtt`` compares the two sides of the RTT relation one aux (x) aux (x)
+H group at a time.  Each side is 1 (x) T at one point, placed from the aux
+(x) H group blocks, followed by M + 1 row steps: 2M + 2 per group, the right
+side rewritten with the graded swap P of the auxiliary spaces as
+P T_a(v) (1 (x) T(u)) (P + g).  Both sides share four scratch buffers,
+allocated once per call.
 The sign table is pinned by requiring the zero-mode commutation algebra to
 hold entrywise (an exact integer-arithmetic criterion) together with the RTT
 residual test; see tests/test_chain.py.
@@ -230,31 +236,41 @@ def _step_plan(n_factors: int, x: int, y: int) -> tuple:
     return tuple(plans)
 
 
-def _group_product(k: int, size: int, steps, start=None, scratch=None) -> np.ndarray:
-    """Block of (I + g_S P_S) ... (I + g_1 P_1) X on content group k, for steps [(plan, g), ...].
+def _square(buf: np.ndarray, size: int) -> np.ndarray:
+    """The leading size^2 entries of a flat buffer, as a size x size view."""
+    return buf[:size * size].reshape(size, size)
 
+
+def _group_product(k: int, size: int, steps, start=None, scratch=None) -> np.ndarray:
+    """Block of F_S ... F_1 X on content group k, for steps [(plan, g), ...].
+
+    Each factor is I + g P, or the graded permutation P alone where g is None.
     X is ``start`` (overwritten), or the identity.  Every step runs on this one
     group, so its block stays in cache, with two scratch buffers: the rows
     gathered, b = g * rows (``g`` first, out of place), then x + b, or x - b on
     the flipped rows.  Each entry gets the bits of x + g * (sign * x[src])
-    with no multiply by the sign.  Given ``scratch``, three flat buffers of at
-    least size^2 entries, X = I and both buffers are laid out in them, so the
-    block returned lives there until they are used again.
+    with no multiply by the sign.  Given ``scratch``, flat buffers of at least
+    size^2 entries, the work buffers are laid out in them: three, the first
+    holding X = I, or two when ``start`` is given.  The block returned is
+    ``start`` or one of those buffers, never the last scratch buffer.
     """
-    if scratch is None:
-        x = np.eye(size, dtype=complex) if start is None else start
-        a, b = np.empty_like(x), np.empty_like(x)
-    else:
-        x, a, b = (buf[:size * size].reshape(size, size) for buf in scratch)
+    views = [_square(buf, size) for buf in scratch or ()]
+    x = start
+    if x is None:
+        x = views.pop(0) if views else np.empty((size, size), dtype=complex)
         x.fill(0)
         x.flat[::size + 1] = 1
+    a, b = views or (np.empty_like(x), np.empty_like(x))
     for plan, g in steps:
         src, flipped = plan[k]
         x.take(src, axis=0, out=a, mode="clip")
-        np.multiply(g, a, out=b)
-        np.add(x, b, out=a)
-        if flipped is not None:
-            np.subtract(x, b, out=a, where=flipped)
+        if g is not None:
+            np.multiply(g, a, out=b)
+            np.add(x, b, out=a)
+            if flipped is not None:
+                np.subtract(x, b, out=a, where=flipped)
+        elif flipped is not None:
+            np.negative(a, out=a, where=flipped)
         x, a = a, x
     return x
 
@@ -613,43 +629,82 @@ def zero_mode_limit(spec: ChainSpec, scale: float = 1e6) -> np.ndarray:
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
     """Max-entry residual of the RTT relation on V (x) V (x) H.
 
-    Builds R(u,v) (T(u) (x) I) (I (x) T(v)) and the reversed side with O(N^2)
-    permutation applications and returns the largest entry of the difference.
-    The left side starts from I (x) T(v), which is block diagonal in the first
-    auxiliary letter with the aux (x) H group blocks of T(v) on the diagonal,
-    so only the M + 1 steps of T(u) and R run on aux (x) aux (x) H there.
+    Compares R(u,v) T_a(u) T_b(v) with T_b(v) T_a(u) R(u,v), T_a acting on the
+    first auxiliary space and T_b = 1 (x) T on the second, one aux (x) aux (x) H
+    group at a time, and returns the largest entry of the difference.  With P
+    the graded swap of the two auxiliary spaces, T_a(u) = P T_b(u) P and
+    R = 1 + g P, so the right side is P T_a(v) T_b(u) (P + g).  Each side starts
+    from T_b at one point, block diagonal in the first auxiliary letter with the
+    aux (x) H group blocks of T on the diagonal: as placed for the left side,
+    times P + g (a signed column gather plus g times itself) for the right.
+    Then M + 1 row steps run on each group, T_a(u) and R on the left, T_a(v)
+    and P on the right: 2M + 2 in all.  Both sides share four scratch buffers
+    sized for the largest group, allocated once, and each aux (x) H block of
+    T(u) and T(v) is held only until its last group.
     """
     if u == v:
         raise PoleError("RTT check needs u != v")
-    _check_poles(spec, u, spec.all_sites())
-    _check_poles(spec, v, spec.all_sites())
+    sites = spec.all_sites()
+    _check_poles(spec, u, sites)
+    _check_poles(spec, v, sites)
     n_factors = 2 + spec.M
-    r = [(_step_plan(n_factors, 0, 1), g_fun(u, v, spec.c))]
-    t_a = _l_steps(spec, u, spec.all_sites(), n_factors, aux=0)
-    t_b = _l_steps(spec, v, spec.all_sites(), n_factors, aux=1)
-    # T(v) on aux (x) H, and the diagonal runs (first letter l, content s) of
-    # each aux (x) aux (x) H group where its blocks sit in I (x) T(v)
-    t_v_steps = _l_steps(spec, v, spec.all_sites(), n_factors - 1, aux=0)
+    g = g_fun(u, v, spec.c)
+    swap = _step_plan(n_factors, 0, 1)
+    lhs_steps = _l_steps(spec, u, sites, n_factors, aux=0) + [(swap, g)]
+    rhs_steps = _l_steps(spec, v, sites, n_factors, aux=0) + [(swap, None)]
+    # T(u) and T(v) on aux (x) H, held per content; T_b puts the block of content
+    # s on the row and column run of first letter l in the group of content s + e_l
     inner, _, inner_contents = _content_partition(n_factors - 1)
-    t_v = {s: _group_product(k, ix.size, t_v_steps)
-           for k, (ix, s) in enumerate(zip(inner, inner_contents))}
+    inner_of = {s: (k, ix.size) for k, (ix, s) in enumerate(zip(inner, inner_contents))}
+    at = [_l_steps(spec, p, sites, n_factors - 1, aux=0) for p in (u, v)]
     groups, _, _ = _content_partition(n_factors)
     _, entries = _block_map(n_factors - 1)
     runs = [[] for _ in groups]
     for letter in range(3):
-        for s, _, g, rows, _ in entries[letter][letter]:
-            runs[g].append((rows, s))
+        for s, _, k, rows, _ in entries[letter][letter]:
+            runs[k].append((s, rows))
+    last = {s: k for k, group_runs in enumerate(runs) for s, _ in group_runs}
+    held = {}
+    largest = max(ix.size for ix in groups)
+    bufs = [np.empty(largest ** 2, dtype=complex) for _ in range(4)]
 
-    def lhs(k: int, size: int) -> np.ndarray:
-        x = np.zeros((size, size), dtype=complex)
-        for rows, s in runs[k]:
-            x[rows, rows] = t_v[s]
-        return _group_product(k, size, t_a + r, x)
+    def placed(buf: np.ndarray, point: int) -> np.ndarray:
+        # T_b at u (0) or v (1) on group k, in ``buf``
+        x = _square(buf, size)
+        x.fill(0)
+        for s, rows in runs[k]:
+            x[rows, rows] = held[s][point]
+        return x
 
-    # LHS = R . T_a(u) . T_b(v) and RHS = T_b(v) . T_a(u) . R, right factor first,
-    # compared one group at a time
-    return max(float(np.abs(lhs(k, ix.size) - _group_product(k, ix.size, r + t_a + t_b)).max())
-               for k, ix in enumerate(groups))
+    worst = 0.0
+    for k, ix in enumerate(groups):
+        size = ix.size
+        for s, _ in runs[k]:
+            if s not in held:
+                held[s] = [_group_product(*inner_of[s], steps, scratch=bufs[:3]).copy()
+                           for steps in at]
+        # left: R T_a(u) T_b(v), in the first three buffers
+        lhs = _group_product(k, size, lhs_steps, placed(bufs[0], 1), bufs[1:3])
+        free = bufs[1] if lhs.base is bufs[0] else bufs[0]
+        # right: P T_a(v) T_b(u) (P + g).  Column q of T_b(u) P is column src[q]
+        # of T_b(u), negated where P flips row q (P is symmetric)
+        src, flipped = swap[k]
+        x = placed(bufs[3], 0)
+        x_p, g_x = _square(free, size), _square(bufs[2], size)
+        x.take(src, axis=1, out=x_p, mode="clip")
+        np.multiply(g, x, out=g_x)
+        np.add(g_x, x_p, out=x)
+        if flipped is not None:
+            np.subtract(g_x, x_p, out=x, where=flipped.T)
+        rhs = _group_product(k, size, rhs_steps, x, (free, bufs[2]))
+        diff = _square(bufs[2], size)
+        np.subtract(lhs, rhs, out=diff)
+        # lhs is read: its buffer takes the magnitudes
+        worst = max(worst, float(np.abs(diff, out=_square(lhs.base.view(float), size)).max()))
+        for s, _ in runs[k]:
+            if last[s] == k:
+                del held[s]
+    return worst
 
 
 def tm1_residual(spec: ChainSpec, u: complex, v: complex,

@@ -42,7 +42,7 @@ from .formfactors import (
     check_theorem1,
     check_theorem2,
     make_report,
-    twisted_dual_pair,
+    twisted_dual_pairs,
     universal_form_factor,
     zero_mode_ladder_checks,
 )
@@ -431,10 +431,9 @@ def _run_proposition1(ws: _Workspace) -> list[FormFactorReport]:
             continue
         beta = [0.0, 0.0, 0.0]
         beta[i - 1] = sc.beta_magnitude
-        tp = twisted_dual_pair(spec, vac, pc, tuple(beta))
-        out.append(check_proposition1(spec, vac, tp, pb, tuple(beta), m, tol=1e-7))
-        tp_same = twisted_dual_pair(spec, vac, pb, tuple(beta))
-        out.append(check_proposition1(spec, vac, tp_same, pb, tuple(beta), m, tol=1e-7))
+        # pc and pb share a sector: one twisted diagonalization serves both
+        for tp in twisted_dual_pairs(spec, vac, (pc, pb), tuple(beta)):
+            out.append(check_proposition1(spec, vac, tp, pb, tuple(beta), m, tol=1e-7))
 
         # beta-derivative consistency with the universal form factor
         out.append(check_genfun_derivative(spec, vac, pc, pb, i, m, delta=1e-3, tol=1e-5))

@@ -46,6 +46,7 @@ __all__ = [
     "check_genfun_derivative",
     "zero_mode_ladder_checks",
     "twisted_dual_pair",
+    "twisted_dual_pairs",
     "SelectionRuleZero",
 ]
 
@@ -264,22 +265,33 @@ def generating_functional(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     return sandwich(spec, pair_c, exp_q, pair_b)
 
 
+def twisted_dual_pairs(spec: ChainSpec, vac: VacuumFunctions, pairs,
+                       beta: tuple[complex, complex, complex]) -> list[EigenState]:
+    """Deform on-shell states to the twist kappa_i = exp(beta_i), in one diagonalization.
+
+    Solves the twisted Bethe equations from each state's untwisted roots,
+    diagonalizes the twisted transfer matrix once, in the twisted roots'
+    sectors only, and matches each twisted eigenstate there.  Sectors are
+    diagonalized independently, so each state is the one a call for it alone
+    would give.
+    """
+    twist = TwistConfig(tuple(np.exp(b) for b in beta))
+    roots = [_solve_at_twist(pair.roots, vac, twist, tol=1e-13) for pair in pairs]
+    dec = diagonalize_transfer(replace(spec, twist=twist),
+                               sectors=sorted({r.sector for r in roots}))
+    return [match_roots_to_state(dec, r, vac) for r in roots]
+
+
 def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
                       beta: tuple[complex, complex, complex],
                       smooth_reference: EigenState | None = None) -> EigenState:
-    """Deform an on-shell state to the twist kappa_i = exp(beta_i).
+    """Deform one on-shell state to the twist kappa_i = exp(beta_i); see twisted_dual_pairs.
 
-    Solves the twisted Bethe equations from the untwisted roots, diagonalizes
-    the twisted transfer matrix in the twisted roots' sector only, and
-    matches the twisted eigenstate there.  When ``smooth_reference`` is
-    given, the left vector is rescaled so its overlap with the reference's
-    right vector is preserved, which makes beta-derivatives of matrix
-    elements well defined.
+    When ``smooth_reference`` is given, the left vector is rescaled so its
+    overlap with the reference's right vector is preserved, which makes
+    beta-derivatives of matrix elements well defined.
     """
-    twist = TwistConfig(tuple(np.exp(b) for b in beta))
-    twisted_roots = _solve_at_twist(pair.roots, vac, twist, tol=1e-13)
-    dec = diagonalize_transfer(replace(spec, twist=twist), sectors=[twisted_roots.sector])
-    tp = match_roots_to_state(dec, twisted_roots, vac)
+    tp, = twisted_dual_pairs(spec, vac, [pair], beta)
     if smooth_reference is not None:
         want = sandwich(spec, pair, None, smooth_reference)
         have = sandwich(spec, tp, None, smooth_reference)

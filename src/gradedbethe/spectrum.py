@@ -185,11 +185,9 @@ def _sector_eigenbasis(block: np.ndarray, cluster_gap: float):
     # degenerate multiplets collide already at the first probe; nearly
     # defective pairs betray themselves through a vanishing pairing
     scale0 = max(1.0, float(np.abs(w0).max()))
-    clustered = np.abs(pairing) < 1e-10
-    for i in range(w0.size):
-        for j in range(i + 1, w0.size):
-            if abs(w0[i] - w0[j]) < cluster_gap * scale0:
-                clustered[i] = clustered[j] = True
+    close = np.abs(w0[:, None] - w0[None, :]) < cluster_gap * scale0
+    np.fill_diagonal(close, False)
+    clustered = (np.abs(pairing) < 1e-10) | close.any(axis=1)
     return w0, vr, left_rows, pairing, clustered
 
 

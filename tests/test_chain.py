@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -493,7 +494,8 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
 
 
 def site_outer_apply(blocks, n_factors, steps):
-    """The former kernel: each step (x, y, g) = I + g P_xy on every group, then the next."""
+    """The former kernel: each step (x, y, g) = I + g P_xy, or P_xy if g is None, on every
+    group, then the next."""
     groups, g2l, _ = _content_partition(n_factors)
     for x, y, g in steps:
         perm = permutation_between([GradedSpace.fundamental()] * n_factors, x, y)
@@ -502,7 +504,7 @@ def site_outer_apply(blocks, n_factors, steps):
                 continue
             moved = np.empty_like(blocks[k])
             moved[g2l[perm.dest[ix]]] = perm.sign[ix][:, None] * blocks[k]
-            blocks[k] = blocks[k] + g * moved
+            blocks[k] = moved if g is None else blocks[k] + g * moved
     return blocks
 
 
@@ -514,14 +516,24 @@ def site_outer_monodromy(spec, u, sites):
 
 
 def site_outer_rtt(spec, u, v):
+    """R T_a(u) T_b(v) against P T_a(v) T_b(u) (P + g), every factor a site-outer step."""
     n_factors = spec.M + 2
-    r = [(0, 1, g_fun(u, v, spec.c))]
-    t_a = [(0, n + 1, g_fun(u, spec.xi[n - 1], spec.c)) for n in spec.all_sites()]
-    t_b = [(1, n + 1, g_fun(v, spec.xi[n - 1], spec.c)) for n in spec.all_sites()]
-    sides = [site_outer_apply([np.eye(ix.size, dtype=complex)
-                               for ix in _content_partition(n_factors)[0]], n_factors, steps)
-             for steps in (t_b + t_a + r, r + t_a + t_b)]
-    return max(float(np.abs(a - b).max()) for a, b in zip(*sides))
+    g = g_fun(u, v, spec.c)
+
+    def t(aux, w):
+        return [(aux, n + 1, g_fun(w, spec.xi[n - 1], spec.c)) for n in spec.all_sites()]
+
+    def t_b(w):
+        eye = [np.eye(ix.size, dtype=complex) for ix in _content_partition(n_factors)[0]]
+        return site_outer_apply(eye, n_factors, t(1, w))
+
+    lhs = site_outer_apply(t_b(v), n_factors, t(0, u) + [(0, 1, g)])
+    # T_b(u) P = (P T_b(u)^T)^T, as P is symmetric
+    at_u = t_b(u)
+    swapped = site_outer_apply([blk.T.copy() for blk in at_u], n_factors, [(0, 1, None)])
+    start = [blk.T + g * tb for blk, tb in zip(swapped, at_u)]
+    rhs = site_outer_apply(start, n_factors, t(0, v) + [(0, 1, None)])
+    return max(float(np.abs(a - b).max()) for a, b in zip(lhs, rhs))
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
@@ -618,20 +630,37 @@ def test_verify_rtt_small_chains(m_sites):
 
 def test_rtt_left_side_starts_from_the_monodromy(monkeypatch):
     spec = ChainSpec(M=5)
-    work = []
+    groups = _content_partition(spec.M + 2)[0]
+    inner = _content_partition(spec.M + 1)[0]
+    steps_on = {len(groups): Counter(), len(inner): Counter()}
     original = chain._group_product
 
-    def counted(k, size, steps, *start):
-        work.append(len(steps) * size ** 2)
-        return original(k, size, steps, *start)
+    def counted(k, size, steps, *args, **kwargs):
+        steps_on[len(steps[0][0])][k] += len(steps)
+        return original(k, size, steps, *args, **kwargs)
 
     monkeypatch.setattr(chain, "_group_product", counted)
     assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) < 1e-10
-    # both sides as 2M + 1 steps on every aux (x) aux (x) H group
-    both_sides = 2 * (2 * spec.M + 1) * sum(ix.size ** 2
-                                            for ix in _content_partition(spec.M + 2)[0])
-    # measured 0.80x; 1.0x when the left side also ran the steps of T(v) there
-    assert sum(work) <= 0.85 * both_sides
+    # both sides start from T_b = 1 (x) T: each aux (x) H group is built once at
+    # u and once at v, and M + 1 row steps run on each aux (x) aux (x) H group per
+    # side, 2M + 2 in all (3M + 2 when the right side ran T_b(v), T_a(u) and R there)
+    assert steps_on[len(inner)] == {k: 2 * spec.M for k in range(len(inner))}
+    assert steps_on[len(groups)] == {k: 2 * spec.M + 2 for k in range(len(groups))}
+
+
+def test_rtt_fails_with_an_ungraded_swap(monkeypatch):
+    """P T_a(v) T_b(u) (P + g) equals T_b(v) T_a(u) R only for the graded swap P."""
+    spec = ChainSpec(M=3)
+    graded = chain._step_plan
+
+    def ungraded(n_factors, x, y):
+        plans = graded(n_factors, x, y)
+        if (n_factors, x, y) != (spec.M + 2, 0, 1):
+            return plans
+        return tuple((src, None) for src, _ in plans)
+
+    monkeypatch.setattr(chain, "_step_plan", ungraded)
+    assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) > 0.1
 
 
 def test_verify_rtt_rejects_poles():

@@ -243,6 +243,27 @@ def test_proposition1_holds_no_twisted_spectrum():
     assert peak_bytes(lambda: cli._run_proposition1(ws)) < one_decomposition
 
 
+def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
+    from gradedbethe import cli, formfactors
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    ws = cli._Workspace(scenario, None)
+    ws.classified()
+    twists = []
+    original = formfactors.diagonalize_transfer
+
+    def counted(spec, *args, **kwargs):
+        twists.append(spec.twist)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(formfactors, "diagonalize_transfer", counted)
+    reports = cli._run_proposition1(ws)
+    directions = sum(r.identity.startswith("genfun-derivative") for r in reports)
+    # per direction: one twist for both proposition1 rows, two for the derivative
+    assert directions == 3
+    assert len(twists) == len(set(twists)) == 3 * directions
+
+
 def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     from gradedbethe import chain
 

@@ -15,6 +15,7 @@ from gradedbethe.formfactors import (
     partial_zero_mode_ff,
     sector_step,
     twisted_dual_pair,
+    twisted_dual_pairs,
     universal_form_factor,
     zero_mode_ladder_checks,
 )
@@ -312,6 +313,16 @@ def test_proposition1_small_twists(spec4, vac4, p10, p21, i):
     rep_same = check_proposition1(spec4, vac4, tp_same, pb, tuple(beta), 2)
     assert rep_same.verdict == "pass"
     assert abs(rep_same.lhs) > 0.1
+
+
+def test_twisted_dual_pairs_match_one_state_calls(spec4, vac4, p10):
+    beta = (1e-2, 0.0, 0.0)
+    together = twisted_dual_pairs(spec4, vac4, p10[:2], beta)
+    for pair, tp in zip(p10[:2], together):
+        alone = twisted_dual_pair(spec4, vac4, pair, beta)
+        assert tp.sector == alone.sector == pair.sector
+        assert np.array_equal(tp.left, alone.left) and np.array_equal(tp.right, alone.right)
+        assert np.array_equal(tp.tau_samples, alone.tau_samples)
 
 
 def test_genfun_derivative_consistency(spec4, vac4, p21):

@@ -336,6 +336,45 @@ def test_pairing_is_the_reciprocal_condition_number():
         assert list(clustered) == [flagged, flagged]
 
 
+def loop_cluster_flags(w0, pairing, cluster_gap):
+    """The pairwise loop the cluster flags were first computed with."""
+    scale0 = max(1.0, float(np.abs(w0).max()))
+    clustered = np.abs(pairing) < 1e-10
+    for i in range(w0.size):
+        for j in range(i + 1, w0.size):
+            if abs(w0[i] - w0[j]) < cluster_gap * scale0:
+                clustered[i] = clustered[j] = True
+    return clustered
+
+
+@pytest.mark.parametrize("m_sites", [3, 4, 5, 6])
+def test_cluster_flags_equal_the_pairwise_loop(m_sites):
+    spec = ChainSpec(M=m_sites)
+    blocks = transfer_blocks(spec, default_probes(spec)[0])
+    by_gap = 0
+    for sector in sector_indices(spec):
+        block = blocks[_content(spec, sector)][1]
+        # the default gap, and wider ones that flag neighbours in most sectors
+        for gap in (1e-8, 1e-3, 1e-1):
+            w0, _, _, pairing, clustered = _sector_eigenbasis(block, gap)
+            assert np.array_equal(clustered, loop_cluster_flags(w0, pairing, gap))
+            by_gap += int((clustered & (np.abs(pairing) >= 1e-10)).sum())
+    assert by_gap > 0
+
+
+def test_cluster_flags_on_a_near_degenerate_block():
+    # eigenvalues in pairs 5e-9, 4e-8 and 2e-8 apart under a fixed similarity;
+    # the scale is 3, so the threshold is 3e-8 and only the middle pair is apart
+    w = np.array([1, 1 + 5e-9, 2, 2 + 4e-8, 3, 3 + 2e-8], dtype=complex)
+    rng = np.random.default_rng(3)
+    basis = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 4 * np.eye(6)
+    block = basis @ np.diag(w) @ np.linalg.inv(basis)
+    w0, _, _, pairing, clustered = _sector_eigenbasis(block, 1e-8)
+    assert np.abs(pairing).min() > 1e-3
+    assert list(clustered) == [True, True, False, False, True, True]
+    assert np.array_equal(clustered, loop_cluster_flags(w0, pairing, 1e-8))
+
+
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_sector_indices_match_digit_count(m_sites):
     # brute force: read every basis index digit by digit
