@@ -20,12 +20,9 @@ from .chain import (
     PoleError,
     TwistConfig,
     VacuumFunctions,
-    monodromy_blocks,
-    transfer_matrix,
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
-    zero_mode,
 )
 from .formfactors import (
     FormFactorReport,
@@ -38,12 +35,7 @@ from .formfactors import (
     universal_form_factor,
     zero_mode_ladder_checks,
 )
-from .graded import (
-    GradedMatrix,
-    GradedSpace,
-    graded_permutation,
-    parity_of_index,
-)
+from .graded import GradedMatrix, GradedSpace
 from .spectrum import (
     DegenerateSpectrumError,
     EigenState,

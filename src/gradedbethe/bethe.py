@@ -31,6 +31,12 @@ __all__ = [
     "subset_seed_candidates",
 ]
 
+_POLE_TOL = 1e-9       # |c| units: a root pair this close to an f-function pole
+_MAX_ITER = 60         # Newton steps before solve_bethe gives up
+_COLLISION_TOL = 1e-8  # |c| units: two roots this close have collided
+_TQ_ROUNDS = 40        # alternating least-squares sweeps of the TQ fit
+_TQ_RTOL = 1e-8        # relative coefficient change that ends them
+
 
 class BetheSolverError(RuntimeError):
     """Newton iteration or continuation failed."""
@@ -97,8 +103,7 @@ def _check_f_poles(roots: BetheRoots, spec: ChainSpec, tol: float) -> None:
                 raise PoleError(f"roots {x}, {y} sit on an f-function pole")
 
 
-def bethe_residual(roots: BetheRoots, vac: VacuumFunctions,
-                   pole_tol: float = 1e-9) -> np.ndarray:
+def bethe_residual(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
     """Log-form residuals of the a+b (twisted) Bethe equations.
 
     Entry j is Log(LHS_j / RHS_j) with the principal branch taken once per
@@ -109,7 +114,7 @@ def bethe_residual(roots: BetheRoots, vac: VacuumFunctions,
     """
     spec = vac.spec
     c = spec.c
-    _check_f_poles(roots, spec, pole_tol * abs(c))
+    _check_f_poles(roots, spec, _POLE_TOL * abs(c))
     k1, k2, k3 = roots.twist.kappa
     uu, vv = roots.u, roots.v
     res = []
@@ -167,8 +172,7 @@ def _bethe_jacobian(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
     return jac
 
 
-def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12,
-                max_iter: int = 60, collision_tol: float = 1e-8) -> BetheRoots:
+def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12) -> BetheRoots:
     """Damped Newton iteration on the log-form residual from a seed.
 
     Only finite roots are iterated; infinite roots are carried through after
@@ -195,7 +199,7 @@ def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12,
         return replace(seed, residual=0.0)
 
     res = residual_at(x)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         norm = float(np.abs(res).max())
         if norm < tol:
             break
@@ -209,7 +213,7 @@ def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12,
         while lam > 1e-4:
             x_new = x + lam * step
             pts = list(x_new)
-            if any(abs(p - q) < collision_tol * abs(c)
+            if any(abs(p - q) < _COLLISION_TOL * abs(c)
                    for i, p in enumerate(pts) for q in pts[i + 1:]):
                 lam *= 0.5
                 continue
@@ -231,7 +235,7 @@ def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12,
 
     out = replace(seed, u=tuple(x[:na]), v=tuple(x[na:]),
                   residual=float(np.abs(res).max()) if res.size else 0.0)
-    _check_f_poles(out, spec, collision_tol * abs(c))
+    _check_f_poles(out, spec, _COLLISION_TOL * abs(c))
     return out
 
 
@@ -267,14 +271,8 @@ def _polyval_vec(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_roots_to_samples(
-    sector: tuple[int, int],
-    tau_fn,
-    vac: VacuumFunctions,
-    twist: TwistConfig | None = None,
-    n_rounds: int = 40,
-    rtol: float = 1e-8,
-) -> BetheRoots | None:
+def fit_roots_to_samples(sector: tuple[int, int], tau_fn, vac: VacuumFunctions,
+                         twist: TwistConfig | None = None) -> BetheRoots | None:
     """Fit finite Bethe roots to an eigenvalue function via the TQ relation.
 
     On shell, with Q_u and Q_v the monic root polynomials,
@@ -341,7 +339,7 @@ def fit_roots_to_samples(
         return mat, -rhs
 
     prev = None
-    for _ in range(n_rounds):
+    for _ in range(_TQ_ROUNDS):
         if a:
             mat, rhs = assemble("u")
             qu = np.linalg.lstsq(mat, rhs, rcond=None)[0]
@@ -349,7 +347,7 @@ def fit_roots_to_samples(
             mat, rhs = assemble("v")
             qv = np.linalg.lstsq(mat, rhs, rcond=None)[0]
         cur = np.concatenate([qu, qv])
-        if prev is not None and np.allclose(cur, prev, rtol=0, atol=rtol * (1 + np.abs(cur).max())):
+        if prev is not None and np.allclose(cur, prev, rtol=0, atol=_TQ_RTOL * (1 + np.abs(cur).max())):
             break
         prev = cur
     else:

@@ -19,10 +19,7 @@ same one-group-at-a-time stream, so no read holds a whole group set.  The
 zero modes T_ij[0] come straight from their closed form in the same
 {s: (image, block)} form (``zero_mode_entry``).  The states these operators
 act on are vectors on one content group each (``spectrum.sandwich`` reads
-the one block between two of them).  The dense read-offs
-(``monodromy_blocks``, ``transfer_matrix``, ``zero_mode``,
-``zero_mode_limit``) fill 3^M x 3^M matrices from the same blocks: public API
-and test oracle.
+the one block between two of them).  No 3^M x 3^M matrix is ever formed.
 ``verify_rtt`` compares the two sides of the RTT relation one aux (x) aux (x)
 H group at a time.  Each side is 1 (x) T at one point, placed from the aux
 (x) H group blocks, followed by M + 1 row steps: 2M + 2 per group, the right
@@ -36,10 +33,9 @@ residual test; see tests/test_chain.py.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,17 +48,13 @@ __all__ = [
     "PoleError",
     "yang_baxter_residual",
     "monodromy_entries",
-    "monodromy_blocks",
     "entry_blocks",
     "combine",
     "compose",
     "transfer_blocks",
-    "transfer_matrix",
     "vacuum_eigenvalue",
     "zero_mode_entry",
-    "zero_mode",
     "zero_mode_limit_groups",
-    "zero_mode_limit",
     "verify_rtt",
     "tm1_residual",
     "BLOCK_SIGNS",
@@ -156,10 +148,6 @@ class ChainSpec:
             raise ValueError("inhomogeneities must be pairwise distinct")
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def hilbert_dim(self) -> int:
-        return 3**self.M
 
     def all_sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.M + 1))
@@ -333,23 +321,6 @@ def compose(a: dict, b: dict) -> dict:
     return {s: (a[m][0], a[m][1] @ blk) for s, (m, blk) in b.items() if m in a}
 
 
-def _dense(spec: ChainSpec, op: dict) -> np.ndarray:
-    dh = spec.hilbert_dim
-    index, _ = _block_map(spec.M)
-    out = np.zeros((dh, dh), dtype=complex)
-    for s, (image, blk) in op.items():
-        out[np.ix_(index[image], index[s])] = blk
-    return out
-
-
-def _read_off(spec: ChainSpec, entry) -> np.ndarray:
-    """3x3 object array of the dense entries on H of entry(i, j) = {s: (image, block)}."""
-    out = np.empty((3, 3), dtype=object)
-    for i, j in np.ndindex(3, 3):
-        out[i, j] = _dense(spec, entry(i + 1, j + 1))
-    return out
-
-
 def g_fun(u: complex, v: complex, c: complex) -> complex:
     if u == v:
         raise PoleError("g(u,v) pole at u = v")
@@ -520,12 +491,6 @@ def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, contents=N
     return out
 
 
-def monodromy_blocks(spec: ChainSpec, u: complex, sites=None) -> np.ndarray:
-    """3x3 object array of the dense entries T_ij(u) on H (see monodromy_entries)."""
-    entries = monodromy_entries(spec, u, itertools.product((1, 2, 3), repeat=2), sites)
-    return _read_off(spec, lambda i, j: entries[i, j])
-
-
 def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
     """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given.
 
@@ -544,11 +509,6 @@ def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
                     terms = held.pop(s)
                     t[s] = combine(*[(coefs[n], terms[n]) for n in range(3)])[s]
     return {s: t[s] for s in (_block_map(spec.M)[0] if contents is None else contents)}
-
-
-def transfer_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
-    """Dense twisted transfer matrix on H (see transfer_blocks)."""
-    return _dense(spec, transfer_blocks(spec, u))
 
 
 def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
@@ -597,11 +557,6 @@ def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, contents=None) 
     return out
 
 
-def zero_mode(spec: ChainSpec, sites=None) -> np.ndarray:
-    """3x3 object array of the dense zero modes T_ij[0] (see zero_mode_entry)."""
-    return _read_off(spec, partial(zero_mode_entry, spec, sites=sites))
-
-
 def zero_mode_limit_groups(spec: ChainSpec, scale: float = 1e6):
     """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only.
 
@@ -615,12 +570,6 @@ def zero_mode_limit_groups(spec: ChainSpec, scale: float = 1e6):
         block.flat[::block.shape[0] + 1] -= 1
         np.multiply(u / spec.c, block, out=block)
         yield k, block
-
-
-def zero_mode_limit(spec: ChainSpec, scale: float = 1e6) -> np.ndarray:
-    """3x3 object array of the dense zero_mode_limit_groups read-off."""
-    groups = {k: block.copy() for k, block in zero_mode_limit_groups(spec, scale)}
-    return _read_off(spec, partial(entry_blocks, spec, groups))
 
 
 # -- RTT conformance ----------------------------------------------------------

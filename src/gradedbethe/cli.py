@@ -87,6 +87,18 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Validate a scenario document; a field of the wrong type or value is a ScenarioError."""
+        if not isinstance(data, dict):
+            raise ScenarioError("a scenario is one JSON object")
+        try:
+            return cls._from_fields(data)
+        except ScenarioError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise ScenarioError(f"malformed scenario field: {exc}") from exc
+
+    @classmethod
+    def _from_fields(cls, data: dict) -> "Scenario":
         if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {data.get('schema_version')}")
         chain_data = dict(data.get("chain", {}))

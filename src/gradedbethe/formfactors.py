@@ -50,6 +50,10 @@ __all__ = [
     "SelectionRuleZero",
 ]
 
+_DTAU_FLOOR = 1e-12  # relative eigenvalue difference too small to divide by
+_EIG_TOL = 1e-8      # tolerance of the dual-annihilation and raised-eigenvector checks
+
+
 class SelectionRuleZero(RuntimeError):
     """Matrix element vanishes because the sectors violate the ladder step."""
 
@@ -132,10 +136,8 @@ def _sectors_compatible(pair_c: EigenState, pair_b: EigenState, i: int, j: int) 
     return pair_c.sector == (pair_b.sector[0] + da, pair_b.sector[1] + db)
 
 
-def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
-                          pair_c: EigenState, pair_b: EigenState,
-                          i: int, j: int, z: complex | None = None,
-                          dtau_floor: float = 1e-12) -> complex:
+def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions, pair_c: EigenState,
+                          pair_b: EigenState, i: int, j: int, z: complex | None = None) -> complex:
     """Universal form factor <C| T_ij(z) |B> / (tau(z|C) - tau(z|B)).
 
     The ratio is independent of z for on-shell states with distinct
@@ -153,7 +155,7 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions,
         tau_c = tau_eigenvalue(zc, pair_c.roots, vac)
         tau_b = tau_eigenvalue(zc, pair_b.roots, vac)
         dtau = tau_c - tau_b
-        if abs(dtau) <= dtau_floor * max(abs(tau_c), abs(tau_b), 1.0):
+        if abs(dtau) <= _DTAU_FLOOR * max(abs(tau_c), abs(tau_b), 1.0):
             if z is not None:
                 raise ValueError("eigenvalue difference vanishes at z; pick another z")
             continue
@@ -228,8 +230,7 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
 
 
 def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
-                   i: int, m: int, delta: float = 1e-5, steps: int = 1,
-                   tol: float = 1e-5,
+                   i: int, m: int, delta: float = 1e-5, tol: float = 1e-5,
                    trajectory: RootTrajectory | None = None) -> FormFactorReport:
     """Diagonal partial-zero-mode form factor against the twist derivative.
 
@@ -240,7 +241,7 @@ def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
     scale-free, so the report normalizes by the state pairing.
     """
     if trajectory is None:
-        trajectory = continue_twist(pair.roots, vac, direction=i, delta=delta, steps=steps)
+        trajectory = continue_twist(pair.roots, vac, direction=i, delta=delta)
     lhs = partial_zero_mode_ff(spec, pair, pair, i, i, m) / pair.pairing
     dlog = trajectory.dlog_ell_ratio(vac, m)
     rhs = vac.lam_zero_mode(i, sites=range(1, m + 1)) + (-1) ** _PAR[i - 1] * dlog
@@ -359,8 +360,7 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
 def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
                             pair_c: EigenState, pair_b: EigenState, m: int,
                             quadruples=((2, 2, 1, 2), (2, 2, 2, 3), (1, 2, 2, 1)),
-                            tol: float = 1e-10,
-                            eig_tol: float = 1e-8) -> list[FormFactorReport]:
+                            tol: float = 1e-10) -> list[FormFactorReport]:
     """Ladder relations of the zero-mode algebra, sandwiched and spectral.
 
     (a) For each index quadruple: delta_il M^(k,j) - delta_kj M^(i,l) equals
@@ -402,7 +402,7 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
     if pair_c.sector[0] >= 1 and pair_c.roots.n_u_inf == 0:
         img = pair_c.left @ raise_op[below_c][1] if below_c in raise_op else 0.0
         resid = float(np.linalg.norm(img) / np.linalg.norm(pair_c.left))
-        reports.append(make_report("ladder-dual-annihilation", resid, 0.0, eig_tol,
+        reports.append(make_report("ladder-dual-annihilation", resid, 0.0, _EIG_TOL,
                                    sectors=(pair_c.sector, pair_c.sector), m=m, residual=resid))
 
     # (c) raising image of B is on shell one sector up
@@ -417,6 +417,6 @@ def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
             tau = pair_b.tau_samples[q]
             worst = max(worst, float(np.linalg.norm(t_img - tau * img)) / img_norm
                         / max(1.0, abs(tau)))
-        reports.append(make_report("ladder-raising-eigenvector", worst, 0.0, eig_tol,
+        reports.append(make_report("ladder-raising-eigenvector", worst, 0.0, _EIG_TOL,
                                    sectors=(up, pair_b.sector), m=m, residual=worst))
     return reports

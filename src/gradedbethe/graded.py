@@ -25,20 +25,11 @@ __all__ = [
     "GradedSpace",
     "GradedMatrix",
     "SignedPermutation",
-    "parity_of_index",
-    "graded_permutation",
     "permutation_between",
 ]
 
 #: parities of the fundamental basis e_1, e_2, e_3 (1-based indices 1,2,3)
 FUNDAMENTAL_PARITIES = (0, 0, 1)
-
-
-def parity_of_index(i: int) -> int:
-    """Parity of the fundamental basis index i in {1,2,3}: even, even, odd."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"basis index must be 1, 2 or 3, got {i}")
-    return FUNDAMENTAL_PARITIES[i - 1]
 
 
 @dataclass(frozen=True)
@@ -151,11 +142,3 @@ def permutation_between(
     for t, d in enumerate(dims):
         dest = dest * d + swapped[:, t]
     return SignedPermutation(dest=dest, sign=sign)
-
-
-def graded_permutation(s1: GradedSpace, s2: GradedSpace) -> GradedMatrix:
-    """The graded permutation P on s1 (x) s2: P(e_i (x) e_j) = (-1)^{[i][j]} e_j (x) e_i."""
-    if s1.dim != s2.dim:
-        raise ValueError("graded permutation needs equal-dimensional factors")
-    perm = permutation_between([s1, s2], 0, 1)
-    return GradedMatrix(s1.tensor(s2), perm.to_matrix())

@@ -63,6 +63,9 @@ __all__ = [
 
 CACHE_ENV_VAR = "GRADEDBETHE_CACHE"
 CACHE_SCHEMA = 3
+_CLUSTER_GAP = 1e-8  # relative eigenvalue gap below which two states of a sector cluster
+_MATCH_RTOL = 1e-6   # relative distance at which eigenvalue samples match
+_NEWTON_TOL = 1e-12  # Bethe residual of the roots classify_spectrum attaches
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -73,10 +76,10 @@ class MatchError(RuntimeError):
     """Root set matched no eigenstate, or more than one."""
 
 
-def default_probes(spec: ChainSpec, p: int = 5) -> np.ndarray:
-    """Generic probe points away from roots and inhomogeneities."""
+def default_probes(spec: ChainSpec) -> np.ndarray:
+    """Five generic probe points away from roots and inhomogeneities."""
     c = spec.c
-    return np.array([(1.7 + 0.3 * j) * c + 0.41j * c for j in range(p)], dtype=complex)
+    return np.array([(1.7 + 0.3 * j) * c + 0.41j * c for j in range(5)], dtype=complex)
 
 
 def _content(spec: ChainSpec, sector: tuple[int, int]) -> tuple[int, int, int]:
@@ -191,15 +194,14 @@ def _sector_eigenbasis(block: np.ndarray, cluster_gap: float):
     return w0, vr, left_rows, pairing, clustered
 
 
-def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
-                         cluster_gap: float = 1e-8,
+def diagonalize_transfer(spec: ChainSpec,
                          sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition:
     """Sector-blocked eigendecomposition of the (twisted) transfer matrix.
 
-    The full decomposition is computed at the first probe; eigenvalues at the
-    remaining probes come from sandwiching the fixed eigenvectors, and their
-    off-diagonal leakage is returned as the consistency figure.  States whose
-    eigenvalue samples are closer than ``cluster_gap`` (relative) to another
+    The full decomposition is computed at the first default probe; eigenvalues
+    at the remaining probes come from sandwiching the fixed eigenvectors, and
+    their off-diagonal leakage is returned as the consistency figure.  States whose
+    eigenvalue samples are closer than _CLUSTER_GAP (relative) to another
     state in the same sector are flagged as clustered.  ``sectors`` restricts
     the work to those sectors (default: all); sectors are diagonalized
     independently, so the states of a covered sector are the same either way.
@@ -208,7 +210,7 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     1e-10 flag nearly defective states as clustered, and a sector whose vr is
     singular to working precision has all its states flagged clustered.
     """
-    probes = default_probes(spec) if probes is None else np.asarray(probes, dtype=complex)
+    probes = default_probes(spec)
     wanted = [s for s in sector_indices(spec) if sectors is None or s in sectors]
     contents = None if sectors is None else [_content(spec, s) for s in wanted]
     # one probe's transfer blocks at a time: every sector is diagonalized at the
@@ -217,7 +219,7 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
     bases = {}
     for sector in wanted:
         w0, vr, left_rows, pairing, clustered = _sector_eigenbasis(
-            t_op[_content(spec, sector)][1], cluster_gap)
+            t_op[_content(spec, sector)][1], _CLUSTER_GAP)
         samples = np.zeros((w0.size, probes.size), dtype=complex)
         samples[:, 0] = w0
         bases[sector] = (vr, left_rows, pairing, clustered, samples)
@@ -249,7 +251,7 @@ def diagonalize_transfer(spec: ChainSpec, probes: np.ndarray | None = None,
 
 
 def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
-                         vac: VacuumFunctions, rtol: float = 1e-6) -> EigenState:
+                         vac: VacuumFunctions, rtol: float = _MATCH_RTOL) -> EigenState:
     """Find the unique eigenstate whose eigenvalue samples match the roots; attach them.
 
     Matching is restricted to the sector given by the root cardinalities and
@@ -295,8 +297,7 @@ def sector_labels_from_zero_modes(spec: ChainSpec, state: EigenState,
 
 
 def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
-                      sectors: list[tuple[int, int]] | None = None,
-                      rtol: float = 1e-6, newton_tol: float = 1e-12) -> list[EigenState]:
+                      sectors: list[tuple[int, int]] | None = None) -> list[EigenState]:
     """The states of the requested sectors, each with Bethe roots attached where found.
 
     Sectors are swept in increasing order, and every sector below a
@@ -339,7 +340,7 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             # done holds lower sectors only
             parent = next((prev for prev in done
                            if prev.sector[0] <= a and prev.sector[1] <= b
-                           and np.abs(prev.tau_samples - st.tau_samples).max() < rtol * scale),
+                           and np.abs(prev.tau_samples - st.tau_samples).max() < _MATCH_RTOL * scale),
                           None)
             if parent is not None:
                 roots = replace(parent.roots,
@@ -357,11 +358,11 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             seeds.extend(subset_seed_candidates(sector, vac, twist=spec.twist))
             for seed in seeds:
                 try:
-                    polished = solve_bethe(seed, vac, tol=newton_tol)
+                    polished = solve_bethe(seed, vac, tol=_NEWTON_TOL)
                     target = np.array([tau_eigenvalue(w, polished, vac) for w in dec.probes])
                 except (BetheSolverError, ValueError, ZeroDivisionError):
                     continue
-                if np.abs(target - st.tau_samples).max() < rtol * scale:
+                if np.abs(target - st.tau_samples).max() < _MATCH_RTOL * scale:
                     roots = polished
                     break
             found.append(replace(st, roots=roots))

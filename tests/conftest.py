@@ -54,7 +54,7 @@ def descendant_pairs(pairs, sector):
 
 def embed(spec, sector, vec):
     """A sector-local state vector placed on all 3^M basis indices, for dense oracles."""
-    out = np.zeros(spec.hilbert_dim, dtype=complex)
+    out = np.zeros(3 ** spec.M, dtype=complex)
     out[sector_indices(spec)[sector]] = vec
     return out
 

@@ -1,30 +1,83 @@
 """Oracles used only by the tests.
 
 The package works on content-group blocks and signed permutations; the
-dense forms here (graded Kronecker product, supertraces, graded commutator
-and the two-site R-matrix) state the same conventions the textbook way, so
-the tests can compare against them.  The full-set forms of the monodromy,
+dense forms here (graded Kronecker product, supertraces, graded commutator,
+the two-site R-matrix and ``dense``, which fills an H operator's blocks into
+a 3^M x 3^M matrix) state the same conventions the textbook way, so the
+tests can compare against them.  The full-set forms of the monodromy,
 transfer_blocks and tm1_residual hold every aux (x) H group at once, each
 product built from its own identity; the package's entry reads, which build
 one group at a time in shared buffers, must match them to the bit.
 """
 
+import itertools
+
 import numpy as np
 
-from gradedbethe.chain import _content_partition, _group_product, _l_steps, combine, compose, \
-    entry_blocks, g_fun
+from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
+    compose, entry_blocks, g_fun, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
-    graded_permutation
+    permutation_between
 
 PAR = np.array(FUNDAMENTAL_PARITIES)
+FUND = GradedSpace.fundamental()
 
 
 def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:
     """R(u,v) = I + g(u,v) P on the product of two fundamental spaces."""
-    g = g_fun(u, v, c)
-    fund = GradedSpace.fundamental()
-    p = graded_permutation(fund, fund)
-    return GradedMatrix(p.space, np.eye(9) + g * p.mat)
+    p = permutation_between([FUND, FUND], 0, 1).to_matrix()
+    return GradedMatrix(FUND.tensor(FUND), np.eye(9) + g_fun(u, v, c) * p)
+
+
+def dense(spec, op: dict) -> np.ndarray:
+    """An H operator given as {s: (image, block)}, filled into a 3^M x 3^M matrix."""
+    index, _ = _block_map(spec.M)
+    out = np.zeros((3 ** spec.M, 3 ** spec.M), dtype=complex)
+    for s, (image, blk) in op.items():
+        out[np.ix_(index[image], index[s])] = blk
+    return out
+
+
+def read_off(spec, entries: dict) -> np.ndarray:
+    """3x3 object array of the dense entries of {(i, j): {s: (image, block)}}, 1-based keys."""
+    out = np.empty((3, 3), dtype=object)
+    for i, j in np.ndindex(3, 3):
+        out[i, j] = dense(spec, entries[i + 1, j + 1])
+    return out
+
+
+def zero_modes(spec, sites=None) -> dict:
+    """Every zero mode T_ij[0] over a site range, as {(i, j): {s: (image, block)}}."""
+    return {(i, j): zero_mode_entry(spec, i, j, sites)
+            for i, j in itertools.product((1, 2, 3), repeat=2)}
+
+
+def largest(op: dict) -> float:
+    """Largest entry magnitude of an H operator given as {s: (image, block)}."""
+    return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)
+
+
+def zero_mode_algebra_worst(zm_a: dict, zm_b: dict, reference: dict | None) -> float:
+    """Largest entry violation of the zero-mode algebra over all 81 index quadruples.
+
+    [A_ij, B_kl} = sign (delta_il R_kj - delta_kj R_il) for R the reference
+    zero modes, or [A_ij, B_kl} = 0 when there is none; every operator is a
+    dict {(i, j): {s: (image, block)}}, composed content by content.
+    """
+    worst = 0.0
+    for i, j, k, l in itertools.product((1, 2, 3), repeat=4):
+        odd = (PAR[i - 1] + PAR[j - 1]) % 2 and (PAR[k - 1] + PAR[l - 1]) % 2
+        a, b = zm_a[i, j], zm_b[k, l]
+        terms = [(1.0, compose(a, b)), (1.0 if odd else -1.0, compose(b, a))]
+        if reference is not None:
+            sign = (-1) ** ((PAR[i - 1] * PAR[j - 1] + PAR[i - 1] * PAR[l - 1]
+                             + PAR[j - 1] * PAR[l - 1]) % 2)
+            if i == l:
+                terms.append((-sign, reference[k, j]))
+            if k == j:
+                terms.append((sign, reference[i, l]))
+        worst = max(worst, largest(combine(*terms)))
+    return worst
 
 
 def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -124,9 +177,5 @@ def tm1_residual_full_set(spec, u, v, indices) -> float:
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
     rhs = combine((pref, compose(t(gv, k, j), t(gu, i, l))),
                   (-pref, compose(t(gu, k, j), t(gv, i, l))))
-
-    def largest(op):
-        return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)
-
     scale = max(largest(lhs), largest(rhs), 1.0)
     return largest(combine((1.0, lhs), (-1.0, rhs))) / scale

@@ -5,7 +5,6 @@ inline.  The shared M=4 fixtures come from conftest; criterion 2 builds its
 own M=5 chain inside the timed block.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -16,7 +15,6 @@ from gradedbethe.chain import (
     VacuumFunctions,
     verify_rtt,
     yang_baxter_residual,
-    zero_mode,
 )
 from gradedbethe.cli import Scenario, default_scenario_dict, run_scenario
 from gradedbethe.formfactors import (
@@ -28,7 +26,6 @@ from gradedbethe.formfactors import (
     twisted_dual_pair,
     zero_mode_ladder_checks,
 )
-from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import (
     classify_spectrum,
     diagonalize_transfer,
@@ -37,9 +34,7 @@ from gradedbethe.spectrum import (
 )
 
 from conftest import TESTED_SECTORS, descendant_pairs, primitive_pairs
-from oracles import graded_commutator
-
-PAR = FUNDAMENTAL_PARITIES
+from oracles import zero_mode_algebra_worst, zero_modes
 
 
 def _line(name, ok, detail):
@@ -92,35 +87,13 @@ def test_ac2_spectrum_match_m5():
 
 def test_ac3_zero_mode_algebra(spec4):
     m = 2
-    zm_tot = zero_mode(spec4)
-    zm_1 = zero_mode(spec4, sites=range(1, m + 1))
-    zm_2 = zero_mode(spec4, sites=range(m + 1, spec4.M + 1))
-
-    def worst_comm(zm_a, zm_b, ref):
-        worst = 0.0
-        for i, j, k, l in itertools.product(range(1, 4), repeat=4):
-            pa = (PAR[i - 1] + PAR[j - 1]) % 2
-            pb = (PAR[k - 1] + PAR[l - 1]) % 2
-            lhs = graded_commutator(zm_a[i - 1, j - 1], zm_b[k - 1, l - 1], pa, pb)
-            sign = (-1) ** ((PAR[i - 1] * PAR[j - 1] + PAR[i - 1] * PAR[l - 1]
-                             + PAR[j - 1] * PAR[l - 1]) % 2)
-            rhs = np.zeros_like(lhs)
-            if i == l:
-                rhs = rhs + ref[k - 1, j - 1]
-            if k == j:
-                rhs = rhs - ref[i - 1, l - 1]
-            worst = max(worst, float(np.abs(lhs - sign * rhs).max()))
-        return worst
-
-    w_total = worst_comm(zm_tot, zm_tot, zm_tot)       # 81 quadruples
-    w_partial = worst_comm(zm_1, zm_1, zm_1)
-    w_mixed = worst_comm(zm_1, zm_tot, zm_1)           # partial against total
-    w_cross = 0.0
-    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
-        pa = (PAR[i - 1] + PAR[j - 1]) % 2
-        pb = (PAR[k - 1] + PAR[l - 1]) % 2
-        d = graded_commutator(zm_1[i - 1, j - 1], zm_2[k - 1, l - 1], pa, pb)
-        w_cross = max(w_cross, float(np.abs(d).max()))
+    zm_tot, zm_1, zm_2 = (zero_modes(spec4, sites)
+                          for sites in (None, range(1, m + 1), range(m + 1, spec4.M + 1)))
+    # every product and bracket composed content by content, in exact integers
+    w_total = zero_mode_algebra_worst(zm_tot, zm_tot, zm_tot)    # 81 quadruples
+    w_partial = zero_mode_algebra_worst(zm_1, zm_1, zm_1)
+    w_mixed = zero_mode_algebra_worst(zm_1, zm_tot, zm_1)        # partial against total
+    w_cross = zero_mode_algebra_worst(zm_1, zm_2, None)          # distinct partials supercommute
     ok = w_total == 0.0 and w_partial == 0.0 and w_mixed == 0.0 and w_cross == 0.0
     _line("AC3 zero-mode algebra", ok,
           f"total={w_total} partial={w_partial} mixed={w_mixed} cross={w_cross}")

@@ -13,27 +13,26 @@ from gradedbethe.chain import (
     TwistConfig,
     VacuumFunctions,
     _content_partition,
+    combine,
+    compose,
     entry_blocks,
     g_fun,
-    monodromy_blocks,
     monodromy_entries,
     tm1_residual,
     transfer_blocks,
-    transfer_matrix,
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
-    zero_mode,
     zero_mode_entry,
-    zero_mode_limit,
+    zero_mode_limit_groups,
 )
-from gradedbethe.graded import FUNDAMENTAL_PARITIES, graded_permutation, GradedSpace, \
-    permutation_between
+from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes
-from oracles import graded_commutator, monodromy_group_set, r_matrix, supertrace_over_aux, \
-    tm1_residual_full_set, transfer_blocks_full_set
+from oracles import FUND, dense, largest, monodromy_group_set, r_matrix, read_off, \
+    supertrace_over_aux, tm1_residual_full_set, transfer_blocks_full_set, zero_mode_algebra_worst, \
+    zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
 ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -43,16 +42,10 @@ def rand_pt(rng, shift=0.0):
     return complex(rng.normal(0, 2), rng.normal(0, 2)) + shift
 
 
-def concrete(blocks):
-    """The operator on aux (x) H whose (i,j) auxiliary block is signed T_ij."""
+def concrete(spec, u, sites=None):
+    """The dense monodromy on aux (x) H: its (i,j) auxiliary block is signed T_ij."""
+    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites))
     return np.block([[BLOCK_SIGNS[i, j] * blocks[i, j] for j in range(3)] for i in range(3)])
-
-
-def vacuum_vector(spec):
-    """Product state e_1 (x) ... (x) e_1 on all 3^M basis indices."""
-    v = np.zeros(spec.hilbert_dim, dtype=complex)
-    v[0] = 1.0
-    return v
 
 
 def structural_zero_mode_groups(spec, sites=None):
@@ -74,7 +67,7 @@ def structural_zero_mode_groups(spec, sites=None):
 def dense_entry(spec, groups, i, j):
     """T_ij read off the aux (x) H content-group blocks scattered into a dense matrix."""
     aux_groups, _, _ = _content_partition(spec.M + 1)
-    dh = spec.hilbert_dim
+    dh = 3 ** spec.M
     full = np.zeros((3 * dh, 3 * dh), dtype=complex)
     for k, ix in enumerate(aux_groups):
         full[np.ix_(ix, ix)] = groups[k]
@@ -84,8 +77,8 @@ def dense_entry(spec, groups, i, j):
 def tm1_dense(spec, u, v, indices):
     """tm1_residual from dense products of the read-off entries."""
     i, j, k, l = indices
-    bu = monodromy_blocks(spec, u)
-    bv = monodromy_blocks(spec, v)
+    bu = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS))
+    bv = read_off(spec, monodromy_entries(spec, v, ALL_PAIRS))
     pi, pj, pk, pl = (PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     lhs = bu[i - 1, j - 1] @ bv[k - 1, l - 1] - sign_comm * bv[k - 1, l - 1] @ bu[i - 1, j - 1]
@@ -101,8 +94,8 @@ def tm1_dense(spec, u, v, indices):
 def test_r_matrix_at_unit_g():
     # u - v = c gives R = I + P
     r = r_matrix(1.5, 0.5, 1.0)
-    p = graded_permutation(GradedSpace.fundamental(), GradedSpace.fundamental())
-    assert np.abs(r.mat - (np.eye(9) + p.mat)).max() < 1e-14
+    p = permutation_between([FUND, FUND], 0, 1).to_matrix()
+    assert np.abs(r.mat - (np.eye(9) + p)).max() < 1e-14
 
 
 def test_r_matrix_far_separation_is_identity():
@@ -127,7 +120,7 @@ def test_yang_baxter_residual():
 
 def test_l_operator_single_site_unit_g():
     spec = ChainSpec(M=1, xi=(0.0,))
-    l_op = concrete(monodromy_blocks(spec, 1.0, sites=[1]))  # g(c, 0) = 1
+    l_op = concrete(spec, 1.0, sites=[1])  # g(c, 0) = 1
     p01 = permutation_between([GradedSpace.fundamental()] * 2, 0, 1)
     assert np.abs(l_op - (np.eye(9) + p01.to_matrix())).max() < 1e-14
 
@@ -136,7 +129,7 @@ def test_l_operator_large_u_limit_is_zero_mode():
     spec = ChainSpec(M=3)
     u = 1e6 * spec.c
     n = 2
-    l_op = concrete(monodromy_blocks(spec, u, sites=[n]))
+    l_op = concrete(spec, u, sites=[n])
     approx = (u / spec.c) * (l_op - np.eye(l_op.shape[0]))
     p = permutation_between([GradedSpace.fundamental()] * 4, 0, n)
     assert np.abs(approx - p.to_matrix()).max() < 1e-5
@@ -145,18 +138,23 @@ def test_l_operator_large_u_limit_is_zero_mode():
 def test_l_operator_pole():
     spec = ChainSpec(M=2)
     with pytest.raises(PoleError):
-        monodromy_blocks(spec, spec.xi[0], sites=[1])
+        monodromy_entries(spec, spec.xi[0], ALL_PAIRS, sites=[1])
 
 
 def test_monodromy_factorizes_at_every_split():
     spec = ChainSpec(M=4)
     rng = np.random.default_rng(11)
     u = rand_pt(rng, 3)
-    total = concrete(monodromy_blocks(spec, u))
+    total = monodromy_entries(spec, u, ALL_PAIRS)
+    sign = BLOCK_SIGNS
     for m in range(1, spec.M):
-        t1 = concrete(monodromy_blocks(spec, u, sites=range(1, m + 1)))
-        t2 = concrete(monodromy_blocks(spec, u, sites=range(m + 1, spec.M + 1)))
-        assert np.abs(total - t2 @ t1).max() < 1e-12
+        t1 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(1, m + 1))
+        t2 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(m + 1, spec.M + 1))
+        # T = T2 T1 on aux (x) H, whose (i,j) auxiliary block is the signed T_ij
+        for i, j in ALL_PAIRS:
+            product = combine(*[(sign[i - 1, k - 1] * sign[k - 1, j - 1] * sign[i - 1, j - 1],
+                                 compose(t2[i, k], t1[k, j])) for k in (1, 2, 3)])
+            assert largest(combine((1.0, total[i, j]), (-1.0, product))) < 1e-12
 
 
 @pytest.mark.parametrize("sites", [None, range(1, 3), range(3, 5)])
@@ -165,13 +163,13 @@ def test_vacuum_annihilation_and_eigenvalues(sites):
     vac = VacuumFunctions(spec)
     rng = np.random.default_rng(12)
     u = rand_pt(rng, 2.5)
-    blocks = monodromy_blocks(spec, u, sites=sites)
-    vec = vacuum_vector(spec)
+    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites))
     site_list = list(sites) if sites is not None else None
     for i in range(1, 4):
         for j in range(1, 4):
-            right = blocks[i - 1, j - 1] @ vec
-            left = vec @ blocks[i - 1, j - 1]
+            # the vacuum e_1 (x) ... (x) e_1 is basis index 0
+            right = blocks[i - 1, j - 1][:, 0]
+            left = blocks[i - 1, j - 1][0]
             if i > j:
                 assert np.abs(right).max() < 1e-10
             if i < j:
@@ -229,36 +227,34 @@ def test_transfer_matrices_commute():
     spec = ChainSpec(M=3)
     rng = np.random.default_rng(14)
     u, v = rand_pt(rng, 2), rand_pt(rng, -2)
-    t_u = transfer_matrix(spec, u)
-    t_v = transfer_matrix(spec, v)
-    assert np.abs(t_u @ t_v - t_v @ t_u).max() < 1e-10
-    # twisted and untwisted at the same twist commute across spectral points
-    twisted = replace(spec, twist=TwistConfig((1.3, 0.8, 1.1)))
-    s_u = transfer_matrix(twisted, u)
-    s_v = transfer_matrix(twisted, v)
-    assert np.abs(s_u @ s_v - s_v @ s_u).max() < 1e-10
+    # untwisted, and twisted at one twist across spectral points, content by content
+    for chain_spec in (spec, replace(spec, twist=TwistConfig((1.3, 0.8, 1.1)))):
+        t_u, t_v = transfer_blocks(chain_spec, u), transfer_blocks(chain_spec, v)
+        for s, (_, a) in t_u.items():
+            b = t_v[s][1]
+            assert np.abs(a @ b - b @ a).max() < 1e-10
 
 
 def test_transfer_matrix_is_twisted_supertrace_of_monodromy():
     spec = ChainSpec(M=3, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     rng = np.random.default_rng(15)
     u = rand_pt(rng, 2)
-    oracle = supertrace_over_aux(concrete(monodromy_blocks(spec, u)),
-                                 weights=np.array(spec.twist.kappa))
-    assert np.abs(transfer_matrix(spec, u) - oracle).max() < 1e-13
+    oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
+    assert np.abs(dense(spec, transfer_blocks(spec, u)) - oracle).max() < 1e-13
 
 
 def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
     spec = ChainSpec(M=3)
     vac = VacuumFunctions(spec)
-    vec = vacuum_vector(spec)
     w = 2.2 + 0.5j
-    t = transfer_matrix(spec, w)
+    # the vacuum is the one basis state of its content: its block is 1 x 1
+    on = [(spec.M, 0, 0)]
+    t = transfer_blocks(spec, w, contents=on)[on[0]][1]
     tau = vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
-    assert np.abs(t @ vec - tau * vec).max() < 1e-12
-    t2 = transfer_matrix(replace(spec, twist=TwistConfig((2.0, 1.0, 1.0))), w)
+    assert t.shape == (1, 1) and abs(t[0, 0] - tau) < 1e-12
+    t2 = transfer_blocks(replace(spec, twist=TwistConfig((2.0, 1.0, 1.0))), w, contents=on)
     tau2 = 2 * vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
-    assert np.abs(t2 @ vec - tau2 * vec).max() < 1e-12
+    assert abs(t2[on[0]][1][0, 0] - tau2) < 1e-12
 
 
 # -- zero modes ------------------------------------------------------------------
@@ -266,68 +262,42 @@ def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
 
 def test_zero_mode_structural_vs_limit():
     spec = ChainSpec(M=3)
-    zm = zero_mode(spec)
-    zl = zero_mode_limit(spec)
-    worst = max(np.abs(zm[i, j] - zl[i, j]).max() for i in range(3) for j in range(3))
+    limit = {k: block.copy() for k, block in zero_mode_limit_groups(spec)}
+    worst = max(largest(combine((1.0, zero_mode_entry(spec, i, j)),
+                                (-1.0, entry_blocks(spec, limit, i, j)))) for i, j in ALL_PAIRS)
     assert worst < 1e-5
 
 
-def comm_zm_worst(zm_a, zm_b, reference):
-    """Largest entry violation of the zero-mode commutation algebra."""
-    worst = 0.0
-    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
-        pa = (PAR[i - 1] + PAR[j - 1]) % 2
-        pb = (PAR[k - 1] + PAR[l - 1]) % 2
-        lhs = graded_commutator(zm_a[i - 1, j - 1], zm_b[k - 1, l - 1], pa, pb)
-        sign = (-1) ** ((PAR[i - 1] * PAR[j - 1] + PAR[i - 1] * PAR[l - 1]
-                         + PAR[j - 1] * PAR[l - 1]) % 2)
-        rhs = np.zeros_like(lhs)
-        if i == l:
-            rhs = rhs + reference[k - 1, j - 1]
-        if k == j:
-            rhs = rhs - reference[i - 1, l - 1]
-        worst = max(worst, float(np.abs(lhs - sign * rhs).max()))
-    return worst
-
-
 def test_zero_mode_algebra_total_exact():
-    spec = ChainSpec(M=3)
-    zm = zero_mode(spec)
-    assert comm_zm_worst(zm, zm, zm) == 0.0
+    zm = zero_modes(ChainSpec(M=3))
+    assert zero_mode_algebra_worst(zm, zm, zm) == 0.0
 
 
 def test_zero_mode_algebra_partial_and_mixed_exact():
     spec = ChainSpec(M=3)
     m = 2
-    zm1 = zero_mode(spec, sites=range(1, m + 1))
-    zm2 = zero_mode(spec, sites=range(m + 1, spec.M + 1))
-    zm = zero_mode(spec)
-    assert comm_zm_worst(zm1, zm1, zm1) == 0.0
-    assert comm_zm_worst(zm2, zm2, zm2) == 0.0
+    zm1 = zero_modes(spec, sites=range(1, m + 1))
+    zm2 = zero_modes(spec, sites=range(m + 1, spec.M + 1))
+    zm = zero_modes(spec)
+    assert zero_mode_algebra_worst(zm1, zm1, zm1) == 0.0
+    assert zero_mode_algebra_worst(zm2, zm2, zm2) == 0.0
     # partial against total closes on the partial zero modes
-    assert comm_zm_worst(zm1, zm, zm1) == 0.0
+    assert zero_mode_algebra_worst(zm1, zm, zm1) == 0.0
     # different partials supercommute exactly
-    worst = 0.0
-    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
-        pa = (PAR[i - 1] + PAR[j - 1]) % 2
-        pb = (PAR[k - 1] + PAR[l - 1]) % 2
-        d = graded_commutator(zm1[i - 1, j - 1], zm2[k - 1, l - 1], pa, pb)
-        worst = max(worst, float(np.abs(d).max()))
-    assert worst == 0.0
+    assert zero_mode_algebra_worst(zm1, zm2, None) == 0.0
 
 
 def test_zero_mode_empty_range_is_zero():
-    spec = ChainSpec(M=2)
-    zm = zero_mode(spec, sites=())
-    assert all(np.abs(zm[i, j]).max() == 0.0 for i in range(3) for j in range(3))
+    zm = zero_modes(ChainSpec(M=2), sites=())
+    assert all(zm.values()) and all(largest(op) == 0.0 for op in zm.values())
 
 
 def test_commutator_example_t12_t21():
     # [T_12[0], T_21[0]} = T_22[0] - T_11[0]
-    spec = ChainSpec(M=3)
-    zm = zero_mode(spec)
-    lhs = graded_commutator(zm[0, 1], zm[1, 0], 0, 0)
-    assert np.abs(lhs - (zm[1, 1] - zm[0, 0])).max() == 0.0
+    zm = zero_modes(ChainSpec(M=3))
+    diff = combine((1.0, compose(zm[1, 2], zm[2, 1])), (-1.0, compose(zm[2, 1], zm[1, 2])),
+                   (-1.0, zm[2, 2]), (1.0, zm[1, 1]))
+    assert largest(diff) == 0.0
 
 
 def all_ranges(m_sites):
@@ -399,16 +369,17 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     states = [state(*s) for s in contents]
     u = rand_pt(rng, 2.5)
     for sites in oracle_ranges(m_sites):
-        operators = [(monodromy_group_set(spec, u, sites), monodromy_blocks(spec, u, sites)),
-                     (structural_zero_mode_groups(spec, sites), zero_mode(spec, sites))]
-        for groups, read_off in operators:
-            for i, j in itertools.product((1, 2, 3), repeat=2):
-                dense = read_off[i - 1, j - 1]
-                assert np.array_equal(dense, dense_entry(spec, groups, i, j))
+        operators = [(monodromy_group_set(spec, u, sites),
+                      monodromy_entries(spec, u, ALL_PAIRS, sites)),
+                     (structural_zero_mode_groups(spec, sites), zero_modes(spec, sites))]
+        for groups, entries in operators:
+            for i, j in ALL_PAIRS:
+                full = dense(spec, entries[i, j])
+                assert np.array_equal(full, dense_entry(spec, groups, i, j))
                 op = entry_blocks(spec, groups, i, j)
-                scale = 1e-12 * max(1.0, float(np.abs(dense).max())) * spec.hilbert_dim
+                scale = 1e-12 * max(1.0, float(np.abs(full).max())) * 3 ** spec.M
                 for c, b in itertools.product(states, repeat=2):
-                    expect = embed(spec, c.sector, c.left) @ dense @ embed(spec, b.sector, b.right)
+                    expect = embed(spec, c.sector, c.left) @ full @ embed(spec, b.sector, b.right)
                     assert abs(sandwich(spec, c, op, b) - expect) < scale * c.left.size
 
 
@@ -419,19 +390,17 @@ def test_transfer_blocks_are_the_sector_blocks(m_sites, make_spec):
     rng = np.random.default_rng(50 + m_sites)
     u = rand_pt(rng, 2.5)
     groups, _, contents = _content_partition(m_sites)
-    oracle = supertrace_over_aux(concrete(monodromy_blocks(spec, u)),
-                                 weights=np.array(spec.twist.kappa))
-    dense = transfer_matrix(spec, u)
+    oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
     blocks = transfer_blocks(spec, u)
     assert list(blocks) == list(contents)
     for idx, s in zip(groups, contents):
         image, blk = blocks[s]
         assert image == s
-        assert np.array_equal(blk, dense[np.ix_(idx, idx)])
         assert np.abs(blk - oracle[np.ix_(idx, idx)]).max() < 1e-13
         # restricting to one group computes the same block
         assert np.array_equal(transfer_blocks(spec, u, contents=[s])[s][1], blk)
-    assert np.abs(dense - oracle).max() < 1e-13  # nothing outside the sector blocks
+    # nothing outside the sector blocks
+    assert np.abs(dense(spec, blocks) - oracle).max() < 1e-13
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
@@ -708,11 +677,11 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     dense = 16 * 9 ** (m_sites + 1)
     spec = ChainSpec(M=m_sites)
     u = 2.1 + 0.4j
-    transfer_matrix(spec, u)  # warm the partition and gather-map caches
-    assert peak_bytes(lambda: transfer_matrix(spec, u)) < 0.8 * dense
-    assert peak_bytes(lambda: monodromy_blocks(spec, u)) < 1.5 * dense
-    assert peak_bytes(lambda: zero_mode(spec)) < 1.5 * dense
-    assert peak_bytes(lambda: zero_mode_limit(spec)) < 1.5 * dense
+    transfer_blocks(spec, u)  # warm the partition and block-map caches
+    assert peak_bytes(lambda: transfer_blocks(spec, u)) < 0.8 * dense
+    assert peak_bytes(lambda: monodromy_entries(spec, u, ALL_PAIRS)) < 1.5 * dense
+    assert peak_bytes(lambda: zero_modes(spec)) < 1.5 * dense
+    assert peak_bytes(lambda: [blk.copy() for _, blk in zero_mode_limit_groups(spec)]) < 1.5 * dense
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gradedbethe.bethe import continue_twist
-from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_blocks, transfer_matrix, zero_mode
+from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_entries, transfer_blocks, \
+    zero_mode_entry
 from gradedbethe.formfactors import (
     SelectionRuleZero,
     ZetaFactors,
@@ -22,6 +23,7 @@ from gradedbethe.formfactors import (
 from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import diagonalize_transfer
 from conftest import descendant_pairs, embed, primitive_pairs
+from oracles import dense
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +65,7 @@ def other_descendant(d11, bpair):
 def test_matrix_element_transfer_gives_tau(spec4, p10):
     pair = p10[0]
     w = pair.probes[2]
-    t = transfer_matrix(spec4, w)
+    t = dense(spec4, transfer_blocks(spec4, w))
     val = embed(spec4, pair.sector, pair.left) @ t @ embed(spec4, pair.sector, pair.right)
     assert val == pytest.approx(pair.tau_samples[2] * pair.pairing, rel=1e-10)
 
@@ -92,8 +94,8 @@ def test_universal_ff_selection_rule(spec4, vac4, p10, p20):
     with pytest.raises(SelectionRuleZero):
         universal_form_factor(spec4, vac4, p20[0], p10[0], 2, 2)
     # the underlying matrix element itself vanishes for the wrong step
-    blocks = monodromy_blocks(spec4, 1.3 + 0.8j)
-    val = embed(spec4, (2, 0), p20[0].left) @ blocks[1, 1] @ embed(spec4, (1, 0), p10[0].right)
+    t22 = dense(spec4, monodromy_entries(spec4, 1.3 + 0.8j, [(2, 2)])[2, 2])
+    val = embed(spec4, (2, 0), p20[0].left) @ t22 @ embed(spec4, (1, 0), p10[0].right)
     scale = np.linalg.norm(p20[0].left) * np.linalg.norm(p10[0].right)
     assert abs(val) < 1e-10 * scale
 
@@ -133,8 +135,8 @@ def test_partial_zero_mode_empty_range(spec4, p10):
 
 def test_local_operator_is_zero_mode_difference(spec4, p10, p20):
     for m in (1, 2, 3):
-        direct = embed(spec4, (2, 0), p20[0].left) @ zero_mode(spec4, sites=[m])[0, 1] \
-            @ embed(spec4, (1, 0), p10[0].right)
+        t12 = dense(spec4, zero_mode_entry(spec4, 1, 2, [m]))
+        direct = embed(spec4, (2, 0), p20[0].left) @ t12 @ embed(spec4, (1, 0), p10[0].right)
         diff = partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m) \
             - partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m - 1)
         assert abs(direct - diff) < 1e-12 * max(1.0, abs(direct))
@@ -288,8 +290,8 @@ def test_generating_functional_matches_expm_of_dense_zero_modes(m):
     # entrywise, which is expm since Q_beta is diagonal
     spec = ChainSpec(M=4, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     beta = (0.3 + 0.2j, -0.25 + 0.1j, 0.15 - 0.35j)
-    zm = zero_mode(spec, sites=range(1, m + 1))
-    q = sum((-1) ** FUNDAMENTAL_PARITIES[i] * beta[i] * zm[i, i] for i in range(3))
+    q = sum((-1) ** FUNDAMENTAL_PARITIES[i] * beta[i]
+            * dense(spec, zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1))) for i in range(3))
     assert np.array_equal(q, np.diag(np.diag(q)))
     exp_q = np.diag(np.exp(np.diag(q)))
     states = diagonalize_transfer(spec, sectors=[(2, 1)]).states
@@ -356,11 +358,10 @@ def test_ladder_with_descendant_dual(spec4, vac4, p10, d11):
 def test_raising_image_lands_in_next_sector(spec4, vac4, p10):
     # T_12[0] B_{a,b} is an eigenvector with sector (a+1, b)
     pair = p10[0]
-    zm = zero_mode(spec4)
-    img = zm[0, 1] @ embed(spec4, pair.sector, pair.right)
+    img = dense(spec4, zero_mode_entry(spec4, 1, 2)) @ embed(spec4, pair.sector, pair.right)
     assert np.linalg.norm(img) > 1e-8
-    for i, expect in ((0, vac4.lam_zero_mode(1) - 2), (2, vac4.lam_zero_mode(3) - 0)):
-        val = zm[i, i] @ img
+    for i, expect in ((1, vac4.lam_zero_mode(1) - 2), (3, vac4.lam_zero_mode(3) - 0)):
+        val = dense(spec4, zero_mode_entry(spec4, i, i)) @ img
         assert np.linalg.norm(val - expect * img) < 1e-8 * np.linalg.norm(img)
 
 

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from gradedbethe.graded import (
-    GradedMatrix,
-    GradedSpace,
-    graded_permutation,
-    parity_of_index,
-    permutation_between,
-)
+from gradedbethe.graded import GradedMatrix, GradedSpace, permutation_between
 
-from oracles import graded_commutator, graded_kron, supertrace, supertrace_over_aux
+from oracles import FUND, graded_commutator, graded_kron, supertrace, supertrace_over_aux
 
-FUND = GradedSpace.fundamental()
+#: the graded permutation P(e_i (x) e_j) = (-1)^{[i][j]} e_j (x) e_i on V (x) V
+P = permutation_between([FUND, FUND], 0, 1).to_matrix()
 
 
 def rand_gm(rng, space=FUND):
@@ -24,16 +19,6 @@ def homogeneous_gm(rng, parity, space=FUND):
     pa = space.parity_array()
     mask = (np.add.outer(pa, pa) % 2) == parity
     return GradedMatrix(space, np.where(mask, m, 0.0))
-
-
-def test_parity_of_index():
-    assert parity_of_index(1) == 0
-    assert parity_of_index(2) == 0
-    assert parity_of_index(3) == 1
-    with pytest.raises(ValueError):
-        parity_of_index(0)
-    with pytest.raises(ValueError):
-        parity_of_index(4)
 
 
 def test_fundamental_space():
@@ -51,35 +36,32 @@ def test_product_grading_additive():
 
 
 def test_permutation_squares_to_identity():
-    p = graded_permutation(FUND, FUND)
-    assert np.array_equal((p @ p).mat, np.eye(9))
+    assert np.array_equal(P @ P, np.eye(9))
 
 
 def test_permutation_koszul_signs():
-    p = graded_permutation(FUND, FUND).mat
     # both even: plain swap
     v = np.zeros(9)
     v[0 * 3 + 1] = 1.0
     w = np.zeros(9)
     w[1 * 3 + 0] = 1.0
-    assert np.array_equal(p @ v, w)
+    assert np.array_equal(P @ v, w)
     # odd-odd picks a minus sign
     v = np.zeros(9)
     v[2 * 3 + 2] = 1.0
-    assert np.array_equal(p @ v, -v)
+    assert np.array_equal(P @ v, -v)
 
 
 def test_supertrace_of_permutation_is_one():
     # brute-force signed diagonal sum as the independent oracle
-    p = graded_permutation(FUND, FUND)
     par = FUND.parities
     brute = 0.0
     for i in range(3):
         for j in range(3):
             k = 3 * i + j
-            brute += (-1) ** ((par[i] + par[j]) % 2) * p.mat[k, k]
+            brute += (-1) ** ((par[i] + par[j]) % 2) * P[k, k]
     assert brute == pytest.approx(1.0)
-    assert supertrace(p) == pytest.approx(1.0)
+    assert supertrace(GradedMatrix(FUND.tensor(FUND), P)) == pytest.approx(1.0)
 
 
 def test_graded_kron_identity():
@@ -146,8 +128,7 @@ def test_supertrace_over_aux_identity():
 
 def test_supertrace_over_aux_of_permutation_is_identity():
     # signed local identity contribution, by direct index computation
-    p = graded_permutation(FUND, FUND)
-    out = supertrace_over_aux(p)
+    out = supertrace_over_aux(P)
     assert np.array_equal(out, np.eye(3))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gradedbethe.bethe import BetheRoots
 from gradedbethe.chain import ChainSpec, TwistConfig, VacuumFunctions, _content_partition, \
-    transfer_blocks, transfer_matrix, zero_mode, zero_mode_entry
+    transfer_blocks, zero_mode_entry
 from gradedbethe.spectrum import (
     MatchError,
     _content,
@@ -21,6 +21,7 @@ from gradedbethe.spectrum import (
 )
 
 from conftest import TESTED_SECTORS, embed, primitive_pairs
+from oracles import dense
 
 
 def test_single_site_spectrum():
@@ -39,7 +40,7 @@ def test_single_site_spectrum():
 def test_sector_indices_partition(spec4):
     sectors = sector_indices(spec4)
     total = sum(ix.size for ix in sectors.values())
-    assert total == spec4.hilbert_dim
+    assert total == 3 ** spec4.M
     assert sectors[(0, 0)].size == 1
     assert sectors[(1, 0)].size == 4
     assert sectors[(2, 1)].size == 12
@@ -57,7 +58,7 @@ def test_left_right_residuals(spec4, dec4):
         if st.clustered:
             continue
         for q, w in enumerate(dec4.probes):
-            t = transfer_matrix(spec4, w)
+            t = dense(spec4, transfer_blocks(spec4, w))
             scale = max(1.0, abs(st.tau_samples[q]))
             r, l = embed(spec4, st.sector, st.right), embed(spec4, st.sector, st.left)
             right = np.linalg.norm(t @ r - st.tau_samples[q] * r) / scale
@@ -129,7 +130,7 @@ def test_sector_labels_from_zero_modes(spec4, vac4, classified4):
 
 def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classified4):
     # T_11[0] B = (lambda_1[0] - a) B and cyclic, as operator actions
-    zm = zero_mode(spec4)
+    zm = [dense(spec4, zero_mode_entry(spec4, i, i)) for i in (1, 2, 3)]
     for pair in classified4[:12]:
         if pair.kind not in ("primitive", "descendant"):
             continue
@@ -139,18 +140,18 @@ def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classifi
                   2: vac4.lam_zero_mode(3) - b}
         right = embed(spec4, pair.sector, pair.right)
         for i, val in expect.items():
-            img = zm[i, i] @ right
+            img = zm[i] @ right
             assert np.linalg.norm(img - val * right) < 1e-8 * np.linalg.norm(right)
 
 
 def test_dual_annihilation_for_primitive_duals(dec4, classified4):
     # C_{a+1,b} T_12[0] = 0 for finite-root dual states
-    zm = zero_mode(dec4.spec)
+    t12 = dense(dec4.spec, zero_mode_entry(dec4.spec, 1, 2))
     for pair in classified4:
         if pair.kind != "primitive" or pair.sector[0] < 1:
             continue
         left = embed(dec4.spec, pair.sector, pair.left)
-        resid = np.linalg.norm(left @ zm[0, 1]) / np.linalg.norm(left)
+        resid = np.linalg.norm(left @ t12) / np.linalg.norm(left)
         assert resid < 1e-8
 
 
@@ -241,7 +242,7 @@ def test_states_live_on_their_own_sector():
     spec = ChainSpec(M=5)
     dec = diagonalize_transfer(spec)
     groups = _content_partition(spec.M)[0]
-    assert len(dec.states) == spec.hilbert_dim
+    assert len(dec.states) == 3 ** spec.M
     for side in ("right", "left"):
         assert sum(getattr(st, side).size for st in dec.states) == sum(g.size ** 2 for g in groups)
 
@@ -259,10 +260,9 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
     assert sandwich(spec4, c, zero_mode_entry(spec4, 3, 3), b) == 0
     # and the content check passes the matrix elements the step allows
     up = zero_mode_entry(spec4, 2, 3)
-    dense = embed(spec4, c.sector, c.left) @ zero_mode(spec4)[1, 2] \
-        @ embed(spec4, b.sector, b.right)
-    assert abs(sandwich(spec4, c, up, b) - dense) < 1e-12 * abs(dense)
-    assert abs(dense) > 1e-6
+    expect = embed(spec4, c.sector, c.left) @ dense(spec4, up) @ embed(spec4, b.sector, b.right)
+    assert abs(sandwich(spec4, c, up, b) - expect) < 1e-12 * abs(expect)
+    assert abs(expect) > 1e-6
 
 
 def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
@@ -380,7 +380,7 @@ def test_sector_indices_match_digit_count(m_sites):
     # brute force: read every basis index digit by digit
     spec = ChainSpec(M=m_sites)
     oracle = {}
-    for index in range(spec.hilbert_dim):
+    for index in range(3 ** spec.M):
         digits = [(index // 3**t) % 3 for t in range(m_sites)]
         sector = (m_sites - digits.count(0), digits.count(2))
         oracle.setdefault(sector, []).append(index)
