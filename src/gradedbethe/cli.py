@@ -4,7 +4,9 @@ The scenario is a single JSON document; all randomness (the spectral points
 of the algebra checks and the vacuum factorization split) derives from its
 one integer seed, so identical configs give byte-identical report files.
 Reports are written as JSON lines in the fixed seven-key schema plus a
-human-readable summary grid.
+human-readable summary grid.  The rtt check shares no state with the checks
+after it, so its residuals are computed in a forked worker while they run,
+where the process can fork safely and has a second CPU to run it on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -56,7 +61,7 @@ from .spectrum import (
     sector_labels_from_zero_modes,
 )
 
-__all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_report", "main",
+__all__ = ["Scenario", "ScenarioError", "WorkerError", "run_scenario", "emit_report", "main",
            "default_scenario_dict", "KNOWN_CHECKS"]
 
 KNOWN_CHECKS = ("rtt", "ybe", "vacuum", "spectrum-match", "theorem1", "theorem2",
@@ -67,6 +72,25 @@ SCHEMA_VERSION = 1
 
 class ScenarioError(ValueError):
     """Configuration does not validate."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker ended without sending its result."""
+
+
+def _integer(name: str, value) -> int:
+    """An integer field; a float such as 1.7, nan or inf is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value) -> float:
+    """A tolerance or step: a finite number above zero."""
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ScenarioError(f"{name} must be a finite number above zero, got {value!r}")
+    return number
 
 
 @dataclass
@@ -106,7 +130,7 @@ class Scenario:
         if vacuum_index != 1:
             # root seeding and the sector labels count against the vacuum e_1
             raise ScenarioError(f"unsupported vacuum_index {vacuum_index}: only 1 is supported")
-        m = int(chain_data.get("M", 4))
+        m = _integer("M", chain_data.get("M", 4))
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
         chain_data.setdefault("c", [1.0, 0.0])
@@ -119,18 +143,23 @@ class Scenario:
             chain = ChainSpec.from_json(chain_data)
         except (ValueError, KeyError) as exc:
             raise ScenarioError(f"invalid chain spec: {exc}") from exc
+        if not chain.twist.is_identity:
+            # twisted chains fail theorem1, proposition1 and ladder rows and end
+            # theorem2 in a traceback: the checks assume the untwisted chain
+            raise ScenarioError(f"unsupported twist kappa={chain_data['kappa']}: "
+                                "only the untwisted chain, kappa = (1, 1, 1), is supported")
         checks = list(data.get("checks", list(KNOWN_CHECKS)))
         if not checks:
             raise ScenarioError("empty check list")
         for name in checks:
             if name not in KNOWN_CHECKS:
                 raise ScenarioError(f"unrecognized check name: {name!r}")
-        sectors = [tuple(int(x) for x in s) for s in
+        sectors = [tuple(_integer("sectors", x) for x in s) for s in
                    data.get("sectors", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]])]
         for a, b in sectors:
             if a < 0 or b < 0 or a > m:
                 raise ScenarioError(f"sector {(a, b)} out of range for M={m}")
-        splits = [int(x) for x in data.get("splits", list(range(1, m)))]
+        splits = [_integer("splits", x) for x in data.get("splits", list(range(1, m)))]
         if not splits:
             # theorem2, proposition1 and ladder read a split point; --check may
             # select them after validation, so reject whatever the checks are
@@ -138,12 +167,13 @@ class Scenario:
         for split in splits:
             if not 1 <= split <= m:
                 raise ScenarioError(f"split m={split} out of range")
-        rtt_sizes = tuple(int(x) for x in data.get("rtt_sizes", (1, 2, 3, 4, 5)))
+        rtt_sizes = tuple(_integer("rtt_sizes", x)
+                          for x in data.get("rtt_sizes", (1, 2, 3, 4, 5)))
         if not rtt_sizes:
             raise ScenarioError("empty rtt_sizes; give at least one sub-chain size")
         if any(x < 1 or x > MAX_SITES for x in rtt_sizes):
             raise ScenarioError("rtt_sizes out of range")
-        rtt_pairs = int(data.get("rtt_pairs", 20))
+        rtt_pairs = _integer("rtt_pairs", data.get("rtt_pairs", 20))
         if rtt_pairs < len(rtt_sizes):
             raise ScenarioError(f"rtt_pairs={rtt_pairs}; need at least one spectral pair "
                                 f"for each of the {len(rtt_sizes)} rtt_sizes")
@@ -152,13 +182,13 @@ class Scenario:
             sectors=sectors,
             splits=splits,
             checks=checks,
-            seed=int(data.get("seed", 7)),
-            tol_exact=float(data.get("tol_exact", 1e-8)),
-            tol_fd=float(data.get("tol_fd", 1e-5)),
+            seed=_integer("seed", data.get("seed", 7)),
+            tol_exact=_positive("tol_exact", data.get("tol_exact", 1e-8)),
+            tol_fd=_positive("tol_fd", data.get("tol_fd", 1e-5)),
             rtt_pairs=rtt_pairs,
             rtt_sizes=rtt_sizes,
             beta_magnitude=float(data.get("beta_magnitude", 1e-2)),
-            fd_delta=float(data.get("fd_delta", 1e-5)),
+            fd_delta=_positive("fd_delta", data.get("fd_delta", 1e-5)),
         )
 
     @classmethod
@@ -184,6 +214,92 @@ def default_scenario_dict(m: int = 4, seed: int = 7) -> dict:
     }
 
 
+def _use_worker() -> bool:
+    """Whether a forked worker can run beside this process, safely and usefully.
+
+    Forking is safe only from a process with one OS thread (a BLAS pool or
+    any other thread could hold a lock the child inherits locked), and
+    useful only with a second CPU to run the child on.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+class _Residuals:
+    """Float residuals of ``fn(*args)`` jobs, read back in job order by ``join``.
+
+    Where ``_use_worker`` allows, the jobs run in a child forked at
+    construction, which sends the residuals back as raw float64 bytes over a
+    pipe, or an exception pickled; ``join`` re-raises that exception with its
+    type and message.  Otherwise ``join`` runs the jobs in this process.
+    ``close`` kills and reaps a child that was never joined.
+    """
+
+    def __init__(self, jobs):
+        self._jobs = jobs
+        self._pid = self._read = None
+        if _use_worker():
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # no process to spare: the jobs run in this process at the join
+                os.close(read)
+                os.close(write)
+                return
+            if pid == 0:
+                self._serve(read, write)
+            os.close(write)
+            self._pid, self._read = pid, read
+
+    def _serve(self, read: int, write: int) -> None:
+        """The child: run the jobs, send the outcome and exit without returning."""
+        code = 1
+        try:
+            os.close(read)
+            try:
+                out = b"R" + np.array([fn(*args) for fn, args in self._jobs],
+                                      dtype=np.float64).tobytes()
+            except Exception as exc:
+                out = b"E" + pickle.dumps(exc)
+            with os.fdopen(write, "wb") as fh:
+                fh.write(out)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def join(self) -> list[float]:
+        if self._pid is None:
+            return [float(fn(*args)) for fn, args in self._jobs]
+        read, self._read = self._read, None
+        with os.fdopen(read, "rb") as fh:
+            out = fh.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if out[:1] == b"R":
+            return np.frombuffer(out, dtype=np.float64, offset=1).tolist()
+        if out[:1] == b"E":
+            raise pickle.loads(out[1:])  # written by the child forked above
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerError(f"the rtt worker ended without a result: {how}")
+
+    def close(self) -> None:
+        if self._read is not None:
+            os.close(self._read)
+            self._read = None
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
 class _Workspace:
     """Shared state between checks of one scenario run."""
 
@@ -193,8 +309,14 @@ class _Workspace:
         self.vac = VacuumFunctions(self.spec)
         self.rng = np.random.default_rng(scenario.seed)
         self.cache_directory = cache_directory
+        self.rtt: tuple[list[str], _Residuals] | None = None
         self._dec = None
         self._classified = None
+
+    def close(self) -> None:
+        """Reap the rtt worker if it was never joined."""
+        if self.rtt is not None:
+            self.rtt[1].close()
 
     def decomposition(self):
         if self._dec is None:
@@ -234,9 +356,14 @@ def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
     return out
 
 
-def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
+def _start_rtt(ws: _Workspace) -> None:
+    """Draw the rtt check's spectral points and start computing its residuals.
+
+    Runs at rtt's place in the check order, so the points come from ``ws.rng``
+    between ybe's draws and vacuum's; the residuals are read by ``_run_rtt``.
+    """
     sc, rng = ws.scenario, ws.rng
-    out = []
+    identities, jobs = [], []
     # rtt_pairs pairs in all, the remainder going to the first sizes
     per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
     for n, m_sites in enumerate(sc.rtt_sizes):
@@ -244,15 +371,21 @@ def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
         for k in range(per_size + (n < extra)):
             u = _random_point(rng, sub.c, 3.0 * sub.c)
             v = _random_point(rng, sub.c, -3.0 * sub.c)
-            resid = verify_rtt(sub, u, v)
-            out.append(make_report(f"rtt:M{m_sites}.{k}", resid, 0.0, 1e-10,
-                                   residual=resid))
+            identities.append(f"rtt:M{m_sites}.{k}")
+            jobs.append((verify_rtt, (sub, u, v)))
     # entry-level commutation relation spot check on the scenario chain
     u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
     v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
-    resid = tm1_residual(sc.chain, u, v, (1, 2, 2, 3))
-    out.append(make_report("rtt:tm1-1223", resid, 0.0, 1e-10, residual=resid))
-    return out
+    identities.append("rtt:tm1-1223")
+    jobs.append((tm1_residual, (sc.chain, u, v, (1, 2, 2, 3))))
+    ws.rtt = (identities, _Residuals(jobs))
+
+
+def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
+    """The rtt rows: joins the residuals ``_start_rtt`` started."""
+    identities, residuals = ws.rtt
+    return [make_report(identity, resid, 0.0, 1e-10, residual=resid)
+            for identity, resid in zip(identities, residuals.join())]
 
 
 def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
@@ -494,6 +627,15 @@ def run_scenario(scenario: Scenario, out_dir: str,
                  cache_directory: str | None = None) -> tuple[int, list[FormFactorReport]]:
     """Execute the scenario's checks in dependency order and write reports.
 
+    Order rule: each check draws its random points from the one seeded
+    generator at its place in ``_CHECK_ORDER``, and its rows sit at that
+    place in the report.  Only the rtt check's work moves: its points are
+    drawn at its place (``_start_rtt``), which starts its residuals in a
+    forked worker where that is safe and useful, and its runner, the join,
+    runs after the last check.  Both paths make the same calls on the same
+    inputs, so they write the same bytes.  The worker is reaped on every
+    exit, a check that raises included.
+
     Returns (exit_code, reports); exit code 0 means every non-skipped check
     passed, 1 means at least one failed.  A check that emits no rows emits
     one ``skipped`` row instead, so it cannot pass silently.  Configuration
@@ -502,13 +644,24 @@ def run_scenario(scenario: Scenario, out_dir: str,
     """
     cache_directory = cache_directory or os.environ.get(CACHE_ENV_VAR)
     ws = _Workspace(scenario, cache_directory)
+    names = [name for name in _CHECK_ORDER if name in scenario.checks]
+    rows: dict[str, list[FormFactorReport]] = {}
+    try:
+        for name in names:
+            if name == "rtt":
+                _start_rtt(ws)
+            else:
+                rows[name] = _CHECK_RUNNERS[name](ws)
+        if "rtt" in names:
+            rows["rtt"] = _CHECK_RUNNERS["rtt"](ws)
+    finally:
+        ws.close()
     reports: list[FormFactorReport] = []
-    for name in _CHECK_ORDER:
-        if name in scenario.checks:
-            # every runner that emits nothing found none of the states it reads
-            reports.extend(_CHECK_RUNNERS[name](ws) or [
-                make_report(f"{name}:skipped:no-eligible-states", 0, 0, 0.0, residual=0.0,
-                            skipped=True)])
+    for name in names:
+        # every runner that emits nothing found none of the states it reads
+        reports.extend(rows[name] or [
+            make_report(f"{name}:skipped:no-eligible-states", 0, 0, 0.0, residual=0.0,
+                        skipped=True)])
     emit_report(reports, out_dir)
     failed = [r for r in reports if r.verdict == "fail"]
     return (1 if failed else 0), reports
@@ -581,14 +734,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             scenario.seed = args.seed
         if args.tol_exact is not None:
-            scenario.tol_exact = args.tol_exact
+            scenario.tol_exact = _positive("--tol-exact", args.tol_exact)
         if args.tol_fd is not None:
-            scenario.tol_fd = args.tol_fd
+            scenario.tol_fd = _positive("--tol-fd", args.tol_fd)
         code, reports = run_scenario(scenario, args.out)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except PoleError as exc:
+    except (PoleError, WorkerError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     n_fail = sum(1 for r in reports if r.verdict == "fail")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -142,6 +143,19 @@ def test_exit_codes_via_main(tmp_path):
     {"sectors": [[1]]},
     {"rtt_sizes": 5},
     {"splits": None},
+    # tolerances and steps are finite and above zero
+    {"tol_exact": float("nan")},
+    {"tol_exact": -1.0},
+    {"tol_fd": float("inf")},
+    {"tol_fd": 0.0},
+    {"fd_delta": 0.0},
+    # integer fields are not truncated
+    {"splits": [1.7]},
+    {"rtt_sizes": [2.5]},
+    {"rtt_pairs": 20.5},
+    {"seed": 1.5},
+    {"chain": {"M": 2.5}},
+    {"sectors": [[1.5, 0]]},
 ])
 def test_malformed_fields_are_configuration_errors(tmp_path, fields):
     # exit 1 means a check failed; a field of the wrong type or value is exit 2
@@ -150,6 +164,27 @@ def test_malformed_fields_are_configuration_errors(tmp_path, fields):
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert not os.path.exists(out / "reports.jsonl")
+
+
+@pytest.mark.parametrize("flag", ["--tol-exact=nan", "--tol-exact=0", "--tol-fd=inf",
+                                  "--tol-fd=-1e-5"])
+def test_tolerance_overrides_are_positive(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, default_scenario_dict(m=2, seed=1))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, flag, "--out", str(out)]) == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_twisted_chain_rejected(tmp_path):
+    # the checks assume kappa = 1: theorem2 ended a twisted run in a traceback
+    cfg = default_scenario_dict(m=4, seed=1)
+    cfg["chain"]["kappa"] = [[1.2, 0.0], [1.0, 0.0], [0.9, 0.1]]
+    with pytest.raises(ScenarioError, match="unsupported twist"):
+        Scenario.from_dict(cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not os.path.exists(out)
 
 
 def test_non_object_scenario_rejected():
@@ -278,7 +313,7 @@ def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
 
 
 def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
-    from gradedbethe import chain
+    from gradedbethe import chain, cli
 
     # every aux (x) H group built while a read with no contents streams,
     # keyed by the group and the steps' g values, which fix the spectral point
@@ -304,6 +339,8 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
 
     monkeypatch.setattr(chain, "_group_product", recorded)
     monkeypatch.setattr(chain, "_stream", tracked)
+    # tm1_residual's builds are counted only when the rtt check runs in this process
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
@@ -431,3 +468,146 @@ def test_verify_runs_without_scipy(tmp_path):
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# -- the rtt worker ----------------------------------------------------------
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the rtt worker runs only where a second CPU can run it")
+
+
+def run_pinned(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter with BLAS on one thread, so it may fork."""
+    env = {k: v for k, v in os.environ.items() if k != "GRADEDBETHE_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+# a subprocess script: verify_rtt appends the pid it runs in to argv[1], then runs BODY
+RECORD_PIDS = """
+import json, os, sys
+from gradedbethe import cli
+verify_rtt = cli.verify_rtt
+
+def recorded(*args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    BODY
+
+cli.verify_rtt = recorded
+scenario = cli.Scenario.from_dict(cli.default_scenario_dict(m=3, seed=1))
+scenario.checks = ["ybe", "rtt", "vacuum", "ladder"]
+"""
+
+NO_CHILD_LEFT = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({"pid": os.getpid(), "left": left, "outcome": outcome}))
+"""
+
+
+def recorded_pids(path) -> list[int]:
+    return [int(line) for line in path.read_text().split()]
+
+
+@needs_two_cpus
+def test_rtt_worker_writes_the_in_process_bytes(tmp_path, monkeypatch):
+    from gradedbethe import cli
+
+    cfg = write_config(tmp_path, default_scenario_dict(m=4, seed=1))
+    run = run_pinned("import sys; from gradedbethe.cli import main; "
+                     f"sys.exit(main(['verify', '--config', {cfg!r}, "
+                     f"'--out', {str(tmp_path / 'worker')!r}]))")
+    assert run.returncode == 0, run.stderr
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "in-process")]) == 0
+    for name in ("reports.jsonl", "summary.txt"):
+        assert ((tmp_path / "worker" / name).read_bytes()
+                == (tmp_path / "in-process" / name).read_bytes())
+
+
+@needs_two_cpus
+def test_rtt_runs_in_a_reaped_worker(tmp_path):
+    pids = tmp_path / "pids"
+    code = (RECORD_PIDS.replace("BODY", "return verify_rtt(*args)")
+            + "outcome, _ = cli.run_scenario(scenario, sys.argv[2])"
+            + NO_CHILD_LEFT)
+    run = run_pinned(code, str(pids), str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["outcome"] == 0 and not result["left"]
+    # all 20 pairs ran in one other process
+    assert len(recorded_pids(pids)) == 20
+    assert len(set(recorded_pids(pids)) - {result["pid"]}) == 1
+
+
+@needs_two_cpus
+def test_rtt_worker_reaped_when_a_later_check_raises(tmp_path):
+    code = (RECORD_PIDS.replace("BODY", "return verify_rtt(*args)") + """
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+def broken(ws):
+    raise RuntimeError("ladder broke")
+cli._CHECK_RUNNERS["ladder"] = broken
+try:
+    cli.run_scenario(scenario, sys.argv[2])
+    outcome = None
+except RuntimeError as exc:
+    outcome = [str(exc), len(forks)]
+""" + NO_CHILD_LEFT)
+    run = run_pinned(code, str(tmp_path / "pids"), str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["outcome"] == ["ladder broke", 1] and not result["left"]
+    assert not os.path.exists(tmp_path / "out")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("body, message", [
+    ("raise cli.PoleError('u meets a pole')", "runtime error: u meets a pole\n"),
+    ("os._exit(3)", "runtime error: the rtt worker ended without a result: exit status 3\n"),
+    ("os.kill(os.getpid(), 9)",
+     "runtime error: the rtt worker ended without a result: killed by signal 9\n"),
+], ids=["pole", "exits", "killed"])
+def test_rtt_worker_failure_exits_2(tmp_path, body, message):
+    # an exception in the worker re-raises in the parent with its type and
+    # message; a worker that dies without a result is named by its exit status
+    pids = tmp_path / "pids"
+    cfg = write_config(tmp_path, default_scenario_dict(m=3, seed=1))
+    code = (RECORD_PIDS.replace("BODY", body)
+            + "outcome = cli.main(['verify', '--config', sys.argv[2], '--out', sys.argv[3]])"
+            + NO_CHILD_LEFT)
+    run = run_pinned(code, str(pids), cfg, str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["outcome"] == 2 and not result["left"]
+    assert run.stderr == message
+    assert result["pid"] not in recorded_pids(pids)
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_no_worker_beside_a_second_thread():
+    # fork copies only the calling thread, whose locks another thread may hold
+    from gradedbethe import cli
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not cli._use_worker()
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
