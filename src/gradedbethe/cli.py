@@ -4,14 +4,17 @@ The scenario is a single JSON document; all randomness (the spectral points
 of the algebra checks and the vacuum factorization split) derives from its
 one integer seed, so identical configs give byte-identical report files.
 Reports are written as JSON lines in the fixed seven-key schema plus a
-human-readable summary grid.  The rtt check shares no state with the checks
-after it, so its residuals are computed in a forked worker while they run,
-where the process can fork safely and has a second CPU to run it on.
+human-readable summary grid.  The work no check reads before the last one
+ends, the rtt residuals and the leakage of the sectors the run does not
+sweep, is one job list: a forked worker drains it while the checks run, and
+this process drains the rest after them, where the process can fork safely
+and has a second CPU to run the worker on.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import itertools
 import json
 import math
@@ -19,7 +22,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; pay for it at start-up
@@ -58,6 +61,7 @@ from .spectrum import (
     diagonalize_transfer,
     load_cache,
     save_cache,
+    sector_indices,
     sector_labels_from_zero_modes,
 )
 
@@ -91,6 +95,29 @@ def _positive(name: str, value) -> float:
     if not (math.isfinite(number) and number > 0):
         raise ScenarioError(f"{name} must be a finite number above zero, got {value!r}")
     return number
+
+
+def _finite(name: str, value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _seed(name: str, value) -> int:
+    """The generator seed: numpy takes integers from zero up."""
+    seed = _integer(name, value)
+    if seed < 0:
+        raise ScenarioError(f"{name} must be an integer from 0 up, got {value!r}")
+    return seed
+
+
+def _distinct(name: str, values: list) -> list:
+    """A list field whose entries each appear once: a repeat would repeat its rows."""
+    for n, value in enumerate(values):
+        if value in values[:n]:
+            raise ScenarioError(f"duplicate {name} entry {value!r}")
+    return values
 
 
 @dataclass
@@ -154,12 +181,14 @@ class Scenario:
         for name in checks:
             if name not in KNOWN_CHECKS:
                 raise ScenarioError(f"unrecognized check name: {name!r}")
-        sectors = [tuple(_integer("sectors", x) for x in s) for s in
-                   data.get("sectors", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]])]
+        sectors = _distinct("sectors", [
+            tuple(_integer("sectors", x) for x in s)
+            for s in data.get("sectors", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]])])
         for a, b in sectors:
             if a < 0 or b < 0 or a > m:
                 raise ScenarioError(f"sector {(a, b)} out of range for M={m}")
-        splits = [_integer("splits", x) for x in data.get("splits", list(range(1, m)))]
+        splits = _distinct("splits", [_integer("splits", x)
+                                      for x in data.get("splits", list(range(1, m)))])
         if not splits:
             # theorem2, proposition1 and ladder read a split point; --check may
             # select them after validation, so reject whatever the checks are
@@ -167,8 +196,8 @@ class Scenario:
         for split in splits:
             if not 1 <= split <= m:
                 raise ScenarioError(f"split m={split} out of range")
-        rtt_sizes = tuple(_integer("rtt_sizes", x)
-                          for x in data.get("rtt_sizes", (1, 2, 3, 4, 5)))
+        rtt_sizes = tuple(_distinct("rtt_sizes", [_integer("rtt_sizes", x)
+                                                  for x in data.get("rtt_sizes", (1, 2, 3, 4, 5))]))
         if not rtt_sizes:
             raise ScenarioError("empty rtt_sizes; give at least one sub-chain size")
         if any(x < 1 or x > MAX_SITES for x in rtt_sizes):
@@ -182,12 +211,12 @@ class Scenario:
             sectors=sectors,
             splits=splits,
             checks=checks,
-            seed=_integer("seed", data.get("seed", 7)),
+            seed=_seed("seed", data.get("seed", 7)),
             tol_exact=_positive("tol_exact", data.get("tol_exact", 1e-8)),
             tol_fd=_positive("tol_fd", data.get("tol_fd", 1e-5)),
             rtt_pairs=rtt_pairs,
             rtt_sizes=rtt_sizes,
-            beta_magnitude=float(data.get("beta_magnitude", 1e-2)),
+            beta_magnitude=_finite("beta_magnitude", data.get("beta_magnitude", 1e-2)),
             fd_delta=_positive("fd_delta", data.get("fd_delta", 1e-5)),
         )
 
@@ -231,43 +260,82 @@ def _use_worker() -> bool:
         return False
 
 
-class _Residuals:
-    """Float residuals of ``fn(*args)`` jobs, read back in job order by ``join``.
+class _Jobs:
+    """Float results of ``fn(*args)`` jobs, each run once, by whichever process claims it.
 
-    Where ``_use_worker`` allows, the jobs run in a child forked at
-    construction, which sends the residuals back as raw float64 bytes over a
-    pipe, or an exception pickled; ``join`` re-raises that exception with its
-    type and message.  Otherwise ``join`` runs the jobs in this process.
-    ``close`` kills and reaps a child that was never joined.
+    Where ``_use_worker`` allows, construction forks a child that starts
+    claiming jobs at once, and ``join`` claims the rest in this process.  A
+    claim takes the next job index from a memfd under a POSIX record lock,
+    which the kernel releases if its holder dies.  The child sends back the
+    indices it ran with raw float64 results, and the exceptions it caught
+    pickled.  Both processes go on claiming after a job raises; ``join``
+    returns the results in job order, or re-raises the exception of the
+    lowest failing index with its type and message.  Without a child
+    ``join`` runs every job here, in order.  ``close`` kills and reaps a
+    child that was never joined.
     """
 
     def __init__(self, jobs):
         self._jobs = jobs
-        self._pid = self._read = None
-        if _use_worker():
-            read, write = os.pipe()
+        self._pid = self._read = self._next = None
+        if jobs and _use_worker():
+            self._fork()
+
+    def _fork(self) -> None:
+        try:
+            next_job = os.memfd_create("gradedbethe-jobs")
+        except OSError:
+            return
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            # no process to spare: the jobs run in this process at the join
+            for fd in (next_job, read, write):
+                os.close(fd)
+            return
+        self._next = next_job
+        if pid == 0:
+            self._serve(read, write)
+        os.close(write)
+        self._pid, self._read = pid, read
+
+    def _claims(self):
+        """Indices of the jobs this process claims, until none is left."""
+        if self._next is None:
+            yield from range(len(self._jobs))
+            return
+        while True:
+            fcntl.lockf(self._next, fcntl.LOCK_EX)
             try:
-                pid = os.fork()
-            except OSError:
-                # no process to spare: the jobs run in this process at the join
-                os.close(read)
-                os.close(write)
+                index = int.from_bytes(os.pread(self._next, 8, 0), "little")
+                os.pwrite(self._next, (index + 1).to_bytes(8, "little"), 0)
+            finally:
+                fcntl.lockf(self._next, fcntl.LOCK_UN)
+            if index >= len(self._jobs):
                 return
-            if pid == 0:
-                self._serve(read, write)
-            os.close(write)
-            self._pid, self._read = pid, read
+            yield index
+
+    def _drain(self) -> tuple[dict[int, float], dict[int, Exception]]:
+        results, failures = {}, {}
+        for index in self._claims():
+            fn, args = self._jobs[index]
+            try:
+                results[index] = float(fn(*args))
+            except Exception as exc:
+                failures[index] = exc
+        return results, failures
 
     def _serve(self, read: int, write: int) -> None:
-        """The child: run the jobs, send the outcome and exit without returning."""
+        """The child: run the jobs it claims, send the outcome and exit without returning."""
         code = 1
         try:
             os.close(read)
-            try:
-                out = b"R" + np.array([fn(*args) for fn, args in self._jobs],
-                                      dtype=np.float64).tobytes()
-            except Exception as exc:
-                out = b"E" + pickle.dumps(exc)
+            results, failures = self._drain()
+            out = (len(results).to_bytes(8, "little")
+                   + np.array(list(results), dtype=np.int64).tobytes()
+                   + np.array(list(results.values()), dtype=np.float64).tobytes()
+                   + pickle.dumps(failures))
             with os.fdopen(write, "wb") as fh:
                 fh.write(out)
             code = 0
@@ -275,20 +343,28 @@ class _Residuals:
             os._exit(code)
 
     def join(self) -> list[float]:
-        if self._pid is None:
-            return [float(fn(*args)) for fn, args in self._jobs]
-        read, self._read = self._read, None
-        with os.fdopen(read, "rb") as fh:
-            out = fh.read()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        if out[:1] == b"R":
-            return np.frombuffer(out, dtype=np.float64, offset=1).tolist()
-        if out[:1] == b"E":
-            raise pickle.loads(out[1:])  # written by the child forked above
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise WorkerError(f"the rtt worker ended without a result: {how}")
+        try:
+            results, failures = self._drain()
+            if self._pid is not None:
+                read, self._read = self._read, None
+                with os.fdopen(read, "rb") as fh:
+                    out = fh.read()
+                _, status = os.waitpid(self._pid, 0)
+                self._pid = None
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise WorkerError(f"the rtt worker ended without a result: {how}")
+                n = int.from_bytes(out[:8], "little")
+                indices = np.frombuffer(out, dtype=np.int64, count=n, offset=8)
+                values = np.frombuffer(out, dtype=np.float64, count=n, offset=8 + 8 * n)
+                results.update(zip(indices.tolist(), values.tolist()))
+                failures.update(pickle.loads(out[8 + 16 * n:]))  # written by the child above
+        finally:
+            self.close()
+        if failures:
+            raise failures[min(failures)]
+        return [results[index] for index in range(len(self._jobs))]
 
     def close(self) -> None:
         if self._read is not None:
@@ -298,10 +374,23 @@ class _Residuals:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
+        if self._next is not None:
+            os.close(self._next)
+            self._next = None
+
+
+# the checks that read the spectral decomposition
+_SPECTRAL_CHECKS = ("spectrum-match", "theorem1", "theorem2", "proposition1", "ladder")
 
 
 class _Workspace:
-    """Shared state between checks of one scenario run."""
+    """Shared state between checks of one scenario run.
+
+    The run diagonalizes only the swept sectors, every sector at or below a
+    requested one, which are all that ``classify_spectrum`` reads.  The
+    leakage of the other sectors is a job of the list ``_start_jobs``
+    starts, and ``join`` completes the consistency figure with it.
+    """
 
     def __init__(self, scenario: Scenario, cache_directory: str | None):
         self.scenario = scenario
@@ -309,26 +398,56 @@ class _Workspace:
         self.vac = VacuumFunctions(self.spec)
         self.rng = np.random.default_rng(scenario.seed)
         self.cache_directory = cache_directory
-        self.rtt: tuple[list[str], _Residuals] | None = None
+        self.swept = [s for s in sector_indices(self.spec)
+                      if any(s[0] <= a and s[1] <= b for a, b in scenario.sectors)]
+        self.jobs: _Jobs | None = None
+        self.leakage = False        # job 0 is the leakage of the unswept sectors
+        self.rtt: list[tuple[str, int]] = []    # (identity, job index) in row order
+        self._results: list[float] | None = None
         self._dec = None
         self._classified = None
 
     def close(self) -> None:
-        """Reap the rtt worker if it was never joined."""
-        if self.rtt is not None:
-            self.rtt[1].close()
+        """Reap the worker if the job list was never joined."""
+        if self.jobs is not None:
+            self.jobs.close()
+
+    def defer_leakage(self) -> list:
+        """[the leakage job of the unswept sectors] if the run diagonalizes and reads it, else [].
+
+        Looks the swept sectors up in the spectral cache first: a hit holds
+        the all-sector figure already, and the run diagonalizes nothing.
+        """
+        if not any(name in _SPECTRAL_CHECKS for name in self.scenario.checks):
+            return []
+        if self.cache_directory:
+            self._dec = load_cache(self.cache_directory, self.spec, self.swept)
+        # spectrum-match reports the figure and the cache stores it
+        read = "spectrum-match" in self.scenario.checks or self.cache_directory
+        self.leakage = bool(self._dec is None and read)
+        rest = [s for s in sector_indices(self.spec) if s not in self.swept]
+        return [(_leakage, (self.spec, rest))] if self.leakage else []
 
     def decomposition(self):
         if self._dec is None:
-            dec = None
-            if self.cache_directory:
-                dec = load_cache(self.cache_directory, self.spec)
-            if dec is None:
-                dec = diagonalize_transfer(self.spec)
-                if self.cache_directory:
-                    save_cache(self.cache_directory, dec)
-            self._dec = dec
+            self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
         return self._dec
+
+    def join(self) -> list[float]:
+        """The job list's results in job order.
+
+        With a leakage job, the first call also completes the decomposition's
+        consistency figure and writes the decomposition to the spectral cache.
+        """
+        if self._results is None:
+            self._results = self.jobs.join()
+            if self.leakage:
+                dec = self.decomposition()
+                # a max over sectors diagonalized independently: the all-sector figure
+                self._dec = replace(dec, consistency=max(dec.consistency, self._results[0]))
+                if self.cache_directory:
+                    save_cache(self.cache_directory, self._dec)
+        return self._results
 
     def classified(self):
         if self._classified is None:
@@ -356,36 +475,49 @@ def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
     return out
 
 
-def _start_rtt(ws: _Workspace) -> None:
-    """Draw the rtt check's spectral points and start computing its residuals.
+def _leakage(spec: ChainSpec, sectors: list[tuple[int, int]]) -> float:
+    """The consistency figure of ``sectors``: their eigenvector leakage at the later probes."""
+    return diagonalize_transfer(spec, sectors=sectors).consistency
 
-    Runs at rtt's place in the check order, so the points come from ``ws.rng``
-    between ybe's draws and vacuum's; the residuals are read by ``_run_rtt``.
+
+def _start_jobs(ws: _Workspace) -> None:
+    """Draw the rtt check's spectral points and start the run's job list.
+
+    Runs at rtt's place in the check order whether or not rtt is requested,
+    so the points come from ``ws.rng`` between ybe's draws and vacuum's.  The
+    list holds, largest first: the leakage of the unswept sectors (see
+    ``_Workspace.defer_leakage``); then, if rtt is requested, ``tm1_residual``
+    on the scenario chain and the rtt pairs by sub-chain size.  The rows read
+    the results in draw order through ``_Workspace.join``.
     """
     sc, rng = ws.scenario, ws.rng
-    identities, jobs = [], []
-    # rtt_pairs pairs in all, the remainder going to the first sizes
-    per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
-    for n, m_sites in enumerate(sc.rtt_sizes):
-        sub = ChainSpec(M=m_sites, c=sc.chain.c)
-        for k in range(per_size + (n < extra)):
-            u = _random_point(rng, sub.c, 3.0 * sub.c)
-            v = _random_point(rng, sub.c, -3.0 * sub.c)
-            identities.append(f"rtt:M{m_sites}.{k}")
-            jobs.append((verify_rtt, (sub, u, v)))
-    # entry-level commutation relation spot check on the scenario chain
-    u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
-    v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
-    identities.append("rtt:tm1-1223")
-    jobs.append((tm1_residual, (sc.chain, u, v, (1, 2, 2, 3))))
-    ws.rtt = (identities, _Residuals(jobs))
+    jobs = ws.defer_leakage()
+    if "rtt" in sc.checks:
+        rows = []  # (identity, sites, job) in draw order
+        # rtt_pairs pairs in all, the remainder going to the first sizes
+        per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
+        for n, m_sites in enumerate(sc.rtt_sizes):
+            sub = ChainSpec(M=m_sites, c=sc.chain.c)
+            for k in range(per_size + (n < extra)):
+                u = _random_point(rng, sub.c, 3.0 * sub.c)
+                v = _random_point(rng, sub.c, -3.0 * sub.c)
+                rows.append((f"rtt:M{m_sites}.{k}", m_sites, (verify_rtt, (sub, u, v))))
+        # entry-level commutation relation spot check on the scenario chain
+        u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
+        v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
+        rows.append(("rtt:tm1-1223", sc.chain.M, (tm1_residual, (sc.chain, u, v, (1, 2, 2, 3)))))
+        queued = [len(rows) - 1] + sorted(range(len(rows) - 1), key=lambda n: -rows[n][1])
+        slot = {n: len(jobs) + q for q, n in enumerate(queued)}
+        ws.rtt = [(identity, slot[n]) for n, (identity, _, _) in enumerate(rows)]
+        jobs += [rows[n][2] for n in queued]
+    ws.jobs = _Jobs(jobs)
 
 
 def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
-    """The rtt rows: joins the residuals ``_start_rtt`` started."""
-    identities, residuals = ws.rtt
-    return [make_report(identity, resid, 0.0, 1e-10, residual=resid)
-            for identity, resid in zip(identities, residuals.join())]
+    """The rtt rows: joins the job list ``_start_jobs`` started."""
+    results = ws.join()
+    return [make_report(identity, results[index], 0.0, 1e-10, residual=results[index])
+            for identity, index in ws.rtt]
 
 
 def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
@@ -438,12 +570,16 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     return out
 
 
+def _consistency_report(consistency: float) -> FormFactorReport:
+    return make_report("spectrum:consistency", consistency, 0.0, 1e-9, residual=consistency)
+
+
 def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac = ws.spec, ws.vac
     out = []
     dec = ws.decomposition()
-    out.append(make_report("spectrum:consistency", dec.consistency, 0.0, 1e-9,
-                           residual=dec.consistency))
+    # the swept sectors' figure: run_scenario completes it at the join
+    out.append(_consistency_report(dec.consistency))
     for sector in ws.scenario.sectors:
         name = f"spectrum-match:{sector[0]}{sector[1]}"
         states = dec.by_sector(tuple(sector))
@@ -629,12 +765,18 @@ def run_scenario(scenario: Scenario, out_dir: str,
 
     Order rule: each check draws its random points from the one seeded
     generator at its place in ``_CHECK_ORDER``, and its rows sit at that
-    place in the report.  Only the rtt check's work moves: its points are
-    drawn at its place (``_start_rtt``), which starts its residuals in a
-    forked worker where that is safe and useful, and its runner, the join,
-    runs after the last check.  Both paths make the same calls on the same
-    inputs, so they write the same bytes.  The worker is reaped on every
-    exit, a check that raises included.
+    place in the report.  Only work no check reads before the end moves.
+    At rtt's place, requested or not, ``_start_jobs`` draws the rtt points
+    and starts one job list, longest jobs first: the leakage of the sectors
+    the spectral checks do not sweep, ``tm1_residual``, then the rtt pairs
+    by sub-chain size.  A forked worker drains it from there, where that is
+    safe and useful, and this process drains the rest after the last check.
+    The join then fills the rtt rows and completes the
+    ``spectrum:consistency`` row, the max of the swept and the deferred
+    figures, which is the figure of one pass over every sector.  Each job
+    runs once, and either way the same calls see the same inputs, so both
+    paths write the same bytes.  The worker is reaped on every exit, a
+    check that raises included.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
     passed, 1 means at least one failed.  A check that emits no rows emits
@@ -647,15 +789,18 @@ def run_scenario(scenario: Scenario, out_dir: str,
     names = [name for name in _CHECK_ORDER if name in scenario.checks]
     rows: dict[str, list[FormFactorReport]] = {}
     try:
-        for name in names:
+        for name in _CHECK_ORDER:
             if name == "rtt":
-                _start_rtt(ws)
-            else:
+                _start_jobs(ws)
+            elif name in names:
                 rows[name] = _CHECK_RUNNERS[name](ws)
         if "rtt" in names:
             rows["rtt"] = _CHECK_RUNNERS["rtt"](ws)
+        ws.join()
     finally:
         ws.close()
+    if "spectrum-match" in names:
+        rows["spectrum-match"][0] = _consistency_report(ws.decomposition().consistency)
     reports: list[FormFactorReport] = []
     for name in names:
         # every runner that emits nothing found none of the states it reads
@@ -732,7 +877,7 @@ def main(argv: list[str] | None = None) -> int:
                     raise ScenarioError(f"unrecognized check name: {name!r}")
             scenario.checks = list(args.check)
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario.seed = _seed("--seed", args.seed)
         if args.tol_exact is not None:
             scenario.tol_exact = _positive("--tol-exact", args.tol_exact)
         if args.tol_fd is not None:

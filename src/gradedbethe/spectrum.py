@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 CACHE_ENV_VAR = "GRADEDBETHE_CACHE"
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 _CLUSTER_GAP = 1e-8  # relative eigenvalue gap below which two states of a sector cluster
 _MATCH_RTOL = 1e-6   # relative distance at which eigenvalue samples match
 _NEWTON_TOL = 1e-12  # Bethe residual of the roots classify_spectrum attaches
@@ -375,24 +375,26 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
 # -- spectral cache -------------------------------------------------------------
 
 
-def _cache_path(directory: str, spec: ChainSpec) -> str:
+def _cache_path(directory: str, spec: ChainSpec, sectors: list[tuple[int, int]]) -> str:
     import hashlib
     import json as _json
 
     # the spec's JSON holds the twist as "kappa"
-    key = _json.dumps({"spec": spec.to_json(), "schema": CACHE_SCHEMA}, sort_keys=True)
+    key = _json.dumps({"spec": spec.to_json(), "schema": CACHE_SCHEMA,
+                       "sectors": [list(s) for s in sectors]}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:20]
     return os.path.join(directory, f"spectrum_{digest}.npz")
 
 
 def save_cache(directory: str, dec: SpectralDecomposition) -> str:
-    """Persist a decomposition keyed by (spec hash, schema version).
+    """Persist a decomposition keyed by (spec, schema version, the sectors it holds).
 
     Each side is one flat array of the sector-local vectors end to end;
-    the sectors give the lengths back on load.
+    the sectors give the lengths back on load.  The consistency figure is
+    stored as the decomposition carries it.
     """
     os.makedirs(directory, exist_ok=True)
-    path = _cache_path(directory, dec.spec)
+    path = _cache_path(directory, dec.spec, sorted({s.sector for s in dec.states}))
     sectors = np.array([s.sector for s in dec.states], dtype=np.int64)
     np.savez_compressed(
         path,
@@ -408,9 +410,16 @@ def save_cache(directory: str, dec: SpectralDecomposition) -> str:
     return path
 
 
-def load_cache(directory: str, spec: ChainSpec) -> SpectralDecomposition | None:
-    """Load a cached decomposition; stale or mismatched caches return None."""
-    path = _cache_path(directory, spec)
+def load_cache(directory: str, spec: ChainSpec,
+               sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition | None:
+    """Load a cached decomposition of the ``sectors`` (default: all) that exist.
+
+    A stale or mismatched cache returns None, one that holds other sectors
+    included.
+    """
+    sizes = {s: ix.size for s, ix in sector_indices(spec).items()}
+    wanted = [s for s in sizes if sectors is None or s in sectors]
+    path = _cache_path(directory, spec, wanted)
     if not os.path.exists(path):
         return None
     try:
@@ -420,13 +429,14 @@ def load_cache(directory: str, spec: ChainSpec) -> SpectralDecomposition | None:
                 return None
             fields = {key: data[key] for key in ("probes", "sectors", "samples", "rights",
                                                  "lefts", "clustered", "consistency")}
-        sizes = {s: ix.size for s, ix in sector_indices(spec).items()}
-        sectors = [(int(a), int(b)) for a, b in fields["sectors"]]
-        ends = np.cumsum([sizes[s] for s in sectors])[:-1]
+        held = [(int(a), int(b)) for a, b in fields["sectors"]]
+        if sorted(set(held)) != wanted:
+            return None
+        ends = np.cumsum([sizes[s] for s in held])[:-1]
         rights, lefts = (np.split(fields[key], ends) for key in ("rights", "lefts"))
         states = [EigenState(sector, fields["samples"][k], rights[k], lefts[k],
                              fields["probes"], clustered=bool(fields["clustered"][k]))
-                  for k, sector in enumerate(sectors)]
+                  for k, sector in enumerate(held)]
         return SpectralDecomposition(spec, fields["probes"], states,
                                      float(fields["consistency"][0]))
     except (OSError, KeyError, ValueError):

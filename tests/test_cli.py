@@ -176,6 +176,37 @@ def test_tolerance_overrides_are_positive(tmp_path, capsys, flag):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"seed": -1}, "seed must be an integer from 0 up"),
+    ({"beta_magnitude": float("nan")}, "beta_magnitude must be a finite number"),
+    ({"beta_magnitude": float("inf")}, "beta_magnitude must be a finite number"),
+    ({"sectors": [[1, 0], [1, 0]]}, "duplicate sectors entry"),
+    ({"splits": [1, 2, 1]}, "duplicate splits entry"),
+    ({"rtt_sizes": [2, 3, 2]}, "duplicate rtt_sizes entry"),
+], ids=["negative-seed", "nan-beta", "inf-beta", "sectors", "splits", "rtt_sizes"])
+def test_out_of_domain_fields_exit_2(tmp_path, capsys, fields, message):
+    # a negative seed ended in numpy's ValueError, a non-finite beta_magnitude
+    # in a traceback from the twisted solve, and repeated entries wrote their
+    # rows twice under one identity
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg.update(fields)
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.from_dict(cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, default_scenario_dict(m=2, seed=1))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--seed=-1", "--out", str(out)]) == 2
+    assert "--seed must be an integer from 0 up" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_twisted_chain_rejected(tmp_path):
     # the checks assume kappa = 1: theorem2 ended a twisted run in a traceback
     cfg = default_scenario_dict(m=4, seed=1)
@@ -228,6 +259,41 @@ def test_cache_reuse_is_transparent(tmp_path):
     assert os.listdir(cache)
     _, r2 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "b"), cache_directory=cache)
     assert [r.to_line_dict() for r in r1] == [r.to_line_dict() for r in r2]
+
+
+def test_cache_of_one_sector_list_misses_for_another(tmp_path, monkeypatch):
+    from gradedbethe import cli, spectrum
+
+    cache = str(tmp_path / "cache")
+    loads = []
+    original = spectrum.load_cache
+
+    def recorded(*args, **kwargs):
+        dec = original(*args, **kwargs)
+        loads.append(dec is not None)
+        return dec
+
+    monkeypatch.setattr(cli, "load_cache", recorded)
+    outcomes = {}
+    for n, sectors in enumerate([[[1, 0]], [[1, 1]], [[1, 0]]]):
+        cfg = default_scenario_dict(m=3, seed=1)
+        cfg["sectors"] = sectors
+        _, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / f"o{n}"),
+                                  cache_directory=cache)
+        outcomes.setdefault(str(sectors), []).append([r.to_line_dict() for r in reports])
+    # the swept sectors {(0,0), (1,0)} and {(0,0), (1,0), (1,1)} key two files
+    assert loads == [False, False, True]
+    assert len(os.listdir(cache)) == 2
+    first, again = outcomes["[[1, 0]]"]
+    assert first == again
+    # each file holds its swept sectors' states and the all-sector figure
+    spec = Scenario.from_dict(default_scenario_dict(m=3, seed=1)).chain
+    full = spectrum.diagonalize_transfer(spec)
+    for swept in ([(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]):
+        dec = original(cache, spec, swept)
+        assert sorted({st.sector for st in dec.states}) == swept
+        assert dec.consistency == full.consistency
+    assert original(cache, spec) is None
 
 
 def test_all_known_checks_have_runners():
@@ -315,42 +381,60 @@ def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
 def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     from gradedbethe import chain, cli
 
-    # every aux (x) H group built while a read with no contents streams,
-    # keyed by the group and the steps' g values, which fix the spectral point
-    streamed, streaming = [], []
-    product, stream = chain._group_product, chain._stream
+    # every aux (x) H group built, keyed by the group and the steps' g values,
+    # which fix the spectral point, and filed under the read that streams it:
+    # a read with no contents, or the swept or rest pass of the spectrum
+    built = {"full": [], "swept": [], "rest": []}
+    reads, passes = [], []
+    product, stream, diagonalize = chain._group_product, chain._stream, cli.diagonalize_transfer
 
     def recorded(k, size, steps, *args, **kwargs):
-        if streaming and streaming[-1]:
-            streamed.append((k, size, tuple(g for _, g in steps)))
+        if reads and reads[-1]:
+            built[reads[-1]].append((k, size, tuple(g for _, g in steps)))
         return product(k, size, steps, *args, **kwargs)
 
     def tracked(spec, u, pairs, sites=None, contents=None):
         groups = stream(spec, u, pairs, sites, contents)
         while True:
-            streaming.append(contents is None)
+            reads.append("full" if contents is None else passes[-1] if passes else None)
             try:
                 item = next(groups)
             except StopIteration:
                 return
             finally:
-                streaming.pop()
+                reads.pop()
             yield item
+
+    def tagged(spec, sectors=None):
+        passes.append("swept" if sectors == ws_swept else "rest")
+        try:
+            return diagonalize(spec, sectors=sectors)
+        finally:
+            passes.pop()
 
     monkeypatch.setattr(chain, "_group_product", recorded)
     monkeypatch.setattr(chain, "_stream", tracked)
-    # tm1_residual's builds are counted only when the rtt check runs in this process
+    monkeypatch.setattr(cli, "diagonalize_transfer", tagged)
+    # the jobs' builds are counted only when they run in this process
     monkeypatch.setattr(cli, "_use_worker", lambda: False)
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    ws_swept = cli._Workspace(scenario, None).swept
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # the full-chain reads: the five probes of the all-sector diagonalization
-    # and the zero-mode limit build all 21 groups, tm1_residual at its two
-    # spectral points only the 19 holding its six entries (21 each before);
-    # each group at most once per point
+    # the full-chain reads: the zero-mode limit builds all 21 groups,
+    # tm1_residual at its two spectral points only the 19 holding its six
+    # entries; each group at most once per point
     n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
-    assert len(set(streamed)) == len(streamed) == 6 * n_groups + 2 * 19 == 164
-    assert len({g for _, _, g in streamed}) == 8
+    assert len(set(built["full"])) == len(built["full"]) == n_groups + 2 * 19 == 59
+    # the spectrum is read in two passes, each building a group at most once
+    # per probe; together they build every group at each of the five probes,
+    # and the 4 groups holding both swept and rest contents twice
+    for name in ("swept", "rest"):
+        assert len(set(built[name])) == len(built[name]) > 0
+    both = built["swept"] + built["rest"]
+    assert len(set(both)) == 5 * n_groups
+    assert len(both) - len(set(both)) == 5 * 4
+    assert len({g for _, _, g in built["full"] + both}) == 8
 
 
 def test_empty_split_list_rejected(tmp_path):
@@ -491,6 +575,7 @@ RECORD_PIDS = """
 import json, os, sys
 from gradedbethe import cli
 verify_rtt = cli.verify_rtt
+PARENT = os.getpid()
 
 def recorded(*args):
     with open(sys.argv[1], "a") as fh:
@@ -542,7 +627,7 @@ def test_rtt_runs_in_a_reaped_worker(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert result["outcome"] == 0 and not result["left"]
-    # all 20 pairs ran in one other process
+    # the 20 pairs ran once each, in this process or in the one worker
     assert len(recorded_pids(pids)) == 20
     assert len(set(recorded_pids(pids)) - {result["pid"]}) == 1
 
@@ -577,12 +662,13 @@ except RuntimeError as exc:
 @needs_two_cpus
 @pytest.mark.parametrize("body, message", [
     ("raise cli.PoleError('u meets a pole')", "runtime error: u meets a pole\n"),
-    ("os._exit(3)", "runtime error: the rtt worker ended without a result: exit status 3\n"),
-    ("os.kill(os.getpid(), 9)",
+    ("return verify_rtt(*args) if os.getpid() == PARENT else os._exit(3)",
+     "runtime error: the rtt worker ended without a result: exit status 3\n"),
+    ("return verify_rtt(*args) if os.getpid() == PARENT else os.kill(os.getpid(), 9)",
      "runtime error: the rtt worker ended without a result: killed by signal 9\n"),
 ], ids=["pole", "exits", "killed"])
 def test_rtt_worker_failure_exits_2(tmp_path, body, message):
-    # an exception in the worker re-raises in the parent with its type and
+    # an exception in either process re-raises in the parent with its type and
     # message; a worker that dies without a result is named by its exit status
     pids = tmp_path / "pids"
     cfg = write_config(tmp_path, default_scenario_dict(m=3, seed=1))
@@ -594,8 +680,103 @@ def test_rtt_worker_failure_exits_2(tmp_path, body, message):
     result = json.loads(run.stdout)
     assert result["outcome"] == 2 and not result["left"]
     assert run.stderr == message
-    assert result["pid"] not in recorded_pids(pids)
+    # the worker ran an rtt pair
+    assert set(recorded_pids(pids)) - {result["pid"]}
     assert not os.path.exists(tmp_path / "out")
+
+
+def job_fails(where: str, index: int, in_parent: bool) -> bool:
+    return {"none": False, "both": index in (5, 9), "worker": not in_parent,
+            "parent": in_parent}[where]
+
+
+# a subprocess script: argv[3] jobs record "index pid" to argv[1], pause
+# argv[4] seconds and return index / 4, or raise where job_fails(argv[2], ...)
+JOBS = """
+import json, os, sys, time
+from gradedbethe import cli
+PARENT = os.getpid()
+
+def job(index):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{index} {os.getpid()}\\n")
+    time.sleep(float(sys.argv[4]))
+    in_parent = os.getpid() == PARENT
+    if {"none": False, "both": index in (5, 9), "worker": not in_parent,
+        "parent": in_parent}[sys.argv[2]]:
+        raise cli.PoleError(f"job {index}")
+    return index / 4
+
+try:
+    outcome = cli._Jobs([(job, (n,)) for n in range(int(sys.argv[3]))]).join()
+except cli.PoleError as exc:
+    outcome = str(exc)
+""" + NO_CHILD_LEFT
+
+
+def run_jobs(tmp_path, where: str, n_jobs: int, pause: float) -> tuple[dict, dict]:
+    """Run JOBS; returns its result and {job index: pid that ran it}."""
+    claims = tmp_path / "claims"
+    run = run_pinned(JOBS, str(claims), where, str(n_jobs), str(pause))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert not result["left"]
+    ran = {}
+    for line in claims.read_text().splitlines():
+        index, pid = map(int, line.split())
+        assert index not in ran
+        ran[index] = pid
+    assert sorted(ran) == list(range(n_jobs))
+    # this process and at most one worker
+    assert len(set(ran.values()) - {result["pid"]}) <= 1
+    return result, ran
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("where", ["none", "both", "worker", "parent"])
+def test_job_list_runs_each_job_once_across_two_processes(tmp_path, where):
+    result, ran = run_jobs(tmp_path, where, 16, 0.03)
+    # some jobs ran in this process and the rest in one worker, and both
+    # went on claiming after a job raised
+    assert result["pid"] in ran.values() and len(set(ran.values())) == 2
+    # the lowest failing index wins, whichever process ran it; else the
+    # results come back in job order
+    failed = [n for n in range(16) if job_fails(where, n, ran[n] == result["pid"])]
+    assert result["outcome"] == (f"job {failed[0]}" if failed else [n / 4 for n in range(16)])
+
+
+@needs_two_cpus
+def test_job_claims_lose_no_update_under_contention(tmp_path):
+    # thousands of jobs that return at once keep both processes at the claim
+    # lock: a lost update would run a job twice or skip one
+    result, _ = run_jobs(tmp_path, "none", 4000, 0.0)
+    assert result["outcome"] == [n / 4 for n in range(4000)]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("check", ["spectrum-match", "theorem1", "rtt"])
+def test_single_check_writes_the_in_process_bytes(tmp_path, monkeypatch, check):
+    from gradedbethe import cli
+
+    cfg = write_config(tmp_path, default_scenario_dict(m=4, seed=1))
+    run = run_pinned("import sys; from gradedbethe.cli import main; "
+                     f"sys.exit(main(['verify', '--config', {cfg!r}, '--check', {check!r}, "
+                     f"'--out', {str(tmp_path / 'worker')!r}]))")
+    assert run.returncode == 0, run.stderr
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
+    out = str(tmp_path / "in-process")
+    assert main(["verify", "--config", cfg, "--check", check, "--out", out]) == 0
+    for name in ("reports.jsonl", "summary.txt"):
+        assert ((tmp_path / "worker" / name).read_bytes()
+                == (tmp_path / "in-process" / name).read_bytes())
+    with open(os.path.join(out, "reports.jsonl")) as fh:
+        first = json.loads(fh.readline())
+    if check == "spectrum-match":
+        # the swept pass's figure completed with the deferred one: the figure
+        # of one pass over every sector
+        spec = Scenario.from_dict(default_scenario_dict(m=4, seed=1)).chain
+        assert first["identity"] == "spectrum:consistency"
+        assert first["lhs"] == [cli.diagonalize_transfer(spec).consistency, 0.0]
 
 
 def test_no_worker_beside_a_second_thread():

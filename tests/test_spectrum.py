@@ -236,6 +236,26 @@ def test_cache_roundtrip(tmp_path, spec4, dec4):
     assert load_cache(str(tmp_path), replace(spec4, twist=TwistConfig((1.0, 1.0, 1.1)))) is None
 
 
+def test_cache_is_keyed_by_its_sectors(tmp_path, spec4, dec4):
+    import os
+
+    swept = [(0, 0), (1, 0), (1, 1)]
+    part = replace(diagonalize_transfer(spec4, sectors=swept), consistency=dec4.consistency)
+    full_path, part_path = save_cache(str(tmp_path), dec4), save_cache(str(tmp_path), part)
+    assert full_path != part_path
+    # the sectors that exist are the key: (0, 1) has no states
+    again = load_cache(str(tmp_path), spec4, swept + [(0, 1)])
+    assert [st.sector for st in again.states] == [st.sector for st in part.states]
+    for new, old in zip(again.states, part.states):
+        assert np.array_equal(new.right, old.right) and np.array_equal(new.left, old.left)
+    assert again.consistency == dec4.consistency
+    assert len(load_cache(str(tmp_path), spec4).states) == len(dec4.states)
+    # another sector list misses, and so does a file holding other sectors
+    assert load_cache(str(tmp_path), spec4, [(0, 0), (1, 0)]) is None
+    os.replace(part_path, full_path)
+    assert load_cache(str(tmp_path), spec4) is None
+
+
 def test_states_live_on_their_own_sector():
     # every vector holds one coordinate per basis index of its content group,
     # so the states of a sector of size |G| take |G|^2 entries per side
@@ -267,13 +287,16 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
 
 def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
     # former caches under the current file name: schema 1 embedded every state
-    # in the 3^M space, schema 2 held sector-local vectors from another eigensolver
+    # in the 3^M space, schema 2 held sector-local vectors from another
+    # eigensolver, schema 3 every sector under a key without the sector list
     path = save_cache(str(tmp_path), dec4)
     states = dec4.states
+    local = [np.concatenate([getattr(st, side) for st in states]) for side in ("right", "left")]
     former = {
         1: [np.array([embed(spec4, st.sector, getattr(st, side)) for st in states])
             for side in ("right", "left")],
-        2: [np.concatenate([getattr(st, side) for st in states]) for side in ("right", "left")],
+        2: local,
+        3: local,
     }
     for schema, (rights, lefts) in former.items():
         np.savez_compressed(path, schema=np.array([schema]), probes=dec4.probes,
