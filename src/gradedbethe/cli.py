@@ -263,7 +263,7 @@ def _use_worker() -> bool:
 class _Jobs:
     """Float results of ``fn(*args)`` jobs, each run once, by whichever process claims it.
 
-    Where ``_use_worker`` allows, construction forks a child that starts
+    Where ``fork`` is set, construction forks a child that starts
     claiming jobs at once, and ``join`` claims the rest in this process.  A
     claim takes the next job index from a memfd under a POSIX record lock,
     which the kernel releases if its holder dies.  The child sends back the
@@ -275,10 +275,10 @@ class _Jobs:
     child that was never joined.
     """
 
-    def __init__(self, jobs):
+    def __init__(self, jobs, fork: bool):
         self._jobs = jobs
         self._pid = self._read = self._next = None
-        if jobs and _use_worker():
+        if jobs and fork:
             self._fork()
 
     def _fork(self) -> None:
@@ -379,17 +379,21 @@ class _Jobs:
             self._next = None
 
 
-# the checks that read the spectral decomposition
+# the checks that read the spectral decomposition; a run of none of them
+# defers no leakage (one left out here would diagonalize every sector itself)
 _SPECTRAL_CHECKS = ("spectrum-match", "theorem1", "theorem2", "proposition1", "ladder")
 
 
 class _Workspace:
     """Shared state between checks of one scenario run.
 
-    The run diagonalizes only the swept sectors, every sector at or below a
-    requested one, which are all that ``classify_spectrum`` reads.  The
-    leakage of the other sectors is a job of the list ``_start_jobs``
-    starts, and ``join`` completes the consistency figure with it.
+    The decomposition holds the swept sectors, every sector at or below a
+    requested one (all of them when none is requested), which are all that
+    ``classify_spectrum`` reads.  Its consistency figure covers every
+    sector wherever it is read, by ``spectrum-match`` or by the spectral
+    cache: with a worker the leakage of the other sectors is a job of the
+    list ``_start_jobs`` starts, and ``join`` completes the figure with it;
+    without one a single pass diagonalizes every sector.
     """
 
     def __init__(self, scenario: Scenario, cache_directory: str | None):
@@ -398,13 +402,17 @@ class _Workspace:
         self.vac = VacuumFunctions(self.spec)
         self.rng = np.random.default_rng(scenario.seed)
         self.cache_directory = cache_directory
-        self.swept = [s for s in sector_indices(self.spec)
-                      if any(s[0] <= a and s[1] <= b for a, b in scenario.sectors)]
+        requested = scenario.sectors
+        self.swept = [s for s in sector_indices(self.spec) if not requested
+                      or any(s[0] <= a and s[1] <= b for a, b in requested)]
+        # spectrum-match reports the all-sector figure and the cache stores it
+        self.figure_read = "spectrum-match" in scenario.checks or bool(cache_directory)
         self.jobs: _Jobs | None = None
-        self.leakage = False        # job 0 is the leakage of the unswept sectors
+        self.deferred = False       # job 0 is the leakage of the unswept sectors
         self.rtt: list[tuple[str, int]] = []    # (identity, job index) in row order
         self._results: list[float] | None = None
-        self._dec = None
+        self._cached = self._dec = None
+        self._looked_up = False
         self._classified = None
 
     def close(self) -> None:
@@ -412,41 +420,51 @@ class _Workspace:
         if self.jobs is not None:
             self.jobs.close()
 
-    def defer_leakage(self) -> list:
-        """[the leakage job of the unswept sectors] if the run diagonalizes and reads it, else [].
+    def _load(self):
+        """The spectral cache's decomposition of the swept sectors, looked up once."""
+        if not self._looked_up and self.cache_directory:
+            self._cached = load_cache(self.cache_directory, self.spec, self.swept)
+        self._looked_up = True
+        return self._cached
 
-        Looks the swept sectors up in the spectral cache first: a hit holds
-        the all-sector figure already, and the run diagonalizes nothing.
+    def defer_leakage(self, worker: bool) -> list:
+        """[the leakage job of the unswept sectors] if a worker can take it off the checks' path.
+
+        That is when the run reads the all-sector figure, a spectral check
+        will diagonalize and the cache misses; otherwise [].
         """
-        if not any(name in _SPECTRAL_CHECKS for name in self.scenario.checks):
-            return []
-        if self.cache_directory:
-            self._dec = load_cache(self.cache_directory, self.spec, self.swept)
-        # spectrum-match reports the figure and the cache stores it
-        read = "spectrum-match" in self.scenario.checks or self.cache_directory
-        self.leakage = bool(self._dec is None and read)
         rest = [s for s in sector_indices(self.spec) if s not in self.swept]
-        return [(_leakage, (self.spec, rest))] if self.leakage else []
+        self.deferred = bool(worker and rest and self.figure_read
+                             and any(name in _SPECTRAL_CHECKS for name in self.scenario.checks)
+                             and self._load() is None)
+        return [(_leakage, (self.spec, rest))] if self.deferred else []
 
     def decomposition(self):
         if self._dec is None:
-            self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
+            dec = self._load()
+            if dec is None:
+                # one pass over every sector, unless the figure is deferred or unread
+                whole = self.figure_read and not self.deferred
+                dec = diagonalize_transfer(self.spec, sectors=None if whole else self.swept)
+                dec = replace(dec, states=[st for st in dec.states if st.sector in self.swept])
+            self._dec = dec
         return self._dec
 
     def join(self) -> list[float]:
         """The job list's results in job order.
 
-        With a leakage job, the first call also completes the decomposition's
-        consistency figure and writes the decomposition to the spectral cache.
+        The first call also completes the consistency figure with the
+        deferred leakage and writes a decomposition this run computed to the
+        spectral cache.
         """
         if self._results is None:
             self._results = self.jobs.join()
-            if self.leakage:
+            if self.deferred:
                 dec = self.decomposition()
                 # a max over sectors diagonalized independently: the all-sector figure
                 self._dec = replace(dec, consistency=max(dec.consistency, self._results[0]))
-                if self.cache_directory:
-                    save_cache(self.cache_directory, self._dec)
+            if self.cache_directory and self._dec is not None and self._cached is None:
+                save_cache(self.cache_directory, self._dec)
         return self._results
 
     def classified(self):
@@ -485,13 +503,15 @@ def _start_jobs(ws: _Workspace) -> None:
 
     Runs at rtt's place in the check order whether or not rtt is requested,
     so the points come from ``ws.rng`` between ybe's draws and vacuum's.  The
-    list holds, largest first: the leakage of the unswept sectors (see
-    ``_Workspace.defer_leakage``); then, if rtt is requested, ``tm1_residual``
-    on the scenario chain and the rtt pairs by sub-chain size.  The rows read
-    the results in draw order through ``_Workspace.join``.
+    list holds, largest first: the leakage of the unswept sectors if a
+    worker takes it (see ``_Workspace.defer_leakage``); then, if rtt is
+    requested, ``tm1_residual`` on the scenario chain and the rtt pairs by
+    sub-chain size.  The rows read the results in draw order through
+    ``_Workspace.join``.
     """
     sc, rng = ws.scenario, ws.rng
-    jobs = ws.defer_leakage()
+    worker = _use_worker()
+    jobs = ws.defer_leakage(worker)
     if "rtt" in sc.checks:
         rows = []  # (identity, sites, job) in draw order
         # rtt_pairs pairs in all, the remainder going to the first sizes
@@ -510,7 +530,7 @@ def _start_jobs(ws: _Workspace) -> None:
         slot = {n: len(jobs) + q for q, n in enumerate(queued)}
         ws.rtt = [(identity, slot[n]) for n, (identity, _, _) in enumerate(rows)]
         jobs += [rows[n][2] for n in queued]
-    ws.jobs = _Jobs(jobs)
+    ws.jobs = _Jobs(jobs, worker)
 
 
 def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
@@ -773,9 +793,10 @@ def run_scenario(scenario: Scenario, out_dir: str,
     safe and useful, and this process drains the rest after the last check.
     The join then fills the rtt rows and completes the
     ``spectrum:consistency`` row, the max of the swept and the deferred
-    figures, which is the figure of one pass over every sector.  Each job
-    runs once, and either way the same calls see the same inputs, so both
-    paths write the same bytes.  The worker is reaped on every exit, a
+    figures, which is the figure of one pass over every sector.  Without a
+    worker the leakage is not deferred: that one pass runs instead.  Each
+    job runs once, and either way the same calls see the same inputs, so
+    both paths write the same bytes.  The worker is reaped on every exit, a
     check that raises included.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check

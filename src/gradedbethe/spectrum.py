@@ -411,14 +411,14 @@ def save_cache(directory: str, dec: SpectralDecomposition) -> str:
 
 
 def load_cache(directory: str, spec: ChainSpec,
-               sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition | None:
-    """Load a cached decomposition of the ``sectors`` (default: all) that exist.
+               sectors: list[tuple[int, int]]) -> SpectralDecomposition | None:
+    """Load a cached decomposition of the ``sectors`` that exist.
 
     A stale or mismatched cache returns None, one that holds other sectors
     included.
     """
     sizes = {s: ix.size for s, ix in sector_indices(spec).items()}
-    wanted = [s for s in sizes if sectors is None or s in sectors]
+    wanted = [s for s in sizes if s in sectors]
     path = _cache_path(directory, spec, wanted)
     if not os.path.exists(path):
         return None

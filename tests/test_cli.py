@@ -293,7 +293,28 @@ def test_cache_of_one_sector_list_misses_for_another(tmp_path, monkeypatch):
         dec = original(cache, spec, swept)
         assert sorted({st.sector for st in dec.states}) == swept
         assert dec.consistency == full.consistency
-    assert original(cache, spec) is None
+    assert original(cache, spec, list(spectrum.sector_indices(spec))) is None
+
+
+def test_empty_sector_list_sweeps_every_sector(tmp_path):
+    from gradedbethe.spectrum import sector_indices
+
+    # classify_spectrum reads no requested sector as every sector, so the
+    # form-factor checks run as with the whole list given, and the run
+    # defers no leakage: every sector is swept
+    spec = Scenario.from_dict(default_scenario_dict(m=3, seed=1)).chain
+    rows = {}
+    for name, sectors in (("none", []), ("all", [list(s) for s in sector_indices(spec)])):
+        cfg = default_scenario_dict(m=3, seed=1)
+        cfg["sectors"] = sectors
+        code, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / name))
+        assert code == 0
+        rows[name] = [r.to_line_dict() for r in reports
+                      if not r.identity.startswith("spectrum-match:")]
+    assert not any("skipped" in row["identity"] for row in rows["none"])
+    assert {row["identity"].split(":")[0] for row in rows["none"]} >= {
+        "theorem1", "theorem2", "proposition1", "ladder-commutator"}
+    assert rows["none"] == rows["all"]
 
 
 def test_all_known_checks_have_runners():
@@ -378,12 +399,16 @@ def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
     assert len(twists) == len(set(twists)) == 3 * directions
 
 
-def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
+def record_group_builds(monkeypatch, swept) -> dict[str, list]:
+    """Every aux (x) H group built from now on, filed under the read that streams it.
+
+    A build is keyed by the group and the steps' g values, which fix the
+    spectral point.  "full" holds the builds of reads with no contents,
+    "swept" and "rest" those of a diagonalization of the ``swept`` sectors
+    and of any other sectors.
+    """
     from gradedbethe import chain, cli
 
-    # every aux (x) H group built, keyed by the group and the steps' g values,
-    # which fix the spectral point, and filed under the read that streams it:
-    # a read with no contents, or the swept or rest pass of the spectrum
     built = {"full": [], "swept": [], "rest": []}
     reads, passes = [], []
     product, stream, diagonalize = chain._group_product, chain._stream, cli.diagonalize_transfer
@@ -406,7 +431,7 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
             yield item
 
     def tagged(spec, sectors=None):
-        passes.append("swept" if sectors == ws_swept else "rest")
+        passes.append(None if sectors is None else "swept" if sectors == swept else "rest")
         try:
             return diagonalize(spec, sectors=sectors)
         finally:
@@ -415,15 +440,41 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     monkeypatch.setattr(chain, "_group_product", recorded)
     monkeypatch.setattr(chain, "_stream", tracked)
     monkeypatch.setattr(cli, "diagonalize_transfer", tagged)
-    # the jobs' builds are counted only when they run in this process
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
+    return built
+
+
+def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
+    from gradedbethe import chain, cli
+
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
-    ws_swept = cli._Workspace(scenario, None).swept
+    built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
+    # tm1_residual's builds are counted only when the rtt check runs in this
+    # process, where one pass diagonalizes every sector
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # the full-chain reads: the zero-mode limit builds all 21 groups,
-    # tm1_residual at its two spectral points only the 19 holding its six
-    # entries; each group at most once per point
+    # the full-chain reads: the five probes of the all-sector diagonalization
+    # and the zero-mode limit build all 21 groups, tm1_residual at its two
+    # spectral points only the 19 holding its six entries (21 each before);
+    # each group at most once per point
+    n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
+    assert len(set(built["full"])) == len(built["full"]) == 6 * n_groups + 2 * 19 == 164
+    assert len({g for _, _, g in built["full"]}) == 8
+    assert not built["swept"] and not built["rest"]
+
+
+def test_deferred_leakage_builds_only_the_shared_groups_twice(tmp_path, monkeypatch):
+    from gradedbethe import chain, cli
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
+    # the run splits the spectrum as for a worker, but the worker never
+    # forks, so every job runs in this process at the join
+    monkeypatch.setattr(cli, "_use_worker", lambda: True)
+    monkeypatch.setattr(cli._Jobs, "_fork", lambda self: None)
+    code, _ = run_scenario(scenario, str(tmp_path / "out"))
+    assert code == 0
+    # the zero-mode limit and tm1_residual read the full chain, as above
     n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
     assert len(set(built["full"])) == len(built["full"]) == n_groups + 2 * 19 == 59
     # the spectrum is read in two passes, each building a group at most once
@@ -708,7 +759,7 @@ def job(index):
     return index / 4
 
 try:
-    outcome = cli._Jobs([(job, (n,)) for n in range(int(sys.argv[3]))]).join()
+    outcome = cli._Jobs([(job, (n,)) for n in range(int(sys.argv[3]))], cli._use_worker()).join()
 except cli.PoleError as exc:
     outcome = str(exc)
 """ + NO_CHILD_LEFT

@@ -218,7 +218,8 @@ def test_probe_formula(spec4):
 
 def test_cache_roundtrip(tmp_path, spec4, dec4):
     path = save_cache(str(tmp_path), dec4)
-    again = load_cache(str(tmp_path), spec4)
+    everything = list(sector_indices(spec4))
+    again = load_cache(str(tmp_path), spec4, everything)
     assert again is not None
     assert len(again.states) == len(dec4.states)
     for new, old in zip(again.states, dec4.states):
@@ -232,8 +233,9 @@ def test_cache_roundtrip(tmp_path, spec4, dec4):
     assert again.states[0].left.base is again.states[1].left.base
     # a different spec misses the cache, a different twist included
     other = ChainSpec(M=3)
-    assert load_cache(str(tmp_path), other) is None
-    assert load_cache(str(tmp_path), replace(spec4, twist=TwistConfig((1.0, 1.0, 1.1)))) is None
+    assert load_cache(str(tmp_path), other, list(sector_indices(other))) is None
+    twisted = replace(spec4, twist=TwistConfig((1.0, 1.0, 1.1)))
+    assert load_cache(str(tmp_path), twisted, everything) is None
 
 
 def test_cache_is_keyed_by_its_sectors(tmp_path, spec4, dec4):
@@ -249,11 +251,12 @@ def test_cache_is_keyed_by_its_sectors(tmp_path, spec4, dec4):
     for new, old in zip(again.states, part.states):
         assert np.array_equal(new.right, old.right) and np.array_equal(new.left, old.left)
     assert again.consistency == dec4.consistency
-    assert len(load_cache(str(tmp_path), spec4).states) == len(dec4.states)
+    everything = list(sector_indices(spec4))
+    assert len(load_cache(str(tmp_path), spec4, everything).states) == len(dec4.states)
     # another sector list misses, and so does a file holding other sectors
     assert load_cache(str(tmp_path), spec4, [(0, 0), (1, 0)]) is None
     os.replace(part_path, full_path)
-    assert load_cache(str(tmp_path), spec4) is None
+    assert load_cache(str(tmp_path), spec4, everything) is None
 
 
 def test_states_live_on_their_own_sector():
@@ -305,7 +308,7 @@ def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
                             rights=rights, lefts=lefts,
                             clustered=np.array([st.clustered for st in states]),
                             consistency=np.array([dec4.consistency]))
-        assert load_cache(str(tmp_path), spec4) is None
+        assert load_cache(str(tmp_path), spec4, list(sector_indices(spec4))) is None
 
 
 @pytest.mark.parametrize("m_sites", [3, 4, 5])
