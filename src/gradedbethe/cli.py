@@ -6,15 +6,16 @@ one integer seed, so identical configs give byte-identical report files.
 Reports are written as JSON lines in the fixed seven-key schema plus a
 human-readable summary grid.  The work no check reads before the last one
 ends, the rtt residuals and the leakage of the sectors the run does not
-sweep, is one job list: a forked worker drains it while the checks run, and
-this process drains the rest after them, where the process can fork safely
-and has a second CPU to run the worker on.
+sweep, is one job list, the same on every machine.  This process drains it
+after the checks; where it can fork safely and has a second CPU, a forked
+worker drains it too, from the moment the list starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import itertools
 import json
 import math
@@ -266,9 +267,9 @@ class _Jobs:
     Where ``fork`` is set, construction forks a child that starts
     claiming jobs at once, and ``join`` claims the rest in this process.  A
     claim takes the next job index from a memfd under a POSIX record lock,
-    which the kernel releases if its holder dies.  The child sends back the
-    indices it ran with raw float64 results, and the exceptions it caught
-    pickled.  Both processes go on claiming after a job raises; ``join``
+    which the kernel releases if its holder dies.  The child sends back its
+    drain's outcome, {index: result} and {index: exception}, pickled.  Both
+    processes go on claiming after a job raises; ``join``
     returns the results in job order, or re-raises the exception of the
     lowest failing index with its type and message.  Without a child
     ``join`` runs every job here, in order.  ``close`` kills and reaps a
@@ -331,11 +332,7 @@ class _Jobs:
         code = 1
         try:
             os.close(read)
-            results, failures = self._drain()
-            out = (len(results).to_bytes(8, "little")
-                   + np.array(list(results), dtype=np.int64).tobytes()
-                   + np.array(list(results.values()), dtype=np.float64).tobytes()
-                   + pickle.dumps(failures))
+            out = pickle.dumps(self._drain())
             with os.fdopen(write, "wb") as fh:
                 fh.write(out)
             code = 0
@@ -355,11 +352,9 @@ class _Jobs:
                 if code != 0:
                     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                     raise WorkerError(f"the rtt worker ended without a result: {how}")
-                n = int.from_bytes(out[:8], "little")
-                indices = np.frombuffer(out, dtype=np.int64, count=n, offset=8)
-                values = np.frombuffer(out, dtype=np.float64, count=n, offset=8 + 8 * n)
-                results.update(zip(indices.tolist(), values.tolist()))
-                failures.update(pickle.loads(out[8 + 16 * n:]))  # written by the child above
+                worker_results, worker_failures = pickle.loads(out)  # written by _serve
+                results.update(worker_results)
+                failures.update(worker_failures)
         finally:
             self.close()
         if failures:
@@ -380,7 +375,8 @@ class _Jobs:
 
 
 # the checks that read the spectral decomposition; a run of none of them
-# defers no leakage (one left out here would diagonalize every sector itself)
+# defers no leakage (one left out here would read, and cache, the swept
+# sectors' figure as the all-sector one)
 _SPECTRAL_CHECKS = ("spectrum-match", "theorem1", "theorem2", "proposition1", "ladder")
 
 
@@ -391,9 +387,8 @@ class _Workspace:
     requested one (all of them when none is requested), which are all that
     ``classify_spectrum`` reads.  Its consistency figure covers every
     sector wherever it is read, by ``spectrum-match`` or by the spectral
-    cache: with a worker the leakage of the other sectors is a job of the
-    list ``_start_jobs`` starts, and ``join`` completes the figure with it;
-    without one a single pass diagonalizes every sector.
+    cache: the leakage of the other sectors is a job of the list
+    ``_start_jobs`` starts, and ``join`` completes the figure with it.
     """
 
     def __init__(self, scenario: Scenario, cache_directory: str | None):
@@ -411,8 +406,7 @@ class _Workspace:
         self.deferred = False       # job 0 is the leakage of the unswept sectors
         self.rtt: list[tuple[str, int]] = []    # (identity, job index) in row order
         self._results: list[float] | None = None
-        self._cached = self._dec = None
-        self._looked_up = False
+        self._dec = None
         self._classified = None
 
     def close(self) -> None:
@@ -420,34 +414,29 @@ class _Workspace:
         if self.jobs is not None:
             self.jobs.close()
 
-    def _load(self):
-        """The spectral cache's decomposition of the swept sectors, looked up once."""
-        if not self._looked_up and self.cache_directory:
-            self._cached = load_cache(self.cache_directory, self.spec, self.swept)
-        self._looked_up = True
-        return self._cached
+    @functools.cached_property
+    def cached(self):
+        """The spectral cache's decomposition of the swept sectors, or None."""
+        return (load_cache(self.cache_directory, self.spec, self.swept)
+                if self.cache_directory else None)
 
-    def defer_leakage(self, worker: bool) -> list:
-        """[the leakage job of the unswept sectors] if a worker can take it off the checks' path.
+    def defer_leakage(self) -> list:
+        """[the leakage job of the unswept sectors] if the run needs it, else [].
 
-        That is when the run reads the all-sector figure, a spectral check
-        will diagonalize and the cache misses; otherwise [].
+        It is needed when the run reads the all-sector figure, a spectral
+        check will diagonalize and the cache misses.
         """
         rest = [s for s in sector_indices(self.spec) if s not in self.swept]
-        self.deferred = bool(worker and rest and self.figure_read
+        self.deferred = bool(rest and self.figure_read
                              and any(name in _SPECTRAL_CHECKS for name in self.scenario.checks)
-                             and self._load() is None)
+                             and self.cached is None)
         return [(_leakage, (self.spec, rest))] if self.deferred else []
 
     def decomposition(self):
         if self._dec is None:
-            dec = self._load()
-            if dec is None:
-                # one pass over every sector, unless the figure is deferred or unread
-                whole = self.figure_read and not self.deferred
-                dec = diagonalize_transfer(self.spec, sectors=None if whole else self.swept)
-                dec = replace(dec, states=[st for st in dec.states if st.sector in self.swept])
-            self._dec = dec
+            self._dec = self.cached
+            if self._dec is None:
+                self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
         return self._dec
 
     def join(self) -> list[float]:
@@ -463,7 +452,7 @@ class _Workspace:
                 dec = self.decomposition()
                 # a max over sectors diagonalized independently: the all-sector figure
                 self._dec = replace(dec, consistency=max(dec.consistency, self._results[0]))
-            if self.cache_directory and self._dec is not None and self._cached is None:
+            if self.cache_directory and self._dec is not None and self.cached is None:
                 save_cache(self.cache_directory, self._dec)
         return self._results
 
@@ -503,15 +492,14 @@ def _start_jobs(ws: _Workspace) -> None:
 
     Runs at rtt's place in the check order whether or not rtt is requested,
     so the points come from ``ws.rng`` between ybe's draws and vacuum's.  The
-    list holds, largest first: the leakage of the unswept sectors if a
-    worker takes it (see ``_Workspace.defer_leakage``); then, if rtt is
+    list holds, largest first: the leakage of the unswept sectors if the
+    run needs it (see ``_Workspace.defer_leakage``); then, if rtt is
     requested, ``tm1_residual`` on the scenario chain and the rtt pairs by
     sub-chain size.  The rows read the results in draw order through
     ``_Workspace.join``.
     """
     sc, rng = ws.scenario, ws.rng
-    worker = _use_worker()
-    jobs = ws.defer_leakage(worker)
+    jobs = ws.defer_leakage()
     if "rtt" in sc.checks:
         rows = []  # (identity, sites, job) in draw order
         # rtt_pairs pairs in all, the remainder going to the first sizes
@@ -530,7 +518,7 @@ def _start_jobs(ws: _Workspace) -> None:
         slot = {n: len(jobs) + q for q, n in enumerate(queued)}
         ws.rtt = [(identity, slot[n]) for n, (identity, _, _) in enumerate(rows)]
         jobs += [rows[n][2] for n in queued]
-    ws.jobs = _Jobs(jobs, worker)
+    ws.jobs = _Jobs(jobs, _use_worker())
 
 
 def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
@@ -630,6 +618,16 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
     return out
 
 
+def _first_apart(states, ref):
+    """The first of ``states`` whose eigenvalue samples differ from ``ref``'s, else None.
+
+    The form-factor checks of a pair need a probe point that separates its
+    two eigenvalue functions; a descendant shares its primitive's samples.
+    """
+    return next((st for st in states
+                 if np.abs(st.tau_samples - ref.tau_samples).max() > 1e-6), None)
+
+
 def _theorem1_plan(ws: _Workspace):
     """Deterministic pairs spanning diagonal and off-diagonal index pairs."""
     p00 = ws.states((0, 0))
@@ -653,19 +651,12 @@ def _theorem1_plan(ws: _Workspace):
         plan.append((1, 3, p21[0], p10[0]))
     if len(p21) >= 2:
         plan.append((3, 3, p21[0], p21[1]))
-    for dpair in d11:
-        for bpair in p10:
-            if np.abs(dpair.tau_samples - bpair.tau_samples).max() > 1e-6:
-                plan.append((2, 3, dpair, bpair))
-                break
-        break
-    if p00 and d11:
-        plan.append((3, 1, p00[0], d11[0]))
-    if p10 and d11:
-        for dpair in d11:
-            if np.abs(dpair.tau_samples - p10[0].tau_samples).max() > 1e-6:
-                plan.append((3, 2, p10[0], dpair))
-                break
+    if d11 and (bpair := _first_apart(p10, d11[0])) is not None:
+        plan.append((2, 3, d11[0], bpair))
+    if p00 and (dpair := _first_apart(d11, p00[0])) is not None:
+        plan.append((3, 1, p00[0], dpair))
+    if p10 and (dpair := _first_apart(d11, p10[0])) is not None:
+        plan.append((3, 2, p10[0], dpair))
     return plan
 
 
@@ -754,12 +745,9 @@ def _run_ladder(ws: _Workspace) -> list[FormFactorReport]:
     if len(p10) >= 2:
         out.extend(zero_mode_ladder_checks(spec, vac, p10[0], p10[1], m,
                                            quadruples=((1, 2, 2, 1),)))
-    if d11 and p10:
-        for dpair in d11:
-            if np.abs(dpair.tau_samples - p10[0].tau_samples).max() > 1e-6:
-                out.extend(zero_mode_ladder_checks(spec, vac, dpair, p10[0], m,
-                                                   quadruples=((2, 2, 2, 3),)))
-                break
+    if p10 and (dpair := _first_apart(d11, p10[0])) is not None:
+        out.extend(zero_mode_ladder_checks(spec, vac, dpair, p10[0], m,
+                                           quadruples=((2, 2, 2, 3),)))
     return out
 
 
@@ -779,8 +767,7 @@ _CHECK_ORDER = ("ybe", "rtt", "vacuum", "spectrum-match", "theorem1", "theorem2"
                 "proposition1", "ladder")
 
 
-def run_scenario(scenario: Scenario, out_dir: str,
-                 cache_directory: str | None = None) -> tuple[int, list[FormFactorReport]]:
+def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactorReport]]:
     """Execute the scenario's checks in dependency order and write reports.
 
     Order rule: each check draws its random points from the one seeded
@@ -789,15 +776,15 @@ def run_scenario(scenario: Scenario, out_dir: str,
     At rtt's place, requested or not, ``_start_jobs`` draws the rtt points
     and starts one job list, longest jobs first: the leakage of the sectors
     the spectral checks do not sweep, ``tm1_residual``, then the rtt pairs
-    by sub-chain size.  A forked worker drains it from there, where that is
-    safe and useful, and this process drains the rest after the last check.
-    The join then fills the rtt rows and completes the
+    by sub-chain size.  This process drains the list after the last check;
+    where forking is safe and useful, a forked worker drains it too, from
+    there.  The join then fills the rtt rows and completes the
     ``spectrum:consistency`` row, the max of the swept and the deferred
-    figures, which is the figure of one pass over every sector.  Without a
-    worker the leakage is not deferred: that one pass runs instead.  Each
-    job runs once, and either way the same calls see the same inputs, so
-    both paths write the same bytes.  The worker is reaped on every exit, a
-    check that raises included.
+    figures, which is the figure of one pass over every sector.  The list
+    is the same with or without a worker, and each job runs once in
+    whichever process claims it, so both paths write the same bytes.  The
+    worker is reaped on every exit, a check that raises included.  The
+    environment variable ``GRADEDBETHE_CACHE`` points the spectral cache.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
     passed, 1 means at least one failed.  A check that emits no rows emits
@@ -805,8 +792,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
     problems raise ScenarioError before anything runs (exit code 2 at the CLI
     level).
     """
-    cache_directory = cache_directory or os.environ.get(CACHE_ENV_VAR)
-    ws = _Workspace(scenario, cache_directory)
+    ws = _Workspace(scenario, os.environ.get(CACHE_ENV_VAR))
     names = [name for name in _CHECK_ORDER if name in scenario.checks]
     rows: dict[str, list[FormFactorReport]] = {}
     try:

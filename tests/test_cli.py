@@ -16,6 +16,7 @@ from gradedbethe.cli import (
     main,
     run_scenario,
 )
+from gradedbethe.spectrum import CACHE_ENV_VAR
 
 from conftest import peak_bytes
 
@@ -97,6 +98,20 @@ def test_checks_without_rows_report_skipped(tmp_path, m, sectors, empty):
     summary = (out / "summary.txt").read_text()
     assert f"  skipped {len(empty)}\n" in summary
     assert summary.count(" skip\n") == len(empty)
+
+
+def test_theorem1_pairs_no_state_with_its_own_descendant(tmp_path, capsys):
+    # at M=1 the first (1,1) descendant is the vacuum's own: the (3,1) pair
+    # would have no probe point separating its eigenvalue functions
+    cfg = {"chain": {"M": 1}, "sectors": [[0, 0], [1, 0], [1, 1]], "splits": [1]}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--check", "theorem1",
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "reports.jsonl") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [(r["identity"], r["verdict"]) for r in rows] == [
+        ("theorem1:skipped:no-eligible-states", "skipped")]
 
 
 def test_emit_report_refuses_empty(tmp_path):
@@ -252,12 +267,13 @@ def test_different_seed_changes_random_probes(tmp_path):
     assert [r.lhs for r in r1] != [r.lhs for r in r2]
 
 
-def test_cache_reuse_is_transparent(tmp_path):
+def test_cache_reuse_is_transparent(tmp_path, monkeypatch):
     cfg = default_scenario_dict(m=3, seed=6)
     cache = str(tmp_path / "cache")
-    _, r1 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "a"), cache_directory=cache)
+    monkeypatch.setenv(CACHE_ENV_VAR, cache)
+    _, r1 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "a"))
     assert os.listdir(cache)
-    _, r2 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "b"), cache_directory=cache)
+    _, r2 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "b"))
     assert [r.to_line_dict() for r in r1] == [r.to_line_dict() for r in r2]
 
 
@@ -274,12 +290,12 @@ def test_cache_of_one_sector_list_misses_for_another(tmp_path, monkeypatch):
         return dec
 
     monkeypatch.setattr(cli, "load_cache", recorded)
+    monkeypatch.setenv(CACHE_ENV_VAR, cache)
     outcomes = {}
     for n, sectors in enumerate([[[1, 0]], [[1, 1]], [[1, 0]]]):
         cfg = default_scenario_dict(m=3, seed=1)
         cfg["sectors"] = sectors
-        _, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / f"o{n}"),
-                                  cache_directory=cache)
+        _, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / f"o{n}"))
         outcomes.setdefault(str(sectors), []).append([r.to_line_dict() for r in reports])
     # the swept sectors {(0,0), (1,0)} and {(0,0), (1,0), (1,1)} key two files
     assert loads == [False, False, True]
@@ -405,7 +421,7 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
     A build is keyed by the group and the steps' g values, which fix the
     spectral point.  "full" holds the builds of reads with no contents,
     "swept" and "rest" those of a diagonalization of the ``swept`` sectors
-    and of any other sectors.
+    and of the other sectors.
     """
     from gradedbethe import chain, cli
 
@@ -430,8 +446,8 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
                 reads.pop()
             yield item
 
-    def tagged(spec, sectors=None):
-        passes.append(None if sectors is None else "swept" if sectors == swept else "rest")
+    def tagged(spec, sectors):
+        passes.append("swept" if sectors == swept else "rest")
         try:
             return diagonalize(spec, sectors=sectors)
         finally:
@@ -443,38 +459,19 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
     return built
 
 
-def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
-    from gradedbethe import chain, cli
-
-    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
-    built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
-    # tm1_residual's builds are counted only when the rtt check runs in this
-    # process, where one pass diagonalizes every sector
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
-    code, _ = run_scenario(scenario, str(tmp_path / "out"))
-    assert code == 0
-    # the full-chain reads: the five probes of the all-sector diagonalization
-    # and the zero-mode limit build all 21 groups, tm1_residual at its two
-    # spectral points only the 19 holding its six entries (21 each before);
-    # each group at most once per point
-    n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
-    assert len(set(built["full"])) == len(built["full"]) == 6 * n_groups + 2 * 19 == 164
-    assert len({g for _, _, g in built["full"]}) == 8
-    assert not built["swept"] and not built["rest"]
-
-
 def test_deferred_leakage_builds_only_the_shared_groups_twice(tmp_path, monkeypatch):
     from gradedbethe import chain, cli
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
-    # the run splits the spectrum as for a worker, but the worker never
-    # forks, so every job runs in this process at the join
-    monkeypatch.setattr(cli, "_use_worker", lambda: True)
-    monkeypatch.setattr(cli._Jobs, "_fork", lambda self: None)
+    # no worker: every job, the deferred leakage and tm1_residual included,
+    # runs in this process at the join, where its builds are counted
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # the zero-mode limit and tm1_residual read the full chain, as above
+    # the full-chain reads: the zero-mode limit builds all 21 groups,
+    # tm1_residual at its two spectral points only the 19 holding its six
+    # entries; each group at most once per point
     n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
     assert len(set(built["full"])) == len(built["full"]) == n_groups + 2 * 19 == 59
     # the spectrum is read in two passes, each building a group at most once
@@ -486,6 +483,30 @@ def test_deferred_leakage_builds_only_the_shared_groups_twice(tmp_path, monkeypa
     assert len(set(both)) == 5 * n_groups
     assert len(both) - len(set(both)) == 5 * 4
     assert len({g for _, _, g in built["full"] + both}) == 8
+
+
+@pytest.mark.parametrize("check", KNOWN_CHECKS)
+def test_only_spectral_checks_read_the_decomposition(tmp_path, monkeypatch, check):
+    # the run defers the unswept sectors' leakage only for the checks in
+    # _SPECTRAL_CHECKS; any other reader would take the swept sectors'
+    # figure for the all-sector one, in its row and in the spectral cache
+    from gradedbethe import cli
+
+    calls = []
+    original = cli._Workspace.decomposition
+
+    def counted(self):
+        calls.append(check)
+        return original(self)
+
+    monkeypatch.setattr(cli._Workspace, "decomposition", counted)
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    scenario = Scenario.from_dict(default_scenario_dict(m=3, seed=1))
+    scenario.checks = [check]
+    code, _ = run_scenario(scenario, str(tmp_path / "out"))
+    assert code == 0
+    assert bool(calls) == (check in cli._SPECTRAL_CHECKS)
 
 
 def test_empty_split_list_rejected(tmp_path):
