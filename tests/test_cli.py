@@ -459,6 +459,25 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
     return built
 
 
+def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
+    from gradedbethe import chain, cli
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    scenario.checks = ["rtt", "vacuum"]
+    built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
+    monkeypatch.setattr(cli, "_use_worker", lambda: False)
+    code, _ = run_scenario(scenario, str(tmp_path / "out"))
+    assert code == 0
+    # with no spectral check requested the spectrum is never diagonalized:
+    # only the full-chain reads build groups, the zero-mode limit all 21 at
+    # its one point, tm1_residual at its two the 19 holding its six entries;
+    # each group at most once per point
+    n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
+    assert len(set(built["full"])) == len(built["full"]) == n_groups + 2 * 19 == 59
+    assert len({g for _, _, g in built["full"]}) == 3
+    assert not built["swept"] and not built["rest"]
+
+
 def test_deferred_leakage_builds_only_the_shared_groups_twice(tmp_path, monkeypatch):
     from gradedbethe import chain, cli
 
