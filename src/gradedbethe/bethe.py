@@ -421,8 +421,8 @@ def subset_seed_candidates(sector: tuple[int, int], vac: VacuumFunctions,
 class RootTrajectory:
     """Root motion along one twist direction around kappa = 1.
 
-    Holds the solved roots at each point of the two-sided grid (1-delta ..
-    1+delta in component ``direction``; each point carries its twist).
+    Holds the solved roots at 1 - delta, 1 and 1 + delta in component
+    ``direction``, or the seed alone when delta is 0; each carries its twist.
     Roots that stay at infinity are carried as infinite counts; roots that
     descend from infinity under the twist are solved at large finite values,
     where their contribution to the vacuum ratio functions remains finite.
@@ -492,12 +492,11 @@ def _solve_at_twist(point: BetheRoots, vac: VacuumFunctions, twist: TwistConfig,
 
 
 def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
-                   delta: float, steps: int = 1, tol: float = 1e-13) -> RootTrajectory:
-    """Track roots along kappa_direction in [1-delta, 1+delta] around a seed.
+                   delta: float, tol: float = 1e-13) -> RootTrajectory:
+    """Track roots to kappa_direction = 1 - delta and 1 + delta from a seed at 1.
 
-    Predictor-corrector: at each grid point the previous solution seeds a
-    Newton solve; consecutive solutions are required to move by less than a
-    step-bound or a trajectory-jump error is raised.
+    The seed starts a Newton solve at each end; each solution must move by
+    less than a step bound, or a trajectory-jump error is raised.
     """
     if direction not in (1, 2, 3):
         raise ValueError("twist direction must be 1, 2 or 3")
@@ -506,31 +505,20 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
     if delta == 0.0:
         return RootTrajectory(direction, 0.0, [seed])
 
-    steps = max(1, int(steps))
-    grid = [1.0 + delta * k / steps for k in range(1, steps + 1)]
-
+    # the step as 1 + delta holds it, so both ends sit at 1 -/+ the same step
+    step = (1.0 + delta) - 1.0
     c_abs = abs(vac.spec.c)
 
-    def check_moves(prev: BetheRoots, cur: BetheRoots) -> None:
+    def solve_at(sign: float) -> BetheRoots:
+        cur = _solve_at_twist(seed, vac, seed.twist.replace(direction, 1.0 + sign * step), tol)
         # compare the common finite roots; Newton preserves component order
         # and freshly descended roots are appended at the tail of each set
-        for old_set, new_set in ((prev.u, cur.u), (prev.v, cur.v)):
+        for old_set, new_set in ((seed.u, cur.u), (seed.v, cur.v)):
             for old, new in zip(old_set, new_set):
                 bound = 0.2 * c_abs + 0.75 * (abs(old) + abs(new))
                 if abs(new - old) > bound:
                     raise BetheSolverError("trajectory jump detected; reduce the step")
+        return cur
 
-    def walk(sign: float) -> list[BetheRoots]:
-        out = []
-        prev = seed
-        for kval in grid:
-            twist = seed.twist.replace(direction, 1.0 + sign * (kval - 1.0))
-            cur = _solve_at_twist(prev, vac, twist, tol)
-            check_moves(prev, cur)
-            out.append(cur)
-            prev = cur
-        return out
-
-    fwd = walk(+1.0)
-    bwd = walk(-1.0)
-    return RootTrajectory(direction, delta, list(reversed(bwd)) + [seed] + fwd)
+    fwd = solve_at(+1.0)
+    return RootTrajectory(direction, delta, [solve_at(-1.0), seed, fwd])

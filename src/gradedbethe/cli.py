@@ -8,14 +8,16 @@ human-readable summary grid.  The work no check reads before the last one
 ends, the rtt residuals and the leakage of the sectors the run does not
 sweep, is one job list, the same on every machine.  This process drains it
 after the checks; where it can fork safely and has a second CPU, a forked
-worker drains it too, from the moment the list starts.
+worker drains it too, from the moment the list starts.  The spectral cache,
+a directory named by ``GRADEDBETHE_CACHE``, holds that leakage figure only,
+one float per chain spec and unswept sector list, so a re-run skips its job.
 """
 
 from __future__ import annotations
 
 import argparse
 import fcntl
-import functools
+import hashlib
 import itertools
 import json
 import math
@@ -23,7 +25,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; pay for it at start-up
@@ -56,12 +58,9 @@ from .formfactors import (
     zero_mode_ladder_checks,
 )
 from .spectrum import (
-    CACHE_ENV_VAR,
     _content,
     classify_spectrum,
     diagonalize_transfer,
-    load_cache,
-    save_cache,
     sector_indices,
     sector_labels_from_zero_modes,
 )
@@ -73,6 +72,7 @@ KNOWN_CHECKS = ("rtt", "ybe", "vacuum", "spectrum-match", "theorem1", "theorem2"
                 "proposition1", "ladder")
 MAX_SITES = 7
 SCHEMA_VERSION = 1
+CACHE_ENV_VAR = "GRADEDBETHE_CACHE"   # the spectral cache's directory
 
 
 class ScenarioError(ValueError):
@@ -374,21 +374,14 @@ class _Jobs:
             self._next = None
 
 
-# the checks that read the spectral decomposition; a run of none of them
-# defers no leakage (one left out here would read, and cache, the swept
-# sectors' figure as the all-sector one)
-_SPECTRAL_CHECKS = ("spectrum-match", "theorem1", "theorem2", "proposition1", "ladder")
-
-
 class _Workspace:
     """Shared state between checks of one scenario run.
 
     The decomposition holds the swept sectors, every sector at or below a
     requested one (all of them when none is requested), which are all that
-    ``classify_spectrum`` reads.  Its consistency figure covers every
-    sector wherever it is read, by ``spectrum-match`` or by the spectral
-    cache: the leakage of the other sectors is a job of the list
-    ``_start_jobs`` starts, and ``join`` completes the figure with it.
+    ``classify_spectrum`` reads.  The leakage of the other sectors, which
+    only ``spectrum-match`` reads, comes from the spectral cache or from a
+    job of the list ``_start_jobs`` starts, known once ``join`` returns.
     """
 
     def __init__(self, scenario: Scenario, cache_directory: str | None):
@@ -400,10 +393,11 @@ class _Workspace:
         requested = scenario.sectors
         self.swept = [s for s in sector_indices(self.spec) if not requested
                       or any(s[0] <= a and s[1] <= b for a, b in requested)]
-        # spectrum-match reports the all-sector figure and the cache stores it
-        self.figure_read = "spectrum-match" in scenario.checks or bool(cache_directory)
+        self.rest = [s for s in sector_indices(self.spec) if s not in self.swept]
+        # the figure of self.rest, read by spectrum-match only; None until job 0 is joined
+        self.rest_leakage: float | None = 0.0
         self.jobs: _Jobs | None = None
-        self.deferred = False       # job 0 is the leakage of the unswept sectors
+        self.deferred = False       # job 0 computes rest_leakage
         self.rtt: list[tuple[str, int]] = []    # (identity, job index) in row order
         self._results: list[float] | None = None
         self._dec = None
@@ -414,46 +408,33 @@ class _Workspace:
         if self.jobs is not None:
             self.jobs.close()
 
-    @functools.cached_property
-    def cached(self):
-        """The spectral cache's decomposition of the swept sectors, or None."""
-        return (load_cache(self.cache_directory, self.spec, self.swept)
-                if self.cache_directory else None)
-
     def defer_leakage(self) -> list:
         """[the leakage job of the unswept sectors] if the run needs it, else [].
 
-        It is needed when the run reads the all-sector figure, a spectral
-        check will diagonalize and the cache misses.
+        It is needed when ``spectrum-match`` is requested, some sector is
+        not swept and the spectral cache does not hold that sector list's figure.
         """
-        rest = [s for s in sector_indices(self.spec) if s not in self.swept]
-        self.deferred = bool(rest and self.figure_read
-                             and any(name in _SPECTRAL_CHECKS for name in self.scenario.checks)
-                             and self.cached is None)
-        return [(_leakage, (self.spec, rest))] if self.deferred else []
+        if self.rest and "spectrum-match" in self.scenario.checks:
+            self.rest_leakage = _recalled_leakage(self.cache_directory, self.spec, self.rest)
+            self.deferred = self.rest_leakage is None
+        return [(_leakage, (self.spec, self.rest))] if self.deferred else []
 
     def decomposition(self):
         if self._dec is None:
-            self._dec = self.cached
-            if self._dec is None:
-                self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
+            self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
         return self._dec
 
     def join(self) -> list[float]:
         """The job list's results in job order.
 
-        The first call also completes the consistency figure with the
-        deferred leakage and writes a decomposition this run computed to the
+        The first call also takes the deferred leakage and writes it to the
         spectral cache.
         """
         if self._results is None:
             self._results = self.jobs.join()
             if self.deferred:
-                dec = self.decomposition()
-                # a max over sectors diagonalized independently: the all-sector figure
-                self._dec = replace(dec, consistency=max(dec.consistency, self._results[0]))
-            if self.cache_directory and self._dec is not None and self.cached is None:
-                save_cache(self.cache_directory, self._dec)
+                self.rest_leakage = self._results[0]
+                _remember_leakage(self.cache_directory, self.spec, self.rest, self.rest_leakage)
         return self._results
 
     def classified(self):
@@ -485,6 +466,34 @@ def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
 def _leakage(spec: ChainSpec, sectors: list[tuple[int, int]]) -> float:
     """The consistency figure of ``sectors``: their eigenvector leakage at the later probes."""
     return diagonalize_transfer(spec, sectors=sectors).consistency
+
+
+def _leakage_path(directory: str, spec: ChainSpec, sectors: list[tuple[int, int]]) -> str:
+    # the spec's JSON holds the twist as "kappa"
+    key = json.dumps({"spec": spec.to_json(), "sectors": [list(s) for s in sectors]},
+                     sort_keys=True)
+    return os.path.join(directory, f"leakage_{hashlib.sha256(key.encode()).hexdigest()[:20]}.json")
+
+
+def _recalled_leakage(directory: str | None, spec: ChainSpec,
+                      sectors: list[tuple[int, int]]) -> float | None:
+    """``_leakage(spec, sectors)`` as the spectral cache holds it; None on a miss or a bad file."""
+    if not directory:
+        return None
+    try:
+        with open(_leakage_path(directory, spec, sectors), encoding="utf-8") as fh:
+            return float(json.load(fh))
+    except (OSError, ValueError, TypeError):
+        return None
+
+
+def _remember_leakage(directory: str | None, spec: ChainSpec,
+                      sectors: list[tuple[int, int]], figure: float) -> None:
+    """Write the figure to the spectral cache; JSON's shortest float repr reads back bit for bit."""
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+        with open(_leakage_path(directory, spec, sectors), "w", encoding="utf-8") as fh:
+            json.dump(figure, fh)
 
 
 def _start_jobs(ws: _Workspace) -> None:
@@ -775,16 +784,19 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     place in the report.  Only work no check reads before the end moves.
     At rtt's place, requested or not, ``_start_jobs`` draws the rtt points
     and starts one job list, longest jobs first: the leakage of the sectors
-    the spectral checks do not sweep, ``tm1_residual``, then the rtt pairs
-    by sub-chain size.  This process drains the list after the last check;
+    the spectral checks do not sweep (only if ``spectrum-match`` reads it and
+    the spectral cache lacks it), ``tm1_residual``, then the rtt pairs by
+    sub-chain size.  This process drains the list after the last check;
     where forking is safe and useful, a forked worker drains it too, from
     there.  The join then fills the rtt rows and completes the
-    ``spectrum:consistency`` row, the max of the swept and the deferred
+    ``spectrum:consistency`` row, the max of the swept and the unswept
     figures, which is the figure of one pass over every sector.  The list
     is the same with or without a worker, and each job runs once in
     whichever process claims it, so both paths write the same bytes.  The
     worker is reaped on every exit, a check that raises included.  The
-    environment variable ``GRADEDBETHE_CACHE`` points the spectral cache.
+    environment variable ``GRADEDBETHE_CACHE`` names the spectral cache's
+    directory; the unswept figure is read from it and written to it when
+    computed, and nothing else is.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
     passed, 1 means at least one failed.  A check that emits no rows emits
@@ -807,7 +819,9 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     finally:
         ws.close()
     if "spectrum-match" in names:
-        rows["spectrum-match"][0] = _consistency_report(ws.decomposition().consistency)
+        # a max over sectors diagonalized independently: the all-sector figure
+        figure = max(ws.decomposition().consistency, ws.rest_leakage)
+        rows["spectrum-match"][0] = _consistency_report(figure)
     reports: list[FormFactorReport] = []
     for name in names:
         # every runner that emits nothing found none of the states it reads

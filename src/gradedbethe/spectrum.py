@@ -30,7 +30,6 @@ zero, and the zero pairing flags every state of that sector as clustered.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,12 +56,8 @@ __all__ = [
     "match_roots_to_state",
     "classify_spectrum",
     "sector_labels_from_zero_modes",
-    "save_cache",
-    "load_cache",
 ]
 
-CACHE_ENV_VAR = "GRADEDBETHE_CACHE"
-CACHE_SCHEMA = 4
 _CLUSTER_GAP = 1e-8  # relative eigenvalue gap below which two states of a sector cluster
 _MATCH_RTOL = 1e-6   # relative distance at which eigenvalue samples match
 _NEWTON_TOL = 1e-12  # Bethe residual of the roots classify_spectrum attaches
@@ -243,7 +238,8 @@ def diagonalize_transfer(spec: ChainSpec,
     states: list[EigenState] = []
     for sector in wanted:
         vr, left_rows, _, clustered, samples = bases.pop(sector)
-        # contiguous rows, as a cached decomposition loads them
+        # contiguous rows: a strided column of vr can take another BLAS path
+        # in the products downstream, and the reports' bits were pinned with these
         rights, lefts = np.ascontiguousarray(vr.T), np.ascontiguousarray(left_rows)
         states += [EigenState(sector, samples[k], rights[k], lefts[k], probes,
                               clustered=bool(clustered[k])) for k in range(samples.shape[0])]
@@ -371,73 +367,3 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             classified += found
     return classified
 
-
-# -- spectral cache -------------------------------------------------------------
-
-
-def _cache_path(directory: str, spec: ChainSpec, sectors: list[tuple[int, int]]) -> str:
-    import hashlib
-    import json as _json
-
-    # the spec's JSON holds the twist as "kappa"
-    key = _json.dumps({"spec": spec.to_json(), "schema": CACHE_SCHEMA,
-                       "sectors": [list(s) for s in sectors]}, sort_keys=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:20]
-    return os.path.join(directory, f"spectrum_{digest}.npz")
-
-
-def save_cache(directory: str, dec: SpectralDecomposition) -> str:
-    """Persist a decomposition keyed by (spec, schema version, the sectors it holds).
-
-    Each side is one flat array of the sector-local vectors end to end;
-    the sectors give the lengths back on load.  The consistency figure is
-    stored as the decomposition carries it.
-    """
-    os.makedirs(directory, exist_ok=True)
-    path = _cache_path(directory, dec.spec, sorted({s.sector for s in dec.states}))
-    sectors = np.array([s.sector for s in dec.states], dtype=np.int64)
-    np.savez_compressed(
-        path,
-        schema=np.array([CACHE_SCHEMA]),
-        probes=dec.probes,
-        sectors=sectors,
-        samples=np.array([s.tau_samples for s in dec.states]),
-        rights=np.concatenate([s.right for s in dec.states]),
-        lefts=np.concatenate([s.left for s in dec.states]),
-        clustered=np.array([s.clustered for s in dec.states]),
-        consistency=np.array([dec.consistency]),
-    )
-    return path
-
-
-def load_cache(directory: str, spec: ChainSpec,
-               sectors: list[tuple[int, int]]) -> SpectralDecomposition | None:
-    """Load a cached decomposition of the ``sectors`` that exist.
-
-    A stale or mismatched cache returns None, one that holds other sectors
-    included.
-    """
-    sizes = {s: ix.size for s, ix in sector_indices(spec).items()}
-    wanted = [s for s in sizes if s in sectors]
-    path = _cache_path(directory, spec, wanted)
-    if not os.path.exists(path):
-        return None
-    try:
-        # each npz member decompresses on every access: read each one once
-        with np.load(path) as data:
-            if int(data["schema"][0]) != CACHE_SCHEMA:
-                return None
-            fields = {key: data[key] for key in ("probes", "sectors", "samples", "rights",
-                                                 "lefts", "clustered", "consistency")}
-        held = [(int(a), int(b)) for a, b in fields["sectors"]]
-        if sorted(set(held)) != wanted:
-            return None
-        ends = np.cumsum([sizes[s] for s in held])[:-1]
-        rights, lefts = (np.split(fields[key], ends) for key in ("rights", "lefts"))
-        states = [EigenState(sector, fields["samples"][k], rights[k], lefts[k],
-                             fields["probes"], clustered=bool(fields["clustered"][k]))
-                  for k, sector in enumerate(held)]
-        return SpectralDecomposition(spec, fields["probes"], states,
-                                     float(fields["consistency"][0]))
-    except (OSError, KeyError, ValueError):
-        return None

@@ -172,11 +172,11 @@ def test_continue_twist_endpoints_solve_twisted_equations(spec3, vac3):
 
 def test_continue_twist_reversible(spec3, vac3):
     seed = on_shell_10(spec3, vac3)
-    traj = continue_twist(seed, vac3, direction=2, delta=1e-3, steps=2)
+    traj = continue_twist(seed, vac3, direction=2, delta=1e-3)
     end = traj.points[-1]
     back = continue_twist(
         BetheRoots(u=seed.u, v=seed.v, twist=seed.twist, residual=seed.residual),
-        vac3, direction=2, delta=1e-3, steps=2)
+        vac3, direction=2, delta=1e-3)
     # walking forward from the seed reproduces the endpoint, and the stored
     # seed stays bit-identical at the grid midpoint
     assert abs(back.points[-1].u[0] - end.u[0]) < 1e-9

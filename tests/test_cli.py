@@ -16,7 +16,7 @@ from gradedbethe.cli import (
     main,
     run_scenario,
 )
-from gradedbethe.spectrum import CACHE_ENV_VAR
+from gradedbethe.cli import CACHE_ENV_VAR
 
 from conftest import peak_bytes
 
@@ -277,39 +277,57 @@ def test_cache_reuse_is_transparent(tmp_path, monkeypatch):
     assert [r.to_line_dict() for r in r1] == [r.to_line_dict() for r in r2]
 
 
-def test_cache_of_one_sector_list_misses_for_another(tmp_path, monkeypatch):
-    from gradedbethe import cli, spectrum
+def test_cache_holds_the_unswept_leakage_bit_for_bit(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from gradedbethe import cli
+    from gradedbethe.chain import TwistConfig
 
     cache = str(tmp_path / "cache")
-    loads = []
-    original = spectrum.load_cache
-
-    def recorded(*args, **kwargs):
-        dec = original(*args, **kwargs)
-        loads.append(dec is not None)
-        return dec
-
-    monkeypatch.setattr(cli, "load_cache", recorded)
+    scenario = Scenario.from_dict(default_scenario_dict(m=3, seed=1))
+    spec, rest = scenario.chain, cli._Workspace(scenario, None).rest
+    assert len(rest) == 5
+    cli._remember_leakage(cache, spec, rest, 8.69e-15)
+    assert cli._recalled_leakage(cache, spec, rest).hex() == (8.69e-15).hex()
+    # another spec misses, a different twist included, and so does another
+    # unswept sector list
+    for other, sectors in ((replace(spec, c=2.0), rest),
+                           (replace(spec, twist=TwistConfig((1.0, 1.0, 1.1))), rest),
+                           (spec, rest[1:])):
+        assert cli._recalled_leakage(cache, other, sectors) is None
+    # a corrupt file reads as a miss, and the run that misses writes a valid one
+    [name] = os.listdir(cache)
+    with open(os.path.join(cache, name), "w", encoding="utf-8") as fh:
+        fh.write('{"leak')
+    assert cli._recalled_leakage(cache, spec, rest) is None
     monkeypatch.setenv(CACHE_ENV_VAR, cache)
-    outcomes = {}
-    for n, sectors in enumerate([[[1, 0]], [[1, 1]], [[1, 0]]]):
-        cfg = default_scenario_dict(m=3, seed=1)
-        cfg["sectors"] = sectors
-        _, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / f"o{n}"))
-        outcomes.setdefault(str(sectors), []).append([r.to_line_dict() for r in reports])
-    # the swept sectors {(0,0), (1,0)} and {(0,0), (1,0), (1,1)} key two files
-    assert loads == [False, False, True]
-    assert len(os.listdir(cache)) == 2
-    first, again = outcomes["[[1, 0]]"]
-    assert first == again
-    # each file holds its swept sectors' states and the all-sector figure
-    spec = Scenario.from_dict(default_scenario_dict(m=3, seed=1)).chain
-    full = spectrum.diagonalize_transfer(spec)
-    for swept in ([(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]):
-        dec = original(cache, spec, swept)
-        assert sorted({st.sector for st in dec.states}) == swept
-        assert dec.consistency == full.consistency
-    assert original(cache, spec, list(spectrum.sector_indices(spec))) is None
+    scenario.checks = ["spectrum-match"]
+    run_scenario(scenario, str(tmp_path / "out"))
+    assert os.listdir(cache) == [name]
+    assert cli._recalled_leakage(cache, spec, rest).hex() == cli._leakage(spec, rest).hex()
+
+
+def test_cache_alone_queues_no_leakage(tmp_path, monkeypatch):
+    # only spectrum-match reads the unswept sectors' leakage: a run without
+    # it neither computes the figure nor writes it to the cache
+    from gradedbethe import cli
+
+    queued = []
+    original = cli._Jobs.__init__
+
+    def recorded(self, jobs, fork):
+        queued.extend(fn for fn, _ in jobs)
+        original(self, jobs, fork)
+
+    monkeypatch.setattr(cli._Jobs, "__init__", recorded)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+    path = write_config(tmp_path, default_scenario_dict(m=3, seed=1))
+    assert main(["verify", "--config", path, "--check", "theorem1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert queued == []
+    assert os.listdir(cache) == []
 
 
 def test_empty_sector_list_sweeps_every_sector(tmp_path):
@@ -506,9 +524,8 @@ def test_deferred_leakage_builds_only_the_shared_groups_twice(tmp_path, monkeypa
 
 @pytest.mark.parametrize("check", KNOWN_CHECKS)
 def test_only_spectral_checks_read_the_decomposition(tmp_path, monkeypatch, check):
-    # the run defers the unswept sectors' leakage only for the checks in
-    # _SPECTRAL_CHECKS; any other reader would take the swept sectors'
-    # figure for the all-sector one, in its row and in the spectral cache
+    # the spectral checks read the decomposition of the swept sectors, and
+    # no other check does any spectral work
     from gradedbethe import cli
 
     calls = []
@@ -525,7 +542,8 @@ def test_only_spectral_checks_read_the_decomposition(tmp_path, monkeypatch, chec
     scenario.checks = [check]
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    assert bool(calls) == (check in cli._SPECTRAL_CHECKS)
+    assert bool(calls) == (check in ("spectrum-match", "theorem1", "theorem2", "proposition1",
+                                     "ladder"))
 
 
 def test_empty_split_list_rejected(tmp_path):

@@ -12,10 +12,8 @@ from gradedbethe.spectrum import (
     _sector_eigenbasis,
     default_probes,
     diagonalize_transfer,
-    load_cache,
     match_roots_to_state,
     sandwich,
-    save_cache,
     sector_indices,
     sector_labels_from_zero_modes,
 )
@@ -216,49 +214,6 @@ def test_probe_formula(spec4):
     assert probes[0] == pytest.approx((1.7 + 0.0) * spec4.c + 0.41j * spec4.c)
 
 
-def test_cache_roundtrip(tmp_path, spec4, dec4):
-    path = save_cache(str(tmp_path), dec4)
-    everything = list(sector_indices(spec4))
-    again = load_cache(str(tmp_path), spec4, everything)
-    assert again is not None
-    assert len(again.states) == len(dec4.states)
-    for new, old in zip(again.states, dec4.states):
-        assert new.sector == old.sector and new.clustered == old.clustered
-        for name in ("left", "right", "tau_samples"):
-            assert np.array_equal(getattr(new, name), getattr(old, name))
-    assert np.array_equal(again.probes, dec4.probes)
-    assert again.consistency == dec4.consistency
-    # each cache member is read once: the states' vectors are rows of one array
-    assert again.states[0].right.base is again.states[1].right.base
-    assert again.states[0].left.base is again.states[1].left.base
-    # a different spec misses the cache, a different twist included
-    other = ChainSpec(M=3)
-    assert load_cache(str(tmp_path), other, list(sector_indices(other))) is None
-    twisted = replace(spec4, twist=TwistConfig((1.0, 1.0, 1.1)))
-    assert load_cache(str(tmp_path), twisted, everything) is None
-
-
-def test_cache_is_keyed_by_its_sectors(tmp_path, spec4, dec4):
-    import os
-
-    swept = [(0, 0), (1, 0), (1, 1)]
-    part = replace(diagonalize_transfer(spec4, sectors=swept), consistency=dec4.consistency)
-    full_path, part_path = save_cache(str(tmp_path), dec4), save_cache(str(tmp_path), part)
-    assert full_path != part_path
-    # the sectors that exist are the key: (0, 1) has no states
-    again = load_cache(str(tmp_path), spec4, swept + [(0, 1)])
-    assert [st.sector for st in again.states] == [st.sector for st in part.states]
-    for new, old in zip(again.states, part.states):
-        assert np.array_equal(new.right, old.right) and np.array_equal(new.left, old.left)
-    assert again.consistency == dec4.consistency
-    everything = list(sector_indices(spec4))
-    assert len(load_cache(str(tmp_path), spec4, everything).states) == len(dec4.states)
-    # another sector list misses, and so does a file holding other sectors
-    assert load_cache(str(tmp_path), spec4, [(0, 0), (1, 0)]) is None
-    os.replace(part_path, full_path)
-    assert load_cache(str(tmp_path), spec4, everything) is None
-
-
 def test_states_live_on_their_own_sector():
     # every vector holds one coordinate per basis index of its content group,
     # so the states of a sector of size |G| take |G|^2 entries per side
@@ -286,29 +241,6 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
     expect = embed(spec4, c.sector, c.left) @ dense(spec4, up) @ embed(spec4, b.sector, b.right)
     assert abs(sandwich(spec4, c, up, b) - expect) < 1e-12 * abs(expect)
     assert abs(expect) > 1e-6
-
-
-def test_schema_1_cache_is_ignored(tmp_path, spec4, dec4):
-    # former caches under the current file name: schema 1 embedded every state
-    # in the 3^M space, schema 2 held sector-local vectors from another
-    # eigensolver, schema 3 every sector under a key without the sector list
-    path = save_cache(str(tmp_path), dec4)
-    states = dec4.states
-    local = [np.concatenate([getattr(st, side) for st in states]) for side in ("right", "left")]
-    former = {
-        1: [np.array([embed(spec4, st.sector, getattr(st, side)) for st in states])
-            for side in ("right", "left")],
-        2: local,
-        3: local,
-    }
-    for schema, (rights, lefts) in former.items():
-        np.savez_compressed(path, schema=np.array([schema]), probes=dec4.probes,
-                            sectors=np.array([st.sector for st in states], dtype=np.int64),
-                            samples=np.array([st.tau_samples for st in states]),
-                            rights=rights, lefts=lefts,
-                            clustered=np.array([st.clustered for st in states]),
-                            consistency=np.array([dec4.consistency]))
-        assert load_cache(str(tmp_path), spec4, list(sector_indices(spec4))) is None
 
 
 @pytest.mark.parametrize("m_sites", [3, 4, 5])
