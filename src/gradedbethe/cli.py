@@ -482,9 +482,11 @@ def _recalled_leakage(directory: str | None, spec: ChainSpec,
         return None
     try:
         with open(_leakage_path(directory, spec, sectors), encoding="utf-8") as fh:
-            return float(json.load(fh))
-    except (OSError, ValueError, TypeError):
+            figure = json.load(fh)
+    except (OSError, ValueError):
         return None
+    # a JSON string, list or boolean is a bad file, not a figure
+    return figure if isinstance(figure, float) else None
 
 
 def _remember_leakage(directory: str | None, spec: ChainSpec,

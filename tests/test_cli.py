@@ -277,34 +277,37 @@ def test_cache_reuse_is_transparent(tmp_path, monkeypatch):
     assert [r.to_line_dict() for r in r1] == [r.to_line_dict() for r in r2]
 
 
-def test_cache_holds_the_unswept_leakage_bit_for_bit(tmp_path, monkeypatch):
-    from dataclasses import replace
-
+def test_cache_of_one_sector_list_misses_for_another(tmp_path, monkeypatch):
     from gradedbethe import cli
-    from gradedbethe.chain import TwistConfig
 
     cache = str(tmp_path / "cache")
-    scenario = Scenario.from_dict(default_scenario_dict(m=3, seed=1))
-    spec, rest = scenario.chain, cli._Workspace(scenario, None).rest
-    assert len(rest) == 5
-    cli._remember_leakage(cache, spec, rest, 8.69e-15)
-    assert cli._recalled_leakage(cache, spec, rest).hex() == (8.69e-15).hex()
-    # another spec misses, a different twist included, and so does another
-    # unswept sector list
-    for other, sectors in ((replace(spec, c=2.0), rest),
-                           (replace(spec, twist=TwistConfig((1.0, 1.0, 1.1))), rest),
-                           (spec, rest[1:])):
-        assert cli._recalled_leakage(cache, other, sectors) is None
-    # a corrupt file reads as a miss, and the run that misses writes a valid one
-    [name] = os.listdir(cache)
-    with open(os.path.join(cache, name), "w", encoding="utf-8") as fh:
-        fh.write('{"leak')
-    assert cli._recalled_leakage(cache, spec, rest) is None
+    queued = []
+    original = cli._Jobs.__init__
+
+    def recorded(self, jobs, fork):
+        queued.append(any(fn is cli._leakage for fn, _ in jobs))
+        original(self, jobs, fork)
+
+    monkeypatch.setattr(cli._Jobs, "__init__", recorded)
     monkeypatch.setenv(CACHE_ENV_VAR, cache)
-    scenario.checks = ["spectrum-match"]
-    run_scenario(scenario, str(tmp_path / "out"))
-    assert os.listdir(cache) == [name]
-    assert cli._recalled_leakage(cache, spec, rest).hex() == cli._leakage(spec, rest).hex()
+    outcomes = {}
+    for n, sectors in enumerate([[[1, 0]], [[1, 1]], [[1, 0]]]):
+        cfg = default_scenario_dict(m=3, seed=1)
+        cfg["sectors"] = sectors
+        _, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / f"o{n}"))
+        outcomes.setdefault(str(sectors), []).append([r.to_line_dict() for r in reports])
+    # the unswept sectors of [[1, 0]] and of [[1, 1]] key two files
+    assert queued == [True, True, False]
+    assert len(os.listdir(cache)) == 2
+    first, again = outcomes["[[1, 0]]"]
+    assert first == again
+    # each file holds its unswept sectors' figure, bit for bit
+    for sectors in ([[1, 0]], [[1, 1]]):
+        cfg = default_scenario_dict(m=3, seed=1)
+        cfg["sectors"] = sectors
+        ws = cli._Workspace(Scenario.from_dict(cfg), cache)
+        assert cli._recalled_leakage(cache, ws.spec, ws.rest).hex() == \
+            cli._leakage(ws.spec, ws.rest).hex()
 
 
 def test_cache_alone_queues_no_leakage(tmp_path, monkeypatch):

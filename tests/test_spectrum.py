@@ -1,8 +1,10 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gradedbethe import cli
 from gradedbethe.bethe import BetheRoots
 from gradedbethe.chain import ChainSpec, TwistConfig, VacuumFunctions, _content_partition, \
     transfer_blocks, zero_mode_entry
@@ -212,6 +214,66 @@ def test_probe_formula(spec4):
     probes = default_probes(spec4)
     assert probes.shape == (5,)
     assert probes[0] == pytest.approx((1.7 + 0.0) * spec4.c + 0.41j * spec4.c)
+
+
+# The spectral cache holds one float per chain spec and unswept sector list:
+# the leakage figure cli._leakage computes for those sectors.
+
+def test_cache_roundtrip(tmp_path, spec4, dec4):
+    cache = str(tmp_path)
+    everything = list(sector_indices(spec4))
+    cli._remember_leakage(cache, spec4, everything, 8.69e-15)
+    assert cli._recalled_leakage(cache, spec4, everything).hex() == (8.69e-15).hex()
+    cli._remember_leakage(cache, spec4, everything, dec4.consistency)
+    assert cli._recalled_leakage(cache, spec4, everything).hex() == dec4.consistency.hex()
+    assert len(os.listdir(cache)) == 1
+    # a different spec misses the cache, a different twist included
+    other = ChainSpec(M=3)
+    assert cli._recalled_leakage(cache, other, list(sector_indices(other))) is None
+    assert cli._recalled_leakage(cache, replace(spec4, c=2.0), everything) is None
+    twisted = replace(spec4, twist=TwistConfig((1.0, 1.0, 1.1)))
+    assert cli._recalled_leakage(cache, twisted, everything) is None
+    # no directory, no cache
+    assert cli._recalled_leakage(None, spec4, everything) is None
+    cli._remember_leakage(None, spec4, everything, 1.0)
+
+
+def test_cache_is_keyed_by_its_sectors(tmp_path, spec4):
+    cache = str(tmp_path)
+    everything = list(sector_indices(spec4))
+    rest_a = [s for s in everything if s not in ((0, 0), (1, 0))]
+    rest_b = [s for s in everything if s != (0, 0)]
+    cli._remember_leakage(cache, spec4, rest_a, 1.5e-14)
+    cli._remember_leakage(cache, spec4, rest_b, 2.5e-14)
+    assert len(os.listdir(cache)) == 2
+    assert cli._recalled_leakage(cache, spec4, rest_a) == 1.5e-14
+    assert cli._recalled_leakage(cache, spec4, rest_b) == 2.5e-14
+    # another unswept sector list misses
+    assert cli._recalled_leakage(cache, spec4, rest_a[1:]) is None
+    assert cli._recalled_leakage(cache, spec4, everything) is None
+
+
+def test_schema_1_cache_is_ignored(tmp_path, monkeypatch):
+    # a file in the figure's place that does not hold one float, such as a
+    # truncated write or a former cache's metadata, reads as a miss, and the
+    # run that misses writes a valid one over it
+    cache = str(tmp_path / "cache")
+    scenario = cli.Scenario.from_dict(cli.default_scenario_dict(m=3, seed=1))
+    spec, rest = scenario.chain, cli._Workspace(scenario, None).rest
+    assert rest
+    cli._remember_leakage(cache, spec, rest, 8.69e-15)
+    [name] = os.listdir(cache)
+    path = os.path.join(cache, name)
+    for text in ('{"leak', '{"schema": 1}', "[8.69e-15]", '"8.69e-15"', ""):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert cli._recalled_leakage(cache, spec, rest) is None
+    monkeypatch.setenv(cli.CACHE_ENV_VAR, cache)
+    scenario.checks = ["spectrum-match"]
+    code, _ = cli.run_scenario(scenario, str(tmp_path / "out"))
+    assert code == 0
+    assert os.listdir(cache) == [name]
+    assert cli._recalled_leakage(cache, spec, rest).hex() == cli._leakage(spec, rest).hex()
 
 
 def test_states_live_on_their_own_sector():
