@@ -21,11 +21,10 @@ zero modes T_ij[0] come straight from their closed form in the same
 act on are vectors on one content group each (``spectrum.sandwich`` reads
 the one block between two of them).  No 3^M x 3^M matrix is ever formed.
 ``verify_rtt`` compares the two sides of the RTT relation one aux (x) aux (x)
-H group at a time.  Each side is 1 (x) T at one point, placed from the aux
-(x) H group blocks, followed by M + 1 row steps: 2M + 2 per group, the right
-side rewritten with the graded swap P of the auxiliary spaces as
-P T_a(v) (1 (x) T(u)) (P + g).  Both sides share four scratch buffers,
-allocated once per call.
+H group at a time.  Checks that read T(u) only through its action on a few
+vectors build no group: ``monodromy_apply`` takes vectors on aux (x) H
+through the M L-operators, each a signed row gather, a multiply by g and
+an add, and ``transfer_apply`` and ``tm1_residual`` build on it.
 The sign table is pinned by requiring the zero-mode commutation algebra to
 hold entrywise (an exact integer-arithmetic criterion) together with the RTT
 residual test; see tests/test_chain.py.
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,6 +51,8 @@ __all__ = [
     "combine",
     "compose",
     "transfer_blocks",
+    "monodromy_apply",
+    "transfer_apply",
     "vacuum_eigenvalue",
     "zero_mode_entry",
     "zero_mode_limit_groups",
@@ -511,6 +512,60 @@ def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
     return {s: t[s] for s in (_block_map(spec.M)[0] if contents is None else contents)}
 
 
+@lru_cache(maxsize=16)
+def _site_gathers(m_sites: int) -> tuple:
+    """P_0n on aux (x) H for n = 1..M as (src, sign): row q of P_0n X is sign[q] X[src[q]].
+
+    Taken from permutation_between, as _step_plan's are; argsort inverts dest.
+    """
+    factors = (GradedSpace.fundamental(),) * (m_sites + 1)
+    gathers = []
+    for n in range(1, m_sites + 1):
+        perm = permutation_between(factors, 0, n)
+        src = np.argsort(perm.dest)
+        gathers.append((src, perm.sign[src]))
+    return tuple(gathers)
+
+
+def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
+    """T(u) X for a vector or a block X of columns on aux (x) H (aux letter the leading digit).
+
+    T(u) = L_M(u) ... L_1(u) with L_n = I + g(u, xi_n) P_0n, so each site
+    takes X to X + g (sign (.) X[src]): M gathers, no matrix and no BLAS call.
+    """
+    _check_poles(spec, u, spec.all_sites())
+    for n, (src, sign) in enumerate(_site_gathers(spec.M), start=1):
+        # transposed, the sign multiplies the rows of a vector or of a block alike
+        x = x + g_fun(u, spec.xi[n - 1], spec.c) * (sign * x[src].T).T
+    return x
+
+
+def _entry_apply(spec: ChainSpec, u: complex, i: int, j: int, y: np.ndarray) -> np.ndarray:
+    """T_ij(u) Y for Y on H: aux block i of T(u) (e_j (x) Y), signed with BLOCK_SIGNS."""
+    x = np.zeros((3,) + y.shape, dtype=complex)
+    x[j - 1] = y
+    out = monodromy_apply(spec, u, x.reshape(-1, *y.shape[1:])).reshape(x.shape)
+    return BLOCK_SIGNS[i - 1, j - 1] * out[i - 1]
+
+
+def transfer_apply(spec: ChainSpec, u: complex, y: np.ndarray) -> np.ndarray:
+    """t(u) Y = sum_i (-1)^{[i]} kappa_i T_ii(u) Y for a vector or a block Y of columns on H."""
+    return sum((-1) ** _PAR[i] * spec.twist.kappa[i] * _entry_apply(spec, u, i + 1, i + 1, y)
+               for i in range(3))
+
+
+def _probe_columns(n_rows: int) -> np.ndarray:
+    """Two random complex columns from a generator of their own: the same on every call."""
+    rng = np.random.default_rng(2017)
+    return rng.normal(size=(n_rows, 2)) + 1j * rng.normal(size=(n_rows, 2))
+
+
+def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest entry of lhs - rhs over the larger side's largest entry, at least 1."""
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale
+
+
 def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
     """lambda_k over the sub-chain, read off T_kk on the vacuum e_1 (x) ... (x) e_1.
 
@@ -662,31 +717,15 @@ def tm1_residual(spec: ChainSpec, u: complex, v: complex,
 
     Checks [T_ij(u), T_kl(v)} =
     (-1)^{[i]([k]+[l]) + [k][l]} g(u,v) (T_kj(v) T_il(u) - T_kj(u) T_il(v))
-    for the given (i,j,k,l), normalized by the largest entry magnitude.
-    Only the six entries the relation reads are built, T_ij, T_il and T_kj at
-    u and T_kl, T_kj and T_il at v (monodromy_entries); both sides are then
-    formed one H content at a time.
+    on the probe columns (Freivalds' check), one entry at a time, as the
+    largest entry of the difference over the larger side's, at least 1.
     """
     i, j, k, l = indices
-    at_u = monodromy_entries(spec, u, [(i, j), (i, l), (k, j)])
-    at_v = monodromy_entries(spec, v, [(k, l), (k, j), (i, l)])
+    y = _probe_columns(3 ** spec.M)
+    t = partial(_entry_apply, spec)
     pi, pj, pk, pl = (_PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
-
-    def largest(op):
-        return max((float(np.abs(blk).max()) for _, blk in op.values()), default=0.0)
-
-    def on(op, s):
-        return {s: op[s]} if s in op else {}
-
-    # both sides content by content: a product a . b on s reads only b's block on s
-    scale, diff = 1.0, 0.0
-    for s in _block_map(spec.M)[0]:
-        lhs = combine((1.0, compose(at_u[i, j], on(at_v[k, l], s))),
-                      (-sign_comm, compose(at_v[k, l], on(at_u[i, j], s))))
-        rhs = combine((pref, compose(at_v[k, j], on(at_u[i, l], s))),
-                      (-pref, compose(at_u[k, j], on(at_v[i, l], s))))
-        scale = max(scale, largest(lhs), largest(rhs))
-        diff = max(diff, largest(combine((1.0, lhs), (-1.0, rhs))))
-    return diff / scale
+    lhs = t(u, i, j, t(v, k, l, y)) - sign_comm * t(v, k, l, t(u, i, j, y))
+    rhs = pref * (t(v, k, j, t(u, i, l, y)) - t(u, k, j, t(v, i, l, y)))
+    return _relative_gap(lhs, rhs)

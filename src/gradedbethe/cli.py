@@ -8,16 +8,14 @@ human-readable summary grid.  The work no check reads before the last one
 ends, the rtt residuals and the leakage of the sectors the run does not
 sweep, is one job list, the same on every machine.  This process drains it
 after the checks; where it can fork safely and has a second CPU, a forked
-worker drains it too, from the moment the list starts.  The spectral cache,
-a directory named by ``GRADEDBETHE_CACHE``, holds that leakage figure only,
-one float per chain spec and unswept sector list, so a re-run skips its job.
+worker drains it too, from the moment the list starts.  Its full-chain jobs,
+that leakage and ``tm1_residual``, act on fixed probe columns, not matrices.
 """
 
 from __future__ import annotations
 
 import argparse
 import fcntl
-import hashlib
 import itertools
 import json
 import math
@@ -36,9 +34,12 @@ from .chain import (
     PoleError,
     VacuumFunctions,
     _default_xi,
+    _probe_columns,
+    _relative_gap,
     entry_blocks,
     monodromy_entries,
     tm1_residual,
+    transfer_apply,
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
@@ -60,6 +61,7 @@ from .formfactors import (
 from .spectrum import (
     _content,
     classify_spectrum,
+    default_probes,
     diagonalize_transfer,
     sector_indices,
     sector_labels_from_zero_modes,
@@ -72,7 +74,6 @@ KNOWN_CHECKS = ("rtt", "ybe", "vacuum", "spectrum-match", "theorem1", "theorem2"
                 "proposition1", "ladder")
 MAX_SITES = 7
 SCHEMA_VERSION = 1
-CACHE_ENV_VAR = "GRADEDBETHE_CACHE"   # the spectral cache's directory
 
 
 class ScenarioError(ValueError):
@@ -380,24 +381,20 @@ class _Workspace:
     The decomposition holds the swept sectors, every sector at or below a
     requested one (all of them when none is requested), which are all that
     ``classify_spectrum`` reads.  The leakage of the other sectors, which
-    only ``spectrum-match`` reads, comes from the spectral cache or from a
-    job of the list ``_start_jobs`` starts, known once ``join`` returns.
+    only ``spectrum-match`` reads, is job 0 of the list ``_start_jobs``
+    starts, known once ``join`` returns.
     """
 
-    def __init__(self, scenario: Scenario, cache_directory: str | None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.spec = scenario.chain
         self.vac = VacuumFunctions(self.spec)
         self.rng = np.random.default_rng(scenario.seed)
-        self.cache_directory = cache_directory
         requested = scenario.sectors
         self.swept = [s for s in sector_indices(self.spec) if not requested
                       or any(s[0] <= a and s[1] <= b for a, b in requested)]
         self.rest = [s for s in sector_indices(self.spec) if s not in self.swept]
-        # the figure of self.rest, read by spectrum-match only; None until job 0 is joined
-        self.rest_leakage: float | None = 0.0
         self.jobs: _Jobs | None = None
-        self.deferred = False       # job 0 computes rest_leakage
         self.rtt: list[tuple[str, int]] = []    # (identity, job index) in row order
         self._results: list[float] | None = None
         self._dec = None
@@ -408,33 +405,15 @@ class _Workspace:
         if self.jobs is not None:
             self.jobs.close()
 
-    def defer_leakage(self) -> list:
-        """[the leakage job of the unswept sectors] if the run needs it, else [].
-
-        It is needed when ``spectrum-match`` is requested, some sector is
-        not swept and the spectral cache does not hold that sector list's figure.
-        """
-        if self.rest and "spectrum-match" in self.scenario.checks:
-            self.rest_leakage = _recalled_leakage(self.cache_directory, self.spec, self.rest)
-            self.deferred = self.rest_leakage is None
-        return [(_leakage, (self.spec, self.rest))] if self.deferred else []
-
     def decomposition(self):
         if self._dec is None:
             self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
         return self._dec
 
     def join(self) -> list[float]:
-        """The job list's results in job order.
-
-        The first call also takes the deferred leakage and writes it to the
-        spectral cache.
-        """
+        """The job list's results in job order."""
         if self._results is None:
             self._results = self.jobs.join()
-            if self.deferred:
-                self.rest_leakage = self._results[0]
-                _remember_leakage(self.cache_directory, self.spec, self.rest, self.rest_leakage)
         return self._results
 
     def classified(self):
@@ -464,38 +443,18 @@ def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
 
 
 def _leakage(spec: ChainSpec, sectors: list[tuple[int, int]]) -> float:
-    """The consistency figure of ``sectors``: their eigenvector leakage at the later probes."""
-    return diagonalize_transfer(spec, sectors=sectors).consistency
+    """The consistency figure of ``sectors``: how far t(u_0) and t(u_q) fail to commute there.
 
-
-def _leakage_path(directory: str, spec: ChainSpec, sectors: list[tuple[int, int]]) -> str:
-    # the spec's JSON holds the twist as "kappa"
-    key = json.dumps({"spec": spec.to_json(), "sectors": [list(s) for s in sectors]},
-                     sort_keys=True)
-    return os.path.join(directory, f"leakage_{hashlib.sha256(key.encode()).hexdigest()[:20]}.json")
-
-
-def _recalled_leakage(directory: str | None, spec: ChainSpec,
-                      sectors: list[tuple[int, int]]) -> float | None:
-    """``_leakage(spec, sectors)`` as the spectral cache holds it; None on a miss or a bad file."""
-    if not directory:
-        return None
-    try:
-        with open(_leakage_path(directory, spec, sectors), encoding="utf-8") as fh:
-            figure = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    # a JSON string, list or boolean is a bad file, not a figure
-    return figure if isinstance(figure, float) else None
-
-
-def _remember_leakage(directory: str | None, spec: ChainSpec,
-                      sectors: list[tuple[int, int]], figure: float) -> None:
-    """Write the figure to the spectral cache; JSON's shortest float repr reads back bit for bit."""
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-        with open(_leakage_path(directory, spec, sectors), "w", encoding="utf-8") as fh:
-            json.dump(figure, fh)
+    The largest relative gap of t(u_0) t(u_q) Y and t(u_q) t(u_0) Y over the
+    later probes u_q, for Y the probe columns kept on the sectors' indices.
+    """
+    kept = np.concatenate([sector_indices(spec)[s] for s in sectors])
+    y = np.zeros((3 ** spec.M, 2), dtype=complex)
+    y[kept] = _probe_columns(3 ** spec.M)[kept]
+    first, *later = default_probes(spec)
+    t_first = transfer_apply(spec, first, y)
+    return max((_relative_gap(transfer_apply(spec, first, transfer_apply(spec, u, y)),
+                              transfer_apply(spec, u, t_first)) for u in later))
 
 
 def _start_jobs(ws: _Workspace) -> None:
@@ -503,14 +462,13 @@ def _start_jobs(ws: _Workspace) -> None:
 
     Runs at rtt's place in the check order whether or not rtt is requested,
     so the points come from ``ws.rng`` between ybe's draws and vacuum's.  The
-    list holds, largest first: the leakage of the unswept sectors if the
-    run needs it (see ``_Workspace.defer_leakage``); then, if rtt is
-    requested, ``tm1_residual`` on the scenario chain and the rtt pairs by
-    sub-chain size.  The rows read the results in draw order through
-    ``_Workspace.join``.
+    list holds the leakage of the unswept sectors if spectrum-match reads
+    it; then, if rtt is requested, ``tm1_residual`` on the scenario chain
+    and the rtt pairs, largest sub-chain first.  The rows read the results
+    in draw order through ``_Workspace.join``.
     """
     sc, rng = ws.scenario, ws.rng
-    jobs = ws.defer_leakage()
+    jobs = [(_leakage, (ws.spec, ws.rest))] if ws.rest and "spectrum-match" in sc.checks else []
     if "rtt" in sc.checks:
         rows = []  # (identity, sites, job) in draw order
         # rtt_pairs pairs in all, the remainder going to the first sizes
@@ -695,9 +653,15 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
     if d11:
         candidates.append(d11[0])
     for pair in candidates:
+        sectors = (pair.sector, pair.sector)
         for i in (1, 2, 3):
-            traj = continue_twist(pair.roots, vac, direction=i, delta=sc.fd_delta)
-            traj_fine = continue_twist(pair.roots, vac, direction=i, delta=sc.fd_delta / 10)
+            try:
+                traj = continue_twist(pair.roots, vac, direction=i, delta=sc.fd_delta)
+                traj_fine = continue_twist(pair.roots, vac, direction=i, delta=sc.fd_delta / 10)
+            except PoleError:  # a continued root hit an inhomogeneity
+                out.append(make_report(f"theorem2:{i}:skipped:pole", 0, 0, 0.0, sectors=sectors,
+                                       residual=0.0, skipped=True))
+                continue
             for m in sc.splits:
                 out.append(check_theorem2(spec, vac, pair, i, m, tol=sc.tol_fd,
                                           trajectory=traj))
@@ -709,7 +673,7 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
                 consistency = abs(d_coarse - d_fine)
             out.append(make_report(
                 f"theorem2-fd:{i}.{pair.sector[0]}{pair.sector[1]}", consistency, 0.0, 1e-3,
-                sectors=(pair.sector, pair.sector), m=sc.splits[-1], residual=consistency))
+                sectors=sectors, m=sc.splits[-1], residual=consistency))
     return out
 
 
@@ -785,20 +749,17 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     generator at its place in ``_CHECK_ORDER``, and its rows sit at that
     place in the report.  Only work no check reads before the end moves.
     At rtt's place, requested or not, ``_start_jobs`` draws the rtt points
-    and starts one job list, longest jobs first: the leakage of the sectors
-    the spectral checks do not sweep (only if ``spectrum-match`` reads it and
-    the spectral cache lacks it), ``tm1_residual``, then the rtt pairs by
-    sub-chain size.  This process drains the list after the last check;
-    where forking is safe and useful, a forked worker drains it too, from
-    there.  The join then fills the rtt rows and completes the
-    ``spectrum:consistency`` row, the max of the swept and the unswept
-    figures, which is the figure of one pass over every sector.  The list
+    and starts one job list: the leakage of the sectors the spectral checks
+    do not sweep (only if ``spectrum-match`` reads it), ``tm1_residual``,
+    then the rtt pairs, largest sub-chain first.  This process drains the
+    list after the last check; where forking is safe and useful, a forked
+    worker drains it too, from there.  The join then fills the rtt rows and
+    completes the ``spectrum:consistency`` row, the max of the swept
+    sectors' eigenvector leakage and the unswept sectors' commutator
+    figure, so every sector is covered.  The list
     is the same with or without a worker, and each job runs once in
     whichever process claims it, so both paths write the same bytes.  The
-    worker is reaped on every exit, a check that raises included.  The
-    environment variable ``GRADEDBETHE_CACHE`` names the spectral cache's
-    directory; the unswept figure is read from it and written to it when
-    computed, and nothing else is.
+    worker is reaped on every exit, a check that raises included.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
     passed, 1 means at least one failed.  A check that emits no rows emits
@@ -806,7 +767,7 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     problems raise ScenarioError before anything runs (exit code 2 at the CLI
     level).
     """
-    ws = _Workspace(scenario, os.environ.get(CACHE_ENV_VAR))
+    ws = _Workspace(scenario)
     names = [name for name in _CHECK_ORDER if name in scenario.checks]
     rows: dict[str, list[FormFactorReport]] = {}
     try:
@@ -821,8 +782,8 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     finally:
         ws.close()
     if "spectrum-match" in names:
-        # a max over sectors diagonalized independently: the all-sector figure
-        figure = max(ws.decomposition().consistency, ws.rest_leakage)
+        # the swept sectors' leakage, and job 0's figure of the unswept ones
+        figure = max(ws.decomposition().consistency, ws.join()[0] if ws.rest else 0.0)
         rows["spectrum-match"][0] = _consistency_report(figure)
     reports: list[FormFactorReport] = []
     for name in names:
@@ -863,8 +824,8 @@ def emit_report(reports: list[FormFactorReport], out_dir: str) -> tuple[str, str
                  + (f"  skipped {n_skip}" if n_skip else ""))
     lines.append("(zero* rows have both sides below the zero floor and never count as passes)")
     if n_skip:
-        lines.append("(skip rows stand for checks that found none of the states they read "
-                     "in the requested sectors and tested nothing)")
+        lines.append("(skip rows stand for checks that tested nothing: they found none of the "
+                     "states they read in the requested sectors, or hit a pole)")
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,0 +1,66 @@
+"""Fault catalogue: defects planted in the package with monkeypatch, for the checks to catch.
+
+Each defect is a function of a ``pytest.MonkeyPatch`` that breaks one
+convention of the chain from outside, so the package carries no test-only
+switch.  ``injected(name)`` plants one for the length of a ``with`` block.
+The plans built from the sign rule (``_step_plan``, ``_site_gathers``) are
+cached, so they are cleared on the way in and on the way out: a plan built
+under a defect never outlives it.
+
+- ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
+  space) and factor 2 loses its sign, as if site 2 of the chain were
+  ungraded.
+- ``flipped-T22-sign``: the sign BLOCK_SIGNS gives the entry T_22 is flipped.
+  This is the twist kappa_2 -> -kappa_2 for every transfer matrix, and the
+  twisted transfer matrices commute for any diagonal twist, so no
+  consistency figure (eigenvector leakage or commutator) can see it; the
+  entry-level commutation relation does.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from gradedbethe import chain
+
+
+def _unsigned_p02(monkeypatch) -> None:
+    original = chain.permutation_between
+
+    def unsigned(factors, x, y):
+        perm = original(factors, x, y)
+        if (min(x, y), max(x, y)) == (0, 2):
+            perm.sign = np.ones_like(perm.sign)
+        return perm
+
+    monkeypatch.setattr(chain, "permutation_between", unsigned)
+
+
+def _flipped_t22_sign(monkeypatch) -> None:
+    signs = chain.BLOCK_SIGNS.copy()
+    signs[1, 1] *= -1
+    monkeypatch.setattr(chain, "BLOCK_SIGNS", signs)
+
+
+DEFECTS = {
+    "unsigned-P02": _unsigned_p02,
+    "flipped-T22-sign": _flipped_t22_sign,
+}
+
+
+def _clear_plans() -> None:
+    chain._step_plan.cache_clear()
+    chain._site_gathers.cache_clear()
+
+
+@contextmanager
+def injected(name: str):
+    """The package with the defect ``name`` planted, for the body of the ``with`` block."""
+    _clear_plans()
+    try:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            DEFECTS[name](monkeypatch)
+            yield
+    finally:
+        _clear_plans()

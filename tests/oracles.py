@@ -4,10 +4,14 @@ The package works on content-group blocks and signed permutations; the
 dense forms here (graded Kronecker product, supertraces, graded commutator,
 the two-site R-matrix and ``dense``, which fills an H operator's blocks into
 a 3^M x 3^M matrix) state the same conventions the textbook way, so the
-tests can compare against them.  The full-set forms of the monodromy,
-transfer_blocks and tm1_residual hold every aux (x) H group at once, each
-product built from its own identity; the package's entry reads, which build
-one group at a time in shared buffers, must match them to the bit.
+tests can compare against them.  The full-set forms of the monodromy and
+transfer_blocks hold every aux (x) H group at once, each product built from
+its own identity; the package's entry reads, which build one group at a
+time in shared buffers, must match them to the bit.  The package checks
+the RTT algebra on the full chain on vectors; the dense forms those checks
+replaced stay here as references: ``tm1_residual_full_set`` (the entry-level
+relation over whole group sets) and ``leakage_by_eigensolve`` (the
+eigenvector leakage of an eigensolve of the given sectors).
 """
 
 import itertools
@@ -18,6 +22,7 @@ from gradedbethe.chain import _block_map, _content_partition, _group_product, _l
     compose, entry_blocks, g_fun, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
     permutation_between
+from gradedbethe.spectrum import diagonalize_transfer
 
 PAR = np.array(FUNDAMENTAL_PARITIES)
 FUND = GradedSpace.fundamental()
@@ -154,6 +159,15 @@ def monodromy_group_set(spec, u, sites=None) -> dict:
             for k, ix in enumerate(_content_partition(spec.M + 1)[0])}
 
 
+def monodromy_apply_full_set(spec, u, x: np.ndarray) -> np.ndarray:
+    """T(u) X by the group blocks of ``monodromy_group_set``, each times its rows of X."""
+    out = np.empty_like(x)
+    groups = monodromy_group_set(spec, u)
+    for k, ix in enumerate(_content_partition(spec.M + 1)[0]):
+        out[ix] = groups[k] @ x[ix]
+    return out
+
+
 def transfer_blocks_full_set(spec, u, contents=None) -> dict:
     """sum_i (-1)^{[i]} kappa_i T_ii(u) by ``combine`` over the whole group set."""
     groups = monodromy_group_set(spec, u)
@@ -179,3 +193,8 @@ def tm1_residual_full_set(spec, u, v, indices) -> float:
                   (-pref, compose(t(gu, k, j), t(gv, i, l))))
     scale = max(largest(lhs), largest(rhs), 1.0)
     return largest(combine((1.0, lhs), (-1.0, rhs))) / scale
+
+
+def leakage_by_eigensolve(spec, sectors) -> float:
+    """The unswept sectors' figure as an eigensolve gives it: eigenvector leakage at the later probes."""
+    return diagonalize_transfer(spec, sectors=sectors).consistency

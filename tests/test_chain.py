@@ -17,8 +17,10 @@ from gradedbethe.chain import (
     compose,
     entry_blocks,
     g_fun,
+    monodromy_apply,
     monodromy_entries,
     tm1_residual,
+    transfer_apply,
     transfer_blocks,
     vacuum_eigenvalue,
     verify_rtt,
@@ -30,9 +32,8 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_be
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes
-from oracles import FUND, dense, largest, monodromy_group_set, r_matrix, read_off, \
-    supertrace_over_aux, tm1_residual_full_set, transfer_blocks_full_set, zero_mode_algebra_worst, \
-    zero_modes
+from oracles import FUND, dense, largest, monodromy_apply_full_set, monodromy_group_set, r_matrix, \
+    read_off, supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
 ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -74,8 +75,8 @@ def dense_entry(spec, groups, i, j):
     return BLOCK_SIGNS[i - 1, j - 1] * full[(i - 1) * dh:i * dh, (j - 1) * dh:j * dh]
 
 
-def tm1_dense(spec, u, v, indices):
-    """tm1_residual from dense products of the read-off entries."""
+def tm1_dense(spec, u, v, indices, y=None):
+    """tm1_residual from dense products of the read-off entries, applied to columns ``y`` if given."""
     i, j, k, l = indices
     bu = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS))
     bv = read_off(spec, monodromy_entries(spec, v, ALL_PAIRS))
@@ -84,6 +85,8 @@ def tm1_dense(spec, u, v, indices):
     lhs = bu[i - 1, j - 1] @ bv[k - 1, l - 1] - sign_comm * bv[k - 1, l - 1] @ bu[i - 1, j - 1]
     pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * spec.c / (u - v)
     rhs = pref * (bv[k - 1, j - 1] @ bu[i - 1, l - 1] - bu[k - 1, j - 1] @ bv[i - 1, l - 1])
+    if y is not None:
+        lhs, rhs = lhs @ y, rhs @ y
     scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1.0)
     return float(np.abs(lhs - rhs).max()) / scale
 
@@ -408,10 +411,12 @@ def test_tm1_residual_matches_dense_products(m_sites):
     spec = ChainSpec(M=m_sites, c=0.9 + 0.2j)
     rng = np.random.default_rng(60 + m_sites)
     u, v = rand_pt(rng, 2), rand_pt(rng, -2)
+    y = chain._probe_columns(3 ** m_sites)
     for indices in [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1), (3, 2, 1, 3)]:
-        blocked = tm1_residual(spec, u, v, indices)
-        assert blocked < 1e-10
-        assert abs(blocked - tm1_dense(spec, u, v, indices)) < 1e-12
+        on_vectors = tm1_residual(spec, u, v, indices)
+        assert on_vectors < 1e-10
+        assert tm1_dense(spec, u, v, indices) < 1e-10
+        assert abs(on_vectors - tm1_dense(spec, u, v, indices, y)) < 1e-12
 
 
 def test_tm1_residual_sees_a_flipped_block_sign(monkeypatch):
@@ -421,9 +426,12 @@ def test_tm1_residual_sees_a_flipped_block_sign(monkeypatch):
     flipped = BLOCK_SIGNS.copy()
     flipped[0, 2] *= -1
     monkeypatch.setattr(chain, "BLOCK_SIGNS", flipped)
-    blocked = tm1_residual(spec, u, v, (1, 2, 2, 3))
-    assert blocked > 0.1
-    assert abs(blocked - tm1_dense(spec, u, v, (1, 2, 2, 3))) < 1e-12
+    on_vectors = tm1_residual(spec, u, v, (1, 2, 2, 3))
+    # the relation fails by O(1): on the probe columns, the vector form is
+    # the dense matrices' residual there
+    assert on_vectors > 0.1 and tm1_dense(spec, u, v, (1, 2, 2, 3)) > 0.1
+    y = chain._probe_columns(3 ** spec.M)
+    assert abs(on_vectors - tm1_dense(spec, u, v, (1, 2, 2, 3), y)) < 1e-12
 
 
 COMMUTATION_INDICES = [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1)]
@@ -432,12 +440,12 @@ COMMUTATION_INDICES = [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1)]
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
-    # monodromy_entries, transfer_blocks and tm1_residual build one aux (x) H
-    # group at a time; the full-set path holds every group and is the
-    # reference, to the bit, on every site range and every read
+    # monodromy_entries and transfer_blocks build one aux (x) H group at a
+    # time; the full-set path holds every group and is the reference, to the
+    # bit, on every site range and every read
     spec = make_spec(m_sites)
     rng = np.random.default_rng(90 + m_sites)
-    u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
+    u = rand_pt(rng, 2.5)
     _, _, contents = _content_partition(m_sites)
     reads = (None, [contents[-1]], list(contents[::2]))
     for sites in oracle_ranges(m_sites):
@@ -455,8 +463,33 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
         assert list(part) == list(ref) == list(contents if read is None else read)
         assert all(part[s][0] == ref[s][0] and np.array_equal(part[s][1], ref[s][1]) for s in ref)
     assert transfer_blocks(spec, u, contents=[]) == {}
-    for indices in COMMUTATION_INDICES:
-        assert tm1_residual(spec, u, v, indices) == tm1_residual_full_set(spec, u, v, indices)
+
+
+@pytest.mark.parametrize("make_spec", ORACLE_SPECS)
+@pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5, 6])
+def test_monodromy_apply_matches_the_group_set(m_sites, make_spec):
+    # the gathers act on vectors in another order of operations than the
+    # group blocks times vectors, so the two agree to rounding, not to the bit
+    spec = make_spec(m_sites)
+    rng = np.random.default_rng(95 + m_sites)
+    u = rand_pt(rng, 2.5)
+    x = rng.normal(size=(3 ** (m_sites + 1), 3)) + 1j * rng.normal(size=(3 ** (m_sites + 1), 3))
+    ref = monodromy_apply_full_set(spec, u, x)
+    got = monodromy_apply(spec, u, x)
+    assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+    # a vector is one column
+    assert np.array_equal(monodromy_apply(spec, u, x[:, 0]), got[:, 0])
+    y = x[:3 ** m_sites]
+    ref = dense(spec, transfer_blocks(spec, u)) @ y
+    got = transfer_apply(spec, u, y)
+    assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+    assert np.array_equal(transfer_apply(spec, u, y[:, 0]), got[:, 0])
+
+
+def test_monodromy_apply_rejects_poles():
+    spec = ChainSpec(M=2)
+    with pytest.raises(PoleError):
+        monodromy_apply(spec, spec.xi[1], np.ones((27, 1), dtype=complex))
 
 
 # -- group-outer products against the site-outer kernel ------------------------------
@@ -577,12 +610,10 @@ def test_tm1_residual_builds_only_the_groups_of_its_entries(monkeypatch):
     spec = ChainSpec(M=4)
     u, v = 1.3 + 2.1j, -2.2 + 0.7j
     built = record_builds(monkeypatch)
-    tm1_residual(spec, u, v, (1, 2, 2, 3))
-    # T_12, T_13, T_22 at u and T_23, T_22, T_13 at v: every group but (5,0,0)
-    # and (0,0,5) holds one, 19 of 21 at each point, each built once
-    aux_contents = _content_partition(spec.M + 1)[2]
-    assert len(set(built)) == len(built) == 2 * 19
-    assert {aux_contents[k] for k, _ in built} == set(aux_contents) - {(5, 0, 0), (0, 0, 5)}
+    assert tm1_residual(spec, u, v, (1, 2, 2, 3)) < 1e-10
+    # the six entries act on the probe columns through monodromy_apply: no
+    # group is built at all (reading them off built 19 of 21 at each point)
+    assert built == []
 
 
 # -- RTT conformance --------------------------------------------------------------
@@ -733,8 +764,9 @@ def test_full_chain_builds_peak_below_two_group_sets():
     u, v = 1.3 + 2.1j, -2.2 + 0.7j
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
     tm1_residual(spec, u, v, (1, 2, 2, 3))  # warm the partition and plan caches
-    # measured 1.40x and 1.35x, three scratch buffers of the largest group
-    # included; holding both group sets made tm1 2.57x, and every probe's group
+    # measured 0.27x and 1.35x-1.60x, three scratch buffers of the largest group
+    # included; tm1 on vectors holds a few columns (reading off its six entries
+    # made it 1.40x, holding both group sets 2.57x), and every probe's group
     # set and transfer blocks made the diagonalization 2.17x
-    assert peak_bytes(lambda: tm1_residual(spec, u, v, (1, 2, 2, 3))) < 1.75 * group_set
+    assert peak_bytes(lambda: tm1_residual(spec, u, v, (1, 2, 2, 3))) < 0.5 * group_set
     assert peak_bytes(lambda: diagonalize_transfer(spec)) < 1.75 * group_set

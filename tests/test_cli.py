@@ -16,7 +16,6 @@ from gradedbethe.cli import (
     main,
     run_scenario,
 )
-from gradedbethe.cli import CACHE_ENV_VAR
 
 from conftest import peak_bytes
 
@@ -112,6 +111,25 @@ def test_theorem1_pairs_no_state_with_its_own_descendant(tmp_path, capsys):
         rows = [json.loads(line) for line in fh]
     assert [(r["identity"], r["verdict"]) for r in rows] == [
         ("theorem1:skipped:no-eligible-states", "skipped")]
+
+
+def test_theorem2_skips_a_direction_whose_continuation_hits_a_pole(tmp_path, capsys):
+    # at M=1 the vacuum's (1,1) descendant continued in direction 3 puts its
+    # descending root on the one inhomogeneity: that direction is skipped,
+    # the other two are checked, and the full run completes
+    cfg = {"chain": {"M": 1}, "sectors": [[0, 0], [1, 0], [1, 1]], "splits": [1]}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "reports.jsonl") as fh:
+        rows = [json.loads(line) for line in fh if '"theorem2' in line]
+    assert [(r["identity"], r["sectors"], r["verdict"]) for r in rows] == [
+        ("theorem2:1", [[1, 1], [1, 1]], "trivial"),
+        ("theorem2-fd:1.11", [[1, 1], [1, 1]], "pass"),
+        ("theorem2:2", [[1, 1], [1, 1]], "trivial"),
+        ("theorem2-fd:2.11", [[1, 1], [1, 1]], "pass"),
+        ("theorem2:3:skipped:pole", [[1, 1], [1, 1]], "skipped")]
+    assert "or hit a pole" in (out / "summary.txt").read_text()
 
 
 def test_emit_report_refuses_empty(tmp_path):
@@ -268,51 +286,21 @@ def test_different_seed_changes_random_probes(tmp_path):
 
 
 def test_cache_reuse_is_transparent(tmp_path, monkeypatch):
+    # the spectral cache is gone: a run reads and writes nothing under the
+    # directory GRADEDBETHE_CACHE names, and writes the bytes of a run without it
     cfg = default_scenario_dict(m=3, seed=6)
-    cache = str(tmp_path / "cache")
-    monkeypatch.setenv(CACHE_ENV_VAR, cache)
     _, r1 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "a"))
-    assert os.listdir(cache)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("GRADEDBETHE_CACHE", str(cache))
     _, r2 = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "b"))
     assert [r.to_line_dict() for r in r1] == [r.to_line_dict() for r in r2]
-
-
-def test_cache_of_one_sector_list_misses_for_another(tmp_path, monkeypatch):
-    from gradedbethe import cli
-
-    cache = str(tmp_path / "cache")
-    queued = []
-    original = cli._Jobs.__init__
-
-    def recorded(self, jobs, fork):
-        queued.append(any(fn is cli._leakage for fn, _ in jobs))
-        original(self, jobs, fork)
-
-    monkeypatch.setattr(cli._Jobs, "__init__", recorded)
-    monkeypatch.setenv(CACHE_ENV_VAR, cache)
-    outcomes = {}
-    for n, sectors in enumerate([[[1, 0]], [[1, 1]], [[1, 0]]]):
-        cfg = default_scenario_dict(m=3, seed=1)
-        cfg["sectors"] = sectors
-        _, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / f"o{n}"))
-        outcomes.setdefault(str(sectors), []).append([r.to_line_dict() for r in reports])
-    # the unswept sectors of [[1, 0]] and of [[1, 1]] key two files
-    assert queued == [True, True, False]
-    assert len(os.listdir(cache)) == 2
-    first, again = outcomes["[[1, 0]]"]
-    assert first == again
-    # each file holds its unswept sectors' figure, bit for bit
-    for sectors in ([[1, 0]], [[1, 1]]):
-        cfg = default_scenario_dict(m=3, seed=1)
-        cfg["sectors"] = sectors
-        ws = cli._Workspace(Scenario.from_dict(cfg), cache)
-        assert cli._recalled_leakage(cache, ws.spec, ws.rest).hex() == \
-            cli._leakage(ws.spec, ws.rest).hex()
+    assert os.listdir(cache) == []
 
 
 def test_cache_alone_queues_no_leakage(tmp_path, monkeypatch):
     # only spectrum-match reads the unswept sectors' leakage: a run without
-    # it neither computes the figure nor writes it to the cache
+    # it queues no leakage job, with GRADEDBETHE_CACHE set or not
     from gradedbethe import cli
 
     queued = []
@@ -325,7 +313,7 @@ def test_cache_alone_queues_no_leakage(tmp_path, monkeypatch):
     monkeypatch.setattr(cli._Jobs, "__init__", recorded)
     cache = tmp_path / "cache"
     cache.mkdir()
-    monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+    monkeypatch.setenv("GRADEDBETHE_CACHE", str(cache))
     path = write_config(tmp_path, default_scenario_dict(m=3, seed=1))
     assert main(["verify", "--config", path, "--check", "theorem1",
                  "--out", str(tmp_path / "out")]) == 0
@@ -394,7 +382,7 @@ def test_universal_form_factor_once_per_theorem1_pair(tmp_path, monkeypatch):
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["theorem1", "proposition1"]
     _, reports = run_scenario(scenario, str(tmp_path / "out"))
-    n_plan = len(cli._theorem1_plan(cli._Workspace(scenario, None)))
+    n_plan = len(cli._theorem1_plan(cli._Workspace(scenario)))
     n_genfun = sum(r.identity.startswith("genfun-derivative") for r in reports)
     n_theorem1 = sum(r.identity.startswith("theorem1:") for r in reports)
     assert n_plan > 0 and n_genfun > 0
@@ -406,7 +394,7 @@ def test_proposition1_holds_no_twisted_spectrum():
     from gradedbethe import cli
 
     scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
-    ws = cli._Workspace(scenario, None)
+    ws = cli._Workspace(scenario)
     # warm: the untwisted decomposition and its classification
     ws.classified()
     # the right and left vectors of one decomposition: 2 * 3^M states of 3^M
@@ -419,7 +407,7 @@ def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
     from gradedbethe import cli, formfactors
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
-    ws = cli._Workspace(scenario, None)
+    ws = cli._Workspace(scenario)
     ws.classified()
     twists = []
     original = formfactors.diagonalize_transfer
@@ -485,44 +473,55 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "vacuum"]
-    built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
+    built = record_group_builds(monkeypatch, cli._Workspace(scenario).swept)
     monkeypatch.setattr(cli, "_use_worker", lambda: False)
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # with no spectral check requested the spectrum is never diagonalized:
-    # only the full-chain reads build groups, the zero-mode limit all 21 at
-    # its one point, tm1_residual at its two the 19 holding its six entries;
-    # each group at most once per point
+    # with no spectral check requested the spectrum is never diagonalized,
+    # and tm1_residual acts on vectors: the one full-chain read that builds
+    # groups is the zero-mode limit, all 21 at its one point, each once
     n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
-    assert len(set(built["full"])) == len(built["full"]) == n_groups + 2 * 19 == 59
-    assert len({g for _, _, g in built["full"]}) == 3
+    assert len(set(built["full"])) == len(built["full"]) == n_groups == 21
+    assert len({g for _, _, g in built["full"]}) == 1
     assert not built["swept"] and not built["rest"]
 
 
-def test_deferred_leakage_builds_only_the_shared_groups_twice(tmp_path, monkeypatch):
-    from gradedbethe import chain, cli
+def test_full_chain_job_rows_build_no_group(tmp_path, monkeypatch):
+    # the unswept sectors' figure and tm1_residual act on the probe columns:
+    # they build no aux (x) H group and diagonalize nothing
+    from gradedbethe import chain, cli, spectrum
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
-    built = record_group_builds(monkeypatch, cli._Workspace(scenario, None).swept)
-    # no worker: every job, the deferred leakage and tm1_residual included,
-    # runs in this process at the join, where its builds are counted
+    scenario.checks = ["rtt", "spectrum-match"]
+    ws = cli._Workspace(scenario)
+    built = record_group_builds(monkeypatch, ws.swept)
     monkeypatch.setattr(cli, "_use_worker", lambda: False)
-    code, _ = run_scenario(scenario, str(tmp_path / "out"))
+    joined = []
+    original = cli._Workspace.join
+
+    def recorded_join(self):
+        before = sum(map(len, built.values()))
+        results = original(self)
+        joined.append(sum(map(len, built.values())) - before)
+        return results
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full-chain job row built a group or diagonalized")
+
+    monkeypatch.setattr(cli._Workspace, "join", recorded_join)
+    code, reports = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # the full-chain reads: the zero-mode limit builds all 21 groups,
-    # tm1_residual at its two spectral points only the 19 holding its six
-    # entries; each group at most once per point
-    n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
-    assert len(set(built["full"])) == len(built["full"]) == n_groups + 2 * 19 == 59
-    # the spectrum is read in two passes, each building a group at most once
-    # per probe; together they build every group at each of the five probes,
-    # and the 4 groups holding both swept and rest contents twice
-    for name in ("swept", "rest"):
-        assert len(set(built[name])) == len(built[name]) > 0
-    both = built["swept"] + built["rest"]
-    assert len(set(both)) == 5 * n_groups
-    assert len(both) - len(set(both)) == 5 * 4
-    assert len({g for _, _, g in built["full"] + both}) == 8
+    verdicts = {r.identity: r.verdict for r in reports}
+    assert verdicts["rtt:tm1-1223"] == verdicts["spectrum:consistency"] == "pass"
+    # the swept pass is the run's one streamed read; the join, which runs
+    # every job in this process, streams no group
+    assert joined[0] == 0 and not built["full"] and not built["rest"] and built["swept"]
+    # called directly, with every group builder and eigensolve forbidden
+    for module, name in ((chain, "_group_product"), (chain, "_stream"),
+                         (cli, "diagonalize_transfer"), (spectrum, "diagonalize_transfer")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert cli._leakage(ws.spec, ws.rest) < 1e-9
+    assert chain.tm1_residual(ws.spec, 1.3 + 2.1j, -2.2 + 0.7j, (1, 2, 2, 3)) < 1e-10
 
 
 @pytest.mark.parametrize("check", KNOWN_CHECKS)
@@ -540,7 +539,6 @@ def test_only_spectral_checks_read_the_decomposition(tmp_path, monkeypatch, chec
 
     monkeypatch.setattr(cli._Workspace, "decomposition", counted)
     monkeypatch.setattr(cli, "_use_worker", lambda: False)
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     scenario = Scenario.from_dict(default_scenario_dict(m=3, seed=1))
     scenario.checks = [check]
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
@@ -591,7 +589,7 @@ def test_theorem1_retains_no_zero_mode_blocks():
     from gradedbethe.chain import _content_partition
 
     scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
-    ws = cli._Workspace(scenario, None)
+    ws = cli._Workspace(scenario)
     ws.classified()
     # every content-group block of one aux (x) H operator
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
@@ -612,7 +610,7 @@ def test_zero_mode_limit_peaks_below_one_group_set():
     from gradedbethe.chain import _content_partition
 
     scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
-    ws = cli._Workspace(scenario, None)
+    ws = cli._Workspace(scenario)
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
     cli._run_vacuum(ws)  # warm the partition, plan and letter caches
     reports = []
@@ -650,7 +648,7 @@ def test_genfun_derivative_on_the_full_chain_is_trivial(tmp_path, m):
 def test_verify_runs_without_scipy(tmp_path):
     # the runtime needs numpy only: block scipy in a fresh interpreter, run the
     # M=3 default scenario, and check that importing the CLI loads no scipy module
-    env = {k: v for k, v in os.environ.items() if k != "GRADEDBETHE_CACHE"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     cfg = write_config(tmp_path, default_scenario_dict(m=3))
     blocked = ("import sys; sys.modules['scipy'] = None; from gradedbethe.cli import main; "
@@ -675,7 +673,7 @@ needs_two_cpus = pytest.mark.skipif(
 
 def run_pinned(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter with BLAS on one thread, so it may fork."""
-    env = {k: v for k, v in os.environ.items() if k != "GRADEDBETHE_CACHE"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
@@ -884,11 +882,11 @@ def test_single_check_writes_the_in_process_bytes(tmp_path, monkeypatch, check):
     with open(os.path.join(out, "reports.jsonl")) as fh:
         first = json.loads(fh.readline())
     if check == "spectrum-match":
-        # the swept pass's figure completed with the deferred one: the figure
-        # of one pass over every sector
-        spec = Scenario.from_dict(default_scenario_dict(m=4, seed=1)).chain
+        # the swept pass's leakage completed with the unswept sectors' commutator figure
+        ws = cli._Workspace(Scenario.from_dict(default_scenario_dict(m=4, seed=1)))
+        swept = cli.diagonalize_transfer(ws.spec, sectors=ws.swept).consistency
         assert first["identity"] == "spectrum:consistency"
-        assert first["lhs"] == [cli.diagonalize_transfer(spec).consistency, 0.0]
+        assert first["lhs"] == [max(swept, cli._leakage(ws.spec, ws.rest)), 0.0]
 
 
 def test_no_worker_beside_a_second_thread():
