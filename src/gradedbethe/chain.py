@@ -20,11 +20,12 @@ zero modes T_ij[0] come straight from their closed form in the same
 {s: (image, block)} form (``zero_mode_entry``).  The states these operators
 act on are vectors on one content group each (``spectrum.sandwich`` reads
 the one block between two of them).  No 3^M x 3^M matrix is ever formed.
-``verify_rtt`` compares the two sides of the RTT relation one aux (x) aux (x)
-H group at a time.  Checks that read T(u) only through its action on a few
-vectors build no group: ``monodromy_apply`` takes vectors on aux (x) H
-through the M L-operators, each a signed row gather, a multiply by g and
-an add, and ``transfer_apply`` and ``tm1_residual`` build on it.
+Checks that read T(u) only through its action on a few vectors build no
+group: ``monodromy_apply`` takes vectors on aux (x) H through the M
+L-operators, each a signed row gather, a multiply by g and an add, and
+``transfer_apply`` and ``tm1_residual`` build on it.  ``verify_rtt`` runs
+the same steps on V (x) V (x) H, where it compares the two sides of the RTT
+relation on two fixed columns.
 The sign table is pinned by requiring the zero-mode commutation algebra to
 hold entrywise (an exact integer-arithmetic criterion) together with the RTT
 residual test; see tests/test_chain.py.
@@ -230,36 +231,28 @@ def _square(buf: np.ndarray, size: int) -> np.ndarray:
     return buf[:size * size].reshape(size, size)
 
 
-def _group_product(k: int, size: int, steps, start=None, scratch=None) -> np.ndarray:
-    """Block of F_S ... F_1 X on content group k, for steps [(plan, g), ...].
+def _group_product(k: int, size: int, steps, scratch=None) -> np.ndarray:
+    """Block of F_S ... F_1 on content group k, for steps [(plan, g), ...], F = I + g P.
 
-    Each factor is I + g P, or the graded permutation P alone where g is None.
-    X is ``start`` (overwritten), or the identity.  Every step runs on this one
-    group, so its block stays in cache, with two scratch buffers: the rows
-    gathered, b = g * rows (``g`` first, out of place), then x + b, or x - b on
-    the flipped rows.  Each entry gets the bits of x + g * (sign * x[src])
-    with no multiply by the sign.  Given ``scratch``, flat buffers of at least
-    size^2 entries, the work buffers are laid out in them: three, the first
-    holding X = I, or two when ``start`` is given.  The block returned is
-    ``start`` or one of those buffers, never the last scratch buffer.
+    Every step runs on this one group, so its block stays in cache, with two
+    scratch buffers: the rows gathered, b = g * rows (``g`` first, out of
+    place), then x + b, or x - b on the flipped rows.  Each entry gets the
+    bits of x + g * (sign * x[src]) with no multiply by the sign.  Given
+    ``scratch``, three flat buffers of at least size^2 entries, the first
+    holding X = I, the work buffers are laid out in them.
     """
     views = [_square(buf, size) for buf in scratch or ()]
-    x = start
-    if x is None:
-        x = views.pop(0) if views else np.empty((size, size), dtype=complex)
-        x.fill(0)
-        x.flat[::size + 1] = 1
+    x = views.pop(0) if views else np.empty((size, size), dtype=complex)
+    x.fill(0)
+    x.flat[::size + 1] = 1
     a, b = views or (np.empty_like(x), np.empty_like(x))
     for plan, g in steps:
         src, flipped = plan[k]
         x.take(src, axis=0, out=a, mode="clip")
-        if g is not None:
-            np.multiply(g, a, out=b)
-            np.add(x, b, out=a)
-            if flipped is not None:
-                np.subtract(x, b, out=a, where=flipped)
-        elif flipped is not None:
-            np.negative(a, out=a, where=flipped)
+        np.multiply(g, a, out=b)
+        np.add(x, b, out=a)
+        if flipped is not None:
+            np.subtract(x, b, out=a, where=flipped)
         x, a = a, x
     return x
 
@@ -438,14 +431,44 @@ def _check_poles(spec: ChainSpec, u: complex, sites) -> None:
             raise PoleError(f"spectral parameter hits inhomogeneity xi_{n}")
 
 
-def _l_steps(spec: ChainSpec, u: complex, sites, n_factors: int, aux: int) -> list:
-    """Steps of L_{sites[-1]}(u) ... L_{sites[0]}(u), L_n = I + g(u, xi_n) P_{aux,n}.
+def _l_steps(spec: ChainSpec, u: complex, sites) -> list:
+    """Group-product steps of L_{sites[-1]}(u) ... L_{sites[0]}(u), L_n = I + g(u, xi_n) P_0n."""
+    return [(_step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1], spec.c)) for n in sites]
 
-    The sites are the last M of the n_factors tensor factors.
+
+@lru_cache(maxsize=128)
+def _gather(n_factors: int, x: int, y: int) -> tuple:
+    """P_xy on n_factors fundamental factors as (src, sign): row q of P_xy X is sign[q] X[src[q]].
+
+    Taken from permutation_between, as _step_plan's are; argsort inverts dest.
     """
+    perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
+    src = np.argsort(perm.dest)
+    return src, perm.sign[src]
+
+
+def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
+    """Gather steps of T(u) = L_M(u) ... L_1(u) on the auxiliary factor ``aux``.
+
+    The sites are the last M of the n_factors tensor factors, and L_n is
+    I + g(u, xi_n) times the graded swap of factor ``aux`` and site n's factor.
+    """
+    _check_poles(spec, u, spec.all_sites())
     offset = n_factors - spec.M - 1
-    return [(_step_plan(n_factors, aux, offset + n), g_fun(u, spec.xi[n - 1], spec.c))
-            for n in sites]
+    return [(_gather(n_factors, aux, offset + n), g_fun(u, spec.xi[n - 1], spec.c))
+            for n in spec.all_sites()]
+
+
+def _apply(x: np.ndarray, steps) -> np.ndarray:
+    """F_S ... F_1 X for gather steps [((src, sign), g), ...], F = I + g P.
+
+    Each step takes X to X + g (sign (.) X[src]): a row gather, no matrix
+    and no BLAS call.
+    """
+    for (src, sign), g in steps:
+        # transposed, the sign multiplies the rows of a vector or of a block alike
+        x = x + g * (sign * x[src].T).T
+    return x
 
 
 def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
@@ -467,7 +490,7 @@ def _stream(spec: ChainSpec, u: complex, pairs, sites=None, contents=None):
     """
     sites = _resolve_sites(spec, sites)
     _check_poles(spec, u, sites)
-    steps = _l_steps(spec, u, sites, spec.M + 1, aux=0)
+    steps = _l_steps(spec, u, sites)
     groups = _content_partition(spec.M + 1)[0]
     _, entries = _block_map(spec.M)
     wanted = sorted({g for i, j in pairs for s, _, g, _, _ in entries[i - 1][j - 1]
@@ -512,32 +535,13 @@ def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
     return {s: t[s] for s in (_block_map(spec.M)[0] if contents is None else contents)}
 
 
-@lru_cache(maxsize=16)
-def _site_gathers(m_sites: int) -> tuple:
-    """P_0n on aux (x) H for n = 1..M as (src, sign): row q of P_0n X is sign[q] X[src[q]].
-
-    Taken from permutation_between, as _step_plan's are; argsort inverts dest.
-    """
-    factors = (GradedSpace.fundamental(),) * (m_sites + 1)
-    gathers = []
-    for n in range(1, m_sites + 1):
-        perm = permutation_between(factors, 0, n)
-        src = np.argsort(perm.dest)
-        gathers.append((src, perm.sign[src]))
-    return tuple(gathers)
-
-
 def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
     """T(u) X for a vector or a block X of columns on aux (x) H (aux letter the leading digit).
 
-    T(u) = L_M(u) ... L_1(u) with L_n = I + g(u, xi_n) P_0n, so each site
-    takes X to X + g (sign (.) X[src]): M gathers, no matrix and no BLAS call.
+    T(u) = L_M(u) ... L_1(u) with L_n = I + g(u, xi_n) P_0n, one gather step
+    per site (see _apply).
     """
-    _check_poles(spec, u, spec.all_sites())
-    for n, (src, sign) in enumerate(_site_gathers(spec.M), start=1):
-        # transposed, the sign multiplies the rows of a vector or of a block alike
-        x = x + g_fun(u, spec.xi[n - 1], spec.c) * (sign * x[src].T).T
-    return x
+    return _apply(x, _site_steps(spec, u, spec.M + 1, 0))
 
 
 def _entry_apply(spec: ChainSpec, u: complex, i: int, j: int, y: np.ndarray) -> np.ndarray:
@@ -631,84 +635,23 @@ def zero_mode_limit_groups(spec: ChainSpec, scale: float = 1e6):
 
 
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
-    """Max-entry residual of the RTT relation on V (x) V (x) H.
+    """Residual of the RTT relation on V (x) V (x) H, on the probe columns.
 
-    Compares R(u,v) T_a(u) T_b(v) with T_b(v) T_a(u) R(u,v), T_a acting on the
-    first auxiliary space and T_b = 1 (x) T on the second, one aux (x) aux (x) H
-    group at a time, and returns the largest entry of the difference.  With P
-    the graded swap of the two auxiliary spaces, T_a(u) = P T_b(u) P and
-    R = 1 + g P, so the right side is P T_a(v) T_b(u) (P + g).  Each side starts
-    from T_b at one point, block diagonal in the first auxiliary letter with the
-    aux (x) H group blocks of T on the diagonal: as placed for the left side,
-    times P + g (a signed column gather plus g times itself) for the right.
-    Then M + 1 row steps run on each group, T_a(u) and R on the left, T_a(v)
-    and P on the right: 2M + 2 in all.  Both sides share four scratch buffers
-    sized for the largest group, allocated once, and each aux (x) H block of
-    T(u) and T(v) is held only until its last group.
+    Compares R(u,v) T_a(u) T_b(v) Y with T_b(v) T_a(u) R(u,v) Y for Y the two
+    fixed columns of _probe_columns (Freivalds' check), with T_a on the first
+    auxiliary space (factor 0), T_b on the second (factor 1) and the sites on
+    factors 2..M+1.  Every factor is one gather step (see _apply): M per
+    monodromy and one for R = I + g(u,v) P_ab, 2M + 1 per side, and no
+    aux (x) aux (x) H group is built.  Returns the largest entry of the
+    difference over the larger side's largest entry, at least 1.
     """
     if u == v:
         raise PoleError("RTT check needs u != v")
-    sites = spec.all_sites()
-    _check_poles(spec, u, sites)
-    _check_poles(spec, v, sites)
-    n_factors = 2 + spec.M
-    g = g_fun(u, v, spec.c)
-    swap = _step_plan(n_factors, 0, 1)
-    lhs_steps = _l_steps(spec, u, sites, n_factors, aux=0) + [(swap, g)]
-    rhs_steps = _l_steps(spec, v, sites, n_factors, aux=0) + [(swap, None)]
-    # T(u) and T(v) on aux (x) H, held per content; T_b puts the block of content
-    # s on the row and column run of first letter l in the group of content s + e_l
-    inner, _, inner_contents = _content_partition(n_factors - 1)
-    inner_of = {s: (k, ix.size) for k, (ix, s) in enumerate(zip(inner, inner_contents))}
-    at = [_l_steps(spec, p, sites, n_factors - 1, aux=0) for p in (u, v)]
-    groups, _, _ = _content_partition(n_factors)
-    _, entries = _block_map(n_factors - 1)
-    runs = [[] for _ in groups]
-    for letter in range(3):
-        for s, _, k, rows, _ in entries[letter][letter]:
-            runs[k].append((s, rows))
-    last = {s: k for k, group_runs in enumerate(runs) for s, _ in group_runs}
-    held = {}
-    largest = max(ix.size for ix in groups)
-    bufs = [np.empty(largest ** 2, dtype=complex) for _ in range(4)]
-
-    def placed(buf: np.ndarray, point: int) -> np.ndarray:
-        # T_b at u (0) or v (1) on group k, in ``buf``
-        x = _square(buf, size)
-        x.fill(0)
-        for s, rows in runs[k]:
-            x[rows, rows] = held[s][point]
-        return x
-
-    worst = 0.0
-    for k, ix in enumerate(groups):
-        size = ix.size
-        for s, _ in runs[k]:
-            if s not in held:
-                held[s] = [_group_product(*inner_of[s], steps, scratch=bufs[:3]).copy()
-                           for steps in at]
-        # left: R T_a(u) T_b(v), in the first three buffers
-        lhs = _group_product(k, size, lhs_steps, placed(bufs[0], 1), bufs[1:3])
-        free = bufs[1] if lhs.base is bufs[0] else bufs[0]
-        # right: P T_a(v) T_b(u) (P + g).  Column q of T_b(u) P is column src[q]
-        # of T_b(u), negated where P flips row q (P is symmetric)
-        src, flipped = swap[k]
-        x = placed(bufs[3], 0)
-        x_p, g_x = _square(free, size), _square(bufs[2], size)
-        x.take(src, axis=1, out=x_p, mode="clip")
-        np.multiply(g, x, out=g_x)
-        np.add(g_x, x_p, out=x)
-        if flipped is not None:
-            np.subtract(g_x, x_p, out=x, where=flipped.T)
-        rhs = _group_product(k, size, rhs_steps, x, (free, bufs[2]))
-        diff = _square(bufs[2], size)
-        np.subtract(lhs, rhs, out=diff)
-        # lhs is read: its buffer takes the magnitudes
-        worst = max(worst, float(np.abs(diff, out=_square(lhs.base.view(float), size)).max()))
-        for s, _ in runs[k]:
-            if last[s] == k:
-                del held[s]
-    return worst
+    n_factors = spec.M + 2
+    t_a, t_b = (_site_steps(spec, w, n_factors, aux) for w, aux in ((u, 0), (v, 1)))
+    r = [(_gather(n_factors, 0, 1), g_fun(u, v, spec.c))]
+    y = _probe_columns(3 ** n_factors)
+    return _relative_gap(_apply(y, t_b + t_a + r), _apply(y, r + t_a + t_b))
 
 
 def tm1_residual(spec: ChainSpec, u: complex, v: complex,

@@ -8,8 +8,8 @@ human-readable summary grid.  The work no check reads before the last one
 ends, the rtt residuals and the leakage of the sectors the run does not
 sweep, is one job list, the same on every machine.  This process drains it
 after the checks; where it can fork safely and has a second CPU, a forked
-worker drains it too, from the moment the list starts.  Its full-chain jobs,
-that leakage and ``tm1_residual``, act on fixed probe columns, not matrices.
+worker drains it too, from the moment the list starts.  Every job, that
+leakage, ``tm1_residual`` and the rtt pairs, acts on fixed probe columns.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each defect is a function of a ``pytest.MonkeyPatch`` that breaks one
 convention of the chain from outside, so the package carries no test-only
 switch.  ``injected(name)`` plants one for the length of a ``with`` block.
-The plans built from the sign rule (``_step_plan``, ``_site_gathers``) are
+The plans built from the sign rule (``_step_plan``, ``_gather``) are
 cached, so they are cleared on the way in and on the way out: a plan built
 under a defect never outlives it.
 
@@ -14,7 +14,8 @@ under a defect never outlives it.
   This is the twist kappa_2 -> -kappa_2 for every transfer matrix, and the
   twisted transfer matrices commute for any diagonal twist, so no
   consistency figure (eigenvector leakage or commutator) can see it; the
-  entry-level commutation relation does.
+  entry-level commutation relation does.  The RTT relation on
+  V (x) V (x) H reads no entry, and so no BLOCK_SIGNS: it holds.
 """
 
 from contextlib import contextmanager
@@ -51,7 +52,7 @@ DEFECTS = {
 
 def _clear_plans() -> None:
     chain._step_plan.cache_clear()
-    chain._site_gathers.cache_clear()
+    chain._gather.cache_clear()
 
 
 @contextmanager

@@ -11,7 +11,9 @@ time in shared buffers, must match them to the bit.  The package checks
 the RTT algebra on the full chain on vectors; the dense forms those checks
 replaced stay here as references: ``tm1_residual_full_set`` (the entry-level
 relation over whole group sets) and ``leakage_by_eigensolve`` (the
-eigenvector leakage of an eigensolve of the given sectors).
+eigenvector leakage of an eigensolve of the given sectors).  The dense form
+of the RTT relation, ``site_outer_rtt``, sits with its site-outer kernel in
+tests/test_chain.py.
 """
 
 import itertools
@@ -154,7 +156,7 @@ def graded_commutator(
 def monodromy_group_set(spec, u, sites=None) -> dict:
     """Every aux (x) H group block of the monodromy over ``sites`` at once, as {k: block}."""
     sites = spec.all_sites() if sites is None else tuple(sites)
-    steps = _l_steps(spec, u, sites, spec.M + 1, aux=0)
+    steps = _l_steps(spec, u, sites)
     return {k: _group_product(k, ix.size, steps)
             for k, ix in enumerate(_content_partition(spec.M + 1)[0])}
 

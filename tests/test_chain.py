@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -497,10 +496,11 @@ def test_monodromy_apply_rejects_poles():
 
 def site_outer_apply(blocks, n_factors, steps):
     """The former kernel: each step (x, y, g) = I + g P_xy, or P_xy if g is None, on every
-    group, then the next."""
+    group, then the next.  P_xy is read through the chain module, as the package reads it,
+    so a defect planted there (tests/faults.py) reaches this oracle too."""
     groups, g2l, _ = _content_partition(n_factors)
     for x, y, g in steps:
-        perm = permutation_between([GradedSpace.fundamental()] * n_factors, x, y)
+        perm = chain.permutation_between([GradedSpace.fundamental()] * n_factors, x, y)
         for k, ix in enumerate(groups):
             if blocks[k] is None:
                 continue
@@ -552,7 +552,17 @@ def test_group_outer_products_are_bit_identical(m_sites, make_spec):
             ref = entry_blocks(spec, old, i, j)
             assert new[i, j].keys() == ref.keys()
             assert all(np.array_equal(new[i, j][s][1], blk) for s, (_, blk) in ref.items())
-    assert verify_rtt(spec, u, v) == site_outer_rtt(spec, u, v)
+
+
+@pytest.mark.parametrize("make_spec", ORACLE_SPECS)
+@pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+def test_verify_rtt_matches_the_dense_oracle(m_sites, make_spec):
+    # the probe columns and the dense aux (x) aux (x) H groups both see the relation hold
+    spec = make_spec(m_sites)
+    rng = np.random.default_rng(80 + m_sites)
+    u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
+    assert verify_rtt(spec, u, v) < 1e-10
+    assert site_outer_rtt(spec, u, v) < 1e-10
 
 
 def record_builds(monkeypatch) -> list:
@@ -628,38 +638,29 @@ def test_verify_rtt_small_chains(m_sites):
         assert verify_rtt(spec, u, v) < 1e-10
 
 
-def test_rtt_left_side_starts_from_the_monodromy(monkeypatch):
-    spec = ChainSpec(M=5)
-    groups = _content_partition(spec.M + 2)[0]
-    inner = _content_partition(spec.M + 1)[0]
-    steps_on = {len(groups): Counter(), len(inner): Counter()}
-    original = chain._group_product
+def test_verify_rtt_builds_no_group(monkeypatch):
+    # both sides act on the probe columns, 2M + 1 gather steps each: no
+    # aux (x) H or aux (x) aux (x) H group is built or streamed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_rtt built a group")
 
-    def counted(k, size, steps, *args, **kwargs):
-        steps_on[len(steps[0][0])][k] += len(steps)
-        return original(k, size, steps, *args, **kwargs)
-
-    monkeypatch.setattr(chain, "_group_product", counted)
-    assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) < 1e-10
-    # both sides start from T_b = 1 (x) T: each aux (x) H group is built once at
-    # u and once at v, and M + 1 row steps run on each aux (x) aux (x) H group per
-    # side, 2M + 2 in all (3M + 2 when the right side ran T_b(v), T_a(u) and R there)
-    assert steps_on[len(inner)] == {k: 2 * spec.M for k in range(len(inner))}
-    assert steps_on[len(groups)] == {k: 2 * spec.M + 2 for k in range(len(groups))}
+    for name in ("_group_product", "_stream"):
+        monkeypatch.setattr(chain, name, forbidden)
+    assert verify_rtt(ChainSpec(M=5), 1.3 + 2.1j, -2.2 + 0.7j) < 1e-10
 
 
 def test_rtt_fails_with_an_ungraded_swap(monkeypatch):
-    """P T_a(v) T_b(u) (P + g) equals T_b(v) T_a(u) R only for the graded swap P."""
+    """R T_a(u) T_b(v) equals T_b(v) T_a(u) R only for the graded swap P in R = 1 + g P."""
     spec = ChainSpec(M=3)
-    graded = chain._step_plan
+    graded = chain._gather
 
     def ungraded(n_factors, x, y):
-        plans = graded(n_factors, x, y)
+        src, sign = graded(n_factors, x, y)
         if (n_factors, x, y) != (spec.M + 2, 0, 1):
-            return plans
-        return tuple((src, None) for src, _ in plans)
+            return src, sign
+        return src, np.ones_like(sign)
 
-    monkeypatch.setattr(chain, "_step_plan", ungraded)
+    monkeypatch.setattr(chain, "_gather", ungraded)
     assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) > 0.1
 
 

@@ -582,6 +582,19 @@ def test_rtt_runs_the_configured_number_of_pairs(tmp_path, pairs, per_size):
     assert [sum(n.startswith(f"rtt:M{m}.") for n in names) for m in range(1, 6)] == per_size
 
 
+def test_rtt_checks_sub_chains_up_to_the_site_cap(tmp_path):
+    # both RTT sides act on two columns on V (x) V (x) H, 3^9 rows at 7 sites
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg["rtt_sizes"] = [6, 7]
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--check", "rtt",
+                 "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+    rtt = {r["identity"]: r["verdict"] for r in rows if r["identity"].startswith("rtt:M")}
+    assert len(rtt) == Scenario.from_dict(cfg).rtt_pairs and set(rtt.values()) == {"pass"}
+    assert {name.split(".")[0] for name in rtt} == {"rtt:M6", "rtt:M7"}
+
+
 def test_theorem1_retains_no_zero_mode_blocks():
     import tracemalloc
 
