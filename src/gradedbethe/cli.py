@@ -4,24 +4,19 @@ The scenario is a single JSON document; all randomness (the spectral points
 of the algebra checks and the vacuum factorization split) derives from its
 one integer seed, so identical configs give byte-identical report files.
 Reports are written as JSON lines in the fixed seven-key schema plus a
-human-readable summary grid.  The work no check reads before the last one
-ends, the rtt residuals and the leakage of the sectors the run does not
-sweep, is one job list, the same on every machine.  This process drains it
-after the checks; where it can fork safely and has a second CPU, a forked
-worker drains it too, from the moment the list starts.  Every job, that
-leakage, ``tm1_residual`` and the rtt pairs, acts on fixed probe columns.
+human-readable summary grid.  Every check runs in this process, at its
+place in the check order.  The rtt rows and the commutator figure of the
+sectors the run does not sweep act on fixed probe columns and build no
+group.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import itertools
 import json
 import math
 import os
-import pickle
-import signal
 import sys
 from dataclasses import dataclass
 
@@ -67,7 +62,7 @@ from .spectrum import (
     sector_labels_from_zero_modes,
 )
 
-__all__ = ["Scenario", "ScenarioError", "WorkerError", "run_scenario", "emit_report", "main",
+__all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_report", "main",
            "default_scenario_dict", "KNOWN_CHECKS"]
 
 KNOWN_CHECKS = ("rtt", "ybe", "vacuum", "spectrum-match", "theorem1", "theorem2",
@@ -78,10 +73,6 @@ SCHEMA_VERSION = 1
 
 class ScenarioError(ValueError):
     """Configuration does not validate."""
-
-
-class WorkerError(RuntimeError):
-    """A forked worker ended without sending its result."""
 
 
 def _integer(name: str, value) -> int:
@@ -245,144 +236,13 @@ def default_scenario_dict(m: int = 4, seed: int = 7) -> dict:
     }
 
 
-def _use_worker() -> bool:
-    """Whether a forked worker can run beside this process, safely and usefully.
-
-    Forking is safe only from a process with one OS thread (a BLAS pool or
-    any other thread could hold a lock the child inherits locked), and
-    useful only with a second CPU to run the child on.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return False
-    if len(os.sched_getaffinity(0)) < 2:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-class _Jobs:
-    """Float results of ``fn(*args)`` jobs, each run once, by whichever process claims it.
-
-    Where ``fork`` is set, construction forks a child that starts
-    claiming jobs at once, and ``join`` claims the rest in this process.  A
-    claim takes the next job index from a memfd under a POSIX record lock,
-    which the kernel releases if its holder dies.  The child sends back its
-    drain's outcome, {index: result} and {index: exception}, pickled.  Both
-    processes go on claiming after a job raises; ``join``
-    returns the results in job order, or re-raises the exception of the
-    lowest failing index with its type and message.  Without a child
-    ``join`` runs every job here, in order.  ``close`` kills and reaps a
-    child that was never joined.
-    """
-
-    def __init__(self, jobs, fork: bool):
-        self._jobs = jobs
-        self._pid = self._read = self._next = None
-        if jobs and fork:
-            self._fork()
-
-    def _fork(self) -> None:
-        try:
-            next_job = os.memfd_create("gradedbethe-jobs")
-        except OSError:
-            return
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            # no process to spare: the jobs run in this process at the join
-            for fd in (next_job, read, write):
-                os.close(fd)
-            return
-        self._next = next_job
-        if pid == 0:
-            self._serve(read, write)
-        os.close(write)
-        self._pid, self._read = pid, read
-
-    def _claims(self):
-        """Indices of the jobs this process claims, until none is left."""
-        if self._next is None:
-            yield from range(len(self._jobs))
-            return
-        while True:
-            fcntl.lockf(self._next, fcntl.LOCK_EX)
-            try:
-                index = int.from_bytes(os.pread(self._next, 8, 0), "little")
-                os.pwrite(self._next, (index + 1).to_bytes(8, "little"), 0)
-            finally:
-                fcntl.lockf(self._next, fcntl.LOCK_UN)
-            if index >= len(self._jobs):
-                return
-            yield index
-
-    def _drain(self) -> tuple[dict[int, float], dict[int, Exception]]:
-        results, failures = {}, {}
-        for index in self._claims():
-            fn, args = self._jobs[index]
-            try:
-                results[index] = float(fn(*args))
-            except Exception as exc:
-                failures[index] = exc
-        return results, failures
-
-    def _serve(self, read: int, write: int) -> None:
-        """The child: run the jobs it claims, send the outcome and exit without returning."""
-        code = 1
-        try:
-            os.close(read)
-            out = pickle.dumps(self._drain())
-            with os.fdopen(write, "wb") as fh:
-                fh.write(out)
-            code = 0
-        finally:
-            os._exit(code)
-
-    def join(self) -> list[float]:
-        try:
-            results, failures = self._drain()
-            if self._pid is not None:
-                read, self._read = self._read, None
-                with os.fdopen(read, "rb") as fh:
-                    out = fh.read()
-                _, status = os.waitpid(self._pid, 0)
-                self._pid = None
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                    raise WorkerError(f"the rtt worker ended without a result: {how}")
-                worker_results, worker_failures = pickle.loads(out)  # written by _serve
-                results.update(worker_results)
-                failures.update(worker_failures)
-        finally:
-            self.close()
-        if failures:
-            raise failures[min(failures)]
-        return [results[index] for index in range(len(self._jobs))]
-
-    def close(self) -> None:
-        if self._read is not None:
-            os.close(self._read)
-            self._read = None
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._next is not None:
-            os.close(self._next)
-            self._next = None
-
-
 class _Workspace:
     """Shared state between checks of one scenario run.
 
     The decomposition holds the swept sectors, every sector at or below a
     requested one (all of them when none is requested), which are all that
-    ``classify_spectrum`` reads.  The leakage of the other sectors, which
-    only ``spectrum-match`` reads, is job 0 of the list ``_start_jobs``
-    starts, known once ``join`` returns.
+    ``classify_spectrum`` reads.  ``spectrum-match`` covers the other
+    sectors, ``rest``, by their commutator figure on probe columns.
     """
 
     def __init__(self, scenario: Scenario):
@@ -394,27 +254,13 @@ class _Workspace:
         self.swept = [s for s in sector_indices(self.spec) if not requested
                       or any(s[0] <= a and s[1] <= b for a, b in requested)]
         self.rest = [s for s in sector_indices(self.spec) if s not in self.swept]
-        self.jobs: _Jobs | None = None
-        self.rtt: list[tuple[str, int]] = []    # (identity, job index) in row order
-        self._results: list[float] | None = None
         self._dec = None
         self._classified = None
-
-    def close(self) -> None:
-        """Reap the worker if the job list was never joined."""
-        if self.jobs is not None:
-            self.jobs.close()
 
     def decomposition(self):
         if self._dec is None:
             self._dec = diagonalize_transfer(self.spec, sectors=self.swept)
         return self._dec
-
-    def join(self) -> list[float]:
-        """The job list's results in job order."""
-        if self._results is None:
-            self._results = self.jobs.join()
-        return self._results
 
     def classified(self):
         if self._classified is None:
@@ -457,44 +303,25 @@ def _leakage(spec: ChainSpec, sectors: list[tuple[int, int]]) -> float:
                               transfer_apply(spec, u, t_first)) for u in later))
 
 
-def _start_jobs(ws: _Workspace) -> None:
-    """Draw the rtt check's spectral points and start the run's job list.
-
-    Runs at rtt's place in the check order whether or not rtt is requested,
-    so the points come from ``ws.rng`` between ybe's draws and vacuum's.  The
-    list holds the leakage of the unswept sectors if spectrum-match reads
-    it; then, if rtt is requested, ``tm1_residual`` on the scenario chain
-    and the rtt pairs, largest sub-chain first.  The rows read the results
-    in draw order through ``_Workspace.join``.
-    """
-    sc, rng = ws.scenario, ws.rng
-    jobs = [(_leakage, (ws.spec, ws.rest))] if ws.rest and "spectrum-match" in sc.checks else []
-    if "rtt" in sc.checks:
-        rows = []  # (identity, sites, job) in draw order
-        # rtt_pairs pairs in all, the remainder going to the first sizes
-        per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
-        for n, m_sites in enumerate(sc.rtt_sizes):
-            sub = ChainSpec(M=m_sites, c=sc.chain.c)
-            for k in range(per_size + (n < extra)):
-                u = _random_point(rng, sub.c, 3.0 * sub.c)
-                v = _random_point(rng, sub.c, -3.0 * sub.c)
-                rows.append((f"rtt:M{m_sites}.{k}", m_sites, (verify_rtt, (sub, u, v))))
-        # entry-level commutation relation spot check on the scenario chain
-        u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
-        v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
-        rows.append(("rtt:tm1-1223", sc.chain.M, (tm1_residual, (sc.chain, u, v, (1, 2, 2, 3)))))
-        queued = [len(rows) - 1] + sorted(range(len(rows) - 1), key=lambda n: -rows[n][1])
-        slot = {n: len(jobs) + q for q, n in enumerate(queued)}
-        ws.rtt = [(identity, slot[n]) for n, (identity, _, _) in enumerate(rows)]
-        jobs += [rows[n][2] for n in queued]
-    ws.jobs = _Jobs(jobs, _use_worker())
-
-
 def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
-    """The rtt rows: joins the job list ``_start_jobs`` started."""
-    results = ws.join()
-    return [make_report(identity, results[index], 0.0, 1e-10, residual=results[index])
-            for identity, index in ws.rtt]
+    """The RTT relation on sub-chains of each size in ``rtt_sizes``, then one
+    entry-level commutation relation on the scenario chain."""
+    sc, rng = ws.scenario, ws.rng
+    out = []
+    # rtt_pairs pairs in all, the remainder going to the first sizes
+    per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
+    for n, m_sites in enumerate(sc.rtt_sizes):
+        sub = ChainSpec(M=m_sites, c=sc.chain.c)
+        for k in range(per_size + (n < extra)):
+            u = _random_point(rng, sub.c, 3.0 * sub.c)
+            v = _random_point(rng, sub.c, -3.0 * sub.c)
+            resid = verify_rtt(sub, u, v)
+            out.append(make_report(f"rtt:M{m_sites}.{k}", resid, 0.0, 1e-10, residual=resid))
+    u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
+    v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
+    resid = tm1_residual(sc.chain, u, v, (1, 2, 2, 3))
+    out.append(make_report("rtt:tm1-1223", resid, 0.0, 1e-10, residual=resid))
+    return out
 
 
 def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
@@ -547,16 +374,14 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     return out
 
 
-def _consistency_report(consistency: float) -> FormFactorReport:
-    return make_report("spectrum:consistency", consistency, 0.0, 1e-9, residual=consistency)
-
-
 def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
     spec, vac = ws.spec, ws.vac
     out = []
     dec = ws.decomposition()
-    # the swept sectors' figure: run_scenario completes it at the join
-    out.append(_consistency_report(dec.consistency))
+    # the swept sectors' eigenvector leakage and the other sectors' commutator
+    # figure, so every sector is covered
+    figure = max(dec.consistency, _leakage(spec, ws.rest) if ws.rest else 0.0)
+    out.append(make_report("spectrum:consistency", figure, 0.0, 1e-9, residual=figure))
     for sector in ws.scenario.sectors:
         name = f"spectrum-match:{sector[0]}{sector[1]}"
         states = dec.by_sector(tuple(sector))
@@ -747,19 +572,7 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
 
     Order rule: each check draws its random points from the one seeded
     generator at its place in ``_CHECK_ORDER``, and its rows sit at that
-    place in the report.  Only work no check reads before the end moves.
-    At rtt's place, requested or not, ``_start_jobs`` draws the rtt points
-    and starts one job list: the leakage of the sectors the spectral checks
-    do not sweep (only if ``spectrum-match`` reads it), ``tm1_residual``,
-    then the rtt pairs, largest sub-chain first.  This process drains the
-    list after the last check; where forking is safe and useful, a forked
-    worker drains it too, from there.  The join then fills the rtt rows and
-    completes the ``spectrum:consistency`` row, the max of the swept
-    sectors' eigenvector leakage and the unswept sectors' commutator
-    figure, so every sector is covered.  The list
-    is the same with or without a worker, and each job runs once in
-    whichever process claims it, so both paths write the same bytes.  The
-    worker is reaped on every exit, a check that raises included.
+    place in the report.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
     passed, 1 means at least one failed.  A check that emits no rows emits
@@ -768,29 +581,13 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     level).
     """
     ws = _Workspace(scenario)
-    names = [name for name in _CHECK_ORDER if name in scenario.checks]
-    rows: dict[str, list[FormFactorReport]] = {}
-    try:
-        for name in _CHECK_ORDER:
-            if name == "rtt":
-                _start_jobs(ws)
-            elif name in names:
-                rows[name] = _CHECK_RUNNERS[name](ws)
-        if "rtt" in names:
-            rows["rtt"] = _CHECK_RUNNERS["rtt"](ws)
-        ws.join()
-    finally:
-        ws.close()
-    if "spectrum-match" in names:
-        # the swept sectors' leakage, and job 0's figure of the unswept ones
-        figure = max(ws.decomposition().consistency, ws.join()[0] if ws.rest else 0.0)
-        rows["spectrum-match"][0] = _consistency_report(figure)
     reports: list[FormFactorReport] = []
-    for name in names:
-        # every runner that emits nothing found none of the states it reads
-        reports.extend(rows[name] or [
-            make_report(f"{name}:skipped:no-eligible-states", 0, 0, 0.0, residual=0.0,
-                        skipped=True)])
+    for name in _CHECK_ORDER:
+        if name in scenario.checks:
+            # every runner that emits nothing found none of the states it reads
+            reports.extend(_CHECK_RUNNERS[name](ws) or [
+                make_report(f"{name}:skipped:no-eligible-states", 0, 0, 0.0, residual=0.0,
+                            skipped=True)])
     emit_report(reports, out_dir)
     failed = [r for r in reports if r.verdict == "fail"]
     return (1 if failed else 0), reports
@@ -870,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, WorkerError) as exc:
+    except PoleError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     n_fail = sum(1 for r in reports if r.verdict == "fail")

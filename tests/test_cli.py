@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -300,17 +299,17 @@ def test_cache_reuse_is_transparent(tmp_path, monkeypatch):
 
 def test_cache_alone_queues_no_leakage(tmp_path, monkeypatch):
     # only spectrum-match reads the unswept sectors' leakage: a run without
-    # it queues no leakage job, with GRADEDBETHE_CACHE set or not
+    # it computes none, with GRADEDBETHE_CACHE set or not
     from gradedbethe import cli
 
     queued = []
-    original = cli._Jobs.__init__
+    original = cli._leakage
 
-    def recorded(self, jobs, fork):
-        queued.extend(fn for fn, _ in jobs)
-        original(self, jobs, fork)
+    def recorded(*args):
+        queued.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(cli._Jobs, "__init__", recorded)
+    monkeypatch.setattr(cli, "_leakage", recorded)
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("GRADEDBETHE_CACHE", str(cache))
@@ -474,7 +473,6 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "vacuum"]
     built = record_group_builds(monkeypatch, cli._Workspace(scenario).swept)
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
     # with no spectral check requested the spectrum is never diagonalized,
@@ -487,35 +485,36 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
 
 
 def test_full_chain_job_rows_build_no_group(tmp_path, monkeypatch):
-    # the unswept sectors' figure and tm1_residual act on the probe columns:
-    # they build no aux (x) H group and diagonalize nothing
+    # the rtt pairs, tm1_residual and the unswept sectors' figure act on the
+    # probe columns: they build no aux (x) H group and diagonalize nothing
     from gradedbethe import chain, cli, spectrum
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "spectrum-match"]
     ws = cli._Workspace(scenario)
     built = record_group_builds(monkeypatch, ws.swept)
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
-    joined = []
-    original = cli._Workspace.join
+    inside = []
 
-    def recorded_join(self):
-        before = sum(map(len, built.values()))
-        results = original(self)
-        joined.append(sum(map(len, built.values())) - before)
-        return results
+    def counting(fn):
+        def counted(*args):
+            before = sum(map(len, built.values()))
+            result = fn(*args)
+            inside.append(sum(map(len, built.values())) - before)
+            return result
+        return counted
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a full-chain job row built a group or diagonalized")
 
-    monkeypatch.setattr(cli._Workspace, "join", recorded_join)
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "rtt", counting(cli._run_rtt))
+    monkeypatch.setattr(cli, "_leakage", counting(cli._leakage))
     code, reports = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
     verdicts = {r.identity: r.verdict for r in reports}
     assert verdicts["rtt:tm1-1223"] == verdicts["spectrum:consistency"] == "pass"
-    # the swept pass is the run's one streamed read; the join, which runs
-    # every job in this process, streams no group
-    assert joined[0] == 0 and not built["full"] and not built["rest"] and built["swept"]
+    # the swept pass is the run's one streamed read; the rtt rows and the
+    # unswept figure stream no group
+    assert inside == [0, 0] and not built["full"] and not built["rest"] and built["swept"]
     # called directly, with every group builder and eigensolve forbidden
     for module, name in ((chain, "_group_product"), (chain, "_stream"),
                          (cli, "diagonalize_transfer"), (spectrum, "diagonalize_transfer")):
@@ -538,7 +537,6 @@ def test_only_spectral_checks_read_the_decomposition(tmp_path, monkeypatch, chec
         return original(self)
 
     monkeypatch.setattr(cli._Workspace, "decomposition", counted)
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
     scenario = Scenario.from_dict(default_scenario_dict(m=3, seed=1))
     scenario.checks = [check]
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
@@ -677,241 +675,80 @@ def test_verify_runs_without_scipy(tmp_path):
     assert run.stdout.strip() == "[]"
 
 
-# -- the rtt worker ----------------------------------------------------------
-
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the rtt worker runs only where a second CPU can run it")
-
-
-def run_pinned(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter with BLAS on one thread, so it may fork."""
+def test_verify_forks_nothing(tmp_path):
+    # every check runs in the one process, also where BLAS on one thread and
+    # a second CPU would once have let it fork: run the M=4 default scenario
+    # in a fresh interpreter whose os.fork raises
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a fork was only ever possible with a second CPU")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=300)
+    cfg = write_config(tmp_path, default_scenario_dict(m=4, seed=1))
+    code = ("import os, sys\n"
+            "def forbidden():\n"
+            "    raise AssertionError('verify forked')\n"
+            "os.fork = forbidden\n"
+            "from gradedbethe.cli import main\n"
+            f"sys.exit(main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
-# a subprocess script: verify_rtt appends the pid it runs in to argv[1], then runs BODY
-RECORD_PIDS = """
-import json, os, sys
-from gradedbethe import cli
-verify_rtt = cli.verify_rtt
-PARENT = os.getpid()
-
-def recorded(*args):
-    with open(sys.argv[1], "a") as fh:
-        fh.write(f"{os.getpid()}\\n")
-    BODY
-
-cli.verify_rtt = recorded
-scenario = cli.Scenario.from_dict(cli.default_scenario_dict(m=3, seed=1))
-scenario.checks = ["ybe", "rtt", "vacuum", "ladder"]
-"""
-
-NO_CHILD_LEFT = """
-try:
-    os.waitpid(-1, os.WNOHANG)
-    left = True
-except ChildProcessError:
-    left = False
-print(json.dumps({"pid": os.getpid(), "left": left, "outcome": outcome}))
-"""
-
-
-def recorded_pids(path) -> list[int]:
-    return [int(line) for line in path.read_text().split()]
-
-
-@needs_two_cpus
-def test_rtt_worker_writes_the_in_process_bytes(tmp_path, monkeypatch):
+def test_rtt_worker_reaped_when_a_later_check_raises(tmp_path, monkeypatch):
+    # a check that raises ends the run there: the exception reaches the
+    # caller, no report is written, and no process is left, as none forks
     from gradedbethe import cli
 
-    cfg = write_config(tmp_path, default_scenario_dict(m=4, seed=1))
-    run = run_pinned("import sys; from gradedbethe.cli import main; "
-                     f"sys.exit(main(['verify', '--config', {cfg!r}, "
-                     f"'--out', {str(tmp_path / 'worker')!r}]))")
-    assert run.returncode == 0, run.stderr
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "in-process")]) == 0
-    for name in ("reports.jsonl", "summary.txt"):
-        assert ((tmp_path / "worker" / name).read_bytes()
-                == (tmp_path / "in-process" / name).read_bytes())
+    def broken(ws):
+        raise RuntimeError("ladder broke")
 
+    def forbidden():
+        raise AssertionError("verify forked")
 
-@needs_two_cpus
-def test_rtt_runs_in_a_reaped_worker(tmp_path):
-    pids = tmp_path / "pids"
-    code = (RECORD_PIDS.replace("BODY", "return verify_rtt(*args)")
-            + "outcome, _ = cli.run_scenario(scenario, sys.argv[2])"
-            + NO_CHILD_LEFT)
-    run = run_pinned(code, str(pids), str(tmp_path / "out"))
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout)
-    assert result["outcome"] == 0 and not result["left"]
-    # the 20 pairs ran once each, in this process or in the one worker
-    assert len(recorded_pids(pids)) == 20
-    assert len(set(recorded_pids(pids)) - {result["pid"]}) == 1
-
-
-@needs_two_cpus
-def test_rtt_worker_reaped_when_a_later_check_raises(tmp_path):
-    code = (RECORD_PIDS.replace("BODY", "return verify_rtt(*args)") + """
-forks = []
-fork = os.fork
-def counted():
-    pid = fork()
-    if pid:
-        forks.append(pid)
-    return pid
-os.fork = counted
-def broken(ws):
-    raise RuntimeError("ladder broke")
-cli._CHECK_RUNNERS["ladder"] = broken
-try:
-    cli.run_scenario(scenario, sys.argv[2])
-    outcome = None
-except RuntimeError as exc:
-    outcome = [str(exc), len(forks)]
-""" + NO_CHILD_LEFT)
-    run = run_pinned(code, str(tmp_path / "pids"), str(tmp_path / "out"))
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout)
-    assert result["outcome"] == ["ladder broke", 1] and not result["left"]
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "ladder", broken)
+    monkeypatch.setattr(os, "fork", forbidden)
+    scenario = Scenario.from_dict(default_scenario_dict(m=3, seed=1))
+    scenario.checks = ["ybe", "rtt", "vacuum", "ladder"]
+    with pytest.raises(RuntimeError, match="ladder broke"):
+        run_scenario(scenario, str(tmp_path / "out"))
     assert not os.path.exists(tmp_path / "out")
 
 
-@needs_two_cpus
-@pytest.mark.parametrize("body, message", [
-    ("raise cli.PoleError('u meets a pole')", "runtime error: u meets a pole\n"),
-    ("return verify_rtt(*args) if os.getpid() == PARENT else os._exit(3)",
-     "runtime error: the rtt worker ended without a result: exit status 3\n"),
-    ("return verify_rtt(*args) if os.getpid() == PARENT else os.kill(os.getpid(), 9)",
-     "runtime error: the rtt worker ended without a result: killed by signal 9\n"),
-], ids=["pole", "exits", "killed"])
-def test_rtt_worker_failure_exits_2(tmp_path, body, message):
-    # an exception in either process re-raises in the parent with its type and
-    # message; a worker that dies without a result is named by its exit status
-    pids = tmp_path / "pids"
+@pytest.mark.parametrize("message", ["u meets a pole"], ids=["pole"])
+def test_rtt_worker_failure_exits_2(tmp_path, capsys, monkeypatch, message):
+    # a PoleError from an rtt pair ends the run at rtt's place with exit 2,
+    # one stderr line and no report directory
+    from gradedbethe import cli
+
+    def pole(*args):
+        raise cli.PoleError(message)
+
+    monkeypatch.setattr(cli, "verify_rtt", pole)
     cfg = write_config(tmp_path, default_scenario_dict(m=3, seed=1))
-    code = (RECORD_PIDS.replace("BODY", body)
-            + "outcome = cli.main(['verify', '--config', sys.argv[2], '--out', sys.argv[3]])"
-            + NO_CHILD_LEFT)
-    run = run_pinned(code, str(pids), cfg, str(tmp_path / "out"))
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout)
-    assert result["outcome"] == 2 and not result["left"]
-    assert run.stderr == message
-    # the worker ran an rtt pair
-    assert set(recorded_pids(pids)) - {result["pid"]}
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
     assert not os.path.exists(tmp_path / "out")
 
 
-def job_fails(where: str, index: int, in_parent: bool) -> bool:
-    return {"none": False, "both": index in (5, 9), "worker": not in_parent,
-            "parent": in_parent}[where]
-
-
-# a subprocess script: argv[3] jobs record "index pid" to argv[1], pause
-# argv[4] seconds and return index / 4, or raise where job_fails(argv[2], ...)
-JOBS = """
-import json, os, sys, time
-from gradedbethe import cli
-PARENT = os.getpid()
-
-def job(index):
-    with open(sys.argv[1], "a") as fh:
-        fh.write(f"{index} {os.getpid()}\\n")
-    time.sleep(float(sys.argv[4]))
-    in_parent = os.getpid() == PARENT
-    if {"none": False, "both": index in (5, 9), "worker": not in_parent,
-        "parent": in_parent}[sys.argv[2]]:
-        raise cli.PoleError(f"job {index}")
-    return index / 4
-
-try:
-    outcome = cli._Jobs([(job, (n,)) for n in range(int(sys.argv[3]))], cli._use_worker()).join()
-except cli.PoleError as exc:
-    outcome = str(exc)
-""" + NO_CHILD_LEFT
-
-
-def run_jobs(tmp_path, where: str, n_jobs: int, pause: float) -> tuple[dict, dict]:
-    """Run JOBS; returns its result and {job index: pid that ran it}."""
-    claims = tmp_path / "claims"
-    run = run_pinned(JOBS, str(claims), where, str(n_jobs), str(pause))
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout)
-    assert not result["left"]
-    ran = {}
-    for line in claims.read_text().splitlines():
-        index, pid = map(int, line.split())
-        assert index not in ran
-        ran[index] = pid
-    assert sorted(ran) == list(range(n_jobs))
-    # this process and at most one worker
-    assert len(set(ran.values()) - {result["pid"]}) <= 1
-    return result, ran
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("where", ["none", "both", "worker", "parent"])
-def test_job_list_runs_each_job_once_across_two_processes(tmp_path, where):
-    result, ran = run_jobs(tmp_path, where, 16, 0.03)
-    # some jobs ran in this process and the rest in one worker, and both
-    # went on claiming after a job raised
-    assert result["pid"] in ran.values() and len(set(ran.values())) == 2
-    # the lowest failing index wins, whichever process ran it; else the
-    # results come back in job order
-    failed = [n for n in range(16) if job_fails(where, n, ran[n] == result["pid"])]
-    assert result["outcome"] == (f"job {failed[0]}" if failed else [n / 4 for n in range(16)])
-
-
-@needs_two_cpus
-def test_job_claims_lose_no_update_under_contention(tmp_path):
-    # thousands of jobs that return at once keep both processes at the claim
-    # lock: a lost update would run a job twice or skip one
-    result, _ = run_jobs(tmp_path, "none", 4000, 0.0)
-    assert result["outcome"] == [n / 4 for n in range(4000)]
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("check", ["spectrum-match", "theorem1", "rtt"])
-def test_single_check_writes_the_in_process_bytes(tmp_path, monkeypatch, check):
+@pytest.mark.parametrize("check", ["spectrum-match"])
+def test_single_check_writes_the_in_process_bytes(tmp_path, check):
+    # spectrum-match draws no random point, so alone it writes the bytes of
+    # its rows in the full run; its first row covers every sector, the max of
+    # the swept sectors' leakage and the unswept sectors' commutator figure
     from gradedbethe import cli
 
     cfg = write_config(tmp_path, default_scenario_dict(m=4, seed=1))
-    run = run_pinned("import sys; from gradedbethe.cli import main; "
-                     f"sys.exit(main(['verify', '--config', {cfg!r}, '--check', {check!r}, "
-                     f"'--out', {str(tmp_path / 'worker')!r}]))")
-    assert run.returncode == 0, run.stderr
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
-    out = str(tmp_path / "in-process")
-    assert main(["verify", "--config", cfg, "--check", check, "--out", out]) == 0
-    for name in ("reports.jsonl", "summary.txt"):
-        assert ((tmp_path / "worker" / name).read_bytes()
-                == (tmp_path / "in-process" / name).read_bytes())
-    with open(os.path.join(out, "reports.jsonl")) as fh:
-        first = json.loads(fh.readline())
-    if check == "spectrum-match":
-        # the swept pass's leakage completed with the unswept sectors' commutator figure
-        ws = cli._Workspace(Scenario.from_dict(default_scenario_dict(m=4, seed=1)))
-        swept = cli.diagonalize_transfer(ws.spec, sectors=ws.swept).consistency
-        assert first["identity"] == "spectrum:consistency"
-        assert first["lhs"] == [max(swept, cli._leakage(ws.spec, ws.rest)), 0.0]
-
-
-def test_no_worker_beside_a_second_thread():
-    # fork copies only the calling thread, whose locks another thread may hold
-    from gradedbethe import cli
-
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert not cli._use_worker()
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    assert main(["verify", "--config", cfg, "--check", check,
+                 "--out", str(tmp_path / "alone")]) == 0
+    alone = (tmp_path / "alone" / "reports.jsonl").read_text().splitlines()
+    full = (tmp_path / "full" / "reports.jsonl").read_text().splitlines()
+    assert alone == [line for line in full if json.loads(line)["identity"].startswith(
+        ("spectrum:", "spectrum-match:"))]
+    first = json.loads(alone[0])
+    ws = cli._Workspace(Scenario.from_dict(default_scenario_dict(m=4, seed=1)))
+    swept = cli.diagonalize_transfer(ws.spec, sectors=ws.swept).consistency
+    assert first["identity"] == "spectrum:consistency"
+    assert first["lhs"] == [max(swept, cli._leakage(ws.spec, ws.rest)), 0.0]

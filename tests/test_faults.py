@@ -56,8 +56,7 @@ def test_vector_rows_catch_what_the_dense_forms_catch(chain4, name):
 
 
 @pytest.mark.parametrize("name", DEFECTS)
-def test_defects_fail_the_full_chain_rows(tmp_path, monkeypatch, name):
-    monkeypatch.setattr(cli, "_use_worker", lambda: False)
+def test_defects_fail_the_full_chain_rows(tmp_path, name):
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "spectrum-match"]
     with injected(name):
