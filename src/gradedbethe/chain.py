@@ -6,7 +6,9 @@ aux (x) H preserves the local letter content and is stored only as its
 content-group blocks (see _content_partition).  Products of L-operators are
 accumulated with O(N^2) signed-permutation applications, never O(N^3)
 matrix products, one content group at a time: every factor runs on a
-group's block before the next group starts.
+group's block before the next group starts.  Each graded swap P_xy has one
+plan (``_gather``), restricted to each content group by ``_step_plan``, and
+every product, of group blocks or of columns, runs on one kernel, ``_run_steps``.
 
 An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
 is one sub-block of the aux (x) H group of content s + e_j per H group.  So
@@ -208,22 +210,26 @@ def _content_partition(n_factors: int):
 
 
 @lru_cache(maxsize=128)
-def _step_plan(n_factors: int, x: int, y: int) -> tuple:
-    """The graded permutation P_xy per content group, as (source rows, flipped rows).
+def _gather(n_factors: int, x: int, y: int) -> tuple:
+    """P_xy on n_factors fundamental factors as (src, flipped): row q of P_xy X is +-X[src[q]].
 
-    Row q of P X is X[src[q]] within each group, negated where flipped[q];
-    ``flipped`` is a boolean column, so it broadcasts over a group's columns,
-    or None when P_xy flips no sign on the group.
+    ``flipped``, a boolean column that broadcasts over X's columns, marks the
+    negated rows.  A graded swap is its own inverse and its sign is symmetric
+    under the swap, so ``src`` is permutation_between's ``dest``.
+    """
+    perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
+    return perm.dest, (perm.sign < 0)[:, None]
+
+
+@lru_cache(maxsize=128)
+def _step_plan(n_factors: int, x: int, y: int) -> tuple:
+    """_gather's plan restricted to each content group (P_xy keeps content), in local rows.
+
+    ``flipped`` is None on a group where P_xy negates no row.
     """
     groups, g2l, _ = _content_partition(n_factors)
-    perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
-    plans = []
-    for ix in groups:
-        src = np.empty(ix.size, dtype=np.int64)
-        src[g2l[perm.dest[ix]]] = np.arange(ix.size)
-        flipped = perm.sign[ix][src] < 0
-        plans.append((src, flipped[:, None] if flipped.any() else None))
-    return tuple(plans)
+    src, flipped = _gather(n_factors, x, y)
+    return tuple((g2l[src[ix]], flipped[ix] if flipped[ix].any() else None) for ix in groups)
 
 
 def _square(buf: np.ndarray, size: int) -> np.ndarray:
@@ -231,13 +237,27 @@ def _square(buf: np.ndarray, size: int) -> np.ndarray:
     return buf[:size * size].reshape(size, size)
 
 
+def _run_steps(x: np.ndarray, steps, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F_S ... F_1 X for steps [((src, flipped), g), ...], F = I + g P, in X's or a's buffer.
+
+    Each step gathers rows into ``a``, b = g * rows (``g`` first), then x + b,
+    or x - b on the flipped rows: the bits of x + g * (sign * x[src]) with no
+    multiply by the sign.  All three buffers, of one shape, are overwritten.
+    """
+    for (src, flipped), g in steps:
+        x.take(src, axis=0, out=a, mode="clip")
+        np.multiply(g, a, out=b)
+        np.add(x, b, out=a)
+        if flipped is not None:
+            np.subtract(x, b, out=a, where=flipped)
+        x, a = a, x
+    return x
+
+
 def _group_product(k: int, size: int, steps, scratch=None) -> np.ndarray:
     """Block of F_S ... F_1 on content group k, for steps [(plan, g), ...], F = I + g P.
 
-    Every step runs on this one group, so its block stays in cache, with two
-    scratch buffers: the rows gathered, b = g * rows (``g`` first, out of
-    place), then x + b, or x - b on the flipped rows.  Each entry gets the
-    bits of x + g * (sign * x[src]) with no multiply by the sign.  Given
+    _run_steps on this one group's plans, so its block stays in cache.  Given
     ``scratch``, three flat buffers of at least size^2 entries, the first
     holding X = I, the work buffers are laid out in them.
     """
@@ -246,15 +266,7 @@ def _group_product(k: int, size: int, steps, scratch=None) -> np.ndarray:
     x.fill(0)
     x.flat[::size + 1] = 1
     a, b = views or (np.empty_like(x), np.empty_like(x))
-    for plan, g in steps:
-        src, flipped = plan[k]
-        x.take(src, axis=0, out=a, mode="clip")
-        np.multiply(g, a, out=b)
-        np.add(x, b, out=a)
-        if flipped is not None:
-            np.subtract(x, b, out=a, where=flipped)
-        x, a = a, x
-    return x
+    return _run_steps(x, [(plan[k], g) for plan, g in steps], a, b)
 
 
 @lru_cache(maxsize=16)
@@ -436,17 +448,6 @@ def _l_steps(spec: ChainSpec, u: complex, sites) -> list:
     return [(_step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1], spec.c)) for n in sites]
 
 
-@lru_cache(maxsize=128)
-def _gather(n_factors: int, x: int, y: int) -> tuple:
-    """P_xy on n_factors fundamental factors as (src, sign): row q of P_xy X is sign[q] X[src[q]].
-
-    Taken from permutation_between, as _step_plan's are; argsort inverts dest.
-    """
-    perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
-    src = np.argsort(perm.dest)
-    return src, perm.sign[src]
-
-
 def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
     """Gather steps of T(u) = L_M(u) ... L_1(u) on the auxiliary factor ``aux``.
 
@@ -460,31 +461,29 @@ def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
 
 
 def _apply(x: np.ndarray, steps) -> np.ndarray:
-    """F_S ... F_1 X for gather steps [((src, sign), g), ...], F = I + g P.
+    """F_S ... F_1 X for gather steps [((src, flipped), g), ...], F = I + g P.
 
-    Each step takes X to X + g (sign (.) X[src]): a row gather, no matrix
-    and no BLAS call.
+    _run_steps on a copy of X as a block of columns (a vector is one column),
+    so X itself is never written: row gathers, no matrix and no BLAS call.
     """
-    for (src, sign), g in steps:
-        # transposed, the sign multiplies the rows of a vector or of a block alike
-        x = x + g * (sign * x[src].T).T
-    return x
+    block = np.array(x.reshape(len(x), -1), dtype=complex, order="C")
+    return _run_steps(block, steps, np.empty_like(block), np.empty_like(block)).reshape(x.shape)
 
 
 def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     sites = spec.all_sites() if sites is None else tuple(sites)
     if any(not 1 <= n <= spec.M for n in sites):
         raise ValueError("site out of range")
-    if list(sites) != sorted(sites):
-        raise ValueError("site range must be ascending")
+    if any(a >= b for a, b in zip(sites, sites[1:])):
+        raise ValueError("sites must be strictly ascending")
     return sites
 
 
 def _stream(spec: ChainSpec, u: complex, pairs, sites=None, contents=None):
     """(k, block) for each aux (x) H group k holding an entry (i, j) in ``pairs`` on ``contents``.
 
-    The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over an ascending site
-    interval, the full chain when sites is None.  Every group is built once, in
+    The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over strictly ascending
+    sites, the full chain when sites is None.  Every group is built once, in
     ascending k, in the same three scratch buffers sized for the largest: read
     a block (entry_blocks copies it out) before asking for the next.
     """
@@ -558,10 +557,13 @@ def transfer_apply(spec: ChainSpec, u: complex, y: np.ndarray) -> np.ndarray:
                for i in range(3))
 
 
+@lru_cache(maxsize=16)
 def _probe_columns(n_rows: int) -> np.ndarray:
-    """Two random complex columns from a generator of their own: the same on every call."""
+    """Two random complex columns from a generator of their own, drawn once per size; read-only."""
     rng = np.random.default_rng(2017)
-    return rng.normal(size=(n_rows, 2)) + 1j * rng.normal(size=(n_rows, 2))
+    y = rng.normal(size=(n_rows, 2)) + 1j * rng.normal(size=(n_rows, 2))
+    y.flags.writeable = False
+    return y
 
 
 def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:

@@ -101,17 +101,6 @@ class SignedPermutation:
         return m
 
 
-def _basis_digits(dims: list[int]) -> np.ndarray:
-    """Mixed-radix digits of all flat basis indices, most significant first."""
-    n = int(np.prod(dims))
-    digits = np.empty((n, len(dims)), dtype=np.int64)
-    idx = np.arange(n)
-    for t in range(len(dims) - 1, -1, -1):
-        digits[:, t] = idx % dims[t]
-        idx //= dims[t]
-    return digits
-
-
 def permutation_between(
     factors: list[GradedSpace] | tuple[GradedSpace, ...], x: int, y: int
 ) -> SignedPermutation:
@@ -120,25 +109,23 @@ def permutation_between(
     Acting on a product basis vector it swaps the x-th and y-th entries and
     multiplies by (-1)^{p_x p_y + (p_x + p_y) * sum of parities in between},
     the sign of transporting the two vectors past each other and past every
-    factor separating them.
+    factor separating them.  Both are read off the grid of flat indices, one
+    axis per factor: ``dest`` is that grid with axes x and y swapped, and each
+    factor's parities vary along its own axis only.  Factors x and y must
+    have equal dimensions.
     """
     if x == y:
         raise ValueError("factors to permute must be distinct")
     x, y = min(x, y), max(x, y)
     dims = [f.dim for f in factors]
-    digits = _basis_digits(dims)
-    par = [f.parity_array() for f in factors]
+    if dims[x] != dims[y]:
+        raise ValueError("factors to permute must have equal dimensions")
+    dest = np.arange(int(np.prod(dims))).reshape(dims).swapaxes(x, y).ravel()
 
-    px = par[x][digits[:, x]]
-    py = par[y][digits[:, y]]
-    between = np.zeros(digits.shape[0], dtype=np.int64)
-    for t in range(x + 1, y):
-        between += par[t][digits[:, t]]
-    sign = np.where((px * py + (px + py) * between) % 2, -1.0, 1.0)
-
-    swapped = digits.copy()
-    swapped[:, x], swapped[:, y] = digits[:, y], digits[:, x]
-    dest = np.zeros(digits.shape[0], dtype=np.int64)
-    for t, d in enumerate(dims):
-        dest = dest * d + swapped[:, t]
+    # each factor's parities, along its own axis of the index grid
+    par = [f.parity_array().reshape([f.dim if s == t else 1 for s in range(len(dims))])
+           for t, f in enumerate(factors)]
+    px, py, between = par[x], par[y], sum(par[x + 1:y], 0)
+    odd = (px * py + (px + py) * between) % 2
+    sign = np.where(np.broadcast_to(odd, dims), -1.0, 1.0).ravel()
     return SignedPermutation(dest=dest, sign=sign)

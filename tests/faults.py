@@ -3,9 +3,10 @@
 Each defect is a function of a ``pytest.MonkeyPatch`` that breaks one
 convention of the chain from outside, so the package carries no test-only
 switch.  ``injected(name)`` plants one for the length of a ``with`` block.
-The plans built from the sign rule (``_step_plan``, ``_gather``) are
-cached, so they are cleared on the way in and on the way out: a plan built
-under a defect never outlives it.
+The plans built from the sign rule are cached: ``_gather`` reads each
+graded swap off ``chain.permutation_between``, and ``_step_plan`` restricts
+that one plan to each content group.  Both caches are cleared on the way in
+and on the way out, so a plan built under a defect never outlives it.
 
 - ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
   space) and factor 2 loses its sign, as if site 2 of the chain were

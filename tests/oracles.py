@@ -2,7 +2,8 @@
 
 The package works on content-group blocks and signed permutations; the
 dense forms here (graded Kronecker product, supertraces, graded commutator,
-the two-site R-matrix and ``dense``, which fills an H operator's blocks into
+the two-site R-matrix, ``permutation_by_digits``, the digit-table form of
+the graded permutation, and ``dense``, which fills an H operator's blocks into
 a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
 transfer_blocks hold every aux (x) H group at once, each product built from
@@ -23,11 +24,43 @@ import numpy as np
 from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
     compose, entry_blocks, g_fun, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
-    permutation_between
+    SignedPermutation, permutation_between
 from gradedbethe.spectrum import diagonalize_transfer
 
 PAR = np.array(FUNDAMENTAL_PARITIES)
 FUND = GradedSpace.fundamental()
+
+
+def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
+    """permutation_between by a table of the mixed-radix digits of every flat index.
+
+    The reference for the package's index-grid form: swap digits x and y
+    of each index, and sign it from the parities of those digits and of the
+    ones between them.
+    """
+    x, y = min(x, y), max(x, y)
+    dims = [f.dim for f in factors]
+    n = int(np.prod(dims))
+    digits = np.empty((n, len(dims)), dtype=np.int64)
+    idx = np.arange(n)
+    for t in range(len(dims) - 1, -1, -1):
+        digits[:, t] = idx % dims[t]
+        idx //= dims[t]
+    par = [f.parity_array() for f in factors]
+
+    px = par[x][digits[:, x]]
+    py = par[y][digits[:, y]]
+    between = np.zeros(n, dtype=np.int64)
+    for t in range(x + 1, y):
+        between += par[t][digits[:, t]]
+    sign = np.where((px * py + (px + py) * between) % 2, -1.0, 1.0)
+
+    swapped = digits.copy()
+    swapped[:, x], swapped[:, y] = digits[:, y], digits[:, x]
+    dest = np.zeros(n, dtype=np.int64)
+    for t, d in enumerate(dims):
+        dest = dest * d + swapped[:, t]
+    return SignedPermutation(dest=dest, sign=sign)
 
 
 def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:

@@ -31,8 +31,9 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_be
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes
-from oracles import FUND, dense, largest, monodromy_apply_full_set, monodromy_group_set, r_matrix, \
-    read_off, supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, zero_modes
+from oracles import FUND, dense, largest, monodromy_apply_full_set, monodromy_group_set, \
+    permutation_by_digits, r_matrix, read_off, supertrace_over_aux, transfer_blocks_full_set, \
+    zero_mode_algebra_worst, zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
 ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -655,13 +656,25 @@ def test_rtt_fails_with_an_ungraded_swap(monkeypatch):
     graded = chain._gather
 
     def ungraded(n_factors, x, y):
-        src, sign = graded(n_factors, x, y)
+        src, flipped = graded(n_factors, x, y)
         if (n_factors, x, y) != (spec.M + 2, 0, 1):
-            return src, sign
-        return src, np.ones_like(sign)
+            return src, flipped
+        # the swap of the two auxiliary spaces flips no row
+        return src, np.zeros_like(flipped)
 
     monkeypatch.setattr(chain, "_gather", ungraded)
     assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) > 0.1
+
+
+def test_probe_columns_are_drawn_once_and_read_only():
+    y = chain._probe_columns(27)
+    assert chain._probe_columns(27) is y
+    assert not y.flags.writeable
+    rng = np.random.default_rng(2017)
+    assert np.array_equal(y, rng.normal(size=(27, 2)) + 1j * rng.normal(size=(27, 2)))
+    # the checks that read them copy before writing
+    assert verify_rtt(ChainSpec(M=1), 1.3 + 2.1j, -2.2 + 0.7j) < 1e-10
+    assert tm1_residual(ChainSpec(M=3), 1.3 + 2.1j, -2.2 + 0.7j, (1, 2, 2, 3)) < 1e-10
 
 
 def test_verify_rtt_rejects_poles():
@@ -678,6 +691,61 @@ def test_entrywise_commutation_relations(indices):
     rng = np.random.default_rng(30)
     u, v = rand_pt(rng, 2), rand_pt(rng, -2)
     assert tm1_residual(spec, u, v, indices) < 1e-10
+
+
+# -- plans and sites ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_factors", [2, 3, 4, 5, 6])
+def test_step_plans_invert_the_digit_table_swap(n_factors):
+    # the plans by inversion: each group's image of the swap inverted, and
+    # the signs read at the source rows
+    groups, g2l, _ = _content_partition(n_factors)
+    for x, y in itertools.combinations(range(n_factors), 2):
+        perm = permutation_by_digits([FUND] * n_factors, x, y)
+        src, flipped = chain._gather(n_factors, x, y)
+        assert np.array_equal(src, np.argsort(perm.dest))
+        assert np.array_equal(flipped[:, 0], perm.sign[src] < 0)
+        for ix, (local, flip) in zip(groups, chain._step_plan(n_factors, x, y)):
+            ref = np.empty(ix.size, dtype=np.int64)
+            ref[g2l[perm.dest[ix]]] = np.arange(ix.size)
+            assert np.array_equal(local, ref)
+            ref_flip = perm.sign[ix][ref] < 0
+            assert (flip is None) == (not ref_flip.any())
+            assert flip is None or np.array_equal(flip[:, 0], ref_flip)
+
+
+def test_step_plan_reuses_the_gather_plan(monkeypatch):
+    n_factors, y = 5, 3
+    calls = []
+    original = chain.permutation_between
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(chain, "permutation_between", counted)
+    chain._gather.cache_clear()
+    chain._step_plan.cache_clear()
+    chain._gather(n_factors, 0, y)
+    assert calls == [(0, y)]
+    chain._step_plan(n_factors, 0, y)
+    assert calls == [(0, y)]
+
+
+def test_sites_must_be_in_range_and_strictly_ascending():
+    spec = ChainSpec(M=3)
+    u = 1.3 + 2.1j
+    for sites, match in [([0, 1], "out of range"), ([2, 4], "out of range"),
+                         ([2, 1], "strictly ascending"), ([1, 1], "strictly ascending"),
+                         ([1, 2, 2], "strictly ascending")]:
+        with pytest.raises(ValueError, match=match):
+            monodromy_entries(spec, u, [(1, 1)], sites=sites)
+        with pytest.raises(ValueError, match=match):
+            zero_mode_entry(spec, 1, 2, sites=sites)
+    # a proper sub-range still reads
+    assert monodromy_entries(spec, u, [(1, 1)], sites=[1, 3])[1, 1]
+    assert zero_mode_entry(spec, 1, 2, sites=[2, 3])
 
 
 # -- serialization ------------------------------------------------------------------
