@@ -12,22 +12,22 @@ every product, of group blocks or of columns, runs on one kernel, ``_run_steps``
 
 An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
 is one sub-block of the aux (x) H group of content s + e_j per H group.  So
-entries are read with ``monodromy_entries(spec, u, pairs, sites, contents)``: the
-named entries on the named contents, as {(i, j): {s: (image, block)}}, built
-from only the groups that hold them, one group at a time, each dropped once
-its blocks are copied out (``entry_blocks``, signed with a fixed table
-BLOCK_SIGNS).  ``transfer_blocks`` and ``zero_mode_limit_groups`` read the
-same one-group-at-a-time stream, so no read holds a whole group set.  The
-zero modes T_ij[0] come straight from their closed form in the same
-{s: (image, block)} form (``zero_mode_entry``).  The states these operators
-act on are vectors on one content group each (``spectrum.sandwich`` reads
-the one block between two of them).  No 3^M x 3^M matrix is ever formed.
-Checks that read T(u) only through its action on a few vectors build no
-group: ``monodromy_apply`` takes vectors on aux (x) H through the M
-L-operators, each a signed row gather, a multiply by g and an add, and
-``transfer_apply`` and ``tm1_residual`` build on it.  ``verify_rtt`` runs
-the same steps on V (x) V (x) H, where it compares the two sides of the RTT
-relation on two fixed columns.
+entries are read with ``monodromy_entries(spec, u, pairs, sites, contents=)``:
+the named entries on the contents every read names, as {(i, j): {s: (image,
+block)}}, built from only the groups that hold them, one group at a time,
+each dropped once its blocks are copied out (``entry_blocks``, signed with a
+fixed table BLOCK_SIGNS).  ``transfer_blocks`` reads the same stream, so no
+read holds a whole group set.  The zero modes T_ij[0] come straight from
+their closed form, one letter rule (``_letter_moves``), in the same
+{s: (image, block)} form (``zero_mode_entry``) or applied to columns on H.
+The states these operators act on are vectors on one content group each
+(``spectrum.sandwich`` reads the one block between two of them).  No
+3^M x 3^M matrix is ever formed.  Checks that read T(u) only through its
+action on a few vectors build no group: ``monodromy_apply`` takes vectors on
+aux (x) H through the M L-operators, each a signed row gather, a multiply
+by g and an add, and ``transfer_apply`` and ``tm1_residual`` build on it.
+``verify_rtt`` runs the same steps on V (x) V (x) H, where it compares the
+two sides of the RTT relation on two fixed columns.
 The sign table is pinned by requiring the zero-mode commutation algebra to
 hold entrywise (an exact integer-arithmetic criterion) together with the RTT
 residual test; see tests/test_chain.py.
@@ -58,7 +58,6 @@ __all__ = [
     "transfer_apply",
     "vacuum_eigenvalue",
     "zero_mode_entry",
-    "zero_mode_limit_groups",
     "verify_rtt",
     "tm1_residual",
     "BLOCK_SIGNS",
@@ -479,7 +478,7 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def _stream(spec: ChainSpec, u: complex, pairs, sites=None, contents=None):
+def _stream(spec: ChainSpec, u: complex, pairs, sites=None, *, contents):
     """(k, block) for each aux (x) H group k holding an entry (i, j) in ``pairs`` on ``contents``.
 
     The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over strictly ascending
@@ -493,29 +492,28 @@ def _stream(spec: ChainSpec, u: complex, pairs, sites=None, contents=None):
     groups = _content_partition(spec.M + 1)[0]
     _, entries = _block_map(spec.M)
     wanted = sorted({g for i, j in pairs for s, _, g, _, _ in entries[i - 1][j - 1]
-                     if contents is None or s in contents})
+                     if s in contents})
     largest = max((groups[k].size for k in wanted), default=0)
     scratch = [np.empty(largest ** 2, dtype=complex) for _ in range(3)]
     for k in wanted:
         yield k, _group_product(k, groups[k].size, steps, scratch=scratch)
 
 
-def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, contents=None) -> dict:
+def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, contents) -> dict:
     """The entries (i, j) in ``pairs`` of T(u) over ``sites``, as {(i, j): {s: (image, block)}}.
 
-    Only the aux (x) H groups holding one of these entries on ``contents`` (all
-    H contents if None) are built, each once, and each is dropped as soon as
-    its blocks are copied out (see _stream).
+    Only the aux (x) H groups holding one of these entries on the H ``contents``
+    are built, each once, and dropped once its blocks are copied out (_stream).
     """
     out = {(i, j): {} for i, j in pairs}
-    for k, block in _stream(spec, u, out, sites, contents):
+    for k, block in _stream(spec, u, out, sites, contents=contents):
         for (i, j), op in out.items():
             op.update(entry_blocks(spec, {k: block}, i, j, contents))
     return out
 
 
-def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
-    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)}, only at ``contents`` if given.
+def transfer_blocks(spec: ChainSpec, u: complex, *, contents) -> dict:
+    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)} at the H ``contents``.
 
     The three blocks T_ii on content s sit in three aux (x) H groups, s + e_i,
     taken from _stream one at a time.  Each block is held until its content has
@@ -531,7 +529,7 @@ def transfer_blocks(spec: ChainSpec, u: complex, contents=None) -> dict:
                 if len(held[s]) == 3:
                     terms = held.pop(s)
                     t[s] = combine(*[(coefs[n], terms[n]) for n in range(3)])[s]
-    return {s: t[s] for s in (_block_map(spec.M)[0] if contents is None else contents)}
+    return {s: t[s] for s in contents}
 
 
 def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
@@ -580,7 +578,7 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
     the 1 x 1 block of T_kk there, in the one aux (x) H group vacuum + e_k.
     """
     vac = (spec.M, 0, 0)
-    t_kk = monodromy_entries(spec, u, [(k, k)], sites, [vac])[k, k]
+    t_kk = monodromy_entries(spec, u, [(k, k)], sites, contents=[vac])[k, k]
     return complex(t_kk[vac][1][0, 0])
 
 
@@ -591,46 +589,52 @@ def _letters(m_sites: int):
     return letters, np.cumsum(letters == 2, axis=0) - (letters == 2)
 
 
-def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, contents=None) -> dict:
-    """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)}.
+def _letter_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray) -> tuple:
+    """The letter rule of T_ij[0] (1-based) on the H basis ``columns``: (position, target, sign).
 
     T_ij[0] = sum_{n in range} (-1)^{[j]} (-1)^{([i]+[j]) N_odd(<n)} E^(n)_{i->j}:
     E^(n)_{i->j} turns letter i on site n (site 1 is the leading base-3 digit)
-    into j, and N_odd(<n) counts the odd letters on the sites before n.  Exact
-    integers, the blocks entry_blocks reads off the large-u limit; for every
-    H content s with an image, or only the given ``contents``.
+    into j, and N_odd(<n) counts the odd letters on the sites before n.  Each
+    move sends columns[position] to basis index ``target`` with ``sign``.
     """
-    sites = () if sites == () else _resolve_sites(spec, sites)
-    n = np.asarray(sites, dtype=np.int64) - 1
-    letters, odd_before = (table[n] for table in _letters(spec.M))
+    n = np.asarray(_resolve_sites(spec, sites), dtype=np.int64) - 1
+    letters, odd_before = (table[n][:, columns] for table in _letters(spec.M))
+    row, position = np.nonzero(letters == i - 1)
+    odd = (_PAR[i - 1] + _PAR[j - 1]) * odd_before[row, position]
+    target = columns[position] + (j - i) * 3 ** (spec.M - 1 - n[row])
+    return position, target, (-1.0) ** _PAR[j - 1] * (-1.0) ** odd
+
+
+def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, contents=None) -> dict:
+    """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)} of exact integers.
+
+    The letter rule, block by block, on every H content s or only ``contents``.
+    """
     _, g2l, _ = _content_partition(spec.M)
     index, entries = _block_map(spec.M)
     out = {}
     for s, image, *_ in entries[i - 1][j - 1]:
         if contents is None or s in contents:
-            row, col = np.nonzero(letters[:, index[s]] == i - 1)
-            x = index[s][col]
-            odd = (_PAR[i - 1] + _PAR[j - 1]) * odd_before[row, x]
+            position, target, sign = _letter_moves(spec, i, j, sites, index[s])
             blk = np.zeros((index[image].size, index[s].size), dtype=complex)
-            np.add.at(blk, (g2l[x + (j - i) * 3 ** (spec.M - 1 - n[row])], col),
-                      (-1.0) ** _PAR[j - 1] * (-1.0) ** odd)
+            np.add.at(blk, (g2l[target], position), sign)
             out[s] = (image, blk)
     return out
 
 
-def zero_mode_limit_groups(spec: ChainSpec, scale: float = 1e6):
-    """Zero modes from the large-u limit (u/c)(T(u) - 1); cross-check only.
+def _zero_mode_apply(spec: ChainSpec, i: int, j: int, y: np.ndarray) -> np.ndarray:
+    """T_ij[0] Y over the full chain for a block Y of columns on H, by the letter rule.
 
-    Yields (k, block) for every aux (x) H group k, one at a time in _stream's
-    scratch buffers (every group holds a diagonal entry): read or copy each
-    block before asking for the next.
+    Moves onto one (target, column) pair are summed first, and each target adds
+    its gathered rows in ascending columns: the sums of zero_mode_entry's blocks.
     """
-    u = scale * spec.c
-    for k, block in _stream(spec, u, _DIAGONAL):
-        # (u/c)(T - 1) in place, with the bits of the out-of-place form
-        block.flat[::block.shape[0] + 1] -= 1
-        np.multiply(u / spec.c, block, out=block)
-        yield k, block
+    n = 3 ** spec.M
+    position, target, sign = _letter_moves(spec, i, j, None, np.arange(n))
+    pairs, which = np.unique(target * n + position, return_inverse=True)
+    rows, columns = np.divmod(pairs, n)
+    out = np.zeros(y.shape, dtype=complex)
+    np.add.at(out, rows, np.bincount(which, weights=sign)[:, None] * y[columns])
+    return out
 
 
 # -- RTT conformance ----------------------------------------------------------

@@ -5,9 +5,9 @@ of the algebra checks and the vacuum factorization split) derives from its
 one integer seed, so identical configs give byte-identical report files.
 Reports are written as JSON lines in the fixed seven-key schema plus a
 human-readable summary grid.  Every check runs in this process, at its
-place in the check order.  The rtt rows and the commutator figure of the
-sectors the run does not sweep act on fixed probe columns and build no
-group.
+place in the check order.  The rtt rows, the zero-mode limit and the
+commutator figure of the unswept sectors act on fixed probe columns and
+build no group.
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ from .chain import (
     PoleError,
     VacuumFunctions,
     _default_xi,
+    _entry_apply,
     _probe_columns,
     _relative_gap,
-    entry_blocks,
+    _zero_mode_apply,
     monodromy_entries,
     tm1_residual,
     transfer_apply,
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
-    zero_mode_entry,
-    zero_mode_limit_groups,
 )
 from .formfactors import (
     FormFactorReport,
@@ -357,20 +356,15 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     out.append(make_report("vacuum:factorization", worst_fact, 0.0, 1e-12, m=m,
                            residual=worst_fact))
 
-    # zero modes: closed form vs large-u limit; the next-order coefficient
-    # grows like M^2, so the evaluation point scales out with the chain;
-    # compared entry block by entry block, which tile the limit's groups,
-    # as |s a - s b| = |a - b| for the signs s; each aux (x) H group of the
-    # limit is compared as soon as it is built
-    diff = 0.0
-    for k, block in zero_mode_limit_groups(spec, scale=1e6 * spec.M):
-        for i, j in itertools.product((1, 2, 3), repeat=2):
-            limit = entry_blocks(spec, {k: block}, i, j)
-            if limit:
-                exact = zero_mode_entry(spec, i, j, contents=limit)
-                diff = max([diff] + [float(np.abs(blk - limit[s][1]).max())
-                                     for s, (_, blk) in exact.items()])
-    out.append(make_report("vacuum:zero-mode-limit", diff, 0.0, 1e-5, residual=diff))
+    # zero modes: the letter rule's T_ij[0] Y against the large-u limit
+    # (u/c)(T_ij(u) - delta_ij) Y on the probe columns, at u = far; the
+    # next-order coefficient grows like M^2, so the point scales with the chain
+    far = 1e6 * spec.M * spec.c
+    y = _probe_columns(3 ** spec.M)
+    gap = max(_relative_gap((far / spec.c) * (_entry_apply(spec, far, i, j, y) - (i == j) * y),
+                            _zero_mode_apply(spec, i, j, y))
+              for i, j in itertools.product((1, 2, 3), repeat=2))
+    out.append(make_report("vacuum:zero-mode-limit", gap, 0.0, 1e-5, residual=gap))
     return out
 
 

@@ -189,25 +189,25 @@ def _sector_eigenbasis(block: np.ndarray, cluster_gap: float):
     return w0, vr, left_rows, pairing, clustered
 
 
-def diagonalize_transfer(spec: ChainSpec,
-                         sectors: list[tuple[int, int]] | None = None) -> SpectralDecomposition:
+def diagonalize_transfer(spec: ChainSpec, *,
+                         sectors: list[tuple[int, int]]) -> SpectralDecomposition:
     """Sector-blocked eigendecomposition of the (twisted) transfer matrix.
 
     The full decomposition is computed at the first default probe; eigenvalues
     at the remaining probes come from sandwiching the fixed eigenvectors, and
     their off-diagonal leakage is returned as the consistency figure.  States whose
     eigenvalue samples are closer than _CLUSTER_GAP (relative) to another
-    state in the same sector are flagged as clustered.  ``sectors`` restricts
-    the work to those sectors (default: all); sectors are diagonalized
-    independently, so the states of a covered sector are the same either way.
+    state in the same sector are flagged as clustered.  Only the given
+    ``sectors`` are diagonalized, each independently of the others, so a
+    sector's states are the same whichever sectors come with it.
     Left eigenvectors are the unit-norm rows of vr^-1, so a state's pairing
     is the reciprocal condition number of its eigenvalue; pairings below
     1e-10 flag nearly defective states as clustered, and a sector whose vr is
     singular to working precision has all its states flagged clustered.
     """
     probes = default_probes(spec)
-    wanted = [s for s in sector_indices(spec) if sectors is None or s in sectors]
-    contents = None if sectors is None else [_content(spec, s) for s in wanted]
+    wanted = [s for s in sector_indices(spec) if s in sectors]
+    contents = [_content(spec, s) for s in wanted]
     # one probe's transfer blocks at a time: every sector is diagonalized at the
     # first probe, then each later probe is sandwiched on every sector
     t_op = transfer_blocks(spec, probes[0], contents=contents)

@@ -7,6 +7,8 @@ import pytest
 from gradedbethe.chain import ChainSpec, VacuumFunctions
 from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, sector_indices
 
+from oracles import all_sectors
+
 # the Bethe residual warns near the log branch cut during wide seed sweeps;
 # that is expected behaviour, not a test failure
 warnings.filterwarnings("ignore", message="Bethe residual near the log branch cut")
@@ -26,7 +28,7 @@ def vac4(spec4):
 
 @pytest.fixture(scope="session")
 def dec4(spec4):
-    return diagonalize_transfer(spec4)
+    return diagonalize_transfer(spec4, sectors=all_sectors(spec4))
 
 
 @pytest.fixture(scope="session")

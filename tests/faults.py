@@ -5,8 +5,9 @@ convention of the chain from outside, so the package carries no test-only
 switch.  ``injected(name)`` plants one for the length of a ``with`` block.
 The plans built from the sign rule are cached: ``_gather`` reads each
 graded swap off ``chain.permutation_between``, and ``_step_plan`` restricts
-that one plan to each content group.  Both caches are cleared on the way in
-and on the way out, so a plan built under a defect never outlives it.
+that one plan to each content group; the letter rule of the zero modes
+reads the cached table ``_letters``.  All three caches are cleared on the
+way in and on the way out, so nothing built under a defect outlives it.
 
 - ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
   space) and factor 2 loses its sign, as if site 2 of the chain were
@@ -17,6 +18,11 @@ and on the way out, so a plan built under a defect never outlives it.
   consistency figure (eigenvector leakage or commutator) can see it; the
   entry-level commutation relation does.  The RTT relation on
   V (x) V (x) H reads no entry, and so no BLOCK_SIGNS: it holds.
+- ``dropped-odd-letters``: the letter rule of the zero modes T_ij[0] counts
+  no odd letter before any site, N_odd(<n) = 0, so the sign of the odd
+  entries (T_13, T_23, T_31, T_32) no longer follows the grading.  Only the
+  zero-mode limit compares the letter rule with the monodromy: the diagonal
+  zero modes, which the sector labels read, keep their signs.
 """
 
 from contextlib import contextmanager
@@ -45,15 +51,27 @@ def _flipped_t22_sign(monkeypatch) -> None:
     monkeypatch.setattr(chain, "BLOCK_SIGNS", signs)
 
 
+def _dropped_odd_letters(monkeypatch) -> None:
+    original = chain._letters
+
+    def no_odd_letters(m_sites):
+        letters, odd_before = original(m_sites)
+        return letters, np.zeros_like(odd_before)
+
+    monkeypatch.setattr(chain, "_letters", no_odd_letters)
+
+
 DEFECTS = {
     "unsigned-P02": _unsigned_p02,
     "flipped-T22-sign": _flipped_t22_sign,
+    "dropped-odd-letters": _dropped_odd_letters,
 }
 
 
 def _clear_plans() -> None:
     chain._step_plan.cache_clear()
     chain._gather.cache_clear()
+    chain._letters.cache_clear()
 
 
 @contextmanager

@@ -8,12 +8,15 @@ a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
 transfer_blocks hold every aux (x) H group at once, each product built from
 its own identity; the package's entry reads, which build one group at a
-time in shared buffers, must match them to the bit.  The package checks
-the RTT algebra on the full chain on vectors; the dense forms those checks
-replaced stay here as references: ``tm1_residual_full_set`` (the entry-level
-relation over whole group sets) and ``leakage_by_eigensolve`` (the
-eigenvector leakage of an eigensolve of the given sectors).  The dense form
-of the RTT relation, ``site_outer_rtt``, sits with its site-outer kernel in
+time in shared buffers, must match them to the bit.  The package's reads
+name their H contents or sectors; ``all_contents`` and ``all_sectors`` list
+every one.  The package checks the RTT algebra and the zero-mode limit on
+the full chain on vectors; the group forms those checks replaced stay here
+as references: ``tm1_residual_full_set`` (the entry-level relation over
+whole group sets), ``leakage_by_eigensolve`` (the eigenvector leakage of an
+eigensolve of the given sectors) and ``zero_mode_limit_by_groups`` (the
+zero-mode limit compared on every aux (x) H group).  The dense form of the
+RTT relation, ``site_outer_rtt``, sits with its site-outer kernel in
 tests/test_chain.py.
 """
 
@@ -21,14 +24,24 @@ import itertools
 
 import numpy as np
 
-from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
-    compose, entry_blocks, g_fun, zero_mode_entry
+from gradedbethe.chain import _DIAGONAL, _block_map, _content_partition, _group_product, \
+    _l_steps, _stream, combine, compose, entry_blocks, g_fun, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
     SignedPermutation, permutation_between
-from gradedbethe.spectrum import diagonalize_transfer
+from gradedbethe.spectrum import diagonalize_transfer, sector_indices
 
 PAR = np.array(FUNDAMENTAL_PARITIES)
 FUND = GradedSpace.fundamental()
+
+
+def all_contents(spec) -> list:
+    """Every H content (n1, n2, n3) of the chain, in content-group order."""
+    return list(_content_partition(spec.M)[2])
+
+
+def all_sectors(spec) -> list:
+    """Every sector (a, b) of the chain, in sector_indices order."""
+    return list(sector_indices(spec))
 
 
 def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
@@ -233,3 +246,36 @@ def tm1_residual_full_set(spec, u, v, indices) -> float:
 def leakage_by_eigensolve(spec, sectors) -> float:
     """The unswept sectors' figure as an eigensolve gives it: eigenvector leakage at the later probes."""
     return diagonalize_transfer(spec, sectors=sectors).consistency
+
+
+def zero_mode_limit_groups(spec, scale: float = 1e6):
+    """The large-u limit (u/c)(T(u) - 1) at u = scale * c, on every aux (x) H group.
+
+    Yields (k, block) one group at a time, in _stream's scratch buffers (every
+    group holds a diagonal entry): read or copy each block before asking for
+    the next.
+    """
+    u = scale * spec.c
+    for k, block in _stream(spec, u, _DIAGONAL, contents=all_contents(spec)):
+        # (u/c)(T - 1) in place, with the bits of the out-of-place form
+        block.flat[::block.shape[0] + 1] -= 1
+        np.multiply(u / spec.c, block, out=block)
+        yield k, block
+
+
+def zero_mode_limit_by_groups(spec) -> float:
+    """The zero-mode limit row compared entry block by entry block, at u = 10^6 M c.
+
+    The largest entry of zero_mode_entry's blocks minus the limit's: the
+    entry blocks tile the limit's groups, as |s a - s b| = |a - b| for the
+    signs s, and each group is compared as soon as it is built.
+    """
+    diff = 0.0
+    for k, block in zero_mode_limit_groups(spec, scale=1e6 * spec.M):
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            limit = entry_blocks(spec, {k: block}, i, j)
+            if limit:
+                exact = zero_mode_entry(spec, i, j, contents=limit)
+                diff = max([diff] + [float(np.abs(blk - limit[s][1]).max())
+                                     for s, (_, blk) in exact.items()])
+    return diff

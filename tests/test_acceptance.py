@@ -34,7 +34,7 @@ from gradedbethe.spectrum import (
 )
 
 from conftest import TESTED_SECTORS, descendant_pairs, primitive_pairs
-from oracles import zero_mode_algebra_worst, zero_modes
+from oracles import all_sectors, zero_mode_algebra_worst, zero_modes
 
 
 def _line(name, ok, detail):
@@ -66,7 +66,7 @@ def test_ac2_spectrum_match_m5():
     t0 = time.time()
     spec = ChainSpec(M=5)
     vac = VacuumFunctions(spec)
-    dec = diagonalize_transfer(spec)
+    dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     classified = classify_spectrum(dec, vac, sectors=TESTED_SECTORS)
     n_solutions = 0
     labels_ok = True

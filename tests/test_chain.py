@@ -25,15 +25,14 @@ from gradedbethe.chain import (
     verify_rtt,
     yang_baxter_residual,
     zero_mode_entry,
-    zero_mode_limit_groups,
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes
-from oracles import FUND, dense, largest, monodromy_apply_full_set, monodromy_group_set, \
-    permutation_by_digits, r_matrix, read_off, supertrace_over_aux, transfer_blocks_full_set, \
-    zero_mode_algebra_worst, zero_modes
+from oracles import FUND, all_contents, all_sectors, dense, largest, monodromy_apply_full_set, \
+    monodromy_group_set, permutation_by_digits, r_matrix, read_off, supertrace_over_aux, \
+    transfer_blocks_full_set, zero_mode_algebra_worst, zero_mode_limit_groups, zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
 ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -45,7 +44,8 @@ def rand_pt(rng, shift=0.0):
 
 def concrete(spec, u, sites=None):
     """The dense monodromy on aux (x) H: its (i,j) auxiliary block is signed T_ij."""
-    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites))
+    every = all_contents(spec)
+    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites, contents=every))
     return np.block([[BLOCK_SIGNS[i, j] * blocks[i, j] for j in range(3)] for i in range(3)])
 
 
@@ -78,8 +78,8 @@ def dense_entry(spec, groups, i, j):
 def tm1_dense(spec, u, v, indices, y=None):
     """tm1_residual from dense products of the read-off entries, applied to columns ``y`` if given."""
     i, j, k, l = indices
-    bu = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS))
-    bv = read_off(spec, monodromy_entries(spec, v, ALL_PAIRS))
+    bu = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, contents=all_contents(spec)))
+    bv = read_off(spec, monodromy_entries(spec, v, ALL_PAIRS, contents=all_contents(spec)))
     pi, pj, pk, pl = (PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     lhs = bu[i - 1, j - 1] @ bv[k - 1, l - 1] - sign_comm * bv[k - 1, l - 1] @ bu[i - 1, j - 1]
@@ -141,18 +141,19 @@ def test_l_operator_large_u_limit_is_zero_mode():
 def test_l_operator_pole():
     spec = ChainSpec(M=2)
     with pytest.raises(PoleError):
-        monodromy_entries(spec, spec.xi[0], ALL_PAIRS, sites=[1])
+        monodromy_entries(spec, spec.xi[0], ALL_PAIRS, sites=[1], contents=all_contents(spec))
 
 
 def test_monodromy_factorizes_at_every_split():
     spec = ChainSpec(M=4)
     rng = np.random.default_rng(11)
     u = rand_pt(rng, 3)
-    total = monodromy_entries(spec, u, ALL_PAIRS)
+    every = all_contents(spec)
+    total = monodromy_entries(spec, u, ALL_PAIRS, contents=every)
     sign = BLOCK_SIGNS
     for m in range(1, spec.M):
-        t1 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(1, m + 1))
-        t2 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(m + 1, spec.M + 1))
+        t1 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(1, m + 1), contents=every)
+        t2 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(m + 1, spec.M + 1), contents=every)
         # T = T2 T1 on aux (x) H, whose (i,j) auxiliary block is the signed T_ij
         for i, j in ALL_PAIRS:
             product = combine(*[(sign[i - 1, k - 1] * sign[k - 1, j - 1] * sign[i - 1, j - 1],
@@ -166,7 +167,8 @@ def test_vacuum_annihilation_and_eigenvalues(sites):
     vac = VacuumFunctions(spec)
     rng = np.random.default_rng(12)
     u = rand_pt(rng, 2.5)
-    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites))
+    every = all_contents(spec)
+    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites, contents=every))
     site_list = list(sites) if sites is not None else None
     for i in range(1, 4):
         for j in range(1, 4):
@@ -232,7 +234,8 @@ def test_transfer_matrices_commute():
     u, v = rand_pt(rng, 2), rand_pt(rng, -2)
     # untwisted, and twisted at one twist across spectral points, content by content
     for chain_spec in (spec, replace(spec, twist=TwistConfig((1.3, 0.8, 1.1)))):
-        t_u, t_v = transfer_blocks(chain_spec, u), transfer_blocks(chain_spec, v)
+        every = all_contents(chain_spec)
+        t_u, t_v = (transfer_blocks(chain_spec, w, contents=every) for w in (u, v))
         for s, (_, a) in t_u.items():
             b = t_v[s][1]
             assert np.abs(a @ b - b @ a).max() < 1e-10
@@ -243,7 +246,8 @@ def test_transfer_matrix_is_twisted_supertrace_of_monodromy():
     rng = np.random.default_rng(15)
     u = rand_pt(rng, 2)
     oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
-    assert np.abs(dense(spec, transfer_blocks(spec, u)) - oracle).max() < 1e-13
+    blocks = transfer_blocks(spec, u, contents=all_contents(spec))
+    assert np.abs(dense(spec, blocks) - oracle).max() < 1e-13
 
 
 def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
@@ -373,7 +377,7 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     u = rand_pt(rng, 2.5)
     for sites in oracle_ranges(m_sites):
         operators = [(monodromy_group_set(spec, u, sites),
-                      monodromy_entries(spec, u, ALL_PAIRS, sites)),
+                      monodromy_entries(spec, u, ALL_PAIRS, sites, contents=all_contents(spec))),
                      (structural_zero_mode_groups(spec, sites), zero_modes(spec, sites))]
         for groups, entries in operators:
             for i, j in ALL_PAIRS:
@@ -394,7 +398,7 @@ def test_transfer_blocks_are_the_sector_blocks(m_sites, make_spec):
     u = rand_pt(rng, 2.5)
     groups, _, contents = _content_partition(m_sites)
     oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
-    blocks = transfer_blocks(spec, u)
+    blocks = transfer_blocks(spec, u, contents=all_contents(spec))
     assert list(blocks) == list(contents)
     for idx, s in zip(groups, contents):
         image, blk = blocks[s]
@@ -447,11 +451,11 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
     rng = np.random.default_rng(90 + m_sites)
     u = rand_pt(rng, 2.5)
     _, _, contents = _content_partition(m_sites)
-    reads = (None, [contents[-1]], list(contents[::2]))
+    reads = (all_contents(spec), [contents[-1]], list(contents[::2]))
     for sites in oracle_ranges(m_sites):
         full = monodromy_group_set(spec, u, sites)
         for read in reads:
-            got = monodromy_entries(spec, u, ALL_PAIRS, sites, read)
+            got = monodromy_entries(spec, u, ALL_PAIRS, sites, contents=read)
             for i, j in ALL_PAIRS:
                 ref = entry_blocks(spec, full, i, j, read)
                 assert got[i, j].keys() == ref.keys()
@@ -460,7 +464,7 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
     for read in reads:
         part = transfer_blocks(spec, u, contents=read)
         ref = transfer_blocks_full_set(spec, u, contents=read)
-        assert list(part) == list(ref) == list(contents if read is None else read)
+        assert list(part) == list(ref) == read
         assert all(part[s][0] == ref[s][0] and np.array_equal(part[s][1], ref[s][1]) for s in ref)
     assert transfer_blocks(spec, u, contents=[]) == {}
 
@@ -480,7 +484,7 @@ def test_monodromy_apply_matches_the_group_set(m_sites, make_spec):
     # a vector is one column
     assert np.array_equal(monodromy_apply(spec, u, x[:, 0]), got[:, 0])
     y = x[:3 ** m_sites]
-    ref = dense(spec, transfer_blocks(spec, u)) @ y
+    ref = dense(spec, transfer_blocks(spec, u, contents=all_contents(spec))) @ y
     got = transfer_apply(spec, u, y)
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
     assert np.array_equal(transfer_apply(spec, u, y[:, 0]), got[:, 0])
@@ -547,7 +551,7 @@ def test_group_outer_products_are_bit_identical(m_sites, make_spec):
     u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
     for sites in oracle_ranges(m_sites):
         # the entry blocks tile every group, so equal entries are equal groups
-        new = monodromy_entries(spec, u, ALL_PAIRS, sites)
+        new = monodromy_entries(spec, u, ALL_PAIRS, sites, contents=all_contents(spec))
         old = dict(enumerate(site_outer_monodromy(spec, u, sites)))
         for i, j in ALL_PAIRS:
             ref = entry_blocks(spec, old, i, j)
@@ -740,11 +744,11 @@ def test_sites_must_be_in_range_and_strictly_ascending():
                          ([2, 1], "strictly ascending"), ([1, 1], "strictly ascending"),
                          ([1, 2, 2], "strictly ascending")]:
         with pytest.raises(ValueError, match=match):
-            monodromy_entries(spec, u, [(1, 1)], sites=sites)
+            monodromy_entries(spec, u, [(1, 1)], sites=sites, contents=all_contents(spec))
         with pytest.raises(ValueError, match=match):
             zero_mode_entry(spec, 1, 2, sites=sites)
     # a proper sub-range still reads
-    assert monodromy_entries(spec, u, [(1, 1)], sites=[1, 3])[1, 1]
+    assert monodromy_entries(spec, u, [(1, 1)], sites=[1, 3], contents=all_contents(spec))[1, 1]
     assert zero_mode_entry(spec, 1, 2, sites=[2, 3])
 
 
@@ -777,9 +781,10 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     dense = 16 * 9 ** (m_sites + 1)
     spec = ChainSpec(M=m_sites)
     u = 2.1 + 0.4j
-    transfer_blocks(spec, u)  # warm the partition and block-map caches
-    assert peak_bytes(lambda: transfer_blocks(spec, u)) < 0.8 * dense
-    assert peak_bytes(lambda: monodromy_entries(spec, u, ALL_PAIRS)) < 1.5 * dense
+    every = all_contents(spec)
+    transfer_blocks(spec, u, contents=every)  # warm the partition and block-map caches
+    assert peak_bytes(lambda: transfer_blocks(spec, u, contents=every)) < 0.8 * dense
+    assert peak_bytes(lambda: monodromy_entries(spec, u, ALL_PAIRS, contents=every)) < 1.5 * dense
     assert peak_bytes(lambda: zero_modes(spec)) < 1.5 * dense
     assert peak_bytes(lambda: [blk.copy() for _, blk in zero_mode_limit_groups(spec)]) < 1.5 * dense
 
@@ -791,7 +796,7 @@ def pairs5():
 
     spec = ChainSpec(M=5)
     vac = VacuumFunctions(spec)
-    dec = diagonalize_transfer(spec)
+    dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     pc, pb = [st for st in classify_spectrum(dec, vac, sectors=[(1, 0)])
               if st.kind == "primitive"][:2]
     return spec, vac, pc, pb
@@ -838,4 +843,5 @@ def test_full_chain_builds_peak_below_two_group_sets():
     # made it 1.40x, holding both group sets 2.57x), and every probe's group
     # set and transfer blocks made the diagonalization 2.17x
     assert peak_bytes(lambda: tm1_residual(spec, u, v, (1, 2, 2, 3))) < 0.5 * group_set
-    assert peak_bytes(lambda: diagonalize_transfer(spec)) < 1.75 * group_set
+    every = all_sectors(spec)
+    assert peak_bytes(lambda: diagonalize_transfer(spec, sectors=every)) < 1.75 * group_set

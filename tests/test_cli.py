@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gradedbethe
@@ -17,6 +19,7 @@ from gradedbethe.cli import (
 )
 
 from conftest import peak_bytes
+from oracles import zero_mode_limit_by_groups
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedbethe.__file__)))
 
@@ -427,13 +430,13 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
     """Every aux (x) H group built from now on, filed under the read that streams it.
 
     A build is keyed by the group and the steps' g values, which fix the
-    spectral point.  "full" holds the builds of reads with no contents,
-    "swept" and "rest" those of a diagonalization of the ``swept`` sectors
-    and of the other sectors.
+    spectral point.  "swept" and "rest" hold the builds of a diagonalization
+    of the ``swept`` sectors and of the other sectors, "other" those of every
+    read outside a diagonalization.
     """
     from gradedbethe import chain, cli
 
-    built = {"full": [], "swept": [], "rest": []}
+    built = {"other": [], "swept": [], "rest": []}
     reads, passes = [], []
     product, stream, diagonalize = chain._group_product, chain._stream, cli.diagonalize_transfer
 
@@ -442,10 +445,10 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
             built[reads[-1]].append((k, size, tuple(g for _, g in steps)))
         return product(k, size, steps, *args, **kwargs)
 
-    def tracked(spec, u, pairs, sites=None, contents=None):
-        groups = stream(spec, u, pairs, sites, contents)
+    def tracked(spec, u, pairs, sites=None, *, contents):
+        groups = stream(spec, u, pairs, sites, contents=contents)
         while True:
-            reads.append("full" if contents is None else passes[-1] if passes else None)
+            reads.append(passes[-1] if passes else "other")
             try:
                 item = next(groups)
             except StopIteration:
@@ -467,7 +470,7 @@ def record_group_builds(monkeypatch, swept) -> dict[str, list]:
     return built
 
 
-def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
+def test_rtt_and_vacuum_build_only_the_vacuum_groups(tmp_path, monkeypatch):
     from gradedbethe import chain, cli
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
@@ -475,12 +478,14 @@ def test_only_full_checks_build_every_monodromy_group(tmp_path, monkeypatch):
     built = record_group_builds(monkeypatch, cli._Workspace(scenario).swept)
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
-    # with no spectral check requested the spectrum is never diagonalized,
-    # and tm1_residual acts on vectors: the one full-chain read that builds
-    # groups is the zero-mode limit, all 21 at its one point, each once
-    n_groups = len(chain._content_partition(scenario.chain.M + 1)[0])
-    assert len(set(built["full"])) == len(built["full"]) == n_groups == 21
-    assert len({g for _, _, g in built["full"]}) == 1
+    # with no spectral check requested the spectrum is never diagonalized, and
+    # the rtt rows and the zero-mode limit act on probe columns: the only
+    # groups built are the three aux (x) H groups of the vacuum's content,
+    # vacuum + e_j, for the vacuum rows on the full chain and its split ranges
+    m = scenario.chain.M
+    aux_contents = chain._content_partition(m + 1)[2]
+    vacuum_groups = {aux_contents.index(s) for s in ((m + 1, 0, 0), (m, 1, 0), (m, 0, 1))}
+    assert {k for k, _, _ in built["other"]} == vacuum_groups
     assert not built["swept"] and not built["rest"]
 
 
@@ -514,7 +519,7 @@ def test_full_chain_job_rows_build_no_group(tmp_path, monkeypatch):
     assert verdicts["rtt:tm1-1223"] == verdicts["spectrum:consistency"] == "pass"
     # the swept pass is the run's one streamed read; the rtt rows and the
     # unswept figure stream no group
-    assert inside == [0, 0] and not built["full"] and not built["rest"] and built["swept"]
+    assert inside == [0, 0] and not built["rest"] and built["swept"]
     # called directly, with every group builder and eigensolve forbidden
     for module, name in ((chain, "_group_product"), (chain, "_stream"),
                          (cli, "diagonalize_transfer"), (spectrum, "diagonalize_transfer")):
@@ -625,10 +630,33 @@ def test_zero_mode_limit_peaks_below_one_group_set():
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
     cli._run_vacuum(ws)  # warm the partition, plan and letter caches
     reports = []
-    # measured 0.83x; building the limit's whole group set first made it 2.12x
-    assert peak_bytes(lambda: reports.extend(cli._run_vacuum(ws))) < 1.25 * group_set
+    # measured 0.18x, the limit on the probe columns; comparing it on every
+    # aux (x) H group in turn made it 0.83x, and on the whole group set 2.12x
+    assert peak_bytes(lambda: reports.extend(cli._run_vacuum(ws))) < 0.25 * group_set
     assert [r.identity for r in reports][-1] == "vacuum:zero-mode-limit"
     assert all(r.verdict == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_zero_mode_limit_on_columns_and_on_groups(m):
+    # the row compares the letter rule with the large-u limit on the probe
+    # columns; the group form it replaced compares them on every aux (x) H
+    # group, and both stay under the row's tolerance
+    from gradedbethe import chain, cli
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=m, seed=1))
+    spec = scenario.chain
+    row = cli._run_vacuum(cli._Workspace(scenario))[-1]
+    assert row.identity == "vacuum:zero-mode-limit" and row.tolerance == 1e-5
+    assert row.rel_residual < 1e-5 and zero_mode_limit_by_groups(spec) < 1e-5
+    # the letter rule on columns is zero_mode_entry's blocks applied to them
+    y = chain._probe_columns(3 ** m)
+    index, _ = chain._block_map(m)
+    for i, j in itertools.product((1, 2, 3), repeat=2):
+        expect = np.zeros(y.shape, dtype=complex)
+        for s, (image, blk) in chain.zero_mode_entry(spec, i, j).items():
+            expect[index[image]] += blk @ y[index[s]]
+        assert np.array_equal(chain._zero_mode_apply(spec, i, j, y), expect)
 
 
 def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from gradedbethe.formfactors import (
 from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import diagonalize_transfer
 from conftest import descendant_pairs, embed, primitive_pairs
-from oracles import dense
+from oracles import all_contents, dense
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def other_descendant(d11, bpair):
 def test_matrix_element_transfer_gives_tau(spec4, p10):
     pair = p10[0]
     w = pair.probes[2]
-    t = dense(spec4, transfer_blocks(spec4, w))
+    t = dense(spec4, transfer_blocks(spec4, w, contents=all_contents(spec4)))
     val = embed(spec4, pair.sector, pair.left) @ t @ embed(spec4, pair.sector, pair.right)
     assert val == pytest.approx(pair.tau_samples[2] * pair.pairing, rel=1e-10)
 
@@ -94,7 +94,8 @@ def test_universal_ff_selection_rule(spec4, vac4, p10, p20):
     with pytest.raises(SelectionRuleZero):
         universal_form_factor(spec4, vac4, p20[0], p10[0], 2, 2)
     # the underlying matrix element itself vanishes for the wrong step
-    t22 = dense(spec4, monodromy_entries(spec4, 1.3 + 0.8j, [(2, 2)])[2, 2])
+    t22 = dense(spec4, monodromy_entries(spec4, 1.3 + 0.8j, [(2, 2)],
+                                          contents=all_contents(spec4))[2, 2])
     val = embed(spec4, (2, 0), p20[0].left) @ t22 @ embed(spec4, (1, 0), p10[0].right)
     scale = np.linalg.norm(p20[0].left) * np.linalg.norm(p10[0].right)
     assert abs(val) < 1e-10 * scale

@@ -19,14 +19,14 @@ from gradedbethe.spectrum import (
 )
 
 from conftest import TESTED_SECTORS, embed, primitive_pairs
-from oracles import dense
+from oracles import all_contents, all_sectors, dense
 
 
 def test_single_site_spectrum():
     # M = 1: three states, all in the vacuum multiplet, one per sector
     spec = ChainSpec(M=1)
     vac = VacuumFunctions(spec)
-    dec = diagonalize_transfer(spec)
+    dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     assert len(dec.states) == 3
     assert sorted(s.sector for s in dec.states) == [(0, 0), (1, 0), (1, 1)]
     w = dec.probes[0]
@@ -56,7 +56,7 @@ def test_left_right_residuals(spec4, dec4):
         if st.clustered:
             continue
         for q, w in enumerate(dec4.probes):
-            t = dense(spec4, transfer_blocks(spec4, w))
+            t = dense(spec4, transfer_blocks(spec4, w, contents=all_contents(spec4)))
             scale = max(1.0, abs(st.tau_samples[q]))
             r, l = embed(spec4, st.sector, st.right), embed(spec4, st.sector, st.left)
             right = np.linalg.norm(t @ r - st.tau_samples[q] * r) / scale
@@ -170,7 +170,7 @@ def test_cross_pairing_vanishes(classified4):
 
 def test_twisted_decomposition_perturbs_continuously(spec4, dec4):
     twist = TwistConfig((1 + 1e-5, 1.0, 1.0))
-    dec_tw = diagonalize_transfer(replace(spec4, twist=twist))
+    dec_tw = diagonalize_transfer(replace(spec4, twist=twist), sectors=all_sectors(spec4))
     base = sorted(dec4.by_sector((1, 0)), key=lambda s: (s.tau_samples[0].real,
                                                          s.tau_samples[0].imag))
     moved = sorted(dec_tw.by_sector((1, 0)), key=lambda s: (s.tau_samples[0].real,
@@ -183,7 +183,7 @@ def test_twisted_decomposition_perturbs_continuously(spec4, dec4):
 @pytest.mark.parametrize("sector", [(1, 0), (2, 1)])
 def test_restricted_diagonalization_matches_full_sectors(sector):
     spec = ChainSpec(M=4, twist=TwistConfig((1.01, 1.0, 0.99)))
-    full = diagonalize_transfer(spec).by_sector(sector)
+    full = diagonalize_transfer(spec, sectors=all_sectors(spec)).by_sector(sector)
     part = diagonalize_transfer(spec, sectors=[sector])
     assert {s.sector for s in part.states} == {sector}
     assert len(part.states) == len(full) > 0
@@ -218,7 +218,7 @@ def test_states_live_on_their_own_sector():
     # every vector holds one coordinate per basis index of its content group,
     # so the states of a sector of size |G| take |G|^2 entries per side
     spec = ChainSpec(M=5)
-    dec = diagonalize_transfer(spec)
+    dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     groups = _content_partition(spec.M)[0]
     assert len(dec.states) == 3 ** spec.M
     for side in ("right", "left"):
@@ -232,7 +232,7 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
     b = dec4.by_sector((1, 0))[0]
     assert c.left.size == b.right.size == spec4.M
     assert abs(c.left @ b.right) > 1e-3 * np.linalg.norm(c.left) * np.linalg.norm(b.right)
-    diagonal = transfer_blocks(spec4, 2.1 + 0.4j)
+    diagonal = transfer_blocks(spec4, 2.1 + 0.4j, contents=all_contents(spec4))
     assert sandwich(spec4, c, None, b) == 0
     assert sandwich(spec4, c, diagonal, b) == 0
     assert sandwich(spec4, c, zero_mode_entry(spec4, 3, 3), b) == 0
@@ -251,8 +251,8 @@ def test_left_rows_are_unit_biorthogonal_eigenvectors(m_sites, twisted):
     spec = ChainSpec(M=m_sites)
     if twisted:
         spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
-    dec = diagonalize_transfer(spec)
-    blocks = transfer_blocks(spec, dec.probes[0])
+    dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
+    blocks = transfer_blocks(spec, dec.probes[0], contents=all_contents(spec))
     for sector in sector_indices(spec):
         safe = [st for st in dec.by_sector(sector) if not st.clustered]
         if not safe:
@@ -308,7 +308,7 @@ def loop_cluster_flags(w0, pairing, cluster_gap):
 @pytest.mark.parametrize("m_sites", [3, 4, 5, 6])
 def test_cluster_flags_equal_the_pairwise_loop(m_sites):
     spec = ChainSpec(M=m_sites)
-    blocks = transfer_blocks(spec, default_probes(spec)[0])
+    blocks = transfer_blocks(spec, default_probes(spec)[0], contents=all_contents(spec))
     by_gap = 0
     for sector in sector_indices(spec):
         block = blocks[_content(spec, sector)][1]
