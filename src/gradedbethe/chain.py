@@ -5,21 +5,23 @@ Every L-operator permutes tensor factors, so every chain operator on
 aux (x) H preserves the local letter content and is stored only as its
 content-group blocks (see _content_partition).  Products of L-operators are
 accumulated with O(N^2) signed-permutation applications, never O(N^3)
-matrix products, one content group at a time: every factor runs on a
-group's block before the next group starts.  Each graded swap P_xy has one
-plan (``_gather``), restricted to each content group by ``_step_plan``, and
-every product, of group blocks or of columns, runs on one kernel, ``_run_steps``.
+matrix products.  Each graded swap P_xy has one plan (``_gather``),
+restricted to each content group by ``_step_plan``, and every product, of
+group columns or of vectors, runs on one kernel, ``_apply``.
 
 An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
-is one sub-block of the aux (x) H group of content s + e_j per H group.  So
+is one sub-block of the aux (x) H group of content s + e_j per H group, the
+rows with aux letter i of that group's columns with aux letter j.  So
 entries are read with ``monodromy_entries(spec, u, pairs, sites, contents=)``:
 the named entries on the contents every read names, as {(i, j): {s: (image,
-block)}}, built from only the groups that hold them, one group at a time,
-each dropped once its blocks are copied out (``entry_blocks``, signed with a
-fixed table BLOCK_SIGNS).  ``transfer_blocks`` reads the same stream, so no
-read holds a whole group set.  The zero modes T_ij[0] come straight from
-their closed form, one letter rule (``_letter_moves``), in the same
-{s: (image, block)} form (``zero_mode_entry``) or applied to columns on H.
+block)}}, signed with a fixed table BLOCK_SIGNS.  Each is read off one column
+run, the identity columns of group s + e_j with aux letter j carried through
+the site steps (``_group_product``); a run is built once for every entry it
+holds and dropped before the next, so no read holds a whole group.
+``transfer_blocks`` sums the three diagonal entries.  The zero modes T_ij[0]
+come straight from their closed form, one letter rule (``_letter_moves``),
+in the same {s: (image, block)} form (``zero_mode_entry``) or applied to
+columns on H.
 The states these operators act on are vectors on one content group each
 (``spectrum.sandwich`` reads the one block between two of them).  No
 3^M x 3^M matrix is ever formed.  Checks that read T(u) only through its
@@ -50,7 +52,6 @@ __all__ = [
     "PoleError",
     "yang_baxter_residual",
     "monodromy_entries",
-    "entry_blocks",
     "combine",
     "compose",
     "transfer_blocks",
@@ -231,41 +232,15 @@ def _step_plan(n_factors: int, x: int, y: int) -> tuple:
     return tuple((g2l[src[ix]], flipped[ix] if flipped[ix].any() else None) for ix in groups)
 
 
-def _square(buf: np.ndarray, size: int) -> np.ndarray:
-    """The leading size^2 entries of a flat buffer, as a size x size view."""
-    return buf[:size * size].reshape(size, size)
+def _group_product(k: int, size: int, cols: slice, steps) -> np.ndarray:
+    """Columns ``cols`` of F_S ... F_1 on content group k of ``size``, for steps [(plan, g), ...].
 
-
-def _run_steps(x: np.ndarray, steps, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """F_S ... F_1 X for steps [((src, flipped), g), ...], F = I + g P, in X's or a's buffer.
-
-    Each step gathers rows into ``a``, b = g * rows (``g`` first), then x + b,
-    or x - b on the flipped rows: the bits of x + g * (sign * x[src]) with no
-    multiply by the sign.  All three buffers, of one shape, are overwritten.
+    F = I + g P.  The identity's columns run through _apply on this one
+    group's plans; _apply carries every column on its own, so a run has the
+    bits of the same columns of the whole group's product.
     """
-    for (src, flipped), g in steps:
-        x.take(src, axis=0, out=a, mode="clip")
-        np.multiply(g, a, out=b)
-        np.add(x, b, out=a)
-        if flipped is not None:
-            np.subtract(x, b, out=a, where=flipped)
-        x, a = a, x
-    return x
-
-
-def _group_product(k: int, size: int, steps, scratch=None) -> np.ndarray:
-    """Block of F_S ... F_1 on content group k, for steps [(plan, g), ...], F = I + g P.
-
-    _run_steps on this one group's plans, so its block stays in cache.  Given
-    ``scratch``, three flat buffers of at least size^2 entries, the first
-    holding X = I, the work buffers are laid out in them.
-    """
-    views = [_square(buf, size) for buf in scratch or ()]
-    x = views.pop(0) if views else np.empty((size, size), dtype=complex)
-    x.fill(0)
-    x.flat[::size + 1] = 1
-    a, b = views or (np.empty_like(x), np.empty_like(x))
-    return _run_steps(x, [(plan[k], g) for plan, g in steps], a, b)
+    identity = np.eye(size, cols.stop - cols.start, -cols.start, dtype=bool)
+    return _apply(identity, [(plan[k], g) for plan, g in steps])
 
 
 @lru_cache(maxsize=16)
@@ -295,21 +270,6 @@ def _block_map(m_sites: int):
                     entries[i][j].append((s, image, g, slice(runs[i], runs[i + 1]),
                                           slice(runs[j], runs[j + 1])))
     return index, entries
-
-
-def entry_blocks(spec: ChainSpec, groups: dict, i: int, j: int, contents=None) -> dict:
-    """The entry T_ij (1-based) of an aux (x) H operator given by group blocks {k: block}.
-
-    Returns {s: (image, block)}, blocks copied and signed with BLOCK_SIGNS,
-    each mapping H content s onto ``image``, for every s or only the given
-    ``contents``.  Contents T_ij annihilates, or whose aux (x) H group is not
-    in ``groups``, are absent.
-    """
-    _, entries = _block_map(spec.M)
-    sign = BLOCK_SIGNS[i - 1, j - 1]
-    return {s: (image, sign * groups[g][rows, cols])
-            for s, image, g, rows, cols in entries[i - 1][j - 1]
-            if g in groups and (contents is None or s in contents)}
 
 
 def combine(*terms) -> dict:
@@ -462,11 +422,22 @@ def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
 def _apply(x: np.ndarray, steps) -> np.ndarray:
     """F_S ... F_1 X for gather steps [((src, flipped), g), ...], F = I + g P.
 
-    _run_steps on a copy of X as a block of columns (a vector is one column),
-    so X itself is never written: row gathers, no matrix and no BLAS call.
+    Runs on a C-ordered complex copy of X as a block of columns (a vector is
+    one column), so X itself is never written: row gathers, no matrix and no
+    BLAS call.  Each step gathers rows into ``a``, b = g * rows (``g``
+    first), then x + b, or x - b on the flipped rows: the bits of
+    x + g * (sign * x[src]) with no multiply by the sign, each column on its own.
     """
     block = np.array(x.reshape(len(x), -1), dtype=complex, order="C")
-    return _run_steps(block, steps, np.empty_like(block), np.empty_like(block)).reshape(x.shape)
+    a, b = np.empty_like(block), np.empty_like(block)
+    for (src, flipped), g in steps:
+        block.take(src, axis=0, out=a, mode="clip")
+        np.multiply(g, a, out=b)
+        np.add(block, b, out=a)
+        if flipped is not None:
+            np.subtract(block, b, out=a, where=flipped)
+        block, a = a, block
+    return block.reshape(x.shape)
 
 
 def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
@@ -478,58 +449,42 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def _stream(spec: ChainSpec, u: complex, pairs, sites=None, *, contents):
-    """(k, block) for each aux (x) H group k holding an entry (i, j) in ``pairs`` on ``contents``.
+def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, contents) -> dict:
+    """The entries (i, j) in ``pairs`` of T(u) over ``sites``, as {(i, j): {s: (image, block)}}.
 
     The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over strictly ascending
-    sites, the full chain when sites is None.  Every group is built once, in
-    ascending k, in the same three scratch buffers sized for the largest: read
-    a block (entry_blocks copies it out) before asking for the next.
+    sites, the full chain when sites is None.  T_ij on an H content s in
+    ``contents`` is the aux-letter-i rows of the column run (s + e_j, j) (see
+    _group_product).  ``pairs`` is walked once; each run is built once, every
+    requested entry is read off it, and it is dropped before the next.
     """
     sites = _resolve_sites(spec, sites)
     _check_poles(spec, u, sites)
     steps = _l_steps(spec, u, sites)
     groups = _content_partition(spec.M + 1)[0]
     _, entries = _block_map(spec.M)
-    wanted = sorted({g for i, j in pairs for s, _, g, _, _ in entries[i - 1][j - 1]
-                     if s in contents})
-    largest = max((groups[k].size for k in wanted), default=0)
-    scratch = [np.empty(largest ** 2, dtype=complex) for _ in range(3)]
-    for k in wanted:
-        yield k, _group_product(k, groups[k].size, steps, scratch=scratch)
-
-
-def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, contents) -> dict:
-    """The entries (i, j) in ``pairs`` of T(u) over ``sites``, as {(i, j): {s: (image, block)}}.
-
-    Only the aux (x) H groups holding one of these entries on the H ``contents``
-    are built, each once, and dropped once its blocks are copied out (_stream).
-    """
-    out = {(i, j): {} for i, j in pairs}
-    for k, block in _stream(spec, u, out, sites, contents=contents):
-        for (i, j), op in out.items():
-            op.update(entry_blocks(spec, {k: block}, i, j, contents))
+    out, runs = {}, {}
+    for i, j in pairs:
+        out[i, j] = {}
+        for s, image, g, rows, cols in entries[i - 1][j - 1]:
+            if s in contents:
+                runs.setdefault((g, j), (cols, []))[1].append((i, s, image, rows))
+    for (g, j), (cols, reads) in runs.items():
+        run = _group_product(g, groups[g].size, cols, steps)
+        for i, s, image, rows in reads:
+            out[i, j][s] = (image, BLOCK_SIGNS[i - 1, j - 1] * run[rows])
+        del run  # before the next run is built
     return out
 
 
 def transfer_blocks(spec: ChainSpec, u: complex, *, contents) -> dict:
-    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)} at the H ``contents``.
+    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)} at the H ``contents``, in their order.
 
-    The three blocks T_ii on content s sit in three aux (x) H groups, s + e_i,
-    taken from _stream one at a time.  Each block is held until its content has
-    all three, and they are summed in i order as ``combine`` sums them, so no
-    group set is ever held and the sum has the bits of combine over one.
+    ``combine`` over the three diagonal entries, summed in i order.
     """
-    coefs = [(-1) ** _PAR[i] * spec.twist.kappa[i] for i in range(3)]
-    held, t = {}, {}
-    for k, block in _stream(spec, u, _DIAGONAL, contents=contents):
-        for i in range(3):
-            for s, entry in entry_blocks(spec, {k: block}, i + 1, i + 1, contents).items():
-                held.setdefault(s, {})[i] = {s: entry}
-                if len(held[s]) == 3:
-                    terms = held.pop(s)
-                    t[s] = combine(*[(coefs[n], terms[n]) for n in range(3)])[s]
-    return {s: t[s] for s in contents}
+    t = monodromy_entries(spec, u, _DIAGONAL, contents=contents)
+    summed = combine(*[((-1) ** _PAR[i] * spec.twist.kappa[i], t[i + 1, i + 1]) for i in range(3)])
+    return {s: summed[s] for s in contents}
 
 
 def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
@@ -605,16 +560,16 @@ def _letter_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray) -
     return position, target, (-1.0) ** _PAR[j - 1] * (-1.0) ** odd
 
 
-def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, contents=None) -> dict:
+def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, contents) -> dict:
     """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)} of exact integers.
 
-    The letter rule, block by block, on every H content s or only ``contents``.
+    The letter rule, block by block, on the H ``contents``.
     """
     _, g2l, _ = _content_partition(spec.M)
     index, entries = _block_map(spec.M)
     out = {}
     for s, image, *_ in entries[i - 1][j - 1]:
-        if contents is None or s in contents:
+        if s in contents:
             position, target, sign = _letter_moves(spec, i, j, sites, index[s])
             blk = np.zeros((index[image].size, index[s].size), dtype=complex)
             np.add.at(blk, (g2l[target], position), sign)

@@ -74,3 +74,32 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def record_builds(monkeypatch, swept=None) -> dict[str, list]:
+    """Every column run built from now on, as (group, column range, g values of its steps).
+
+    The g values fix the spectral point.  The builds of a diagonalization cli
+    runs are filed under "swept" for the ``swept`` sectors and under "rest"
+    for any others; every other build is filed under "other".
+    """
+    from gradedbethe import chain, cli
+
+    built = {"other": [], "swept": [], "rest": []}
+    passes = ["other"]
+    product, diagonalize = chain._group_product, cli.diagonalize_transfer
+
+    def recorded(k, size, cols, steps):
+        built[passes[-1]].append((k, (cols.start, cols.stop), tuple(g for _, g in steps)))
+        return product(k, size, cols, steps)
+
+    def tagged(spec, sectors):
+        passes.append("swept" if sectors == swept else "rest")
+        try:
+            return diagonalize(spec, sectors=sectors)
+        finally:
+            passes.pop()
+
+    monkeypatch.setattr(chain, "_group_product", recorded)
+    monkeypatch.setattr(cli, "diagonalize_transfer", tagged)
+    return built

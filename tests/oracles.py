@@ -7,16 +7,17 @@ the graded permutation, and ``dense``, which fills an H operator's blocks into
 a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
 transfer_blocks hold every aux (x) H group at once, each product built from
-its own identity; the package's entry reads, which build one group at a
-time in shared buffers, must match them to the bit.  The package's reads
-name their H contents or sectors; ``all_contents`` and ``all_sectors`` list
-every one.  The package checks the RTT algebra and the zero-mode limit on
-the full chain on vectors; the group forms those checks replaced stay here
-as references: ``tm1_residual_full_set`` (the entry-level relation over
-whole group sets), ``leakage_by_eigensolve`` (the eigenvector leakage of an
-eigensolve of the given sectors) and ``zero_mode_limit_by_groups`` (the
-zero-mode limit compared on every aux (x) H group).  The dense form of the
-RTT relation, ``site_outer_rtt``, sits with its site-outer kernel in
+its own identity, and ``entry_blocks`` reads any entry off such a set; the
+package's entry reads, which build only the column runs that hold an entry,
+must match them to the bit.  The package's reads name their H contents or
+sectors; ``all_contents`` and ``all_sectors`` list every one.  The package
+checks the RTT algebra and the zero-mode limit on the full chain on
+vectors; the group forms those checks replaced stay here as references:
+``tm1_residual_full_set`` (the entry-level relation over whole group sets),
+``leakage_by_eigensolve`` (the eigenvector leakage of an eigensolve of the
+given sectors) and ``zero_mode_limit_by_groups`` (the zero-mode limit
+compared on every aux (x) H group).  The dense form of the RTT relation,
+``site_outer_rtt``, sits with its site-outer kernel in
 tests/test_chain.py.
 """
 
@@ -24,8 +25,9 @@ import itertools
 
 import numpy as np
 
-from gradedbethe.chain import _DIAGONAL, _block_map, _content_partition, _group_product, \
-    _l_steps, _stream, combine, compose, entry_blocks, g_fun, zero_mode_entry
+from gradedbethe import chain
+from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
+    compose, g_fun, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
     SignedPermutation, permutation_between
 from gradedbethe.spectrum import diagonalize_transfer, sector_indices
@@ -101,7 +103,7 @@ def read_off(spec, entries: dict) -> np.ndarray:
 
 def zero_modes(spec, sites=None) -> dict:
     """Every zero mode T_ij[0] over a site range, as {(i, j): {s: (image, block)}}."""
-    return {(i, j): zero_mode_entry(spec, i, j, sites)
+    return {(i, j): zero_mode_entry(spec, i, j, sites, contents=all_contents(spec))
             for i, j in itertools.product((1, 2, 3), repeat=2)}
 
 
@@ -199,12 +201,32 @@ def graded_commutator(
     return am @ bm - s * (bm @ am)
 
 
-def monodromy_group_set(spec, u, sites=None) -> dict:
-    """Every aux (x) H group block of the monodromy over ``sites`` at once, as {k: block}."""
+def entry_blocks(spec, groups: dict, i: int, j: int, contents=None) -> dict:
+    """The entry T_ij (1-based) of an aux (x) H operator given by group blocks {k: block}.
+
+    Returns {s: (image, block)}, blocks copied and signed with the chain's
+    BLOCK_SIGNS as it stands at the call, each mapping H content s onto
+    ``image``, for every s or only the given ``contents``.  Contents T_ij
+    annihilates, or whose aux (x) H group is not in ``groups``, are absent.
+    """
+    _, entries = _block_map(spec.M)
+    sign = chain.BLOCK_SIGNS[i - 1, j - 1]
+    return {s: (image, sign * groups[g][rows, cols])
+            for s, image, g, rows, cols in entries[i - 1][j - 1]
+            if g in groups and (contents is None or s in contents)}
+
+
+def _group_squares(spec, u, sites=None):
+    """(k, block) for every aux (x) H group of the monodromy over ``sites``, each built whole."""
     sites = spec.all_sites() if sites is None else tuple(sites)
     steps = _l_steps(spec, u, sites)
-    return {k: _group_product(k, ix.size, steps)
-            for k, ix in enumerate(_content_partition(spec.M + 1)[0])}
+    for k, ix in enumerate(_content_partition(spec.M + 1)[0]):
+        yield k, _group_product(k, ix.size, slice(0, ix.size), steps)
+
+
+def monodromy_group_set(spec, u, sites=None) -> dict:
+    """Every aux (x) H group block of the monodromy over ``sites`` at once, as {k: block}."""
+    return dict(_group_squares(spec, u, sites))
 
 
 def monodromy_apply_full_set(spec, u, x: np.ndarray) -> np.ndarray:
@@ -251,12 +273,10 @@ def leakage_by_eigensolve(spec, sectors) -> float:
 def zero_mode_limit_groups(spec, scale: float = 1e6):
     """The large-u limit (u/c)(T(u) - 1) at u = scale * c, on every aux (x) H group.
 
-    Yields (k, block) one group at a time, in _stream's scratch buffers (every
-    group holds a diagonal entry): read or copy each block before asking for
-    the next.
+    Yields (k, block) one group at a time, each a new array.
     """
     u = scale * spec.c
-    for k, block in _stream(spec, u, _DIAGONAL, contents=all_contents(spec)):
+    for k, block in _group_squares(spec, u):
         # (u/c)(T - 1) in place, with the bits of the out-of-place form
         block.flat[::block.shape[0] + 1] -= 1
         np.multiply(u / spec.c, block, out=block)

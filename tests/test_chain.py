@@ -14,7 +14,6 @@ from gradedbethe.chain import (
     _content_partition,
     combine,
     compose,
-    entry_blocks,
     g_fun,
     monodromy_apply,
     monodromy_entries,
@@ -29,10 +28,11 @@ from gradedbethe.chain import (
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
 from gradedbethe.spectrum import EigenState, sandwich
 
-from conftest import embed, peak_bytes
-from oracles import FUND, all_contents, all_sectors, dense, largest, monodromy_apply_full_set, \
-    monodromy_group_set, permutation_by_digits, r_matrix, read_off, supertrace_over_aux, \
-    transfer_blocks_full_set, zero_mode_algebra_worst, zero_mode_limit_groups, zero_modes
+from conftest import embed, peak_bytes, record_builds
+from oracles import FUND, all_contents, all_sectors, dense, entry_blocks, largest, \
+    monodromy_apply_full_set, monodromy_group_set, permutation_by_digits, r_matrix, read_off, \
+    supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, \
+    zero_mode_limit_groups, zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
 ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -269,8 +269,9 @@ def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
 
 def test_zero_mode_structural_vs_limit():
     spec = ChainSpec(M=3)
-    limit = {k: block.copy() for k, block in zero_mode_limit_groups(spec)}
-    worst = max(largest(combine((1.0, zero_mode_entry(spec, i, j)),
+    limit = dict(zero_mode_limit_groups(spec))
+    every = all_contents(spec)
+    worst = max(largest(combine((1.0, zero_mode_entry(spec, i, j, contents=every)),
                                 (-1.0, entry_blocks(spec, limit, i, j)))) for i, j in ALL_PAIRS)
     assert worst < 1e-5
 
@@ -325,7 +326,7 @@ def test_zero_mode_entry_matches_structural_sum(m_sites, twisted):
         groups = structural_zero_mode_groups(spec, sites)
         for i, j in itertools.product((1, 2, 3), repeat=2):
             expect = entry_blocks(spec, groups, i, j)
-            got = zero_mode_entry(spec, i, j, sites)
+            got = zero_mode_entry(spec, i, j, sites, contents=all_contents(spec))
             assert got.keys() == expect.keys()
             for s, (image, blk) in got.items():
                 assert image == expect[s][0]
@@ -444,9 +445,9 @@ COMMUTATION_INDICES = [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1)]
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
-    # monodromy_entries and transfer_blocks build one aux (x) H group at a
-    # time; the full-set path holds every group and is the reference, to the
-    # bit, on every site range and every read
+    # monodromy_entries and transfer_blocks build only the column runs that
+    # hold a read entry; the full-set path holds every group and is the
+    # reference, to the bit, on every site range and every read
     spec = make_spec(m_sites)
     rng = np.random.default_rng(90 + m_sites)
     u = rand_pt(rng, 2.5)
@@ -570,41 +571,31 @@ def test_verify_rtt_matches_the_dense_oracle(m_sites, make_spec):
     assert site_outer_rtt(spec, u, v) < 1e-10
 
 
-def record_builds(monkeypatch) -> list:
-    """Every aux (x) H group product built from now on, as (group, g values of its steps)."""
-    built = []
-    product = chain._group_product
-
-    def recorded(k, size, steps, *args, **kwargs):
-        built.append((k, tuple(g for _, g in steps)))
-        return product(k, size, steps, *args, **kwargs)
-
-    monkeypatch.setattr(chain, "_group_product", recorded)
-    return built
-
-
 @pytest.mark.parametrize("m_sites", [1, 3, 5])
 def test_restricted_builds_compute_only_the_read_groups(m_sites, monkeypatch):
     spec = ChainSpec(M=m_sites, c=0.8 + 0.3j)
     u = 1.7 - 0.6j
     _, _, h_contents = _content_partition(m_sites)
-    _, _, aux_contents = _content_partition(m_sites + 1)
+    aux_groups, _, aux_contents = _content_partition(m_sites + 1)
     full = monodromy_group_set(spec, u)
-    built = record_builds(monkeypatch)
+    built = record_builds(monkeypatch)["other"]
     for pairs in ([(1, 2)], [(3, 3), (2, 1)], ALL_PAIRS):
         for read in ([h_contents[0]], [h_contents[-1]], list(h_contents[1:3])):
             built.clear()
             got = monodromy_entries(spec, u, pairs, contents=read)
-            # the group s + e_j of every requested T_ij with a block on a read s
+            # the run (s + e_j, j) of every requested T_ij with a block on a read s
             wanted = set()
             for i, j in pairs:
                 whole = entry_blocks(spec, full, i, j)
                 assert got[i, j].keys() == {s for s in whole if s in read}
                 for s, (image, blk) in got[i, j].items():
                     assert image == whole[s][0] and np.array_equal(blk, whole[s][1])
-                    wanted.add(aux_contents.index(tuple(n + (t == j - 1)
-                                                        for t, n in enumerate(s))))
-            assert sorted(k for k, _ in built) == sorted(wanted)
+                    wanted.add((aux_contents.index(tuple(n + (t == j - 1)
+                                                         for t, n in enumerate(s))), j))
+            # each built once; a run's columns have aux letter j, the leading digit
+            runs = [(k, int(aux_groups[k][start]) // 3 ** m_sites + 1)
+                    for k, (start, _), _ in built]
+            assert sorted(runs) == sorted(wanted)
 
 
 def test_single_entry_reads_build_one_group(pairs5, monkeypatch):
@@ -612,19 +603,19 @@ def test_single_entry_reads_build_one_group(pairs5, monkeypatch):
 
     spec, vac, pc, pb = pairs5
     vac_plus_e1 = _content_partition(spec.M + 1)[2].index((spec.M + 1, 0, 0))
-    built = record_builds(monkeypatch)
+    built = record_builds(monkeypatch)["other"]
     # both built the three groups s + e_j of the read content before
     universal_form_factor(spec, vac, pc, pb, 2, 2)
     assert len(built) == 1
     built.clear()
     vacuum_eigenvalue(spec, 1, None, 2.1 + 0.4j)
-    assert [k for k, _ in built] == [vac_plus_e1]
+    assert [k for k, _, _ in built] == [vac_plus_e1]
 
 
 def test_tm1_residual_builds_only_the_groups_of_its_entries(monkeypatch):
     spec = ChainSpec(M=4)
     u, v = 1.3 + 2.1j, -2.2 + 0.7j
-    built = record_builds(monkeypatch)
+    built = record_builds(monkeypatch)["other"]
     assert tm1_residual(spec, u, v, (1, 2, 2, 3)) < 1e-10
     # the six entries act on the probe columns through monodromy_apply: no
     # group is built at all (reading them off built 19 of 21 at each point)
@@ -645,12 +636,11 @@ def test_verify_rtt_small_chains(m_sites):
 
 def test_verify_rtt_builds_no_group(monkeypatch):
     # both sides act on the probe columns, 2M + 1 gather steps each: no
-    # aux (x) H or aux (x) aux (x) H group is built or streamed
+    # aux (x) H or aux (x) aux (x) H group, nor any column run of one, is built
     def forbidden(*args, **kwargs):
         raise AssertionError("verify_rtt built a group")
 
-    for name in ("_group_product", "_stream"):
-        monkeypatch.setattr(chain, name, forbidden)
+    monkeypatch.setattr(chain, "_group_product", forbidden)
     assert verify_rtt(ChainSpec(M=5), 1.3 + 2.1j, -2.2 + 0.7j) < 1e-10
 
 
@@ -746,10 +736,10 @@ def test_sites_must_be_in_range_and_strictly_ascending():
         with pytest.raises(ValueError, match=match):
             monodromy_entries(spec, u, [(1, 1)], sites=sites, contents=all_contents(spec))
         with pytest.raises(ValueError, match=match):
-            zero_mode_entry(spec, 1, 2, sites=sites)
+            zero_mode_entry(spec, 1, 2, sites=sites, contents=all_contents(spec))
     # a proper sub-range still reads
     assert monodromy_entries(spec, u, [(1, 1)], sites=[1, 3], contents=all_contents(spec))[1, 1]
-    assert zero_mode_entry(spec, 1, 2, sites=[2, 3])
+    assert zero_mode_entry(spec, 1, 2, sites=[2, 3], contents=all_contents(spec))
 
 
 # -- serialization ------------------------------------------------------------------
@@ -786,7 +776,7 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     assert peak_bytes(lambda: transfer_blocks(spec, u, contents=every)) < 0.8 * dense
     assert peak_bytes(lambda: monodromy_entries(spec, u, ALL_PAIRS, contents=every)) < 1.5 * dense
     assert peak_bytes(lambda: zero_modes(spec)) < 1.5 * dense
-    assert peak_bytes(lambda: [blk.copy() for _, blk in zero_mode_limit_groups(spec)]) < 1.5 * dense
+    assert peak_bytes(lambda: list(zero_mode_limit_groups(spec))) < 1.5 * dense
 
 
 @pytest.fixture(scope="module")
@@ -838,10 +828,23 @@ def test_full_chain_builds_peak_below_two_group_sets():
     u, v = 1.3 + 2.1j, -2.2 + 0.7j
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
     tm1_residual(spec, u, v, (1, 2, 2, 3))  # warm the partition and plan caches
-    # measured 0.27x and 1.35x-1.60x, three scratch buffers of the largest group
-    # included; tm1 on vectors holds a few columns (reading off its six entries
-    # made it 1.40x, holding both group sets 2.57x), and every probe's group
-    # set and transfer blocks made the diagonalization 2.17x
+    # measured 0.21x and 0.96x; tm1 on vectors holds a few columns (reading off
+    # its six entries made it 1.40x, holding both group sets 2.57x), and the
+    # diagonalization holds one column run at a time (whole groups in three
+    # scratch buffers made it 1.35x-1.60x, every probe's group set and
+    # transfer blocks 2.17x)
     assert peak_bytes(lambda: tm1_residual(spec, u, v, (1, 2, 2, 3))) < 0.5 * group_set
     every = all_sectors(spec)
-    assert peak_bytes(lambda: diagonalize_transfer(spec, sectors=every)) < 1.75 * group_set
+    assert peak_bytes(lambda: diagonalize_transfer(spec, sectors=every)) < 1.2 * group_set
+
+
+@pytest.mark.parametrize("m_sites", [4, 5])
+def test_transfer_blocks_peak_below_one_group_set(m_sites):
+    spec = ChainSpec(M=m_sites)
+    u = 2.1 + 0.4j
+    every = all_contents(spec)
+    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(m_sites + 1)[0])
+    transfer_blocks(spec, u, contents=every)  # warm the partition and plan caches
+    # measured 0.78x and 0.62x; whole groups in three scratch buffers, each
+    # diagonal block held until its content had all three, made them 1.05x and 1.01x
+    assert peak_bytes(lambda: transfer_blocks(spec, u, contents=every)) < group_set

@@ -18,8 +18,8 @@ from gradedbethe.cli import (
     run_scenario,
 )
 
-from conftest import peak_bytes
-from oracles import zero_mode_limit_by_groups
+from conftest import peak_bytes, record_builds
+from oracles import all_contents, zero_mode_limit_by_groups
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedbethe.__file__)))
 
@@ -426,56 +426,12 @@ def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
     assert len(twists) == len(set(twists)) == 3 * directions
 
 
-def record_group_builds(monkeypatch, swept) -> dict[str, list]:
-    """Every aux (x) H group built from now on, filed under the read that streams it.
-
-    A build is keyed by the group and the steps' g values, which fix the
-    spectral point.  "swept" and "rest" hold the builds of a diagonalization
-    of the ``swept`` sectors and of the other sectors, "other" those of every
-    read outside a diagonalization.
-    """
-    from gradedbethe import chain, cli
-
-    built = {"other": [], "swept": [], "rest": []}
-    reads, passes = [], []
-    product, stream, diagonalize = chain._group_product, chain._stream, cli.diagonalize_transfer
-
-    def recorded(k, size, steps, *args, **kwargs):
-        if reads and reads[-1]:
-            built[reads[-1]].append((k, size, tuple(g for _, g in steps)))
-        return product(k, size, steps, *args, **kwargs)
-
-    def tracked(spec, u, pairs, sites=None, *, contents):
-        groups = stream(spec, u, pairs, sites, contents=contents)
-        while True:
-            reads.append(passes[-1] if passes else "other")
-            try:
-                item = next(groups)
-            except StopIteration:
-                return
-            finally:
-                reads.pop()
-            yield item
-
-    def tagged(spec, sectors):
-        passes.append("swept" if sectors == swept else "rest")
-        try:
-            return diagonalize(spec, sectors=sectors)
-        finally:
-            passes.pop()
-
-    monkeypatch.setattr(chain, "_group_product", recorded)
-    monkeypatch.setattr(chain, "_stream", tracked)
-    monkeypatch.setattr(cli, "diagonalize_transfer", tagged)
-    return built
-
-
 def test_rtt_and_vacuum_build_only_the_vacuum_groups(tmp_path, monkeypatch):
     from gradedbethe import chain, cli
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "vacuum"]
-    built = record_group_builds(monkeypatch, cli._Workspace(scenario).swept)
+    built = record_builds(monkeypatch, cli._Workspace(scenario).swept)
     code, _ = run_scenario(scenario, str(tmp_path / "out"))
     assert code == 0
     # with no spectral check requested the spectrum is never diagonalized, and
@@ -497,7 +453,7 @@ def test_full_chain_job_rows_build_no_group(tmp_path, monkeypatch):
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "spectrum-match"]
     ws = cli._Workspace(scenario)
-    built = record_group_builds(monkeypatch, ws.swept)
+    built = record_builds(monkeypatch, ws.swept)
     inside = []
 
     def counting(fn):
@@ -517,12 +473,12 @@ def test_full_chain_job_rows_build_no_group(tmp_path, monkeypatch):
     assert code == 0
     verdicts = {r.identity: r.verdict for r in reports}
     assert verdicts["rtt:tm1-1223"] == verdicts["spectrum:consistency"] == "pass"
-    # the swept pass is the run's one streamed read; the rtt rows and the
-    # unswept figure stream no group
+    # the swept pass is the run's one read of column runs; the rtt rows and
+    # the unswept figure build none
     assert inside == [0, 0] and not built["rest"] and built["swept"]
     # called directly, with every group builder and eigensolve forbidden
-    for module, name in ((chain, "_group_product"), (chain, "_stream"),
-                         (cli, "diagonalize_transfer"), (spectrum, "diagonalize_transfer")):
+    for module, name in ((chain, "_group_product"), (cli, "diagonalize_transfer"),
+                         (spectrum, "diagonalize_transfer")):
         monkeypatch.setattr(module, name, forbidden)
     assert cli._leakage(ws.spec, ws.rest) < 1e-9
     assert chain.tm1_residual(ws.spec, 1.3 + 2.1j, -2.2 + 0.7j, (1, 2, 2, 3)) < 1e-10
@@ -652,9 +608,10 @@ def test_zero_mode_limit_on_columns_and_on_groups(m):
     # the letter rule on columns is zero_mode_entry's blocks applied to them
     y = chain._probe_columns(3 ** m)
     index, _ = chain._block_map(m)
+    every = all_contents(spec)
     for i, j in itertools.product((1, 2, 3), repeat=2):
         expect = np.zeros(y.shape, dtype=complex)
-        for s, (image, blk) in chain.zero_mode_entry(spec, i, j).items():
+        for s, (image, blk) in chain.zero_mode_entry(spec, i, j, contents=every).items():
             expect[index[image]] += blk @ y[index[s]]
         assert np.array_equal(chain._zero_mode_apply(spec, i, j, y), expect)
 

@@ -136,7 +136,7 @@ def test_partial_zero_mode_empty_range(spec4, p10):
 
 def test_local_operator_is_zero_mode_difference(spec4, p10, p20):
     for m in (1, 2, 3):
-        t12 = dense(spec4, zero_mode_entry(spec4, 1, 2, [m]))
+        t12 = dense(spec4, zero_mode_entry(spec4, 1, 2, [m], contents=all_contents(spec4)))
         direct = embed(spec4, (2, 0), p20[0].left) @ t12 @ embed(spec4, (1, 0), p10[0].right)
         diff = partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m) \
             - partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m - 1)
@@ -291,8 +291,10 @@ def test_generating_functional_matches_expm_of_dense_zero_modes(m):
     # entrywise, which is expm since Q_beta is diagonal
     spec = ChainSpec(M=4, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     beta = (0.3 + 0.2j, -0.25 + 0.1j, 0.15 - 0.35j)
+    every = all_contents(spec)
     q = sum((-1) ** FUNDAMENTAL_PARITIES[i] * beta[i]
-            * dense(spec, zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1))) for i in range(3))
+            * dense(spec, zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), contents=every))
+            for i in range(3))
     assert np.array_equal(q, np.diag(np.diag(q)))
     exp_q = np.diag(np.exp(np.diag(q)))
     states = diagonalize_transfer(spec, sectors=[(2, 1)]).states
@@ -359,10 +361,12 @@ def test_ladder_with_descendant_dual(spec4, vac4, p10, d11):
 def test_raising_image_lands_in_next_sector(spec4, vac4, p10):
     # T_12[0] B_{a,b} is an eigenvector with sector (a+1, b)
     pair = p10[0]
-    img = dense(spec4, zero_mode_entry(spec4, 1, 2)) @ embed(spec4, pair.sector, pair.right)
+    every = all_contents(spec4)
+    img = dense(spec4, zero_mode_entry(spec4, 1, 2, contents=every)) \
+        @ embed(spec4, pair.sector, pair.right)
     assert np.linalg.norm(img) > 1e-8
     for i, expect in ((1, vac4.lam_zero_mode(1) - 2), (3, vac4.lam_zero_mode(3) - 0)):
-        val = dense(spec4, zero_mode_entry(spec4, i, i)) @ img
+        val = dense(spec4, zero_mode_entry(spec4, i, i, contents=every)) @ img
         assert np.linalg.norm(val - expect * img) < 1e-8 * np.linalg.norm(img)
 
 

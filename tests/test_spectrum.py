@@ -128,7 +128,8 @@ def test_sector_labels_from_zero_modes(spec4, vac4, classified4):
 
 def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classified4):
     # T_11[0] B = (lambda_1[0] - a) B and cyclic, as operator actions
-    zm = [dense(spec4, zero_mode_entry(spec4, i, i)) for i in (1, 2, 3)]
+    every = all_contents(spec4)
+    zm = [dense(spec4, zero_mode_entry(spec4, i, i, contents=every)) for i in (1, 2, 3)]
     for pair in classified4[:12]:
         if pair.kind not in ("primitive", "descendant"):
             continue
@@ -144,7 +145,7 @@ def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classifi
 
 def test_dual_annihilation_for_primitive_duals(dec4, classified4):
     # C_{a+1,b} T_12[0] = 0 for finite-root dual states
-    t12 = dense(dec4.spec, zero_mode_entry(dec4.spec, 1, 2))
+    t12 = dense(dec4.spec, zero_mode_entry(dec4.spec, 1, 2, contents=all_contents(dec4.spec)))
     for pair in classified4:
         if pair.kind != "primitive" or pair.sector[0] < 1:
             continue
@@ -235,9 +236,9 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
     diagonal = transfer_blocks(spec4, 2.1 + 0.4j, contents=all_contents(spec4))
     assert sandwich(spec4, c, None, b) == 0
     assert sandwich(spec4, c, diagonal, b) == 0
-    assert sandwich(spec4, c, zero_mode_entry(spec4, 3, 3), b) == 0
+    assert sandwich(spec4, c, zero_mode_entry(spec4, 3, 3, contents=all_contents(spec4)), b) == 0
     # and the content check passes the matrix elements the step allows
-    up = zero_mode_entry(spec4, 2, 3)
+    up = zero_mode_entry(spec4, 2, 3, contents=all_contents(spec4))
     expect = embed(spec4, c.sector, c.left) @ dense(spec4, up) @ embed(spec4, b.sector, b.right)
     assert abs(sandwich(spec4, c, up, b) - expect) < 1e-12 * abs(expect)
     assert abs(expect) > 1e-6
