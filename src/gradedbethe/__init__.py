@@ -19,14 +19,12 @@ from .chain import (
     ChainSpec,
     PoleError,
     TwistConfig,
-    VacuumFunctions,
     vacuum_eigenvalue,
     verify_rtt,
     yang_baxter_residual,
 )
 from .formfactors import (
     FormFactorReport,
-    ZetaFactors,
     check_proposition1,
     check_theorem1,
     check_theorem2,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec, PoleError, TwistConfig, VacuumFunctions, f_fun
+from .chain import ChainSpec, PoleError, TwistConfig, f_fun
 
 __all__ = [
     "BetheRoots",
@@ -103,7 +103,7 @@ def _check_f_poles(roots: BetheRoots, spec: ChainSpec, tol: float) -> None:
                 raise PoleError(f"roots {x}, {y} sit on an f-function pole")
 
 
-def bethe_residual(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
+def bethe_residual(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
     """Log-form residuals of the a+b (twisted) Bethe equations.
 
     Entry j is Log(LHS_j / RHS_j) with the principal branch taken once per
@@ -112,21 +112,20 @@ def bethe_residual(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
     warning.  Roots at infinity contribute the constant consistency condition
     on the twist ratio.
     """
-    spec = vac.spec
     c = spec.c
     _check_f_poles(roots, spec, _POLE_TOL * abs(c))
     k1, k2, k3 = roots.twist.kappa
     uu, vv = roots.u, roots.v
     res = []
     for j, x in enumerate(uu):
-        lhs = vac.r(1, x)
+        lhs = spec.r(1, x)
         rhs = (k2 / k1) * _prod_f([x], [y for i, y in enumerate(uu) if i != j], c) \
             / _prod_f([y for i, y in enumerate(uu) if i != j], [x], c) \
             * _prod_f(vv, [x], c)
         res.append(np.log(lhs / rhs))
     res.extend([-np.log(k2 / k1)] * roots.n_u_inf)
     for x in vv:
-        lhs = vac.r(3, x)
+        lhs = spec.r(3, x)
         rhs = (k2 / k3) * _prod_f([x], uu, c)
         res.append(np.log(lhs / rhs))
     res.extend([-np.log(k2 / k3)] * roots.n_v_inf)
@@ -142,15 +141,14 @@ def _dlogf(x: complex, y: complex, c: complex) -> tuple[complex, complex]:
     return d, -d
 
 
-def _bethe_jacobian(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
+def _bethe_jacobian(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
     """Analytic Jacobian of the finite-root part of the log-form residuals."""
-    spec = vac.spec
     c = spec.c
     uu, vv = roots.u, roots.v
     na, nb = len(uu), len(vv)
     jac = np.zeros((na + nb, na + nb), dtype=complex)
     for j, x in enumerate(uu):
-        jac[j, j] += vac.dlog_r(1, x)
+        jac[j, j] += spec.dlog_r(1, x)
         for k, y in enumerate(uu):
             if k == j:
                 continue
@@ -164,7 +162,7 @@ def _bethe_jacobian(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
             jac[j, na + l] -= dv
     for j, x in enumerate(vv):
         row = na + j
-        jac[row, row] += vac.dlog_r(3, x)
+        jac[row, row] += spec.dlog_r(3, x)
         for l, y in enumerate(uu):
             dx, dy = _dlogf(x, y, c)         # log f(v_j, u_l)
             jac[row, row] -= dx
@@ -172,14 +170,13 @@ def _bethe_jacobian(roots: BetheRoots, vac: VacuumFunctions) -> np.ndarray:
     return jac
 
 
-def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12) -> BetheRoots:
+def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheRoots:
     """Damped Newton iteration on the log-form residual from a seed.
 
     Only finite roots are iterated; infinite roots are carried through after
     their twist-consistency condition is checked.  The returned roots carry
     the achieved residual and are re-validated for distinctness.
     """
-    spec = vac.spec
     c = spec.c
     k1, k2, k3 = seed.twist.kappa
     if seed.n_u_inf and abs(k2 / k1 - 1.0) > tol:
@@ -192,7 +189,7 @@ def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12) -> B
 
     def residual_at(vec):
         r = replace(seed, u=tuple(vec[:na]), v=tuple(vec[na:]), residual=None)
-        full = bethe_residual(r, vac)
+        full = bethe_residual(r, spec)
         return np.concatenate([full[:na], full[na + seed.n_u_inf: na + seed.n_u_inf + nb]])
 
     if na + nb == 0:
@@ -204,7 +201,7 @@ def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12) -> B
         if norm < tol:
             break
         r = replace(seed, u=tuple(x[:na]), v=tuple(x[na:]), residual=None)
-        jac = _bethe_jacobian(r, vac)
+        jac = _bethe_jacobian(r, spec)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -239,13 +236,12 @@ def solve_bethe(seed: BetheRoots, vac: VacuumFunctions, tol: float = 1e-12) -> B
     return out
 
 
-def tau_eigenvalue(w: complex, roots: BetheRoots, vac: VacuumFunctions) -> complex:
+def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
     """Twisted transfer-matrix eigenvalue tau_kappa(w | ubar, vbar).
 
     kappa_1 lam_1(w) prod f(u_j,w) + kappa_2 lam_2(w) prod f(w,u_j) prod f(v_k,w)
     - kappa_3 lam_3(w) prod f(v_k,w); roots at infinity contribute factors 1.
     """
-    spec = vac.spec
     c = spec.c
     for x in list(roots.u) + list(roots.v):
         if w == x:
@@ -254,9 +250,9 @@ def tau_eigenvalue(w: complex, roots: BetheRoots, vac: VacuumFunctions) -> compl
     fu_w = _prod_f(roots.u, [w], c)
     fw_u = _prod_f([w], roots.u, c)
     fv_w = _prod_f(roots.v, [w], c)
-    return (k1 * vac.lam(1, w) * fu_w
-            + k2 * vac.lam(2, w) * fw_u * fv_w
-            - k3 * vac.lam(3, w) * fv_w)
+    return (k1 * spec.lam(1, w) * fu_w
+            + k2 * spec.lam(2, w) * fw_u * fv_w
+            - k3 * spec.lam(3, w) * fv_w)
 
 
 # -- seeding: TQ functional fit ------------------------------------------------
@@ -271,9 +267,8 @@ def _polyval_vec(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_roots_to_samples(sector: tuple[int, int], tau_fn, vac: VacuumFunctions,
-                         twist: TwistConfig | None = None) -> BetheRoots | None:
-    """Fit finite Bethe roots to an eigenvalue function via the TQ relation.
+def fit_roots_to_samples(sector: tuple[int, int], tau_fn, spec: ChainSpec) -> BetheRoots | None:
+    """Fit finite Bethe roots to an eigenvalue function via the TQ relation, at the spec's twist.
 
     On shell, with Q_u and Q_v the monic root polynomials,
 
@@ -287,9 +282,8 @@ def fit_roots_to_samples(sector: tuple[int, int], tau_fn, vac: VacuumFunctions,
     the alternation stalls (e.g. the sector has no finite-root solution).
     """
     a, b = sector
-    spec = vac.spec
     c = spec.c
-    twist = twist or TwistConfig()
+    twist = spec.twist
     k1, k2, k3 = twist.kappa
     if a + b == 0:
         return BetheRoots(twist=twist)
@@ -301,7 +295,7 @@ def fit_roots_to_samples(sector: tuple[int, int], tau_fn, vac: VacuumFunctions,
     grid = center + rad * np.exp(1j * ang)
 
     tau = np.array([tau_fn(w) for w in grid], dtype=complex)
-    lam = [np.array([vac.lam(k, w) for w in grid], dtype=complex) for k in (1, 2, 3)]
+    lam = [np.array([spec.lam(k, w) for w in grid], dtype=complex) for k in (1, 2, 3)]
 
     qu = np.zeros(a, dtype=complex)
     qv = np.zeros(b, dtype=complex)
@@ -374,9 +368,8 @@ def _trimmed_roots(coeffs: np.ndarray, root_cap: float) -> np.ndarray:
     return roots[np.abs(roots) < root_cap]
 
 
-def subset_seed_candidates(sector: tuple[int, int], vac: VacuumFunctions,
-                           twist: TwistConfig | None = None):
-    """Deterministic Newton seeds for finite-root solutions, vacuum index 1.
+def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
+    """Deterministic Newton seeds for finite-root solutions at the spec's twist, vacuum index 1.
 
     The second Bethe equation carries no v-v coupling, so with ubar fixed
     every v is a root of the single polynomial
@@ -387,8 +380,7 @@ def subset_seed_candidates(sector: tuple[int, int], vac: VacuumFunctions,
     near) the true solutions and the Newton polish is a formality.
     """
     a, b = sector
-    spec = vac.spec
-    twist = twist or TwistConfig()
+    twist = spec.twist
     k1, k2, k3 = twist.kappa
     c = spec.c
     xi = np.asarray(spec.xi)
@@ -436,36 +428,36 @@ class RootTrajectory:
     def seed(self) -> BetheRoots:
         return self.points[len(self.points) // 2]
 
-    def dlog_ell_ratio(self, vac: VacuumFunctions, m: int) -> complex:
+    def dlog_ell_ratio(self, spec: ChainSpec, m: int) -> complex:
         """Central-difference d/dkappa_i of log(ell_1(ubar)/ell_3(vbar)) at 1.
 
         The difference of logs is taken as the log of the ratio of endpoint
         values, which stays near 1 for small widths and cannot jump branch.
         """
         lo, hi = self.points[0], self.points[-1]
-        num = (vac.ell_product(1, hi.u, m) / vac.ell_product(1, lo.u, m))
-        den = (vac.ell_product(3, hi.v, m) / vac.ell_product(3, lo.v, m))
+        sites = range(1, m + 1)
+        num = spec.r_product(1, hi.u, sites) / spec.r_product(1, lo.u, sites)
+        den = spec.r_product(3, hi.v, sites) / spec.r_product(3, lo.v, sites)
         return (np.log(num) - np.log(den)) / (2 * self.delta)
 
 
-def _descent_seed(kind: str, roots: BetheRoots, vac: VacuumFunctions,
+def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec,
                   twist: TwistConfig) -> complex:
     """Large-|x| seed for one root descending from infinity under a twist.
 
     From the asymptotic Bethe equation 1 + A c/x = rho (1 + B c/x) with
     rho the relevant kappa ratio: x = c (A - rho B)/(rho - 1).
     """
-    spec = vac.spec
     c = spec.c
     k1, k2, k3 = twist.kappa
     a_fin, b_fin = len(roots.u), len(roots.v)
     if kind == "u":
         rho = k2 / k1
-        a_coef = vac.lam_zero_mode(1) - vac.lam_zero_mode(2)
+        a_coef = spec.lam_zero_mode(1) - spec.lam_zero_mode(2)
         b_coef = 2 * a_fin - b_fin
     else:
         rho = k2 / k3
-        a_coef = vac.lam_zero_mode(3) - vac.lam_zero_mode(2)
+        a_coef = spec.lam_zero_mode(3) - spec.lam_zero_mode(2)
         b_coef = a_fin
     if abs(rho - 1.0) < 1e-14:
         raise BetheSolverError("descent seed requested for an unsplit twist ratio")
@@ -473,25 +465,25 @@ def _descent_seed(kind: str, roots: BetheRoots, vac: VacuumFunctions,
     return complex(base + c * (a_coef - rho * b_coef) / (rho - 1.0))
 
 
-def _solve_at_twist(point: BetheRoots, vac: VacuumFunctions, twist: TwistConfig,
+def _solve_at_twist(point: BetheRoots, spec: ChainSpec, twist: TwistConfig,
                     tol: float) -> BetheRoots:
     """Re-solve a root set at a new twist, descending infinite roots if split."""
     k1, k2, k3 = twist.kappa
     seed = replace(point, twist=twist, residual=None)
     if seed.n_u_inf and abs(k2 / k1 - 1.0) > 1e-14:
         for _ in range(seed.n_u_inf):
-            x0 = _descent_seed("u", seed, vac, twist)
+            x0 = _descent_seed("u", seed, spec, twist)
             jitter = 1.0 + 0.05 * len(seed.u)
             seed = replace(seed, u=seed.u + (x0 * jitter,), n_u_inf=seed.n_u_inf - 1)
     if seed.n_v_inf and abs(k2 / k3 - 1.0) > 1e-14:
         for _ in range(seed.n_v_inf):
-            x0 = _descent_seed("v", seed, vac, twist)
+            x0 = _descent_seed("v", seed, spec, twist)
             jitter = 1.0 + 0.05 * len(seed.v)
             seed = replace(seed, v=seed.v + (x0 * jitter,), n_v_inf=seed.n_v_inf - 1)
-    return solve_bethe(seed, vac, tol=tol)
+    return solve_bethe(seed, spec, tol=tol)
 
 
-def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
+def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
                    delta: float, tol: float = 1e-13) -> RootTrajectory:
     """Track roots to kappa_direction = 1 - delta and 1 + delta from a seed at 1.
 
@@ -507,10 +499,10 @@ def continue_twist(seed: BetheRoots, vac: VacuumFunctions, direction: int,
 
     # the step as 1 + delta holds it, so both ends sit at 1 -/+ the same step
     step = (1.0 + delta) - 1.0
-    c_abs = abs(vac.spec.c)
+    c_abs = abs(spec.c)
 
     def solve_at(sign: float) -> BetheRoots:
-        cur = _solve_at_twist(seed, vac, seed.twist.replace(direction, 1.0 + sign * step), tol)
+        cur = _solve_at_twist(seed, spec, seed.twist.replace(direction, 1.0 + sign * step), tol)
         # compare the common finite roots; Newton preserves component order
         # and freshly descended roots are appended at the tail of each set
         for old_set, new_set in ((seed.u, cur.u), (seed.v, cur.v)):

@@ -1,4 +1,5 @@
-"""Inhomogeneous fundamental chain: L-operators, monodromy, transfer, zero modes.
+"""Inhomogeneous fundamental chain: the model and its vacuum closed forms, L-operators,
+monodromy, transfer, zero modes.
 
 The chain lives on M three-dimensional graded sites with grading (0,0,1).
 Every L-operator permutes tensor factors, so every chain operator on
@@ -48,7 +49,6 @@ from .graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
 __all__ = [
     "TwistConfig",
     "ChainSpec",
-    "VacuumFunctions",
     "PoleError",
     "yang_baxter_residual",
     "monodromy_entries",
@@ -129,7 +129,8 @@ class ChainSpec:
     """Model definition: site count, coupling, inhomogeneities, twist.
 
     The vacuum is e_1 on every site; root seeding and the sector labels
-    count against it.
+    count against it, and its eigenvalues lambda_k(u) and their ratios are
+    the closed forms below, the only way the representation enters.
     """
 
     M: int
@@ -155,6 +156,50 @@ class ChainSpec:
 
     def all_sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.M + 1))
+
+    def _sites(self, sites) -> tuple[int, ...]:
+        return self.all_sites() if sites is None else tuple(sites)
+
+    # -- vacuum functions -------------------------------------------------
+    # Closed forms over a site range, the full chain when ``sites`` is None.
+    # Index 1 is even, so the single-site vacuum eigenvalues are
+    # lambda_1(u|n) = 1 + g(u, xi_n) and lambda_2 = lambda_3 = 1.  No operator
+    # read calls these: the vacuum rows compare them with T(u) on the vacuum.
+
+    def lam(self, k: int, u: complex, sites=None) -> complex:
+        """lambda_k(u), the product of lambda_k(u|n) over the sites."""
+        if k != 1:
+            return 1.0 + 0j
+        # numpy-scalar factors: the bits the reports were pinned with
+        return complex(math.prod(1.0 + np.complex128(g_fun(u, self.xi[n - 1], self.c))
+                                 for n in self._sites(sites)))
+
+    def r(self, k: int, u: complex, sites=None) -> complex:
+        """Ratio r_k = lambda_k / lambda_2, k in {1, 3}."""
+        return self.lam(k, u, sites) / self.lam(2, u, sites)
+
+    def dlog_r(self, k: int, u: complex, sites=None) -> complex:
+        """d/du log r_k(u) (analytic)."""
+        if k != 1:
+            return 0.0 + 0j
+        c, total = self.c, 0.0 + 0j
+        for n in self._sites(sites):
+            x = self.xi[n - 1]
+            # numpy scalars here too, as in lam
+            total += np.complex128(-c / (u - x) ** 2) / (1.0 + np.complex128(c) / (u - x))
+        return total
+
+    def lam_zero_mode(self, k: int, sites=None) -> complex:
+        """Coefficient in lambda_k(u) = 1 + coeff * c/u + O(u^-2)."""
+        return complex(len(self._sites(sites))) if k == 1 else 0.0 + 0j
+
+    def r_product(self, k: int, roots, sites=None) -> complex:
+        """prod_x r_k(x) over a root set; non-finite roots are skipped, the empty product is 1."""
+        out = 1.0 + 0j
+        for x in roots:
+            if np.isfinite(x):
+                out *= self.r(k, x, sites)
+        return out
 
     # -- serialization ----------------------------------------------------
 
@@ -296,82 +341,6 @@ def f_fun(u: complex, v: complex, c: complex) -> complex:
     if u == v:
         raise PoleError("f(u,v) pole at u = v")
     return (u - v + c) / (u - v)
-
-
-# -- vacuum functions -------------------------------------------------------
-
-
-class VacuumFunctions:
-    """Closed-form vacuum eigenvalues and their ratios for a chain spec.
-
-    The vacuum is e_1 on every site, and index 1 is even, so the single-site
-    diagonal eigenvalues are lambda_1(u|n) = 1 + g(u, xi_n) and
-    lambda_2 = lambda_3 = 1; every multi-site quantity is the product over
-    the relevant sites.  The closed forms are cross-checked against direct
-    application of the monodromy to the vacuum in vacuum_eigenvalue().
-    """
-
-    def __init__(self, spec: ChainSpec):
-        self.spec = spec
-
-    def _sites(self, sites) -> tuple[int, ...]:
-        return self.spec.all_sites() if sites is None else tuple(sites)
-
-    def lam_site(self, k: int, u: complex, n: int) -> complex:
-        """lambda_k(u|n), vacuum eigenvalue of the n-th local L-operator."""
-        if k != 1:
-            return 1.0 + 0j
-        # a numpy scalar, so the ratios built from it divide as numpy does
-        return 1.0 + np.complex128(g_fun(u, self.spec.xi[n - 1], self.spec.c))
-
-    def lam(self, k: int, u: complex, sites=None) -> complex:
-        return complex(math.prod(self.lam_site(k, u, n) for n in self._sites(sites)))
-
-    def lam_zero_mode(self, k: int, sites=None) -> complex:
-        """Coefficient in lambda_k^(range)(u) = 1 + coeff * c/u + O(u^-2)."""
-        if k != 1:
-            return 0.0 + 0j
-        return complex(len(self._sites(sites)))
-
-    def r(self, k: int, u: complex, sites=None) -> complex:
-        """Ratio r_k = lambda_k / lambda_2 over a site range, k in {1,3}."""
-        return self.lam(k, u, sites) / self.lam(2, u, sites)
-
-    def ell(self, k: int, u: complex, m: int) -> complex:
-        """ell_k(u) = r_k over the first sub-chain, sites 1..m."""
-        return self.r(k, u, sites=range(1, m + 1))
-
-    def ell_site(self, k: int, u: complex, n: int) -> complex:
-        """Per-site ratio ell_k(u|n) = lambda_k(u|n)/lambda_2(u|n)."""
-        return self.lam_site(k, u, n) / self.lam_site(2, u, n)
-
-    def dlog_r(self, k: int, u: complex, sites=None) -> complex:
-        """d/du log r_k(u) over a site range (analytic)."""
-        if k != 1:
-            return 0.0 + 0j
-        c = self.spec.c
-        total = 0.0 + 0j
-        for n in self._sites(sites):
-            x = self.spec.xi[n - 1]
-            # numpy scalars here too, as in lam_site
-            total += np.complex128(-c / (u - x) ** 2) / (1.0 + np.complex128(c) / (u - x))
-        return total
-
-    # products over root sets (empty product = 1; non-finite roots skipped)
-
-    def ell_product(self, k: int, roots, m: int) -> complex:
-        out = 1.0 + 0j
-        for x in roots:
-            if np.isfinite(x):
-                out *= self.ell(k, x, m)
-        return out
-
-    def ell_site_product(self, k: int, roots, n: int) -> complex:
-        out = 1.0 + 0j
-        for x in roots:
-            if np.isfinite(x):
-                out *= self.ell_site(k, x, n)
-        return out
 
 
 # -- Yang-Baxter -------------------------------------------------------------

@@ -27,7 +27,6 @@ from .bethe import bethe_residual, continue_twist
 from .chain import (
     ChainSpec,
     PoleError,
-    VacuumFunctions,
     _default_xi,
     _entry_apply,
     _probe_columns,
@@ -54,6 +53,7 @@ from .formfactors import (
 )
 from .spectrum import (
     _content,
+    _swept_sectors,
     classify_spectrum,
     default_probes,
     diagonalize_transfer,
@@ -64,8 +64,6 @@ from .spectrum import (
 __all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_report", "main",
            "default_scenario_dict", "KNOWN_CHECKS"]
 
-KNOWN_CHECKS = ("rtt", "ybe", "vacuum", "spectrum-match", "theorem1", "theorem2",
-                "proposition1", "ladder")
 MAX_SITES = 7
 SCHEMA_VERSION = 1
 
@@ -102,6 +100,16 @@ def _seed(name: str, value) -> int:
     if seed < 0:
         raise ScenarioError(f"{name} must be an integer from 0 up, got {value!r}")
     return seed
+
+
+def _checks(names) -> list[str]:
+    """A check list: at least one name, each one of KNOWN_CHECKS."""
+    if not names:
+        raise ScenarioError("empty check list")
+    for name in names:
+        if name not in KNOWN_CHECKS:
+            raise ScenarioError(f"unrecognized check name: {name!r}")
+    return list(names)
 
 
 def _distinct(name: str, values: list) -> list:
@@ -167,12 +175,7 @@ class Scenario:
             # theorem2 in a traceback: the checks assume the untwisted chain
             raise ScenarioError(f"unsupported twist kappa={chain_data['kappa']}: "
                                 "only the untwisted chain, kappa = (1, 1, 1), is supported")
-        checks = list(data.get("checks", list(KNOWN_CHECKS)))
-        if not checks:
-            raise ScenarioError("empty check list")
-        for name in checks:
-            if name not in KNOWN_CHECKS:
-                raise ScenarioError(f"unrecognized check name: {name!r}")
+        checks = _checks(list(data.get("checks", KNOWN_CHECKS)))
         sectors = _distinct("sectors", [
             tuple(_integer("sectors", x) for x in s)
             for s in data.get("sectors", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]])])
@@ -247,11 +250,8 @@ class _Workspace:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.spec = scenario.chain
-        self.vac = VacuumFunctions(self.spec)
         self.rng = np.random.default_rng(scenario.seed)
-        requested = scenario.sectors
-        self.swept = [s for s in sector_indices(self.spec) if not requested
-                      or any(s[0] <= a and s[1] <= b for a, b in requested)]
+        self.swept = _swept_sectors(sector_indices(self.spec), scenario.sectors)
         self.rest = [s for s in sector_indices(self.spec) if s not in self.swept]
         self._dec = None
         self._classified = None
@@ -263,8 +263,8 @@ class _Workspace:
 
     def classified(self):
         if self._classified is None:
-            self._classified = classify_spectrum(
-                self.decomposition(), self.vac, sectors=self.scenario.sectors)
+            self._classified = classify_spectrum(self.decomposition(),
+                                                 sectors=self.scenario.sectors)
         return self._classified
 
     def states(self, sector, kind="primitive"):
@@ -324,7 +324,7 @@ def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
 
 
 def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
-    spec, vac, rng = ws.spec, ws.vac, ws.rng
+    spec, rng = ws.spec, ws.rng
     out = []
     u = _random_point(rng, spec.c, 2.5 * spec.c)
     # the vacuum e_1 (x) ... (x) e_1 is the one basis vector of its content
@@ -339,7 +339,7 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
                   if (s if i > j else image) == vac_s]
         worst_ann = max([worst_ann] + [float(np.abs(x).max()) for x in images])
     for k in (1, 2, 3):
-        lam = vac.lam(k, u)
+        lam = spec.lam(k, u)
         image = t[k, k][vac_s][1][:, 0]
         worst_eig = max(worst_eig, float(np.abs(image - lam).max()) / max(1, abs(lam)))
     out.append(make_report("vacuum:annihilation", worst_ann, 0.0, 1e-10, residual=worst_ann))
@@ -369,7 +369,7 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
 
 
 def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
-    spec, vac = ws.spec, ws.vac
+    spec = ws.spec
     out = []
     dec = ws.decomposition()
     # the swept sectors' eigenvector leakage and the other sectors' commutator
@@ -391,10 +391,10 @@ def _run_spectrum_match(ws: _Workspace) -> list[FormFactorReport]:
         n_label_ok = 0
         worst_res = 0.0
         for st in prims:
-            labels = sector_labels_from_zero_modes(spec, st, vac)
+            labels = sector_labels_from_zero_modes(spec, st)
             if labels == tuple(sector) == st.roots.sector:
                 n_label_ok += 1
-            res = bethe_residual(st.roots, vac)
+            res = bethe_residual(st.roots, spec)
             worst_res = max(worst_res, float(np.abs(res).max()) if res.size else 0.0)
         out.append(make_report(f"{name}:labels", n_label_ok, len(prims), 0.5,
                                sectors=(sector, sector),
@@ -449,20 +449,19 @@ def _theorem1_plan(ws: _Workspace):
 
 
 def _run_theorem1(ws: _Workspace) -> list[FormFactorReport]:
-    spec, vac, sc = ws.spec, ws.vac, ws.scenario
+    spec, sc = ws.spec, ws.scenario
     out = []
     for (i, j, pc, pb) in _theorem1_plan(ws):
         # the universal form factor does not depend on the split point
-        ff = universal_form_factor(spec, vac, pc, pb, i, j)
+        ff = universal_form_factor(spec, pc, pb, i, j)
         for m in sc.splits:
-            out.append(check_theorem1(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))
-            out.append(check_local_corollary(spec, vac, pc, pb, i, j, m, tol=sc.tol_exact,
-                                             ff=ff))
+            out.append(check_theorem1(spec, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))
+            out.append(check_local_corollary(spec, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))
     return out
 
 
 def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
-    spec, vac, sc = ws.spec, ws.vac, ws.scenario
+    spec, sc = ws.spec, ws.scenario
     out = []
     candidates = []
     p10 = ws.states((1, 0))
@@ -475,17 +474,16 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
         sectors = (pair.sector, pair.sector)
         for i in (1, 2, 3):
             try:
-                traj = continue_twist(pair.roots, vac, direction=i, delta=sc.fd_delta)
-                traj_fine = continue_twist(pair.roots, vac, direction=i, delta=sc.fd_delta / 10)
+                traj = continue_twist(pair.roots, spec, direction=i, delta=sc.fd_delta)
+                traj_fine = continue_twist(pair.roots, spec, direction=i, delta=sc.fd_delta / 10)
             except PoleError:  # a continued root hit an inhomogeneity
                 out.append(make_report(f"theorem2:{i}:skipped:pole", 0, 0, 0.0, sectors=sectors,
                                        residual=0.0, skipped=True))
                 continue
             for m in sc.splits:
-                out.append(check_theorem2(spec, vac, pair, i, m, tol=sc.tol_fd,
-                                          trajectory=traj))
-            d_coarse = traj.dlog_ell_ratio(vac, sc.splits[-1])
-            d_fine = traj_fine.dlog_ell_ratio(vac, sc.splits[-1])
+                out.append(check_theorem2(spec, pair, i, m, tol=sc.tol_fd, trajectory=traj))
+            d_coarse = traj.dlog_ell_ratio(spec, sc.splits[-1])
+            d_fine = traj_fine.dlog_ell_ratio(spec, sc.splits[-1])
             if abs(d_coarse) > 1e-6:
                 consistency = abs(d_coarse - d_fine) / abs(d_coarse)
             else:
@@ -508,7 +506,7 @@ def _prop1_pairs(ws: _Workspace, direction: int):
 
 
 def _run_proposition1(ws: _Workspace) -> list[FormFactorReport]:
-    spec, vac, sc = ws.spec, ws.vac, ws.scenario
+    spec, sc = ws.spec, ws.scenario
     out = []
     m = sc.splits[len(sc.splits) // 2]
     for i in (1, 2, 3):
@@ -518,33 +516,31 @@ def _run_proposition1(ws: _Workspace) -> list[FormFactorReport]:
         beta = [0.0, 0.0, 0.0]
         beta[i - 1] = sc.beta_magnitude
         # pc and pb share a sector: one twisted diagonalization serves both
-        for tp in twisted_dual_pairs(spec, vac, (pc, pb), tuple(beta)):
-            out.append(check_proposition1(spec, vac, tp, pb, tuple(beta), m, tol=1e-7))
+        for tp in twisted_dual_pairs(spec, (pc, pb), tuple(beta)):
+            out.append(check_proposition1(spec, tp, pb, tuple(beta), m, tol=1e-7))
 
         # beta-derivative consistency with the universal form factor
-        out.append(check_genfun_derivative(spec, vac, pc, pb, i, m, delta=1e-3, tol=1e-5))
+        out.append(check_genfun_derivative(spec, pc, pb, i, m, delta=1e-3, tol=1e-5))
     return out
 
 
 def _run_ladder(ws: _Workspace) -> list[FormFactorReport]:
-    spec, vac, sc = ws.spec, ws.vac, ws.scenario
+    spec, sc = ws.spec, ws.scenario
     out = []
     m = sc.splits[len(sc.splits) // 2]
     p10 = ws.states((1, 0))
     p20 = ws.states((2, 0))
     d11 = ws.states((1, 1), "descendant")
     if p20 and p10:
-        out.extend(zero_mode_ladder_checks(spec, vac, p20[0], p10[0], m,
-                                           quadruples=((2, 2, 1, 2),)))
+        out.extend(zero_mode_ladder_checks(spec, p20[0], p10[0], m, quadruples=((2, 2, 1, 2),)))
     if len(p10) >= 2:
-        out.extend(zero_mode_ladder_checks(spec, vac, p10[0], p10[1], m,
-                                           quadruples=((1, 2, 2, 1),)))
+        out.extend(zero_mode_ladder_checks(spec, p10[0], p10[1], m, quadruples=((1, 2, 2, 1),)))
     if p10 and (dpair := _first_apart(d11, p10[0])) is not None:
-        out.extend(zero_mode_ladder_checks(spec, vac, dpair, p10[0], m,
-                                           quadruples=((2, 2, 2, 3),)))
+        out.extend(zero_mode_ladder_checks(spec, dpair, p10[0], m, quadruples=((2, 2, 2, 3),)))
     return out
 
 
+# in run order: algebra conformance, then spectra, then form factors
 _CHECK_RUNNERS = {
     "ybe": _run_ybe,
     "rtt": _run_rtt,
@@ -555,17 +551,14 @@ _CHECK_RUNNERS = {
     "proposition1": _run_proposition1,
     "ladder": _run_ladder,
 }
-
-# dependency order: algebra conformance, then spectra, then form factors
-_CHECK_ORDER = ("ybe", "rtt", "vacuum", "spectrum-match", "theorem1", "theorem2",
-                "proposition1", "ladder")
+KNOWN_CHECKS = tuple(_CHECK_RUNNERS)
 
 
 def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactorReport]]:
     """Execute the scenario's checks in dependency order and write reports.
 
     Order rule: each check draws its random points from the one seeded
-    generator at its place in ``_CHECK_ORDER``, and its rows sit at that
+    generator at its place in ``_CHECK_RUNNERS``, and its rows sit at that
     place in the report.
 
     Returns (exit_code, reports); exit code 0 means every non-skipped check
@@ -576,7 +569,7 @@ def run_scenario(scenario: Scenario, out_dir: str) -> tuple[int, list[FormFactor
     """
     ws = _Workspace(scenario)
     reports: list[FormFactorReport] = []
-    for name in _CHECK_ORDER:
+    for name in _CHECK_RUNNERS:
         if name in scenario.checks:
             # every runner that emits nothing found none of the states it reads
             reports.extend(_CHECK_RUNNERS[name](ws) or [
@@ -647,10 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = Scenario.from_file(args.config)
         if args.check:
-            for name in args.check:
-                if name not in KNOWN_CHECKS:
-                    raise ScenarioError(f"unrecognized check name: {name!r}")
-            scenario.checks = list(args.check)
+            scenario.checks = _checks(args.check)
         if args.seed is not None:
             scenario.seed = _seed("--seed", args.seed)
         if args.tol_exact is not None:

@@ -21,7 +21,6 @@ from .bethe import BetheRoots, RootTrajectory, _solve_at_twist, continue_twist, 
 from .chain import (
     ChainSpec,
     TwistConfig,
-    VacuumFunctions,
     _PAR,
     combine,
     compose,
@@ -34,7 +33,6 @@ from .spectrum import EigenState, _content, diagonalize_transfer, match_roots_to
 __all__ = [
     "FormFactorReport",
     "make_report",
-    "ZetaFactors",
     "universal_form_factor",
     "partial_zero_mode_ff",
     "sector_step",
@@ -45,7 +43,6 @@ __all__ = [
     "check_proposition1",
     "check_genfun_derivative",
     "zero_mode_ladder_checks",
-    "twisted_dual_pair",
     "twisted_dual_pairs",
     "SelectionRuleZero",
 ]
@@ -136,8 +133,8 @@ def _sectors_compatible(pair_c: EigenState, pair_b: EigenState, i: int, j: int) 
     return pair_c.sector == (pair_b.sector[0] + da, pair_b.sector[1] + db)
 
 
-def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions, pair_c: EigenState,
-                          pair_b: EigenState, i: int, j: int, z: complex | None = None) -> complex:
+def universal_form_factor(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
+                          i: int, j: int, z: complex | None = None) -> complex:
     """Universal form factor <C| T_ij(z) |B> / (tau(z|C) - tau(z|B)).
 
     The ratio is independent of z for on-shell states with distinct
@@ -152,8 +149,8 @@ def universal_form_factor(spec: ChainSpec, vac: VacuumFunctions, pair_c: EigenSt
     candidates = [z] if z is not None else \
         [(0.9 + 0.17 * k) * spec.c + 0.83j * spec.c for k in range(8)]
     for zc in candidates:
-        tau_c = tau_eigenvalue(zc, pair_c.roots, vac)
-        tau_b = tau_eigenvalue(zc, pair_b.roots, vac)
+        tau_c = tau_eigenvalue(zc, pair_c.roots, spec)
+        tau_b = tau_eigenvalue(zc, pair_b.roots, spec)
         dtau = tau_c - tau_b
         if abs(dtau) <= _DTAU_FLOOR * max(abs(tau_c), abs(tau_b), 1.0):
             if z is not None:
@@ -171,28 +168,17 @@ def partial_zero_mode_ff(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState
     return sandwich(spec, pair_c, zm, pair_b)
 
 
-@dataclass
-class ZetaFactors:
-    """The vacuum-ratio products that carry all the split-point dependence."""
+def _zeta(spec: ChainSpec, roots_c: BetheRoots, roots_b: BetheRoots, sites) -> complex:
+    """ell_1(ubar^C) ell_3(vbar^B) / (ell_1(ubar^B) ell_3(vbar^C)), each ell_k an r_k over ``sites``.
 
-    rho: complex
-    site_factors: tuple[complex, ...]
-
-    @classmethod
-    def build(cls, vac: VacuumFunctions, roots_c: BetheRoots, roots_b: BetheRoots,
-              m: int) -> "ZetaFactors":
-        rho = (vac.ell_product(1, roots_c.u, m) * vac.ell_product(3, roots_b.v, m)
-               / (vac.ell_product(1, roots_b.u, m) * vac.ell_product(3, roots_c.v, m)))
-        site = tuple(
-            vac.ell_site_product(1, roots_c.u, n) * vac.ell_site_product(3, roots_b.v, n)
-            / (vac.ell_site_product(1, roots_b.u, n) * vac.ell_site_product(3, roots_c.v, n))
-            for n in range(1, m + 1)
-        )
-        return cls(rho, site)
+    Over sites 1..m it is rho, which carries all the split-point dependence;
+    over [n] it is the local factor of site n.
+    """
+    return (spec.r_product(1, roots_c.u, sites) * spec.r_product(3, roots_b.v, sites)
+            / (spec.r_product(1, roots_b.u, sites) * spec.r_product(3, roots_c.v, sites)))
 
 
-def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
-                   pair_c: EigenState, pair_b: EigenState,
+def check_theorem1(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                    i: int, j: int, m: int, tol: float = 1e-8,
                    ff: complex | None = None) -> FormFactorReport:
     """Partial-zero-mode form factor against (rho - 1) times the universal one.
@@ -202,15 +188,14 @@ def check_theorem1(spec: ChainSpec, vac: VacuumFunctions,
     universal form factor ``ff`` does not depend on m; pass it to reuse it.
     """
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, j, m)
-    zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
-    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff
-    rhs = (zeta.rho - 1.0) * ff
+    rho = _zeta(spec, pair_c.roots, pair_b.roots, range(1, m + 1))
+    ff = universal_form_factor(spec, pair_c, pair_b, i, j) if ff is None else ff
+    rhs = (rho - 1.0) * ff
     return make_report(f"theorem1:{i}{j}", lhs, rhs, tol, sectors=(pair_c.sector, pair_b.sector),
                        m=m, floor=_pair_floor(pair_c, pair_b))
 
 
-def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
-                          pair_c: EigenState, pair_b: EigenState,
+def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                           i: int, j: int, m: int, tol: float = 1e-8,
                           ff: complex | None = None) -> FormFactorReport:
     """Local-operator form factor against its product representation.
@@ -220,17 +205,17 @@ def check_local_corollary(spec: ChainSpec, vac: VacuumFunctions,
     """
     local = zero_mode_entry(spec, i, j, [m], contents=[_content(spec, pair_b.sector)])
     lhs = sandwich(spec, pair_c, local, pair_b)
-    zeta = ZetaFactors.build(vac, pair_c.roots, pair_b.roots, m)
-    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, j) if ff is None else ff
-    prefactor = (zeta.site_factors[m - 1] - 1.0) * np.prod(zeta.site_factors[:m - 1] or (1.0,))
+    site = [_zeta(spec, pair_c.roots, pair_b.roots, [n]) for n in range(1, m + 1)]
+    ff = universal_form_factor(spec, pair_c, pair_b, i, j) if ff is None else ff
+    prefactor = (site[m - 1] - 1.0) * np.prod(site[:m - 1] or (1.0,))
     rhs = prefactor * ff
     return make_report(f"theorem1-local:{i}{j}", lhs, rhs, tol,
                        sectors=(pair_c.sector, pair_b.sector), m=m,
                        floor=_pair_floor(pair_c, pair_b))
 
 
-def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
-                   i: int, m: int, delta: float = 1e-5, tol: float = 1e-5,
+def check_theorem2(spec: ChainSpec, pair: EigenState, i: int, m: int,
+                   delta: float = 1e-5, tol: float = 1e-5,
                    trajectory: RootTrajectory | None = None) -> FormFactorReport:
     """Diagonal partial-zero-mode form factor against the twist derivative.
 
@@ -241,10 +226,10 @@ def check_theorem2(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
     scale-free, so the report normalizes by the state pairing.
     """
     if trajectory is None:
-        trajectory = continue_twist(pair.roots, vac, direction=i, delta=delta)
+        trajectory = continue_twist(pair.roots, spec, direction=i, delta=delta)
     lhs = partial_zero_mode_ff(spec, pair, pair, i, i, m) / pair.pairing
-    dlog = trajectory.dlog_ell_ratio(vac, m)
-    rhs = vac.lam_zero_mode(i, sites=range(1, m + 1)) + (-1) ** _PAR[i - 1] * dlog
+    dlog = trajectory.dlog_ell_ratio(spec, m)
+    rhs = spec.lam_zero_mode(i, sites=range(1, m + 1)) + (-1) ** _PAR[i - 1] * dlog
     # both sides are scale-free and O(m) when nonzero; the zero floor sits
     # above the finite-difference resolution (solver tolerance over delta)
     return make_report(f"theorem2:{i}", lhs, rhs, tol, sectors=(pair.sector, pair.sector), m=m,
@@ -266,7 +251,7 @@ def generating_functional(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     return sandwich(spec, pair_c, exp_q, pair_b)
 
 
-def twisted_dual_pairs(spec: ChainSpec, vac: VacuumFunctions, pairs,
+def twisted_dual_pairs(spec: ChainSpec, pairs,
                        beta: tuple[complex, complex, complex]) -> list[EigenState]:
     """Deform on-shell states to the twist kappa_i = exp(beta_i), in one diagonalization.
 
@@ -277,36 +262,18 @@ def twisted_dual_pairs(spec: ChainSpec, vac: VacuumFunctions, pairs,
     would give.
     """
     twist = TwistConfig(tuple(np.exp(b) for b in beta))
-    roots = [_solve_at_twist(pair.roots, vac, twist, tol=1e-13) for pair in pairs]
+    roots = [_solve_at_twist(pair.roots, spec, twist, tol=1e-13) for pair in pairs]
     dec = diagonalize_transfer(replace(spec, twist=twist),
                                sectors=sorted({r.sector for r in roots}))
-    return [match_roots_to_state(dec, r, vac) for r in roots]
+    return [match_roots_to_state(dec, r) for r in roots]
 
 
-def twisted_dual_pair(spec: ChainSpec, vac: VacuumFunctions, pair: EigenState,
-                      beta: tuple[complex, complex, complex],
-                      smooth_reference: EigenState | None = None) -> EigenState:
-    """Deform one on-shell state to the twist kappa_i = exp(beta_i); see twisted_dual_pairs.
-
-    When ``smooth_reference`` is given, the left vector is rescaled so its
-    overlap with the reference's right vector is preserved, which makes
-    beta-derivatives of matrix elements well defined.
-    """
-    tp, = twisted_dual_pairs(spec, vac, [pair], beta)
-    if smooth_reference is not None:
-        want = sandwich(spec, pair, None, smooth_reference)
-        have = sandwich(spec, tp, None, smooth_reference)
-        tp = tp.rescaled(1.0, want / have)
-    return tp
-
-
-def _script_q(vac: VacuumFunctions, beta, m: int) -> complex:
-    return sum((-1) ** _PAR[i] * beta[i] * vac.lam_zero_mode(i + 1, sites=range(1, m + 1))
+def _script_q(spec: ChainSpec, beta, m: int) -> complex:
+    return sum((-1) ** _PAR[i] * beta[i] * spec.lam_zero_mode(i + 1, sites=range(1, m + 1))
                for i in range(3))
 
 
-def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
-                       pair_c_twisted: EigenState, pair_b: EigenState,
+def check_proposition1(spec: ChainSpec, pair_c_twisted: EigenState, pair_b: EigenState,
                        beta: tuple[complex, complex, complex], m: int,
                        tol: float = 1e-7) -> FormFactorReport:
     """Generating functional against its closed product form.
@@ -316,16 +283,15 @@ def check_proposition1(spec: ChainSpec, vac: VacuumFunctions,
     * <C^(kappa)|B>, with the same twisted dual vector on both sides.
     """
     lhs = generating_functional(spec, pair_c_twisted, pair_b, beta, m)
-    zeta = ZetaFactors.build(vac, pair_c_twisted.roots, pair_b.roots, m)
+    rho = _zeta(spec, pair_c_twisted.roots, pair_b.roots, range(1, m + 1))
     overlap = sandwich(spec, pair_c_twisted, None, pair_b)
-    rhs = np.exp(_script_q(vac, beta, m)) * zeta.rho * overlap
+    rhs = np.exp(_script_q(spec, beta, m)) * rho * overlap
     return make_report("proposition1", lhs, rhs, tol,
                        sectors=(pair_c_twisted.sector, pair_b.sector), m=m,
                        floor=_pair_floor(pair_c_twisted, pair_b))
 
 
-def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
-                            pair_c: EigenState, pair_b: EigenState,
+def check_genfun_derivative(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                             i: int, m: int,
                             delta: float = 1e-3, tol: float = 1e-5) -> FormFactorReport:
     """Diagonal form factor from the beta_i-derivative of the generating
@@ -336,18 +302,20 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
     smoothly against a fixed reference vector (the dual state's own right
     eigenvector), which pins the scale without knowing any canonical
     Bethe-vector normalization.  Each twisted dual comes from
-    ``twisted_dual_pair``, which diagonalizes only its own sector at the
+    ``twisted_dual_pairs``, which diagonalizes only its own sector at the
     twist beta_i = +-delta.
     """
 
     def emel(side: int) -> complex:
         beta = [0.0, 0.0, 0.0]
         beta[i - 1] = side * delta
-        tp = twisted_dual_pair(spec, vac, pair_c, tuple(beta), smooth_reference=pair_c)
+        tp, = twisted_dual_pairs(spec, [pair_c], tuple(beta))
+        # keep the left vector's overlap with C's right vector, so beta-derivatives are defined
+        tp = tp.rescaled(1.0, pair_c.pairing / sandwich(spec, tp, None, pair_c))
         return generating_functional(spec, tp, pair_b, tuple(beta), m)
 
     d_emel = (emel(+1) - emel(-1)) / (2 * delta)
-    ff = universal_form_factor(spec, vac, pair_c, pair_b, i, i)
+    ff = universal_form_factor(spec, pair_c, pair_b, i, i)
     rhs = (-1) ** _PAR[i - 1] * d_emel - ff
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, i, m)
     # the zero floor sits above the finite-difference noise in d_emel: up to M = 7
@@ -357,8 +325,7 @@ def check_genfun_derivative(spec: ChainSpec, vac: VacuumFunctions,
                        floor=_pair_floor(pair_c, pair_b, rel=3e-5))
 
 
-def zero_mode_ladder_checks(spec: ChainSpec, vac: VacuumFunctions,
-                            pair_c: EigenState, pair_b: EigenState, m: int,
+def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState, m: int,
                             quadruples=((2, 2, 1, 2), (2, 2, 2, 3), (1, 2, 2, 1)),
                             tol: float = 1e-10) -> list[FormFactorReport]:
     """Ladder relations of the zero-mode algebra, sandwiched and spectral.

@@ -36,13 +36,7 @@ import numpy as np
 
 from .bethe import BetheRoots, BetheSolverError, fit_roots_to_samples, solve_bethe, \
     subset_seed_candidates, tau_eigenvalue
-from .chain import (
-    ChainSpec,
-    VacuumFunctions,
-    _content_partition,
-    transfer_blocks,
-    zero_mode_entry,
-)
+from .chain import ChainSpec, _content_partition, transfer_blocks, zero_mode_entry
 
 __all__ = [
     "SpectralDecomposition",
@@ -247,7 +241,7 @@ def diagonalize_transfer(spec: ChainSpec, *,
 
 
 def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
-                         vac: VacuumFunctions, rtol: float = _MATCH_RTOL) -> EigenState:
+                         rtol: float = _MATCH_RTOL) -> EigenState:
     """Find the unique eigenstate whose eigenvalue samples match the roots; attach them.
 
     Matching is restricted to the sector given by the root cardinalities and
@@ -255,7 +249,7 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
     state or more than one state matches, and DegenerateSpectrumError when
     the matched state sits in a degenerate cluster.
     """
-    target = np.array([tau_eigenvalue(w, roots, vac) for w in dec.probes])
+    target = np.array([tau_eigenvalue(w, roots, dec.spec) for w in dec.probes])
     scale = float(np.abs(target).max())
     candidates = []
     for st in dec.by_sector(roots.sector):
@@ -273,8 +267,7 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
     return replace(st, roots=roots)
 
 
-def sector_labels_from_zero_modes(spec: ChainSpec, state: EigenState,
-                                  vac: VacuumFunctions) -> tuple[int, int]:
+def sector_labels_from_zero_modes(spec: ChainSpec, state: EigenState) -> tuple[int, int]:
     """Sector labels read off the diagonal total zero modes.
 
     On a matched on-shell state, T_11[0] acts as lambda_1[0] - a and
@@ -284,15 +277,24 @@ def sector_labels_from_zero_modes(spec: ChainSpec, state: EigenState,
     cb = state.pairing
     t11 = sandwich(spec, state, zero_mode_entry(spec, 1, 1, contents=on), state) / cb
     t33 = sandwich(spec, state, zero_mode_entry(spec, 3, 3, contents=on), state) / cb
-    a = vac.lam_zero_mode(1) - t11
-    b = vac.lam_zero_mode(3) - t33
+    a = spec.lam_zero_mode(1) - t11
+    b = spec.lam_zero_mode(3) - t33
     return (int(round(a.real)), int(round(b.real)))
 
 
 # -- spectrum classification ---------------------------------------------------
 
 
-def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
+def _swept_sectors(sectors, requested) -> list[tuple[int, int]]:
+    """The ``sectors`` at or below a requested one, all of them when none is requested.
+
+    A sector below a requested one may hold an ancestor of its states.
+    """
+    return [s for s in sectors
+            if not requested or any(s[0] <= a and s[1] <= b for a, b in requested)]
+
+
+def classify_spectrum(dec: SpectralDecomposition,
                       sectors: list[tuple[int, int]] | None = None) -> list[EigenState]:
     """The states of the requested sectors, each with Bethe roots attached where found.
 
@@ -307,9 +309,8 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
     Only the requested sectors' states are returned.
     """
     spec = dec.spec
-    wanted = set(sectors or {s.sector for s in dec.states})
-    swept = sorted({s.sector for s in dec.states
-                    if any(s.sector[0] <= a and s.sector[1] <= b for a, b in wanted)})
+    swept = _swept_sectors(sorted({s.sector for s in dec.states}), sectors)
+    wanted = set(sectors or swept)
     classified: list[EigenState] = []
     done: list[EigenState] = []
     t_cache: dict[tuple, dict] = {}
@@ -348,14 +349,14 @@ def classify_spectrum(dec: SpectralDecomposition, vac: VacuumFunctions,
             roots = None
             seeds: list[BetheRoots] = []
             if b == 0:
-                guess = fit_roots_to_samples(sector, tau_fn_for(st), vac, twist=spec.twist)
+                guess = fit_roots_to_samples(sector, tau_fn_for(st), spec)
                 if guess is not None:
                     seeds.append(guess)
-            seeds.extend(subset_seed_candidates(sector, vac, twist=spec.twist))
+            seeds.extend(subset_seed_candidates(sector, spec))
             for seed in seeds:
                 try:
-                    polished = solve_bethe(seed, vac, tol=_NEWTON_TOL)
-                    target = np.array([tau_eigenvalue(w, polished, vac) for w in dec.probes])
+                    polished = solve_bethe(seed, spec, tol=_NEWTON_TOL)
+                    target = np.array([tau_eigenvalue(w, polished, spec) for w in dec.probes])
                 except (BetheSolverError, ValueError, ZeroDivisionError):
                     continue
                 if np.abs(target - st.tau_samples).max() < _MATCH_RTOL * scale:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradedbethe.chain import ChainSpec, VacuumFunctions
+from gradedbethe.chain import ChainSpec
 from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, sector_indices
 
 from oracles import all_sectors
@@ -22,18 +22,13 @@ def spec4():
 
 
 @pytest.fixture(scope="session")
-def vac4(spec4):
-    return VacuumFunctions(spec4)
-
-
-@pytest.fixture(scope="session")
 def dec4(spec4):
     return diagonalize_transfer(spec4, sectors=all_sectors(spec4))
 
 
 @pytest.fixture(scope="session")
-def classified4(dec4, vac4):
-    return classify_spectrum(dec4, vac4, sectors=TESTED_SECTORS)
+def classified4(dec4):
+    return classify_spectrum(dec4, sectors=TESTED_SECTORS)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import numpy as np
 from gradedbethe.bethe import continue_twist
 from gradedbethe.chain import (
     ChainSpec,
-    VacuumFunctions,
     verify_rtt,
     yang_baxter_residual,
 )
@@ -23,7 +22,7 @@ from gradedbethe.formfactors import (
     check_proposition1,
     check_theorem1,
     check_theorem2,
-    twisted_dual_pair,
+    twisted_dual_pairs,
     zero_mode_ladder_checks,
 )
 from gradedbethe.spectrum import (
@@ -65,9 +64,8 @@ def test_ac1_rtt_and_ybe_conformance():
 def test_ac2_spectrum_match_m5():
     t0 = time.time()
     spec = ChainSpec(M=5)
-    vac = VacuumFunctions(spec)
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
-    classified = classify_spectrum(dec, vac, sectors=TESTED_SECTORS)
+    classified = classify_spectrum(dec, sectors=TESTED_SECTORS)
     n_solutions = 0
     labels_ok = True
     for c in classified:
@@ -76,8 +74,8 @@ def test_ac2_spectrum_match_m5():
         if c.kind != "primitive":
             continue
         n_solutions += 1
-        pair = match_roots_to_state(dec, c.roots, vac, rtol=1e-6)  # unique or raises
-        if sector_labels_from_zero_modes(spec, pair, vac) != c.roots.sector:
+        pair = match_roots_to_state(dec, c.roots, rtol=1e-6)  # unique or raises
+        if sector_labels_from_zero_modes(spec, pair) != c.roots.sector:
             labels_ok = False
     elapsed = time.time() - t0
     ok = labels_ok and n_solutions >= 10 and elapsed < 30.0
@@ -119,14 +117,14 @@ def _theorem1_pair_plan(pairs4):
     ]
 
 
-def test_ac4_theorem1(spec4, vac4, pairs4):
+def test_ac4_theorem1(spec4, pairs4):
     plan = _theorem1_pair_plan(pairs4)
     worst = 0.0
     nonzero = 0
     for (i, j, pc, pb) in plan:
         for m in range(1, spec4.M):
-            rep = check_theorem1(spec4, vac4, pc, pb, i, j, m, tol=1e-8)
-            loc = check_local_corollary(spec4, vac4, pc, pb, i, j, m, tol=1e-8)
+            rep = check_theorem1(spec4, pc, pb, i, j, m, tol=1e-8)
+            loc = check_local_corollary(spec4, pc, pb, i, j, m, tol=1e-8)
             assert rep.verdict != "fail", (i, j, m, rep.rel_residual)
             assert loc.verdict != "fail", (i, j, m, loc.rel_residual)
             if rep.verdict == "pass":
@@ -137,21 +135,21 @@ def test_ac4_theorem1(spec4, vac4, pairs4):
           f"{len(plan)} pairs, {nonzero} nonzero instances, worst={worst:.2e}")
 
 
-def test_ac5_theorem2(spec4, vac4, pairs4):
+def test_ac5_theorem2(spec4, pairs4):
     pairs = [primitive_pairs(pairs4, (1, 0))[0], descendant_pairs(pairs4, (1, 1))[0]]
     worst = 0.0
     worst_fd = 0.0
     for pair in pairs:
         for i in (1, 2, 3):
-            traj = continue_twist(pair.roots, vac4, direction=i, delta=1e-5)
-            traj_fine = continue_twist(pair.roots, vac4, direction=i, delta=1e-6)
+            traj = continue_twist(pair.roots, spec4, direction=i, delta=1e-5)
+            traj_fine = continue_twist(pair.roots, spec4, direction=i, delta=1e-6)
             for m in range(1, spec4.M):
-                rep = check_theorem2(spec4, vac4, pair, i, m, tol=1e-5, trajectory=traj)
+                rep = check_theorem2(spec4, pair, i, m, tol=1e-5, trajectory=traj)
                 assert rep.verdict != "fail", (pair.sector, i, m, rep.rel_residual)
                 if rep.verdict == "pass":
                     worst = max(worst, rep.rel_residual)
-            d5 = traj.dlog_ell_ratio(vac4, spec4.M - 1)
-            d6 = traj_fine.dlog_ell_ratio(vac4, spec4.M - 1)
+            d5 = traj.dlog_ell_ratio(spec4, spec4.M - 1)
+            d6 = traj_fine.dlog_ell_ratio(spec4, spec4.M - 1)
             if abs(d5) > 1e-6:
                 worst_fd = max(worst_fd, abs(d5 - d6) / abs(d5))
     ok = worst < 1e-5 and worst_fd < 1e-3
@@ -159,7 +157,7 @@ def test_ac5_theorem2(spec4, vac4, pairs4):
           f"worst={worst:.2e} fd-consistency={worst_fd:.2e}")
 
 
-def test_ac6_proposition1(spec4, vac4, pairs4):
+def test_ac6_proposition1(spec4, pairs4):
     p10 = primitive_pairs(pairs4, (1, 0))
     p21 = primitive_pairs(pairs4, (2, 1))
     worst_p1 = 0.0
@@ -168,12 +166,12 @@ def test_ac6_proposition1(spec4, vac4, pairs4):
         beta = [0.0, 0.0, 0.0]
         beta[i - 1] = 1e-2
         pc, pb = (p21[0], p21[1]) if i == 3 else (p10[0], p10[1])
-        tp = twisted_dual_pair(spec4, vac4, pc, tuple(beta))
-        rep = check_proposition1(spec4, vac4, tp, pb, tuple(beta), 2, tol=1e-7)
+        tp, = twisted_dual_pairs(spec4, [pc], tuple(beta))
+        rep = check_proposition1(spec4, tp, pb, tuple(beta), 2, tol=1e-7)
         assert rep.verdict == "pass", (i, rep.rel_residual)
         worst_p1 = max(worst_p1, rep.rel_residual)
 
-        gf = check_genfun_derivative(spec4, vac4, pc, pb, i, 2, delta=1e-3, tol=1e-5)
+        gf = check_genfun_derivative(spec4, pc, pb, i, 2, delta=1e-3, tol=1e-5)
         assert gf.verdict == "pass", (i, gf.rel_residual)
         worst_gf = max(worst_gf, gf.rel_residual)
 
@@ -185,18 +183,18 @@ def test_ac6_proposition1(spec4, vac4, pairs4):
           f"worst={worst_p1:.2e} derivative={worst_gf:.2e} orthogonality={cross:.2e}")
 
 
-def test_ac7_ladder_relations(spec4, vac4, pairs4):
+def test_ac7_ladder_relations(spec4, pairs4):
     p10 = primitive_pairs(pairs4, (1, 0))
     p20 = primitive_pairs(pairs4, (2, 0))
     d11 = descendant_pairs(pairs4, (1, 1))
     d_other = next(d for d in d11
                    if np.abs(d.tau_samples - p10[0].tau_samples).max() > 1e-6)
     reports = []
-    reports += zero_mode_ladder_checks(spec4, vac4, p20[0], p10[0], 2,
+    reports += zero_mode_ladder_checks(spec4, p20[0], p10[0], 2,
                                        quadruples=((2, 2, 1, 2),))
-    reports += zero_mode_ladder_checks(spec4, vac4, d_other, p10[0], 2,
+    reports += zero_mode_ladder_checks(spec4, d_other, p10[0], 2,
                                        quadruples=((2, 2, 2, 3),))
-    reports += zero_mode_ladder_checks(spec4, vac4, p10[0], p10[1], 2,
+    reports += zero_mode_ladder_checks(spec4, p10[0], p10[1], 2,
                                        quadruples=((1, 2, 2, 1),))
     worst_comm = max(r.rel_residual for r in reports if "commutator" in r.identity)
     worst_ann = max(r.rel_residual for r in reports if "annihilation" in r.identity)
@@ -207,7 +205,7 @@ def test_ac7_ladder_relations(spec4, vac4, pairs4):
           f"commutators={worst_comm:.2e} annihilation={worst_ann:.2e} raising={worst_eig:.2e}")
 
 
-def test_ac8_scale_invariance(spec4, vac4, pairs4):
+def test_ac8_scale_invariance(spec4, pairs4):
     p10 = primitive_pairs(pairs4, (1, 0))
     p20 = primitive_pairs(pairs4, (2, 0))
     rng = np.random.default_rng(808)
@@ -215,11 +213,11 @@ def test_ac8_scale_invariance(spec4, vac4, pairs4):
     def run(pairs):
         a, b, c = pairs
         out = []
-        out.append(check_theorem1(spec4, vac4, a, b, 2, 2, 2))
-        out.append(check_theorem1(spec4, vac4, c, a, 1, 2, 3))
-        out.append(check_local_corollary(spec4, vac4, a, b, 2, 2, 2))
-        out.append(check_theorem2(spec4, vac4, a, 1, 2))
-        out.extend(zero_mode_ladder_checks(spec4, vac4, c, a, 2,
+        out.append(check_theorem1(spec4, a, b, 2, 2, 2))
+        out.append(check_theorem1(spec4, c, a, 1, 2, 3))
+        out.append(check_local_corollary(spec4, a, b, 2, 2, 2))
+        out.append(check_theorem2(spec4, a, 1, 2))
+        out.extend(zero_mode_ladder_checks(spec4, c, a, 2,
                                            quadruples=((2, 2, 1, 2),)))
         return out
 

@@ -10,7 +10,6 @@ from gradedbethe.chain import (
     ChainSpec,
     PoleError,
     TwistConfig,
-    VacuumFunctions,
     _content_partition,
     combine,
     compose,
@@ -164,7 +163,6 @@ def test_monodromy_factorizes_at_every_split():
 @pytest.mark.parametrize("sites", [None, range(1, 3), range(3, 5)])
 def test_vacuum_annihilation_and_eigenvalues(sites):
     spec = ChainSpec(M=4)
-    vac = VacuumFunctions(spec)
     rng = np.random.default_rng(12)
     u = rand_pt(rng, 2.5)
     every = all_contents(spec)
@@ -179,7 +177,7 @@ def test_vacuum_annihilation_and_eigenvalues(sites):
                 assert np.abs(right).max() < 1e-10
             if i < j:
                 assert np.abs(left).max() < 1e-10
-        lam = vac.lam(i, u, sites=site_list)
+        lam = spec.lam(i, u, sites=site_list)
         assert abs(vacuum_eigenvalue(spec, i, sites, u) - lam) < 1e-10
 
 
@@ -195,34 +193,32 @@ def test_vacuum_eigenvalue_closed_form_homogeneous_like():
 
 def test_vacuum_factorization_pointwise():
     spec = ChainSpec(M=5)
-    vac = VacuumFunctions(spec)
     rng = np.random.default_rng(13)
     for _ in range(3):
         u = rand_pt(rng, 2)
         m = int(rng.integers(1, spec.M))
         for k in (1, 2, 3):
-            whole = vac.lam(k, u)
-            first = vac.lam(k, u, sites=range(1, m + 1))
-            second = vac.lam(k, u, sites=range(m + 1, spec.M + 1))
+            whole = spec.lam(k, u)
+            first = spec.lam(k, u, sites=range(1, m + 1))
+            second = spec.lam(k, u, sites=range(m + 1, spec.M + 1))
             assert abs(whole - first * second) < 1e-12 * max(1, abs(whole))
         for k in (1, 3):
             # r_k(u) = ell_k(u) r_k^(2)(u) pointwise
-            rest = vac.r(k, u, sites=range(m + 1, spec.M + 1))
-            assert abs(vac.r(k, u) - vac.ell(k, u, m) * rest) < 1e-12
+            rest = spec.r(k, u, sites=range(m + 1, spec.M + 1))
+            assert abs(spec.r(k, u) - spec.r(k, u, sites=range(1, m + 1)) * rest) < 1e-12
 
 
 def test_partial_vacuum_zero_mode_coefficients():
     # lambda_1^(1)[0] = m for the first sub-chain, others vanish
     spec = ChainSpec(M=4)
-    vac = VacuumFunctions(spec)
     u = 1e6 * spec.c
     for m in (1, 2, 3, 4):
-        lam1 = vac.lam(1, u, sites=range(1, m + 1))
+        lam1 = spec.lam(1, u, sites=range(1, m + 1))
         est = (u / spec.c) * (lam1 - 1.0)
         assert abs(est - m) < 1e-5
-        assert vac.lam_zero_mode(1, sites=range(1, m + 1)) == m
-        assert vac.lam_zero_mode(2, sites=range(1, m + 1)) == 0
-        assert vac.lam_zero_mode(3, sites=range(1, m + 1)) == 0
+        assert spec.lam_zero_mode(1, sites=range(1, m + 1)) == m
+        assert spec.lam_zero_mode(2, sites=range(1, m + 1)) == 0
+        assert spec.lam_zero_mode(3, sites=range(1, m + 1)) == 0
 
 
 # -- transfer matrices ----------------------------------------------------------
@@ -252,15 +248,14 @@ def test_transfer_matrix_is_twisted_supertrace_of_monodromy():
 
 def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
     spec = ChainSpec(M=3)
-    vac = VacuumFunctions(spec)
     w = 2.2 + 0.5j
     # the vacuum is the one basis state of its content: its block is 1 x 1
     on = [(spec.M, 0, 0)]
     t = transfer_blocks(spec, w, contents=on)[on[0]][1]
-    tau = vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
+    tau = spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     assert t.shape == (1, 1) and abs(t[0, 0] - tau) < 1e-12
     t2 = transfer_blocks(replace(spec, twist=TwistConfig((2.0, 1.0, 1.0))), w, contents=on)
-    tau2 = 2 * vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
+    tau2 = 2 * spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     assert abs(t2[on[0]][1][0, 0] - tau2) < 1e-12
 
 
@@ -601,11 +596,11 @@ def test_restricted_builds_compute_only_the_read_groups(m_sites, monkeypatch):
 def test_single_entry_reads_build_one_group(pairs5, monkeypatch):
     from gradedbethe.formfactors import universal_form_factor
 
-    spec, vac, pc, pb = pairs5
+    spec, pc, pb = pairs5
     vac_plus_e1 = _content_partition(spec.M + 1)[2].index((spec.M + 1, 0, 0))
     built = record_builds(monkeypatch)["other"]
     # both built the three groups s + e_j of the read content before
-    universal_form_factor(spec, vac, pc, pb, 2, 2)
+    universal_form_factor(spec, pc, pb, 2, 2)
     assert len(built) == 1
     built.clear()
     vacuum_eigenvalue(spec, 1, None, 2.1 + 0.4j)
@@ -781,28 +776,27 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
 
 @pytest.fixture(scope="module")
 def pairs5():
-    """The M=5 chain, its vacuum functions and two primitive (1,0) pairs."""
+    """The M=5 chain and two primitive (1,0) pairs."""
     from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer
 
     spec = ChainSpec(M=5)
-    vac = VacuumFunctions(spec)
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
-    pc, pb = [st for st in classify_spectrum(dec, vac, sectors=[(1, 0)])
+    pc, pb = [st for st in classify_spectrum(dec, sectors=[(1, 0)])
               if st.kind == "primitive"][:2]
-    return spec, vac, pc, pb
+    return spec, pc, pb
 
 
 def test_form_factors_never_allocate_a_dense_aux_matrix(pairs5):
     from gradedbethe.formfactors import (generating_functional, partial_zero_mode_ff,
                                          universal_form_factor)
 
-    spec, vac, pc, pb = pairs5
+    spec, pc, pb = pairs5
     dense = 16 * 9 ** (spec.M + 1)
     beta = (0.01, 0.0, 0.0)
-    universal_form_factor(spec, vac, pc, pb, 2, 2)  # warm the partition and block-map caches
+    universal_form_factor(spec, pc, pb, 2, 2)  # warm the partition and block-map caches
     # measured 0.007x, 0.002x and 0.002x (the zero modes as aux (x) H groups made
     # the last two 0.07x and 0.04x); dense read-offs made these 1.13x-1.33x
-    assert peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.2 * dense
+    assert peak_bytes(lambda: universal_form_factor(spec, pc, pb, 2, 2)) < 0.2 * dense
     assert peak_bytes(lambda: partial_zero_mode_ff(spec, pc, pb, 2, 2, 2)) < 0.2 * dense
     assert peak_bytes(lambda: generating_functional(spec, pc, pb, beta, 2)) < 0.2 * dense
 
@@ -810,14 +804,14 @@ def test_form_factors_never_allocate_a_dense_aux_matrix(pairs5):
 def test_restricted_reads_allocate_a_fraction_of_the_group_set(pairs5):
     from gradedbethe.formfactors import universal_form_factor
 
-    spec, vac, pc, pb = pairs5
+    spec, pc, pb = pairs5
     u = 2.1 + 0.4j
     # every content-group block of one aux (x) H operator
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
-    universal_form_factor(spec, vac, pc, pb, 2, 2)  # warm the partition and plan caches
+    universal_form_factor(spec, pc, pb, 2, 2)  # warm the partition and plan caches
     vacuum_eigenvalue(spec, 1, None, u)
     # measured 0.12x and 0.03x; building every group made both 1.7x
-    assert peak_bytes(lambda: universal_form_factor(spec, vac, pc, pb, 2, 2)) < 0.25 * group_set
+    assert peak_bytes(lambda: universal_form_factor(spec, pc, pb, 2, 2)) < 0.25 * group_set
     assert peak_bytes(lambda: vacuum_eigenvalue(spec, 1, None, u)) < 0.25 * group_set
 
 

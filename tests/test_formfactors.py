@@ -6,7 +6,6 @@ from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_entries, transfe
     zero_mode_entry
 from gradedbethe.formfactors import (
     SelectionRuleZero,
-    ZetaFactors,
     check_genfun_derivative,
     check_local_corollary,
     check_proposition1,
@@ -15,10 +14,10 @@ from gradedbethe.formfactors import (
     generating_functional,
     partial_zero_mode_ff,
     sector_step,
-    twisted_dual_pair,
     twisted_dual_pairs,
     universal_form_factor,
     zero_mode_ladder_checks,
+    _zeta,
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import diagonalize_transfer
@@ -83,16 +82,16 @@ def test_sector_steps():
     assert sector_step(3, 2) == (0, -1)
 
 
-def test_universal_ff_z_independence(spec4, vac4, p10):
-    vals = [universal_form_factor(spec4, vac4, p10[0], p10[1], 2, 2, z=z)
+def test_universal_ff_z_independence(spec4, p10):
+    vals = [universal_form_factor(spec4, p10[0], p10[1], 2, 2, z=z)
             for z in (2.5 + 0.9j, -1.4 + 2.1j, 0.4 - 1.8j)]
     assert abs(vals[0] - vals[1]) < 1e-8 * abs(vals[0])
     assert abs(vals[0] - vals[2]) < 1e-8 * abs(vals[0])
 
 
-def test_universal_ff_selection_rule(spec4, vac4, p10, p20):
+def test_universal_ff_selection_rule(spec4, p10, p20):
     with pytest.raises(SelectionRuleZero):
-        universal_form_factor(spec4, vac4, p20[0], p10[0], 2, 2)
+        universal_form_factor(spec4, p20[0], p10[0], 2, 2)
     # the underlying matrix element itself vanishes for the wrong step
     t22 = dense(spec4, monodromy_entries(spec4, 1.3 + 0.8j, [(2, 2)],
                                           contents=all_contents(spec4))[2, 2])
@@ -101,27 +100,27 @@ def test_universal_ff_selection_rule(spec4, vac4, p10, p20):
     assert abs(val) < 1e-10 * scale
 
 
-def test_universal_ff_scales_with_vectors(spec4, vac4, p10):
-    base = universal_form_factor(spec4, vac4, p10[0], p10[1], 2, 2)
-    scaled = universal_form_factor(spec4, vac4, p10[0].rescaled(1.0, 2.0j),
+def test_universal_ff_scales_with_vectors(spec4, p10):
+    base = universal_form_factor(spec4, p10[0], p10[1], 2, 2)
+    scaled = universal_form_factor(spec4, p10[0].rescaled(1.0, 2.0j),
                                    p10[1].rescaled(-0.5, 1.0), 2, 2)
     assert scaled == pytest.approx(base * 2.0j * (-0.5), rel=1e-12)
 
 
-def test_universal_ff_rejects_equal_eigenvalues(spec4, vac4, p10):
+def test_universal_ff_rejects_equal_eigenvalues(spec4, p10):
     with pytest.raises(ValueError):
-        universal_form_factor(spec4, vac4, p10[0], p10[0], 2, 2)
+        universal_form_factor(spec4, p10[0], p10[0], 2, 2)
 
 
 # -- partial zero-mode form factors ---------------------------------------------------
 
 
-def test_partial_zero_mode_full_range_diagonal(spec4, vac4, pairs4, p10):
+def test_partial_zero_mode_full_range_diagonal(spec4, pairs4, p10):
     # m = M, same state: <C|T_ii[0]|B>/<C|B> equals the sector eigenvalues
     pair = p10[0]
     a, b = pair.sector
     cb = pair.pairing
-    lam = [vac4.lam_zero_mode(k) for k in (1, 2, 3)]
+    lam = [spec4.lam_zero_mode(k) for k in (1, 2, 3)]
     assert partial_zero_mode_ff(spec4, pair, pair, 1, 1, spec4.M) / cb \
         == pytest.approx(lam[0] - a, abs=1e-10)
     assert partial_zero_mode_ff(spec4, pair, pair, 2, 2, spec4.M) / cb \
@@ -153,66 +152,67 @@ def test_selection_rule_zero_for_mismatched_sectors(spec4, p10, p20):
 # -- zeta factors -----------------------------------------------------------------------
 
 
-def test_zeta_factor_structure(vac4, p10, p20):
+def test_zeta_factor_structure(spec4, p10, p20):
     rc, rb = p20[0].roots, p10[0].roots
-    zero = ZetaFactors.build(vac4, rc, rb, 0)
-    assert zero.rho == pytest.approx(1.0)
+    zero = _zeta(spec4, rc, rb, range(1, 1))
+    assert zero == pytest.approx(1.0)
     for m in (1, 2, 3, 4):
-        z = ZetaFactors.build(vac4, rc, rb, m)
-        assert z.rho == pytest.approx(np.prod(z.site_factors), rel=1e-12)
+        rho = _zeta(spec4, rc, rb, range(1, m + 1))
+        site_factors = [_zeta(spec4, rc, rb, [n]) for n in range(1, m + 1)]
+        assert rho == pytest.approx(np.prod(site_factors), rel=1e-12)
 
 
 # -- theorem 1 ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_theorem1_diagonal_pair(spec4, vac4, p10, m):
-    rep = check_theorem1(spec4, vac4, p10[0], p10[1], 2, 2, m)
+def test_theorem1_diagonal_pair(spec4, p10, m):
+    rep = check_theorem1(spec4, p10[0], p10[1], 2, 2, m)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-8
 
 
-def test_theorem1_empty_subchain_control(spec4, vac4, p10):
+def test_theorem1_empty_subchain_control(spec4, p10):
     # m = 0: both sides vanish identically and the report says so
-    rep = check_theorem1(spec4, vac4, p10[0], p10[1], 2, 2, 0)
+    rep = check_theorem1(spec4, p10[0], p10[1], 2, 2, 0)
     assert rep.verdict == "trivial"
     assert rep.lhs == 0 and rep.rhs == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_theorem1_offdiagonal_pair(spec4, vac4, p10, p20, m):
-    rep = check_theorem1(spec4, vac4, p20[0], p10[0], 1, 2, m)
+def test_theorem1_offdiagonal_pair(spec4, p10, p20, m):
+    rep = check_theorem1(spec4, p20[0], p10[0], 1, 2, m)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-8
 
 
-def test_theorem1_fermionic_pair(spec4, vac4, p10, p21):
-    rep = check_theorem1(spec4, vac4, p21[0], p10[0], 1, 3, 2)
+def test_theorem1_fermionic_pair(spec4, p10, p21):
+    rep = check_theorem1(spec4, p21[0], p10[0], 1, 3, 2)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-8
 
 
-def test_theorem1_descendant_dual(spec4, vac4, p10, d11):
+def test_theorem1_descendant_dual(spec4, p10, d11):
     dual = other_descendant(d11, p10[0])
-    rep = check_theorem1(spec4, vac4, dual, p10[0], 2, 3, 2)
+    rep = check_theorem1(spec4, dual, p10[0], 2, 3, 2)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-8
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_local_corollary(spec4, vac4, p10, m):
-    rep = check_local_corollary(spec4, vac4, p10[0], p10[1], 2, 2, m)
+def test_local_corollary(spec4, p10, m):
+    rep = check_local_corollary(spec4, p10[0], p10[1], 2, 2, m)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-8
 
 
-def test_theorem1_scale_invariance(spec4, vac4, p10):
-    base = check_theorem1(spec4, vac4, p10[0], p10[1], 2, 2, 2)
+def test_theorem1_scale_invariance(spec4, p10):
+    base = check_theorem1(spec4, p10[0], p10[1], 2, 2, 2)
     rng = np.random.default_rng(17)
     for _ in range(4):
         s = complex(rng.normal(), rng.normal())
         t = complex(rng.normal(), rng.normal())
-        rep = check_theorem1(spec4, vac4, p10[0].rescaled(1.0, s),
+        rep = check_theorem1(spec4, p10[0].rescaled(1.0, s),
                              p10[1].rescaled(t, 1.0), 2, 2, 2)
         assert rep.verdict == base.verdict
         assert abs(rep.rel_residual - base.rel_residual) < 1e-12
@@ -222,37 +222,37 @@ def test_theorem1_scale_invariance(spec4, vac4, p10):
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
-def test_theorem2_one_magnon(spec4, vac4, p10, i):
-    rep = check_theorem2(spec4, vac4, p10[0], i, 2)
+def test_theorem2_one_magnon(spec4, p10, i):
+    rep = check_theorem2(spec4, p10[0], i, 2)
     assert rep.passed
     assert rep.rel_residual < 1e-5
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
-def test_theorem2_descendant_sector(spec4, vac4, d11, i):
+def test_theorem2_descendant_sector(spec4, d11, i):
     # sector (1,1) exercises the odd-index sign through the descendant states
-    rep = check_theorem2(spec4, vac4, d11[0], i, 2)
+    rep = check_theorem2(spec4, d11[0], i, 2)
     assert rep.passed
     assert rep.rel_residual < 1e-5
 
 
-def test_theorem2_vacuum_trivial(spec4, vac4, vacuum_pair):
+def test_theorem2_vacuum_trivial(spec4, vacuum_pair):
     # empty root sets: the derivative term vanishes and the form factor is
     # exactly the vacuum zero-mode coefficient
-    rep = check_theorem2(spec4, vac4, vacuum_pair, 1, 2)
+    rep = check_theorem2(spec4, vacuum_pair, 1, 2)
     assert rep.passed
     assert rep.lhs == pytest.approx(2.0)
     assert rep.rhs == pytest.approx(2.0)
 
 
-def test_theorem2_sign_flip_matters(spec4, vac4, d11):
+def test_theorem2_sign_flip_matters(spec4, d11):
     # flipping the supersymmetric sign for i = 3 must break the identity
     pair = d11[0]
-    traj = continue_twist(pair.roots, vac4, direction=3, delta=1e-5)
+    traj = continue_twist(pair.roots, spec4, direction=3, delta=1e-5)
     lhs = partial_zero_mode_ff(spec4, pair, pair, 3, 3, 2) / pair.pairing
-    dlog = traj.dlog_ell_ratio(vac4, 2)
-    good = vac4.lam_zero_mode(3, sites=range(1, 3)) - dlog
-    bad = vac4.lam_zero_mode(3, sites=range(1, 3)) + dlog
+    dlog = traj.dlog_ell_ratio(spec4, 2)
+    good = spec4.lam_zero_mode(3, sites=range(1, 3)) - dlog
+    bad = spec4.lam_zero_mode(3, sites=range(1, 3)) + dlog
     assert abs(lhs - good) < 1e-5
     assert abs(lhs - bad) > 1e-2
 
@@ -305,34 +305,34 @@ def test_generating_functional_matches_expm_of_dense_zero_modes(m):
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
-def test_proposition1_small_twists(spec4, vac4, p10, p21, i):
+def test_proposition1_small_twists(spec4, p10, p21, i):
     beta = [0.0, 0.0, 0.0]
     beta[i - 1] = 1e-2
     pc, pb = (p21[0], p21[1]) if i == 3 else (p10[0], p10[1])
-    tp = twisted_dual_pair(spec4, vac4, pc, tuple(beta))
-    rep = check_proposition1(spec4, vac4, tp, pb, tuple(beta), 2)
+    tp, = twisted_dual_pairs(spec4, [pc], tuple(beta))
+    rep = check_proposition1(spec4, tp, pb, tuple(beta), 2)
     assert rep.verdict == "pass"
     assert rep.rel_residual < 1e-7
     # same-state version is order one and passes too
-    tp_same = twisted_dual_pair(spec4, vac4, pb, tuple(beta))
-    rep_same = check_proposition1(spec4, vac4, tp_same, pb, tuple(beta), 2)
+    tp_same, = twisted_dual_pairs(spec4, [pb], tuple(beta))
+    rep_same = check_proposition1(spec4, tp_same, pb, tuple(beta), 2)
     assert rep_same.verdict == "pass"
     assert abs(rep_same.lhs) > 0.1
 
 
-def test_twisted_dual_pairs_match_one_state_calls(spec4, vac4, p10):
+def test_twisted_dual_pairs_match_one_state_calls(spec4, p10):
     beta = (1e-2, 0.0, 0.0)
-    together = twisted_dual_pairs(spec4, vac4, p10[:2], beta)
+    together = twisted_dual_pairs(spec4, p10[:2], beta)
     for pair, tp in zip(p10[:2], together):
-        alone = twisted_dual_pair(spec4, vac4, pair, beta)
+        alone, = twisted_dual_pairs(spec4, [pair], beta)
         assert tp.sector == alone.sector == pair.sector
         assert np.array_equal(tp.left, alone.left) and np.array_equal(tp.right, alone.right)
         assert np.array_equal(tp.tau_samples, alone.tau_samples)
 
 
-def test_genfun_derivative_consistency(spec4, vac4, p21):
+def test_genfun_derivative_consistency(spec4, p21):
     for i in (1, 3):
-        rep = check_genfun_derivative(spec4, vac4, p21[0], p21[1], i, 2, delta=1e-3)
+        rep = check_genfun_derivative(spec4, p21[0], p21[1], i, 2, delta=1e-3)
         assert rep.verdict == "pass"
         assert rep.rel_residual < 1e-5
 
@@ -340,8 +340,8 @@ def test_genfun_derivative_consistency(spec4, vac4, p21):
 # -- ladder relations --------------------------------------------------------------------
 
 
-def test_ladder_commutator_relations(spec4, vac4, p10, p20):
-    reps = zero_mode_ladder_checks(spec4, vac4, p20[0], p10[0], 2,
+def test_ladder_commutator_relations(spec4, p10, p20):
+    reps = zero_mode_ladder_checks(spec4, p20[0], p10[0], 2,
                                    quadruples=((2, 2, 1, 2), (1, 2, 2, 1)))
     by_name = {r.identity: r for r in reps}
     assert by_name["ladder-commutator:2212"].rel_residual < 1e-10
@@ -350,22 +350,22 @@ def test_ladder_commutator_relations(spec4, vac4, p10, p20):
     assert by_name["ladder-raising-eigenvector"].rel_residual < 1e-8
 
 
-def test_ladder_with_descendant_dual(spec4, vac4, p10, d11):
+def test_ladder_with_descendant_dual(spec4, p10, d11):
     dual = other_descendant(d11, p10[0])
-    reps = zero_mode_ladder_checks(spec4, vac4, dual, p10[0], 2,
+    reps = zero_mode_ladder_checks(spec4, dual, p10[0], 2,
                                    quadruples=((2, 2, 2, 3),))
     by_name = {r.identity: r for r in reps}
     assert by_name["ladder-commutator:2223"].rel_residual < 1e-10
 
 
-def test_raising_image_lands_in_next_sector(spec4, vac4, p10):
+def test_raising_image_lands_in_next_sector(spec4, p10):
     # T_12[0] B_{a,b} is an eigenvector with sector (a+1, b)
     pair = p10[0]
     every = all_contents(spec4)
     img = dense(spec4, zero_mode_entry(spec4, 1, 2, contents=every)) \
         @ embed(spec4, pair.sector, pair.right)
     assert np.linalg.norm(img) > 1e-8
-    for i, expect in ((1, vac4.lam_zero_mode(1) - 2), (3, vac4.lam_zero_mode(3) - 0)):
+    for i, expect in ((1, spec4.lam_zero_mode(1) - 2), (3, spec4.lam_zero_mode(3) - 0)):
         val = dense(spec4, zero_mode_entry(spec4, i, i, contents=every)) @ img
         assert np.linalg.norm(val - expect * img) < 1e-8 * np.linalg.norm(img)
 
@@ -373,10 +373,10 @@ def test_raising_image_lands_in_next_sector(spec4, vac4, p10):
 # -- report serialization ---------------------------------------------------------------
 
 
-def test_report_schema_and_roundtrip(spec4, vac4, p10):
+def test_report_schema_and_roundtrip(spec4, p10):
     import json
 
-    rep = check_theorem1(spec4, vac4, p10[0], p10[1], 2, 2, 2)
+    rep = check_theorem1(spec4, p10[0], p10[1], 2, 2, 2)
     line = rep.to_json_line()
     parsed = json.loads(line)
     assert sorted(parsed) == ["identity", "lhs", "m", "rel_residual", "rhs",

@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradedbethe.bethe import BetheRoots
-from gradedbethe.chain import ChainSpec, TwistConfig, VacuumFunctions, _content_partition, \
-    transfer_blocks, zero_mode_entry
+from gradedbethe.bethe import BetheRoots, bethe_residual
+from gradedbethe.chain import ChainSpec, TwistConfig, _content_partition, transfer_blocks, \
+    zero_mode_entry
 from gradedbethe.spectrum import (
     MatchError,
     _content,
     _sector_eigenbasis,
+    classify_spectrum,
     default_probes,
     diagonalize_transfer,
     match_roots_to_state,
@@ -25,12 +26,11 @@ from oracles import all_contents, all_sectors, dense
 def test_single_site_spectrum():
     # M = 1: three states, all in the vacuum multiplet, one per sector
     spec = ChainSpec(M=1)
-    vac = VacuumFunctions(spec)
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     assert len(dec.states) == 3
     assert sorted(s.sector for s in dec.states) == [(0, 0), (1, 0), (1, 1)]
     w = dec.probes[0]
-    tau_vac = vac.lam(1, w) + vac.lam(2, w) - vac.lam(3, w)
+    tau_vac = spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     for st in dec.states:
         assert abs(st.tau_samples[0] - tau_vac) < 1e-12
 
@@ -73,25 +73,25 @@ def test_biorthogonality_of_distinct_states(dec4):
             assert num / den < 1e-8
 
 
-def test_match_empty_roots_is_vacuum(dec4, vac4):
-    pair = match_roots_to_state(dec4, BetheRoots(), vac4)
+def test_match_empty_roots_is_vacuum(dec4):
+    pair = match_roots_to_state(dec4, BetheRoots())
     assert pair.sector == (0, 0)
 
 
-def test_match_rejects_perturbed_roots(spec4, dec4, vac4, pairs4):
+def test_match_rejects_perturbed_roots(spec4, dec4, pairs4):
     good = primitive_pairs(pairs4, (1, 0))[0].roots
     bad = BetheRoots(u=(good.u[0] + 0.1 * spec4.c,))
     with pytest.raises(MatchError):
-        match_roots_to_state(dec4, bad, vac4)
+        match_roots_to_state(dec4, bad)
 
 
-def test_every_solution_matches_exactly_one_state(dec4, vac4, classified4):
+def test_every_solution_matches_exactly_one_state(dec4, classified4):
     # completeness at the tested sectors: each primitive's roots match back
     # to their own state and to no other
     for st in classified4:
         if st.kind != "primitive":
             continue
-        pair = match_roots_to_state(dec4, st.roots, vac4)
+        pair = match_roots_to_state(dec4, st.roots)
         assert pair.sector == st.sector
         assert np.abs(pair.tau_samples - st.tau_samples).max() < 1e-9
         # the matched state is the classified one: same vectors, same roots
@@ -119,14 +119,14 @@ def test_classified_states_are_the_decomposition_states_with_roots(dec4, classif
     assert {st.kind for st in classified4} == {"primitive", "descendant", "cluster"}
 
 
-def test_sector_labels_from_zero_modes(spec4, vac4, classified4):
+def test_sector_labels_from_zero_modes(spec4, classified4):
     for st in classified4:
         if st.kind not in ("primitive", "descendant"):
             continue
-        assert sector_labels_from_zero_modes(spec4, st, vac4) == st.roots.sector
+        assert sector_labels_from_zero_modes(spec4, st) == st.roots.sector
 
 
-def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classified4):
+def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, classified4):
     # T_11[0] B = (lambda_1[0] - a) B and cyclic, as operator actions
     every = all_contents(spec4)
     zm = [dense(spec4, zero_mode_entry(spec4, i, i, contents=every)) for i in (1, 2, 3)]
@@ -134,9 +134,9 @@ def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, vac4, classifi
         if pair.kind not in ("primitive", "descendant"):
             continue
         a, b = pair.sector
-        expect = {0: vac4.lam_zero_mode(1) - a,
-                  1: vac4.lam_zero_mode(2) + a - b,
-                  2: vac4.lam_zero_mode(3) - b}
+        expect = {0: spec4.lam_zero_mode(1) - a,
+                  1: spec4.lam_zero_mode(2) + a - b,
+                  2: spec4.lam_zero_mode(3) - b}
         right = embed(spec4, pair.sector, pair.right)
         for i, val in expect.items():
             img = zm[i] @ right
@@ -193,6 +193,20 @@ def test_restricted_diagonalization_matches_full_sectors(sector):
         assert np.array_equal(a.left, b.left)
         assert np.array_equal(a.tau_samples, b.tau_samples)
         assert a.clustered == b.clustered
+
+
+def test_twisted_classification_seeds_at_the_spec_twist():
+    # the TQ fit and the subset seeds read the twist off the spec: every root
+    # set they reach carries it and solves the twisted Bethe equations
+    spec = ChainSpec(M=4, twist=TwistConfig((1.01, 1.0, 0.99)))
+    dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
+    states = classify_spectrum(dec, sectors=[(1, 0), (2, 1)])
+    solved = [st for st in states if st.roots is not None]
+    assert {st.sector for st in solved} == {(1, 0), (2, 1)}
+    assert len(solved) == 14 and all(st.kind == "primitive" for st in solved)
+    for st in solved:
+        assert st.roots.twist == spec.twist
+        assert np.abs(bethe_residual(st.roots, spec)).max() < 1e-12
 
 
 def test_descendants_carry_infinite_roots(classified4):
