@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainSpec, PoleError, TwistConfig, f_fun
+from .chain import ChainSpec, PoleError, f_fun
 
 __all__ = [
     "BetheRoots",
@@ -34,8 +34,6 @@ __all__ = [
 _POLE_TOL = 1e-9       # |c| units: a root pair this close to an f-function pole
 _MAX_ITER = 60         # Newton steps before solve_bethe gives up
 _COLLISION_TOL = 1e-8  # |c| units: two roots this close have collided
-_TQ_ROUNDS = 40        # alternating least-squares sweeps of the TQ fit
-_TQ_RTOL = 1e-8        # relative coefficient change that ends them
 
 
 class BetheSolverError(RuntimeError):
@@ -44,17 +42,17 @@ class BetheSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BetheRoots:
-    """Bethe parameter sets with twist context.
+    """Bethe parameter sets.
 
     ``u`` and ``v`` hold the finite roots; ``n_u_inf`` / ``n_v_inf`` count
-    additional roots at infinity.  The cardinalities a, b include both.
+    additional roots at infinity.  The cardinalities a, b include both.  The
+    twist they solve for is the one on the ``ChainSpec`` they are read with.
     """
 
     u: tuple[complex, ...] = ()
     v: tuple[complex, ...] = ()
     n_u_inf: int = 0
     n_v_inf: int = 0
-    twist: TwistConfig = field(default_factory=TwistConfig)
     residual: float | None = None
 
     def __post_init__(self):
@@ -104,7 +102,7 @@ def _check_f_poles(roots: BetheRoots, spec: ChainSpec, tol: float) -> None:
 
 
 def bethe_residual(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
-    """Log-form residuals of the a+b (twisted) Bethe equations.
+    """Log-form residuals of the a+b Bethe equations at the spec's twist.
 
     Entry j is Log(LHS_j / RHS_j) with the principal branch taken once per
     equation, so a zero residual is exactly the multiplicative equation.
@@ -114,7 +112,7 @@ def bethe_residual(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
     """
     c = spec.c
     _check_f_poles(roots, spec, _POLE_TOL * abs(c))
-    k1, k2, k3 = roots.twist.kappa
+    k1, k2, k3 = spec.twist.kappa
     uu, vv = roots.u, roots.v
     res = []
     for j, x in enumerate(uu):
@@ -178,7 +176,7 @@ def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheR
     the achieved residual and are re-validated for distinctness.
     """
     c = spec.c
-    k1, k2, k3 = seed.twist.kappa
+    k1, k2, k3 = spec.twist.kappa
     if seed.n_u_inf and abs(k2 / k1 - 1.0) > tol:
         raise BetheSolverError("u-roots at infinity are inconsistent with kappa_1 != kappa_2")
     if seed.n_v_inf and abs(k2 / k3 - 1.0) > tol:
@@ -237,7 +235,7 @@ def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheR
 
 
 def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
-    """Twisted transfer-matrix eigenvalue tau_kappa(w | ubar, vbar).
+    """Transfer-matrix eigenvalue tau_kappa(w | ubar, vbar) at the spec's twist.
 
     kappa_1 lam_1(w) prod f(u_j,w) + kappa_2 lam_2(w) prod f(w,u_j) prod f(v_k,w)
     - kappa_3 lam_3(w) prod f(v_k,w); roots at infinity contribute factors 1.
@@ -246,7 +244,7 @@ def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
     for x in list(roots.u) + list(roots.v):
         if w == x:
             raise PoleError("probe point coincides with a Bethe root")
-    k1, k2, k3 = roots.twist.kappa
+    k1, k2, k3 = spec.twist.kappa
     fu_w = _prod_f(roots.u, [w], c)
     fw_u = _prod_f([w], roots.u, c)
     fv_w = _prod_f(roots.v, [w], c)
@@ -258,103 +256,48 @@ def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
 # -- seeding: TQ functional fit ------------------------------------------------
 
 
-def _polyval_vec(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Monic polynomial w^n + sum coeffs[k] w^k evaluated on a grid."""
-    n = coeffs.size
-    out = w**n
-    for k in range(n):
-        out = out + coeffs[k] * w**k
-    return out
+def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
+    """Fit the a finite u-roots of a b = 0 state to its eigenvalue function, at the spec's twist.
 
+    With no v-roots and Q the monic polynomial of the u-roots, on shell
 
-def fit_roots_to_samples(sector: tuple[int, int], tau_fn, spec: ChainSpec) -> BetheRoots | None:
-    """Fit finite Bethe roots to an eigenvalue function via the TQ relation, at the spec's twist.
+      k1 lam_1(w) Q(w-c) + k2 lam_2(w) Q(w+c) - k3 lam_3(w) Q(w) = tau(w) Q(w)
 
-    On shell, with Q_u and Q_v the monic root polynomials,
-
-      k1 lam_1(w) Q_u(w-c) Q_v(w) + k2 lam_2(w) Q_u(w+c) Q_v(w-c)
-        - k3 lam_3(w) Q_u(w) Q_v(w-c) = tau(w) Q_u(w) Q_v(w)
-
-    holds identically in w.  The relation is linear in the coefficients of
-    either polynomial with the other fixed, so alternating least-squares
-    sweeps converge to the coefficient vectors, after which the roots are
-    polished by Newton on the Bethe equations elsewhere.  Returns None when
-    the alternation stalls (e.g. the sector has no finite-root solution).
+    holds identically in w.  The relation is linear in the coefficients of Q,
+    so one least-squares solve over sample points on a circle gives them;
+    the roots are then polished by Newton on the Bethe equations elsewhere.
+    Returns None when a root lies beyond 1e6 |c| or two roots coincide.
     """
-    a, b = sector
     c = spec.c
-    twist = spec.twist
-    k1, k2, k3 = twist.kappa
-    if a + b == 0:
-        return BetheRoots(twist=twist)
+    k1, k2, k3 = spec.twist.kappa
+    if a == 0:
+        return BetheRoots()
 
     rad = 2.0 * abs(c) * (1.0 + 0.15 * spec.M)
     center = np.mean(np.asarray(spec.xi))
-    n_pts = 4 * (spec.M + a + b)
+    n_pts = 4 * (spec.M + a)
     ang = 2 * np.pi * (np.arange(n_pts) + 0.31) / n_pts
     grid = center + rad * np.exp(1j * ang)
 
     tau = np.array([tau_fn(w) for w in grid], dtype=complex)
     lam = [np.array([spec.lam(k, w) for w in grid], dtype=complex) for k in (1, 2, 3)]
 
-    qu = np.zeros(a, dtype=complex)
-    qv = np.zeros(b, dtype=complex)
-    if b:
-        # crude start: v-roots clustered near the xi centroid shifted by -c/2
-        qv = np.poly(np.full(b, center - 0.5 * c))[1:][::-1].astype(complex)
+    # rows are grid points; each term is a weight times Q at a shifted argument
+    weights = (k1 * lam[0], k2 * lam[1], -k3 * lam[2], -tau)
+    args = (grid - c, grid + c, grid, grid)
+    mat = np.zeros((grid.size, a), dtype=complex)
+    rhs = np.zeros(grid.size, dtype=complex)
+    for wgt, arg in zip(weights, args):
+        for k in range(a):
+            mat[:, k] += wgt * arg**k
+        rhs += wgt * arg**a
+    coeffs = np.linalg.lstsq(mat, -rhs, rcond=None)[0]
 
-    def assemble(unknown: str):
-        # the TQ relation is linear in the coefficients of one polynomial
-        # with the other held fixed; rows are grid points
-        if unknown == "u":
-            weights = (
-                k1 * lam[0] * _polyval_vec(qv, grid),        # times Q_u(w-c)
-                k2 * lam[1] * _polyval_vec(qv, grid - c),    # times Q_u(w+c)
-                -k3 * lam[2] * _polyval_vec(qv, grid - c),   # times Q_u(w)
-                -tau * _polyval_vec(qv, grid),               # times Q_u(w)
-            )
-            args = (grid - c, grid + c, grid, grid)
-            n = a
-        else:
-            weights = (
-                k1 * lam[0] * _polyval_vec(qu, grid - c),    # times Q_v(w)
-                k2 * lam[1] * _polyval_vec(qu, grid + c),    # times Q_v(w-c)
-                -k3 * lam[2] * _polyval_vec(qu, grid),       # times Q_v(w-c)
-                -tau * _polyval_vec(qu, grid),               # times Q_v(w)
-            )
-            args = (grid, grid - c, grid - c, grid)
-            n = b
-        mat = np.zeros((grid.size, n), dtype=complex)
-        rhs = np.zeros(grid.size, dtype=complex)
-        for wgt, arg in zip(weights, args):
-            for k in range(n):
-                mat[:, k] += wgt * arg**k
-            rhs += wgt * arg**n
-        return mat, -rhs
-
-    prev = None
-    for _ in range(_TQ_ROUNDS):
-        if a:
-            mat, rhs = assemble("u")
-            qu = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        if b:
-            mat, rhs = assemble("v")
-            qv = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        cur = np.concatenate([qu, qv])
-        if prev is not None and np.allclose(cur, prev, rtol=0, atol=_TQ_RTOL * (1 + np.abs(cur).max())):
-            break
-        prev = cur
-    else:
-        return None
-
-    u_roots = np.roots(np.concatenate([[1.0], qu[::-1]])) if a else np.array([])
-    v_roots = np.roots(np.concatenate([[1.0], qv[::-1]])) if b else np.array([])
-    if u_roots.size and np.abs(u_roots).max() > 1e6 * abs(c):
-        return None
-    if v_roots.size and np.abs(v_roots).max() > 1e6 * abs(c):
+    roots = np.roots(np.concatenate([[1.0], coeffs[::-1]]))
+    if np.abs(roots).max() > 1e6 * abs(c):
         return None
     try:
-        return BetheRoots(u=tuple(u_roots), v=tuple(v_roots), twist=twist)
+        return BetheRoots(u=tuple(roots))
     except ValueError:
         return None
 
@@ -380,8 +323,7 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
     near) the true solutions and the Newton polish is a formality.
     """
     a, b = sector
-    twist = spec.twist
-    k1, k2, k3 = twist.kappa
+    k1, k2, k3 = spec.twist.kappa
     c = spec.c
     xi = np.asarray(spec.xi)
     cap = 1e9 * abs(c)
@@ -391,7 +333,7 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
     for us in itertools.combinations(pool_u, a):
         if b == 0:
             try:
-                yield BetheRoots(u=us, twist=twist)
+                yield BetheRoots(u=us)
             except ValueError:
                 continue
             continue
@@ -401,7 +343,7 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
             continue
         for vs in itertools.combinations(pool_v, b):
             try:
-                yield BetheRoots(u=us, v=vs, twist=twist)
+                yield BetheRoots(u=us, v=vs)
             except ValueError:
                 continue
 
@@ -413,20 +355,15 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
 class RootTrajectory:
     """Root motion along one twist direction around kappa = 1.
 
-    Holds the solved roots at 1 - delta, 1 and 1 + delta in component
-    ``direction``, or the seed alone when delta is 0; each carries its twist.
-    Roots that stay at infinity are carried as infinite counts; roots that
-    descend from infinity under the twist are solved at large finite values,
-    where their contribution to the vacuum ratio functions remains finite.
+    Holds the solved roots at 1 - delta, 1 and 1 + delta in one twist
+    component.  Roots that stay at infinity are carried as infinite counts;
+    roots that descend from infinity under the twist are solved at large
+    finite values, where their contribution to the vacuum ratio functions
+    remains finite.
     """
 
-    direction: int
     delta: float
     points: list[BetheRoots]
-
-    @property
-    def seed(self) -> BetheRoots:
-        return self.points[len(self.points) // 2]
 
     def dlog_ell_ratio(self, spec: ChainSpec, m: int) -> complex:
         """Central-difference d/dkappa_i of log(ell_1(ubar)/ell_3(vbar)) at 1.
@@ -441,15 +378,14 @@ class RootTrajectory:
         return (np.log(num) - np.log(den)) / (2 * self.delta)
 
 
-def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec,
-                  twist: TwistConfig) -> complex:
-    """Large-|x| seed for one root descending from infinity under a twist.
+def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec) -> complex:
+    """Large-|x| seed for one root descending from infinity under the spec's twist.
 
     From the asymptotic Bethe equation 1 + A c/x = rho (1 + B c/x) with
     rho the relevant kappa ratio: x = c (A - rho B)/(rho - 1).
     """
     c = spec.c
-    k1, k2, k3 = twist.kappa
+    k1, k2, k3 = spec.twist.kappa
     a_fin, b_fin = len(roots.u), len(roots.v)
     if kind == "u":
         rho = k2 / k1
@@ -465,19 +401,18 @@ def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec,
     return complex(base + c * (a_coef - rho * b_coef) / (rho - 1.0))
 
 
-def _solve_at_twist(point: BetheRoots, spec: ChainSpec, twist: TwistConfig,
-                    tol: float) -> BetheRoots:
-    """Re-solve a root set at a new twist, descending infinite roots if split."""
-    k1, k2, k3 = twist.kappa
-    seed = replace(point, twist=twist, residual=None)
+def _solve_at_twist(point: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
+    """Re-solve a root set at the spec's twist, descending infinite roots if split."""
+    k1, k2, k3 = spec.twist.kappa
+    seed = replace(point, residual=None)
     if seed.n_u_inf and abs(k2 / k1 - 1.0) > 1e-14:
         for _ in range(seed.n_u_inf):
-            x0 = _descent_seed("u", seed, spec, twist)
+            x0 = _descent_seed("u", seed, spec)
             jitter = 1.0 + 0.05 * len(seed.u)
             seed = replace(seed, u=seed.u + (x0 * jitter,), n_u_inf=seed.n_u_inf - 1)
     if seed.n_v_inf and abs(k2 / k3 - 1.0) > 1e-14:
         for _ in range(seed.n_v_inf):
-            x0 = _descent_seed("v", seed, spec, twist)
+            x0 = _descent_seed("v", seed, spec)
             jitter = 1.0 + 0.05 * len(seed.v)
             seed = replace(seed, v=seed.v + (x0 * jitter,), n_v_inf=seed.n_v_inf - 1)
     return solve_bethe(seed, spec, tol=tol)
@@ -487,22 +422,25 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
                    delta: float, tol: float = 1e-13) -> RootTrajectory:
     """Track roots to kappa_direction = 1 - delta and 1 + delta from a seed at 1.
 
-    The seed starts a Newton solve at each end; each solution must move by
-    less than a step bound, or a trajectory-jump error is raised.
+    ``spec`` is the untwisted chain the seed is on shell for, and ``delta``
+    must be above zero.  The seed starts a Newton solve at each end; each
+    solution must move by less than a step bound, or a trajectory-jump error
+    is raised.
     """
     if direction not in (1, 2, 3):
         raise ValueError("twist direction must be 1, 2 or 3")
-    if not seed.twist.is_identity:
+    if not spec.twist.is_identity:
         raise ValueError("continuation seeds must be on shell at kappa = 1")
-    if delta == 0.0:
-        return RootTrajectory(direction, 0.0, [seed])
+    if not delta > 0:
+        raise ValueError(f"twist step delta must be above zero, got {delta!r}")
 
     # the step as 1 + delta holds it, so both ends sit at 1 -/+ the same step
     step = (1.0 + delta) - 1.0
     c_abs = abs(spec.c)
 
     def solve_at(sign: float) -> BetheRoots:
-        cur = _solve_at_twist(seed, spec, seed.twist.replace(direction, 1.0 + sign * step), tol)
+        end = replace(spec, twist=spec.twist.replace(direction, 1.0 + sign * step))
+        cur = _solve_at_twist(seed, end, tol)
         # compare the common finite roots; Newton preserves component order
         # and freshly descended roots are appended at the tail of each set
         for old_set, new_set in ((seed.u, cur.u), (seed.v, cur.v)):
@@ -513,4 +451,4 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
         return cur
 
     fwd = solve_at(+1.0)
-    return RootTrajectory(direction, delta, [solve_at(-1.0), seed, fwd])
+    return RootTrajectory(delta, [solve_at(-1.0), seed, fwd])

@@ -78,15 +78,6 @@ class PoleError(ValueError):
     """Spectral parameter hit a pole (u = v, u = xi_n, or an f-function pole)."""
 
 
-def _c2pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _pair2c(p) -> complex:
-    return complex(p[0], p[1])
-
-
 @dataclass(frozen=True)
 class TwistConfig:
     """Diagonal twist kappa = diag(kappa_1, kappa_2, kappa_3)."""
@@ -109,13 +100,6 @@ class TwistConfig:
         k = list(self.kappa)
         k[i - 1] = complex(value)
         return TwistConfig(tuple(k))
-
-    def to_json(self) -> list:
-        return [_c2pair(k) for k in self.kappa]
-
-    @classmethod
-    def from_json(cls, data) -> "TwistConfig":
-        return cls(tuple(_pair2c(p) for p in data))
 
 
 def _default_xi(m: int, c: complex) -> tuple[complex, ...]:
@@ -200,25 +184,6 @@ class ChainSpec:
             if np.isfinite(x):
                 out *= self.r(k, x, sites)
         return out
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "c": _c2pair(self.c),
-            "xi": [_c2pair(x) for x in self.xi],
-            "kappa": self.twist.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChainSpec":
-        return cls(
-            M=int(data["M"]),
-            c=_pair2c(data["c"]),
-            xi=tuple(_pair2c(p) for p in data["xi"]),
-            twist=TwistConfig.from_json(data["kappa"]),
-        )
 
 
 # -- permutation and content-sector caches ----------------------------------

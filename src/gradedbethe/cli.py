@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; pay for it at start-up
@@ -27,7 +27,7 @@ from .bethe import bethe_residual, continue_twist
 from .chain import (
     ChainSpec,
     PoleError,
-    _default_xi,
+    TwistConfig,
     _entry_apply,
     _probe_columns,
     _relative_gap,
@@ -66,6 +66,7 @@ __all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_report", "main",
 
 MAX_SITES = 7
 SCHEMA_VERSION = 1
+_CHAIN_KEYS = ("M", "c", "xi", "kappa", "vacuum_index")
 
 
 class ScenarioError(ValueError):
@@ -112,6 +113,19 @@ def _checks(names) -> list[str]:
     return list(names)
 
 
+def _complex(value) -> complex:
+    """A complex number written as its [real, imaginary] pair."""
+    re, im = value
+    return complex(re, im)
+
+
+def _known_keys(name: str, data: dict, keys) -> None:
+    """Refuse keys outside ``keys``: a misspelt key would otherwise be ignored."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _distinct(name: str, values: list) -> list:
     """A list field whose entries each appear once: a repeat would repeat its rows."""
     for n, value in enumerate(values):
@@ -150,25 +164,28 @@ class Scenario:
 
     @classmethod
     def _from_fields(cls, data: dict) -> "Scenario":
+        # the scenario's keys are its fields' names
+        _known_keys("scenario", data, ["schema_version"] + [f.name for f in fields(cls)])
         if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {data.get('schema_version')}")
-        chain_data = dict(data.get("chain", {}))
-        vacuum_index = chain_data.pop("vacuum_index", 1)
+        chain_data = data.get("chain", {})
+        if not isinstance(chain_data, dict):
+            raise ScenarioError("chain must be a JSON object")
+        _known_keys("chain", chain_data, _CHAIN_KEYS)
+        vacuum_index = chain_data.get("vacuum_index", 1)
         if vacuum_index != 1:
             # root seeding and the sector labels count against the vacuum e_1
             raise ScenarioError(f"unsupported vacuum_index {vacuum_index}: only 1 is supported")
         m = _integer("M", chain_data.get("M", 4))
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
-        chain_data.setdefault("c", [1.0, 0.0])
-        chain_data.setdefault("kappa", [[1.0, 0.0]] * 3)
-        if chain_data.get("xi") is None:
-            c = complex(chain_data["c"][0], chain_data["c"][1])
-            chain_data["xi"] = [[x.real, x.imag] for x in _default_xi(m, c)]
-        chain_data["M"] = m
+        xi, kappa = chain_data.get("xi"), chain_data.get("kappa", [[1.0, 0.0]] * 3)
         try:
-            chain = ChainSpec.from_json(chain_data)
-        except (ValueError, KeyError) as exc:
+            # xi = None leaves the inhomogeneities to ChainSpec's default
+            chain = ChainSpec(M=m, c=_complex(chain_data.get("c", [1.0, 0.0])),
+                              xi=None if xi is None else tuple(map(_complex, xi)),
+                              twist=TwistConfig(tuple(map(_complex, kappa))))
+        except ValueError as exc:
             raise ScenarioError(f"invalid chain spec: {exc}") from exc
         if not chain.twist.is_identity:
             # twisted chains fail theorem1, proposition1 and ladder rows and end

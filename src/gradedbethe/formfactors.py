@@ -261,10 +261,9 @@ def twisted_dual_pairs(spec: ChainSpec, pairs,
     diagonalized independently, so each state is the one a call for it alone
     would give.
     """
-    twist = TwistConfig(tuple(np.exp(b) for b in beta))
-    roots = [_solve_at_twist(pair.roots, spec, twist, tol=1e-13) for pair in pairs]
-    dec = diagonalize_transfer(replace(spec, twist=twist),
-                               sectors=sorted({r.sector for r in roots}))
+    twisted = replace(spec, twist=TwistConfig(tuple(np.exp(b) for b in beta)))
+    roots = [_solve_at_twist(pair.roots, twisted, tol=1e-13) for pair in pairs]
+    dec = diagonalize_transfer(twisted, sectors=sorted({r.sector for r in roots}))
     return [match_roots_to_state(dec, r) for r in roots]
 
 

@@ -240,6 +240,11 @@ def diagonalize_transfer(spec: ChainSpec, *,
     return SpectralDecomposition(spec, probes, states, worst)
 
 
+def _samples_match(samples: np.ndarray, ref: np.ndarray, rtol: float = _MATCH_RTOL) -> bool:
+    """Whether two eigenvalue-sample vectors agree at every probe, relative to ``ref``'s size."""
+    return bool(np.abs(samples - ref).max() <= rtol * max(float(np.abs(ref).max()), 1e-300))
+
+
 def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
                          rtol: float = _MATCH_RTOL) -> EigenState:
     """Find the unique eigenstate whose eigenvalue samples match the roots; attach them.
@@ -250,11 +255,8 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
     the matched state sits in a degenerate cluster.
     """
     target = np.array([tau_eigenvalue(w, roots, dec.spec) for w in dec.probes])
-    scale = float(np.abs(target).max())
-    candidates = []
-    for st in dec.by_sector(roots.sector):
-        if np.abs(st.tau_samples - target).max() <= rtol * max(scale, 1e-300):
-            candidates.append(st)
+    candidates = [st for st in dec.by_sector(roots.sector)
+                  if _samples_match(st.tau_samples, target, rtol)]
     if not candidates:
         raise MatchError(f"no eigenstate matches roots in sector {roots.sector}")
     if len(candidates) > 1:
@@ -303,9 +305,10 @@ def classify_spectrum(dec: SpectralDecomposition,
     first compared against the states with roots in lower sectors: an exact
     eigenvalue match identifies a descendant, whose roots are the ancestor's
     plus roots at infinity.  Remaining states get finite roots from the TQ
-    fit followed by a Newton polish on the Bethe equations, validated by
-    re-matching the eigenvalue samples.  Clustered states and states no seed
-    reaches keep ``roots=None``; ``EigenState.kind`` tells the four apart.
+    fit (b = 0 sectors only) or the subset seeds, followed by a Newton polish
+    on the Bethe equations, validated by re-matching the eigenvalue samples.
+    Clustered states and states no seed reaches keep ``roots=None``;
+    ``EigenState.kind`` tells the four apart.
     Only the requested sectors' states are returned.
     """
     spec = dec.spec
@@ -333,12 +336,10 @@ def classify_spectrum(dec: SpectralDecomposition,
             if st.clustered:
                 found.append(st)
                 continue
-            scale = max(float(np.abs(st.tau_samples).max()), 1e-300)
             # done holds lower sectors only
             parent = next((prev for prev in done
                            if prev.sector[0] <= a and prev.sector[1] <= b
-                           and np.abs(prev.tau_samples - st.tau_samples).max() < _MATCH_RTOL * scale),
-                          None)
+                           and _samples_match(prev.tau_samples, st.tau_samples)), None)
             if parent is not None:
                 roots = replace(parent.roots,
                                 n_u_inf=parent.roots.n_u_inf + (a - parent.sector[0]),
@@ -349,7 +350,7 @@ def classify_spectrum(dec: SpectralDecomposition,
             roots = None
             seeds: list[BetheRoots] = []
             if b == 0:
-                guess = fit_roots_to_samples(sector, tau_fn_for(st), spec)
+                guess = fit_roots_to_samples(a, tau_fn_for(st), spec)
                 if guess is not None:
                     seeds.append(guess)
             seeds.extend(subset_seed_candidates(sector, spec))
@@ -359,7 +360,7 @@ def classify_spectrum(dec: SpectralDecomposition,
                     target = np.array([tau_eigenvalue(w, polished, spec) for w in dec.probes])
                 except (BetheSolverError, ValueError, ZeroDivisionError):
                     continue
-                if np.abs(target - st.tau_samples).max() < _MATCH_RTOL * scale:
+                if _samples_match(target, st.tau_samples):
                     roots = polished
                     break
             found.append(replace(st, roots=roots))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,8 @@ def test_tau_empty_roots_twisted_and_untwisted(spec3):
     w = 1.8 + 0.6j
     tau = tau_eigenvalue(w, BetheRoots(), spec3)
     assert abs(tau - (spec3.lam(1, w) + spec3.lam(2, w) - spec3.lam(3, w))) < 1e-14
-    twist = TwistConfig((1.2, 0.7, 1.5))
-    tau_k = tau_eigenvalue(w, BetheRoots(twist=twist), spec3)
+    twisted = replace(spec3, twist=TwistConfig((1.2, 0.7, 1.5)))
+    tau_k = tau_eigenvalue(w, BetheRoots(), twisted)
     expect = 1.2 * spec3.lam(1, w) + 0.7 * spec3.lam(2, w) - 1.5 * spec3.lam(3, w)
     assert abs(tau_k - expect) < 1e-14
 
@@ -136,9 +138,9 @@ def test_tau_ignores_roots_at_infinity(spec3):
 
 def test_infinite_roots_twist_consistency(spec3):
     # a v-root at infinity is inconsistent with kappa_2 != kappa_3
-    seed = BetheRoots(n_v_inf=1, twist=TwistConfig((1.0, 1.0, 1.01)))
+    seed = BetheRoots(n_v_inf=1)
     with pytest.raises(BetheSolverError):
-        solve_bethe(seed, spec3)
+        solve_bethe(seed, replace(spec3, twist=TwistConfig((1.0, 1.0, 1.01))))
 
 
 # -- twist continuation ---------------------------------------------------------
@@ -148,20 +150,22 @@ def on_shell_10(spec):
     return solve_bethe(BetheRoots(u=(one_root_pool(spec)[0],)), spec)
 
 
-def test_continue_twist_zero_delta_is_constant(spec3):
+def test_continue_twist_rejects_zero_delta(spec3):
+    # a zero step has no central difference: it used to return one point and
+    # a nan derivative
     seed = on_shell_10(spec3)
-    traj = continue_twist(seed, spec3, direction=1, delta=0.0)
-    assert traj.points == [seed]
+    for delta in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="above zero"):
+            continue_twist(seed, spec3, direction=1, delta=delta)
 
 
 def test_continue_twist_endpoints_solve_twisted_equations(spec3):
     seed = on_shell_10(spec3)
     traj = continue_twist(seed, spec3, direction=1, delta=1e-3)
     hi = traj.points[-1]
-    assert hi.twist.kappa[0] == pytest.approx(1.001)
-    assert np.abs(bethe_residual(hi, spec3)).max() < 1e-12
+    assert np.abs(bethe_residual(hi, replace(spec3, twist=TwistConfig((1.001, 1, 1))))).max() < 1e-12
     # the middle grid point is the seed itself
-    assert traj.seed == seed
+    assert traj.points[1] == seed
 
 
 def test_continue_twist_reversible(spec3):
@@ -169,7 +173,7 @@ def test_continue_twist_reversible(spec3):
     traj = continue_twist(seed, spec3, direction=2, delta=1e-3)
     end = traj.points[-1]
     back = continue_twist(
-        BetheRoots(u=seed.u, v=seed.v, twist=seed.twist, residual=seed.residual),
+        BetheRoots(u=seed.u, v=seed.v, residual=seed.residual),
         spec3, direction=2, delta=1e-3)
     # walking forward from the seed reproduces the endpoint, and the stored
     # seed stays bit-identical at the grid midpoint
@@ -179,7 +183,7 @@ def test_continue_twist_reversible(spec3):
 def test_untwisted_limit_matches_untwisted_solution(spec3):
     # twisted solutions at kappa = 1 coincide with untwisted solutions
     seed = on_shell_10(spec3)
-    sol = solve_bethe(BetheRoots(u=seed.u, twist=TwistConfig()), spec3)
+    sol = solve_bethe(BetheRoots(u=seed.u), replace(spec3, twist=TwistConfig()))
     assert abs(sol.u[0] - seed.u[0]) < 1e-13
 
 
@@ -201,7 +205,8 @@ def test_descending_root_comes_down_from_infinity(spec3):
     hi = traj.points[-1]
     assert hi.n_v_inf == 0
     assert abs(hi.v[0]) > 1e3
-    assert np.abs(bethe_residual(hi, spec3)).max() < 1e-11
+    twisted = replace(spec3, twist=TwistConfig((1, 1, 1 + 1e-5)))
+    assert np.abs(bethe_residual(hi, twisted)).max() < 1e-11
     # direction 1 keeps the v-root at infinity
     traj1 = continue_twist(seed, spec3, direction=1, delta=1e-5)
     assert traj1.points[-1].n_v_inf == 1

@@ -737,15 +737,7 @@ def test_sites_must_be_in_range_and_strictly_ascending():
     assert zero_mode_entry(spec, 1, 2, sites=[2, 3], contents=all_contents(spec))
 
 
-# -- serialization ------------------------------------------------------------------
-
-
-def test_chain_spec_json_roundtrip():
-    spec = ChainSpec(M=3, c=0.8 + 0.1j,
-                     twist=TwistConfig((1.0, 0.9 + 0.2j, 1.1)))
-    again = ChainSpec.from_json(spec.to_json())
-    assert again == spec
-    assert again.to_json() == spec.to_json()
+# -- validation ---------------------------------------------------------------------
 
 
 def test_chain_spec_validation():

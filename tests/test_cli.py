@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradedbethe
+from gradedbethe.chain import ChainSpec
 from gradedbethe.cli import (
     KNOWN_CHECKS,
     Scenario,
@@ -191,6 +192,12 @@ def test_exit_codes_via_main(tmp_path):
     {"seed": 1.5},
     {"chain": {"M": 2.5}},
     {"sectors": [[1.5, 0]]},
+    # keys outside the schema, and a chain that is not an object, are refused:
+    # each of these used to run on defaults
+    {"chain": {"M": 3, "cc": [2, 0]}},
+    {"tol_exat": 1e-30},
+    {"check": ["rtt"]},
+    {"chain": [["M", 5]]},
 ])
 def test_malformed_fields_are_configuration_errors(tmp_path, fields):
     # exit 1 means a check failed; a field of the wrong type or value is exit 2
@@ -240,6 +247,17 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--seed=-1", "--out", str(out)]) == 2
     assert "--seed must be an integer from 0 up" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_chain_fields_build_the_chain_spec():
+    xi = [[0.1, 0.05], [0.35, -0.1], [0.7, 0.2]]
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg["chain"].update({"c": [0.8, 0.3], "xi": xi})
+    assert Scenario.from_dict(cfg).chain == ChainSpec(M=3, c=0.8 + 0.3j,
+                                                      xi=tuple(complex(*x) for x in xi))
+    # no xi: the spec's own default
+    cfg["chain"]["xi"] = None
+    assert Scenario.from_dict(cfg).chain.xi == ChainSpec(M=3, c=0.8 + 0.3j).xi
 
 
 def test_twisted_chain_rejected(tmp_path):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gradedbethe.bethe import continue_twist
+from gradedbethe.bethe import bethe_residual, continue_twist
 from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_entries, transfer_blocks, \
     zero_mode_entry
 from gradedbethe.formfactors import (
@@ -328,6 +330,17 @@ def test_twisted_dual_pairs_match_one_state_calls(spec4, p10):
         assert tp.sector == alone.sector == pair.sector
         assert np.array_equal(tp.left, alone.left) and np.array_equal(tp.right, alone.right)
         assert np.array_equal(tp.tau_samples, alone.tau_samples)
+
+
+@pytest.mark.parametrize("beta", [(1e-2, 0.0, 0.0), (0.0, 0.0, 1e-2)])
+def test_twisted_dual_pairs_solve_the_twisted_equations(spec4, pairs4, p10, beta):
+    # the roots attached to each twisted dual solve the Bethe equations of the
+    # twisted spec; kappa_3 brings the (1,1) descendant's v-root down from infinity
+    pairs = p10[:2] + descendant_pairs(pairs4, (1, 1))[:1]
+    twisted = replace(spec4, twist=TwistConfig(tuple(np.exp(b) for b in beta)))
+    for tp in twisted_dual_pairs(spec4, pairs, beta):
+        assert np.abs(bethe_residual(tp.roots, twisted)).max() < 1e-12
+    assert tp.roots.n_v_inf == (beta[2] == 0)
 
 
 def test_genfun_derivative_consistency(spec4, p21):

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradedbethe.bethe import BetheRoots, bethe_residual
+import itertools
+
+from gradedbethe.bethe import BetheRoots, bethe_residual, fit_roots_to_samples
 from gradedbethe.chain import ChainSpec, TwistConfig, _content_partition, transfer_blocks, \
     zero_mode_entry
 from gradedbethe.spectrum import (
@@ -197,7 +199,7 @@ def test_restricted_diagonalization_matches_full_sectors(sector):
 
 def test_twisted_classification_seeds_at_the_spec_twist():
     # the TQ fit and the subset seeds read the twist off the spec: every root
-    # set they reach carries it and solves the twisted Bethe equations
+    # set they reach solves the twisted Bethe equations
     spec = ChainSpec(M=4, twist=TwistConfig((1.01, 1.0, 0.99)))
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     states = classify_spectrum(dec, sectors=[(1, 0), (2, 1)])
@@ -205,8 +207,35 @@ def test_twisted_classification_seeds_at_the_spec_twist():
     assert {st.sector for st in solved} == {(1, 0), (2, 1)}
     assert len(solved) == 14 and all(st.kind == "primitive" for st in solved)
     for st in solved:
-        assert st.roots.twist == spec.twist
         assert np.abs(bethe_residual(st.roots, spec)).max() < 1e-12
+
+
+def _tau_fn(spec, st):
+    """A state's eigenvalue function, read off the transfer matrix on its sector."""
+    on = [_content(spec, st.sector)]
+    return lambda w: sandwich(spec, st, transfer_blocks(spec, w, contents=on), st) / st.pairing
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(M=4), ChainSpec(M=6),
+                                  ChainSpec(M=4, twist=TwistConfig((1.01, 1.0, 0.99)))],
+                         ids=["M4", "M6", "M4-twisted"])
+def test_tq_fit_lands_on_the_classified_roots(spec):
+    # the unpolished linear TQ fit already sits on the roots Newton polishes
+    sectors = [(1, 0), (2, 0)]
+    dec = diagonalize_transfer(spec, sectors=[(0, 0)] + sectors)
+    prims = [st for st in classify_spectrum(dec, sectors=sectors) if st.kind == "primitive"]
+    assert {st.sector for st in prims} == set(sectors)
+    for st in prims:
+        fit = fit_roots_to_samples(st.sector[0], _tau_fn(spec, st), spec)
+        assert fit is not None and fit.sector == st.sector
+        gap = min(max(abs(x - y) for x, y in zip(order, st.roots.u))
+                  for order in itertools.permutations(fit.u))
+        assert gap < 1e-10 * abs(spec.c)
+
+
+def test_tq_fit_of_no_roots_is_empty(spec4, dec4):
+    vac, = dec4.by_sector((0, 0))
+    assert fit_roots_to_samples(0, _tau_fn(spec4, vac), spec4) == BetheRoots()
 
 
 def test_descendants_carry_infinite_roots(classified4):
