@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,6 +257,20 @@ def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
 # -- seeding: TQ functional fit ------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _tq_grid(spec: ChainSpec, a: int) -> tuple:
+    """Sample points of the TQ fit for a u-roots on a circle, and lambda_1..3 there; read-only."""
+    rad = 2.0 * abs(spec.c) * (1.0 + 0.15 * spec.M)
+    center = np.mean(np.asarray(spec.xi))
+    n_pts = 4 * (spec.M + a)
+    ang = 2 * np.pi * (np.arange(n_pts) + 0.31) / n_pts
+    grid = center + rad * np.exp(1j * ang)
+    lam = tuple(np.array([spec.lam(k, w) for w in grid], dtype=complex) for k in (1, 2, 3))
+    for arr in (grid, *lam):
+        arr.flags.writeable = False
+    return grid, lam
+
+
 def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
     """Fit the a finite u-roots of a b = 0 state to its eigenvalue function, at the spec's twist.
 
@@ -273,14 +288,8 @@ def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
     if a == 0:
         return BetheRoots()
 
-    rad = 2.0 * abs(c) * (1.0 + 0.15 * spec.M)
-    center = np.mean(np.asarray(spec.xi))
-    n_pts = 4 * (spec.M + a)
-    ang = 2 * np.pi * (np.arange(n_pts) + 0.31) / n_pts
-    grid = center + rad * np.exp(1j * ang)
-
+    grid, lam = _tq_grid(spec, a)
     tau = np.array([tau_fn(w) for w in grid], dtype=complex)
-    lam = [np.array([spec.lam(k, w) for w in grid], dtype=complex) for k in (1, 2, 3)]
 
     # rows are grid points; each term is a weight times Q at a shifted argument
     weights = (k1 * lam[0], k2 * lam[1], -k3 * lam[2], -tau)

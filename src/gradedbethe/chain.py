@@ -416,8 +416,16 @@ def transfer_blocks(spec: ChainSpec, u: complex, *, contents) -> dict:
 
     ``combine`` over the three diagonal entries, summed in i order.
     """
-    t = monodromy_entries(spec, u, _DIAGONAL, contents=contents)
-    summed = combine(*[((-1) ** _PAR[i] * spec.twist.kappa[i], t[i + 1, i + 1]) for i in range(3)])
+    return _twisted_sum(spec, monodromy_entries(spec, u, _DIAGONAL, contents=contents), contents)
+
+
+def _twisted_sum(spec: ChainSpec, diagonals: dict, contents) -> dict:
+    """transfer_blocks from the entries T_11, T_22, T_33 as monodromy_entries returns them.
+
+    The entries do not depend on the twist; only the weights here read it.
+    """
+    summed = combine(*[((-1) ** _PAR[i] * spec.twist.kappa[i], diagonals[i + 1, i + 1])
+                       for i in range(3)])
     return {s: summed[s] for s in contents}
 
 

@@ -74,10 +74,18 @@ class ScenarioError(ValueError):
 
 
 def _integer(name: str, value) -> int:
-    """An integer field; a float such as 1.7, nan or inf is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer field; a float such as 1.7, nan or inf is refused, not truncated.
+
+    JSON true and false are refused too: Python reads them as 1 and 0.
+    """
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _equals(value, expected: int) -> bool:
+    """value == expected for a JSON number; JSON true is not 1."""
+    return not isinstance(value, bool) and value == expected
 
 
 def _positive(name: str, value) -> float:
@@ -166,14 +174,14 @@ class Scenario:
     def _from_fields(cls, data: dict) -> "Scenario":
         # the scenario's keys are its fields' names
         _known_keys("scenario", data, ["schema_version"] + [f.name for f in fields(cls)])
-        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        if not _equals(data.get("schema_version", SCHEMA_VERSION), SCHEMA_VERSION):
             raise ScenarioError(f"unsupported schema_version {data.get('schema_version')}")
         chain_data = data.get("chain", {})
         if not isinstance(chain_data, dict):
             raise ScenarioError("chain must be a JSON object")
         _known_keys("chain", chain_data, _CHAIN_KEYS)
         vacuum_index = chain_data.get("vacuum_index", 1)
-        if vacuum_index != 1:
+        if not _equals(vacuum_index, 1):
             # root seeding and the sector labels count against the vacuum e_1
             raise ScenarioError(f"unsupported vacuum_index {vacuum_index}: only 1 is supported")
         m = _integer("M", chain_data.get("M", 4))

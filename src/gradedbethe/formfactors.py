@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -21,14 +21,17 @@ from .bethe import BetheRoots, RootTrajectory, _solve_at_twist, continue_twist, 
 from .chain import (
     ChainSpec,
     TwistConfig,
+    _DIAGONAL,
     _PAR,
+    _twisted_sum,
     combine,
     compose,
     monodromy_entries,
     transfer_blocks,
     zero_mode_entry,
 )
-from .spectrum import EigenState, _content, diagonalize_transfer, match_roots_to_state, sandwich
+from .spectrum import EigenState, _content, _decompose, default_probes, match_roots_to_state, \
+    sandwich
 
 __all__ = [
     "FormFactorReport",
@@ -259,12 +262,32 @@ def twisted_dual_pairs(spec: ChainSpec, pairs,
     diagonalizes the twisted transfer matrix once, in the twisted roots'
     sectors only, and matches each twisted eigenstate there.  Sectors are
     diagonalized independently, so each state is the one a call for it alone
-    would give.
+    would give.  The transfer blocks at the probes are the twist's weights
+    on T_11, T_22 and T_33, which are read once per set of sectors.
     """
     twisted = replace(spec, twist=TwistConfig(tuple(np.exp(b) for b in beta)))
     roots = [_solve_at_twist(pair.roots, twisted, tol=1e-13) for pair in pairs]
-    dec = diagonalize_transfer(twisted, sectors=sorted({r.sector for r in roots}))
+    sectors = sorted({r.sector for r in roots})
+    contents = tuple(_content(spec, s) for s in sectors)
+    diagonals = _probe_diagonals(replace(spec, twist=TwistConfig()), contents)
+    dec = _decompose(twisted, sectors, (_twisted_sum(twisted, t, contents) for t in diagonals))
     return [match_roots_to_state(dec, r) for r in roots]
+
+
+@lru_cache(maxsize=2)
+def _probe_diagonals(spec: ChainSpec, contents: tuple) -> tuple:
+    """T_11, T_22, T_33 on ``contents`` at each default probe, for every twist of ``spec``.
+
+    The twisted duals of a run sit in one or two sectors, and every twist
+    there reads these same entries; the blocks are read-only.
+    """
+    out = tuple(monodromy_entries(spec, w, _DIAGONAL, contents=contents)
+                for w in default_probes(spec))
+    for diagonals in out:
+        for entry in diagonals.values():
+            for _, blk in entry.values():
+                blk.flags.writeable = False
+    return out
 
 
 def _script_q(spec: ChainSpec, beta, m: int) -> complex:

@@ -199,12 +199,22 @@ def diagonalize_transfer(spec: ChainSpec, *,
     1e-10 flag nearly defective states as clustered, and a sector whose vr is
     singular to working precision has all its states flagged clustered.
     """
-    probes = default_probes(spec)
     wanted = [s for s in sector_indices(spec) if s in sectors]
     contents = [_content(spec, s) for s in wanted]
+    return _decompose(spec, wanted, (transfer_blocks(spec, w, contents=contents)
+                                     for w in default_probes(spec)))
+
+
+def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> SpectralDecomposition:
+    """diagonalize_transfer on the ``wanted`` sectors, in sector order.
+
+    ``t_ops``, an iterator, yields the transfer blocks on the wanted sectors' contents at
+    each default probe in turn; each is dropped before the next is drawn.
+    """
+    probes = default_probes(spec)
     # one probe's transfer blocks at a time: every sector is diagonalized at the
     # first probe, then each later probe is sandwiched on every sector
-    t_op = transfer_blocks(spec, probes[0], contents=contents)
+    t_op = next(t_ops)
     bases = {}
     for sector in wanted:
         w0, vr, left_rows, pairing, clustered = _sector_eigenbasis(
@@ -216,7 +226,9 @@ def diagonalize_transfer(spec: ChainSpec, *,
 
     worst = 0.0
     for q in range(1, probes.size):
-        t_op = transfer_blocks(spec, probes[q], contents=contents)
+        # no enumerate(t_ops): its reused result tuple would keep this
+        # probe's blocks alive while the next probe's are built
+        t_op = next(t_ops)
         for sector, (vr, left_rows, pairing, clustered, samples) in bases.items():
             safe = ~clustered
             tv = t_op[_content(spec, sector)][1] @ vr
@@ -305,8 +317,11 @@ def classify_spectrum(dec: SpectralDecomposition,
     first compared against the states with roots in lower sectors: an exact
     eigenvalue match identifies a descendant, whose roots are the ancestor's
     plus roots at infinity.  Remaining states get finite roots from the TQ
-    fit (b = 0 sectors only) or the subset seeds, followed by a Newton polish
-    on the Bethe equations, validated by re-matching the eigenvalue samples.
+    fit (b = 0 sectors only), then from the subset seeds, each followed by a
+    Newton polish on the Bethe equations, validated by re-matching the
+    eigenvalue samples.  Each sector's subset seeds are drawn and polished
+    once, in seed order and only as far as some state needs them, and every
+    state of the sector walks that one list.
     Clustered states and states no seed reaches keep ``roots=None``;
     ``EigenState.kind`` tells the four apart.
     Only the requested sectors' states are returned.
@@ -329,9 +344,31 @@ def classify_spectrum(dec: SpectralDecomposition,
             return sandwich(spec, st, t, st) / st.pairing
         return fn
 
+    def polish(seed: BetheRoots):
+        """The polished roots and their eigenvalue samples, None where Newton fails."""
+        try:
+            roots = solve_bethe(seed, spec, tol=_NEWTON_TOL)
+            return roots, np.array([tau_eigenvalue(w, roots, spec) for w in dec.probes])
+        except (BetheSolverError, ValueError, ZeroDivisionError):
+            return None
+
+    def polished_seeds(st: EigenState, shared: list, pending):
+        """The state's own TQ-fit seed, then the sector's shared list, drawn lazily."""
+        a, b = st.sector
+        if b == 0:
+            guess = fit_roots_to_samples(a, tau_fn_for(st), spec)
+            if guess is not None:
+                yield polish(guess)
+        yield from shared
+        for seed in pending:
+            shared.append(polish(seed))
+            yield shared[-1]
+
     for sector in swept:
         a, b = sector
         found: list[EigenState] = []
+        shared: list = []
+        pending = subset_seed_candidates(sector, spec)
         for st in dec.by_sector(sector):
             if st.clustered:
                 found.append(st)
@@ -348,20 +385,9 @@ def classify_spectrum(dec: SpectralDecomposition,
                 continue
 
             roots = None
-            seeds: list[BetheRoots] = []
-            if b == 0:
-                guess = fit_roots_to_samples(a, tau_fn_for(st), spec)
-                if guess is not None:
-                    seeds.append(guess)
-            seeds.extend(subset_seed_candidates(sector, spec))
-            for seed in seeds:
-                try:
-                    polished = solve_bethe(seed, spec, tol=_NEWTON_TOL)
-                    target = np.array([tau_eigenvalue(w, polished, spec) for w in dec.probes])
-                except (BetheSolverError, ValueError, ZeroDivisionError):
-                    continue
-                if _samples_match(target, st.tau_samples):
-                    roots = polished
+            for entry in polished_seeds(st, shared, pending):
+                if entry is not None and _samples_match(entry[1], st.tau_samples):
+                    roots = entry[0]
                     break
             found.append(replace(st, roots=roots))
         done += [st for st in found if st.roots is not None]

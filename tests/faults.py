@@ -6,8 +6,10 @@ switch.  ``injected(name)`` plants one for the length of a ``with`` block.
 The plans built from the sign rule are cached: ``_gather`` reads each
 graded swap off ``chain.permutation_between``, and ``_step_plan`` restricts
 that one plan to each content group; the letter rule of the zero modes
-reads the cached table ``_letters``.  All three caches are cleared on the
-way in and on the way out, so nothing built under a defect outlives it.
+reads the cached table ``_letters``; the twisted duals reuse the diagonal
+entries they read at the probes (``formfactors._probe_diagonals``), signed
+with BLOCK_SIGNS.  All four caches are cleared on the way in and on the way
+out, so nothing built under a defect outlives it.
 
 - ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
   space) and factor 2 loses its sign, as if site 2 of the chain were
@@ -30,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gradedbethe import chain
+from gradedbethe import chain, formfactors
 
 
 def _unsigned_p02(monkeypatch) -> None:
@@ -72,6 +74,7 @@ def _clear_plans() -> None:
     chain._step_plan.cache_clear()
     chain._gather.cache_clear()
     chain._letters.cache_clear()
+    formfactors._probe_diagonals.cache_clear()
 
 
 @contextmanager

@@ -241,6 +241,29 @@ def test_out_of_domain_fields_exit_2(tmp_path, capsys, fields, message):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"chain": {"M": True}}, "M must be an integer"),
+    ({"sectors": [[True, False]]}, "sectors must be an integer"),
+    ({"splits": [True]}, "splits must be an integer"),
+    ({"rtt_sizes": [True]}, "rtt_sizes must be an integer"),
+    ({"rtt_pairs": True}, "rtt_pairs must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"schema_version": True}, "unsupported schema_version"),
+    ({"chain": {"M": 3, "vacuum_index": True}}, "unsupported vacuum_index"),
+], ids=["M", "sectors", "splits", "rtt_sizes", "rtt_pairs", "seed", "schema_version",
+        "vacuum_index"])
+def test_json_booleans_are_not_integers(tmp_path, fields, message):
+    # Python reads true and false as 1 and 0: "M": true ran M=1, and true
+    # passed the schema_version and vacuum_index checks
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg.update(fields)
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.from_dict(cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not os.path.exists(out)
+
+
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, default_scenario_dict(m=2, seed=1))
     out = tmp_path / "out"
@@ -430,18 +453,42 @@ def test_proposition1_diagonalizes_once_per_sector_and_twist(monkeypatch):
     ws = cli._Workspace(scenario)
     ws.classified()
     twists = []
-    original = formfactors.diagonalize_transfer
+    original = formfactors._decompose
 
     def counted(spec, *args, **kwargs):
         twists.append(spec.twist)
         return original(spec, *args, **kwargs)
 
-    monkeypatch.setattr(formfactors, "diagonalize_transfer", counted)
+    # the twisted duals diagonalize through spectrum._decompose, on reused entries
+    monkeypatch.setattr(formfactors, "_decompose", counted)
     reports = cli._run_proposition1(ws)
     directions = sum(r.identity.startswith("genfun-derivative") for r in reports)
     # per direction: one twist for both proposition1 rows, two for the derivative
     assert directions == 3
     assert len(twists) == len(set(twists)) == 3 * directions
+
+
+def test_twisted_duals_read_each_sectors_probe_entries_once(monkeypatch):
+    from gradedbethe import chain, cli, formfactors
+
+    scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
+    ws = cli._Workspace(scenario)
+    ws.classified()
+    formfactors._probe_diagonals.cache_clear()
+    reads = []
+    original = chain.monodromy_entries
+
+    def counted(spec, u, pairs, *args, **kwargs):
+        if tuple(pairs) == ((1, 1), (2, 2), (3, 3)):
+            reads.append(tuple(kwargs["contents"]))
+        return original(spec, u, pairs, *args, **kwargs)
+
+    for module in (chain, formfactors):
+        monkeypatch.setattr(module, "monodromy_entries", counted)
+    cli._run_proposition1(ws)
+    # T_11, T_22 and T_33 do not depend on the twist: the nine twisted
+    # diagonalizations read them once per sector at each default probe
+    assert len(reads) == 5 * len(set(reads)) and len(set(reads)) <= 2
 
 
 def test_rtt_and_vacuum_build_only_the_vacuum_groups(tmp_path, monkeypatch):

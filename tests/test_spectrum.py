@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import itertools
 
-from gradedbethe.bethe import BetheRoots, bethe_residual, fit_roots_to_samples
+from gradedbethe.bethe import BetheRoots, bethe_residual, fit_roots_to_samples, \
+    subset_seed_candidates
 from gradedbethe.chain import ChainSpec, TwistConfig, _content_partition, transfer_blocks, \
     zero_mode_entry
 from gradedbethe.spectrum import (
@@ -208,6 +210,39 @@ def test_twisted_classification_seeds_at_the_spec_twist():
     assert len(solved) == 14 and all(st.kind == "primitive" for st in solved)
     for st in solved:
         assert np.abs(bethe_residual(st.roots, spec)).max() < 1e-12
+
+
+def test_each_subset_seed_is_polished_once_per_sector(monkeypatch):
+    # the states of a sector walk one shared list of polished seeds, so no
+    # seed is polished twice; polishing them per state took 21 Newton solves
+    # in sector (2,1) at M=5, for its 6 seeds
+    from gradedbethe import spectrum
+
+    spec = ChainSpec(M=5)
+    sectors = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+    dec = diagonalize_transfer(spec, sectors=sectors)
+    calls = []
+    original = spectrum.solve_bethe
+
+    def counted(seed, *args, **kwargs):
+        calls.append(seed.sector)
+        return original(seed, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_bethe", counted)
+    states = classify_spectrum(dec, sectors=sectors)
+    n_seeds = len(list(subset_seed_candidates((2, 1), spec)))
+    assert n_seeds == 6 and 0 < calls.count((2, 1)) <= n_seeds
+    assert sum(st.kind == "primitive" for st in states if st.sector == (2, 1)) > 0
+
+
+def test_census_of_every_sector():
+    # every one of the 3^5 states is classified; the split is the census
+    # ROADMAP records for M=5, kappa = 1
+    spec = ChainSpec(M=5)
+    states = classify_spectrum(diagonalize_transfer(spec, sectors=all_sectors(spec)))
+    kinds = Counter(st.kind for st in states)
+    assert kinds == {"primitive": 23, "descendant": 142, "cluster": 66, "unresolved": 12}
+    assert sum(kinds.values()) == 3 ** spec.M
 
 
 def _tau_fn(spec, st):
