@@ -54,7 +54,6 @@ class BetheRoots:
     v: tuple[complex, ...] = ()
     n_u_inf: int = 0
     n_v_inf: int = 0
-    residual: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
@@ -89,9 +88,9 @@ def _prod_f(xs, ys, c: complex) -> complex:
     return out
 
 
-def _check_f_poles(roots: BetheRoots, spec: ChainSpec, tol: float) -> None:
+def _check_f_poles(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> None:
     c = spec.c
-    pts = list(roots.u) + list(roots.v)
+    pts = u + v
     for x in pts:
         for xi in spec.xi:
             if abs(x - xi) < tol:
@@ -100,6 +99,25 @@ def _check_f_poles(roots: BetheRoots, spec: ChainSpec, tol: float) -> None:
         for y in pts[i + 1:]:
             if abs(x - y) < tol or abs(x - y - c) < tol or abs(x - y + c) < tol:
                 raise PoleError(f"roots {x}, {y} sit on an f-function pole")
+
+
+def _log_residuals(u: tuple, v: tuple, spec: ChainSpec) -> np.ndarray:
+    """Log residuals of the Bethe equations of the finite roots, u-equations then v-equations.
+
+    ``u`` and ``v`` are tuples of Python complex; entry j is Log(LHS_j / RHS_j)
+    at the spec's twist.  Raises PoleError where a root sits on a pole.
+    """
+    c = spec.c
+    _check_f_poles(u, v, spec, _POLE_TOL * abs(c))
+    k1, k2, k3 = spec.twist.kappa
+    res = []
+    for j, x in enumerate(u):
+        others = u[:j] + u[j + 1:]
+        rhs = (k2 / k1) * _prod_f([x], others, c) / _prod_f(others, [x], c) * _prod_f(v, [x], c)
+        res.append(np.log(spec.r(1, x) / rhs))
+    for x in v:
+        res.append(np.log(spec.r(3, x) / ((k2 / k3) * _prod_f([x], u, c))))
+    return np.array(res, dtype=complex)
 
 
 def bethe_residual(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
@@ -111,24 +129,11 @@ def bethe_residual(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
     warning.  Roots at infinity contribute the constant consistency condition
     on the twist ratio.
     """
-    c = spec.c
-    _check_f_poles(roots, spec, _POLE_TOL * abs(c))
     k1, k2, k3 = spec.twist.kappa
-    uu, vv = roots.u, roots.v
-    res = []
-    for j, x in enumerate(uu):
-        lhs = spec.r(1, x)
-        rhs = (k2 / k1) * _prod_f([x], [y for i, y in enumerate(uu) if i != j], c) \
-            / _prod_f([y for i, y in enumerate(uu) if i != j], [x], c) \
-            * _prod_f(vv, [x], c)
-        res.append(np.log(lhs / rhs))
-    res.extend([-np.log(k2 / k1)] * roots.n_u_inf)
-    for x in vv:
-        lhs = spec.r(3, x)
-        rhs = (k2 / k3) * _prod_f([x], uu, c)
-        res.append(np.log(lhs / rhs))
-    res.extend([-np.log(k2 / k3)] * roots.n_v_inf)
-    out = np.array(res, dtype=complex)
+    fin = list(_log_residuals(roots.u, roots.v, spec))
+    na = len(roots.u)
+    out = np.array(fin[:na] + [-np.log(k2 / k1)] * roots.n_u_inf
+                   + fin[na:] + [-np.log(k2 / k3)] * roots.n_v_inf, dtype=complex)
     if out.size and np.any(np.abs(out.imag) > np.pi - 0.2):
         warnings.warn("Bethe residual near the log branch cut", stacklevel=2)
     return out
@@ -140,69 +145,49 @@ def _dlogf(x: complex, y: complex, c: complex) -> tuple[complex, complex]:
     return d, -d
 
 
-def _bethe_jacobian(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
-    """Analytic Jacobian of the finite-root part of the log-form residuals."""
+def _bethe_jacobian(u: tuple, v: tuple, spec: ChainSpec) -> np.ndarray:
+    """Analytic Jacobian of ``_log_residuals``."""
     c = spec.c
-    uu, vv = roots.u, roots.v
-    na, nb = len(uu), len(vv)
+    na, nb = len(u), len(v)
     jac = np.zeros((na + nb, na + nb), dtype=complex)
-    for j, x in enumerate(uu):
+    for j, x in enumerate(u):
         jac[j, j] += spec.dlog_r(1, x)
-        for k, y in enumerate(uu):
+        for k, y in enumerate(u):
             if k == j:
                 continue
             dxj_1, dyk_1 = _dlogf(x, y, c)   # log f(u_j, u_k)
             dyk_2, dxj_2 = _dlogf(y, x, c)   # log f(u_k, u_j)
             jac[j, j] -= dxj_1 - dxj_2
             jac[j, k] -= dyk_1 - dyk_2
-        for l, y in enumerate(vv):
+        for l, y in enumerate(v):
             dv, dx = _dlogf(y, x, c)         # log f(v_l, u_j)
             jac[j, j] -= dx
             jac[j, na + l] -= dv
-    for j, x in enumerate(vv):
+    for j, x in enumerate(v):
         row = na + j
         jac[row, row] += spec.dlog_r(3, x)
-        for l, y in enumerate(uu):
+        for l, y in enumerate(u):
             dx, dy = _dlogf(x, y, c)         # log f(v_j, u_l)
             jac[row, row] -= dx
             jac[row, l] -= dy
     return jac
 
 
-def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheRoots:
-    """Damped Newton iteration on the log-form residual from a seed.
+def _newton(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> tuple[tuple, tuple]:
+    """Damped Newton on ``_log_residuals`` from the finite roots (u, v) to new (u, v)."""
+    na, c = len(u), spec.c
 
-    Only finite roots are iterated; infinite roots are carried through after
-    their twist-consistency condition is checked.  The returned roots carry
-    the achieved residual and are re-validated for distinctness.
-    """
-    c = spec.c
-    k1, k2, k3 = spec.twist.kappa
-    if seed.n_u_inf and abs(k2 / k1 - 1.0) > tol:
-        raise BetheSolverError("u-roots at infinity are inconsistent with kappa_1 != kappa_2")
-    if seed.n_v_inf and abs(k2 / k3 - 1.0) > tol:
-        raise BetheSolverError("v-roots at infinity are inconsistent with kappa_2 != kappa_3")
+    def split(vec):
+        return tuple(vec[:na].tolist()), tuple(vec[na:].tolist())
 
-    na, nb = len(seed.u), len(seed.v)
-    x = np.array(list(seed.u) + list(seed.v), dtype=complex)
-
-    def residual_at(vec):
-        r = replace(seed, u=tuple(vec[:na]), v=tuple(vec[na:]), residual=None)
-        full = bethe_residual(r, spec)
-        return np.concatenate([full[:na], full[na + seed.n_u_inf: na + seed.n_u_inf + nb]])
-
-    if na + nb == 0:
-        return replace(seed, residual=0.0)
-
-    res = residual_at(x)
+    x = np.array(u + v, dtype=complex)
+    res = _log_residuals(u, v, spec)
     for _ in range(_MAX_ITER):
-        norm = float(np.abs(res).max())
+        norm = float(np.abs(res).max(initial=0.0))
         if norm < tol:
-            break
-        r = replace(seed, u=tuple(x[:na]), v=tuple(x[na:]), residual=None)
-        jac = _bethe_jacobian(r, spec)
+            return split(x)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(_bethe_jacobian(*split(x), spec), -res)
         except np.linalg.LinAlgError as exc:
             raise BetheSolverError("singular Bethe Jacobian") from exc
         lam = 1.0
@@ -214,7 +199,7 @@ def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheR
                 lam *= 0.5
                 continue
             try:
-                res_new = residual_at(x_new)
+                res_new = _log_residuals(*split(x_new), spec)
             except PoleError:
                 lam *= 0.5
                 continue
@@ -224,15 +209,29 @@ def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheR
         else:
             raise BetheSolverError("Newton damping failed (root collision or pole)")
         x, res = x_new, res_new
-    else:
-        raise BetheSolverError(
-            f"Bethe solver did not converge (residual {float(np.abs(res).max()):.2e})"
-        )
+    norm = float(np.abs(res).max())
+    raise BetheSolverError(f"Bethe solver did not converge (residual {norm:.2e})")
 
-    out = replace(seed, u=tuple(x[:na]), v=tuple(x[na:]),
-                  residual=float(np.abs(res).max()) if res.size else 0.0)
-    _check_f_poles(out, spec, _COLLISION_TOL * abs(c))
-    return out
+
+def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheRoots:
+    """Damped Newton iteration on the log-form residual from a seed.
+
+    Only finite roots are iterated; infinite roots are carried through after
+    their twist-consistency condition is checked.  The returned roots are
+    re-validated for distinctness.  Every way the iteration fails, an iterate
+    that leaves the floating-point range included, raises BetheSolverError.
+    """
+    k1, k2, k3 = spec.twist.kappa
+    if seed.n_u_inf and abs(k2 / k1 - 1.0) > tol:
+        raise BetheSolverError("u-roots at infinity are inconsistent with kappa_1 != kappa_2")
+    if seed.n_v_inf and abs(k2 / k3 - 1.0) > tol:
+        raise BetheSolverError("v-roots at infinity are inconsistent with kappa_2 != kappa_3")
+    try:
+        u, v = _newton(seed.u, seed.v, spec, tol)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise BetheSolverError(f"Newton iterate left the floating-point range ({exc})") from exc
+    _check_f_poles(u, v, spec, _COLLISION_TOL * abs(spec.c))
+    return replace(seed, u=u, v=v)
 
 
 def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
@@ -311,13 +310,10 @@ def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
         return None
 
 
-def _trimmed_roots(coeffs: np.ndarray, root_cap: float) -> np.ndarray:
-    """Roots of a polynomial whose leading coefficients may vanish exactly."""
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
-    if coeffs.size < 2:
-        return np.array([], dtype=complex)
-    roots = np.roots(coeffs)
-    return roots[np.abs(roots) < root_cap]
+def _capped_roots(coeffs, cap: float) -> np.ndarray:
+    """Roots below ``cap`` in modulus; np.roots drops vanishing leading coefficients."""
+    roots = np.roots(np.atleast_1d(coeffs))
+    return roots[np.abs(roots) < cap]
 
 
 def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
@@ -330,24 +326,20 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
     kappa_2 prod(u - xi); for sectors with b > 0 the dressing by the v-roots
     cancels against the u-exchange factors, so these subsets sit on (or very
     near) the true solutions and the Newton polish is a formality.
+    ``classify_spectrum`` draws them for b > 0 sectors only; a b = 0 state
+    takes its own TQ-fit seed.
     """
     a, b = sector
     k1, k2, k3 = spec.twist.kappa
     c = spec.c
     xi = np.asarray(spec.xi)
     cap = 1e9 * abs(c)
-    pool_u = _trimmed_roots(k1 * np.poly(xi - c) - k2 * np.poly(xi), cap)
+    pool_u = _capped_roots(k1 * np.poly(xi - c) - k2 * np.poly(xi), cap)
     if len(pool_u) < a:
         return
     for us in itertools.combinations(pool_u, a):
-        if b == 0:
-            try:
-                yield BetheRoots(u=us)
-            except ValueError:
-                continue
-            continue
         uarr = np.asarray(us)
-        pool_v = _trimmed_roots(k3 * np.poly(uarr) - k2 * np.poly(uarr - c), cap)
+        pool_v = _capped_roots(k3 * np.poly(uarr) - k2 * np.poly(uarr - c), cap)
         if len(pool_v) < b:
             continue
         for vs in itertools.combinations(pool_v, b):
@@ -410,10 +402,9 @@ def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec) -> complex:
     return complex(base + c * (a_coef - rho * b_coef) / (rho - 1.0))
 
 
-def _solve_at_twist(point: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
+def _solve_at_twist(seed: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
     """Re-solve a root set at the spec's twist, descending infinite roots if split."""
     k1, k2, k3 = spec.twist.kappa
-    seed = replace(point, residual=None)
     if seed.n_u_inf and abs(k2 / k1 - 1.0) > 1e-14:
         for _ in range(seed.n_u_inf):
             x0 = _descent_seed("u", seed, spec)

@@ -316,12 +316,12 @@ def classify_spectrum(dec: SpectralDecomposition,
     requested one is swept too, since it may hold an ancestor.  Each state is
     first compared against the states with roots in lower sectors: an exact
     eigenvalue match identifies a descendant, whose roots are the ancestor's
-    plus roots at infinity.  Remaining states get finite roots from the TQ
-    fit (b = 0 sectors only), then from the subset seeds, each followed by a
-    Newton polish on the Bethe equations, validated by re-matching the
-    eigenvalue samples.  Each sector's subset seeds are drawn and polished
-    once, in seed order and only as far as some state needs them, and every
-    state of the sector walks that one list.
+    plus roots at infinity.  A remaining state of a b = 0 sector tries its
+    own TQ-fit seed; one of a b >= 1 sector walks the sector's subset seeds.
+    Each seed is followed by a Newton polish on the Bethe equations,
+    validated by re-matching the eigenvalue samples.  Each sector's subset
+    seeds are drawn and polished once, in seed order and only as far as some
+    state needs them, and every state of the sector walks that one list.
     Clustered states and states no seed reaches keep ``roots=None``;
     ``EigenState.kind`` tells the four apart.
     Only the requested sectors' states are returned.
@@ -349,16 +349,17 @@ def classify_spectrum(dec: SpectralDecomposition,
         try:
             roots = solve_bethe(seed, spec, tol=_NEWTON_TOL)
             return roots, np.array([tau_eigenvalue(w, roots, spec) for w in dec.probes])
-        except (BetheSolverError, ValueError, ZeroDivisionError):
+        except (BetheSolverError, ValueError):
             return None
 
     def polished_seeds(st: EigenState, shared: list, pending):
-        """The state's own TQ-fit seed, then the sector's shared list, drawn lazily."""
+        """The state's own TQ-fit seed at b = 0, else the sector's shared list, drawn lazily."""
         a, b = st.sector
         if b == 0:
             guess = fit_roots_to_samples(a, tau_fn_for(st), spec)
             if guess is not None:
                 yield polish(guess)
+            return
         yield from shared
         for seed in pending:
             shared.append(polish(seed))
@@ -368,7 +369,7 @@ def classify_spectrum(dec: SpectralDecomposition,
         a, b = sector
         found: list[EigenState] = []
         shared: list = []
-        pending = subset_seed_candidates(sector, spec)
+        pending = subset_seed_candidates(sector, spec) if b else ()
         for st in dec.by_sector(sector):
             if st.clustered:
                 found.append(st)

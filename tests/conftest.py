@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +7,6 @@ from gradedbethe.chain import ChainSpec
 from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, sector_indices
 
 from oracles import all_sectors
-
-# the Bethe residual warns near the log branch cut during wide seed sweeps;
-# that is expected behaviour, not a test failure
-warnings.filterwarnings("ignore", message="Bethe residual near the log branch cut")
 
 TESTED_SECTORS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
 

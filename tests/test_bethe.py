@@ -57,14 +57,14 @@ def test_homogeneous_like_cubic_roots():
     for u in got:
         assert min(abs(u - e) for e in expect) < 1e-6
         polished = solve_bethe(BetheRoots(u=(u,)), spec)
-        assert polished.residual < 1e-12
+        assert np.abs(bethe_residual(polished, spec)).max() < 1e-12
 
 
 def test_solver_fixed_point(spec3):
     u = one_root_pool(spec3)[0]
     sol = solve_bethe(BetheRoots(u=(u,)), spec3)
     assert abs(sol.u[0] - u) < 1e-12
-    assert sol.residual is not None and sol.residual < 1e-10
+    assert np.abs(bethe_residual(sol, spec3)).max() < 1e-10
 
 
 def test_solver_converges_from_perturbed_seed(spec3):
@@ -72,7 +72,7 @@ def test_solver_converges_from_perturbed_seed(spec3):
     seed = BetheRoots(u=(u + 0.01 * spec3.c,))
     sol = solve_bethe(seed, spec3)
     assert abs(sol.u[0] - u) < 1e-10
-    assert sol.residual < 1e-12
+    assert np.abs(bethe_residual(sol, spec3)).max() < 1e-12
 
 
 def test_two_one_sector_solution(spec3):
@@ -80,7 +80,6 @@ def test_two_one_sector_solution(spec3):
     seeds = list(subset_seed_candidates((2, 1), spec3))
     assert len(seeds) == 1
     sol = solve_bethe(seeds[0], spec3)
-    assert sol.residual < 1e-12
     assert np.abs(bethe_residual(sol, spec3)).max() < 1e-12
     # v sits at the mean of the u-pair shifted by -c/2
     assert abs(sol.v[0] - (sol.u[0] + sol.u[1]) / 2 + spec3.c / 2) < 1e-10
@@ -91,6 +90,20 @@ def test_residual_pole_guards(spec3):
         bethe_residual(BetheRoots(u=(spec3.xi[0],)), spec3)
     with pytest.raises(PoleError):
         bethe_residual(BetheRoots(u=(0.5, 0.5 + spec3.c)), spec3)
+
+
+def test_overflowing_newton_iterate_is_a_solver_failure():
+    # a subset seed of sector (6,3) on the twisted M=7 chain whose Newton
+    # iterate overflows a complex power; the failure is a BetheSolverError
+    spec = ChainSpec(M=7, twist=TwistConfig((1.01, 1.0, 0.99)))
+    seed = BetheRoots(
+        u=(-703.5943709652806 + 4.163336342344337e-17j, -0.10192477097761754 + 1.006656335851397j,
+           -0.10057256045602544 + 0.35740388530328765j, -0.10057256045602597 - 0.35740388530328754j,
+           -0.10031718592593862 + 0.0943373495609165j, -0.10031718592593795 - 0.09433734956091644j),
+        v=(-0.6021166076531783 - 0.6438087269226724j, -0.6016417137785081 + 0.40881642358796033j,
+           -0.6013418139524779 - 0.06710417197158942j))
+    with pytest.raises(BetheSolverError):
+        solve_bethe(seed, spec, tol=1e-12)
 
 
 def test_roots_distinctness_guard():
@@ -173,7 +186,7 @@ def test_continue_twist_reversible(spec3):
     traj = continue_twist(seed, spec3, direction=2, delta=1e-3)
     end = traj.points[-1]
     back = continue_twist(
-        BetheRoots(u=seed.u, v=seed.v, residual=seed.residual),
+        BetheRoots(u=seed.u, v=seed.v),
         spec3, direction=2, delta=1e-3)
     # walking forward from the seed reproduces the endpoint, and the stored
     # seed stays bit-identical at the grid midpoint

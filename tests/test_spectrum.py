@@ -235,14 +235,38 @@ def test_each_subset_seed_is_polished_once_per_sector(monkeypatch):
     assert sum(st.kind == "primitive" for st in states if st.sector == (2, 1)) > 0
 
 
-def test_census_of_every_sector():
-    # every one of the 3^5 states is classified; the split is the census
-    # ROADMAP records for M=5, kappa = 1
+def test_b0_sectors_draw_no_subset_seeds(monkeypatch):
+    # a b = 0 state tries only its own TQ-fit seed; the subset seeds serve
+    # the b >= 1 sectors alone
+    from gradedbethe import spectrum
+
     spec = ChainSpec(M=5)
-    states = classify_spectrum(diagonalize_transfer(spec, sectors=all_sectors(spec)))
-    kinds = Counter(st.kind for st in states)
-    assert kinds == {"primitive": 23, "descendant": 142, "cluster": 66, "unresolved": 12}
-    assert sum(kinds.values()) == 3 ** spec.M
+    sectors = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+    dec = diagonalize_transfer(spec, sectors=sectors)
+    drawn = []
+    original = spectrum.subset_seed_candidates
+
+    def recorded(sector, *args, **kwargs):
+        drawn.append(sector)
+        return original(sector, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "subset_seed_candidates", recorded)
+    classify_spectrum(dec, sectors=sectors)
+    assert drawn and all(b >= 1 for _, b in drawn)
+
+
+def test_census_of_every_sector():
+    # every one of the 3^5 states is classified; at kappa = 1 the split is the
+    # census ROADMAP records for M=5, and at a small twist every state is
+    # primitive or unresolved
+    for kappa, census in [((1.0, 1.0, 1.0),
+                           {"primitive": 23, "descendant": 142, "cluster": 66, "unresolved": 12}),
+                          ((1.01, 1.0, 0.99), {"primitive": 127, "unresolved": 116})]:
+        spec = ChainSpec(M=5, twist=TwistConfig(kappa))
+        states = classify_spectrum(diagonalize_transfer(spec, sectors=all_sectors(spec)))
+        kinds = Counter(st.kind for st in states)
+        assert kinds == census
+        assert sum(kinds.values()) == 3 ** spec.M
 
 
 def _tau_fn(spec, st):
