@@ -35,6 +35,7 @@ __all__ = [
 _POLE_TOL = 1e-9       # |c| units: a root pair this close to an f-function pole
 _MAX_ITER = 60         # Newton steps before solve_bethe gives up
 _COLLISION_TOL = 1e-8  # |c| units: two roots this close have collided
+_TWIST_TOL = 1e-13     # Bethe residual of the roots solved at a twist
 
 
 class BetheSolverError(RuntimeError):
@@ -213,7 +214,7 @@ def _newton(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> tuple[tuple, tup
     raise BetheSolverError(f"Bethe solver did not converge (residual {norm:.2e})")
 
 
-def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float = 1e-12) -> BetheRoots:
+def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
     """Damped Newton iteration on the log-form residual from a seed.
 
     Only finite roots are iterated; infinite roots are carried through after
@@ -356,15 +357,16 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
 class RootTrajectory:
     """Root motion along one twist direction around kappa = 1.
 
-    Holds the solved roots at 1 - delta, 1 and 1 + delta in one twist
-    component.  Roots that stay at infinity are carried as infinite counts;
-    roots that descend from infinity under the twist are solved at large
-    finite values, where their contribution to the vacuum ratio functions
-    remains finite.
+    Holds the solved roots at 1 - delta (``lo``) and 1 + delta (``hi``) in
+    one twist component.  Roots that stay at infinity are carried as
+    infinite counts; roots that descend from infinity under the twist are
+    solved at large finite values, where their contribution to the vacuum
+    ratio functions remains finite.
     """
 
     delta: float
-    points: list[BetheRoots]
+    lo: BetheRoots
+    hi: BetheRoots
 
     def dlog_ell_ratio(self, spec: ChainSpec, m: int) -> complex:
         """Central-difference d/dkappa_i of log(ell_1(ubar)/ell_3(vbar)) at 1.
@@ -372,10 +374,9 @@ class RootTrajectory:
         The difference of logs is taken as the log of the ratio of endpoint
         values, which stays near 1 for small widths and cannot jump branch.
         """
-        lo, hi = self.points[0], self.points[-1]
         sites = range(1, m + 1)
-        num = spec.r_product(1, hi.u, sites) / spec.r_product(1, lo.u, sites)
-        den = spec.r_product(3, hi.v, sites) / spec.r_product(3, lo.v, sites)
+        num = spec.r_product(1, self.hi.u, sites) / spec.r_product(1, self.lo.u, sites)
+        den = spec.r_product(3, self.hi.v, sites) / spec.r_product(3, self.lo.v, sites)
         return (np.log(num) - np.log(den)) / (2 * self.delta)
 
 
@@ -402,7 +403,7 @@ def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec) -> complex:
     return complex(base + c * (a_coef - rho * b_coef) / (rho - 1.0))
 
 
-def _solve_at_twist(seed: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
+def _solve_at_twist(seed: BetheRoots, spec: ChainSpec) -> BetheRoots:
     """Re-solve a root set at the spec's twist, descending infinite roots if split."""
     k1, k2, k3 = spec.twist.kappa
     if seed.n_u_inf and abs(k2 / k1 - 1.0) > 1e-14:
@@ -415,15 +416,16 @@ def _solve_at_twist(seed: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots
             x0 = _descent_seed("v", seed, spec)
             jitter = 1.0 + 0.05 * len(seed.v)
             seed = replace(seed, v=seed.v + (x0 * jitter,), n_v_inf=seed.n_v_inf - 1)
-    return solve_bethe(seed, spec, tol=tol)
+    return solve_bethe(seed, spec, tol=_TWIST_TOL)
 
 
 def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
-                   delta: float, tol: float = 1e-13) -> RootTrajectory:
+                   delta: float) -> RootTrajectory:
     """Track roots to kappa_direction = 1 - delta and 1 + delta from a seed at 1.
 
     ``spec`` is the untwisted chain the seed is on shell for, and ``delta``
-    must be above zero.  The seed starts a Newton solve at each end; each
+    must lie strictly between zero and one, so that neither end is a zero
+    twist component.  The seed starts a Newton solve at each end; each
     solution must move by less than a step bound, or a trajectory-jump error
     is raised.
     """
@@ -431,8 +433,8 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
         raise ValueError("twist direction must be 1, 2 or 3")
     if not spec.twist.is_identity:
         raise ValueError("continuation seeds must be on shell at kappa = 1")
-    if not delta > 0:
-        raise ValueError(f"twist step delta must be above zero, got {delta!r}")
+    if not 0 < delta < 1:
+        raise ValueError(f"twist step delta must be above zero and below one, got {delta!r}")
 
     # the step as 1 + delta holds it, so both ends sit at 1 -/+ the same step
     step = (1.0 + delta) - 1.0
@@ -440,7 +442,7 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
 
     def solve_at(sign: float) -> BetheRoots:
         end = replace(spec, twist=spec.twist.replace(direction, 1.0 + sign * step))
-        cur = _solve_at_twist(seed, end, tol)
+        cur = _solve_at_twist(seed, end)
         # compare the common finite roots; Newton preserves component order
         # and freshly descended roots are appended at the tail of each set
         for old_set, new_set in ((seed.u, cur.u), (seed.v, cur.v)):
@@ -450,5 +452,5 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
                     raise BetheSolverError("trajectory jump detected; reduce the step")
         return cur
 
-    fwd = solve_at(+1.0)
-    return RootTrajectory(delta, [solve_at(-1.0), seed, fwd])
+    hi = solve_at(+1.0)
+    return RootTrajectory(delta, solve_at(-1.0), hi)

@@ -38,6 +38,7 @@ residual test; see tests/test_chain.py.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -90,6 +91,8 @@ class TwistConfig:
             raise ValueError("twist needs exactly three components")
         if any(k == 0 for k in self.kappa):
             raise ValueError("twist components must be nonzero")
+        if not all(cmath.isfinite(k) for k in self.kappa):
+            raise ValueError("twist components must be finite")
 
     @property
     def is_identity(self) -> bool:
@@ -128,11 +131,15 @@ class ChainSpec:
         object.__setattr__(self, "c", complex(self.c))
         if self.c == 0:
             raise ValueError("coupling c must be nonzero")
+        if not cmath.isfinite(self.c):
+            raise ValueError("coupling c must be finite")
         xi = self.xi if self.xi is not None else _default_xi(self.M, self.c)
         xi = tuple(complex(x) for x in xi)
         object.__setattr__(self, "xi", xi)
         if len(xi) != self.M:
             raise ValueError("need one inhomogeneity per site")
+        if not all(cmath.isfinite(x) for x in xi):
+            raise ValueError("inhomogeneities must be finite")
         if len({x for x in xi}) != self.M:
             raise ValueError("inhomogeneities must be pairwise distinct")
 
@@ -145,7 +152,8 @@ class ChainSpec:
         return self.all_sites() if sites is None else tuple(sites)
 
     # -- vacuum functions -------------------------------------------------
-    # Closed forms over a site range, the full chain when ``sites`` is None.
+    # Closed forms over a site range, the full chain when ``sites`` is None
+    # (``dlog_r`` reads the full chain only).
     # Index 1 is even, so the single-site vacuum eigenvalues are
     # lambda_1(u|n) = 1 + g(u, xi_n) and lambda_2 = lambda_3 = 1.  No operator
     # read calls these: the vacuum rows compare them with T(u) on the vacuum.
@@ -162,13 +170,12 @@ class ChainSpec:
         """Ratio r_k = lambda_k / lambda_2, k in {1, 3}."""
         return self.lam(k, u, sites) / self.lam(2, u, sites)
 
-    def dlog_r(self, k: int, u: complex, sites=None) -> complex:
-        """d/du log r_k(u) (analytic)."""
+    def dlog_r(self, k: int, u: complex) -> complex:
+        """d/du log r_k(u) over the full chain (analytic)."""
         if k != 1:
             return 0.0 + 0j
         c, total = self.c, 0.0 + 0j
-        for n in self._sites(sites):
-            x = self.xi[n - 1]
+        for x in self.xi:
             # numpy scalars here too, as in lam
             total += np.complex128(-c / (u - x) ** 2) / (1.0 + np.complex128(c) / (u - x))
         return total
@@ -177,7 +184,7 @@ class ChainSpec:
         """Coefficient in lambda_k(u) = 1 + coeff * c/u + O(u^-2)."""
         return complex(len(self._sites(sites))) if k == 1 else 0.0 + 0j
 
-    def r_product(self, k: int, roots, sites=None) -> complex:
+    def r_product(self, k: int, roots, sites) -> complex:
         """prod_x r_k(x) over a root set; non-finite roots are skipped, the empty product is 1."""
         out = 1.0 + 0j
         for x in roots:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; pay for it at start-up
 
-from .bethe import bethe_residual, continue_twist
+from .bethe import BetheSolverError, bethe_residual, continue_twist
 from .chain import (
     ChainSpec,
     PoleError,
@@ -89,7 +89,7 @@ def _equals(value, expected: int) -> bool:
 
 
 def _positive(name: str, value) -> float:
-    """A tolerance or step: a finite number above zero."""
+    """A tolerance: a finite number above zero."""
     number = float(value)
     if not (math.isfinite(number) and number > 0):
         raise ScenarioError(f"{name} must be a finite number above zero, got {value!r}")
@@ -100,6 +100,14 @@ def _finite(name: str, value) -> float:
     number = float(value)
     if not math.isfinite(number):
         raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _step(name: str, value) -> float:
+    """A twist step: a number strictly between zero and one, so 1 - step is no zero twist."""
+    number = float(value)
+    if not 0 < number < 1:
+        raise ScenarioError(f"{name} must lie strictly between 0 and 1, got {value!r}")
     return number
 
 
@@ -237,7 +245,7 @@ class Scenario:
             rtt_pairs=rtt_pairs,
             rtt_sizes=rtt_sizes,
             beta_magnitude=_finite("beta_magnitude", data.get("beta_magnitude", 1e-2)),
-            fd_delta=_positive("fd_delta", data.get("fd_delta", 1e-5)),
+            fd_delta=_step("fd_delta", data.get("fd_delta", 1e-5)),
         )
 
     @classmethod
@@ -542,10 +550,10 @@ def _run_proposition1(ws: _Workspace) -> list[FormFactorReport]:
         beta[i - 1] = sc.beta_magnitude
         # pc and pb share a sector: one twisted diagonalization serves both
         for tp in twisted_dual_pairs(spec, (pc, pb), tuple(beta)):
-            out.append(check_proposition1(spec, tp, pb, tuple(beta), m, tol=1e-7))
+            out.append(check_proposition1(spec, tp, pb, tuple(beta), m))
 
         # beta-derivative consistency with the universal form factor
-        out.append(check_genfun_derivative(spec, pc, pb, i, m, delta=1e-3, tol=1e-5))
+        out.append(check_genfun_derivative(spec, pc, pb, i, m))
     return out
 
 
@@ -557,11 +565,11 @@ def _run_ladder(ws: _Workspace) -> list[FormFactorReport]:
     p20 = ws.states((2, 0))
     d11 = ws.states((1, 1), "descendant")
     if p20 and p10:
-        out.extend(zero_mode_ladder_checks(spec, p20[0], p10[0], m, quadruples=((2, 2, 1, 2),)))
+        out.extend(zero_mode_ladder_checks(spec, p20[0], p10[0], m, (2, 2, 1, 2)))
     if len(p10) >= 2:
-        out.extend(zero_mode_ladder_checks(spec, p10[0], p10[1], m, quadruples=((1, 2, 2, 1),)))
+        out.extend(zero_mode_ladder_checks(spec, p10[0], p10[1], m, (1, 2, 2, 1)))
     if p10 and (dpair := _first_apart(d11, p10[0])) is not None:
-        out.extend(zero_mode_ladder_checks(spec, dpair, p10[0], m, quadruples=((2, 2, 2, 3),)))
+        out.extend(zero_mode_ladder_checks(spec, dpair, p10[0], m, (2, 2, 2, 3)))
     return out
 
 
@@ -676,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except PoleError as exc:
+    except (PoleError, BetheSolverError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     n_fail = sum(1 for r in reports if r.verdict == "fail")

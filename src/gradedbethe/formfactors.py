@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .bethe import BetheRoots, RootTrajectory, _solve_at_twist, continue_twist, tau_eigenvalue
+from .bethe import BetheRoots, RootTrajectory, _solve_at_twist, tau_eigenvalue
 from .chain import (
     ChainSpec,
     TwistConfig,
@@ -52,6 +52,10 @@ __all__ = [
 
 _DTAU_FLOOR = 1e-12  # relative eigenvalue difference too small to divide by
 _EIG_TOL = 1e-8      # tolerance of the dual-annihilation and raised-eigenvector checks
+_PROP1_TOL = 1e-7    # tolerance of proposition 1
+_GENFUN_DELTA = 1e-3  # half-width of the beta-derivative in check_genfun_derivative
+_GENFUN_TOL = 1e-5   # tolerance of that derivative's check
+_LADDER_TOL = 1e-10  # tolerance of the ladder commutator relations
 
 
 class SelectionRuleZero(RuntimeError):
@@ -70,10 +74,6 @@ class FormFactorReport:
     rel_residual: float
     tolerance: float
     verdict: str                      # "pass" | "fail" | "trivial" | "skipped"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "trivial")
 
     def to_line_dict(self) -> dict:
         return {
@@ -137,29 +137,25 @@ def _sectors_compatible(pair_c: EigenState, pair_b: EigenState, i: int, j: int) 
 
 
 def universal_form_factor(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
-                          i: int, j: int, z: complex | None = None) -> complex:
+                          i: int, j: int) -> complex:
     """Universal form factor <C| T_ij(z) |B> / (tau(z|C) - tau(z|B)).
 
     The ratio is independent of z for on-shell states with distinct
-    eigenvalue functions; z defaults to a generic point where the eigenvalue
-    difference is safely nonzero.  Raises SelectionRuleZero when the sector
-    step of (i,j) does not connect the two states.
+    eigenvalue functions; z is the first of eight generic points where the
+    eigenvalue difference is safely nonzero.  Raises SelectionRuleZero when
+    the sector step of (i,j) does not connect the two states.
     """
     if not _sectors_compatible(pair_c, pair_b, i, j):
         raise SelectionRuleZero(
             f"sectors {pair_c.sector} <- {pair_b.sector} violate the (i,j)=({i},{j}) step"
         )
-    candidates = [z] if z is not None else \
-        [(0.9 + 0.17 * k) * spec.c + 0.83j * spec.c for k in range(8)]
-    for zc in candidates:
-        tau_c = tau_eigenvalue(zc, pair_c.roots, spec)
-        tau_b = tau_eigenvalue(zc, pair_b.roots, spec)
+    for z in [(0.9 + 0.17 * k) * spec.c + 0.83j * spec.c for k in range(8)]:
+        tau_c = tau_eigenvalue(z, pair_c.roots, spec)
+        tau_b = tau_eigenvalue(z, pair_b.roots, spec)
         dtau = tau_c - tau_b
         if abs(dtau) <= _DTAU_FLOOR * max(abs(tau_c), abs(tau_b), 1.0):
-            if z is not None:
-                raise ValueError("eigenvalue difference vanishes at z; pick another z")
             continue
-        t_ij = monodromy_entries(spec, zc, [(i, j)], contents=[_content(spec, pair_b.sector)])
+        t_ij = monodromy_entries(spec, z, [(i, j)], contents=[_content(spec, pair_b.sector)])
         return sandwich(spec, pair_c, t_ij[i, j], pair_b) / dtau
     raise ValueError("no probe point separates the two eigenvalue functions")
 
@@ -182,25 +178,22 @@ def _zeta(spec: ChainSpec, roots_c: BetheRoots, roots_b: BetheRoots, sites) -> c
 
 
 def check_theorem1(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
-                   i: int, j: int, m: int, tol: float = 1e-8,
-                   ff: complex | None = None) -> FormFactorReport:
+                   i: int, j: int, m: int, tol: float, ff: complex) -> FormFactorReport:
     """Partial-zero-mode form factor against (rho - 1) times the universal one.
 
     Requires two on-shell states with distinct eigenvalue functions; both
-    sides carry the same eigenvector pair, so normalization cancels.  The
-    universal form factor ``ff`` does not depend on m; pass it to reuse it.
+    sides carry the same eigenvector pair, so normalization cancels.  ``ff``
+    is the pair's universal form factor, which does not depend on m.
     """
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, j, m)
     rho = _zeta(spec, pair_c.roots, pair_b.roots, range(1, m + 1))
-    ff = universal_form_factor(spec, pair_c, pair_b, i, j) if ff is None else ff
     rhs = (rho - 1.0) * ff
     return make_report(f"theorem1:{i}{j}", lhs, rhs, tol, sectors=(pair_c.sector, pair_b.sector),
                        m=m, floor=_pair_floor(pair_c, pair_b))
 
 
 def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
-                          i: int, j: int, m: int, tol: float = 1e-8,
-                          ff: complex | None = None) -> FormFactorReport:
+                          i: int, j: int, m: int, tol: float, ff: complex) -> FormFactorReport:
     """Local-operator form factor against its product representation.
 
     <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j);
@@ -209,7 +202,6 @@ def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     local = zero_mode_entry(spec, i, j, [m], contents=[_content(spec, pair_b.sector)])
     lhs = sandwich(spec, pair_c, local, pair_b)
     site = [_zeta(spec, pair_c.roots, pair_b.roots, [n]) for n in range(1, m + 1)]
-    ff = universal_form_factor(spec, pair_c, pair_b, i, j) if ff is None else ff
     prefactor = (site[m - 1] - 1.0) * np.prod(site[:m - 1] or (1.0,))
     rhs = prefactor * ff
     return make_report(f"theorem1-local:{i}{j}", lhs, rhs, tol,
@@ -217,19 +209,17 @@ def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
                        floor=_pair_floor(pair_c, pair_b))
 
 
-def check_theorem2(spec: ChainSpec, pair: EigenState, i: int, m: int,
-                   delta: float = 1e-5, tol: float = 1e-5,
-                   trajectory: RootTrajectory | None = None) -> FormFactorReport:
+def check_theorem2(spec: ChainSpec, pair: EigenState, i: int, m: int, tol: float,
+                   trajectory: RootTrajectory) -> FormFactorReport:
     """Diagonal partial-zero-mode form factor against the twist derivative.
 
     <C|T^(1)_ii[0]|B> / <C|B> is compared with
     lambda^(1)_i[0] + (-1)^{[i]} d/dkappa_i log(ell_1(ubar)/ell_3(vbar))
-    where the root deformation follows the twisted Bethe equations and the
-    derivative is a central difference of half-width delta.  Both sides are
-    scale-free, so the report normalizes by the state pairing.
+    where the root deformation follows the twisted Bethe equations along
+    ``trajectory`` (``continue_twist`` in direction i) and the derivative is
+    its central difference.  Both sides are scale-free, so the report
+    normalizes by the state pairing.
     """
-    if trajectory is None:
-        trajectory = continue_twist(pair.roots, spec, direction=i, delta=delta)
     lhs = partial_zero_mode_ff(spec, pair, pair, i, i, m) / pair.pairing
     dlog = trajectory.dlog_ell_ratio(spec, m)
     rhs = spec.lam_zero_mode(i, sites=range(1, m + 1)) + (-1) ** _PAR[i - 1] * dlog
@@ -266,7 +256,7 @@ def twisted_dual_pairs(spec: ChainSpec, pairs,
     on T_11, T_22 and T_33, which are read once per set of sectors.
     """
     twisted = replace(spec, twist=TwistConfig(tuple(np.exp(b) for b in beta)))
-    roots = [_solve_at_twist(pair.roots, twisted, tol=1e-13) for pair in pairs]
+    roots = [_solve_at_twist(pair.roots, twisted) for pair in pairs]
     sectors = sorted({r.sector for r in roots})
     contents = tuple(_content(spec, s) for s in sectors)
     diagonals = _probe_diagonals(replace(spec, twist=TwistConfig()), contents)
@@ -296,8 +286,7 @@ def _script_q(spec: ChainSpec, beta, m: int) -> complex:
 
 
 def check_proposition1(spec: ChainSpec, pair_c_twisted: EigenState, pair_b: EigenState,
-                       beta: tuple[complex, complex, complex], m: int,
-                       tol: float = 1e-7) -> FormFactorReport:
+                       beta: tuple[complex, complex, complex], m: int) -> FormFactorReport:
     """Generating functional against its closed product form.
 
     <C^(kappa)| e^{Q_beta} |B> = e^{script_Q} *
@@ -308,14 +297,13 @@ def check_proposition1(spec: ChainSpec, pair_c_twisted: EigenState, pair_b: Eige
     rho = _zeta(spec, pair_c_twisted.roots, pair_b.roots, range(1, m + 1))
     overlap = sandwich(spec, pair_c_twisted, None, pair_b)
     rhs = np.exp(_script_q(spec, beta, m)) * rho * overlap
-    return make_report("proposition1", lhs, rhs, tol,
+    return make_report("proposition1", lhs, rhs, _PROP1_TOL,
                        sectors=(pair_c_twisted.sector, pair_b.sector), m=m,
                        floor=_pair_floor(pair_c_twisted, pair_b))
 
 
 def check_genfun_derivative(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
-                            i: int, m: int,
-                            delta: float = 1e-3, tol: float = 1e-5) -> FormFactorReport:
+                            i: int, m: int) -> FormFactorReport:
     """Diagonal form factor from the beta_i-derivative of the generating
     functional, for two distinct untwisted on-shell states.
 
@@ -325,36 +313,35 @@ def check_genfun_derivative(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
     eigenvector), which pins the scale without knowing any canonical
     Bethe-vector normalization.  Each twisted dual comes from
     ``twisted_dual_pairs``, which diagonalizes only its own sector at the
-    twist beta_i = +-delta.
+    twist beta_i = +-_GENFUN_DELTA.
     """
 
     def emel(side: int) -> complex:
         beta = [0.0, 0.0, 0.0]
-        beta[i - 1] = side * delta
+        beta[i - 1] = side * _GENFUN_DELTA
         tp, = twisted_dual_pairs(spec, [pair_c], tuple(beta))
         # keep the left vector's overlap with C's right vector, so beta-derivatives are defined
         tp = tp.rescaled(1.0, pair_c.pairing / sandwich(spec, tp, None, pair_c))
         return generating_functional(spec, tp, pair_b, tuple(beta), m)
 
-    d_emel = (emel(+1) - emel(-1)) / (2 * delta)
+    d_emel = (emel(+1) - emel(-1)) / (2 * _GENFUN_DELTA)
     ff = universal_form_factor(spec, pair_c, pair_b, i, i)
     rhs = (-1) ** _PAR[i - 1] * d_emel - ff
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, i, m)
     # the zero floor sits above the finite-difference noise in d_emel: up to M = 7
     # the rhs is below 4.5e-6 |C||B| where lhs = 0 (m = M), other sides above 0.09 |C||B|
-    return make_report(f"genfun-derivative:{i}", lhs, rhs, tol,
+    return make_report(f"genfun-derivative:{i}", lhs, rhs, _GENFUN_TOL,
                        sectors=(pair_c.sector, pair_b.sector), m=m,
                        floor=_pair_floor(pair_c, pair_b, rel=3e-5))
 
 
 def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState, m: int,
-                            quadruples=((2, 2, 1, 2), (2, 2, 2, 3), (1, 2, 2, 1)),
-                            tol: float = 1e-10) -> list[FormFactorReport]:
+                            quadruple: tuple[int, int, int, int]) -> list[FormFactorReport]:
     """Ladder relations of the zero-mode algebra, sandwiched and spectral.
 
-    (a) For each index quadruple: delta_il M^(k,j) - delta_kj M^(i,l) equals
-        the signed sandwich of the graded commutator of T^(1)_ij[0] with the
-        total T_kl[0]; both sides are computed from explicit matrices.
+    (a) For the index quadruple (i, j, k, l): delta_il M^(k,j) - delta_kj M^(i,l)
+        equals the signed sandwich of the graded commutator of T^(1)_ij[0]
+        with the total T_kl[0]; both sides are computed from explicit matrices.
     (b) The dual annihilation C . T_12[0] = 0 for the left state (requires a
         finite-root dual with a >= 1).
     (c) T_12[0] B is itself an eigenvector one sector up whenever nonzero.
@@ -362,26 +349,26 @@ def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
     reports = []
     norm_cb = _pair_floor(pair_c, pair_b, rel=1.0)
     on_b = _content(spec, pair_b.sector)
-    for (i, j, k, l) in quadruples:
-        # B's content and its images under the two zero modes
-        on = [_content(spec, (pair_b.sector[0] + da, pair_b.sector[1] + db))
-              for da, db in ((0, 0), sector_step(i, j), sector_step(k, l))]
-        part = partial(zero_mode_entry, spec, sites=range(1, m + 1), contents=on)
-        lhs = 0.0 + 0j
-        if i == l:
-            lhs += sandwich(spec, pair_c, part(k, j), pair_b)
-        if k == j:
-            lhs -= sandwich(spec, pair_c, part(i, l), pair_b)
-        # the graded commutator [A, B_op} = A B_op -+ B_op A on B's content
-        a_op, b_op = part(i, j), zero_mode_entry(spec, k, l, contents=on)
-        odd = (_PAR[i - 1] + _PAR[j - 1]) % 2 and (_PAR[k - 1] + _PAR[l - 1]) % 2
-        comm = combine((1.0, compose(a_op, b_op)), (1.0 if odd else -1.0, compose(b_op, a_op)))
-        sign = (-1) ** ((_PAR[i - 1] * _PAR[j - 1] + _PAR[i - 1] * _PAR[l - 1]
-                         + _PAR[j - 1] * _PAR[l - 1]) % 2)
-        rhs = sign * sandwich(spec, pair_c, comm, pair_b)
-        reports.append(make_report(f"ladder-commutator:{i}{j}{k}{l}", lhs, rhs, tol,
-                                   sectors=(pair_c.sector, pair_b.sector), m=m,
-                                   residual=abs(lhs - rhs) / norm_cb))
+    i, j, k, l = quadruple
+    # B's content and its images under the two zero modes
+    on = [_content(spec, (pair_b.sector[0] + da, pair_b.sector[1] + db))
+          for da, db in ((0, 0), sector_step(i, j), sector_step(k, l))]
+    part = partial(zero_mode_entry, spec, sites=range(1, m + 1), contents=on)
+    lhs = 0.0 + 0j
+    if i == l:
+        lhs += sandwich(spec, pair_c, part(k, j), pair_b)
+    if k == j:
+        lhs -= sandwich(spec, pair_c, part(i, l), pair_b)
+    # the graded commutator [A, B_op} = A B_op -+ B_op A on B's content
+    a_op, b_op = part(i, j), zero_mode_entry(spec, k, l, contents=on)
+    odd = (_PAR[i - 1] + _PAR[j - 1]) % 2 and (_PAR[k - 1] + _PAR[l - 1]) % 2
+    comm = combine((1.0, compose(a_op, b_op)), (1.0 if odd else -1.0, compose(b_op, a_op)))
+    sign = (-1) ** ((_PAR[i - 1] * _PAR[j - 1] + _PAR[i - 1] * _PAR[l - 1]
+                     + _PAR[j - 1] * _PAR[l - 1]) % 2)
+    rhs = sign * sandwich(spec, pair_c, comm, pair_b)
+    reports.append(make_report(f"ladder-commutator:{i}{j}{k}{l}", lhs, rhs, _LADDER_TOL,
+                               sectors=(pair_c.sector, pair_b.sector), m=m,
+                               residual=abs(lhs - rhs) / norm_cb))
 
     # (b) dual annihilation, stated for finite-root (primitive) dual states;
     # T_12[0] maps the content below C's sector onto C's.  A block that does
@@ -401,7 +388,7 @@ def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
         up = (pair_b.sector[0] + 1, pair_b.sector[1])
         on_up = _content(spec, up)
         worst = 0.0
-        for q, w in enumerate(pair_b.probes):
+        for q, w in enumerate(default_probes(spec)):
             t_img = transfer_blocks(spec, w, contents=[on_up])[on_up][1] @ img
             tau = pair_b.tau_samples[q]
             worst = max(worst, float(np.linalg.norm(t_img - tau * img)) / img_norm

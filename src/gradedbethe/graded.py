@@ -52,11 +52,6 @@ class GradedSpace:
         """The 3-dimensional space with grading (0, 0, 1)."""
         return cls(3, FUNDAMENTAL_PARITIES)
 
-    def tensor(self, other: "GradedSpace") -> "GradedSpace":
-        """Product space; grading is additive mod 2 across factors."""
-        p = np.add.outer(np.array(self.parities), np.array(other.parities)) % 2
-        return GradedSpace(self.dim * other.dim, tuple(int(x) for x in p.ravel()))
-
     def parity_array(self) -> np.ndarray:
         return np.array(self.parities, dtype=np.int64)
 
@@ -76,11 +71,6 @@ class GradedMatrix:
             )
         if not np.all(np.isfinite(self.mat.view(float))):
             raise ValueError("matrix entries must be finite")
-
-    def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        if self.space != other.space:
-            raise ValueError("operators act on different spaces")
-        return GradedMatrix(self.space, self.mat @ other.mat)
 
 
 @dataclass

@@ -94,7 +94,7 @@ class EigenState:
 
     ``right`` and ``left`` hold its coordinates on the basis indices of the
     sector's content group, in ``sector_indices`` order; ``tau_samples`` are
-    its eigenvalues at ``probes``.  ``roots`` stays None until
+    its eigenvalues at the spec's ``default_probes``.  ``roots`` stays None until
     ``classify_spectrum`` or ``match_roots_to_state`` attaches them, which
     makes the state an on-shell Bethe vector; its ``kind`` follows from them.
     """
@@ -103,7 +103,6 @@ class EigenState:
     tau_samples: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    probes: np.ndarray
     clustered: bool = False
     roots: BetheRoots | None = None
 
@@ -129,10 +128,9 @@ class EigenState:
 
 @dataclass
 class SpectralDecomposition:
-    """Joint right/left eigendecomposition of the transfer family at p probes."""
+    """Joint right/left eigendecomposition of the transfer family at the default probes."""
 
     spec: ChainSpec
-    probes: np.ndarray
     states: list[EigenState]
     consistency: float
 
@@ -247,18 +245,17 @@ def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> Spectra
         # contiguous rows: a strided column of vr can take another BLAS path
         # in the products downstream, and the reports' bits were pinned with these
         rights, lefts = np.ascontiguousarray(vr.T), np.ascontiguousarray(left_rows)
-        states += [EigenState(sector, samples[k], rights[k], lefts[k], probes,
+        states += [EigenState(sector, samples[k], rights[k], lefts[k],
                               clustered=bool(clustered[k])) for k in range(samples.shape[0])]
-    return SpectralDecomposition(spec, probes, states, worst)
+    return SpectralDecomposition(spec, states, worst)
 
 
-def _samples_match(samples: np.ndarray, ref: np.ndarray, rtol: float = _MATCH_RTOL) -> bool:
+def _samples_match(samples: np.ndarray, ref: np.ndarray) -> bool:
     """Whether two eigenvalue-sample vectors agree at every probe, relative to ``ref``'s size."""
-    return bool(np.abs(samples - ref).max() <= rtol * max(float(np.abs(ref).max()), 1e-300))
+    return bool(np.abs(samples - ref).max() <= _MATCH_RTOL * max(float(np.abs(ref).max()), 1e-300))
 
 
-def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
-                         rtol: float = _MATCH_RTOL) -> EigenState:
+def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots) -> EigenState:
     """Find the unique eigenstate whose eigenvalue samples match the roots; attach them.
 
     Matching is restricted to the sector given by the root cardinalities and
@@ -266,9 +263,9 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots,
     state or more than one state matches, and DegenerateSpectrumError when
     the matched state sits in a degenerate cluster.
     """
-    target = np.array([tau_eigenvalue(w, roots, dec.spec) for w in dec.probes])
+    target = np.array([tau_eigenvalue(w, roots, dec.spec) for w in default_probes(dec.spec)])
     candidates = [st for st in dec.by_sector(roots.sector)
-                  if _samples_match(st.tau_samples, target, rtol)]
+                  if _samples_match(st.tau_samples, target)]
     if not candidates:
         raise MatchError(f"no eigenstate matches roots in sector {roots.sector}")
     if len(candidates) > 1:
@@ -327,6 +324,7 @@ def classify_spectrum(dec: SpectralDecomposition,
     Only the requested sectors' states are returned.
     """
     spec = dec.spec
+    probes = default_probes(spec)
     swept = _swept_sectors(sorted({s.sector for s in dec.states}), sectors)
     wanted = set(sectors or swept)
     classified: list[EigenState] = []
@@ -348,7 +346,7 @@ def classify_spectrum(dec: SpectralDecomposition,
         """The polished roots and their eigenvalue samples, None where Newton fails."""
         try:
             roots = solve_bethe(seed, spec, tol=_NEWTON_TOL)
-            return roots, np.array([tau_eigenvalue(w, roots, spec) for w in dec.probes])
+            return roots, np.array([tau_eigenvalue(w, roots, spec) for w in probes])
         except (BetheSolverError, ValueError):
             return None
 

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gradedbethe.bethe import continue_twist
 from gradedbethe.chain import ChainSpec
+from gradedbethe.formfactors import check_theorem2, universal_form_factor
 from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, sector_indices
 
 from oracles import all_sectors
@@ -42,6 +44,20 @@ def primitive_pairs(pairs, sector):
 
 def descendant_pairs(pairs, sector):
     return pairs.get((sector, "descendant"), [])
+
+
+def with_ff(check, spec, pc, pb, i, j, m):
+    """``check_theorem1`` or ``check_local_corollary`` as the cli runner calls it.
+
+    At the default exact tolerance, with the pair's universal form factor.
+    """
+    return check(spec, pc, pb, i, j, m, 1e-8, universal_form_factor(spec, pc, pb, i, j))
+
+
+def theorem2(spec, pair, i, m):
+    """``check_theorem2`` as the cli runner calls it, at the default fd_delta and tol_fd."""
+    return check_theorem2(spec, pair, i, m, 1e-5,
+                          continue_twist(pair.roots, spec, direction=i, delta=1e-5))
 
 
 def embed(spec, sector, vec):

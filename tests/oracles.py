@@ -1,10 +1,10 @@
 """Oracles used only by the tests.
 
 The package works on content-group blocks and signed permutations; the
-dense forms here (graded Kronecker product, supertraces, graded commutator,
-the two-site R-matrix, ``permutation_by_digits``, the digit-table form of
-the graded permutation, and ``dense``, which fills an H operator's blocks into
-a 3^M x 3^M matrix) state the same conventions the textbook way, so the
+dense forms here (product spaces, graded Kronecker product, supertraces,
+graded commutator, the two-site R-matrix, ``permutation_by_digits``, the
+digit-table form of the graded permutation, and ``dense``, which fills an
+H operator's blocks into a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
 transfer_blocks hold every aux (x) H group at once, each product built from
 its own identity, and ``entry_blocks`` reads any entry off such a set; the
@@ -78,10 +78,16 @@ def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
     return SignedPermutation(dest=dest, sign=sign)
 
 
+def tensor(a: GradedSpace, b: GradedSpace) -> GradedSpace:
+    """Product space; grading is additive mod 2 across factors."""
+    p = np.add.outer(np.array(a.parities), np.array(b.parities)) % 2
+    return GradedSpace(a.dim * b.dim, tuple(int(x) for x in p.ravel()))
+
+
 def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:
     """R(u,v) = I + g(u,v) P on the product of two fundamental spaces."""
     p = permutation_between([FUND, FUND], 0, 1).to_matrix()
-    return GradedMatrix(FUND.tensor(FUND), np.eye(9) + g_fun(u, v, c) * p)
+    return GradedMatrix(tensor(FUND, FUND), np.eye(9) + g_fun(u, v, c) * p)
 
 
 def dense(spec, op: dict) -> np.ndarray:
@@ -149,7 +155,7 @@ def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     col_j = np.repeat(pa, b.space.dim)        # pa[j] indexed by column (j,l)
     col_l = np.tile(pb, a.space.dim)          # pb[l] indexed by column (j,l)
     sign = np.where((np.outer(row_k, col_j) + col_l * col_j) % 2, -1.0, 1.0)
-    return GradedMatrix(a.space.tensor(b.space), raw * sign)
+    return GradedMatrix(tensor(a.space, b.space), raw * sign)
 
 
 def supertrace(o: GradedMatrix) -> complex:

@@ -23,6 +23,7 @@ from gradedbethe.formfactors import (
     check_theorem1,
     check_theorem2,
     twisted_dual_pairs,
+    universal_form_factor,
     zero_mode_ladder_checks,
 )
 from gradedbethe.spectrum import (
@@ -32,7 +33,7 @@ from gradedbethe.spectrum import (
     sector_labels_from_zero_modes,
 )
 
-from conftest import TESTED_SECTORS, descendant_pairs, primitive_pairs
+from conftest import TESTED_SECTORS, descendant_pairs, primitive_pairs, theorem2, with_ff
 from oracles import all_sectors, zero_mode_algebra_worst, zero_modes
 
 
@@ -74,7 +75,7 @@ def test_ac2_spectrum_match_m5():
         if c.kind != "primitive":
             continue
         n_solutions += 1
-        pair = match_roots_to_state(dec, c.roots, rtol=1e-6)  # unique or raises
+        pair = match_roots_to_state(dec, c.roots)  # unique or raises
         if sector_labels_from_zero_modes(spec, pair) != c.roots.sector:
             labels_ok = False
     elapsed = time.time() - t0
@@ -122,9 +123,10 @@ def test_ac4_theorem1(spec4, pairs4):
     worst = 0.0
     nonzero = 0
     for (i, j, pc, pb) in plan:
+        ff = universal_form_factor(spec4, pc, pb, i, j)
         for m in range(1, spec4.M):
-            rep = check_theorem1(spec4, pc, pb, i, j, m, tol=1e-8)
-            loc = check_local_corollary(spec4, pc, pb, i, j, m, tol=1e-8)
+            rep = check_theorem1(spec4, pc, pb, i, j, m, tol=1e-8, ff=ff)
+            loc = check_local_corollary(spec4, pc, pb, i, j, m, tol=1e-8, ff=ff)
             assert rep.verdict != "fail", (i, j, m, rep.rel_residual)
             assert loc.verdict != "fail", (i, j, m, loc.rel_residual)
             if rep.verdict == "pass":
@@ -167,11 +169,11 @@ def test_ac6_proposition1(spec4, pairs4):
         beta[i - 1] = 1e-2
         pc, pb = (p21[0], p21[1]) if i == 3 else (p10[0], p10[1])
         tp, = twisted_dual_pairs(spec4, [pc], tuple(beta))
-        rep = check_proposition1(spec4, tp, pb, tuple(beta), 2, tol=1e-7)
+        rep = check_proposition1(spec4, tp, pb, tuple(beta), 2)
         assert rep.verdict == "pass", (i, rep.rel_residual)
         worst_p1 = max(worst_p1, rep.rel_residual)
 
-        gf = check_genfun_derivative(spec4, pc, pb, i, 2, delta=1e-3, tol=1e-5)
+        gf = check_genfun_derivative(spec4, pc, pb, i, 2)
         assert gf.verdict == "pass", (i, gf.rel_residual)
         worst_gf = max(worst_gf, gf.rel_residual)
 
@@ -190,12 +192,9 @@ def test_ac7_ladder_relations(spec4, pairs4):
     d_other = next(d for d in d11
                    if np.abs(d.tau_samples - p10[0].tau_samples).max() > 1e-6)
     reports = []
-    reports += zero_mode_ladder_checks(spec4, p20[0], p10[0], 2,
-                                       quadruples=((2, 2, 1, 2),))
-    reports += zero_mode_ladder_checks(spec4, d_other, p10[0], 2,
-                                       quadruples=((2, 2, 2, 3),))
-    reports += zero_mode_ladder_checks(spec4, p10[0], p10[1], 2,
-                                       quadruples=((1, 2, 2, 1),))
+    reports += zero_mode_ladder_checks(spec4, p20[0], p10[0], 2, (2, 2, 1, 2))
+    reports += zero_mode_ladder_checks(spec4, d_other, p10[0], 2, (2, 2, 2, 3))
+    reports += zero_mode_ladder_checks(spec4, p10[0], p10[1], 2, (1, 2, 2, 1))
     worst_comm = max(r.rel_residual for r in reports if "commutator" in r.identity)
     worst_ann = max(r.rel_residual for r in reports if "annihilation" in r.identity)
     worst_eig = max(r.rel_residual for r in reports if "eigenvector" in r.identity)
@@ -213,12 +212,11 @@ def test_ac8_scale_invariance(spec4, pairs4):
     def run(pairs):
         a, b, c = pairs
         out = []
-        out.append(check_theorem1(spec4, a, b, 2, 2, 2))
-        out.append(check_theorem1(spec4, c, a, 1, 2, 3))
-        out.append(check_local_corollary(spec4, a, b, 2, 2, 2))
-        out.append(check_theorem2(spec4, a, 1, 2))
-        out.extend(zero_mode_ladder_checks(spec4, c, a, 2,
-                                           quadruples=((2, 2, 1, 2),)))
+        out.append(with_ff(check_theorem1, spec4, a, b, 2, 2, 2))
+        out.append(with_ff(check_theorem1, spec4, c, a, 1, 2, 3))
+        out.append(with_ff(check_local_corollary, spec4, a, b, 2, 2, 2))
+        out.append(theorem2(spec4, a, 1, 2))
+        out.extend(zero_mode_ladder_checks(spec4, c, a, 2, (2, 2, 1, 2)))
         return out
 
     base = run((p10[0], p10[1], p20[0]))

@@ -56,13 +56,13 @@ def test_homogeneous_like_cubic_roots():
     got = one_root_pool(spec)
     for u in got:
         assert min(abs(u - e) for e in expect) < 1e-6
-        polished = solve_bethe(BetheRoots(u=(u,)), spec)
+        polished = solve_bethe(BetheRoots(u=(u,)), spec, tol=1e-12)
         assert np.abs(bethe_residual(polished, spec)).max() < 1e-12
 
 
 def test_solver_fixed_point(spec3):
     u = one_root_pool(spec3)[0]
-    sol = solve_bethe(BetheRoots(u=(u,)), spec3)
+    sol = solve_bethe(BetheRoots(u=(u,)), spec3, tol=1e-12)
     assert abs(sol.u[0] - u) < 1e-12
     assert np.abs(bethe_residual(sol, spec3)).max() < 1e-10
 
@@ -70,7 +70,7 @@ def test_solver_fixed_point(spec3):
 def test_solver_converges_from_perturbed_seed(spec3):
     u = one_root_pool(spec3)[0]
     seed = BetheRoots(u=(u + 0.01 * spec3.c,))
-    sol = solve_bethe(seed, spec3)
+    sol = solve_bethe(seed, spec3, tol=1e-12)
     assert abs(sol.u[0] - u) < 1e-10
     assert np.abs(bethe_residual(sol, spec3)).max() < 1e-12
 
@@ -79,7 +79,7 @@ def test_two_one_sector_solution(spec3):
     # the subset construction lands exactly on the (2,1) solution
     seeds = list(subset_seed_candidates((2, 1), spec3))
     assert len(seeds) == 1
-    sol = solve_bethe(seeds[0], spec3)
+    sol = solve_bethe(seeds[0], spec3, tol=1e-12)
     assert np.abs(bethe_residual(sol, spec3)).max() < 1e-12
     # v sits at the mean of the u-pair shifted by -c/2
     assert abs(sol.v[0] - (sol.u[0] + sol.u[1]) / 2 + spec3.c / 2) < 1e-10
@@ -126,7 +126,7 @@ def test_tau_pole_free_at_on_shell_roots(spec3):
     # eps (tau(u+eps) - tau(u-eps)) / 2 estimates the residue with the
     # regular slope removed; off shell it jumps by six orders of magnitude
     u = one_root_pool(spec3)[0]
-    roots = solve_bethe(BetheRoots(u=(u,)), spec3)
+    roots = solve_bethe(BetheRoots(u=(u,)), spec3, tol=1e-12)
     eps = 1e-4 * spec3.c
 
     def residue_estimate(rts):
@@ -153,50 +153,48 @@ def test_infinite_roots_twist_consistency(spec3):
     # a v-root at infinity is inconsistent with kappa_2 != kappa_3
     seed = BetheRoots(n_v_inf=1)
     with pytest.raises(BetheSolverError):
-        solve_bethe(seed, replace(spec3, twist=TwistConfig((1.0, 1.0, 1.01))))
+        solve_bethe(seed, replace(spec3, twist=TwistConfig((1.0, 1.0, 1.01))), tol=1e-12)
 
 
 # -- twist continuation ---------------------------------------------------------
 
 
 def on_shell_10(spec):
-    return solve_bethe(BetheRoots(u=(one_root_pool(spec)[0],)), spec)
+    return solve_bethe(BetheRoots(u=(one_root_pool(spec)[0],)), spec, tol=1e-12)
 
 
 def test_continue_twist_rejects_zero_delta(spec3):
     # a zero step has no central difference: it used to return one point and
-    # a nan derivative
+    # a nan derivative; a step of one or more puts the lower end at a zero or
+    # negative twist component
     seed = on_shell_10(spec3)
-    for delta in (0.0, -1e-3):
-        with pytest.raises(ValueError, match="above zero"):
+    for delta in (0.0, -1e-3, 1.0, 1.5):
+        with pytest.raises(ValueError, match="above zero and below one"):
             continue_twist(seed, spec3, direction=1, delta=delta)
 
 
 def test_continue_twist_endpoints_solve_twisted_equations(spec3):
     seed = on_shell_10(spec3)
     traj = continue_twist(seed, spec3, direction=1, delta=1e-3)
-    hi = traj.points[-1]
+    hi = traj.hi
     assert np.abs(bethe_residual(hi, replace(spec3, twist=TwistConfig((1.001, 1, 1))))).max() < 1e-12
-    # the middle grid point is the seed itself
-    assert traj.points[1] == seed
 
 
 def test_continue_twist_reversible(spec3):
     seed = on_shell_10(spec3)
     traj = continue_twist(seed, spec3, direction=2, delta=1e-3)
-    end = traj.points[-1]
+    end = traj.hi
     back = continue_twist(
         BetheRoots(u=seed.u, v=seed.v),
         spec3, direction=2, delta=1e-3)
-    # walking forward from the seed reproduces the endpoint, and the stored
-    # seed stays bit-identical at the grid midpoint
-    assert abs(back.points[-1].u[0] - end.u[0]) < 1e-9
+    # walking forward from the seed reproduces the endpoint
+    assert abs(back.hi.u[0] - end.u[0]) < 1e-9
 
 
 def test_untwisted_limit_matches_untwisted_solution(spec3):
     # twisted solutions at kappa = 1 coincide with untwisted solutions
     seed = on_shell_10(spec3)
-    sol = solve_bethe(BetheRoots(u=seed.u), replace(spec3, twist=TwistConfig()))
+    sol = solve_bethe(BetheRoots(u=seed.u), replace(spec3, twist=TwistConfig()), tol=1e-12)
     assert abs(sol.u[0] - seed.u[0]) < 1e-13
 
 
@@ -213,16 +211,16 @@ def test_derivative_consistency_between_step_sizes(spec3):
 def test_descending_root_comes_down_from_infinity(spec3):
     # the (1,1) descendant deforms to a large finite v when kappa_3 splits
     u = one_root_pool(spec3)[0]
-    seed = solve_bethe(BetheRoots(u=(u,), n_v_inf=1), spec3)
+    seed = solve_bethe(BetheRoots(u=(u,), n_v_inf=1), spec3, tol=1e-12)
     traj = continue_twist(seed, spec3, direction=3, delta=1e-5)
-    hi = traj.points[-1]
+    hi = traj.hi
     assert hi.n_v_inf == 0
     assert abs(hi.v[0]) > 1e3
     twisted = replace(spec3, twist=TwistConfig((1, 1, 1 + 1e-5)))
     assert np.abs(bethe_residual(hi, twisted)).max() < 1e-11
     # direction 1 keeps the v-root at infinity
     traj1 = continue_twist(seed, spec3, direction=1, delta=1e-5)
-    assert traj1.points[-1].n_v_inf == 1
+    assert traj1.hi.n_v_inf == 1
 
 
 def test_empty_v_set_has_no_kappa3_dependence(spec3):

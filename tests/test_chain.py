@@ -747,6 +747,14 @@ def test_chain_spec_validation():
         ChainSpec(M=2, xi=(0.1, 0.1))
     with pytest.raises(ValueError):
         TwistConfig((0.0, 1.0, 1.0))
+    # a non-finite coupling, inhomogeneity or twist component
+    for bad in (float("nan"), complex(0.0, float("inf"))):
+        with pytest.raises(ValueError, match="c must be finite"):
+            ChainSpec(M=2, c=bad)
+        with pytest.raises(ValueError, match="inhomogeneities must be finite"):
+            ChainSpec(M=2, xi=(0.1, bad))
+        with pytest.raises(ValueError, match="twist components must be finite"):
+            TwistConfig((1.0, bad, 1.0))
 
 
 # -- allocation -------------------------------------------------------------------

@@ -225,11 +225,19 @@ def test_tolerance_overrides_are_positive(tmp_path, capsys, flag):
     ({"sectors": [[1, 0], [1, 0]]}, "duplicate sectors entry"),
     ({"splits": [1, 2, 1]}, "duplicate splits entry"),
     ({"rtt_sizes": [2, 3, 2]}, "duplicate rtt_sizes entry"),
-], ids=["negative-seed", "nan-beta", "inf-beta", "sectors", "splits", "rtt_sizes"])
+    ({"chain": {"M": 3, "c": [float("nan"), 0.0]}}, "coupling c must be finite"),
+    ({"chain": {"M": 3, "xi": [[0.1, 0.0], [float("inf"), 0.0], [0.3, 0.0]]}},
+     "inhomogeneities must be finite"),
+    ({"chain": {"M": 3, "kappa": [[1.0, 0.0], [float("inf"), 0.0], [1.0, 0.0]]}},
+     "twist components must be finite"),
+    ({"fd_delta": 1.0}, "fd_delta must lie strictly between 0 and 1"),
+], ids=["negative-seed", "nan-beta", "inf-beta", "sectors", "splits", "rtt_sizes", "nan-c",
+        "inf-xi", "inf-kappa", "fd-delta-one"])
 def test_out_of_domain_fields_exit_2(tmp_path, capsys, fields, message):
     # a negative seed ended in numpy's ValueError, a non-finite beta_magnitude
     # in a traceback from the twisted solve, and repeated entries wrote their
-    # rows twice under one identity
+    # rows twice under one identity; a NaN c or an infinite xi ended in a
+    # LinAlgError, and fd_delta = 1 in a zero twist component at 1 - delta
     cfg = default_scenario_dict(m=3, seed=1)
     cfg.update(fields)
     with pytest.raises(ScenarioError, match=message):
@@ -690,6 +698,21 @@ def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "Traceback" not in err
     assert not os.path.exists(out / "reports.jsonl")
+
+
+@pytest.mark.parametrize("fields", [{"beta_magnitude": 50},
+                                    {"chain": {"M": 3, "c": [1e-300, 0.0]}}],
+                         ids=["large-beta", "vanishing-c"])
+def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, fields):
+    # a Newton failure in a twisted solve (twisted_dual_pairs at beta = 50,
+    # continue_twist at c = 1e-300) ended in a BetheSolverError traceback
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg.update(fields)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("m", [3, 4])

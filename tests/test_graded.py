@@ -6,7 +6,7 @@ import pytest
 from gradedbethe.graded import GradedMatrix, GradedSpace, permutation_between
 
 from oracles import FUND, graded_commutator, graded_kron, permutation_by_digits, supertrace, \
-    supertrace_over_aux
+    supertrace_over_aux, tensor
 
 #: the graded permutation P(e_i (x) e_j) = (-1)^{[i][j]} e_j (x) e_i on V (x) V
 P = permutation_between([FUND, FUND], 0, 1).to_matrix()
@@ -30,11 +30,11 @@ def test_fundamental_space():
 
 
 def test_product_grading_additive():
-    prod = FUND.tensor(FUND)
+    prod = tensor(FUND, FUND)
     pa = FUND.parity_array()
     expect = (pa[:, None] + pa[None, :]) % 2
     assert prod.parities == tuple(expect.ravel())
-    triple = prod.tensor(FUND)
+    triple = tensor(prod, FUND)
     assert len(triple.parities) == 27
 
 
@@ -64,7 +64,7 @@ def test_supertrace_of_permutation_is_one():
             k = 3 * i + j
             brute += (-1) ** ((par[i] + par[j]) % 2) * P[k, k]
     assert brute == pytest.approx(1.0)
-    assert supertrace(GradedMatrix(FUND.tensor(FUND), P)) == pytest.approx(1.0)
+    assert supertrace(GradedMatrix(tensor(FUND, FUND), P)) == pytest.approx(1.0)
 
 
 def test_graded_kron_identity():
@@ -107,7 +107,7 @@ def test_graded_kron_composition_rule():
         for pc in (0, 1):
             a, d = rand_gm(gen), rand_gm(gen)
             b, c = homogeneous_gm(gen, pb), homogeneous_gm(gen, pc)
-            lhs = (graded_kron(a, b) @ graded_kron(c, d)).mat
+            lhs = graded_kron(a, b).mat @ graded_kron(c, d).mat
             ac = GradedMatrix(FUND, a.mat @ c.mat)
             bd = GradedMatrix(FUND, b.mat @ d.mat)
             rhs = (-1) ** (pb * pc) * graded_kron(ac, bd).mat
@@ -157,7 +157,7 @@ def test_permutation_between_rejects_unequal_dimensions():
 
 
 def test_supertrace_over_aux_identity():
-    prod = FUND.tensor(FUND)
+    prod = tensor(FUND, FUND)
     out = supertrace_over_aux(GradedMatrix(prod, np.eye(9)))
     # coefficient 1 + 1 - 1
     assert np.array_equal(out, np.eye(3))

@@ -33,7 +33,7 @@ def test_single_site_spectrum():
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     assert len(dec.states) == 3
     assert sorted(s.sector for s in dec.states) == [(0, 0), (1, 0), (1, 1)]
-    w = dec.probes[0]
+    w = default_probes(spec)[0]
     tau_vac = spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     for st in dec.states:
         assert abs(st.tau_samples[0] - tau_vac) < 1e-12
@@ -59,7 +59,7 @@ def test_left_right_residuals(spec4, dec4):
     for st in dec4.states[:20]:
         if st.clustered:
             continue
-        for q, w in enumerate(dec4.probes):
+        for q, w in enumerate(default_probes(spec4)):
             t = dense(spec4, transfer_blocks(spec4, w, contents=all_contents(spec4)))
             scale = max(1.0, abs(st.tau_samples[q]))
             r, l = embed(spec4, st.sector, st.right), embed(spec4, st.sector, st.left)
@@ -111,7 +111,6 @@ def test_classified_states_are_the_decomposition_states_with_roots(dec4, classif
     for st in classified4:
         original = originals[id(st.right)]
         assert st.left is original.left and st.sector == original.sector
-        assert st.probes is dec4.probes
         if st.clustered:
             assert st.roots is None and st.kind == "cluster"
         elif st.roots is None:
@@ -355,7 +354,7 @@ def test_left_rows_are_unit_biorthogonal_eigenvectors(m_sites, twisted):
     if twisted:
         spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
-    blocks = transfer_blocks(spec, dec.probes[0], contents=all_contents(spec))
+    blocks = transfer_blocks(spec, default_probes(spec)[0], contents=all_contents(spec))
     for sector in sector_indices(spec):
         safe = [st for st in dec.by_sector(sector) if not st.clustered]
         if not safe:
