@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -27,7 +26,6 @@ from .bethe import BetheSolverError, bethe_residual, continue_twist
 from .chain import (
     ChainSpec,
     PoleError,
-    TwistConfig,
     _entry_apply,
     _probe_columns,
     _relative_gap,
@@ -66,7 +64,7 @@ __all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_report", "main",
 
 MAX_SITES = 7
 SCHEMA_VERSION = 1
-_CHAIN_KEYS = ("M", "c", "xi", "kappa", "vacuum_index")
+_CHAIN_KEYS = ("M", "c", "xi")
 
 
 class ScenarioError(ValueError):
@@ -81,34 +79,6 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _equals(value, expected: int) -> bool:
-    """value == expected for a JSON number; JSON true is not 1."""
-    return not isinstance(value, bool) and value == expected
-
-
-def _positive(name: str, value) -> float:
-    """A tolerance: a finite number above zero."""
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise ScenarioError(f"{name} must be a finite number above zero, got {value!r}")
-    return number
-
-
-def _finite(name: str, value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
-    return number
-
-
-def _step(name: str, value) -> float:
-    """A twist step: a number strictly between zero and one, so 1 - step is no zero twist."""
-    number = float(value)
-    if not 0 < number < 1:
-        raise ScenarioError(f"{name} must lie strictly between 0 and 1, got {value!r}")
-    return number
 
 
 def _seed(name: str, value) -> int:
@@ -159,12 +129,6 @@ class Scenario:
     splits: list[int]
     checks: list[str]
     seed: int = 7
-    tol_exact: float = 1e-8
-    tol_fd: float = 1e-5
-    rtt_pairs: int = 20
-    rtt_sizes: tuple[int, ...] = (1, 2, 3, 4, 5)
-    beta_magnitude: float = 1e-2
-    fd_delta: float = 1e-5
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -182,32 +146,25 @@ class Scenario:
     def _from_fields(cls, data: dict) -> "Scenario":
         # the scenario's keys are its fields' names
         _known_keys("scenario", data, ["schema_version"] + [f.name for f in fields(cls)])
-        if not _equals(data.get("schema_version", SCHEMA_VERSION), SCHEMA_VERSION):
-            raise ScenarioError(f"unsupported schema_version {data.get('schema_version')}")
+        schema_version = data.get("schema_version", SCHEMA_VERSION)
+        if isinstance(schema_version, bool) or schema_version != SCHEMA_VERSION:
+            # JSON true is not 1
+            raise ScenarioError(f"unsupported schema_version {schema_version}")
         chain_data = data.get("chain", {})
         if not isinstance(chain_data, dict):
             raise ScenarioError("chain must be a JSON object")
+        # no twist key: the checks assume the untwisted chain, so a kappa is refused here
         _known_keys("chain", chain_data, _CHAIN_KEYS)
-        vacuum_index = chain_data.get("vacuum_index", 1)
-        if not _equals(vacuum_index, 1):
-            # root seeding and the sector labels count against the vacuum e_1
-            raise ScenarioError(f"unsupported vacuum_index {vacuum_index}: only 1 is supported")
         m = _integer("M", chain_data.get("M", 4))
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
-        xi, kappa = chain_data.get("xi"), chain_data.get("kappa", [[1.0, 0.0]] * 3)
+        xi = chain_data.get("xi")
         try:
             # xi = None leaves the inhomogeneities to ChainSpec's default
             chain = ChainSpec(M=m, c=_complex(chain_data.get("c", [1.0, 0.0])),
-                              xi=None if xi is None else tuple(map(_complex, xi)),
-                              twist=TwistConfig(tuple(map(_complex, kappa))))
+                              xi=None if xi is None else tuple(map(_complex, xi)))
         except ValueError as exc:
             raise ScenarioError(f"invalid chain spec: {exc}") from exc
-        if not chain.twist.is_identity:
-            # twisted chains fail theorem1, proposition1 and ladder rows and end
-            # theorem2 in a traceback: the checks assume the untwisted chain
-            raise ScenarioError(f"unsupported twist kappa={chain_data['kappa']}: "
-                                "only the untwisted chain, kappa = (1, 1, 1), is supported")
         checks = _checks(list(data.get("checks", KNOWN_CHECKS)))
         sectors = _distinct("sectors", [
             tuple(_integer("sectors", x) for x in s)
@@ -224,29 +181,8 @@ class Scenario:
         for split in splits:
             if not 1 <= split <= m:
                 raise ScenarioError(f"split m={split} out of range")
-        rtt_sizes = tuple(_distinct("rtt_sizes", [_integer("rtt_sizes", x)
-                                                  for x in data.get("rtt_sizes", (1, 2, 3, 4, 5))]))
-        if not rtt_sizes:
-            raise ScenarioError("empty rtt_sizes; give at least one sub-chain size")
-        if any(x < 1 or x > MAX_SITES for x in rtt_sizes):
-            raise ScenarioError("rtt_sizes out of range")
-        rtt_pairs = _integer("rtt_pairs", data.get("rtt_pairs", 20))
-        if rtt_pairs < len(rtt_sizes):
-            raise ScenarioError(f"rtt_pairs={rtt_pairs}; need at least one spectral pair "
-                                f"for each of the {len(rtt_sizes)} rtt_sizes")
-        return cls(
-            chain=chain,
-            sectors=sectors,
-            splits=splits,
-            checks=checks,
-            seed=_seed("seed", data.get("seed", 7)),
-            tol_exact=_positive("tol_exact", data.get("tol_exact", 1e-8)),
-            tol_fd=_positive("tol_fd", data.get("tol_fd", 1e-5)),
-            rtt_pairs=rtt_pairs,
-            rtt_sizes=rtt_sizes,
-            beta_magnitude=_finite("beta_magnitude", data.get("beta_magnitude", 1e-2)),
-            fd_delta=_step("fd_delta", data.get("fd_delta", 1e-5)),
-        )
+        return cls(chain=chain, sectors=sectors, splits=splits, checks=checks,
+                   seed=_seed("seed", data.get("seed", 7)))
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":
@@ -263,8 +199,7 @@ def default_scenario_dict(m: int = 4, seed: int = 7) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "chain": {"M": m, "c": [1.0, 0.0], "xi": None, "vacuum_index": 1,
-                  "kappa": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]},
+        "chain": {"M": m, "c": [1.0, 0.0], "xi": None},
         "sectors": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]],
         "splits": list(range(1, m)),
         "checks": list(KNOWN_CHECKS),
@@ -335,23 +270,25 @@ def _leakage(spec: ChainSpec, sectors: list[tuple[int, int]]) -> float:
                               transfer_apply(spec, u, t_first)) for u in later))
 
 
+_RTT_SIZES = (1, 2, 3, 4, 5)  # sub-chain sizes of the RTT rows
+_RTT_PAIRS_PER_SIZE = 4       # spectral pairs at each size
+
+
 def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
-    """The RTT relation on sub-chains of each size in ``rtt_sizes``, then one
+    """The RTT relation on sub-chains of each size in ``_RTT_SIZES``, then one
     entry-level commutation relation on the scenario chain."""
-    sc, rng = ws.scenario, ws.rng
+    spec, rng = ws.spec, ws.rng
     out = []
-    # rtt_pairs pairs in all, the remainder going to the first sizes
-    per_size, extra = divmod(sc.rtt_pairs, len(sc.rtt_sizes))
-    for n, m_sites in enumerate(sc.rtt_sizes):
-        sub = ChainSpec(M=m_sites, c=sc.chain.c)
-        for k in range(per_size + (n < extra)):
+    for m_sites in _RTT_SIZES:
+        sub = ChainSpec(M=m_sites, c=spec.c)
+        for k in range(_RTT_PAIRS_PER_SIZE):
             u = _random_point(rng, sub.c, 3.0 * sub.c)
             v = _random_point(rng, sub.c, -3.0 * sub.c)
             resid = verify_rtt(sub, u, v)
             out.append(make_report(f"rtt:M{m_sites}.{k}", resid, 0.0, 1e-10, residual=resid))
-    u = _random_point(rng, sc.chain.c, 2.0 * sc.chain.c)
-    v = _random_point(rng, sc.chain.c, -2.0 * sc.chain.c)
-    resid = tm1_residual(sc.chain, u, v, (1, 2, 2, 3))
+    u = _random_point(rng, spec.c, 2.0 * spec.c)
+    v = _random_point(rng, spec.c, -2.0 * spec.c)
+    resid = tm1_residual(spec, u, v, (1, 2, 2, 3))
     out.append(make_report("rtt:tm1-1223", resid, 0.0, 1e-10, residual=resid))
     return out
 
@@ -488,9 +425,12 @@ def _run_theorem1(ws: _Workspace) -> list[FormFactorReport]:
         # the universal form factor does not depend on the split point
         ff = universal_form_factor(spec, pc, pb, i, j)
         for m in sc.splits:
-            out.append(check_theorem1(spec, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))
-            out.append(check_local_corollary(spec, pc, pb, i, j, m, tol=sc.tol_exact, ff=ff))
+            out.append(check_theorem1(spec, pc, pb, i, j, m, ff=ff))
+            out.append(check_local_corollary(spec, pc, pb, i, j, m, ff=ff))
     return out
+
+
+_TWIST_STEP = 1e-5  # half-width of theorem2's central difference; its tenth checks it
 
 
 def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
@@ -507,14 +447,14 @@ def _run_theorem2(ws: _Workspace) -> list[FormFactorReport]:
         sectors = (pair.sector, pair.sector)
         for i in (1, 2, 3):
             try:
-                traj = continue_twist(pair.roots, spec, direction=i, delta=sc.fd_delta)
-                traj_fine = continue_twist(pair.roots, spec, direction=i, delta=sc.fd_delta / 10)
+                traj = continue_twist(pair.roots, spec, direction=i, delta=_TWIST_STEP)
+                traj_fine = continue_twist(pair.roots, spec, direction=i, delta=_TWIST_STEP / 10)
             except PoleError:  # a continued root hit an inhomogeneity
                 out.append(make_report(f"theorem2:{i}:skipped:pole", 0, 0, 0.0, sectors=sectors,
                                        residual=0.0, skipped=True))
                 continue
             for m in sc.splits:
-                out.append(check_theorem2(spec, pair, i, m, tol=sc.tol_fd, trajectory=traj))
+                out.append(check_theorem2(spec, pair, i, m, trajectory=traj))
             d_coarse = traj.dlog_ell_ratio(spec, sc.splits[-1])
             d_fine = traj_fine.dlog_ell_ratio(spec, sc.splits[-1])
             if abs(d_coarse) > 1e-6:
@@ -538,6 +478,9 @@ def _prop1_pairs(ws: _Workspace, direction: int):
     return None, None
 
 
+_PROP1_BETA = 1e-2  # the twist exponent of proposition1's direction
+
+
 def _run_proposition1(ws: _Workspace) -> list[FormFactorReport]:
     spec, sc = ws.spec, ws.scenario
     out = []
@@ -547,7 +490,7 @@ def _run_proposition1(ws: _Workspace) -> list[FormFactorReport]:
         if pc is None:
             continue
         beta = [0.0, 0.0, 0.0]
-        beta[i - 1] = sc.beta_magnitude
+        beta[i - 1] = _PROP1_BETA
         # pc and pb share a sector: one twisted diagonalization serves both
         for tp in twisted_dual_pairs(spec, (pc, pb), tuple(beta)):
             out.append(check_proposition1(spec, tp, pb, tuple(beta), m))
@@ -661,10 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict to a named check (repeatable)")
     ver.add_argument("--out", default="reports", help="output directory")
     ver.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ver.add_argument("--tol-exact", type=float, default=None,
-                     help="override the tolerance for algebraically exact identities")
-    ver.add_argument("--tol-fd", type=float, default=None,
-                     help="override the tolerance for finite-difference identities")
     return parser
 
 
@@ -676,15 +615,11 @@ def main(argv: list[str] | None = None) -> int:
             scenario.checks = _checks(args.check)
         if args.seed is not None:
             scenario.seed = _seed("--seed", args.seed)
-        if args.tol_exact is not None:
-            scenario.tol_exact = _positive("--tol-exact", args.tol_exact)
-        if args.tol_fd is not None:
-            scenario.tol_fd = _positive("--tol-fd", args.tol_fd)
         code, reports = run_scenario(scenario, args.out)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, BetheSolverError) as exc:
+    except (PoleError, BetheSolverError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     n_fail = sum(1 for r in reports if r.verdict == "fail")

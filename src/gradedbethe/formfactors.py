@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _DTAU_FLOOR = 1e-12  # relative eigenvalue difference too small to divide by
+_THEOREM1_TOL = 1e-8  # tolerance of theorem 1 and its local corollary: exact identities
+_THEOREM2_TOL = 1e-5  # tolerance of theorem 2, whose derivative is a finite difference
 _EIG_TOL = 1e-8      # tolerance of the dual-annihilation and raised-eigenvector checks
 _PROP1_TOL = 1e-7    # tolerance of proposition 1
 _GENFUN_DELTA = 1e-3  # half-width of the beta-derivative in check_genfun_derivative
@@ -178,7 +180,7 @@ def _zeta(spec: ChainSpec, roots_c: BetheRoots, roots_b: BetheRoots, sites) -> c
 
 
 def check_theorem1(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
-                   i: int, j: int, m: int, tol: float, ff: complex) -> FormFactorReport:
+                   i: int, j: int, m: int, ff: complex) -> FormFactorReport:
     """Partial-zero-mode form factor against (rho - 1) times the universal one.
 
     Requires two on-shell states with distinct eigenvalue functions; both
@@ -188,12 +190,13 @@ def check_theorem1(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
     lhs = partial_zero_mode_ff(spec, pair_c, pair_b, i, j, m)
     rho = _zeta(spec, pair_c.roots, pair_b.roots, range(1, m + 1))
     rhs = (rho - 1.0) * ff
-    return make_report(f"theorem1:{i}{j}", lhs, rhs, tol, sectors=(pair_c.sector, pair_b.sector),
-                       m=m, floor=_pair_floor(pair_c, pair_b))
+    return make_report(f"theorem1:{i}{j}", lhs, rhs, _THEOREM1_TOL,
+                       sectors=(pair_c.sector, pair_b.sector), m=m,
+                       floor=_pair_floor(pair_c, pair_b))
 
 
 def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
-                          i: int, j: int, m: int, tol: float, ff: complex) -> FormFactorReport:
+                          i: int, j: int, m: int, ff: complex) -> FormFactorReport:
     """Local-operator form factor against its product representation.
 
     <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j);
@@ -204,12 +207,12 @@ def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     site = [_zeta(spec, pair_c.roots, pair_b.roots, [n]) for n in range(1, m + 1)]
     prefactor = (site[m - 1] - 1.0) * np.prod(site[:m - 1] or (1.0,))
     rhs = prefactor * ff
-    return make_report(f"theorem1-local:{i}{j}", lhs, rhs, tol,
+    return make_report(f"theorem1-local:{i}{j}", lhs, rhs, _THEOREM1_TOL,
                        sectors=(pair_c.sector, pair_b.sector), m=m,
                        floor=_pair_floor(pair_c, pair_b))
 
 
-def check_theorem2(spec: ChainSpec, pair: EigenState, i: int, m: int, tol: float,
+def check_theorem2(spec: ChainSpec, pair: EigenState, i: int, m: int,
                    trajectory: RootTrajectory) -> FormFactorReport:
     """Diagonal partial-zero-mode form factor against the twist derivative.
 
@@ -225,8 +228,8 @@ def check_theorem2(spec: ChainSpec, pair: EigenState, i: int, m: int, tol: float
     rhs = spec.lam_zero_mode(i, sites=range(1, m + 1)) + (-1) ** _PAR[i - 1] * dlog
     # both sides are scale-free and O(m) when nonzero; the zero floor sits
     # above the finite-difference resolution (solver tolerance over delta)
-    return make_report(f"theorem2:{i}", lhs, rhs, tol, sectors=(pair.sector, pair.sector), m=m,
-                       floor=1e-7)
+    return make_report(f"theorem2:{i}", lhs, rhs, _THEOREM2_TOL,
+                       sectors=(pair.sector, pair.sector), m=m, floor=1e-7)
 
 
 def generating_functional(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gradedbethe import cli
 from gradedbethe.bethe import continue_twist
 from gradedbethe.chain import ChainSpec
 from gradedbethe.formfactors import check_theorem2, universal_form_factor
@@ -47,17 +48,15 @@ def descendant_pairs(pairs, sector):
 
 
 def with_ff(check, spec, pc, pb, i, j, m):
-    """``check_theorem1`` or ``check_local_corollary`` as the cli runner calls it.
-
-    At the default exact tolerance, with the pair's universal form factor.
-    """
-    return check(spec, pc, pb, i, j, m, 1e-8, universal_form_factor(spec, pc, pb, i, j))
+    """``check_theorem1`` or ``check_local_corollary`` as the cli runner calls it,
+    with the pair's universal form factor."""
+    return check(spec, pc, pb, i, j, m, universal_form_factor(spec, pc, pb, i, j))
 
 
 def theorem2(spec, pair, i, m):
-    """``check_theorem2`` as the cli runner calls it, at the default fd_delta and tol_fd."""
-    return check_theorem2(spec, pair, i, m, 1e-5,
-                          continue_twist(pair.roots, spec, direction=i, delta=1e-5))
+    """``check_theorem2`` as the cli runner calls it, at the runner's twist step."""
+    return check_theorem2(spec, pair, i, m,
+                          continue_twist(pair.roots, spec, direction=i, delta=cli._TWIST_STEP))
 
 
 def embed(spec, sector, vec):

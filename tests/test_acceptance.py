@@ -125,8 +125,8 @@ def test_ac4_theorem1(spec4, pairs4):
     for (i, j, pc, pb) in plan:
         ff = universal_form_factor(spec4, pc, pb, i, j)
         for m in range(1, spec4.M):
-            rep = check_theorem1(spec4, pc, pb, i, j, m, tol=1e-8, ff=ff)
-            loc = check_local_corollary(spec4, pc, pb, i, j, m, tol=1e-8, ff=ff)
+            rep = check_theorem1(spec4, pc, pb, i, j, m, ff=ff)
+            loc = check_local_corollary(spec4, pc, pb, i, j, m, ff=ff)
             assert rep.verdict != "fail", (i, j, m, rep.rel_residual)
             assert loc.verdict != "fail", (i, j, m, loc.rel_residual)
             if rep.verdict == "pass":
@@ -146,7 +146,7 @@ def test_ac5_theorem2(spec4, pairs4):
             traj = continue_twist(pair.roots, spec4, direction=i, delta=1e-5)
             traj_fine = continue_twist(pair.roots, spec4, direction=i, delta=1e-6)
             for m in range(1, spec4.M):
-                rep = check_theorem2(spec4, pair, i, m, tol=1e-5, trajectory=traj)
+                rep = check_theorem2(spec4, pair, i, m, trajectory=traj)
                 assert rep.verdict != "fail", (pair.sector, i, m, rep.rel_residual)
                 if rep.verdict == "pass":
                     worst = max(worst, rep.rel_residual)

@@ -629,6 +629,14 @@ def test_verify_rtt_small_chains(m_sites):
         assert verify_rtt(spec, u, v) < 1e-10
 
 
+def test_rtt_checks_sub_chains_up_to_the_site_cap():
+    # the rtt rows check sizes 1 to 5; both RTT sides act on two columns on
+    # V (x) V (x) H, 3^9 rows at the cap of 7 sites
+    rng = np.random.default_rng(60)
+    for m_sites in (6, 7):
+        assert verify_rtt(ChainSpec(M=m_sites), rand_pt(rng, 3), rand_pt(rng, -3)) < 1e-10
+
+
 def test_verify_rtt_builds_no_group(monkeypatch):
     # both sides act on the probe columns, 2M + 1 gather steps each: no
     # aux (x) H or aux (x) aux (x) H group, nor any column run of one, is built

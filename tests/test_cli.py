@@ -56,17 +56,6 @@ def test_empty_check_list_rejected():
         Scenario.from_dict({"chain": {"M": 2}, "checks": []})
 
 
-@pytest.mark.parametrize("vacuum_index", [2, 3])
-def test_unsupported_vacuum_rejected(tmp_path, vacuum_index):
-    cfg = default_scenario_dict(m=3, seed=1)
-    cfg["chain"]["vacuum_index"] = vacuum_index
-    with pytest.raises(ScenarioError, match="unsupported vacuum_index"):
-        Scenario.from_dict(cfg)
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert not os.path.exists(tmp_path / "out")
-
-
 @pytest.mark.parametrize("sectors", [[[1, 0], [2, 0]], [[1, 1]]])
 def test_descendants_of_unrequested_sectors_are_resolved(tmp_path, sectors):
     # (1,0) and (1,1) hold descendants of the vacuum, and (2,0) of (1,0): their
@@ -173,22 +162,22 @@ def test_exit_codes_via_main(tmp_path):
 
 
 @pytest.mark.parametrize("fields", [
-    {"tol_exact": "abc"},
     {"seed": "x"},
+    {"seed": [1]},
     {"chain": {"M": "three"}},
     {"sectors": [[1]]},
-    {"rtt_sizes": 5},
+    {"sectors": [[1, 0, 0]]},
+    {"sectors": 5},
     {"splits": None},
-    # tolerances and steps are finite and above zero
-    {"tol_exact": float("nan")},
-    {"tol_exact": -1.0},
-    {"tol_fd": float("inf")},
-    {"tol_fd": 0.0},
-    {"fd_delta": 0.0},
+    {"splits": 5},
+    {"checks": 5},
+    # a complex number is one [real, imaginary] pair, and xi holds one per site
+    {"chain": {"M": 3, "c": "abc"}},
+    {"chain": {"M": 3, "c": [1.0]}},
+    {"chain": {"M": 3, "xi": 5}},
+    {"chain": {"M": 3, "xi": [[0.1, 0.0]]}},
     # integer fields are not truncated
     {"splits": [1.7]},
-    {"rtt_sizes": [2.5]},
-    {"rtt_pairs": 20.5},
     {"seed": 1.5},
     {"chain": {"M": 2.5}},
     {"sectors": [[1.5, 0]]},
@@ -208,36 +197,18 @@ def test_malformed_fields_are_configuration_errors(tmp_path, fields):
     assert not os.path.exists(out / "reports.jsonl")
 
 
-@pytest.mark.parametrize("flag", ["--tol-exact=nan", "--tol-exact=0", "--tol-fd=inf",
-                                  "--tol-fd=-1e-5"])
-def test_tolerance_overrides_are_positive(tmp_path, capsys, flag):
-    cfg = write_config(tmp_path, default_scenario_dict(m=2, seed=1))
-    out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, flag, "--out", str(out)]) == 2
-    assert flag.split("=")[0] in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
 @pytest.mark.parametrize("fields, message", [
     ({"seed": -1}, "seed must be an integer from 0 up"),
-    ({"beta_magnitude": float("nan")}, "beta_magnitude must be a finite number"),
-    ({"beta_magnitude": float("inf")}, "beta_magnitude must be a finite number"),
     ({"sectors": [[1, 0], [1, 0]]}, "duplicate sectors entry"),
     ({"splits": [1, 2, 1]}, "duplicate splits entry"),
-    ({"rtt_sizes": [2, 3, 2]}, "duplicate rtt_sizes entry"),
     ({"chain": {"M": 3, "c": [float("nan"), 0.0]}}, "coupling c must be finite"),
     ({"chain": {"M": 3, "xi": [[0.1, 0.0], [float("inf"), 0.0], [0.3, 0.0]]}},
      "inhomogeneities must be finite"),
-    ({"chain": {"M": 3, "kappa": [[1.0, 0.0], [float("inf"), 0.0], [1.0, 0.0]]}},
-     "twist components must be finite"),
-    ({"fd_delta": 1.0}, "fd_delta must lie strictly between 0 and 1"),
-], ids=["negative-seed", "nan-beta", "inf-beta", "sectors", "splits", "rtt_sizes", "nan-c",
-        "inf-xi", "inf-kappa", "fd-delta-one"])
+], ids=["negative-seed", "sectors", "splits", "nan-c", "inf-xi"])
 def test_out_of_domain_fields_exit_2(tmp_path, capsys, fields, message):
-    # a negative seed ended in numpy's ValueError, a non-finite beta_magnitude
-    # in a traceback from the twisted solve, and repeated entries wrote their
-    # rows twice under one identity; a NaN c or an infinite xi ended in a
-    # LinAlgError, and fd_delta = 1 in a zero twist component at 1 - delta
+    # a negative seed ended in numpy's ValueError, and repeated entries wrote
+    # their rows twice under one identity; a NaN c or an infinite xi ended in
+    # a LinAlgError
     cfg = default_scenario_dict(m=3, seed=1)
     cfg.update(fields)
     with pytest.raises(ScenarioError, match=message):
@@ -253,16 +224,12 @@ def test_out_of_domain_fields_exit_2(tmp_path, capsys, fields, message):
     ({"chain": {"M": True}}, "M must be an integer"),
     ({"sectors": [[True, False]]}, "sectors must be an integer"),
     ({"splits": [True]}, "splits must be an integer"),
-    ({"rtt_sizes": [True]}, "rtt_sizes must be an integer"),
-    ({"rtt_pairs": True}, "rtt_pairs must be an integer"),
     ({"seed": False}, "seed must be an integer"),
     ({"schema_version": True}, "unsupported schema_version"),
-    ({"chain": {"M": 3, "vacuum_index": True}}, "unsupported vacuum_index"),
-], ids=["M", "sectors", "splits", "rtt_sizes", "rtt_pairs", "seed", "schema_version",
-        "vacuum_index"])
+], ids=["M", "sectors", "splits", "seed", "schema_version"])
 def test_json_booleans_are_not_integers(tmp_path, fields, message):
     # Python reads true and false as 1 and 0: "M": true ran M=1, and true
-    # passed the schema_version and vacuum_index checks
+    # passed the schema_version check
     cfg = default_scenario_dict(m=3, seed=1)
     cfg.update(fields)
     with pytest.raises(ScenarioError, match=message):
@@ -292,13 +259,46 @@ def test_chain_fields_build_the_chain_spec():
 
 
 def test_twisted_chain_rejected(tmp_path):
-    # the checks assume kappa = 1: theorem2 ended a twisted run in a traceback
+    # the checks assume kappa = 1: theorem2 ended a twisted run in a traceback,
+    # so the chain has no twist key and a kappa is refused at load
     cfg = default_scenario_dict(m=4, seed=1)
     cfg["chain"]["kappa"] = [[1.2, 0.0], [1.0, 0.0], [0.9, 0.1]]
-    with pytest.raises(ScenarioError, match="unsupported twist"):
+    with pytest.raises(ScenarioError, match="unknown chain key"):
         Scenario.from_dict(cfg)
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not os.path.exists(out)
+
+
+#: settings that held one value in every workload, each with that value and,
+#: for the tolerances, the CLI flag that overrode it
+_REMOVED_SETTINGS = [
+    ("scenario", "tol_exact", 1e-8, "--tol-exact"),
+    ("scenario", "tol_fd", 1e-5, "--tol-fd"),
+    ("scenario", "fd_delta", 1e-5, None),
+    ("scenario", "beta_magnitude", 1e-2, None),
+    ("scenario", "rtt_pairs", 20, None),
+    ("scenario", "rtt_sizes", [1, 2, 3, 4, 5], None),
+    ("chain", "kappa", [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], None),
+    ("chain", "vacuum_index", 1, None),
+]
+
+
+@pytest.mark.parametrize("where, key, value, flag", _REMOVED_SETTINGS,
+                         ids=[key for _, key, _, _ in _REMOVED_SETTINGS])
+def test_removed_settings_exit_2(tmp_path, capsys, where, key, value, flag):
+    # the tolerances and steps belong to their checks, and the chain is
+    # untwisted with vacuum e_1: even at its former default each key is unknown
+    cfg = default_scenario_dict(m=3, seed=1)
+    (cfg if where == "scenario" else cfg["chain"])[key] = value
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: unknown {where} key(s): {key!r}\n"
+    if flag is not None:
+        cfg = write_config(tmp_path, default_scenario_dict(m=3, seed=1), "default.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", cfg, flag, str(value), "--out", str(out)])
+        assert exc.value.code == 2
     assert not os.path.exists(out)
 
 
@@ -334,6 +334,9 @@ def test_different_seed_changes_random_probes(tmp_path):
     _, r1 = run_scenario(Scenario.from_dict(c1), str(tmp_path / "a"))
     _, r2 = run_scenario(Scenario.from_dict(c2), str(tmp_path / "b"))
     assert [r.lhs for r in r1] != [r.lhs for r in r2]
+    # four RTT pairs at each sub-chain size 1..5
+    assert [r.identity for r in r1 if r.identity.startswith("rtt:M")] == [
+        f"rtt:M{n}.{k}" for n in range(1, 6) for k in range(4)]
 
 
 def test_cache_reuse_is_transparent(tmp_path, monkeypatch):
@@ -590,43 +593,6 @@ def test_empty_split_list_rejected(tmp_path):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key, value, message", [("rtt_sizes", [], "empty rtt_sizes"),
-                                                 ("rtt_pairs", 0, "rtt_pairs=0"),
-                                                 ("rtt_pairs", -3, "rtt_pairs=-3"),
-                                                 ("rtt_pairs", 3, "each of the 5 rtt_sizes")])
-def test_rtt_sample_counts_rejected(tmp_path, key, value, message):
-    cfg = default_scenario_dict(m=3, seed=1)
-    cfg[key] = value
-    with pytest.raises(ScenarioError, match=message):
-        Scenario.from_dict(cfg)
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["verify", "--config", path, "--check", "rtt", "--out", str(out)]) == 2
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("pairs, per_size", [(23, [5, 5, 5, 4, 4]), (20, [4, 4, 4, 4, 4])])
-def test_rtt_runs_the_configured_number_of_pairs(tmp_path, pairs, per_size):
-    cfg = {"chain": {"M": 2}, "checks": ["rtt"], "splits": [1], "rtt_pairs": pairs}
-    code, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "out"))
-    names = [r.identity for r in reports if r.identity.startswith("rtt:M")]
-    assert code == 0 and len(names) == pairs
-    assert [sum(n.startswith(f"rtt:M{m}.") for n in names) for m in range(1, 6)] == per_size
-
-
-def test_rtt_checks_sub_chains_up_to_the_site_cap(tmp_path):
-    # both RTT sides act on two columns on V (x) V (x) H, 3^9 rows at 7 sites
-    cfg = default_scenario_dict(m=3, seed=1)
-    cfg["rtt_sizes"] = [6, 7]
-    out = tmp_path / "out"
-    assert main(["verify", "--config", write_config(tmp_path, cfg), "--check", "rtt",
-                 "--out", str(out)]) == 0
-    rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
-    rtt = {r["identity"]: r["verdict"] for r in rows if r["identity"].startswith("rtt:M")}
-    assert len(rtt) == Scenario.from_dict(cfg).rtt_pairs and set(rtt.values()) == {"pass"}
-    assert {name.split(".")[0] for name in rtt} == {"rtt:M6", "rtt:M7"}
-
-
 def test_theorem1_retains_no_zero_mode_blocks():
     import tracemalloc
 
@@ -700,12 +666,13 @@ def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):
     assert not os.path.exists(out / "reports.jsonl")
 
 
-@pytest.mark.parametrize("fields", [{"beta_magnitude": 50},
+@pytest.mark.parametrize("fields", [{"chain": {"M": 3, "c": [1e300, 0.0]}},
                                     {"chain": {"M": 3, "c": [1e-300, 0.0]}}],
-                         ids=["large-beta", "vanishing-c"])
+                         ids=["huge-c", "vanishing-c"])
 def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, fields):
-    # a Newton failure in a twisted solve (twisted_dual_pairs at beta = 50,
-    # continue_twist at c = 1e-300) ended in a BetheSolverError traceback
+    # at c = 1e300 the subset seeds' polynomial overflows and np.roots raised
+    # a LinAlgError; at c = 1e-300 a Newton failure in continue_twist raised a
+    # BetheSolverError; both ended in a traceback
     cfg = default_scenario_dict(m=3, seed=1)
     cfg.update(fields)
     out = tmp_path / "out"

@@ -11,7 +11,6 @@ from test_chain import site_outer_rtt
 # the tolerances of the rtt rows, spectrum:consistency and vacuum:zero-mode-limit
 RTT_TOL, CONSISTENCY_TOL, ZERO_MODE_TOL = 1e-10, 1e-9, 1e-5
 U, V, INDICES = 1.3 + 2.1j, -2.2 + 0.7j, (1, 2, 2, 3)
-RTT_SIZES = (1, 2, 3, 4, 5)              # the default rtt_sizes
 # what each defect must fail: (the tm1 figure, the unswept sectors' figure, the RTT
 # relation at every sub-chain size, the zero-mode limit), in the rows' vector forms
 # and in the group forms they replaced alike
@@ -28,10 +27,10 @@ def chain4():
 
 def figures(ws):
     """(tm1 on vectors, tm1 dense), (unswept figure on vectors, unswept figure by eigensolve),
-    (the RTT relation on vectors, on dense groups) at every size in RTT_SIZES,
+    (the RTT relation on vectors, on dense groups) at every size the rtt rows check,
     (the zero-mode limit on probe columns, on every aux (x) H group)."""
     spec, rest = ws.spec, ws.rest
-    subs = [ChainSpec(M=m, c=spec.c) for m in RTT_SIZES]
+    subs = [ChainSpec(M=m, c=spec.c) for m in cli._RTT_SIZES]
     zero_mode = cli._run_vacuum(ws)[-1]
     assert zero_mode.identity == "vacuum:zero-mode-limit"
     return ((tm1_residual(spec, U, V, INDICES), tm1_residual_full_set(spec, U, V, INDICES)),
@@ -56,7 +55,7 @@ def test_vector_rows_catch_what_the_dense_forms_catch(chain4, name):
     expect_tm1, expect_leakage, expect_rtt, expect_zero_mode = CAUGHT[name]
     assert [f > RTT_TOL for f in tm1] == [expect_tm1] * 2
     assert [f > CONSISTENCY_TOL for f in leakage] == [expect_leakage] * 2
-    assert [f > RTT_TOL for f in rtt] == [expect_rtt] * 2 * len(RTT_SIZES)
+    assert [f > RTT_TOL for f in rtt] == [expect_rtt] * 2 * len(cli._RTT_SIZES)
     # the zero-mode limit fails at O(1): 1.60, 1.00 and 2.00 on columns, 2.00,
     # 8.00 and 2.00 on groups (measured at M=4, in the order of CAUGHT)
     assert [f > ZERO_MODE_TOL for f in zero_mode] == [expect_zero_mode] * 2
@@ -78,7 +77,8 @@ def test_defects_fail_the_full_chain_rows(tmp_path, name):
     assert verdicts["rtt:tm1-1223"] == ("fail" if expect_tm1 else "pass")
     assert verdicts["spectrum:consistency"] == ("fail" if expect_leakage else "pass")
     rtt = [verdict for identity, verdict in verdicts.items() if identity.startswith("rtt:M")]
-    assert rtt == ["fail" if expect_rtt else "pass"] * scenario.rtt_pairs
+    n_rtt = len(cli._RTT_SIZES) * cli._RTT_PAIRS_PER_SIZE
+    assert rtt == ["fail" if expect_rtt else "pass"] * n_rtt
     assert verdicts["vacuum:zero-mode-limit"] == ("fail" if expect_zero_mode else "pass")
 
 

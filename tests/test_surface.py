@@ -1,11 +1,16 @@
-"""The package's public surface: its defaulted parameters, and what the benchmark tracer wraps."""
+"""The package's public surface: its defaulted parameters, the scenario's settable keys and
+the CLI's options, and what the benchmark tracer wraps."""
 
+import argparse
 import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from gradedbethe import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradedbethe"
@@ -61,6 +66,18 @@ def defaulted_parameters(path: Path) -> set[str]:
 def test_defaulted_parameters_are_the_allowlisted_ones():
     found = set().union(*(defaulted_parameters(p) for p in PACKAGE.glob("*.py")))
     assert found == ALLOWED_DEFAULTS
+
+
+def test_scenario_keys_and_cli_options_are_the_pinned_ones():
+    # every value a run may set, so a new knob is a visible edit here
+    assert {f.name for f in fields(cli.Scenario)} | {"schema_version"} == {
+        "schema_version", "seed", "sectors", "splits", "checks", "chain"}
+    assert set(cli._CHAIN_KEYS) == {"M", "c", "xi"}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    verify = subparsers.choices["verify"]
+    assert {s for a in verify._actions for s in a.option_strings} == {
+        "-h", "--help", "--config", "--check", "--out", "--seed"}
 
 
 _TRACED_RUN = """
