@@ -593,6 +593,23 @@ def test_empty_split_list_rejected(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("pairs, per_size", [(23, [0, 23, 0, 0, 0]), (20, [4, 4, 4, 4, 4])])
+def test_rtt_runs_the_configured_number_of_pairs(tmp_path, monkeypatch, pairs, per_size):
+    # the rtt rows run _RTT_PAIRS_PER_SIZE pairs at each size in _RTT_SIZES,
+    # numbered from 0 at each size, and one entry-level row after them
+    from gradedbethe import cli
+    sizes = tuple(m for m, n in zip(range(1, 6), per_size) if n)
+    monkeypatch.setattr(cli, "_RTT_SIZES", sizes)
+    monkeypatch.setattr(cli, "_RTT_PAIRS_PER_SIZE", pairs // len(sizes))
+    cfg = {"chain": {"M": 2}, "checks": ["rtt"], "splits": [1]}
+    code, reports = run_scenario(Scenario.from_dict(cfg), str(tmp_path / "out"))
+    names = [r.identity for r in reports if r.identity.startswith("rtt:M")]
+    assert code == 0 and len(names) == pairs
+    assert [sum(n.startswith(f"rtt:M{m}.") for n in names) for m in range(1, 6)] == per_size
+    assert names == [f"rtt:M{m}.{k}" for m in sizes for k in range(pairs // len(sizes))]
+    assert [r.identity for r in reports if r.identity.startswith("rtt:")][-1] == "rtt:tm1-1223"
+
+
 def test_theorem1_retains_no_zero_mode_blocks():
     import tracemalloc
 
