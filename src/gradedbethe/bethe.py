@@ -228,8 +228,9 @@ def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
     if seed.n_v_inf and abs(k2 / k3 - 1.0) > tol:
         raise BetheSolverError("v-roots at infinity are inconsistent with kappa_2 != kappa_3")
     try:
-        u, v = _newton(seed.u, seed.v, spec, tol)
-    except (OverflowError, ZeroDivisionError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            u, v = _newton(seed.u, seed.v, spec, tol)
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         raise BetheSolverError(f"Newton iterate left the floating-point range ({exc})") from exc
     _check_f_poles(u, v, spec, _COLLISION_TOL * abs(spec.c))
     return replace(seed, u=u, v=v)
@@ -333,14 +334,15 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
     a, b = sector
     k1, k2, k3 = spec.twist.kappa
     c = spec.c
-    xi = np.asarray(spec.xi)
-    cap = 1e9 * abs(c)
-    pool_u = _capped_roots(k1 * np.poly(xi - c) - k2 * np.poly(xi), cap)
+    # both polynomials in units of c, so their coefficients neither overflow
+    # nor underflow at any coupling
+    xi = np.asarray(spec.xi) / c
+    pool_u = c * _capped_roots(k1 * np.poly(xi - 1) - k2 * np.poly(xi), 1e9)
     if len(pool_u) < a:
         return
     for us in itertools.combinations(pool_u, a):
-        uarr = np.asarray(us)
-        pool_v = _capped_roots(k3 * np.poly(uarr) - k2 * np.poly(uarr - c), cap)
+        uarr = np.asarray(us) / c
+        pool_v = c * _capped_roots(k3 * np.poly(uarr) - k2 * np.poly(uarr - 1), 1e9)
         if len(pool_v) < b:
             continue
         for vs in itertools.combinations(pool_v, b):

@@ -10,20 +10,24 @@ matrix products.  Each graded swap P_xy has one plan (``_gather``),
 restricted to each content group by ``_step_plan``, and every product, of
 group columns or of vectors, runs on one kernel, ``_apply``.
 
-An entry T_ij maps each H content group s onto the group s + e_j - e_i: it
-is one sub-block of the aux (x) H group of content s + e_j per H group, the
-rows with aux letter i of that group's columns with aux letter j.  So
-entries are read with ``monodromy_entries(spec, u, pairs, sites, contents=)``:
-the named entries on the contents every read names, as {(i, j): {s: (image,
-block)}}, signed with a fixed table BLOCK_SIGNS.  Each is read off one column
-run, the identity columns of group s + e_j with aux letter j carried through
-the site steps (``_group_product``); a run is built once for every entry it
-holds and dropped before the next, so no read holds a whole group.
+Outside this module an H content group is named only by its weight sector
+(a, b) = (M - n1, n3), the Bethe root cardinalities of its states
+(``sector_indices``); the letter content (n1, n2, n3) is used only here, to
+find the aux (x) H groups.  An entry T_ij maps each H sector s onto s +
+``sector_step(i, j)``: it is one sub-block of the aux (x) H group of content
+n + e_j per H group of content n, the rows with aux letter i of that group's
+columns with aux letter j.  So entries are read with ``monodromy_entries(spec,
+u, pairs, sites, sectors=)``: the named entries on the sectors every read
+names, as {(i, j): {s: (image, block)}}, signed with a fixed table
+BLOCK_SIGNS.  Each is read off one column run, the identity columns of group
+n + e_j with aux letter j carried through the site steps
+(``_group_product``); a run is built once for every entry it holds and
+dropped before the next, so no read holds a whole group.
 ``transfer_blocks`` sums the three diagonal entries.  The zero modes T_ij[0]
 come straight from their closed form, one letter rule (``_letter_moves``),
 in the same {s: (image, block)} form (``zero_mode_entry``) or applied to
 columns on H.
-The states these operators act on are vectors on one content group each
+The states these operators act on are vectors on one sector each
 (``spectrum.sandwich`` reads the one block between two of them).  No
 3^M x 3^M matrix is ever formed.  Checks that read T(u) only through its
 action on a few vectors build no group: ``monodromy_apply`` takes vectors on
@@ -63,6 +67,8 @@ __all__ = [
     "verify_rtt",
     "tm1_residual",
     "BLOCK_SIGNS",
+    "sector_indices",
+    "sector_step",
     "f_fun",
     "g_fun",
 ]
@@ -174,10 +180,12 @@ class ChainSpec:
         """d/du log r_k(u) over the full chain (analytic)."""
         if k != 1:
             return 0.0 + 0j
-        c, total = self.c, 0.0 + 0j
+        total = 0.0 + 0j
         for x in self.xi:
-            # numpy scalars here too, as in lam
-            total += np.complex128(-c / (u - x) ** 2) / (1.0 + np.complex128(c) / (u - x))
+            # d/du log(1 + g) = -g^2 / (c (1 + g)) through g = g(u, x), which is
+            # of order 1 at every coupling where c^2 / (u - x)^2 over- or underflows
+            g = np.complex128(g_fun(u, x, self.c))
+            total += -g * g / self.c / (1.0 + g)
         return total
 
     def lam_zero_mode(self, k: int, sites=None) -> complex:
@@ -260,37 +268,63 @@ def _group_product(k: int, size: int, cols: slice, steps) -> np.ndarray:
     return _apply(identity, [(plan[k], g) for plan, g in steps])
 
 
+def sector_step(i: int, j: int) -> tuple[int, int]:
+    """Sector change (da, db) of T_ij and of the zero mode T_ij[0].
+
+    The chain absorbs auxiliary index j and emits i, so the site content
+    gains e_j - e_i; nonzero elements <C_{a',b'}| T_ij |B_{a,b}> require
+    (a', b') = (a + da, b + db).
+    """
+    da = (1 if i == 1 else 0) - (1 if j == 1 else 0)
+    db = (1 if j == 3 else 0) - (1 if i == 3 else 0)
+    return (da, db)
+
+
 @lru_cache(maxsize=16)
 def _block_map(m_sites: int):
-    """Where the block of each monodromy entry on each H content group sits.
+    """Where the block of each monodromy entry on each H sector sits.
 
-    The block of T_ij on H content s is the part of the aux (x) H group of
-    content s + e_j with aux letter i in the rows and j in the columns.  The
-    aux letter is the leading digit, so both runs are contiguous and list H
-    indices in ascending order, as the H groups do.  Returns ``index`` (H
-    content -> basis indices) and ``entries[i][j]`` (0-based): tuples (s,
-    image, aux group, row slice, column slice) where T_ij does not vanish.
+    The H group of sector s = (a, b) holds the basis states of letter content
+    n = (M - a, a - b, b).  The block of T_ij on sector s is the part of the
+    aux (x) H group of content n + e_j with aux letter i in the rows and j in
+    the columns; its image is the sector ``sector_step(i, j)`` away.
+    The aux letter is the leading digit, so both runs are contiguous and list
+    H indices in ascending order, as the H groups do.  Returns ``index`` (H
+    sector -> basis indices, in sector order) and ``entries[i][j]``
+    (0-based): tuples (sector, image, aux group, row slice, column slice)
+    where T_ij does not vanish.
     """
     h_groups, _, h_contents = _content_partition(m_sites)
     aux_groups, _, aux_contents = _content_partition(m_sites + 1)
-    index = dict(zip(h_contents, h_groups))
+    sectors = [(m_sites - n1, n3) for n1, _, n3 in h_contents]
+    index = dict(sorted(zip(sectors, h_groups), key=lambda item: item[0]))
     aux_of = {s: g for g, s in enumerate(aux_contents)}
     entries = [[[] for _ in range(3)] for _ in range(3)]
-    for s in h_contents:
+    for s, content in zip(sectors, h_contents):
         for j in range(3):
-            up = tuple(n + (t == j) for t, n in enumerate(s))
-            g = aux_of[up]
+            g = aux_of[tuple(n + (t == j) for t, n in enumerate(content))]
             runs = np.searchsorted(aux_groups[g], np.arange(4) * 3**m_sites)
             for i in range(3):
-                image = tuple(n - (t == i) for t, n in enumerate(up))
+                da, db = sector_step(i + 1, j + 1)
+                image = (s[0] + da, s[1] + db)
                 if image in index:
                     entries[i][j].append((s, image, g, slice(runs[i], runs[i + 1]),
                                           slice(runs[j], runs[j + 1])))
     return index, entries
 
 
+def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
+    """Basis indices per sector (a, b) = (M - n1, n3), in sector order, each ordered by index.
+
+    Sectors are labelled against the vacuum at local index 1; the labels
+    coincide with the Bethe root cardinalities.  The arrays are shared with
+    the chain's content partition; callers treat them as read-only.
+    """
+    return dict(_block_map(spec.M)[0])
+
+
 def combine(*terms) -> dict:
-    """sum_t c_t A_t for (c_t, A_t) pairs of H operators given as {s: (image, block)}."""
+    """sum_t c_t A_t for (c_t, A_t) pairs of H operators given as {sector: (image, block)}."""
     out = {}
     for coef, op in terms:
         for s, (image, blk) in op.items():
@@ -299,7 +333,7 @@ def combine(*terms) -> dict:
 
 
 def compose(a: dict, b: dict) -> dict:
-    """The product a . b of H operators given as {s: (image, block)}."""
+    """The product a . b of H operators given as {sector: (image, block)}."""
     return {s: (a[m][0], a[m][1] @ blk) for s, (m, blk) in b.items() if m in a}
 
 
@@ -390,14 +424,14 @@ def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
     return sites
 
 
-def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, contents) -> dict:
+def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, sectors) -> dict:
     """The entries (i, j) in ``pairs`` of T(u) over ``sites``, as {(i, j): {s: (image, block)}}.
 
     The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over strictly ascending
-    sites, the full chain when sites is None.  T_ij on an H content s in
-    ``contents`` is the aux-letter-i rows of the column run (s + e_j, j) (see
-    _group_product).  ``pairs`` is walked once; each run is built once, every
-    requested entry is read off it, and it is dropped before the next.
+    sites, the full chain when sites is None.  T_ij on an H sector s in
+    ``sectors`` is the aux-letter-i rows of one column run (see _block_map
+    and _group_product).  ``pairs`` is walked once; each run is built once,
+    every requested entry is read off it, and it is dropped before the next.
     """
     sites = _resolve_sites(spec, sites)
     _check_poles(spec, u, sites)
@@ -408,7 +442,7 @@ def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, content
     for i, j in pairs:
         out[i, j] = {}
         for s, image, g, rows, cols in entries[i - 1][j - 1]:
-            if s in contents:
+            if s in sectors:
                 runs.setdefault((g, j), (cols, []))[1].append((i, s, image, rows))
     for (g, j), (cols, reads) in runs.items():
         run = _group_product(g, groups[g].size, cols, steps)
@@ -418,22 +452,22 @@ def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, content
     return out
 
 
-def transfer_blocks(spec: ChainSpec, u: complex, *, contents) -> dict:
-    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)} at the H ``contents``, in their order.
+def transfer_blocks(spec: ChainSpec, u: complex, *, sectors) -> dict:
+    """sum_i (-1)^{[i]} kappa_i T_ii(u) as {s: (s, block)} at the H ``sectors``, in their order.
 
     ``combine`` over the three diagonal entries, summed in i order.
     """
-    return _twisted_sum(spec, monodromy_entries(spec, u, _DIAGONAL, contents=contents), contents)
+    return _twisted_sum(spec, monodromy_entries(spec, u, _DIAGONAL, sectors=sectors), sectors)
 
 
-def _twisted_sum(spec: ChainSpec, diagonals: dict, contents) -> dict:
+def _twisted_sum(spec: ChainSpec, diagonals: dict, sectors) -> dict:
     """transfer_blocks from the entries T_11, T_22, T_33 as monodromy_entries returns them.
 
     The entries do not depend on the twist; only the weights here read it.
     """
     summed = combine(*[((-1) ** _PAR[i] * spec.twist.kappa[i], diagonals[i + 1, i + 1])
                        for i in range(3)])
-    return {s: summed[s] for s in contents}
+    return {s: summed[s] for s in sectors}
 
 
 def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
@@ -477,12 +511,12 @@ def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
     """lambda_k over the sub-chain, read off T_kk on the vacuum e_1 (x) ... (x) e_1.
 
-    The vacuum is the only basis vector of content (M, 0, 0) and T_kk keeps
-    content, so the vacuum is an eigenvector by construction and lambda_k is
-    the 1 x 1 block of T_kk there, in the one aux (x) H group vacuum + e_k.
+    The vacuum is the only basis vector of sector (0, 0) and T_kk keeps the
+    sector, so the vacuum is an eigenvector by construction and lambda_k is
+    the 1 x 1 block of T_kk there.
     """
-    vac = (spec.M, 0, 0)
-    t_kk = monodromy_entries(spec, u, [(k, k)], sites, contents=[vac])[k, k]
+    vac = (0, 0)
+    t_kk = monodromy_entries(spec, u, [(k, k)], sites, sectors=[vac])[k, k]
     return complex(t_kk[vac][1][0, 0])
 
 
@@ -509,16 +543,16 @@ def _letter_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray) -
     return position, target, (-1.0) ** _PAR[j - 1] * (-1.0) ** odd
 
 
-def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, contents) -> dict:
+def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, sectors) -> dict:
     """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)} of exact integers.
 
-    The letter rule, block by block, on the H ``contents``.
+    The letter rule, block by block, on the H ``sectors``.
     """
     _, g2l, _ = _content_partition(spec.M)
     index, entries = _block_map(spec.M)
     out = {}
     for s, image, *_ in entries[i - 1][j - 1]:
-        if s in contents:
+        if s in sectors:
             position, target, sign = _letter_moves(spec, i, j, sites, index[s])
             blk = np.zeros((index[image].size, index[s].size), dtype=complex)
             np.add.at(blk, (g2l[target], position), sign)

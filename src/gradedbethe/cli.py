@@ -31,6 +31,7 @@ from .chain import (
     _relative_gap,
     _zero_mode_apply,
     monodromy_entries,
+    sector_indices,
     tm1_residual,
     transfer_apply,
     vacuum_eigenvalue,
@@ -50,12 +51,10 @@ from .formfactors import (
     zero_mode_ladder_checks,
 )
 from .spectrum import (
-    _content,
     _swept_sectors,
     classify_spectrum,
     default_probes,
     diagonalize_transfer,
-    sector_indices,
     sector_labels_from_zero_modes,
 )
 
@@ -297,9 +296,9 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     spec, rng = ws.spec, ws.rng
     out = []
     u = _random_point(rng, spec.c, 2.5 * spec.c)
-    # the vacuum e_1 (x) ... (x) e_1 is the one basis vector of its content
-    vac_s = _content(spec, (0, 0))
-    t = monodromy_entries(spec, u, itertools.product((1, 2, 3), repeat=2), contents=[vac_s])
+    # the vacuum e_1 (x) ... (x) e_1 is the one basis vector of its sector
+    vac_s = (0, 0)
+    t = monodromy_entries(spec, u, itertools.product((1, 2, 3), repeat=2), sectors=[vac_s])
     worst_ann = 0.0
     worst_eig = 0.0
     for i, j in itertools.permutations((1, 2, 3), 2):

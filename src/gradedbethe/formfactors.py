@@ -27,18 +27,17 @@ from .chain import (
     combine,
     compose,
     monodromy_entries,
+    sector_step,
     transfer_blocks,
     zero_mode_entry,
 )
-from .spectrum import EigenState, _content, _decompose, default_probes, match_roots_to_state, \
-    sandwich
+from .spectrum import EigenState, _decompose, default_probes, match_roots_to_state, sandwich
 
 __all__ = [
     "FormFactorReport",
     "make_report",
     "universal_form_factor",
     "partial_zero_mode_ff",
-    "sector_step",
     "check_theorem1",
     "check_local_corollary",
     "check_theorem2",
@@ -121,23 +120,6 @@ def _pair_floor(pair_c: EigenState, pair_b: EigenState, rel: float = 1e-13) -> f
     return rel * float(np.linalg.norm(pair_c.left) * np.linalg.norm(pair_b.right))
 
 
-def sector_step(i: int, j: int) -> tuple[int, int]:
-    """Sector change (da, db) of T_ij and of the zero mode T_ij[0].
-
-    The chain absorbs auxiliary index j and emits i, so the site content
-    gains e_j - e_i; nonzero elements <C_{a',b'}| T_ij |B_{a,b}> require
-    (a', b') = (a + da, b + db).
-    """
-    da = (1 if i == 1 else 0) - (1 if j == 1 else 0)
-    db = (1 if j == 3 else 0) - (1 if i == 3 else 0)
-    return (da, db)
-
-
-def _sectors_compatible(pair_c: EigenState, pair_b: EigenState, i: int, j: int) -> bool:
-    da, db = sector_step(i, j)
-    return pair_c.sector == (pair_b.sector[0] + da, pair_b.sector[1] + db)
-
-
 def universal_form_factor(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                           i: int, j: int) -> complex:
     """Universal form factor <C| T_ij(z) |B> / (tau(z|C) - tau(z|B)).
@@ -147,7 +129,8 @@ def universal_form_factor(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     eigenvalue difference is safely nonzero.  Raises SelectionRuleZero when
     the sector step of (i,j) does not connect the two states.
     """
-    if not _sectors_compatible(pair_c, pair_b, i, j):
+    da, db = sector_step(i, j)
+    if pair_c.sector != (pair_b.sector[0] + da, pair_b.sector[1] + db):
         raise SelectionRuleZero(
             f"sectors {pair_c.sector} <- {pair_b.sector} violate the (i,j)=({i},{j}) step"
         )
@@ -157,16 +140,16 @@ def universal_form_factor(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
         dtau = tau_c - tau_b
         if abs(dtau) <= _DTAU_FLOOR * max(abs(tau_c), abs(tau_b), 1.0):
             continue
-        t_ij = monodromy_entries(spec, z, [(i, j)], contents=[_content(spec, pair_b.sector)])
-        return sandwich(spec, pair_c, t_ij[i, j], pair_b) / dtau
+        t_ij = monodromy_entries(spec, z, [(i, j)], sectors=[pair_b.sector])
+        return sandwich(pair_c, t_ij[i, j], pair_b) / dtau
     raise ValueError("no probe point separates the two eigenvalue functions")
 
 
 def partial_zero_mode_ff(spec: ChainSpec, pair_c: EigenState, pair_b: EigenState,
                          i: int, j: int, m: int) -> complex:
     """Form factor <C| T^(1)_ij[0] |B> of the partial zero mode over sites 1..m."""
-    zm = zero_mode_entry(spec, i, j, range(1, m + 1), contents=[_content(spec, pair_b.sector)])
-    return sandwich(spec, pair_c, zm, pair_b)
+    zm = zero_mode_entry(spec, i, j, range(1, m + 1), sectors=[pair_b.sector])
+    return sandwich(pair_c, zm, pair_b)
 
 
 def _zeta(spec: ChainSpec, roots_c: BetheRoots, roots_b: BetheRoots, sites) -> complex:
@@ -202,8 +185,8 @@ def check_local_corollary(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     <C|(L_m[0])_ij|B> = (script_L_m - 1) prod_{n<m} script_L_n * F^(i,j);
     ``ff`` as in check_theorem1.
     """
-    local = zero_mode_entry(spec, i, j, [m], contents=[_content(spec, pair_b.sector)])
-    lhs = sandwich(spec, pair_c, local, pair_b)
+    local = zero_mode_entry(spec, i, j, [m], sectors=[pair_b.sector])
+    lhs = sandwich(pair_c, local, pair_b)
     site = [_zeta(spec, pair_c.roots, pair_b.roots, [n]) for n in range(1, m + 1)]
     prefactor = (site[m - 1] - 1.0) * np.prod(site[:m - 1] or (1.0,))
     rhs = prefactor * ff
@@ -239,12 +222,11 @@ def generating_functional(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
     Q_beta = sum_i (-1)^{[i]} beta_i T^(1)_ii[0] is diagonal in the product
     basis (T_ii[0] counts letters i), so its exponential is exact.
     """
-    on_b = [_content(spec, pair_b.sector)]
     q = combine(*[((-1) ** _PAR[i] * beta[i],
-                   zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), contents=on_b))
+                   zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), sectors=[pair_b.sector]))
                   for i in range(3)])
     exp_q = {s: (s, np.diag(np.exp(np.diag(blk)))) for s, (_, blk) in q.items()}
-    return sandwich(spec, pair_c, exp_q, pair_b)
+    return sandwich(pair_c, exp_q, pair_b)
 
 
 def twisted_dual_pairs(spec: ChainSpec, pairs,
@@ -260,21 +242,20 @@ def twisted_dual_pairs(spec: ChainSpec, pairs,
     """
     twisted = replace(spec, twist=TwistConfig(tuple(np.exp(b) for b in beta)))
     roots = [_solve_at_twist(pair.roots, twisted) for pair in pairs]
-    sectors = sorted({r.sector for r in roots})
-    contents = tuple(_content(spec, s) for s in sectors)
-    diagonals = _probe_diagonals(replace(spec, twist=TwistConfig()), contents)
-    dec = _decompose(twisted, sectors, (_twisted_sum(twisted, t, contents) for t in diagonals))
+    sectors = tuple(sorted({r.sector for r in roots}))
+    diagonals = _probe_diagonals(replace(spec, twist=TwistConfig()), sectors)
+    dec = _decompose(twisted, sectors, (_twisted_sum(twisted, t, sectors) for t in diagonals))
     return [match_roots_to_state(dec, r) for r in roots]
 
 
 @lru_cache(maxsize=2)
-def _probe_diagonals(spec: ChainSpec, contents: tuple) -> tuple:
-    """T_11, T_22, T_33 on ``contents`` at each default probe, for every twist of ``spec``.
+def _probe_diagonals(spec: ChainSpec, sectors: tuple) -> tuple:
+    """T_11, T_22, T_33 on ``sectors`` at each default probe, for every twist of ``spec``.
 
     The twisted duals of a run sit in one or two sectors, and every twist
     there reads these same entries; the blocks are read-only.
     """
-    out = tuple(monodromy_entries(spec, w, _DIAGONAL, contents=contents)
+    out = tuple(monodromy_entries(spec, w, _DIAGONAL, sectors=sectors)
                 for w in default_probes(spec))
     for diagonals in out:
         for entry in diagonals.values():
@@ -298,7 +279,7 @@ def check_proposition1(spec: ChainSpec, pair_c_twisted: EigenState, pair_b: Eige
     """
     lhs = generating_functional(spec, pair_c_twisted, pair_b, beta, m)
     rho = _zeta(spec, pair_c_twisted.roots, pair_b.roots, range(1, m + 1))
-    overlap = sandwich(spec, pair_c_twisted, None, pair_b)
+    overlap = sandwich(pair_c_twisted, None, pair_b)
     rhs = np.exp(_script_q(spec, beta, m)) * rho * overlap
     return make_report("proposition1", lhs, rhs, _PROP1_TOL,
                        sectors=(pair_c_twisted.sector, pair_b.sector), m=m,
@@ -324,7 +305,7 @@ def check_genfun_derivative(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
         beta[i - 1] = side * _GENFUN_DELTA
         tp, = twisted_dual_pairs(spec, [pair_c], tuple(beta))
         # keep the left vector's overlap with C's right vector, so beta-derivatives are defined
-        tp = tp.rescaled(1.0, pair_c.pairing / sandwich(spec, tp, None, pair_c))
+        tp = tp.rescaled(1.0, pair_c.pairing / sandwich(tp, None, pair_c))
         return generating_functional(spec, tp, pair_b, tuple(beta), m)
 
     d_emel = (emel(+1) - emel(-1)) / (2 * _GENFUN_DELTA)
@@ -351,33 +332,33 @@ def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
     """
     reports = []
     norm_cb = _pair_floor(pair_c, pair_b, rel=1.0)
-    on_b = _content(spec, pair_b.sector)
+    on_b = pair_b.sector
     i, j, k, l = quadruple
-    # B's content and its images under the two zero modes
-    on = [_content(spec, (pair_b.sector[0] + da, pair_b.sector[1] + db))
+    # B's sector and its images under the two zero modes
+    on = [(on_b[0] + da, on_b[1] + db)
           for da, db in ((0, 0), sector_step(i, j), sector_step(k, l))]
-    part = partial(zero_mode_entry, spec, sites=range(1, m + 1), contents=on)
+    part = partial(zero_mode_entry, spec, sites=range(1, m + 1), sectors=on)
     lhs = 0.0 + 0j
     if i == l:
-        lhs += sandwich(spec, pair_c, part(k, j), pair_b)
+        lhs += sandwich(pair_c, part(k, j), pair_b)
     if k == j:
-        lhs -= sandwich(spec, pair_c, part(i, l), pair_b)
+        lhs -= sandwich(pair_c, part(i, l), pair_b)
     # the graded commutator [A, B_op} = A B_op -+ B_op A on B's content
-    a_op, b_op = part(i, j), zero_mode_entry(spec, k, l, contents=on)
+    a_op, b_op = part(i, j), zero_mode_entry(spec, k, l, sectors=on)
     odd = (_PAR[i - 1] + _PAR[j - 1]) % 2 and (_PAR[k - 1] + _PAR[l - 1]) % 2
     comm = combine((1.0, compose(a_op, b_op)), (1.0 if odd else -1.0, compose(b_op, a_op)))
     sign = (-1) ** ((_PAR[i - 1] * _PAR[j - 1] + _PAR[i - 1] * _PAR[l - 1]
                      + _PAR[j - 1] * _PAR[l - 1]) % 2)
-    rhs = sign * sandwich(spec, pair_c, comm, pair_b)
+    rhs = sign * sandwich(pair_c, comm, pair_b)
     reports.append(make_report(f"ladder-commutator:{i}{j}{k}{l}", lhs, rhs, _LADDER_TOL,
                                sectors=(pair_c.sector, pair_b.sector), m=m,
                                residual=abs(lhs - rhs) / norm_cb))
 
     # (b) dual annihilation, stated for finite-root (primitive) dual states;
-    # T_12[0] maps the content below C's sector onto C's.  A block that does
-    # not exist (no content below C, no T_12 image of B) acts as zero.
-    below_c = _content(spec, (pair_c.sector[0] - 1, pair_c.sector[1]))
-    raise_op = zero_mode_entry(spec, 1, 2, contents=[on_b, below_c])
+    # T_12[0] maps the sector below C's onto C's.  A block that does not
+    # exist (no sector below C, no T_12 image of B) acts as zero.
+    below_c = (pair_c.sector[0] - 1, pair_c.sector[1])
+    raise_op = zero_mode_entry(spec, 1, 2, sectors=[on_b, below_c])
     if pair_c.sector[0] >= 1 and pair_c.roots.n_u_inf == 0:
         img = pair_c.left @ raise_op[below_c][1] if below_c in raise_op else 0.0
         resid = float(np.linalg.norm(img) / np.linalg.norm(pair_c.left))
@@ -388,11 +369,10 @@ def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
     img = raise_op[on_b][1] @ pair_b.right if on_b in raise_op else np.zeros(0)
     img_norm = float(np.linalg.norm(img))
     if img_norm > 1e-10 * np.linalg.norm(pair_b.right):
-        up = (pair_b.sector[0] + 1, pair_b.sector[1])
-        on_up = _content(spec, up)
+        up = (on_b[0] + 1, on_b[1])
         worst = 0.0
         for q, w in enumerate(default_probes(spec)):
-            t_img = transfer_blocks(spec, w, contents=[on_up])[on_up][1] @ img
+            t_img = transfer_blocks(spec, w, sectors=[up])[up][1] @ img
             tau = pair_b.tau_samples[q]
             worst = max(worst, float(np.linalg.norm(t_img - tau * img)) / img_norm
                         / max(1.0, abs(tau)))

@@ -14,10 +14,10 @@ ancestry are nondegenerate for generic inhomogeneities; states that still
 cluster are quarantined and never matched.
 
 Each state is kept on its own sector only: its right and left vectors are
-the coordinates on the basis indices of the sector's content group
-(``sector_indices``), never embedded in the 3^M space.  Matrix elements go
-through ``sandwich``, which reads the one operator block from B's content to
-C's and reads zero where that block does not exist.
+the coordinates on the sector's basis indices (``chain.sector_indices``),
+never embedded in the 3^M space.  Every chain operator is keyed by sector,
+so matrix elements go through ``sandwich``, which reads the one operator
+block from B's sector to C's and reads zero where that block does not exist.
 
 Each sector block is diagonalized once, by ``np.linalg.eig`` for the
 eigenvalues and the right eigenvectors (the columns of vr).  The bilinear left
@@ -36,7 +36,7 @@ import numpy as np
 
 from .bethe import BetheRoots, BetheSolverError, fit_roots_to_samples, solve_bethe, \
     subset_seed_candidates, tau_eigenvalue
-from .chain import ChainSpec, _content_partition, transfer_blocks, zero_mode_entry
+from .chain import ChainSpec, sector_indices, transfer_blocks, zero_mode_entry
 
 __all__ = [
     "SpectralDecomposition",
@@ -45,7 +45,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "MatchError",
     "default_probes",
-    "sector_indices",
     "diagonalize_transfer",
     "match_roots_to_state",
     "classify_spectrum",
@@ -71,29 +70,12 @@ def default_probes(spec: ChainSpec) -> np.ndarray:
     return np.array([(1.7 + 0.3 * j) * c + 0.41j * c for j in range(5)], dtype=complex)
 
 
-def _content(spec: ChainSpec, sector: tuple[int, int]) -> tuple[int, int, int]:
-    """Letter content (n1, n2, n3) of the basis states of sector (a, b)."""
-    return (spec.M - sector[0], sector[0] - sector[1], sector[1])
-
-
-def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
-    """Basis indices per sector (a, b) = (M - n1, n3), ordered by index.
-
-    Sectors are labelled against the vacuum at local index 1; the labels
-    coincide with the Bethe root cardinalities.  The arrays are shared with
-    the chain's content partition; callers treat them as read-only.
-    """
-    groups, _, contents = _content_partition(spec.M)
-    sectors = {(spec.M - n1, n3): ix for ix, (n1, _, n3) in zip(groups, contents)}
-    return dict(sorted(sectors.items()))
-
-
 @dataclass
 class EigenState:
     """One transfer-matrix eigenstate on its own sector, with its Bethe roots once known.
 
-    ``right`` and ``left`` hold its coordinates on the basis indices of the
-    sector's content group, in ``sector_indices`` order; ``tau_samples`` are
+    ``right`` and ``left`` hold its coordinates on the sector's basis
+    indices, in ``sector_indices`` order; ``tau_samples`` are
     its eigenvalues at the spec's ``default_probes``.  ``roots`` stays None until
     ``classify_spectrum`` or ``match_roots_to_state`` attaches them, which
     makes the state an on-shell Bethe vector; its ``kind`` follows from them.
@@ -138,17 +120,16 @@ class SpectralDecomposition:
         return [s for s in self.states if s.sector == sector]
 
 
-def sandwich(spec: ChainSpec, c, op: dict | None, b) -> complex:
-    """<C| op |B> for states of any sectors; ``op`` as {s: (image, block)}, None for 1.
+def sandwich(c, op: dict | None, b) -> complex:
+    """<C| op |B> for states of any sectors; ``op`` as {sector: (image, block)}, None for 1.
 
-    Only the block of ``op`` on B's content can act, and only if it maps onto
-    C's content; otherwise the matrix element vanishes by content and reads 0.
+    Only the block of ``op`` on B's sector can act, and only if it maps onto
+    C's sector; otherwise the matrix element vanishes by weight and reads 0.
     """
-    s, image = _content(spec, b.sector), _content(spec, c.sector)
     if op is None:
-        return complex(c.left @ b.right) if s == image else 0j
-    entry = op.get(s)
-    if entry is None or entry[0] != image:
+        return complex(c.left @ b.right) if b.sector == c.sector else 0j
+    entry = op.get(b.sector)
+    if entry is None or entry[0] != c.sector:
         return 0j
     return complex(c.left @ (entry[1] @ b.right))
 
@@ -198,15 +179,14 @@ def diagonalize_transfer(spec: ChainSpec, *,
     singular to working precision has all its states flagged clustered.
     """
     wanted = [s for s in sector_indices(spec) if s in sectors]
-    contents = [_content(spec, s) for s in wanted]
-    return _decompose(spec, wanted, (transfer_blocks(spec, w, contents=contents)
+    return _decompose(spec, wanted, (transfer_blocks(spec, w, sectors=wanted)
                                      for w in default_probes(spec)))
 
 
 def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> SpectralDecomposition:
     """diagonalize_transfer on the ``wanted`` sectors, in sector order.
 
-    ``t_ops``, an iterator, yields the transfer blocks on the wanted sectors' contents at
+    ``t_ops``, an iterator, yields the transfer blocks on the wanted sectors at
     each default probe in turn; each is dropped before the next is drawn.
     """
     probes = default_probes(spec)
@@ -216,7 +196,7 @@ def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> Spectra
     bases = {}
     for sector in wanted:
         w0, vr, left_rows, pairing, clustered = _sector_eigenbasis(
-            t_op[_content(spec, sector)][1], _CLUSTER_GAP)
+            t_op[sector][1], _CLUSTER_GAP)
         samples = np.zeros((w0.size, probes.size), dtype=complex)
         samples[:, 0] = w0
         bases[sector] = (vr, left_rows, pairing, clustered, samples)
@@ -229,7 +209,7 @@ def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> Spectra
         t_op = next(t_ops)
         for sector, (vr, left_rows, pairing, clustered, samples) in bases.items():
             safe = ~clustered
-            tv = t_op[_content(spec, sector)][1] @ vr
+            tv = t_op[sector][1] @ vr
             num = np.einsum("ij,ji->i", left_rows, tv)
             samples[:, q] = samples[:, 0]
             samples[safe, q] = num[safe] / pairing[safe]
@@ -284,10 +264,10 @@ def sector_labels_from_zero_modes(spec: ChainSpec, state: EigenState) -> tuple[i
     On a matched on-shell state, T_11[0] acts as lambda_1[0] - a and
     T_33[0] as lambda_3[0] - b; both expectation values are exact integers.
     """
-    on = [_content(spec, state.sector)]
+    on = [state.sector]
     cb = state.pairing
-    t11 = sandwich(spec, state, zero_mode_entry(spec, 1, 1, contents=on), state) / cb
-    t33 = sandwich(spec, state, zero_mode_entry(spec, 3, 3, contents=on), state) / cb
+    t11 = sandwich(state, zero_mode_entry(spec, 1, 1, sectors=on), state) / cb
+    t33 = sandwich(state, zero_mode_entry(spec, 3, 3, sectors=on), state) / cb
     a = spec.lam_zero_mode(1) - t11
     b = spec.lam_zero_mode(3) - t33
     return (int(round(a.real)), int(round(b.real)))
@@ -332,14 +312,12 @@ def classify_spectrum(dec: SpectralDecomposition,
     t_cache: dict[tuple, dict] = {}
 
     def tau_fn_for(st: EigenState):
-        content = _content(spec, st.sector)
-
         def fn(w: complex) -> complex:
-            t = t_cache.get((w, content))
+            t = t_cache.get((w, st.sector))
             if t is None:
-                t = transfer_blocks(spec, w, contents=[content])
-                t_cache[(w, content)] = t
-            return sandwich(spec, st, t, st) / st.pairing
+                t = transfer_blocks(spec, w, sectors=[st.sector])
+                t_cache[(w, st.sector)] = t
+            return sandwich(st, t, st) / st.pairing
         return fn
 
     def polish(seed: BetheRoots):

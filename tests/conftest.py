@@ -5,9 +5,9 @@ import pytest
 
 from gradedbethe import cli
 from gradedbethe.bethe import continue_twist
-from gradedbethe.chain import ChainSpec
+from gradedbethe.chain import ChainSpec, sector_indices
 from gradedbethe.formfactors import check_theorem2, universal_form_factor
-from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer, sector_indices
+from gradedbethe.spectrum import classify_spectrum, diagonalize_transfer
 
 from oracles import all_sectors
 

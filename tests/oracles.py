@@ -9,8 +9,8 @@ tests can compare against them.  The full-set forms of the monodromy and
 transfer_blocks hold every aux (x) H group at once, each product built from
 its own identity, and ``entry_blocks`` reads any entry off such a set; the
 package's entry reads, which build only the column runs that hold an entry,
-must match them to the bit.  The package's reads name their H contents or
-sectors; ``all_contents`` and ``all_sectors`` list every one.  The package
+must match them to the bit.  The package's reads name their H sectors;
+``all_sectors`` lists every one.  The package
 checks the RTT algebra and the zero-mode limit on the full chain on
 vectors; the group forms those checks replaced stay here as references:
 ``tm1_residual_full_set`` (the entry-level relation over whole group sets),
@@ -27,18 +27,13 @@ import numpy as np
 
 from gradedbethe import chain
 from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
-    compose, g_fun, zero_mode_entry
+    compose, g_fun, sector_indices, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
     SignedPermutation, permutation_between
-from gradedbethe.spectrum import diagonalize_transfer, sector_indices
+from gradedbethe.spectrum import diagonalize_transfer
 
 PAR = np.array(FUNDAMENTAL_PARITIES)
 FUND = GradedSpace.fundamental()
-
-
-def all_contents(spec) -> list:
-    """Every H content (n1, n2, n3) of the chain, in content-group order."""
-    return list(_content_partition(spec.M)[2])
 
 
 def all_sectors(spec) -> list:
@@ -109,7 +104,7 @@ def read_off(spec, entries: dict) -> np.ndarray:
 
 def zero_modes(spec, sites=None) -> dict:
     """Every zero mode T_ij[0] over a site range, as {(i, j): {s: (image, block)}}."""
-    return {(i, j): zero_mode_entry(spec, i, j, sites, contents=all_contents(spec))
+    return {(i, j): zero_mode_entry(spec, i, j, sites, sectors=all_sectors(spec))
             for i, j in itertools.product((1, 2, 3), repeat=2)}
 
 
@@ -123,7 +118,7 @@ def zero_mode_algebra_worst(zm_a: dict, zm_b: dict, reference: dict | None) -> f
 
     [A_ij, B_kl} = sign (delta_il R_kj - delta_kj R_il) for R the reference
     zero modes, or [A_ij, B_kl} = 0 when there is none; every operator is a
-    dict {(i, j): {s: (image, block)}}, composed content by content.
+    dict {(i, j): {s: (image, block)}}, composed sector by sector.
     """
     worst = 0.0
     for i, j, k, l in itertools.product((1, 2, 3), repeat=4):
@@ -207,19 +202,19 @@ def graded_commutator(
     return am @ bm - s * (bm @ am)
 
 
-def entry_blocks(spec, groups: dict, i: int, j: int, contents=None) -> dict:
+def entry_blocks(spec, groups: dict, i: int, j: int, sectors=None) -> dict:
     """The entry T_ij (1-based) of an aux (x) H operator given by group blocks {k: block}.
 
     Returns {s: (image, block)}, blocks copied and signed with the chain's
-    BLOCK_SIGNS as it stands at the call, each mapping H content s onto
-    ``image``, for every s or only the given ``contents``.  Contents T_ij
+    BLOCK_SIGNS as it stands at the call, each mapping H sector s onto
+    ``image``, for every s or only the given ``sectors``.  Sectors T_ij
     annihilates, or whose aux (x) H group is not in ``groups``, are absent.
     """
     _, entries = _block_map(spec.M)
     sign = chain.BLOCK_SIGNS[i - 1, j - 1]
     return {s: (image, sign * groups[g][rows, cols])
             for s, image, g, rows, cols in entries[i - 1][j - 1]
-            if g in groups and (contents is None or s in contents)}
+            if g in groups and (sectors is None or s in sectors)}
 
 
 def _group_squares(spec, u, sites=None):
@@ -244,12 +239,12 @@ def monodromy_apply_full_set(spec, u, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def transfer_blocks_full_set(spec, u, contents=None) -> dict:
+def transfer_blocks_full_set(spec, u, sectors=None) -> dict:
     """sum_i (-1)^{[i]} kappa_i T_ii(u) by ``combine`` over the whole group set."""
     groups = monodromy_group_set(spec, u)
     t = combine(*[((-1) ** PAR[i] * spec.twist.kappa[i], entry_blocks(spec, groups, i + 1, i + 1))
                   for i in range(3)])
-    return t if contents is None else {s: t[s] for s in contents}
+    return t if sectors is None else {s: t[s] for s in sectors}
 
 
 def tm1_residual_full_set(spec, u, v, indices) -> float:
@@ -301,7 +296,7 @@ def zero_mode_limit_by_groups(spec) -> float:
         for i, j in itertools.product((1, 2, 3), repeat=2):
             limit = entry_blocks(spec, {k: block}, i, j)
             if limit:
-                exact = zero_mode_entry(spec, i, j, contents=limit)
+                exact = zero_mode_entry(spec, i, j, sectors=limit)
                 diff = max([diff] + [float(np.abs(blk - limit[s][1]).max())
                                      for s, (_, blk) in exact.items()])
     return diff

@@ -16,6 +16,7 @@ from gradedbethe.chain import (
     g_fun,
     monodromy_apply,
     monodromy_entries,
+    sector_indices,
     tm1_residual,
     transfer_apply,
     transfer_blocks,
@@ -28,7 +29,7 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_be
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes, record_builds
-from oracles import FUND, all_contents, all_sectors, dense, entry_blocks, largest, \
+from oracles import FUND, all_sectors, dense, entry_blocks, largest, \
     monodromy_apply_full_set, monodromy_group_set, permutation_by_digits, r_matrix, read_off, \
     supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, \
     zero_mode_limit_groups, zero_modes
@@ -43,8 +44,8 @@ def rand_pt(rng, shift=0.0):
 
 def concrete(spec, u, sites=None):
     """The dense monodromy on aux (x) H: its (i,j) auxiliary block is signed T_ij."""
-    every = all_contents(spec)
-    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites, contents=every))
+    every = all_sectors(spec)
+    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=every))
     return np.block([[BLOCK_SIGNS[i, j] * blocks[i, j] for j in range(3)] for i in range(3)])
 
 
@@ -77,8 +78,8 @@ def dense_entry(spec, groups, i, j):
 def tm1_dense(spec, u, v, indices, y=None):
     """tm1_residual from dense products of the read-off entries, applied to columns ``y`` if given."""
     i, j, k, l = indices
-    bu = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, contents=all_contents(spec)))
-    bv = read_off(spec, monodromy_entries(spec, v, ALL_PAIRS, contents=all_contents(spec)))
+    bu = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sectors=all_sectors(spec)))
+    bv = read_off(spec, monodromy_entries(spec, v, ALL_PAIRS, sectors=all_sectors(spec)))
     pi, pj, pk, pl = (PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     lhs = bu[i - 1, j - 1] @ bv[k - 1, l - 1] - sign_comm * bv[k - 1, l - 1] @ bu[i - 1, j - 1]
@@ -140,19 +141,19 @@ def test_l_operator_large_u_limit_is_zero_mode():
 def test_l_operator_pole():
     spec = ChainSpec(M=2)
     with pytest.raises(PoleError):
-        monodromy_entries(spec, spec.xi[0], ALL_PAIRS, sites=[1], contents=all_contents(spec))
+        monodromy_entries(spec, spec.xi[0], ALL_PAIRS, sites=[1], sectors=all_sectors(spec))
 
 
 def test_monodromy_factorizes_at_every_split():
     spec = ChainSpec(M=4)
     rng = np.random.default_rng(11)
     u = rand_pt(rng, 3)
-    every = all_contents(spec)
-    total = monodromy_entries(spec, u, ALL_PAIRS, contents=every)
+    every = all_sectors(spec)
+    total = monodromy_entries(spec, u, ALL_PAIRS, sectors=every)
     sign = BLOCK_SIGNS
     for m in range(1, spec.M):
-        t1 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(1, m + 1), contents=every)
-        t2 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(m + 1, spec.M + 1), contents=every)
+        t1 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(1, m + 1), sectors=every)
+        t2 = monodromy_entries(spec, u, ALL_PAIRS, sites=range(m + 1, spec.M + 1), sectors=every)
         # T = T2 T1 on aux (x) H, whose (i,j) auxiliary block is the signed T_ij
         for i, j in ALL_PAIRS:
             product = combine(*[(sign[i - 1, k - 1] * sign[k - 1, j - 1] * sign[i - 1, j - 1],
@@ -165,8 +166,8 @@ def test_vacuum_annihilation_and_eigenvalues(sites):
     spec = ChainSpec(M=4)
     rng = np.random.default_rng(12)
     u = rand_pt(rng, 2.5)
-    every = all_contents(spec)
-    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites, contents=every))
+    every = all_sectors(spec)
+    blocks = read_off(spec, monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=every))
     site_list = list(sites) if sites is not None else None
     for i in range(1, 4):
         for j in range(1, 4):
@@ -230,8 +231,8 @@ def test_transfer_matrices_commute():
     u, v = rand_pt(rng, 2), rand_pt(rng, -2)
     # untwisted, and twisted at one twist across spectral points, content by content
     for chain_spec in (spec, replace(spec, twist=TwistConfig((1.3, 0.8, 1.1)))):
-        every = all_contents(chain_spec)
-        t_u, t_v = (transfer_blocks(chain_spec, w, contents=every) for w in (u, v))
+        every = all_sectors(chain_spec)
+        t_u, t_v = (transfer_blocks(chain_spec, w, sectors=every) for w in (u, v))
         for s, (_, a) in t_u.items():
             b = t_v[s][1]
             assert np.abs(a @ b - b @ a).max() < 1e-10
@@ -242,19 +243,19 @@ def test_transfer_matrix_is_twisted_supertrace_of_monodromy():
     rng = np.random.default_rng(15)
     u = rand_pt(rng, 2)
     oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
-    blocks = transfer_blocks(spec, u, contents=all_contents(spec))
+    blocks = transfer_blocks(spec, u, sectors=all_sectors(spec))
     assert np.abs(dense(spec, blocks) - oracle).max() < 1e-13
 
 
 def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
     spec = ChainSpec(M=3)
     w = 2.2 + 0.5j
-    # the vacuum is the one basis state of its content: its block is 1 x 1
-    on = [(spec.M, 0, 0)]
-    t = transfer_blocks(spec, w, contents=on)[on[0]][1]
+    # the vacuum is the one basis state of its sector: its block is 1 x 1
+    on = [(0, 0)]
+    t = transfer_blocks(spec, w, sectors=on)[on[0]][1]
     tau = spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     assert t.shape == (1, 1) and abs(t[0, 0] - tau) < 1e-12
-    t2 = transfer_blocks(replace(spec, twist=TwistConfig((2.0, 1.0, 1.0))), w, contents=on)
+    t2 = transfer_blocks(replace(spec, twist=TwistConfig((2.0, 1.0, 1.0))), w, sectors=on)
     tau2 = 2 * spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     assert abs(t2[on[0]][1][0, 0] - tau2) < 1e-12
 
@@ -265,8 +266,8 @@ def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
 def test_zero_mode_structural_vs_limit():
     spec = ChainSpec(M=3)
     limit = dict(zero_mode_limit_groups(spec))
-    every = all_contents(spec)
-    worst = max(largest(combine((1.0, zero_mode_entry(spec, i, j, contents=every)),
+    every = all_sectors(spec)
+    worst = max(largest(combine((1.0, zero_mode_entry(spec, i, j, sectors=every)),
                                 (-1.0, entry_blocks(spec, limit, i, j)))) for i, j in ALL_PAIRS)
     assert worst < 1e-5
 
@@ -315,18 +316,17 @@ def all_ranges(m_sites):
 def test_zero_mode_entry_matches_structural_sum(m_sites, twisted):
     spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1))) \
         if twisted else ChainSpec(M=m_sites)
-    h_contents = _content_partition(m_sites)[2]
-    some = h_contents[::2]
+    some = all_sectors(spec)[::2]
     for sites in all_ranges(m_sites):
         groups = structural_zero_mode_groups(spec, sites)
         for i, j in itertools.product((1, 2, 3), repeat=2):
             expect = entry_blocks(spec, groups, i, j)
-            got = zero_mode_entry(spec, i, j, sites, contents=all_contents(spec))
+            got = zero_mode_entry(spec, i, j, sites, sectors=all_sectors(spec))
             assert got.keys() == expect.keys()
             for s, (image, blk) in got.items():
                 assert image == expect[s][0]
                 assert np.array_equal(blk, expect[s][1])
-            restricted = zero_mode_entry(spec, i, j, sites, contents=some)
+            restricted = zero_mode_entry(spec, i, j, sites, sectors=some)
             assert restricted.keys() == {s for s in expect if s in some}
             for s, (image, blk) in restricted.items():
                 assert image == expect[s][0]
@@ -362,18 +362,16 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     # equals the dense matrix element of the embedded vectors, zero included
     spec = make_spec(m_sites)
     rng = np.random.default_rng(40 + m_sites)
-    groups_h, _, contents = _content_partition(m_sites)
 
-    def state(n1, n2, n3):
-        size = groups_h[contents.index((n1, n2, n3))].size
+    def state(sector, size):
         left, right = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
-        return EigenState((m_sites - n1, n3), np.zeros(1), right, left, np.zeros(1))
+        return EigenState(sector, np.zeros(1), right, left, np.zeros(1))
 
-    states = [state(*s) for s in contents]
+    states = [state(s, ix.size) for s, ix in sector_indices(spec).items()]
     u = rand_pt(rng, 2.5)
     for sites in oracle_ranges(m_sites):
         operators = [(monodromy_group_set(spec, u, sites),
-                      monodromy_entries(spec, u, ALL_PAIRS, sites, contents=all_contents(spec))),
+                      monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=all_sectors(spec))),
                      (structural_zero_mode_groups(spec, sites), zero_modes(spec, sites))]
         for groups, entries in operators:
             for i, j in ALL_PAIRS:
@@ -383,7 +381,7 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
                 scale = 1e-12 * max(1.0, float(np.abs(full).max())) * 3 ** spec.M
                 for c, b in itertools.product(states, repeat=2):
                     expect = embed(spec, c.sector, c.left) @ full @ embed(spec, b.sector, b.right)
-                    assert abs(sandwich(spec, c, op, b) - expect) < scale * c.left.size
+                    assert abs(sandwich(c, op, b) - expect) < scale * c.left.size
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
@@ -392,16 +390,15 @@ def test_transfer_blocks_are_the_sector_blocks(m_sites, make_spec):
     spec = make_spec(m_sites)
     rng = np.random.default_rng(50 + m_sites)
     u = rand_pt(rng, 2.5)
-    groups, _, contents = _content_partition(m_sites)
     oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
-    blocks = transfer_blocks(spec, u, contents=all_contents(spec))
-    assert list(blocks) == list(contents)
-    for idx, s in zip(groups, contents):
+    blocks = transfer_blocks(spec, u, sectors=all_sectors(spec))
+    assert list(blocks) == all_sectors(spec)
+    for s, idx in sector_indices(spec).items():
         image, blk = blocks[s]
         assert image == s
         assert np.abs(blk - oracle[np.ix_(idx, idx)]).max() < 1e-13
         # restricting to one group computes the same block
-        assert np.array_equal(transfer_blocks(spec, u, contents=[s])[s][1], blk)
+        assert np.array_equal(transfer_blocks(spec, u, sectors=[s])[s][1], blk)
     # nothing outside the sector blocks
     assert np.abs(dense(spec, blocks) - oracle).max() < 1e-13
 
@@ -446,23 +443,23 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
     spec = make_spec(m_sites)
     rng = np.random.default_rng(90 + m_sites)
     u = rand_pt(rng, 2.5)
-    _, _, contents = _content_partition(m_sites)
-    reads = (all_contents(spec), [contents[-1]], list(contents[::2]))
+    sectors = all_sectors(spec)
+    reads = (sectors, [sectors[-1]], sectors[::2])
     for sites in oracle_ranges(m_sites):
         full = monodromy_group_set(spec, u, sites)
         for read in reads:
-            got = monodromy_entries(spec, u, ALL_PAIRS, sites, contents=read)
+            got = monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=read)
             for i, j in ALL_PAIRS:
                 ref = entry_blocks(spec, full, i, j, read)
                 assert got[i, j].keys() == ref.keys()
                 assert all(got[i, j][s][0] == image and np.array_equal(got[i, j][s][1], blk)
                            for s, (image, blk) in ref.items())
     for read in reads:
-        part = transfer_blocks(spec, u, contents=read)
-        ref = transfer_blocks_full_set(spec, u, contents=read)
+        part = transfer_blocks(spec, u, sectors=read)
+        ref = transfer_blocks_full_set(spec, u, sectors=read)
         assert list(part) == list(ref) == read
         assert all(part[s][0] == ref[s][0] and np.array_equal(part[s][1], ref[s][1]) for s in ref)
-    assert transfer_blocks(spec, u, contents=[]) == {}
+    assert transfer_blocks(spec, u, sectors=[]) == {}
 
 
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
@@ -480,7 +477,7 @@ def test_monodromy_apply_matches_the_group_set(m_sites, make_spec):
     # a vector is one column
     assert np.array_equal(monodromy_apply(spec, u, x[:, 0]), got[:, 0])
     y = x[:3 ** m_sites]
-    ref = dense(spec, transfer_blocks(spec, u, contents=all_contents(spec))) @ y
+    ref = dense(spec, transfer_blocks(spec, u, sectors=all_sectors(spec))) @ y
     got = transfer_apply(spec, u, y)
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
     assert np.array_equal(transfer_apply(spec, u, y[:, 0]), got[:, 0])
@@ -547,7 +544,7 @@ def test_group_outer_products_are_bit_identical(m_sites, make_spec):
     u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
     for sites in oracle_ranges(m_sites):
         # the entry blocks tile every group, so equal entries are equal groups
-        new = monodromy_entries(spec, u, ALL_PAIRS, sites, contents=all_contents(spec))
+        new = monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=all_sectors(spec))
         old = dict(enumerate(site_outer_monodromy(spec, u, sites)))
         for i, j in ALL_PAIRS:
             ref = entry_blocks(spec, old, i, j)
@@ -570,23 +567,26 @@ def test_verify_rtt_matches_the_dense_oracle(m_sites, make_spec):
 def test_restricted_builds_compute_only_the_read_groups(m_sites, monkeypatch):
     spec = ChainSpec(M=m_sites, c=0.8 + 0.3j)
     u = 1.7 - 0.6j
-    _, _, h_contents = _content_partition(m_sites)
+    sectors = all_sectors(spec)
     aux_groups, _, aux_contents = _content_partition(m_sites + 1)
     full = monodromy_group_set(spec, u)
     built = record_builds(monkeypatch)["other"]
     for pairs in ([(1, 2)], [(3, 3), (2, 1)], ALL_PAIRS):
-        for read in ([h_contents[0]], [h_contents[-1]], list(h_contents[1:3])):
+        for read in ([sectors[0]], [sectors[-1]], sectors[1:3]):
             built.clear()
-            got = monodromy_entries(spec, u, pairs, contents=read)
-            # the run (s + e_j, j) of every requested T_ij with a block on a read s
+            got = monodromy_entries(spec, u, pairs, sectors=read)
+            # the run (n + e_j, j) of every requested T_ij with a block on a read
+            # sector s = (a, b), of letter content n = (M - a, a - b, b)
             wanted = set()
             for i, j in pairs:
                 whole = entry_blocks(spec, full, i, j)
                 assert got[i, j].keys() == {s for s in whole if s in read}
                 for s, (image, blk) in got[i, j].items():
                     assert image == whole[s][0] and np.array_equal(blk, whole[s][1])
+                    a, b = s
+                    content = (m_sites - a, a - b, b)
                     wanted.add((aux_contents.index(tuple(n + (t == j - 1)
-                                                         for t, n in enumerate(s))), j))
+                                                         for t, n in enumerate(content))), j))
             # each built once; a run's columns have aux letter j, the leading digit
             runs = [(k, int(aux_groups[k][start]) // 3 ** m_sites + 1)
                     for k, (start, _), _ in built]
@@ -737,12 +737,12 @@ def test_sites_must_be_in_range_and_strictly_ascending():
                          ([2, 1], "strictly ascending"), ([1, 1], "strictly ascending"),
                          ([1, 2, 2], "strictly ascending")]:
         with pytest.raises(ValueError, match=match):
-            monodromy_entries(spec, u, [(1, 1)], sites=sites, contents=all_contents(spec))
+            monodromy_entries(spec, u, [(1, 1)], sites=sites, sectors=all_sectors(spec))
         with pytest.raises(ValueError, match=match):
-            zero_mode_entry(spec, 1, 2, sites=sites, contents=all_contents(spec))
+            zero_mode_entry(spec, 1, 2, sites=sites, sectors=all_sectors(spec))
     # a proper sub-range still reads
-    assert monodromy_entries(spec, u, [(1, 1)], sites=[1, 3], contents=all_contents(spec))[1, 1]
-    assert zero_mode_entry(spec, 1, 2, sites=[2, 3], contents=all_contents(spec))
+    assert monodromy_entries(spec, u, [(1, 1)], sites=[1, 3], sectors=all_sectors(spec))[1, 1]
+    assert zero_mode_entry(spec, 1, 2, sites=[2, 3], sectors=all_sectors(spec))
 
 
 # -- validation ---------------------------------------------------------------------
@@ -774,10 +774,10 @@ def test_operators_never_allocate_a_dense_aux_matrix(m_sites):
     dense = 16 * 9 ** (m_sites + 1)
     spec = ChainSpec(M=m_sites)
     u = 2.1 + 0.4j
-    every = all_contents(spec)
-    transfer_blocks(spec, u, contents=every)  # warm the partition and block-map caches
-    assert peak_bytes(lambda: transfer_blocks(spec, u, contents=every)) < 0.8 * dense
-    assert peak_bytes(lambda: monodromy_entries(spec, u, ALL_PAIRS, contents=every)) < 1.5 * dense
+    every = all_sectors(spec)
+    transfer_blocks(spec, u, sectors=every)  # warm the partition and block-map caches
+    assert peak_bytes(lambda: transfer_blocks(spec, u, sectors=every)) < 0.8 * dense
+    assert peak_bytes(lambda: monodromy_entries(spec, u, ALL_PAIRS, sectors=every)) < 1.5 * dense
     assert peak_bytes(lambda: zero_modes(spec)) < 1.5 * dense
     assert peak_bytes(lambda: list(zero_mode_limit_groups(spec))) < 1.5 * dense
 
@@ -844,9 +844,9 @@ def test_full_chain_builds_peak_below_two_group_sets():
 def test_transfer_blocks_peak_below_one_group_set(m_sites):
     spec = ChainSpec(M=m_sites)
     u = 2.1 + 0.4j
-    every = all_contents(spec)
+    every = all_sectors(spec)
     group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(m_sites + 1)[0])
-    transfer_blocks(spec, u, contents=every)  # warm the partition and plan caches
+    transfer_blocks(spec, u, sectors=every)  # warm the partition and plan caches
     # measured 0.78x and 0.62x; whole groups in three scratch buffers, each
     # diagonal block held until its content had all three, made them 1.05x and 1.01x
-    assert peak_bytes(lambda: transfer_blocks(spec, u, contents=every)) < group_set
+    assert peak_bytes(lambda: transfer_blocks(spec, u, sectors=every)) < group_set

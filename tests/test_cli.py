@@ -20,7 +20,7 @@ from gradedbethe.cli import (
 )
 
 from conftest import peak_bytes, record_builds
-from oracles import all_contents, zero_mode_limit_by_groups
+from oracles import all_sectors, zero_mode_limit_by_groups
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedbethe.__file__)))
 
@@ -376,7 +376,7 @@ def test_cache_alone_queues_no_leakage(tmp_path, monkeypatch):
 
 
 def test_empty_sector_list_sweeps_every_sector(tmp_path):
-    from gradedbethe.spectrum import sector_indices
+    from gradedbethe.chain import sector_indices
 
     # classify_spectrum reads no requested sector as every sector, so the
     # form-factor checks run as with the whole list given, and the run
@@ -491,7 +491,7 @@ def test_twisted_duals_read_each_sectors_probe_entries_once(monkeypatch):
 
     def counted(spec, u, pairs, *args, **kwargs):
         if tuple(pairs) == ((1, 1), (2, 2), (3, 3)):
-            reads.append(tuple(kwargs["contents"]))
+            reads.append(tuple(kwargs["sectors"]))
         return original(spec, u, pairs, *args, **kwargs)
 
     for module in (chain, formfactors):
@@ -664,10 +664,10 @@ def test_zero_mode_limit_on_columns_and_on_groups(m):
     # the letter rule on columns is zero_mode_entry's blocks applied to them
     y = chain._probe_columns(3 ** m)
     index, _ = chain._block_map(m)
-    every = all_contents(spec)
+    every = all_sectors(spec)
     for i, j in itertools.product((1, 2, 3), repeat=2):
         expect = np.zeros(y.shape, dtype=complex)
-        for s, (image, blk) in chain.zero_mode_entry(spec, i, j, contents=every).items():
+        for s, (image, blk) in chain.zero_mode_entry(spec, i, j, sectors=every).items():
             expect[index[image]] += blk @ y[index[s]]
         assert np.array_equal(chain._zero_mode_apply(spec, i, j, y), expect)
 
@@ -684,12 +684,13 @@ def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields", [{"chain": {"M": 3, "c": [1e300, 0.0]}},
-                                    {"chain": {"M": 3, "c": [1e-300, 0.0]}}],
+                                    {"chain": {"M": 3, "c": [1e-308, 0.0]}}],
                          ids=["huge-c", "vanishing-c"])
 def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, fields):
-    # at c = 1e300 the subset seeds' polynomial overflows and np.roots raised
-    # a LinAlgError; at c = 1e-300 a Newton failure in continue_twist raised a
-    # BetheSolverError; both ended in a traceback
+    # at c = 1e300 a root descending from infinity under theorem2's twist sits
+    # near c / 1e-5, where the Bethe residual overflows; at c = 1e-308, below
+    # the smallest normal float, the Newton damping fails; each raises a
+    # BetheSolverError, once ended in a traceback
     cfg = default_scenario_dict(m=3, seed=1)
     cfg.update(fields)
     out = tmp_path / "out"
@@ -697,6 +698,18 @@ def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, fields):
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150, 1e200])
+def test_default_scenario_runs_at_extreme_couplings(tmp_path, c):
+    # every check is scale-free in c, and so are the subset seeds and the
+    # Newton Jacobian: no coefficient over- or underflows, and the run keeps
+    # all of its rows
+    cfg = default_scenario_dict(m=3, seed=1)
+    cfg["chain"]["c"] = [c, 0.0]
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len((out / "reports.jsonl").read_text().splitlines()) == 106
 
 
 @pytest.mark.parametrize("m", [3, 4])

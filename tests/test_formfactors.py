@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gradedbethe.bethe import bethe_residual, continue_twist, tau_eigenvalue
-from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_entries, transfer_blocks, \
-    zero_mode_entry
+from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_entries, sector_step, \
+    transfer_blocks, zero_mode_entry
 from gradedbethe.formfactors import (
     SelectionRuleZero,
     check_genfun_derivative,
@@ -14,16 +14,15 @@ from gradedbethe.formfactors import (
     check_theorem1,
     generating_functional,
     partial_zero_mode_ff,
-    sector_step,
     twisted_dual_pairs,
     universal_form_factor,
     zero_mode_ladder_checks,
     _zeta,
 )
 from gradedbethe.graded import FUNDAMENTAL_PARITIES
-from gradedbethe.spectrum import _content, default_probes, diagonalize_transfer, sandwich
+from gradedbethe.spectrum import default_probes, diagonalize_transfer, sandwich
 from conftest import descendant_pairs, embed, primitive_pairs, theorem2, with_ff
-from oracles import all_contents, dense
+from oracles import all_sectors, dense
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ def other_descendant(d11, bpair):
 def test_matrix_element_transfer_gives_tau(spec4, p10):
     pair = p10[0]
     w = default_probes(spec4)[2]
-    t = dense(spec4, transfer_blocks(spec4, w, contents=all_contents(spec4)))
+    t = dense(spec4, transfer_blocks(spec4, w, sectors=all_sectors(spec4)))
     val = embed(spec4, pair.sector, pair.left) @ t @ embed(spec4, pair.sector, pair.right)
     assert val == pytest.approx(pair.tau_samples[2] * pair.pairing, rel=1e-10)
 
@@ -87,12 +86,11 @@ def test_universal_ff_z_independence(spec4, p10):
     # <C|T_22(z)|B> / (tau_C(z) - tau_B(z)) at three points agrees with the
     # universal form factor, which reads it at a point of its own
     pc, pb = p10[0], p10[1]
-    on_b = [_content(spec4, pb.sector)]
     ff = universal_form_factor(spec4, pc, pb, 2, 2)
     for z in (2.5 + 0.9j, -1.4 + 2.1j, 0.4 - 1.8j):
-        t22 = monodromy_entries(spec4, z, [(2, 2)], contents=on_b)[2, 2]
+        t22 = monodromy_entries(spec4, z, [(2, 2)], sectors=[pb.sector])[2, 2]
         dtau = tau_eigenvalue(z, pc.roots, spec4) - tau_eigenvalue(z, pb.roots, spec4)
-        assert abs(sandwich(spec4, pc, t22, pb) / dtau - ff) < 1e-8 * abs(ff)
+        assert abs(sandwich(pc, t22, pb) / dtau - ff) < 1e-8 * abs(ff)
 
 
 def test_universal_ff_selection_rule(spec4, p10, p20):
@@ -100,7 +98,7 @@ def test_universal_ff_selection_rule(spec4, p10, p20):
         universal_form_factor(spec4, p20[0], p10[0], 2, 2)
     # the underlying matrix element itself vanishes for the wrong step
     t22 = dense(spec4, monodromy_entries(spec4, 1.3 + 0.8j, [(2, 2)],
-                                          contents=all_contents(spec4))[2, 2])
+                                          sectors=all_sectors(spec4))[2, 2])
     val = embed(spec4, (2, 0), p20[0].left) @ t22 @ embed(spec4, (1, 0), p10[0].right)
     scale = np.linalg.norm(p20[0].left) * np.linalg.norm(p10[0].right)
     assert abs(val) < 1e-10 * scale
@@ -141,7 +139,7 @@ def test_partial_zero_mode_empty_range(spec4, p10):
 
 def test_local_operator_is_zero_mode_difference(spec4, p10, p20):
     for m in (1, 2, 3):
-        t12 = dense(spec4, zero_mode_entry(spec4, 1, 2, [m], contents=all_contents(spec4)))
+        t12 = dense(spec4, zero_mode_entry(spec4, 1, 2, [m], sectors=all_sectors(spec4)))
         direct = embed(spec4, (2, 0), p20[0].left) @ t12 @ embed(spec4, (1, 0), p10[0].right)
         diff = partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m) \
             - partial_zero_mode_ff(spec4, p20[0], p10[0], 1, 2, m - 1)
@@ -297,9 +295,9 @@ def test_generating_functional_matches_expm_of_dense_zero_modes(m):
     # entrywise, which is expm since Q_beta is diagonal
     spec = ChainSpec(M=4, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     beta = (0.3 + 0.2j, -0.25 + 0.1j, 0.15 - 0.35j)
-    every = all_contents(spec)
+    every = all_sectors(spec)
     q = sum((-1) ** FUNDAMENTAL_PARITIES[i] * beta[i]
-            * dense(spec, zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), contents=every))
+            * dense(spec, zero_mode_entry(spec, i + 1, i + 1, range(1, m + 1), sectors=every))
             for i in range(3))
     assert np.array_equal(q, np.diag(np.diag(q)))
     exp_q = np.diag(np.exp(np.diag(q)))
@@ -377,12 +375,12 @@ def test_ladder_with_descendant_dual(spec4, p10, d11):
 def test_raising_image_lands_in_next_sector(spec4, p10):
     # T_12[0] B_{a,b} is an eigenvector with sector (a+1, b)
     pair = p10[0]
-    every = all_contents(spec4)
-    img = dense(spec4, zero_mode_entry(spec4, 1, 2, contents=every)) \
+    every = all_sectors(spec4)
+    img = dense(spec4, zero_mode_entry(spec4, 1, 2, sectors=every)) \
         @ embed(spec4, pair.sector, pair.right)
     assert np.linalg.norm(img) > 1e-8
     for i, expect in ((1, spec4.lam_zero_mode(1) - 2), (3, spec4.lam_zero_mode(3) - 0)):
-        val = dense(spec4, zero_mode_entry(spec4, i, i, contents=every)) @ img
+        val = dense(spec4, zero_mode_entry(spec4, i, i, sectors=every)) @ img
         assert np.linalg.norm(val - expect * img) < 1e-8 * np.linalg.norm(img)
 
 

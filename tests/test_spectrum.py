@@ -8,23 +8,21 @@ import itertools
 
 from gradedbethe.bethe import BetheRoots, bethe_residual, fit_roots_to_samples, \
     subset_seed_candidates
-from gradedbethe.chain import ChainSpec, TwistConfig, _content_partition, transfer_blocks, \
-    zero_mode_entry
+from gradedbethe.chain import ChainSpec, TwistConfig, monodromy_entries, sector_indices, \
+    sector_step, transfer_blocks, zero_mode_entry
 from gradedbethe.spectrum import (
     MatchError,
-    _content,
     _sector_eigenbasis,
     classify_spectrum,
     default_probes,
     diagonalize_transfer,
     match_roots_to_state,
     sandwich,
-    sector_indices,
     sector_labels_from_zero_modes,
 )
 
 from conftest import TESTED_SECTORS, embed, primitive_pairs
-from oracles import all_contents, all_sectors, dense
+from oracles import all_sectors, dense
 
 
 def test_single_site_spectrum():
@@ -60,7 +58,7 @@ def test_left_right_residuals(spec4, dec4):
         if st.clustered:
             continue
         for q, w in enumerate(default_probes(spec4)):
-            t = dense(spec4, transfer_blocks(spec4, w, contents=all_contents(spec4)))
+            t = dense(spec4, transfer_blocks(spec4, w, sectors=all_sectors(spec4)))
             scale = max(1.0, abs(st.tau_samples[q]))
             r, l = embed(spec4, st.sector, st.right), embed(spec4, st.sector, st.left)
             right = np.linalg.norm(t @ r - st.tau_samples[q] * r) / scale
@@ -131,8 +129,8 @@ def test_sector_labels_from_zero_modes(spec4, classified4):
 
 def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, classified4):
     # T_11[0] B = (lambda_1[0] - a) B and cyclic, as operator actions
-    every = all_contents(spec4)
-    zm = [dense(spec4, zero_mode_entry(spec4, i, i, contents=every)) for i in (1, 2, 3)]
+    every = all_sectors(spec4)
+    zm = [dense(spec4, zero_mode_entry(spec4, i, i, sectors=every)) for i in (1, 2, 3)]
     for pair in classified4[:12]:
         if pair.kind not in ("primitive", "descendant"):
             continue
@@ -148,7 +146,7 @@ def test_zero_mode_diagonal_action_on_matched_states(spec4, dec4, classified4):
 
 def test_dual_annihilation_for_primitive_duals(dec4, classified4):
     # C_{a+1,b} T_12[0] = 0 for finite-root dual states
-    t12 = dense(dec4.spec, zero_mode_entry(dec4.spec, 1, 2, contents=all_contents(dec4.spec)))
+    t12 = dense(dec4.spec, zero_mode_entry(dec4.spec, 1, 2, sectors=all_sectors(dec4.spec)))
     for pair in classified4:
         if pair.kind != "primitive" or pair.sector[0] < 1:
             continue
@@ -270,8 +268,7 @@ def test_census_of_every_sector():
 
 def _tau_fn(spec, st):
     """A state's eigenvalue function, read off the transfer matrix on its sector."""
-    on = [_content(spec, st.sector)]
-    return lambda w: sandwich(spec, st, transfer_blocks(spec, w, contents=on), st) / st.pairing
+    return lambda w: sandwich(st, transfer_blocks(spec, w, sectors=[st.sector]), st) / st.pairing
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(M=4), ChainSpec(M=6),
@@ -317,11 +314,11 @@ def test_probe_formula(spec4):
 
 
 def test_states_live_on_their_own_sector():
-    # every vector holds one coordinate per basis index of its content group,
+    # every vector holds one coordinate per basis index of its sector,
     # so the states of a sector of size |G| take |G|^2 entries per side
     spec = ChainSpec(M=5)
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
-    groups = _content_partition(spec.M)[0]
+    groups = sector_indices(spec).values()
     assert len(dec.states) == 3 ** spec.M
     for side in ("right", "left"):
         assert sum(getattr(st, side).size for st in dec.states) == sum(g.size ** 2 for g in groups)
@@ -334,14 +331,14 @@ def test_sandwich_across_sectors_is_zero(spec4, dec4):
     b = dec4.by_sector((1, 0))[0]
     assert c.left.size == b.right.size == spec4.M
     assert abs(c.left @ b.right) > 1e-3 * np.linalg.norm(c.left) * np.linalg.norm(b.right)
-    diagonal = transfer_blocks(spec4, 2.1 + 0.4j, contents=all_contents(spec4))
-    assert sandwich(spec4, c, None, b) == 0
-    assert sandwich(spec4, c, diagonal, b) == 0
-    assert sandwich(spec4, c, zero_mode_entry(spec4, 3, 3, contents=all_contents(spec4)), b) == 0
-    # and the content check passes the matrix elements the step allows
-    up = zero_mode_entry(spec4, 2, 3, contents=all_contents(spec4))
+    diagonal = transfer_blocks(spec4, 2.1 + 0.4j, sectors=all_sectors(spec4))
+    assert sandwich(c, None, b) == 0
+    assert sandwich(c, diagonal, b) == 0
+    assert sandwich(c, zero_mode_entry(spec4, 3, 3, sectors=all_sectors(spec4)), b) == 0
+    # and the sector check passes the matrix elements the step allows
+    up = zero_mode_entry(spec4, 2, 3, sectors=all_sectors(spec4))
     expect = embed(spec4, c.sector, c.left) @ dense(spec4, up) @ embed(spec4, b.sector, b.right)
-    assert abs(sandwich(spec4, c, up, b) - expect) < 1e-12 * abs(expect)
+    assert abs(sandwich(c, up, b) - expect) < 1e-12 * abs(expect)
     assert abs(expect) > 1e-6
 
 
@@ -354,12 +351,12 @@ def test_left_rows_are_unit_biorthogonal_eigenvectors(m_sites, twisted):
     if twisted:
         spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
-    blocks = transfer_blocks(spec, default_probes(spec)[0], contents=all_contents(spec))
+    blocks = transfer_blocks(spec, default_probes(spec)[0], sectors=all_sectors(spec))
     for sector in sector_indices(spec):
         safe = [st for st in dec.by_sector(sector) if not st.clustered]
         if not safe:
             continue
-        t = blocks[_content(spec, sector)][1]
+        t = blocks[sector][1]
         for st in safe:
             lam = st.tau_samples[0]
             assert np.linalg.norm(st.left @ t - lam * st.left) / max(1.0, abs(lam)) <= 1e-12
@@ -410,10 +407,10 @@ def loop_cluster_flags(w0, pairing, cluster_gap):
 @pytest.mark.parametrize("m_sites", [3, 4, 5, 6])
 def test_cluster_flags_equal_the_pairwise_loop(m_sites):
     spec = ChainSpec(M=m_sites)
-    blocks = transfer_blocks(spec, default_probes(spec)[0], contents=all_contents(spec))
+    blocks = transfer_blocks(spec, default_probes(spec)[0], sectors=all_sectors(spec))
     by_gap = 0
     for sector in sector_indices(spec):
-        block = blocks[_content(spec, sector)][1]
+        block = blocks[sector][1]
         # the default gap, and wider ones that flag neighbours in most sectors
         for gap in (1e-8, 1e-3, 1e-1):
             w0, _, _, pairing, clustered = _sector_eigenbasis(block, gap)
@@ -437,7 +434,9 @@ def test_cluster_flags_on_a_near_degenerate_block():
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_sector_indices_match_digit_count(m_sites):
-    # brute force: read every basis index digit by digit
+    # brute force: read every basis index digit by digit; then every block of
+    # T_ij and of T_ij[0] maps sector s onto s + sector_step(i, j), between
+    # those two sectors' index sets
     spec = ChainSpec(M=m_sites)
     oracle = {}
     for index in range(3 ** spec.M):
@@ -448,3 +447,14 @@ def test_sector_indices_match_digit_count(m_sites):
     assert list(got) == sorted(oracle)
     for sector, indices in oracle.items():
         assert got[sector].tolist() == indices
+    every = list(oracle)
+    entries = monodromy_entries(spec, 1.7 - 0.6j, itertools.product((1, 2, 3), repeat=2),
+                                sectors=every)
+    for i, j in itertools.product((1, 2, 3), repeat=2):
+        da, db = sector_step(i, j)
+        moved = {s: (s[0] + da, s[1] + db) for s in every}
+        for op in (entries[i, j], zero_mode_entry(spec, i, j, sectors=every)):
+            assert {s: image for s, (image, _) in op.items()} == {
+                s: image for s, image in moved.items() if image in oracle}
+            for s, (image, blk) in op.items():
+                assert blk.shape == (len(oracle[image]), len(oracle[s]))

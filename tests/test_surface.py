@@ -121,3 +121,30 @@ def test_tracer_wraps_the_public_surface(tmp_path):
     assert {name.split(".")[0] for name in got["installed"]} == set(got["layers"])
     expected = {"graded.GradedMatrix"} | {f"cli.check.{check}" for check in got["checks"]}
     assert expected <= set(got["installed"])
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name a module binds, reads, imports or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+    return found
+
+
+def test_only_chain_knows_a_letter_content():
+    # outside chain a weight sector is named by (a, b) alone: no module reads
+    # the content partition or converts a sector to its letter content
+    content_names = {"_content", "_content_partition"}
+    named = {(p.name, n) for p in PACKAGE.glob("*.py") if p.name != "chain.py"
+             for n in identifiers(p) & content_names}
+    assert named == set()
+    assert "_content_partition" in identifiers(PACKAGE / "chain.py")
