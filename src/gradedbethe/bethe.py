@@ -32,9 +32,9 @@ __all__ = [
     "subset_seed_candidates",
 ]
 
-_POLE_TOL = 1e-9       # |c| units: a root pair this close to an f-function pole
+_POLE_TOL = 1e-9       # a root pair this close to an f-function pole
 _MAX_ITER = 60         # Newton steps before solve_bethe gives up
-_COLLISION_TOL = 1e-8  # |c| units: two roots this close have collided
+_COLLISION_TOL = 1e-8  # two roots this close have collided
 _TWIST_TOL = 1e-13     # Bethe residual of the roots solved at a twist
 
 
@@ -80,17 +80,16 @@ class BetheRoots:
         return (self.a, self.b)
 
 
-def _prod_f(xs, ys, c: complex) -> complex:
+def _prod_f(xs, ys) -> complex:
     """Double product of f over two sets; empty sets give 1."""
     out = 1.0 + 0j
     for x in xs:
         for y in ys:
-            out *= f_fun(x, y, c)
+            out *= f_fun(x, y)
     return out
 
 
 def _check_f_poles(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> None:
-    c = spec.c
     pts = u + v
     for x in pts:
         for xi in spec.xi:
@@ -98,7 +97,7 @@ def _check_f_poles(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> None:
                 raise PoleError(f"root {x} collides with inhomogeneity {xi}")
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            if abs(x - y) < tol or abs(x - y - c) < tol or abs(x - y + c) < tol:
+            if abs(x - y) < tol or abs(x - y - 1) < tol or abs(x - y + 1) < tol:
                 raise PoleError(f"roots {x}, {y} sit on an f-function pole")
 
 
@@ -108,16 +107,15 @@ def _log_residuals(u: tuple, v: tuple, spec: ChainSpec) -> np.ndarray:
     ``u`` and ``v`` are tuples of Python complex; entry j is Log(LHS_j / RHS_j)
     at the spec's twist.  Raises PoleError where a root sits on a pole.
     """
-    c = spec.c
-    _check_f_poles(u, v, spec, _POLE_TOL * abs(c))
+    _check_f_poles(u, v, spec, _POLE_TOL)
     k1, k2, k3 = spec.twist.kappa
     res = []
     for j, x in enumerate(u):
         others = u[:j] + u[j + 1:]
-        rhs = (k2 / k1) * _prod_f([x], others, c) / _prod_f(others, [x], c) * _prod_f(v, [x], c)
+        rhs = (k2 / k1) * _prod_f([x], others) / _prod_f(others, [x]) * _prod_f(v, [x])
         res.append(np.log(spec.r(1, x) / rhs))
     for x in v:
-        res.append(np.log(spec.r(3, x) / ((k2 / k3) * _prod_f([x], u, c))))
+        res.append(np.log(spec.r(3, x) / ((k2 / k3) * _prod_f([x], u))))
     return np.array(res, dtype=complex)
 
 
@@ -140,15 +138,14 @@ def bethe_residual(roots: BetheRoots, spec: ChainSpec) -> np.ndarray:
     return out
 
 
-def _dlogf(x: complex, y: complex, c: complex) -> tuple[complex, complex]:
+def _dlogf(x: complex, y: complex) -> tuple[complex, complex]:
     """(d/dx, d/dy) of log f(x, y)."""
-    d = 1.0 / (x - y + c) - 1.0 / (x - y)
+    d = 1.0 / (x - y + 1) - 1.0 / (x - y)
     return d, -d
 
 
 def _bethe_jacobian(u: tuple, v: tuple, spec: ChainSpec) -> np.ndarray:
     """Analytic Jacobian of ``_log_residuals``."""
-    c = spec.c
     na, nb = len(u), len(v)
     jac = np.zeros((na + nb, na + nb), dtype=complex)
     for j, x in enumerate(u):
@@ -156,19 +153,19 @@ def _bethe_jacobian(u: tuple, v: tuple, spec: ChainSpec) -> np.ndarray:
         for k, y in enumerate(u):
             if k == j:
                 continue
-            dxj_1, dyk_1 = _dlogf(x, y, c)   # log f(u_j, u_k)
-            dyk_2, dxj_2 = _dlogf(y, x, c)   # log f(u_k, u_j)
+            dxj_1, dyk_1 = _dlogf(x, y)   # log f(u_j, u_k)
+            dyk_2, dxj_2 = _dlogf(y, x)   # log f(u_k, u_j)
             jac[j, j] -= dxj_1 - dxj_2
             jac[j, k] -= dyk_1 - dyk_2
         for l, y in enumerate(v):
-            dv, dx = _dlogf(y, x, c)         # log f(v_l, u_j)
+            dv, dx = _dlogf(y, x)         # log f(v_l, u_j)
             jac[j, j] -= dx
             jac[j, na + l] -= dv
     for j, x in enumerate(v):
         row = na + j
         jac[row, row] += spec.dlog_r(3, x)
         for l, y in enumerate(u):
-            dx, dy = _dlogf(x, y, c)         # log f(v_j, u_l)
+            dx, dy = _dlogf(x, y)         # log f(v_j, u_l)
             jac[row, row] -= dx
             jac[row, l] -= dy
     return jac
@@ -176,7 +173,7 @@ def _bethe_jacobian(u: tuple, v: tuple, spec: ChainSpec) -> np.ndarray:
 
 def _newton(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> tuple[tuple, tuple]:
     """Damped Newton on ``_log_residuals`` from the finite roots (u, v) to new (u, v)."""
-    na, c = len(u), spec.c
+    na = len(u)
 
     def split(vec):
         return tuple(vec[:na].tolist()), tuple(vec[na:].tolist())
@@ -195,7 +192,7 @@ def _newton(u: tuple, v: tuple, spec: ChainSpec, tol: float) -> tuple[tuple, tup
         while lam > 1e-4:
             x_new = x + lam * step
             pts = list(x_new)
-            if any(abs(p - q) < _COLLISION_TOL * abs(c)
+            if any(abs(p - q) < _COLLISION_TOL
                    for i, p in enumerate(pts) for q in pts[i + 1:]):
                 lam *= 0.5
                 continue
@@ -232,7 +229,7 @@ def solve_bethe(seed: BetheRoots, spec: ChainSpec, tol: float) -> BetheRoots:
             u, v = _newton(seed.u, seed.v, spec, tol)
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         raise BetheSolverError(f"Newton iterate left the floating-point range ({exc})") from exc
-    _check_f_poles(u, v, spec, _COLLISION_TOL * abs(spec.c))
+    _check_f_poles(u, v, spec, _COLLISION_TOL)
     return replace(seed, u=u, v=v)
 
 
@@ -242,14 +239,13 @@ def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
     kappa_1 lam_1(w) prod f(u_j,w) + kappa_2 lam_2(w) prod f(w,u_j) prod f(v_k,w)
     - kappa_3 lam_3(w) prod f(v_k,w); roots at infinity contribute factors 1.
     """
-    c = spec.c
     for x in list(roots.u) + list(roots.v):
         if w == x:
             raise PoleError("probe point coincides with a Bethe root")
     k1, k2, k3 = spec.twist.kappa
-    fu_w = _prod_f(roots.u, [w], c)
-    fw_u = _prod_f([w], roots.u, c)
-    fv_w = _prod_f(roots.v, [w], c)
+    fu_w = _prod_f(roots.u, [w])
+    fw_u = _prod_f([w], roots.u)
+    fv_w = _prod_f(roots.v, [w])
     return (k1 * spec.lam(1, w) * fu_w
             + k2 * spec.lam(2, w) * fw_u * fv_w
             - k3 * spec.lam(3, w) * fv_w)
@@ -261,7 +257,7 @@ def tau_eigenvalue(w: complex, roots: BetheRoots, spec: ChainSpec) -> complex:
 @lru_cache(maxsize=16)
 def _tq_grid(spec: ChainSpec, a: int) -> tuple:
     """Sample points of the TQ fit for a u-roots on a circle, and lambda_1..3 there; read-only."""
-    rad = 2.0 * abs(spec.c) * (1.0 + 0.15 * spec.M)
+    rad = 2.0 * (1.0 + 0.15 * spec.M)
     center = np.mean(np.asarray(spec.xi))
     n_pts = 4 * (spec.M + a)
     ang = 2 * np.pi * (np.arange(n_pts) + 0.31) / n_pts
@@ -277,14 +273,13 @@ def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
 
     With no v-roots and Q the monic polynomial of the u-roots, on shell
 
-      k1 lam_1(w) Q(w-c) + k2 lam_2(w) Q(w+c) - k3 lam_3(w) Q(w) = tau(w) Q(w)
+      k1 lam_1(w) Q(w-1) + k2 lam_2(w) Q(w+1) - k3 lam_3(w) Q(w) = tau(w) Q(w)
 
     holds identically in w.  The relation is linear in the coefficients of Q,
     so one least-squares solve over sample points on a circle gives them;
     the roots are then polished by Newton on the Bethe equations elsewhere.
-    Returns None when a root lies beyond 1e6 |c| or two roots coincide.
+    Returns None when a root lies beyond 1e6 or two roots coincide.
     """
-    c = spec.c
     k1, k2, k3 = spec.twist.kappa
     if a == 0:
         return BetheRoots()
@@ -294,7 +289,7 @@ def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
 
     # rows are grid points; each term is a weight times Q at a shifted argument
     weights = (k1 * lam[0], k2 * lam[1], -k3 * lam[2], -tau)
-    args = (grid - c, grid + c, grid, grid)
+    args = (grid - 1, grid + 1, grid, grid)
     mat = np.zeros((grid.size, a), dtype=complex)
     rhs = np.zeros(grid.size, dtype=complex)
     for wgt, arg in zip(weights, args):
@@ -304,7 +299,7 @@ def fit_roots_to_samples(a: int, tau_fn, spec: ChainSpec) -> BetheRoots | None:
     coeffs = np.linalg.lstsq(mat, -rhs, rcond=None)[0]
 
     roots = np.roots(np.concatenate([[1.0], coeffs[::-1]]))
-    if np.abs(roots).max() > 1e6 * abs(c):
+    if np.abs(roots).max() > 1e6:
         return None
     try:
         return BetheRoots(u=tuple(roots))
@@ -323,8 +318,8 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
 
     The second Bethe equation carries no v-v coupling, so with ubar fixed
     every v is a root of the single polynomial
-    kappa_3 prod(v - u_l) - kappa_2 prod(v - u_l + c).  Candidate ubar sets
-    are drawn from the one-root pool kappa_1 prod(u - xi + c) =
+    kappa_3 prod(v - u_l) - kappa_2 prod(v - u_l + 1).  Candidate ubar sets
+    are drawn from the one-root pool kappa_1 prod(u - xi + 1) =
     kappa_2 prod(u - xi); for sectors with b > 0 the dressing by the v-roots
     cancels against the u-exchange factors, so these subsets sit on (or very
     near) the true solutions and the Newton polish is a formality.
@@ -333,16 +328,13 @@ def subset_seed_candidates(sector: tuple[int, int], spec: ChainSpec):
     """
     a, b = sector
     k1, k2, k3 = spec.twist.kappa
-    c = spec.c
-    # both polynomials in units of c, so their coefficients neither overflow
-    # nor underflow at any coupling
-    xi = np.asarray(spec.xi) / c
-    pool_u = c * _capped_roots(k1 * np.poly(xi - 1) - k2 * np.poly(xi), 1e9)
+    xi = np.asarray(spec.xi)
+    pool_u = _capped_roots(k1 * np.poly(xi - 1) - k2 * np.poly(xi), 1e9)
     if len(pool_u) < a:
         return
     for us in itertools.combinations(pool_u, a):
-        uarr = np.asarray(us) / c
-        pool_v = c * _capped_roots(k3 * np.poly(uarr) - k2 * np.poly(uarr - 1), 1e9)
+        uarr = np.asarray(us)
+        pool_v = _capped_roots(k3 * np.poly(uarr) - k2 * np.poly(uarr - 1), 1e9)
         if len(pool_v) < b:
             continue
         for vs in itertools.combinations(pool_v, b):
@@ -385,10 +377,9 @@ class RootTrajectory:
 def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec) -> complex:
     """Large-|x| seed for one root descending from infinity under the spec's twist.
 
-    From the asymptotic Bethe equation 1 + A c/x = rho (1 + B c/x) with
-    rho the relevant kappa ratio: x = c (A - rho B)/(rho - 1).
+    From the asymptotic Bethe equation 1 + A/x = rho (1 + B/x) with
+    rho the relevant kappa ratio: x = (A - rho B)/(rho - 1).
     """
-    c = spec.c
     k1, k2, k3 = spec.twist.kappa
     a_fin, b_fin = len(roots.u), len(roots.v)
     if kind == "u":
@@ -402,7 +393,7 @@ def _descent_seed(kind: str, roots: BetheRoots, spec: ChainSpec) -> complex:
     if abs(rho - 1.0) < 1e-14:
         raise BetheSolverError("descent seed requested for an unsplit twist ratio")
     base = np.mean(np.asarray(roots.u)) if roots.u else np.mean(np.asarray(spec.xi))
-    return complex(base + c * (a_coef - rho * b_coef) / (rho - 1.0))
+    return complex(base + (a_coef - rho * b_coef) / (rho - 1.0))
 
 
 def _solve_at_twist(seed: BetheRoots, spec: ChainSpec) -> BetheRoots:
@@ -440,7 +431,6 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
 
     # the step as 1 + delta holds it, so both ends sit at 1 -/+ the same step
     step = (1.0 + delta) - 1.0
-    c_abs = abs(spec.c)
 
     def solve_at(sign: float) -> BetheRoots:
         end = replace(spec, twist=spec.twist.replace(direction, 1.0 + sign * step))
@@ -449,7 +439,7 @@ def continue_twist(seed: BetheRoots, spec: ChainSpec, direction: int,
         # and freshly descended roots are appended at the tail of each set
         for old_set, new_set in ((seed.u, cur.u), (seed.v, cur.v)):
             for old, new in zip(old_set, new_set):
-                bound = 0.2 * c_abs + 0.75 * (abs(old) + abs(new))
+                bound = 0.2 + 0.75 * (abs(old) + abs(new))
                 if abs(new - old) > bound:
                     raise BetheSolverError("trajectory jump detected; reduce the step")
         return cur

@@ -111,35 +111,31 @@ class TwistConfig:
         return TwistConfig(tuple(k))
 
 
-def _default_xi(m: int, c: complex) -> tuple[complex, ...]:
+def _default_xi(m: int) -> tuple[complex, ...]:
     # small distinct reals lift spectral degeneracies without moving poles
     # anywhere near the default probe points
-    return tuple(0.1 * n * c for n in range(1, m + 1))
+    return tuple(0.1 * n for n in range(1, m + 1))
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Model definition: site count, coupling, inhomogeneities, twist.
+    """Model definition: site count, inhomogeneities, twist.
 
-    The vacuum is e_1 on every site; root seeding and the sector labels
-    count against it, and its eigenvalues lambda_k(u) and their ratios are
-    the closed forms below, the only way the representation enters.
+    The coupling c is the unit of the spectral plane: xi and every spectral
+    parameter are in units of c, so R(u, v) = I + P/(u - v).  The vacuum is
+    e_1 on every site; root seeding and the sector labels count against it,
+    and its eigenvalues lambda_k(u) and their ratios are the closed forms
+    below, the only way the representation enters.
     """
 
     M: int
-    c: complex = 1.0 + 0j
     xi: tuple[complex, ...] | None = None
     twist: TwistConfig = field(default_factory=TwistConfig)
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("site count M must be >= 1")
-        object.__setattr__(self, "c", complex(self.c))
-        if self.c == 0:
-            raise ValueError("coupling c must be nonzero")
-        if not cmath.isfinite(self.c):
-            raise ValueError("coupling c must be finite")
-        xi = self.xi if self.xi is not None else _default_xi(self.M, self.c)
+        xi = self.xi if self.xi is not None else _default_xi(self.M)
         xi = tuple(complex(x) for x in xi)
         object.__setattr__(self, "xi", xi)
         if len(xi) != self.M:
@@ -169,7 +165,7 @@ class ChainSpec:
         if k != 1:
             return 1.0 + 0j
         # numpy-scalar factors: the bits the reports were pinned with
-        return complex(math.prod(1.0 + np.complex128(g_fun(u, self.xi[n - 1], self.c))
+        return complex(math.prod(1.0 + np.complex128(g_fun(u, self.xi[n - 1]))
                                  for n in self._sites(sites)))
 
     def r(self, k: int, u: complex, sites=None) -> complex:
@@ -182,14 +178,13 @@ class ChainSpec:
             return 0.0 + 0j
         total = 0.0 + 0j
         for x in self.xi:
-            # d/du log(1 + g) = -g^2 / (c (1 + g)) through g = g(u, x), which is
-            # of order 1 at every coupling where c^2 / (u - x)^2 over- or underflows
-            g = np.complex128(g_fun(u, x, self.c))
-            total += -g * g / self.c / (1.0 + g)
+            # d/du log(1 + g) = -g^2 / (1 + g) through g = g(u, x)
+            g = np.complex128(g_fun(u, x))
+            total += -g * g / (1.0 + g)
         return total
 
     def lam_zero_mode(self, k: int, sites=None) -> complex:
-        """Coefficient in lambda_k(u) = 1 + coeff * c/u + O(u^-2)."""
+        """Coefficient in lambda_k(u) = 1 + coeff / u + O(u^-2)."""
         return complex(len(self._sites(sites))) if k == 1 else 0.0 + 0j
 
     def r_product(self, k: int, roots, sites) -> complex:
@@ -337,22 +332,22 @@ def compose(a: dict, b: dict) -> dict:
     return {s: (a[m][0], a[m][1] @ blk) for s, (m, blk) in b.items() if m in a}
 
 
-def g_fun(u: complex, v: complex, c: complex) -> complex:
+def g_fun(u: complex, v: complex) -> complex:
     if u == v:
         raise PoleError("g(u,v) pole at u = v")
-    return c / (u - v)
+    return 1 / (u - v)
 
 
-def f_fun(u: complex, v: complex, c: complex) -> complex:
+def f_fun(u: complex, v: complex) -> complex:
     if u == v:
         raise PoleError("f(u,v) pole at u = v")
-    return (u - v + c) / (u - v)
+    return (u - v + 1) / (u - v)
 
 
 # -- Yang-Baxter -------------------------------------------------------------
 
 
-def yang_baxter_residual(u: complex, v: complex, w: complex, c: complex) -> float:
+def yang_baxter_residual(u: complex, v: complex, w: complex) -> float:
     """Max-entry residual of R12 R13 R23 = R23 R13 R12 on V (x) V (x) V."""
     fund = GradedSpace.fundamental()
     factors = [fund] * 3
@@ -360,7 +355,7 @@ def yang_baxter_residual(u: complex, v: complex, w: complex, c: complex) -> floa
 
     def r_embedded(x, y, a, b):
         perm = permutation_between(factors, x, y)
-        return eye + g_fun(a, b, c) * perm.to_matrix()
+        return eye + g_fun(a, b) * perm.to_matrix()
 
     r12 = r_embedded(0, 1, u, v)
     r13 = r_embedded(0, 2, u, w)
@@ -379,7 +374,7 @@ def _check_poles(spec: ChainSpec, u: complex, sites) -> None:
 
 def _l_steps(spec: ChainSpec, u: complex, sites) -> list:
     """Group-product steps of L_{sites[-1]}(u) ... L_{sites[0]}(u), L_n = I + g(u, xi_n) P_0n."""
-    return [(_step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1], spec.c)) for n in sites]
+    return [(_step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1])) for n in sites]
 
 
 def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
@@ -390,7 +385,7 @@ def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
     """
     _check_poles(spec, u, spec.all_sites())
     offset = n_factors - spec.M - 1
-    return [(_gather(n_factors, aux, offset + n), g_fun(u, spec.xi[n - 1], spec.c))
+    return [(_gather(n_factors, aux, offset + n), g_fun(u, spec.xi[n - 1]))
             for n in spec.all_sites()]
 
 
@@ -479,12 +474,18 @@ def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
     return _apply(x, _site_steps(spec, u, spec.M + 1, 0))
 
 
-def _entry_apply(spec: ChainSpec, u: complex, i: int, j: int, y: np.ndarray) -> np.ndarray:
-    """T_ij(u) Y for Y on H: aux block i of T(u) (e_j (x) Y), signed with BLOCK_SIGNS."""
+def _column_apply(spec: ChainSpec, u: complex, j: int, y: np.ndarray) -> np.ndarray:
+    """T_1j(u) Y, T_2j(u) Y, T_3j(u) Y: T(u) (e_j (x) Y) by aux block, signed with BLOCK_SIGNS."""
     x = np.zeros((3,) + y.shape, dtype=complex)
     x[j - 1] = y
     out = monodromy_apply(spec, u, x.reshape(-1, *y.shape[1:])).reshape(x.shape)
-    return BLOCK_SIGNS[i - 1, j - 1] * out[i - 1]
+    out *= BLOCK_SIGNS[:, j - 1].reshape((3,) + (1,) * y.ndim)
+    return out
+
+
+def _entry_apply(spec: ChainSpec, u: complex, i: int, j: int, y: np.ndarray) -> np.ndarray:
+    """T_ij(u) Y for Y on H."""
+    return _column_apply(spec, u, j, y)[i - 1]
 
 
 def transfer_apply(spec: ChainSpec, u: complex, y: np.ndarray) -> np.ndarray:
@@ -593,7 +594,7 @@ def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
         raise PoleError("RTT check needs u != v")
     n_factors = spec.M + 2
     t_a, t_b = (_site_steps(spec, w, n_factors, aux) for w, aux in ((u, 0), (v, 1)))
-    r = [(_gather(n_factors, 0, 1), g_fun(u, v, spec.c))]
+    r = [(_gather(n_factors, 0, 1), g_fun(u, v))]
     y = _probe_columns(3 ** n_factors)
     return _relative_gap(_apply(y, t_b + t_a + r), _apply(y, r + t_a + t_b))
 
@@ -612,7 +613,7 @@ def tm1_residual(spec: ChainSpec, u: complex, v: complex,
     t = partial(_entry_apply, spec)
     pi, pj, pk, pl = (_PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
-    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
+    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v)
     lhs = t(u, i, j, t(v, k, l, y)) - sign_comm * t(v, k, l, t(u, i, j, y))
     rhs = pref * (t(v, k, j, t(u, i, l, y)) - t(u, k, j, t(v, i, l, y)))
     return _relative_gap(lhs, rhs)

@@ -26,7 +26,7 @@ from .bethe import BetheSolverError, bethe_residual, continue_twist
 from .chain import (
     ChainSpec,
     PoleError,
-    _entry_apply,
+    _column_apply,
     _probe_columns,
     _relative_gap,
     _zero_mode_apply,
@@ -157,11 +157,16 @@ class Scenario:
         m = _integer("M", chain_data.get("M", 4))
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
+        # c is the unit of the spectral plane, read here only: the chain holds
+        # xi in units of c, and xi = None leaves them to ChainSpec's default
+        c = _complex(chain_data.get("c", [1.0, 0.0]))
         xi = chain_data.get("xi")
         try:
-            # xi = None leaves the inhomogeneities to ChainSpec's default
-            chain = ChainSpec(M=m, c=_complex(chain_data.get("c", [1.0, 0.0])),
-                              xi=None if xi is None else tuple(map(_complex, xi)))
+            if c == 0:
+                raise ValueError("coupling c must be nonzero")
+            if not np.isfinite(c):
+                raise ValueError("coupling c must be finite")
+            chain = ChainSpec(M=m, xi=None if xi is None else tuple(_complex(x) / c for x in xi))
         except ValueError as exc:
             raise ScenarioError(f"invalid chain spec: {exc}") from exc
         checks = _checks(list(data.get("checks", KNOWN_CHECKS)))
@@ -238,18 +243,18 @@ class _Workspace:
         return [st for st in self.classified() if st.sector == sector and st.kind == kind]
 
 
-def _random_point(rng, c: complex, offset: complex) -> complex:
-    return complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0)) * c + offset
+def _random_point(rng, offset: complex) -> complex:
+    return complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0)) + offset
 
 
 def _run_ybe(ws: _Workspace) -> list[FormFactorReport]:
     spec, rng = ws.spec, ws.rng
     out = []
     for k in range(3):
-        u = _random_point(rng, spec.c, 3.0 * spec.c)
-        v = _random_point(rng, spec.c, -3.0 * spec.c)
-        w = _random_point(rng, spec.c, 1.5j * spec.c)
-        resid = yang_baxter_residual(u, v, w, spec.c)
+        u = _random_point(rng, 3.0)
+        v = _random_point(rng, -3.0)
+        w = _random_point(rng, 1.5j)
+        resid = yang_baxter_residual(u, v, w)
         out.append(make_report(f"ybe:{k}", resid, 0.0, 1e-10, residual=resid))
     return out
 
@@ -263,7 +268,7 @@ def _leakage(spec: ChainSpec, sectors: list[tuple[int, int]]) -> float:
     kept = np.concatenate([sector_indices(spec)[s] for s in sectors])
     y = np.zeros((3 ** spec.M, 2), dtype=complex)
     y[kept] = _probe_columns(3 ** spec.M)[kept]
-    first, *later = default_probes(spec)
+    first, *later = default_probes()
     t_first = transfer_apply(spec, first, y)
     return max((_relative_gap(transfer_apply(spec, first, transfer_apply(spec, u, y)),
                               transfer_apply(spec, u, t_first)) for u in later))
@@ -279,14 +284,14 @@ def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
     spec, rng = ws.spec, ws.rng
     out = []
     for m_sites in _RTT_SIZES:
-        sub = ChainSpec(M=m_sites, c=spec.c)
+        sub = ChainSpec(M=m_sites)
         for k in range(_RTT_PAIRS_PER_SIZE):
-            u = _random_point(rng, sub.c, 3.0 * sub.c)
-            v = _random_point(rng, sub.c, -3.0 * sub.c)
+            u = _random_point(rng, 3.0)
+            v = _random_point(rng, -3.0)
             resid = verify_rtt(sub, u, v)
             out.append(make_report(f"rtt:M{m_sites}.{k}", resid, 0.0, 1e-10, residual=resid))
-    u = _random_point(rng, spec.c, 2.0 * spec.c)
-    v = _random_point(rng, spec.c, -2.0 * spec.c)
+    u = _random_point(rng, 2.0)
+    v = _random_point(rng, -2.0)
     resid = tm1_residual(spec, u, v, (1, 2, 2, 3))
     out.append(make_report("rtt:tm1-1223", resid, 0.0, 1e-10, residual=resid))
     return out
@@ -295,7 +300,7 @@ def _run_rtt(ws: _Workspace) -> list[FormFactorReport]:
 def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
     spec, rng = ws.spec, ws.rng
     out = []
-    u = _random_point(rng, spec.c, 2.5 * spec.c)
+    u = _random_point(rng, 2.5)
     # the vacuum e_1 (x) ... (x) e_1 is the one basis vector of its sector
     vac_s = (0, 0)
     t = monodromy_entries(spec, u, itertools.product((1, 2, 3), repeat=2), sectors=[vac_s])
@@ -326,13 +331,16 @@ def _run_vacuum(ws: _Workspace) -> list[FormFactorReport]:
                            residual=worst_fact))
 
     # zero modes: the letter rule's T_ij[0] Y against the large-u limit
-    # (u/c)(T_ij(u) - delta_ij) Y on the probe columns, at u = far; the
-    # next-order coefficient grows like M^2, so the point scales with the chain
-    far = 1e6 * spec.M * spec.c
+    # u (T_ij(u) - delta_ij) Y on the probe columns, at u = far, one apply of
+    # T(far) per j; the next-order coefficient grows like M^2, so the point
+    # scales with the chain
+    far = complex(1e6 * spec.M)
     y = _probe_columns(3 ** spec.M)
-    gap = max(_relative_gap((far / spec.c) * (_entry_apply(spec, far, i, j, y) - (i == j) * y),
-                            _zero_mode_apply(spec, i, j, y))
-              for i, j in itertools.product((1, 2, 3), repeat=2))
+    gap = 0.0
+    for j in (1, 2, 3):
+        t_j = _column_apply(spec, far, j, y)
+        gap = max([gap] + [_relative_gap(far * (t_j[i - 1] - (i == j) * y),
+                                         _zero_mode_apply(spec, i, j, y)) for i in (1, 2, 3)])
     out.append(make_report("vacuum:zero-mode-limit", gap, 0.0, 1e-5, residual=gap))
     return out
 

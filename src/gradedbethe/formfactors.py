@@ -134,7 +134,7 @@ def universal_form_factor(spec: ChainSpec, pair_c: EigenState, pair_b: EigenStat
         raise SelectionRuleZero(
             f"sectors {pair_c.sector} <- {pair_b.sector} violate the (i,j)=({i},{j}) step"
         )
-    for z in [(0.9 + 0.17 * k) * spec.c + 0.83j * spec.c for k in range(8)]:
+    for z in [(0.9 + 0.17 * k) + 0.83j for k in range(8)]:
         tau_c = tau_eigenvalue(z, pair_c.roots, spec)
         tau_b = tau_eigenvalue(z, pair_b.roots, spec)
         dtau = tau_c - tau_b
@@ -256,7 +256,7 @@ def _probe_diagonals(spec: ChainSpec, sectors: tuple) -> tuple:
     there reads these same entries; the blocks are read-only.
     """
     out = tuple(monodromy_entries(spec, w, _DIAGONAL, sectors=sectors)
-                for w in default_probes(spec))
+                for w in default_probes())
     for diagonals in out:
         for entry in diagonals.values():
             for _, blk in entry.values():
@@ -371,7 +371,7 @@ def zero_mode_ladder_checks(spec: ChainSpec, pair_c: EigenState, pair_b: EigenSt
     if img_norm > 1e-10 * np.linalg.norm(pair_b.right):
         up = (on_b[0] + 1, on_b[1])
         worst = 0.0
-        for q, w in enumerate(default_probes(spec)):
+        for q, w in enumerate(default_probes()):
             t_img = transfer_blocks(spec, w, sectors=[up])[up][1] @ img
             tau = pair_b.tau_samples[q]
             worst = max(worst, float(np.linalg.norm(t_img - tau * img)) / img_norm

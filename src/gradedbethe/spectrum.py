@@ -64,10 +64,9 @@ class MatchError(RuntimeError):
     """Root set matched no eigenstate, or more than one."""
 
 
-def default_probes(spec: ChainSpec) -> np.ndarray:
+def default_probes() -> np.ndarray:
     """Five generic probe points away from roots and inhomogeneities."""
-    c = spec.c
-    return np.array([(1.7 + 0.3 * j) * c + 0.41j * c for j in range(5)], dtype=complex)
+    return np.array([(1.7 + 0.3 * j) + 0.41j for j in range(5)], dtype=complex)
 
 
 @dataclass
@@ -76,7 +75,7 @@ class EigenState:
 
     ``right`` and ``left`` hold its coordinates on the sector's basis
     indices, in ``sector_indices`` order; ``tau_samples`` are
-    its eigenvalues at the spec's ``default_probes``.  ``roots`` stays None until
+    its eigenvalues at the ``default_probes``.  ``roots`` stays None until
     ``classify_spectrum`` or ``match_roots_to_state`` attaches them, which
     makes the state an on-shell Bethe vector; its ``kind`` follows from them.
     """
@@ -180,7 +179,7 @@ def diagonalize_transfer(spec: ChainSpec, *,
     """
     wanted = [s for s in sector_indices(spec) if s in sectors]
     return _decompose(spec, wanted, (transfer_blocks(spec, w, sectors=wanted)
-                                     for w in default_probes(spec)))
+                                     for w in default_probes()))
 
 
 def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> SpectralDecomposition:
@@ -189,7 +188,7 @@ def _decompose(spec: ChainSpec, wanted: list[tuple[int, int]], t_ops) -> Spectra
     ``t_ops``, an iterator, yields the transfer blocks on the wanted sectors at
     each default probe in turn; each is dropped before the next is drawn.
     """
-    probes = default_probes(spec)
+    probes = default_probes()
     # one probe's transfer blocks at a time: every sector is diagonalized at the
     # first probe, then each later probe is sandwiched on every sector
     t_op = next(t_ops)
@@ -243,7 +242,7 @@ def match_roots_to_state(dec: SpectralDecomposition, roots: BetheRoots) -> Eigen
     state or more than one state matches, and DegenerateSpectrumError when
     the matched state sits in a degenerate cluster.
     """
-    target = np.array([tau_eigenvalue(w, roots, dec.spec) for w in default_probes(dec.spec)])
+    target = np.array([tau_eigenvalue(w, roots, dec.spec) for w in default_probes()])
     candidates = [st for st in dec.by_sector(roots.sector)
                   if _samples_match(st.tau_samples, target)]
     if not candidates:
@@ -304,7 +303,7 @@ def classify_spectrum(dec: SpectralDecomposition,
     Only the requested sectors' states are returned.
     """
     spec = dec.spec
-    probes = default_probes(spec)
+    probes = default_probes()
     swept = _swept_sectors(sorted({s.sector for s in dec.states}), sectors)
     wanted = set(sectors or swept)
     classified: list[EigenState] = []

@@ -79,10 +79,10 @@ def tensor(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     return GradedSpace(a.dim * b.dim, tuple(int(x) for x in p.ravel()))
 
 
-def r_matrix(u: complex, v: complex, c: complex) -> GradedMatrix:
+def r_matrix(u: complex, v: complex) -> GradedMatrix:
     """R(u,v) = I + g(u,v) P on the product of two fundamental spaces."""
     p = permutation_between([FUND, FUND], 0, 1).to_matrix()
-    return GradedMatrix(tensor(FUND, FUND), np.eye(9) + g_fun(u, v, c) * p)
+    return GradedMatrix(tensor(FUND, FUND), np.eye(9) + g_fun(u, v) * p)
 
 
 def dense(spec, op: dict) -> np.ndarray:
@@ -259,7 +259,7 @@ def tm1_residual_full_set(spec, u, v, indices) -> float:
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     lhs = combine((1.0, compose(t(gu, i, j), t(gv, k, l))),
                   (-sign_comm, compose(t(gv, k, l), t(gu, i, j))))
-    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v, spec.c)
+    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * g_fun(u, v)
     rhs = combine((pref, compose(t(gv, k, j), t(gu, i, l))),
                   (-pref, compose(t(gu, k, j), t(gv, i, l))))
     scale = max(largest(lhs), largest(rhs), 1.0)
@@ -272,20 +272,20 @@ def leakage_by_eigensolve(spec, sectors) -> float:
 
 
 def zero_mode_limit_groups(spec, scale: float = 1e6):
-    """The large-u limit (u/c)(T(u) - 1) at u = scale * c, on every aux (x) H group.
+    """The large-u limit u (T(u) - 1) at u = scale, on every aux (x) H group.
 
     Yields (k, block) one group at a time, each a new array.
     """
-    u = scale * spec.c
+    u = complex(scale)
     for k, block in _group_squares(spec, u):
-        # (u/c)(T - 1) in place, with the bits of the out-of-place form
+        # u (T - 1) in place, with the bits of the out-of-place form
         block.flat[::block.shape[0] + 1] -= 1
-        np.multiply(u / spec.c, block, out=block)
+        np.multiply(u, block, out=block)
         yield k, block
 
 
 def zero_mode_limit_by_groups(spec) -> float:
-    """The zero-mode limit row compared entry block by entry block, at u = 10^6 M c.
+    """The zero-mode limit row compared entry block by entry block, at u = 10^6 M.
 
     The largest entry of zero_mode_entry's blocks minus the limit's: the
     entry blocks tile the limit's groups, as |s a - s b| = |a - b| for the

@@ -55,7 +55,7 @@ def test_ac1_rtt_and_ybe_conformance():
     worst_ybe = 0.0
     for _ in range(5):
         u, v, w = (complex(rng.normal(0, 2), rng.normal(0, 2)) for _ in range(3))
-        worst_ybe = max(worst_ybe, yang_baxter_residual(u + 3, v - 3, w + 1.5j, 1.0))
+        worst_ybe = max(worst_ybe, yang_baxter_residual(u + 3, v - 3, w + 1.5j))
     elapsed = time.time() - t0
     ok = worst_rtt < 1e-10 and worst_ybe < 1e-10 and elapsed < 5.0
     _line("AC1 rtt/ybe conformance", ok,

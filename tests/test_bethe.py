@@ -21,9 +21,9 @@ def spec3():
 
 
 def one_root_pool(spec):
-    """Exact sector-(1,0) roots: the polynomial oracle prod(u-xi+c) = prod(u-xi)."""
+    """Exact sector-(1,0) roots: the polynomial oracle prod(u-xi+1) = prod(u-xi)."""
     xi = np.asarray(spec.xi)
-    return np.roots(np.poly(xi - spec.c) - np.poly(xi))
+    return np.roots(np.poly(xi - 1) - np.poly(xi))
 
 
 def test_single_u_equation_reduces_to_r1(spec3):
@@ -69,7 +69,7 @@ def test_solver_fixed_point(spec3):
 
 def test_solver_converges_from_perturbed_seed(spec3):
     u = one_root_pool(spec3)[0]
-    seed = BetheRoots(u=(u + 0.01 * spec3.c,))
+    seed = BetheRoots(u=(u + 0.01,))
     sol = solve_bethe(seed, spec3, tol=1e-12)
     assert abs(sol.u[0] - u) < 1e-10
     assert np.abs(bethe_residual(sol, spec3)).max() < 1e-12
@@ -81,15 +81,15 @@ def test_two_one_sector_solution(spec3):
     assert len(seeds) == 1
     sol = solve_bethe(seeds[0], spec3, tol=1e-12)
     assert np.abs(bethe_residual(sol, spec3)).max() < 1e-12
-    # v sits at the mean of the u-pair shifted by -c/2
-    assert abs(sol.v[0] - (sol.u[0] + sol.u[1]) / 2 + spec3.c / 2) < 1e-10
+    # v sits at the mean of the u-pair shifted by -1/2, half a unit of c
+    assert abs(sol.v[0] - (sol.u[0] + sol.u[1]) / 2 + 1 / 2) < 1e-10
 
 
 def test_residual_pole_guards(spec3):
     with pytest.raises(PoleError):
         bethe_residual(BetheRoots(u=(spec3.xi[0],)), spec3)
     with pytest.raises(PoleError):
-        bethe_residual(BetheRoots(u=(0.5, 0.5 + spec3.c)), spec3)
+        bethe_residual(BetheRoots(u=(0.5, 0.5 + 1)), spec3)
 
 
 def test_overflowing_newton_iterate_is_a_solver_failure():
@@ -127,17 +127,17 @@ def test_tau_pole_free_at_on_shell_roots(spec3):
     # regular slope removed; off shell it jumps by six orders of magnitude
     u = one_root_pool(spec3)[0]
     roots = solve_bethe(BetheRoots(u=(u,)), spec3, tol=1e-12)
-    eps = 1e-4 * spec3.c
+    eps = 1e-4
 
     def residue_estimate(rts):
         x = rts.u[0]
         hi = tau_eigenvalue(x + eps, rts, spec3)
         lo = tau_eigenvalue(x - eps, rts, spec3)
-        scale = abs(tau_eigenvalue(x + 0.5j * spec3.c, rts, spec3))
+        scale = abs(tau_eigenvalue(x + 0.5j, rts, spec3))
         return abs(eps * (hi - lo) / 2) / scale
 
     assert residue_estimate(roots) < 1e-6
-    off_shell = BetheRoots(u=(roots.u[0] + 0.1 * spec3.c,))
+    off_shell = BetheRoots(u=(roots.u[0] + 0.1,))
     assert residue_estimate(off_shell) > 1e-2
 
 

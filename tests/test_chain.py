@@ -83,7 +83,7 @@ def tm1_dense(spec, u, v, indices, y=None):
     pi, pj, pk, pl = (PAR[x - 1] for x in indices)
     sign_comm = -1.0 if ((pi + pj) % 2) and ((pk + pl) % 2) else 1.0
     lhs = bu[i - 1, j - 1] @ bv[k - 1, l - 1] - sign_comm * bv[k - 1, l - 1] @ bu[i - 1, j - 1]
-    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) * spec.c / (u - v)
+    pref = (-1) ** ((pi * (pk + pl) + pk * pl) % 2) / (u - v)
     rhs = pref * (bv[k - 1, j - 1] @ bu[i - 1, l - 1] - bu[k - 1, j - 1] @ bv[i - 1, l - 1])
     if y is not None:
         lhs, rhs = lhs @ y, rhs @ y
@@ -95,27 +95,27 @@ def tm1_dense(spec, u, v, indices, y=None):
 
 
 def test_r_matrix_at_unit_g():
-    # u - v = c gives R = I + P
-    r = r_matrix(1.5, 0.5, 1.0)
+    # u - v = 1 (one unit of c) gives R = I + P
+    r = r_matrix(1.5, 0.5)
     p = permutation_between([FUND, FUND], 0, 1).to_matrix()
     assert np.abs(r.mat - (np.eye(9) + p)).max() < 1e-14
 
 
 def test_r_matrix_far_separation_is_identity():
-    r = r_matrix(1e9, 0.0, 1.0)
+    r = r_matrix(1e9, 0.0)
     assert np.abs(r.mat - np.eye(9)).max() < 1e-8
 
 
 def test_r_matrix_pole():
     with pytest.raises(PoleError):
-        r_matrix(0.7, 0.7, 1.0)
+        r_matrix(0.7, 0.7)
 
 
 def test_yang_baxter_residual():
     rng = np.random.default_rng(10)
     for _ in range(4):
         u, v, w = rand_pt(rng, 2), rand_pt(rng, -2), rand_pt(rng, 1j)
-        assert yang_baxter_residual(u, v, w, 1.0) < 1e-10
+        assert yang_baxter_residual(u, v, w) < 1e-10
 
 
 # -- L-operators and monodromy --------------------------------------------------
@@ -123,17 +123,17 @@ def test_yang_baxter_residual():
 
 def test_l_operator_single_site_unit_g():
     spec = ChainSpec(M=1, xi=(0.0,))
-    l_op = concrete(spec, 1.0, sites=[1])  # g(c, 0) = 1
+    l_op = concrete(spec, 1.0, sites=[1])  # g(1, 0) = 1
     p01 = permutation_between([GradedSpace.fundamental()] * 2, 0, 1)
     assert np.abs(l_op - (np.eye(9) + p01.to_matrix())).max() < 1e-14
 
 
 def test_l_operator_large_u_limit_is_zero_mode():
     spec = ChainSpec(M=3)
-    u = 1e6 * spec.c
+    u = complex(1e6)
     n = 2
     l_op = concrete(spec, u, sites=[n])
-    approx = (u / spec.c) * (l_op - np.eye(l_op.shape[0]))
+    approx = u * (l_op - np.eye(l_op.shape[0]))
     p = permutation_between([GradedSpace.fundamental()] * 4, 0, n)
     assert np.abs(approx - p.to_matrix()).max() < 1e-5
 
@@ -183,11 +183,11 @@ def test_vacuum_annihilation_and_eigenvalues(sites):
 
 
 def test_vacuum_eigenvalue_closed_form_homogeneous_like():
-    # with all xi -> 0 the closed form is (1 + c/u)^M, lambda_2 = lambda_3 = 1
+    # with all xi -> 0 the closed form is (1 + 1/u)^M, lambda_2 = lambda_3 = 1
     spec = ChainSpec(M=3, xi=(0.0, 1e-7, 2e-7))
     u = 1.9 - 0.4j
     lam1 = vacuum_eigenvalue(spec, 1, None, u)
-    assert abs(lam1 - (1 + spec.c / u) ** 3) < 1e-5
+    assert abs(lam1 - (1 + 1 / u) ** 3) < 1e-5
     assert abs(vacuum_eigenvalue(spec, 2, None, u) - 1.0) < 1e-13
     assert abs(vacuum_eigenvalue(spec, 3, None, u) - 1.0) < 1e-13
 
@@ -212,10 +212,10 @@ def test_vacuum_factorization_pointwise():
 def test_partial_vacuum_zero_mode_coefficients():
     # lambda_1^(1)[0] = m for the first sub-chain, others vanish
     spec = ChainSpec(M=4)
-    u = 1e6 * spec.c
+    u = complex(1e6)
     for m in (1, 2, 3, 4):
         lam1 = spec.lam(1, u, sites=range(1, m + 1))
-        est = (u / spec.c) * (lam1 - 1.0)
+        est = u * (lam1 - 1.0)
         assert abs(est - m) < 1e-5
         assert spec.lam_zero_mode(1, sites=range(1, m + 1)) == m
         assert spec.lam_zero_mode(2, sites=range(1, m + 1)) == 0
@@ -314,7 +314,7 @@ def all_ranges(m_sites):
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_zero_mode_entry_matches_structural_sum(m_sites, twisted):
-    spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1))) \
+    spec = ChainSpec(M=m_sites, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1))) \
         if twisted else ChainSpec(M=m_sites)
     some = all_sectors(spec)[::2]
     for sites in all_ranges(m_sites):
@@ -341,9 +341,11 @@ def test_block_sign_table():
 # -- sector-block primitives against the dense read-offs ----------------------------
 
 
+#: (spec, c): a chain at c = 1, and a twisted one at a complex c, whose
+#: spectral points are divided by that c, the unit the chain reads them in
 ORACLE_SPECS = [
-    lambda m: ChainSpec(M=m),
-    lambda m: ChainSpec(M=m, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1))),
+    lambda m: (ChainSpec(M=m), 1.0),
+    lambda m: (ChainSpec(M=m, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1))), 0.8 + 0.3j),
 ]
 
 
@@ -360,7 +362,7 @@ def oracle_ranges(m_sites):
 def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
     # sandwich between random sector-local states of every pair of sectors
     # equals the dense matrix element of the embedded vectors, zero included
-    spec = make_spec(m_sites)
+    spec, c = make_spec(m_sites)
     rng = np.random.default_rng(40 + m_sites)
 
     def state(sector, size):
@@ -368,7 +370,7 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
         return EigenState(sector, np.zeros(1), right, left, np.zeros(1))
 
     states = [state(s, ix.size) for s, ix in sector_indices(spec).items()]
-    u = rand_pt(rng, 2.5)
+    u = rand_pt(rng, 2.5) / c
     for sites in oracle_ranges(m_sites):
         operators = [(monodromy_group_set(spec, u, sites),
                       monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=all_sectors(spec))),
@@ -387,9 +389,9 @@ def test_entry_actions_match_dense_read_offs(m_sites, make_spec):
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
 def test_transfer_blocks_are_the_sector_blocks(m_sites, make_spec):
-    spec = make_spec(m_sites)
+    spec, c = make_spec(m_sites)
     rng = np.random.default_rng(50 + m_sites)
-    u = rand_pt(rng, 2.5)
+    u = rand_pt(rng, 2.5) / c
     oracle = supertrace_over_aux(concrete(spec, u), weights=np.array(spec.twist.kappa))
     blocks = transfer_blocks(spec, u, sectors=all_sectors(spec))
     assert list(blocks) == all_sectors(spec)
@@ -405,9 +407,9 @@ def test_transfer_blocks_are_the_sector_blocks(m_sites, make_spec):
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
 def test_tm1_residual_matches_dense_products(m_sites):
-    spec = ChainSpec(M=m_sites, c=0.9 + 0.2j)
+    spec, c = ChainSpec(M=m_sites), 0.9 + 0.2j
     rng = np.random.default_rng(60 + m_sites)
-    u, v = rand_pt(rng, 2), rand_pt(rng, -2)
+    u, v = rand_pt(rng, 2) / c, rand_pt(rng, -2) / c
     y = chain._probe_columns(3 ** m_sites)
     for indices in [(1, 2, 2, 3), (1, 3, 3, 1), (3, 3, 3, 3), (1, 2, 2, 1), (3, 2, 1, 3)]:
         on_vectors = tm1_residual(spec, u, v, indices)
@@ -440,9 +442,9 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
     # monodromy_entries and transfer_blocks build only the column runs that
     # hold a read entry; the full-set path holds every group and is the
     # reference, to the bit, on every site range and every read
-    spec = make_spec(m_sites)
+    spec, c = make_spec(m_sites)
     rng = np.random.default_rng(90 + m_sites)
-    u = rand_pt(rng, 2.5)
+    u = rand_pt(rng, 2.5) / c
     sectors = all_sectors(spec)
     reads = (sectors, [sectors[-1]], sectors[::2])
     for sites in oracle_ranges(m_sites):
@@ -467,9 +469,9 @@ def test_streamed_builds_equal_the_full_group_set(m_sites, make_spec):
 def test_monodromy_apply_matches_the_group_set(m_sites, make_spec):
     # the gathers act on vectors in another order of operations than the
     # group blocks times vectors, so the two agree to rounding, not to the bit
-    spec = make_spec(m_sites)
+    spec, c = make_spec(m_sites)
     rng = np.random.default_rng(95 + m_sites)
-    u = rand_pt(rng, 2.5)
+    u = rand_pt(rng, 2.5) / c
     x = rng.normal(size=(3 ** (m_sites + 1), 3)) + 1j * rng.normal(size=(3 ** (m_sites + 1), 3))
     ref = monodromy_apply_full_set(spec, u, x)
     got = monodromy_apply(spec, u, x)
@@ -511,17 +513,17 @@ def site_outer_apply(blocks, n_factors, steps):
 def site_outer_monodromy(spec, u, sites):
     sites = spec.all_sites() if sites is None else sites
     eye = [np.eye(ix.size, dtype=complex) for ix in _content_partition(spec.M + 1)[0]]
-    return site_outer_apply(eye, spec.M + 1, [(0, n, g_fun(u, spec.xi[n - 1], spec.c))
+    return site_outer_apply(eye, spec.M + 1, [(0, n, g_fun(u, spec.xi[n - 1]))
                                               for n in sites])
 
 
 def site_outer_rtt(spec, u, v):
     """R T_a(u) T_b(v) against P T_a(v) T_b(u) (P + g), every factor a site-outer step."""
     n_factors = spec.M + 2
-    g = g_fun(u, v, spec.c)
+    g = g_fun(u, v)
 
     def t(aux, w):
-        return [(aux, n + 1, g_fun(w, spec.xi[n - 1], spec.c)) for n in spec.all_sites()]
+        return [(aux, n + 1, g_fun(w, spec.xi[n - 1])) for n in spec.all_sites()]
 
     def t_b(w):
         eye = [np.eye(ix.size, dtype=complex) for ix in _content_partition(n_factors)[0]]
@@ -539,9 +541,9 @@ def site_outer_rtt(spec, u, v):
 @pytest.mark.parametrize("make_spec", ORACLE_SPECS)
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_group_outer_products_are_bit_identical(m_sites, make_spec):
-    spec = make_spec(m_sites)
+    spec, c = make_spec(m_sites)
     rng = np.random.default_rng(80 + m_sites)
-    u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
+    u, v = rand_pt(rng, 2.5) / c, rand_pt(rng, -2.5) / c
     for sites in oracle_ranges(m_sites):
         # the entry blocks tile every group, so equal entries are equal groups
         new = monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=all_sectors(spec))
@@ -556,17 +558,17 @@ def test_group_outer_products_are_bit_identical(m_sites, make_spec):
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
 def test_verify_rtt_matches_the_dense_oracle(m_sites, make_spec):
     # the probe columns and the dense aux (x) aux (x) H groups both see the relation hold
-    spec = make_spec(m_sites)
+    spec, c = make_spec(m_sites)
     rng = np.random.default_rng(80 + m_sites)
-    u, v = rand_pt(rng, 2.5), rand_pt(rng, -2.5)
+    u, v = rand_pt(rng, 2.5) / c, rand_pt(rng, -2.5) / c
     assert verify_rtt(spec, u, v) < 1e-10
     assert site_outer_rtt(spec, u, v) < 1e-10
 
 
 @pytest.mark.parametrize("m_sites", [1, 3, 5])
 def test_restricted_builds_compute_only_the_read_groups(m_sites, monkeypatch):
-    spec = ChainSpec(M=m_sites, c=0.8 + 0.3j)
-    u = 1.7 - 0.6j
+    spec = ChainSpec(M=m_sites)
+    u = (1.7 - 0.6j) / (0.8 + 0.3j)
     sectors = all_sectors(spec)
     aux_groups, _, aux_contents = _content_partition(m_sites + 1)
     full = monodromy_group_set(spec, u)
@@ -755,10 +757,8 @@ def test_chain_spec_validation():
         ChainSpec(M=2, xi=(0.1, 0.1))
     with pytest.raises(ValueError):
         TwistConfig((0.0, 1.0, 1.0))
-    # a non-finite coupling, inhomogeneity or twist component
+    # a non-finite inhomogeneity or twist component
     for bad in (float("nan"), complex(0.0, float("inf"))):
-        with pytest.raises(ValueError, match="c must be finite"):
-            ChainSpec(M=2, c=bad)
         with pytest.raises(ValueError, match="inhomogeneities must be finite"):
             ChainSpec(M=2, xi=(0.1, bad))
         with pytest.raises(ValueError, match="twist components must be finite"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradedbethe
+from gradedbethe import bethe
 from gradedbethe.chain import ChainSpec
 from gradedbethe.cli import (
     KNOWN_CHECKS,
@@ -202,13 +203,19 @@ def test_malformed_fields_are_configuration_errors(tmp_path, fields):
     ({"sectors": [[1, 0], [1, 0]]}, "duplicate sectors entry"),
     ({"splits": [1, 2, 1]}, "duplicate splits entry"),
     ({"chain": {"M": 3, "c": [float("nan"), 0.0]}}, "coupling c must be finite"),
+    ({"chain": {"M": 3, "c": [0.0, float("inf")]}}, "coupling c must be finite"),
+    ({"chain": {"M": 3, "c": [0.0, 0.0]}}, "coupling c must be nonzero"),
     ({"chain": {"M": 3, "xi": [[0.1, 0.0], [float("inf"), 0.0], [0.3, 0.0]]}},
      "inhomogeneities must be finite"),
-], ids=["negative-seed", "sectors", "splits", "nan-c", "inf-xi"])
+    ({"chain": {"M": 3, "c": [1e-300, 0.0], "xi": [[1e10 * n, 0.0] for n in (1, 2, 3)]}},
+     "inhomogeneities must be finite"),
+], ids=["negative-seed", "sectors", "splits", "nan-c", "inf-c", "zero-c", "inf-xi",
+        "overflowing-xi"])
 def test_out_of_domain_fields_exit_2(tmp_path, capsys, fields, message):
     # a negative seed ended in numpy's ValueError, and repeated entries wrote
     # their rows twice under one identity; a NaN c or an infinite xi ended in
-    # a LinAlgError
+    # a LinAlgError.  The parser divides xi by c, so a finite xi whose ratio
+    # to c overflows is refused there too
     cfg = default_scenario_dict(m=3, seed=1)
     cfg.update(fields)
     with pytest.raises(ScenarioError, match=message):
@@ -251,11 +258,12 @@ def test_chain_fields_build_the_chain_spec():
     xi = [[0.1, 0.05], [0.35, -0.1], [0.7, 0.2]]
     cfg = default_scenario_dict(m=3, seed=1)
     cfg["chain"].update({"c": [0.8, 0.3], "xi": xi})
-    assert Scenario.from_dict(cfg).chain == ChainSpec(M=3, c=0.8 + 0.3j,
-                                                      xi=tuple(complex(*x) for x in xi))
-    # no xi: the spec's own default
+    # the chain holds xi in units of c
+    assert Scenario.from_dict(cfg).chain == ChainSpec(
+        M=3, xi=tuple(complex(*x) / (0.8 + 0.3j) for x in xi))
+    # no xi: the spec's own default, which is in units of c too
     cfg["chain"]["xi"] = None
-    assert Scenario.from_dict(cfg).chain.xi == ChainSpec(M=3, c=0.8 + 0.3j).xi
+    assert Scenario.from_dict(cfg).chain == ChainSpec(M=3)
 
 
 def test_twisted_chain_rejected(tmp_path):
@@ -683,16 +691,23 @@ def test_pole_at_probe_point_is_a_runtime_error(tmp_path, capsys):
     assert not os.path.exists(out / "reports.jsonl")
 
 
-@pytest.mark.parametrize("fields", [{"chain": {"M": 3, "c": [1e300, 0.0]}},
-                                    {"chain": {"M": 3, "c": [1e-308, 0.0]}}],
-                         ids=["huge-c", "vanishing-c"])
-def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, fields):
-    # at c = 1e300 a root descending from infinity under theorem2's twist sits
-    # near c / 1e-5, where the Bethe residual overflows; at c = 1e-308, below
-    # the smallest normal float, the Newton damping fails; each raises a
-    # BetheSolverError, once ended in a traceback
+@pytest.mark.parametrize("c", [1e300, 1e-308], ids=["huge-c", "vanishing-c"])
+def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch, c):
+    # a Newton solve that fails at theorem2's twist raises a BetheSolverError,
+    # which once ended in a traceback; the untwisted solves of the spectrum
+    # classification run as they do. Both extreme couplings now run to the end
+    # (test_default_scenario_runs_at_extreme_couplings), so the failure is
+    # forced here, and its report must stay one line at either scale
+    newton = bethe._newton
+
+    def fails_when_twisted(u, v, spec, tol):
+        if not spec.twist.is_identity:
+            raise bethe.BetheSolverError("Newton damping failed (root collision or pole)")
+        return newton(u, v, spec, tol)
+
+    monkeypatch.setattr(bethe, "_newton", fails_when_twisted)
     cfg = default_scenario_dict(m=3, seed=1)
-    cfg.update(fields)
+    cfg["chain"]["c"] = [c, 0.0]
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -700,16 +715,26 @@ def test_bethe_solver_failure_is_a_runtime_error(tmp_path, capsys, fields):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("c", [1e150, 1e-150, 1e200])
-def test_default_scenario_runs_at_extreme_couplings(tmp_path, c):
-    # every check is scale-free in c, and so are the subset seeds and the
-    # Newton Jacobian: no coefficient over- or underflows, and the run keeps
-    # all of its rows
+@pytest.fixture(scope="module")
+def unit_coupling_reports(tmp_path_factory):
+    """The reports.jsonl bytes of the default M=3 scenario, seed 1, at c = 1."""
+    tmp_path = tmp_path_factory.mktemp("unit")
+    cfg = write_config(tmp_path, default_scenario_dict(m=3, seed=1))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    return (tmp_path / "out" / "reports.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150, 1e200, 1e300, 1e303, 1e-308, 5e-324, 0.8 + 0.3j])
+def test_default_scenario_runs_at_extreme_couplings(tmp_path, unit_coupling_reports, c):
+    # c is the unit of the spectral plane: the parser divides xi by it and no
+    # kernel reads it, so with the default xi, in units of c, every coupling
+    # writes the bytes of the c = 1 run
     cfg = default_scenario_dict(m=3, seed=1)
-    cfg["chain"]["c"] = [c, 0.0]
+    cfg["chain"]["c"] = [complex(c).real, complex(c).imag]
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     assert len((out / "reports.jsonl").read_text().splitlines()) == 106
+    assert (out / "reports.jsonl").read_bytes() == unit_coupling_reports
 
 
 @pytest.mark.parametrize("m", [3, 4])

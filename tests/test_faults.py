@@ -30,7 +30,7 @@ def figures(ws):
     (the RTT relation on vectors, on dense groups) at every size the rtt rows check,
     (the zero-mode limit on probe columns, on every aux (x) H group)."""
     spec, rest = ws.spec, ws.rest
-    subs = [ChainSpec(M=m, c=spec.c) for m in cli._RTT_SIZES]
+    subs = [ChainSpec(M=m) for m in cli._RTT_SIZES]
     zero_mode = cli._run_vacuum(ws)[-1]
     assert zero_mode.identity == "vacuum:zero-mode-limit"
     return ((tm1_residual(spec, U, V, INDICES), tm1_residual_full_set(spec, U, V, INDICES)),

@@ -63,7 +63,7 @@ def other_descendant(d11, bpair):
 
 def test_matrix_element_transfer_gives_tau(spec4, p10):
     pair = p10[0]
-    w = default_probes(spec4)[2]
+    w = default_probes()[2]
     t = dense(spec4, transfer_blocks(spec4, w, sectors=all_sectors(spec4)))
     val = embed(spec4, pair.sector, pair.left) @ t @ embed(spec4, pair.sector, pair.right)
     assert val == pytest.approx(pair.tau_samples[2] * pair.pairing, rel=1e-10)
@@ -293,7 +293,7 @@ def test_generating_functional_full_range_closed_form(spec4, p10):
 def test_generating_functional_matches_expm_of_dense_zero_modes(m):
     # oracle: Q_beta assembled from the dense zero modes and exponentiated
     # entrywise, which is expm since Q_beta is diagonal
-    spec = ChainSpec(M=4, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
+    spec = ChainSpec(M=4, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     beta = (0.3 + 0.2j, -0.25 + 0.1j, 0.15 - 0.35j)
     every = all_sectors(spec)
     q = sum((-1) ** FUNDAMENTAL_PARITIES[i] * beta[i]

@@ -31,7 +31,7 @@ def test_single_site_spectrum():
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
     assert len(dec.states) == 3
     assert sorted(s.sector for s in dec.states) == [(0, 0), (1, 0), (1, 1)]
-    w = default_probes(spec)[0]
+    w = default_probes()[0]
     tau_vac = spec.lam(1, w) + spec.lam(2, w) - spec.lam(3, w)
     for st in dec.states:
         assert abs(st.tau_samples[0] - tau_vac) < 1e-12
@@ -57,7 +57,7 @@ def test_left_right_residuals(spec4, dec4):
     for st in dec4.states[:20]:
         if st.clustered:
             continue
-        for q, w in enumerate(default_probes(spec4)):
+        for q, w in enumerate(default_probes()):
             t = dense(spec4, transfer_blocks(spec4, w, sectors=all_sectors(spec4)))
             scale = max(1.0, abs(st.tau_samples[q]))
             r, l = embed(spec4, st.sector, st.right), embed(spec4, st.sector, st.left)
@@ -82,7 +82,7 @@ def test_match_empty_roots_is_vacuum(dec4):
 
 def test_match_rejects_perturbed_roots(spec4, dec4, pairs4):
     good = primitive_pairs(pairs4, (1, 0))[0].roots
-    bad = BetheRoots(u=(good.u[0] + 0.1 * spec4.c,))
+    bad = BetheRoots(u=(good.u[0] + 0.1,))
     with pytest.raises(MatchError):
         match_roots_to_state(dec4, bad)
 
@@ -285,7 +285,7 @@ def test_tq_fit_lands_on_the_classified_roots(spec):
         assert fit is not None and fit.sector == st.sector
         gap = min(max(abs(x - y) for x, y in zip(order, st.roots.u))
                   for order in itertools.permutations(fit.u))
-        assert gap < 1e-10 * abs(spec.c)
+        assert gap < 1e-10
 
 
 def test_tq_fit_of_no_roots_is_empty(spec4, dec4):
@@ -308,9 +308,9 @@ def test_forced_clusters_only_in_multiplet_sectors(classified4):
 
 
 def test_probe_formula(spec4):
-    probes = default_probes(spec4)
+    probes = default_probes()
     assert probes.shape == (5,)
-    assert probes[0] == pytest.approx((1.7 + 0.0) * spec4.c + 0.41j * spec4.c)
+    assert probes[0] == pytest.approx(1.7 + 0.41j)
 
 
 def test_states_live_on_their_own_sector():
@@ -349,9 +349,9 @@ def test_left_rows_are_unit_biorthogonal_eigenvectors(m_sites, twisted):
     # the first probe, unit vectors on both sides, and a diagonal pairing matrix
     spec = ChainSpec(M=m_sites)
     if twisted:
-        spec = ChainSpec(M=m_sites, c=0.8 + 0.3j, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
+        spec = ChainSpec(M=m_sites, twist=TwistConfig((1.3, 0.8 + 0.1j, 1.1)))
     dec = diagonalize_transfer(spec, sectors=all_sectors(spec))
-    blocks = transfer_blocks(spec, default_probes(spec)[0], sectors=all_sectors(spec))
+    blocks = transfer_blocks(spec, default_probes()[0], sectors=all_sectors(spec))
     for sector in sector_indices(spec):
         safe = [st for st in dec.by_sector(sector) if not st.clustered]
         if not safe:
@@ -407,7 +407,7 @@ def loop_cluster_flags(w0, pairing, cluster_gap):
 @pytest.mark.parametrize("m_sites", [3, 4, 5, 6])
 def test_cluster_flags_equal_the_pairwise_loop(m_sites):
     spec = ChainSpec(M=m_sites)
-    blocks = transfer_blocks(spec, default_probes(spec)[0], sectors=all_sectors(spec))
+    blocks = transfer_blocks(spec, default_probes()[0], sectors=all_sectors(spec))
     by_gap = 0
     for sector in sector_indices(spec):
         block = blocks[sector][1]

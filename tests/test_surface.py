@@ -11,6 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from gradedbethe import cli
+from gradedbethe.chain import ChainSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradedbethe"
@@ -78,6 +79,16 @@ def test_scenario_keys_and_cli_options_are_the_pinned_ones():
     verify = subparsers.choices["verify"]
     assert {s for a in verify._actions for s in a.option_strings} == {
         "-h", "--help", "--config", "--check", "--out", "--seed"}
+
+
+def test_only_the_parser_reads_the_coupling():
+    # c is the unit of the spectral plane: the chain holds xi in units of c,
+    # and the scenario parser reads c from its chain.c key, never as an attribute
+    assert {f.name for f in fields(ChainSpec)} == {"M", "xi", "twist"}
+    reads = {p.name for p in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "c"}
+    assert reads == set()
 
 
 _TRACED_RUN = """
