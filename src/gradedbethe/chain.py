@@ -24,7 +24,7 @@ n + e_j with aux letter j carried through the site steps
 (``_group_product``); a run is built once for every entry it holds and
 dropped before the next, so no read holds a whole group.
 ``transfer_blocks`` sums the three diagonal entries.  The zero modes T_ij[0]
-come straight from their closed form, one letter rule (``_letter_moves``),
+come straight from their closed form, one letter rule (``_site_moves``),
 in the same {s: (image, block)} form (``zero_mode_entry``) or applied to
 columns on H.
 The states these operators act on are vectors on one sector each
@@ -151,7 +151,14 @@ class ChainSpec:
         return tuple(range(1, self.M + 1))
 
     def _sites(self, sites) -> tuple[int, ...]:
-        return self.all_sites() if sites is None else tuple(sites)
+        if sites is None:
+            return self.all_sites()
+        sites = tuple(sites)
+        if any(not 1 <= n <= self.M for n in sites):
+            raise ValueError("site out of range")
+        if any(a >= b for a, b in zip(sites, sites[1:])):
+            raise ValueError("sites must be strictly ascending")
+        return sites
 
     # -- vacuum functions -------------------------------------------------
     # Closed forms over a site range, the full chain when ``sites`` is None
@@ -410,15 +417,6 @@ def _apply(x: np.ndarray, steps) -> np.ndarray:
     return block.reshape(x.shape)
 
 
-def _resolve_sites(spec: ChainSpec, sites) -> tuple[int, ...]:
-    sites = spec.all_sites() if sites is None else tuple(sites)
-    if any(not 1 <= n <= spec.M for n in sites):
-        raise ValueError("site out of range")
-    if any(a >= b for a, b in zip(sites, sites[1:])):
-        raise ValueError("sites must be strictly ascending")
-    return sites
-
-
 def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, sectors) -> dict:
     """The entries (i, j) in ``pairs`` of T(u) over ``sites``, as {(i, j): {s: (image, block)}}.
 
@@ -428,7 +426,7 @@ def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, sectors
     and _group_product).  ``pairs`` is walked once; each run is built once,
     every requested entry is read off it, and it is dropped before the next.
     """
-    sites = _resolve_sites(spec, sites)
+    sites = spec._sites(sites)
     _check_poles(spec, u, sites)
     steps = _l_steps(spec, u, sites)
     groups = _content_partition(spec.M + 1)[0]
@@ -521,42 +519,38 @@ def vacuum_eigenvalue(spec: ChainSpec, k: int, sites, u: complex) -> complex:
     return complex(t_kk[vac][1][0, 0])
 
 
-@lru_cache(maxsize=16)
-def _letters(m_sites: int):
-    """Letter on site n (row n - 1) of every H basis index, and the odd letters before it."""
-    letters = np.arange(3**m_sites) // 3 ** np.arange(m_sites - 1, -1, -1)[:, None] % 3
-    return letters, np.cumsum(letters == 2, axis=0) - (letters == 2)
-
-
-def _letter_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray) -> tuple:
-    """The letter rule of T_ij[0] (1-based) on the H basis ``columns``: (position, target, sign).
+def _site_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray):
+    """The letter rule of T_ij[0] (1-based) on the H basis ``columns``, one site at a time.
 
     T_ij[0] = sum_{n in range} (-1)^{[j]} (-1)^{([i]+[j]) N_odd(<n)} E^(n)_{i->j}:
     E^(n)_{i->j} turns letter i on site n (site 1 is the leading base-3 digit)
-    into j, and N_odd(<n) counts the odd letters on the sites before n.  Each
-    move sends columns[position] to basis index ``target`` with ``sign``.
+    into j, and N_odd(<n) counts the odd letters on the sites before n.  Yields
+    each site's moves (position, target, sign) in ascending sites: columns[position]
+    goes to basis index ``target`` with ``sign``, and no two share a position or a
+    target.  Where the parity enters, [i] != [j], the signs flip at each odd letter.
     """
-    n = np.asarray(_resolve_sites(spec, sites), dtype=np.int64) - 1
-    letters, odd_before = (table[n][:, columns] for table in _letters(spec.M))
-    row, position = np.nonzero(letters == i - 1)
-    odd = (_PAR[i - 1] + _PAR[j - 1]) * odd_before[row, position]
-    target = columns[position] + (j - i) * 3 ** (spec.M - 1 - n[row])
-    return position, target, (-1.0) ** _PAR[j - 1] * (-1.0) ** odd
+    sites = spec._sites(sites)
+    graded = _PAR[i - 1] != _PAR[j - 1]
+    signs = np.full(columns.size, (-1.0) ** _PAR[j - 1])
+    for n in range(1, max(sites, default=0) + 1) if graded else sites:
+        letter = columns // 3 ** (spec.M - n) % 3
+        if n in sites:
+            position = np.nonzero(letter == i - 1)[0]
+            yield position, columns[position] + (j - i) * 3 ** (spec.M - n), signs[position]
+        if graded:
+            np.negative(signs, out=signs, where=letter == 2)
 
 
 def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, sectors) -> dict:
-    """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)} of exact integers.
-
-    The letter rule, block by block, on the H ``sectors``.
-    """
+    """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)} of exact integers."""
     _, g2l, _ = _content_partition(spec.M)
     index, entries = _block_map(spec.M)
     out = {}
     for s, image, *_ in entries[i - 1][j - 1]:
         if s in sectors:
-            position, target, sign = _letter_moves(spec, i, j, sites, index[s])
             blk = np.zeros((index[image].size, index[s].size), dtype=complex)
-            np.add.at(blk, (g2l[target], position), sign)
+            for position, target, sign in _site_moves(spec, i, j, sites, index[s]):
+                blk[g2l[target], position] += sign
             out[s] = (image, blk)
     return out
 
@@ -564,15 +558,19 @@ def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, sectors) -> 
 def _zero_mode_apply(spec: ChainSpec, i: int, j: int, y: np.ndarray) -> np.ndarray:
     """T_ij[0] Y over the full chain for a block Y of columns on H, by the letter rule.
 
-    Moves onto one (target, column) pair are summed first, and each target adds
-    its gathered rows in ascending columns: the sums of zero_mode_entry's blocks.
+    On the diagonal each row's signs are summed first; off it each target adds its
+    source rows site by site, in ascending columns (descending sites for i > j).
+    Both are the sums of zero_mode_entry's blocks, in their order.
     """
-    n = 3 ** spec.M
-    position, target, sign = _letter_moves(spec, i, j, None, np.arange(n))
-    pairs, which = np.unique(target * n + position, return_inverse=True)
-    rows, columns = np.divmod(pairs, n)
+    moves = _site_moves(spec, i, j, None, np.arange(3 ** spec.M))
+    if i == j:
+        weight = np.zeros(len(y))
+        for position, _, sign in moves:
+            weight[position] += sign
+        return weight[:, None] * y
     out = np.zeros(y.shape, dtype=complex)
-    np.add.at(out, rows, np.bincount(which, weights=sign)[:, None] * y[columns])
+    for position, target, sign in moves if i < j else reversed(list(moves)):
+        out[target] += sign[:, None] * y[position]
     return out
 
 

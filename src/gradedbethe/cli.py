@@ -127,7 +127,7 @@ class Scenario:
     sectors: list[tuple[int, int]]
     splits: list[int]
     checks: list[str]
-    seed: int = 7
+    seed: int
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -154,13 +154,16 @@ class Scenario:
             raise ScenarioError("chain must be a JSON object")
         # no twist key: the checks assume the untwisted chain, so a kappa is refused here
         _known_keys("chain", chain_data, _CHAIN_KEYS)
-        m = _integer("M", chain_data.get("M", 4))
+        m = _integer("M", chain_data.get("M", default_scenario_dict()["chain"]["M"]))
         if m > MAX_SITES:
             raise ScenarioError(f"dimension bound exceeded: M={m} > {MAX_SITES} (3^M states)")
+        # a missing key takes its value in the default scenario of this M
+        default = default_scenario_dict(m)
+        data, chain_data = {**default, **data}, {**default["chain"], **chain_data}
         # c is the unit of the spectral plane, read here only: the chain holds
         # xi in units of c, and xi = None leaves them to ChainSpec's default
-        c = _complex(chain_data.get("c", [1.0, 0.0]))
-        xi = chain_data.get("xi")
+        c = _complex(chain_data["c"])
+        xi = chain_data["xi"]
         try:
             if c == 0:
                 raise ValueError("coupling c must be nonzero")
@@ -169,15 +172,13 @@ class Scenario:
             chain = ChainSpec(M=m, xi=None if xi is None else tuple(_complex(x) / c for x in xi))
         except ValueError as exc:
             raise ScenarioError(f"invalid chain spec: {exc}") from exc
-        checks = _checks(list(data.get("checks", KNOWN_CHECKS)))
-        sectors = _distinct("sectors", [
-            tuple(_integer("sectors", x) for x in s)
-            for s in data.get("sectors", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]])])
+        checks = _checks(list(data["checks"]))
+        sectors = _distinct("sectors", [tuple(_integer("sectors", x) for x in s)
+                                        for s in data["sectors"]])
         for a, b in sectors:
             if a < 0 or b < 0 or a > m:
                 raise ScenarioError(f"sector {(a, b)} out of range for M={m}")
-        splits = _distinct("splits", [_integer("splits", x)
-                                      for x in data.get("splits", list(range(1, m)))])
+        splits = _distinct("splits", [_integer("splits", x) for x in data["splits"]])
         if not splits:
             # theorem2, proposition1 and ladder read a split point; --check may
             # select them after validation, so reject whatever the checks are
@@ -186,7 +187,7 @@ class Scenario:
             if not 1 <= split <= m:
                 raise ScenarioError(f"split m={split} out of range")
         return cls(chain=chain, sectors=sectors, splits=splits, checks=checks,
-                   seed=_seed("seed", data.get("seed", 7)))
+                   seed=_seed("seed", data["seed"]))
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":

@@ -5,11 +5,11 @@ convention of the chain from outside, so the package carries no test-only
 switch.  ``injected(name)`` plants one for the length of a ``with`` block.
 The plans built from the sign rule are cached: ``_gather`` reads each
 graded swap off ``chain.permutation_between``, and ``_step_plan`` restricts
-that one plan to each content group; the letter rule of the zero modes
-reads the cached table ``_letters``; the twisted duals reuse the diagonal
+that one plan to each content group; the twisted duals reuse the diagonal
 entries they read at the probes (``formfactors._probe_diagonals``), signed
-with BLOCK_SIGNS.  All four caches are cleared on the way in and on the way
-out, so nothing built under a defect outlives it.
+with BLOCK_SIGNS.  All three caches are cleared on the way in and on the way
+out, so nothing built under a defect outlives it.  The letter rule of the
+zero modes (``chain._site_moves``) caches nothing.
 
 - ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
   space) and factor 2 loses its sign, as if site 2 of the chain were
@@ -54,13 +54,14 @@ def _flipped_t22_sign(monkeypatch) -> None:
 
 
 def _dropped_odd_letters(monkeypatch) -> None:
-    original = chain._letters
+    original = chain._site_moves
 
-    def no_odd_letters(m_sites):
-        letters, odd_before = original(m_sites)
-        return letters, np.zeros_like(odd_before)
+    def no_odd_letters(spec, i, j, sites, columns):
+        # every sign is (-1)^[j], the rule's sign at N_odd(<n) = 0
+        for position, target, sign in original(spec, i, j, sites, columns):
+            yield position, target, np.full_like(sign, (-1.0) ** chain._PAR[j - 1])
 
-    monkeypatch.setattr(chain, "_letters", no_odd_letters)
+    monkeypatch.setattr(chain, "_site_moves", no_odd_letters)
 
 
 DEFECTS = {
@@ -73,7 +74,6 @@ DEFECTS = {
 def _clear_plans() -> None:
     chain._step_plan.cache_clear()
     chain._gather.cache_clear()
-    chain._letters.cache_clear()
     formfactors._probe_diagonals.cache_clear()
 
 

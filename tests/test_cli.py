@@ -264,6 +264,9 @@ def test_chain_fields_build_the_chain_spec():
     # no xi: the spec's own default, which is in units of c too
     cfg["chain"]["xi"] = None
     assert Scenario.from_dict(cfg).chain == ChainSpec(M=3)
+    # a missing key, M included, takes its value in the default scenario of the M
+    for given, m in (({}, 4), ({"chain": {"M": 5}}, 5)):
+        assert Scenario.from_dict(given) == Scenario.from_dict(default_scenario_dict(m))
 
 
 def test_twisted_chain_rejected(tmp_path):
