@@ -5,10 +5,10 @@ The chain lives on M three-dimensional graded sites with grading (0,0,1).
 Every L-operator permutes tensor factors, so every chain operator on
 aux (x) H preserves the local letter content and is stored only as its
 content-group blocks (see _content_partition).  Products of L-operators are
-accumulated with O(N^2) signed-permutation applications, never O(N^3)
-matrix products.  Each graded swap P_xy has one plan (``_gather``),
+accumulated with O(N^2) signed row gathers, never O(N^3) matrix products.
+Each graded swap P_xy has one plan (``_gather``, off the base-3 index grid),
 restricted to each content group by ``_step_plan``, and every product, of
-group columns or of vectors, runs on one kernel, ``_apply``.
+group columns, of vectors or of R-matrices, runs on one kernel, ``_apply``.
 
 Outside this module an H content group is named only by its weight sector
 (a, b) = (M - n1, n3), the Bethe root cardinalities of its states
@@ -35,9 +35,10 @@ aux (x) H through the M L-operators, each a signed row gather, a multiply
 by g and an add, and ``transfer_apply`` and ``tm1_residual`` build on it.
 ``verify_rtt`` runs the same steps on V (x) V (x) H, where it compares the
 two sides of the RTT relation on two fixed columns.
-The sign table is pinned by requiring the zero-mode commutation algebra to
-hold entrywise (an exact integer-arithmetic criterion) together with the RTT
-residual test; see tests/test_chain.py.
+The swap's signs follow the Koszul convention of ``graded_kron`` in
+tests/oracles.py.  The sign table is pinned by requiring the zero-mode
+commutation algebra to hold entrywise (an exact integer-arithmetic criterion)
+together with the RTT residual test; see tests/test_chain.py.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
+from .graded import FUNDAMENTAL_PARITIES
 
 __all__ = [
     "TwistConfig",
@@ -240,12 +241,17 @@ def _content_partition(n_factors: int):
 def _gather(n_factors: int, x: int, y: int) -> tuple:
     """P_xy on n_factors fundamental factors as (src, flipped): row q of P_xy X is +-X[src[q]].
 
-    ``flipped``, a boolean column that broadcasts over X's columns, marks the
-    negated rows.  A graded swap is its own inverse and its sign is symmetric
-    under the swap, so ``src`` is permutation_between's ``dest``.
+    Read off the base-3 index grid, one axis per factor: ``src`` is the grid
+    with axes x and y swapped (a graded swap is its own inverse); ``flipped``,
+    a boolean column that broadcasts over X's columns, marks the rows where
+    p_x p_y + (p_x + p_y) N_between is odd, N_between the odd letters between.
     """
-    perm = permutation_between((GradedSpace.fundamental(),) * n_factors, x, y)
-    return perm.dest, (perm.sign < 0)[:, None]
+    x, y = min(x, y), max(x, y)
+    shape = (3,) * n_factors
+    src = np.arange(3**n_factors).reshape(shape).swapaxes(x, y).ravel()
+    par = [_PAR.reshape([3 if s == t else 1 for s in range(n_factors)]) for t in range(n_factors)]
+    odd = (par[x] * par[y] + (par[x] + par[y]) * sum(par[x + 1:y], 0)) % 2
+    return src, np.broadcast_to(odd, shape).astype(bool).reshape(-1, 1)
 
 
 @lru_cache(maxsize=128)
@@ -355,19 +361,15 @@ def f_fun(u: complex, v: complex) -> complex:
 
 
 def yang_baxter_residual(u: complex, v: complex, w: complex) -> float:
-    """Max-entry residual of R12 R13 R23 = R23 R13 R12 on V (x) V (x) V."""
-    fund = GradedSpace.fundamental()
-    factors = [fund] * 3
-    eye = np.eye(27, dtype=complex)
+    """Max-entry residual of R12 R13 R23 = R23 R13 R12 on V (x) V (x) V.
 
-    def r_embedded(x, y, a, b):
-        perm = permutation_between(factors, x, y)
-        return eye + g_fun(a, b) * perm.to_matrix()
-
-    r12 = r_embedded(0, 1, u, v)
-    r13 = r_embedded(0, 2, u, w)
-    r23 = r_embedded(1, 2, v, w)
-    return float(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max())
+    Both sides run on the 27 identity columns through _apply, each
+    R_xy(a, b) = I + g(a, b) P_xy one gather step, so no R-matrix is built.
+    """
+    r12, r13, r23 = ((_gather(3, x, y), g_fun(a, b))
+                     for x, y, a, b in ((0, 1, u, v), (0, 2, u, w), (1, 2, v, w)))
+    eye = np.eye(27)
+    return float(np.abs(_apply(eye, [r23, r13, r12]) - _apply(eye, [r12, r13, r23])).max())
 
 
 # -- L-operators and monodromy ------------------------------------------------

@@ -200,13 +200,14 @@ class Scenario:
 
 
 def default_scenario_dict(m: int = 4, seed: int = 7) -> dict:
-    """The scenario exercised by the acceptance suite."""
+    """The scenario exercised by the acceptance suite; at M=1, sectors a <= 1 and split 1."""
+    sectors = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "chain": {"M": m, "c": [1.0, 0.0], "xi": None},
-        "sectors": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]],
-        "splits": list(range(1, m)),
+        "sectors": [[a, b] for a, b in sectors if a <= m],
+        "splits": list(range(1, max(m, 2))),
         "checks": list(KNOWN_CHECKS),
     }
 

@@ -1,17 +1,12 @@
-"""Z2-graded linear algebra: graded spaces, operators, signed permutations.
+"""Z2 grading of the fundamental space, and the graded space and operator types.
 
-Everything downstream (monodromy matrices, transfer matrices, form factors)
-is built on the primitives in this module, so the sign conventions live here
-and nowhere else.  The tensor-product sign convention is
-
-    (A (x) B)[(i,k),(j,l)] = A[i,j] * B[k,l] * (-1)**((p[k]+p[l]) * p[j]),
-
-i.e. an entry of B of odd parity picks up a sign when it moves past an odd
-column index of A; the graded permutations below follow it, and
-tests/oracles.py implements it as ``graded_kron``.  The convention is
-certified operationally: with it, the RTT relation and the zero-mode
-commutation algebra hold verbatim (see the chain tests), which is the only
-conformance criterion that matters.
+``FUNDAMENTAL_PARITIES`` is the grading (0, 0, 1) of e_1, e_2, e_3, and the
+only name the chain reads from here.  The conventions built on it live in
+``chain``: the one graded swap (``_gather``), the entry signs BLOCK_SIGNS and
+the letter rule of the zero modes.  ``GradedSpace`` and ``GradedMatrix``, a
+dense operator with its grading, are public names that the test oracles
+(tests/oracles.py, home of the product space and the graded Kronecker
+product) and the benchmark's tracer use; no module of the package builds one.
 """
 
 from __future__ import annotations
@@ -24,8 +19,6 @@ __all__ = [
     "FUNDAMENTAL_PARITIES",
     "GradedSpace",
     "GradedMatrix",
-    "SignedPermutation",
-    "permutation_between",
 ]
 
 #: parities of the fundamental basis e_1, e_2, e_3 (1-based indices 1,2,3)
@@ -71,51 +64,3 @@ class GradedMatrix:
             )
         if not np.all(np.isfinite(self.mat.view(float))):
             raise ValueError("matrix entries must be finite")
-
-
-@dataclass
-class SignedPermutation:
-    """A signed permutation operator: P e_j = sign[j] * e_dest[j].
-
-    Compact stand-in for graded permutation matrices; applying it to a dense
-    matrix costs O(N^2) instead of a matrix product.
-    """
-
-    dest: np.ndarray
-    sign: np.ndarray
-
-    def to_matrix(self) -> np.ndarray:
-        n = self.dest.size
-        m = np.zeros((n, n), dtype=complex)
-        m[self.dest, np.arange(n)] = self.sign
-        return m
-
-
-def permutation_between(
-    factors: list[GradedSpace] | tuple[GradedSpace, ...], x: int, y: int
-) -> SignedPermutation:
-    """Graded permutation of factors x and y inside a multi-factor product.
-
-    Acting on a product basis vector it swaps the x-th and y-th entries and
-    multiplies by (-1)^{p_x p_y + (p_x + p_y) * sum of parities in between},
-    the sign of transporting the two vectors past each other and past every
-    factor separating them.  Both are read off the grid of flat indices, one
-    axis per factor: ``dest`` is that grid with axes x and y swapped, and each
-    factor's parities vary along its own axis only.  Factors x and y must
-    have equal dimensions.
-    """
-    if x == y:
-        raise ValueError("factors to permute must be distinct")
-    x, y = min(x, y), max(x, y)
-    dims = [f.dim for f in factors]
-    if dims[x] != dims[y]:
-        raise ValueError("factors to permute must have equal dimensions")
-    dest = np.arange(int(np.prod(dims))).reshape(dims).swapaxes(x, y).ravel()
-
-    # each factor's parities, along its own axis of the index grid
-    par = [f.parity_array().reshape([f.dim if s == t else 1 for s in range(len(dims))])
-           for t, f in enumerate(factors)]
-    px, py, between = par[x], par[y], sum(par[x + 1:y], 0)
-    odd = (px * py + (px + py) * between) % 2
-    sign = np.where(np.broadcast_to(odd, dims), -1.0, 1.0).ravel()
-    return SignedPermutation(dest=dest, sign=sign)

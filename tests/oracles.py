@@ -3,8 +3,9 @@
 The package works on content-group blocks and signed permutations; the
 dense forms here (product spaces, graded Kronecker product, supertraces,
 graded commutator, the two-site R-matrix, ``permutation_by_digits``, the
-digit-table form of the graded permutation, and ``dense``, which fills an
-H operator's blocks into a 3^M x 3^M matrix) state the same conventions the textbook way, so the
+digit-table form of the graded swap as a ``SignedPermutation`` with its
+dense ``to_matrix``, and ``dense``, which fills an H operator's blocks into
+a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
 transfer_blocks hold every aux (x) H group at once, each product built from
 its own identity, and ``entry_blocks`` reads any entry off such a set; the
@@ -22,14 +23,14 @@ tests/test_chain.py.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from gradedbethe import chain
 from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
     compose, g_fun, sector_indices, zero_mode_entry
-from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace, \
-    SignedPermutation, permutation_between
+from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace
 from gradedbethe.spectrum import diagonalize_transfer
 
 PAR = np.array(FUNDAMENTAL_PARITIES)
@@ -41,12 +42,26 @@ def all_sectors(spec) -> list:
     return list(sector_indices(spec))
 
 
-def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
-    """permutation_between by a table of the mixed-radix digits of every flat index.
+@dataclass
+class SignedPermutation:
+    """A signed permutation operator: P e_j = sign[j] * e_dest[j]."""
 
-    The reference for the package's index-grid form: swap digits x and y
-    of each index, and sign it from the parities of those digits and of the
-    ones between them.
+    dest: np.ndarray
+    sign: np.ndarray
+
+    def to_matrix(self) -> np.ndarray:
+        n = self.dest.size
+        m = np.zeros((n, n), dtype=complex)
+        m[self.dest, np.arange(n)] = self.sign
+        return m
+
+
+def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
+    """The graded swap of factors x and y by a table of the mixed-radix digits of every flat index.
+
+    The reference for the package's index-grid form (``chain._gather``): swap
+    digits x and y of each index, and sign it from the parities of those
+    digits and of the ones between them.
     """
     x, y = min(x, y), max(x, y)
     dims = [f.dim for f in factors]
@@ -81,7 +96,7 @@ def tensor(a: GradedSpace, b: GradedSpace) -> GradedSpace:
 
 def r_matrix(u: complex, v: complex) -> GradedMatrix:
     """R(u,v) = I + g(u,v) P on the product of two fundamental spaces."""
-    p = permutation_between([FUND, FUND], 0, 1).to_matrix()
+    p = permutation_by_digits([FUND, FUND], 0, 1).to_matrix()
     return GradedMatrix(tensor(FUND, FUND), np.eye(9) + g_fun(u, v) * p)
 
 
@@ -137,10 +152,12 @@ def zero_mode_algebra_worst(zm_a: dict, zm_b: dict, reference: dict | None) -> f
 
 
 def graded_kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Graded tensor product of two operators (Koszul signs, see module doc).
+    """Graded tensor product of two operators, with Koszul signs.
 
-    Reduces to the plain Kronecker product whenever ``b`` is an even operator.
-    Associative: kron(kron(a,b),c) == kron(a,kron(b,c)) entrywise.
+    (A (x) B)[(i,k),(j,l)] = A[i,j] B[k,l] (-1)^{(p[k]+p[l]) p[j]}: an entry
+    of B of odd parity picks up a sign when it moves past an odd column
+    index of A.  Reduces to the plain Kronecker product whenever ``b`` is an
+    even operator.  Associative: kron(kron(a,b),c) == kron(a,kron(b,c)) entrywise.
     """
     pa = a.space.parity_array()
     pb = b.space.parity_array()

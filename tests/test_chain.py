@@ -25,7 +25,7 @@ from gradedbethe.chain import (
     yang_baxter_residual,
     zero_mode_entry,
 )
-from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedSpace, permutation_between
+from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes, record_builds
@@ -53,15 +53,17 @@ def structural_zero_mode_groups(spec, sites=None):
     """Content-group blocks of the zero modes T[0] = sum_{n in range} P_{0n} on aux (x) H.
 
     Oracle for the closed form of zero_mode_entry: the graded permutations
-    summed group by group, exact integers.
+    summed group by group, exact integers.  P_0n is read through the chain
+    module, so a defect planted there (tests/faults.py) reaches this oracle too.
     """
     sites = spec.all_sites() if sites is None else tuple(sites)
     groups, g2l, _ = _content_partition(spec.M + 1)
     blocks = {k: np.zeros((ix.size, ix.size), dtype=complex) for k, ix in enumerate(groups)}
     for n in sites:
-        perm = permutation_between([GradedSpace.fundamental()] * (spec.M + 1), 0, n)
+        src, flipped = chain._gather(spec.M + 1, 0, n)
+        sign = np.where(flipped[:, 0], -1.0, 1.0)
         for k, ix in enumerate(groups):
-            blocks[k][g2l[perm.dest[ix]], g2l[ix]] += perm.sign[ix]
+            blocks[k][g2l[src[ix]], g2l[ix]] += sign[ix]
     return blocks
 
 
@@ -97,7 +99,7 @@ def tm1_dense(spec, u, v, indices, y=None):
 def test_r_matrix_at_unit_g():
     # u - v = 1 (one unit of c) gives R = I + P
     r = r_matrix(1.5, 0.5)
-    p = permutation_between([FUND, FUND], 0, 1).to_matrix()
+    p = permutation_by_digits([FUND, FUND], 0, 1).to_matrix()
     assert np.abs(r.mat - (np.eye(9) + p)).max() < 1e-14
 
 
@@ -118,13 +120,28 @@ def test_yang_baxter_residual():
         assert yang_baxter_residual(u, v, w) < 1e-10
 
 
+def test_yang_baxter_residual_matches_the_dense_products():
+    # the dense R12 R13 R23 - R23 R13 R12 from the digit-table swaps, which
+    # yang_baxter_residual runs as gather steps on the identity columns
+    p12, p13, p23 = (permutation_by_digits([FUND] * 3, x, y).to_matrix()
+                     for x, y in ((0, 1), (0, 2), (1, 2)))
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        u, v, w = rand_pt(rng, 2), rand_pt(rng, -2), rand_pt(rng, 1j)
+        r12 = np.eye(27) + g_fun(u, v) * p12
+        r13 = np.eye(27) + g_fun(u, w) * p13
+        r23 = np.eye(27) + g_fun(v, w) * p23
+        dense = float(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max())
+        assert abs(yang_baxter_residual(u, v, w) - dense) < 1e-15
+
+
 # -- L-operators and monodromy --------------------------------------------------
 
 
 def test_l_operator_single_site_unit_g():
     spec = ChainSpec(M=1, xi=(0.0,))
     l_op = concrete(spec, 1.0, sites=[1])  # g(1, 0) = 1
-    p01 = permutation_between([GradedSpace.fundamental()] * 2, 0, 1)
+    p01 = permutation_by_digits([FUND] * 2, 0, 1)
     assert np.abs(l_op - (np.eye(9) + p01.to_matrix())).max() < 1e-14
 
 
@@ -134,7 +151,7 @@ def test_l_operator_large_u_limit_is_zero_mode():
     n = 2
     l_op = concrete(spec, u, sites=[n])
     approx = u * (l_op - np.eye(l_op.shape[0]))
-    p = permutation_between([GradedSpace.fundamental()] * 4, 0, n)
+    p = permutation_by_digits([FUND] * 4, 0, n)
     assert np.abs(approx - p.to_matrix()).max() < 1e-5
 
 
@@ -500,12 +517,13 @@ def site_outer_apply(blocks, n_factors, steps):
     so a defect planted there (tests/faults.py) reaches this oracle too."""
     groups, g2l, _ = _content_partition(n_factors)
     for x, y, g in steps:
-        perm = chain.permutation_between([GradedSpace.fundamental()] * n_factors, x, y)
+        src, flipped = chain._gather(n_factors, x, y)
+        sign = np.where(flipped, -1.0, 1.0)
         for k, ix in enumerate(groups):
             if blocks[k] is None:
                 continue
             moved = np.empty_like(blocks[k])
-            moved[g2l[perm.dest[ix]]] = perm.sign[ix][:, None] * blocks[k]
+            moved[g2l[src[ix]]] = sign[ix] * blocks[k]
             blocks[k] = moved if g is None else blocks[k] + g * moved
     return blocks
 
@@ -714,22 +732,14 @@ def test_step_plans_invert_the_digit_table_swap(n_factors):
             assert flip is None or np.array_equal(flip[:, 0], ref_flip)
 
 
-def test_step_plan_reuses_the_gather_plan(monkeypatch):
+def test_step_plan_reuses_the_gather_plan():
     n_factors, y = 5, 3
-    calls = []
-    original = chain.permutation_between
-
-    def counted(*args):
-        calls.append(args[1:])
-        return original(*args)
-
-    monkeypatch.setattr(chain, "permutation_between", counted)
     chain._gather.cache_clear()
     chain._step_plan.cache_clear()
     chain._gather(n_factors, 0, y)
-    assert calls == [(0, y)]
+    assert chain._gather.cache_info()[:2] == (0, 1)  # (hits, misses)
     chain._step_plan(n_factors, 0, y)
-    assert calls == [(0, y)]
+    assert chain._gather.cache_info()[:2] == (1, 1)
 
 
 def test_sites_must_be_in_range_and_strictly_ascending():

@@ -269,6 +269,17 @@ def test_chain_fields_build_the_chain_spec():
         assert Scenario.from_dict(given) == Scenario.from_dict(default_scenario_dict(m))
 
 
+def test_default_scenario_of_one_site_runs(tmp_path):
+    # the defaults a missing key reads are ones the parser accepts at every M:
+    # at M=1 the sectors with a <= 1 and split 1; from M=2 on, all six sectors
+    # and splits 1..M-1
+    assert Scenario.from_dict({"chain": {"M": 1}}).sectors == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert default_scenario_dict(2)["sectors"] == [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]]
+    assert default_scenario_dict(5)["splits"] == [1, 2, 3, 4]
+    cfg = write_config(tmp_path, {"chain": {"M": 1}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_twisted_chain_rejected(tmp_path):
     # the checks assume kappa = 1: theorem2 ended a twisted run in a traceback,
     # so the chain has no twist key and a kappa is refused at load

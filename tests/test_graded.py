@@ -3,13 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from gradedbethe.graded import GradedMatrix, GradedSpace, permutation_between
+from gradedbethe import chain
+from gradedbethe.graded import GradedMatrix, GradedSpace
 
 from oracles import FUND, graded_commutator, graded_kron, permutation_by_digits, supertrace, \
     supertrace_over_aux, tensor
 
+
+def swap_matrix(n_factors, x, y):
+    """The package's graded swap P_xy (``chain._gather``) as a dense matrix: row q is +-e_src[q]."""
+    src, flipped = chain._gather(n_factors, x, y)
+    m = np.zeros((src.size, src.size))
+    m[np.arange(src.size), src] = np.where(flipped[:, 0], -1.0, 1.0)
+    return m
+
+
 #: the graded permutation P(e_i (x) e_j) = (-1)^{[i][j]} e_j (x) e_i on V (x) V
-P = permutation_between([FUND, FUND], 0, 1).to_matrix()
+P = swap_matrix(2, 0, 1)
 
 
 def rand_gm(rng, space=FUND):
@@ -115,45 +125,26 @@ def test_graded_kron_composition_rule():
 
 
 def test_permutation_between_matches_adjacent_composition():
-    factors = [FUND, FUND, FUND]
-    p13 = permutation_between(factors, 0, 2).to_matrix()
-    p12 = permutation_between(factors, 0, 1).to_matrix()
-    p23 = permutation_between(factors, 1, 2).to_matrix()
-    assert np.abs(p13 - p12 @ p23 @ p12).max() < 1e-14
+    # the graded swap of factors 0 and 2 is P_01 P_12 P_01, exactly
+    p13 = swap_matrix(3, 0, 2)
+    p12, p23 = swap_matrix(3, 0, 1), swap_matrix(3, 1, 2)
+    assert np.array_equal(p13, p12 @ p23 @ p12)
 
 
-@pytest.mark.parametrize("n_factors", range(1, 8))
+@pytest.mark.parametrize("n_factors", range(1, 9))
 def test_permutation_between_matches_the_digit_table(n_factors):
-    factors = [FUND] * n_factors
+    # the package's plan of the graded swap between two factors, read off the
+    # index grid, against the digit table, bit for bit; at x == y both give
+    # the rule's degenerate case, the grading (-1)^{p_x} of factor x
     for x, y in itertools.product(range(n_factors), repeat=2):
-        if x == y:
-            with pytest.raises(ValueError):
-                permutation_between(factors, x, y)
-            continue
-        perm = permutation_between(factors, x, y)
-        ref = permutation_by_digits(factors, x, y)
-        assert perm.dest.dtype == ref.dest.dtype and np.array_equal(perm.dest, ref.dest)
-        assert perm.sign.dtype == ref.sign.dtype and np.array_equal(perm.sign, ref.sign)
-        assert perm.dest.flags.writeable and perm.sign.flags.writeable
+        src, flipped = chain._gather(n_factors, x, y)
+        ref = permutation_by_digits([FUND] * n_factors, x, y)
+        assert src.dtype == ref.dest.dtype and np.array_equal(src, ref.dest)
+        assert flipped.shape == (3 ** n_factors, 1)
+        assert np.array_equal(flipped[:, 0], ref.sign < 0)
         # a graded swap is its own inverse, and its sign is symmetric under it
-        assert np.array_equal(perm.dest[perm.dest], np.arange(3 ** n_factors))
-        assert np.array_equal(perm.sign[perm.dest], perm.sign)
-
-
-def test_permutation_between_of_mixed_factors_matches_the_digit_table():
-    qubit = GradedSpace(2, (0, 1))
-    factors = [qubit, FUND, GradedSpace(2, (1, 1)), FUND, qubit]
-    for x, y in [(0, 2), (0, 4), (2, 4), (1, 3), (4, 0)]:
-        perm, ref = permutation_between(factors, x, y), permutation_by_digits(factors, x, y)
-        assert np.array_equal(perm.dest, ref.dest) and np.array_equal(perm.sign, ref.sign)
-
-
-def test_permutation_between_rejects_unequal_dimensions():
-    # a 2- and a 3-dimensional factor cannot trade places: no permutation of the 6 states
-    with pytest.raises(ValueError, match="equal dimensions"):
-        permutation_between([GradedSpace(2, (0, 1)), FUND], 0, 1)
-    with pytest.raises(ValueError, match="equal dimensions"):
-        permutation_between([FUND, FUND, GradedSpace(2, (0, 1))], 2, 0)
+        assert np.array_equal(src[src], np.arange(3 ** n_factors))
+        assert np.array_equal(flipped[src], flipped)
 
 
 def test_supertrace_over_aux_identity():

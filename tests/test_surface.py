@@ -159,3 +159,19 @@ def test_only_chain_knows_a_letter_content():
              for n in identifiers(p) & content_names}
     assert named == set()
     assert "_content_partition" in identifiers(PACKAGE / "chain.py")
+
+
+def test_chain_reads_only_the_grading_from_graded():
+    # the graded swap is written once, in chain (_gather): chain imports the
+    # grading alone, and outside graded and the package's exports no module
+    # names a graded type or a second swap
+    tree = ast.parse((PACKAGE / "chain.py").read_text(encoding="utf-8"))
+    imports = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "graded"
+               for alias in node.names}
+    assert imports == {"FUNDAMENTAL_PARITIES"}
+    graded_names = {"GradedSpace", "GradedMatrix", "SignedPermutation", "permutation_between"}
+    named = {(p.name, n) for p in PACKAGE.glob("*.py")
+             if p.name not in ("__init__.py", "graded.py")
+             for n in identifiers(p) & graded_names}
+    assert named == set()
