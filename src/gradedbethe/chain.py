@@ -1,28 +1,24 @@
 """Inhomogeneous fundamental chain: the model and its vacuum closed forms, L-operators,
 monodromy, transfer, zero modes.
 
-The chain lives on M three-dimensional graded sites with grading (0,0,1).
-Every L-operator permutes tensor factors, so every chain operator on
-aux (x) H preserves the local letter content and is stored only as its
-content-group blocks (see _content_partition).  Products of L-operators are
-accumulated with O(N^2) signed row gathers, never O(N^3) matrix products.
-Each graded swap P_xy has one plan (``_gather``, off the base-3 index grid),
-restricted to each content group by ``_step_plan``, and every product, of
-group columns, of vectors or of R-matrices, runs on one kernel, ``_apply``.
-
-Outside this module an H content group is named only by its weight sector
-(a, b) = (M - n1, n3), the Bethe root cardinalities of its states
-(``sector_indices``); the letter content (n1, n2, n3) is used only here, to
-find the aux (x) H groups.  An entry T_ij maps each H sector s onto s +
-``sector_step(i, j)``: it is one sub-block of the aux (x) H group of content
-n + e_j per H group of content n, the rows with aux letter i of that group's
-columns with aux letter j.  So entries are read with ``monodromy_entries(spec,
-u, pairs, sites, sectors=)``: the named entries on the sectors every read
-names, as {(i, j): {s: (image, block)}}, signed with a fixed table
-BLOCK_SIGNS.  Each is read off one column run, the identity columns of group
-n + e_j with aux letter j carried through the site steps
-(``_group_product``); a run is built once for every entry it holds and
-dropped before the next, so no read holds a whole group.
+The chain lives on M three-dimensional graded sites with grading (0,0,1),
+the one grading source (``_PAR``) of the swap, BLOCK_SIGNS and the letter
+rule.  Every L-operator permutes tensor factors, so every chain operator
+preserves the local letter content.  Outside this module an H content group
+is named only by its weight sector (a, b) = (M - n1, n3), the Bethe root
+cardinalities of its states (``sector_indices``).  An entry T_ij maps each
+H sector s onto s + ``sector_step(i, j)``.  Entries are read with
+``monodromy_entries(spec, u, pairs, sites, sectors=)``: the named entries on
+the sectors every read names, as {(i, j): {s: (image, block)}}, signed with
+BLOCK_SIGNS.  T_ij on s is the aux-letter-i rows of the column run (s, j),
+the identity columns e_j (x) s carried through the site steps
+(``_group_product``) on the run's own rows, for each aux letter a the sector
+T_aj maps s onto (``_run``); a run is built once for every entry it holds
+and dropped before the next, and the block path keeps no table over
+aux (x) H.  Products of L-operators are O(N^2) signed row gathers, never
+O(N^3) matrix products: the graded swap P_xy is one formula (``_swap``),
+read at a run's rows or at every row (``_gather``), and every product, of
+run columns, of vectors or of R-matrices, runs on one kernel, ``_apply``.
 ``transfer_blocks`` sums the three diagonal entries.  The zero modes T_ij[0]
 come straight from their closed form, one letter rule (``_site_moves``),
 in the same {s: (image, block)} form (``zero_mode_entry``) or applied to
@@ -44,6 +40,7 @@ together with the RTT residual test; see tests/test_chain.py.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -74,11 +71,10 @@ __all__ = [
     "g_fun",
 ]
 
-#: sign applied when reading the abstract entry T_ij off the (i,j) auxiliary
-#: block of the concrete monodromy; flips the two even-row/odd-column blocks.
-BLOCK_SIGNS = np.array([[1, 1, -1], [1, 1, -1], [1, 1, 1]], dtype=float)
-
 _PAR = np.array(FUNDAMENTAL_PARITIES)
+#: sign (-1)^{[j]([i]+[j])} applied when reading the abstract entry T_ij off the
+#: (i,j) auxiliary block of the concrete monodromy: the even-row/odd-column blocks flip.
+BLOCK_SIGNS = (-1.0) ** (_PAR * (_PAR[:, None] + _PAR))
 _DIAGONAL = ((1, 1), (2, 2), (3, 3))
 
 
@@ -204,18 +200,17 @@ class ChainSpec:
         return out
 
 
-# -- permutation and content-sector caches ----------------------------------
+# -- sectors, swaps and column runs --------------------------------------------
 
 
 @lru_cache(maxsize=16)
 def _content_partition(n_factors: int):
     """Basis index groups of equal letter content, global-to-local map, contents.
 
-    Every L-operator and R-matrix permutes tensor factors, so it preserves
-    the multiset of local indices; all chain operators are block diagonal
-    over these groups.  Working per group turns the O(9^M) dense algebra
-    into a sum of small blocks.  Each group lists its indices in ascending
-    order; ``contents[k]`` holds the letter counts (n1, n2, n3) of group k.
+    Every L-operator permutes tensor factors, so it preserves the multiset
+    of local indices; on H (n_factors = M) the groups are the weight sectors.
+    Each group lists its indices in ascending order; ``contents[k]`` holds
+    the letter counts (n1, n2, n3) of group k.
     """
     n = 3**n_factors
     idx = np.arange(n)
@@ -237,43 +232,63 @@ def _content_partition(n_factors: int):
     return groups, g2l, contents
 
 
+def _swap(n_factors: int, x: int, y: int, rows: np.ndarray) -> tuple:
+    """P_xy on n_factors fundamental factors at basis ``rows`` as (src, flipped).
+
+    Row q of P_xy X is +-X[src[q]]: ``src`` is q with base-3 digits x and y
+    swapped (factor 0 is the leading digit; a graded swap is its own
+    inverse), and ``flipped``, a boolean column that broadcasts over X's
+    columns, marks the rows where p_x p_y + (p_x + p_y) N_between is odd,
+    N_between the odd letters between.  The only graded-swap formula.
+    """
+    def digit(t):
+        return rows // 3 ** (n_factors - 1 - t) % 3
+
+    x, y = min(x, y), max(x, y)
+    odd = _PAR.astype(bool)
+    between = np.zeros(rows.shape, dtype=bool)
+    for t in range(x + 1, y):  # one digit at a time
+        between ^= odd[digit(t)]
+    dx, dy = digit(x), digit(y)
+    src = rows + (dy - dx) * (3 ** (n_factors - 1 - x) - 3 ** (n_factors - 1 - y))
+    px, py = odd[dx], odd[dy]
+    return src, ((px & py) ^ ((px ^ py) & between)).reshape(-1, 1)
+
+
 @lru_cache(maxsize=128)
 def _gather(n_factors: int, x: int, y: int) -> tuple:
-    """P_xy on n_factors fundamental factors as (src, flipped): row q of P_xy X is +-X[src[q]].
+    """_swap on every basis row, the plan of the vector path (monodromy_apply, verify_rtt, ybe)."""
+    return _swap(n_factors, x, y, np.arange(3**n_factors))
 
-    Read off the base-3 index grid, one axis per factor: ``src`` is the grid
-    with axes x and y swapped (a graded swap is its own inverse); ``flipped``,
-    a boolean column that broadcasts over X's columns, marks the rows where
-    p_x p_y + (p_x + p_y) N_between is odd, N_between the odd letters between.
+
+@lru_cache(maxsize=256)
+def _run(m_sites: int, s: tuple, j: int) -> tuple:
+    """The column run of T (e_j (x) s): its size, its row slices by aux letter, P_0n's plans.
+
+    Its rows are, for each aux letter a, the H sector T_aj maps s onto, at
+    the aux (x) H indices a 3^M + h, in ascending order; the columns are the
+    rows of aux letter j.  The plan of P_0n, n = 1..M, is (local source
+    rows, flipped), with ``flipped`` None where P_0n negates no row.
     """
-    x, y = min(x, y), max(x, y)
-    shape = (3,) * n_factors
-    src = np.arange(3**n_factors).reshape(shape).swapaxes(x, y).ravel()
-    par = [_PAR.reshape([3 if s == t else 1 for s in range(n_factors)]) for t in range(n_factors)]
-    odd = (par[x] * par[y] + (par[x] + par[y]) * sum(par[x + 1:y], 0)) % 2
-    return src, np.broadcast_to(odd, shape).astype(bool).reshape(-1, 1)
+    index, entries = _block_map(m_sites)
+    parts = [a * 3**m_sites + index.get(entries[a][j - 1].get(s), np.zeros(0, dtype=np.int64))
+             for a in range(3)]
+    rows = np.concatenate(parts)
+    bounds = np.cumsum([0] + [part.size for part in parts])
+    swaps = [_swap(m_sites + 1, 0, n, rows) for n in range(1, m_sites + 1)]
+    return rows.size, tuple(map(slice, bounds[:-1], bounds[1:])), tuple(
+        (np.searchsorted(rows, src), flipped if flipped.any() else None) for src, flipped in swaps)
 
 
-@lru_cache(maxsize=128)
-def _step_plan(n_factors: int, x: int, y: int) -> tuple:
-    """_gather's plan restricted to each content group (P_xy keeps content), in local rows.
+def _group_product(size: int, cols: slice, steps) -> np.ndarray:
+    """Columns ``cols`` of F_S ... F_1 on a column run's ``size`` rows, for steps [(plan, g), ...].
 
-    ``flipped`` is None on a group where P_xy negates no row.
-    """
-    groups, g2l, _ = _content_partition(n_factors)
-    src, flipped = _gather(n_factors, x, y)
-    return tuple((g2l[src[ix]], flipped[ix] if flipped[ix].any() else None) for ix in groups)
-
-
-def _group_product(k: int, size: int, cols: slice, steps) -> np.ndarray:
-    """Columns ``cols`` of F_S ... F_1 on content group k of ``size``, for steps [(plan, g), ...].
-
-    F = I + g P.  The identity's columns run through _apply on this one
-    group's plans; _apply carries every column on its own, so a run has the
-    bits of the same columns of the whole group's product.
+    F = I + g P.  The identity's columns run through _apply on the run's own
+    plans; _apply carries every column on its own, so a run has the bits of
+    the same columns of the product on its rows' whole content group.
     """
     identity = np.eye(size, cols.stop - cols.start, -cols.start, dtype=bool)
-    return _apply(identity, [(plan[k], g) for plan, g in steps])
+    return _apply(identity, steps)
 
 
 def sector_step(i: int, j: int) -> tuple[int, int]:
@@ -290,34 +305,21 @@ def sector_step(i: int, j: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=16)
 def _block_map(m_sites: int):
-    """Where the block of each monodromy entry on each H sector sits.
+    """The H sectors and where each monodromy entry maps them.
 
     The H group of sector s = (a, b) holds the basis states of letter content
-    n = (M - a, a - b, b).  The block of T_ij on sector s is the part of the
-    aux (x) H group of content n + e_j with aux letter i in the rows and j in
-    the columns; its image is the sector ``sector_step(i, j)`` away.
-    The aux letter is the leading digit, so both runs are contiguous and list
-    H indices in ascending order, as the H groups do.  Returns ``index`` (H
-    sector -> basis indices, in sector order) and ``entries[i][j]``
-    (0-based): tuples (sector, image, aux group, row slice, column slice)
-    where T_ij does not vanish.
+    n = (M - a, a - b, b).  Returns ``index`` (H sector -> basis indices, in
+    sector order) and ``entries[i][j]`` (0-based): {s: image} on the sectors
+    where T_ij does not vanish, its image the sector ``sector_step(i, j)`` away.
     """
     h_groups, _, h_contents = _content_partition(m_sites)
-    aux_groups, _, aux_contents = _content_partition(m_sites + 1)
     sectors = [(m_sites - n1, n3) for n1, _, n3 in h_contents]
     index = dict(sorted(zip(sectors, h_groups), key=lambda item: item[0]))
-    aux_of = {s: g for g, s in enumerate(aux_contents)}
-    entries = [[[] for _ in range(3)] for _ in range(3)]
-    for s, content in zip(sectors, h_contents):
-        for j in range(3):
-            g = aux_of[tuple(n + (t == j) for t, n in enumerate(content))]
-            runs = np.searchsorted(aux_groups[g], np.arange(4) * 3**m_sites)
-            for i in range(3):
-                da, db = sector_step(i + 1, j + 1)
-                image = (s[0] + da, s[1] + db)
-                if image in index:
-                    entries[i][j].append((s, image, g, slice(runs[i], runs[i + 1]),
-                                          slice(runs[j], runs[j + 1])))
+    entries = [[{} for _ in range(3)] for _ in range(3)]
+    for s, i, j in itertools.product(sectors, range(3), range(3)):
+        da, db = sector_step(i + 1, j + 1)
+        if (image := (s[0] + da, s[1] + db)) in index:
+            entries[i][j][s] = image
     return index, entries
 
 
@@ -381,11 +383,6 @@ def _check_poles(spec: ChainSpec, u: complex, sites) -> None:
             raise PoleError(f"spectral parameter hits inhomogeneity xi_{n}")
 
 
-def _l_steps(spec: ChainSpec, u: complex, sites) -> list:
-    """Group-product steps of L_{sites[-1]}(u) ... L_{sites[0]}(u), L_n = I + g(u, xi_n) P_0n."""
-    return [(_step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1])) for n in sites]
-
-
 def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
     """Gather steps of T(u) = L_M(u) ... L_1(u) on the auxiliary factor ``aux``.
 
@@ -424,25 +421,25 @@ def monodromy_entries(spec: ChainSpec, u: complex, pairs, sites=None, *, sectors
 
     The monodromy L_{sites[-1]}(u) ... L_{sites[0]}(u) over strictly ascending
     sites, the full chain when sites is None.  T_ij on an H sector s in
-    ``sectors`` is the aux-letter-i rows of one column run (see _block_map
+    ``sectors`` is the aux-letter-i rows of the column run (s, j) (see _run
     and _group_product).  ``pairs`` is walked once; each run is built once,
     every requested entry is read off it, and it is dropped before the next.
     """
     sites = spec._sites(sites)
     _check_poles(spec, u, sites)
-    steps = _l_steps(spec, u, sites)
-    groups = _content_partition(spec.M + 1)[0]
+    g = [g_fun(u, spec.xi[n - 1]) for n in sites]
     _, entries = _block_map(spec.M)
     out, runs = {}, {}
     for i, j in pairs:
         out[i, j] = {}
-        for s, image, g, rows, cols in entries[i - 1][j - 1]:
+        for s, image in entries[i - 1][j - 1].items():
             if s in sectors:
-                runs.setdefault((g, j), (cols, []))[1].append((i, s, image, rows))
-    for (g, j), (cols, reads) in runs.items():
-        run = _group_product(g, groups[g].size, cols, steps)
-        for i, s, image, rows in reads:
-            out[i, j][s] = (image, BLOCK_SIGNS[i - 1, j - 1] * run[rows])
+                runs.setdefault((s, j), []).append((i, image))
+    for (s, j), reads in runs.items():
+        size, rows, plans = _run(spec.M, s, j)
+        run = _group_product(size, rows[j - 1], [(plans[n - 1], gn) for n, gn in zip(sites, g)])
+        for i, image in reads:
+            out[i, j][s] = (image, BLOCK_SIGNS[i - 1, j - 1] * run[rows[i - 1]])
         del run  # before the next run is built
     return out
 
@@ -540,7 +537,7 @@ def _site_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray):
             position = np.nonzero(letter == i - 1)[0]
             yield position, columns[position] + (j - i) * 3 ** (spec.M - n), signs[position]
         if graded:
-            np.negative(signs, out=signs, where=letter == 2)
+            np.negative(signs, out=signs, where=_PAR[letter] == 1)
 
 
 def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, sectors) -> dict:
@@ -548,7 +545,7 @@ def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, sectors) -> 
     _, g2l, _ = _content_partition(spec.M)
     index, entries = _block_map(spec.M)
     out = {}
-    for s, image, *_ in entries[i - 1][j - 1]:
+    for s, image in entries[i - 1][j - 1].items():
         if s in sectors:
             blk = np.zeros((index[image].size, index[s].size), dtype=complex)
             for position, target, sign in _site_moves(spec, i, j, sites, index[s]):

@@ -82,21 +82,22 @@ def peak_bytes(fn):
 
 
 def record_builds(monkeypatch, swept=None) -> dict[str, list]:
-    """Every column run built from now on, as (group, column range, g values of its steps).
+    """Every column run built from now on, as its (sector, j).
 
-    The g values fix the spectral point.  The builds of a diagonalization cli
-    runs are filed under "swept" for the ``swept`` sectors and under "rest"
-    for any others; every other build is filed under "other".
+    A read builds the run (s, j) right after it looks up the run's plans
+    (``chain._run``).  The builds of a diagonalization cli runs are filed
+    under "swept" for the ``swept`` sectors and under "rest" for any others;
+    every other build is filed under "other".
     """
     from gradedbethe import chain, cli
 
     built = {"other": [], "swept": [], "rest": []}
     passes = ["other"]
-    product, diagonalize = chain._group_product, cli.diagonalize_transfer
+    run, diagonalize = chain._run, cli.diagonalize_transfer
 
-    def recorded(k, size, cols, steps):
-        built[passes[-1]].append((k, (cols.start, cols.stop), tuple(g for _, g in steps)))
-        return product(k, size, cols, steps)
+    def recorded(m_sites, s, j):
+        built[passes[-1]].append((s, j))
+        return run(m_sites, s, j)
 
     def tagged(spec, sectors):
         passes.append("swept" if sectors == swept else "rest")
@@ -105,6 +106,6 @@ def record_builds(monkeypatch, swept=None) -> dict[str, list]:
         finally:
             passes.pop()
 
-    monkeypatch.setattr(chain, "_group_product", recorded)
+    monkeypatch.setattr(chain, "_run", recorded)
     monkeypatch.setattr(cli, "diagonalize_transfer", tagged)
     return built

@@ -3,19 +3,19 @@
 Each defect is a function of a ``pytest.MonkeyPatch`` that breaks one
 convention of the chain from outside, so the package carries no test-only
 switch.  ``injected(name)`` plants one for the length of a ``with`` block.
-The plans built from the sign rule are cached: ``chain._gather`` reads each
-graded swap off the index grid, and ``_step_plan`` restricts that one plan
-to each content group; the twisted duals reuse the diagonal entries they
-read at the probes (``formfactors._probe_diagonals``), signed with
-BLOCK_SIGNS.  A defect that wraps ``_gather`` sits outside its cache, so
-that cache never holds a defective plan; the two caches built on it are
-cleared on the way in and on the way out, so nothing built under a defect
-outlives it.  The letter rule of the zero modes (``chain._site_moves``)
-caches nothing.
+The plans built from the sign rule are cached, and all of them come from
+the one graded-swap formula ``chain._swap``: ``chain._gather`` holds the
+vector path's swaps on every basis row, and ``chain._run`` the block path's
+on the rows of each column run; the twisted duals reuse the diagonal
+entries they read at the probes (``formfactors._probe_diagonals``), signed
+with BLOCK_SIGNS.  A defect that wraps ``_swap`` reaches both paths; the
+three caches built on it are cleared on the way in and on the way out, so
+nothing built under a defect outlives it.  The letter rule of the zero
+modes (``chain._site_moves``) caches nothing.
 
 - ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
   space) and factor 2 loses its sign, as if site 2 of the chain were
-  ungraded.  ``_gather``'s plan negates no row there; on V (x) V (x) V this
+  ungraded.  ``_swap`` negates no row there, on either path; on V (x) V (x) V this
   is R13 of the Yang-Baxter check, which then fails.
 - ``flipped-T22-sign``: the sign BLOCK_SIGNS gives the entry T_22 is flipped.
   This is the twist kappa_2 -> -kappa_2 for every transfer matrix, and the
@@ -39,15 +39,15 @@ from gradedbethe import chain, formfactors
 
 
 def _unsigned_p02(monkeypatch) -> None:
-    original = chain._gather
+    original = chain._swap
 
-    def unsigned(n_factors, x, y):
-        src, flipped = original(n_factors, x, y)
+    def unsigned(n_factors, x, y, rows):
+        src, flipped = original(n_factors, x, y, rows)
         if (min(x, y), max(x, y)) == (0, 2):
             flipped = np.zeros_like(flipped)
         return src, flipped
 
-    monkeypatch.setattr(chain, "_gather", unsigned)
+    monkeypatch.setattr(chain, "_swap", unsigned)
 
 
 def _flipped_t22_sign(monkeypatch) -> None:
@@ -75,7 +75,8 @@ DEFECTS = {
 
 
 def _clear_plans() -> None:
-    chain._step_plan.cache_clear()
+    chain._gather.cache_clear()
+    chain._run.cache_clear()
     formfactors._probe_diagonals.cache_clear()
 
 

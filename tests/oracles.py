@@ -7,11 +7,13 @@ digit-table form of the graded swap as a ``SignedPermutation`` with its
 dense ``to_matrix``, and ``dense``, which fills an H operator's blocks into
 a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
-transfer_blocks hold every aux (x) H group at once, each product built from
-its own identity, and ``entry_blocks`` reads any entry off such a set; the
+transfer_blocks build every aux (x) H content group whole, each product from
+its own identity on the group's restriction of the graded swap
+(``step_plan``), and cut the groups into the column runs (s, j) the package
+names (``runs_of``); ``entry_blocks`` reads any entry off such a set.  The
 package's entry reads, which build only the column runs that hold an entry,
-must match them to the bit.  The package's reads name their H sectors;
-``all_sectors`` lists every one.  The package
+each on its own rows' plans, must match them to the bit.  The package's
+reads name their H sectors; ``all_sectors`` lists every one.  The package
 checks the RTT algebra and the zero-mode limit on the full chain on
 vectors; the group forms those checks replaced stay here as references:
 ``tm1_residual_full_set`` (the entry-level relation over whole group sets),
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradedbethe import chain
-from gradedbethe.chain import _block_map, _content_partition, _group_product, _l_steps, combine, \
-    compose, g_fun, sector_indices, zero_mode_entry
+from gradedbethe.chain import _block_map, _content_partition, combine, compose, g_fun, \
+    sector_indices, sector_step, zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace
 from gradedbethe.spectrum import diagonalize_transfer
 
@@ -86,6 +88,18 @@ def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
     for t, d in enumerate(dims):
         dest = dest * d + swapped[:, t]
     return SignedPermutation(dest=dest, sign=sign)
+
+
+def step_plan(n_factors: int, x: int, y: int) -> tuple:
+    """The package's graded swap P_xy (``chain._gather``) restricted to each content group.
+
+    One (local source rows, flipped) per group of ``chain._content_partition``,
+    ``flipped`` None on a group where P_xy negates no row: the reference for
+    the plans of the package's column runs (``chain._run``).
+    """
+    groups, g2l, _ = _content_partition(n_factors)
+    src, flipped = chain._gather(n_factors, x, y)
+    return tuple((g2l[src[ix]], flipped[ix] if flipped[ix].any() else None) for ix in groups)
 
 
 def tensor(a: GradedSpace, b: GradedSpace) -> GradedSpace:
@@ -219,40 +233,75 @@ def graded_commutator(
     return am @ bm - s * (bm @ am)
 
 
-def entry_blocks(spec, groups: dict, i: int, j: int, sectors=None) -> dict:
-    """The entry T_ij (1-based) of an aux (x) H operator given by group blocks {k: block}.
+def runs_of(spec, groups: dict) -> dict:
+    """Whole aux (x) H content-group blocks {k: block} cut into column runs {(s, j): block}.
+
+    The columns of group k with aux letter j (the leading digit) are the run
+    (s, j) of the H sector s they hold; a run keeps every row of its group.
+    """
+    aux_groups = _content_partition(spec.M + 1)[0]
+    sectors = all_sectors(spec)
+    label = np.empty(3 ** spec.M, dtype=np.int64)
+    for n, ix in enumerate(sector_indices(spec).values()):
+        label[ix] = n
+    out = {}
+    for k, block in groups.items():
+        ix = aux_groups[k]
+        bounds = np.searchsorted(ix, np.arange(4) * 3 ** spec.M)
+        for j, (start, stop) in enumerate(zip(bounds, bounds[1:]), 1):
+            if start < stop:
+                out[sectors[label[ix[start] % 3 ** spec.M]], j] = block[:, start:stop]
+    return out
+
+
+def image_of(s, i: int, j: int) -> tuple:
+    """The sector T_ij maps sector s onto, present or not."""
+    da, db = sector_step(i, j)
+    return (s[0] + da, s[1] + db)
+
+
+def entry_blocks(spec, runs: dict, i: int, j: int, sectors=None) -> dict:
+    """The entry T_ij (1-based) of an aux (x) H operator given by column runs {(s, j): block}.
 
     Returns {s: (image, block)}, blocks copied and signed with the chain's
     BLOCK_SIGNS as it stands at the call, each mapping H sector s onto
-    ``image``, for every s or only the given ``sectors``.  Sectors T_ij
-    annihilates, or whose aux (x) H group is not in ``groups``, are absent.
+    ``image``, for every s or only the given ``sectors``.  A run's rows are
+    the sectors T_1j, T_2j and T_3j map s onto, stacked; sectors T_ij
+    annihilates, or whose run is not in ``runs``, are absent.
     """
-    _, entries = _block_map(spec.M)
+    index, entries = _block_map(spec.M)
     sign = chain.BLOCK_SIGNS[i - 1, j - 1]
-    return {s: (image, sign * groups[g][rows, cols])
-            for s, image, g, rows, cols in entries[i - 1][j - 1]
-            if g in groups and (sectors is None or s in sectors)}
+    out = {}
+    for s, target in entries[i - 1][j - 1].items():
+        if (s, j) in runs and (sectors is None or s in sectors):
+            above = (image_of(s, a, j) for a in range(1, i))
+            start = sum(index[m].size for m in above if m in index)
+            out[s] = (target, sign * runs[s, j][start:start + index[target].size])
+    return out
 
 
 def _group_squares(spec, u, sites=None):
     """(k, block) for every aux (x) H group of the monodromy over ``sites``, each built whole."""
     sites = spec.all_sites() if sites is None else tuple(sites)
-    steps = _l_steps(spec, u, sites)
+    steps = [(step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1])) for n in sites]
     for k, ix in enumerate(_content_partition(spec.M + 1)[0]):
-        yield k, _group_product(k, ix.size, slice(0, ix.size), steps)
+        yield k, chain._apply(np.eye(ix.size, dtype=bool), [(plan[k], g) for plan, g in steps])
 
 
 def monodromy_group_set(spec, u, sites=None) -> dict:
-    """Every aux (x) H group block of the monodromy over ``sites`` at once, as {k: block}."""
-    return dict(_group_squares(spec, u, sites))
+    """Every column run of the monodromy over ``sites`` at once, as {(s, j): block}.
+
+    Each is cut from its whole content group, built on ``step_plan``.
+    """
+    return runs_of(spec, dict(_group_squares(spec, u, sites)))
 
 
 def monodromy_apply_full_set(spec, u, x: np.ndarray) -> np.ndarray:
-    """T(u) X by the group blocks of ``monodromy_group_set``, each times its rows of X."""
+    """T(u) X by the whole aux (x) H groups of the monodromy, each times its rows of X."""
     out = np.empty_like(x)
-    groups = monodromy_group_set(spec, u)
-    for k, ix in enumerate(_content_partition(spec.M + 1)[0]):
-        out[ix] = groups[k] @ x[ix]
+    groups = _content_partition(spec.M + 1)[0]
+    for k, block in _group_squares(spec, u):
+        out[groups[k]] = block @ x[groups[k]]
     return out
 
 
@@ -310,8 +359,9 @@ def zero_mode_limit_by_groups(spec) -> float:
     """
     diff = 0.0
     for k, block in zero_mode_limit_groups(spec, scale=1e6 * spec.M):
+        runs = runs_of(spec, {k: block})
         for i, j in itertools.product((1, 2, 3), repeat=2):
-            limit = entry_blocks(spec, {k: block}, i, j)
+            limit = entry_blocks(spec, runs, i, j)
             if limit:
                 exact = zero_mode_entry(spec, i, j, sectors=limit)
                 diff = max([diff] + [float(np.abs(blk - limit[s][1]).max())

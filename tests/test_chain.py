@@ -29,9 +29,9 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes, record_builds
-from oracles import FUND, all_sectors, dense, entry_blocks, largest, \
+from oracles import FUND, all_sectors, dense, entry_blocks, image_of, largest, \
     monodromy_apply_full_set, monodromy_group_set, permutation_by_digits, r_matrix, read_off, \
-    supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, \
+    runs_of, step_plan, supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, \
     zero_mode_limit_groups, zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
@@ -50,11 +50,12 @@ def concrete(spec, u, sites=None):
 
 
 def structural_zero_mode_groups(spec, sites=None):
-    """Content-group blocks of the zero modes T[0] = sum_{n in range} P_{0n} on aux (x) H.
+    """The zero modes T[0] = sum_{n in range} P_{0n} on aux (x) H as column runs {(s, j): block}.
 
     Oracle for the closed form of zero_mode_entry: the graded permutations
-    summed group by group, exact integers.  P_0n is read through the chain
-    module, so a defect planted there (tests/faults.py) reaches this oracle too.
+    summed on whole content groups, exact integers, then cut into runs.  P_0n
+    is read through the chain module, so a defect planted there
+    (tests/faults.py) reaches this oracle too.
     """
     sites = spec.all_sites() if sites is None else tuple(sites)
     groups, g2l, _ = _content_partition(spec.M + 1)
@@ -64,16 +65,22 @@ def structural_zero_mode_groups(spec, sites=None):
         sign = np.where(flipped[:, 0], -1.0, 1.0)
         for k, ix in enumerate(groups):
             blocks[k][g2l[src[ix]], g2l[ix]] += sign[ix]
-    return blocks
+    return runs_of(spec, blocks)
 
 
-def dense_entry(spec, groups, i, j):
-    """T_ij read off the aux (x) H content-group blocks scattered into a dense matrix."""
-    aux_groups, _, _ = _content_partition(spec.M + 1)
+def dense_entry(spec, runs, i, j):
+    """T_ij read off aux (x) H column runs {(s, j): block} scattered into a dense matrix.
+
+    The run (s, j) fills the columns e_j (x) s, and its rows are e_a (x) the
+    sector T_aj maps s onto, for each aux letter a in turn.
+    """
+    index = sector_indices(spec)
     dh = 3 ** spec.M
     full = np.zeros((3 * dh, 3 * dh), dtype=complex)
-    for k, ix in enumerate(aux_groups):
-        full[np.ix_(ix, ix)] = groups[k]
+    for (s, col), run in runs.items():
+        rows = np.concatenate([a * dh + index[image_of(s, a + 1, col)] for a in range(3)
+                               if image_of(s, a + 1, col) in index])
+        full[np.ix_(rows, (col - 1) * dh + index[s])] = run
     return BLOCK_SIGNS[i - 1, j - 1] * full[(i - 1) * dh:i * dh, (j - 1) * dh:j * dh]
 
 
@@ -282,7 +289,7 @@ def test_transfer_vacuum_eigenvalue_untwisted_and_twisted():
 
 def test_zero_mode_structural_vs_limit():
     spec = ChainSpec(M=3)
-    limit = dict(zero_mode_limit_groups(spec))
+    limit = runs_of(spec, dict(zero_mode_limit_groups(spec)))
     every = all_sectors(spec)
     worst = max(largest(combine((1.0, zero_mode_entry(spec, i, j, sectors=every)),
                                 (-1.0, entry_blocks(spec, limit, i, j)))) for i, j in ALL_PAIRS)
@@ -351,7 +358,9 @@ def test_zero_mode_entry_matches_structural_sum(m_sites, twisted):
 
 
 def test_block_sign_table():
-    # pinned by the exact zero-mode algebra; see the tests above
+    # pinned by the exact zero-mode algebra; see the tests above.  The package
+    # derives it from the grading as (-1)^{[j]([i]+[j])}; the literal is the reference
+    assert BLOCK_SIGNS.dtype == float
     assert BLOCK_SIGNS.tolist() == [[1, 1, -1], [1, 1, -1], [1, 1, 1]]
 
 
@@ -565,7 +574,7 @@ def test_group_outer_products_are_bit_identical(m_sites, make_spec):
     for sites in oracle_ranges(m_sites):
         # the entry blocks tile every group, so equal entries are equal groups
         new = monodromy_entries(spec, u, ALL_PAIRS, sites, sectors=all_sectors(spec))
-        old = dict(enumerate(site_outer_monodromy(spec, u, sites)))
+        old = runs_of(spec, dict(enumerate(site_outer_monodromy(spec, u, sites))))
         for i, j in ALL_PAIRS:
             ref = entry_blocks(spec, old, i, j)
             assert new[i, j].keys() == ref.keys()
@@ -588,43 +597,35 @@ def test_restricted_builds_compute_only_the_read_groups(m_sites, monkeypatch):
     spec = ChainSpec(M=m_sites)
     u = (1.7 - 0.6j) / (0.8 + 0.3j)
     sectors = all_sectors(spec)
-    aux_groups, _, aux_contents = _content_partition(m_sites + 1)
     full = monodromy_group_set(spec, u)
     built = record_builds(monkeypatch)["other"]
     for pairs in ([(1, 2)], [(3, 3), (2, 1)], ALL_PAIRS):
         for read in ([sectors[0]], [sectors[-1]], sectors[1:3]):
             built.clear()
             got = monodromy_entries(spec, u, pairs, sectors=read)
-            # the run (n + e_j, j) of every requested T_ij with a block on a read
-            # sector s = (a, b), of letter content n = (M - a, a - b, b)
+            # the run (s, j) of every requested T_ij with a block on a read sector s
             wanted = set()
             for i, j in pairs:
                 whole = entry_blocks(spec, full, i, j)
                 assert got[i, j].keys() == {s for s in whole if s in read}
                 for s, (image, blk) in got[i, j].items():
                     assert image == whole[s][0] and np.array_equal(blk, whole[s][1])
-                    a, b = s
-                    content = (m_sites - a, a - b, b)
-                    wanted.add((aux_contents.index(tuple(n + (t == j - 1)
-                                                         for t, n in enumerate(content))), j))
-            # each built once; a run's columns have aux letter j, the leading digit
-            runs = [(k, int(aux_groups[k][start]) // 3 ** m_sites + 1)
-                    for k, (start, _), _ in built]
-            assert sorted(runs) == sorted(wanted)
+                    wanted.add((s, j))
+            # each built once
+            assert sorted(built) == sorted(wanted)
 
 
 def test_single_entry_reads_build_one_group(pairs5, monkeypatch):
     from gradedbethe.formfactors import universal_form_factor
 
     spec, pc, pb = pairs5
-    vac_plus_e1 = _content_partition(spec.M + 1)[2].index((spec.M + 1, 0, 0))
     built = record_builds(monkeypatch)["other"]
     # both built the three groups s + e_j of the read content before
     universal_form_factor(spec, pc, pb, 2, 2)
     assert len(built) == 1
     built.clear()
     vacuum_eigenvalue(spec, 1, None, 2.1 + 0.4j)
-    assert [k for k, _, _ in built] == [vac_plus_e1]
+    assert built == [((0, 0), 1)]
 
 
 def test_tm1_residual_builds_only_the_groups_of_its_entries(monkeypatch):
@@ -715,15 +716,16 @@ def test_entrywise_commutation_relations(indices):
 
 @pytest.mark.parametrize("n_factors", [2, 3, 4, 5, 6])
 def test_step_plans_invert_the_digit_table_swap(n_factors):
-    # the plans by inversion: each group's image of the swap inverted, and
-    # the signs read at the source rows
+    # the plans by inversion: the whole space's and each group's image of the
+    # swap inverted, and the signs read at the source rows; the group plans
+    # (the oracle's step_plan) are the reference for the column runs' plans
     groups, g2l, _ = _content_partition(n_factors)
     for x, y in itertools.combinations(range(n_factors), 2):
         perm = permutation_by_digits([FUND] * n_factors, x, y)
         src, flipped = chain._gather(n_factors, x, y)
         assert np.array_equal(src, np.argsort(perm.dest))
         assert np.array_equal(flipped[:, 0], perm.sign[src] < 0)
-        for ix, (local, flip) in zip(groups, chain._step_plan(n_factors, x, y)):
+        for ix, (local, flip) in zip(groups, step_plan(n_factors, x, y)):
             ref = np.empty(ix.size, dtype=np.int64)
             ref[g2l[perm.dest[ix]]] = np.arange(ix.size)
             assert np.array_equal(local, ref)
@@ -732,14 +734,61 @@ def test_step_plans_invert_the_digit_table_swap(n_factors):
             assert flip is None or np.array_equal(flip[:, 0], ref_flip)
 
 
-def test_step_plan_reuses_the_gather_plan():
-    n_factors, y = 5, 3
-    chain._gather.cache_clear()
-    chain._step_plan.cache_clear()
-    chain._gather(n_factors, 0, y)
-    assert chain._gather.cache_info()[:2] == (0, 1)  # (hits, misses)
-    chain._step_plan(n_factors, 0, y)
-    assert chain._gather.cache_info()[:2] == (1, 1)
+@pytest.mark.parametrize("n_factors", range(1, 9))
+def test_swap_at_any_rows_reads_the_whole_space_plan(n_factors):
+    rng = np.random.default_rng(100 + n_factors)
+    for x, y in itertools.product(range(n_factors), repeat=2):
+        src, flipped = chain._gather(n_factors, x, y)
+        rows = np.sort(rng.choice(3 ** n_factors, size=rng.integers(1, 3 ** n_factors + 1),
+                                  replace=False))
+        got_src, got_flipped = chain._swap(n_factors, x, y, rows)
+        assert np.array_equal(got_src, src[rows])
+        assert got_flipped.shape == (rows.size, 1)
+        assert np.array_equal(got_flipped, flipped[rows])
+
+
+@pytest.mark.parametrize("m_sites", range(1, 8))
+def test_run_plans_are_the_whole_group_restriction(m_sites):
+    # the run (s, j) holds the rows of the aux (x) H group of content n + e_j,
+    # n the letter content of s, in ascending order, and its plans are that
+    # group's restriction of P_0n to the bit
+    groups, _, contents = _content_partition(m_sites + 1)
+    whole = [step_plan(m_sites + 1, 0, n) for n in range(1, m_sites + 1)]
+    for s in sector_indices(ChainSpec(M=m_sites)):
+        content = (m_sites - s[0], s[0] - s[1], s[1])
+        for j in (1, 2, 3):
+            k = contents.index(tuple(c + (t == j - 1) for t, c in enumerate(content)))
+            size, rows, plans = chain._run(m_sites, s, j)
+            bounds = np.searchsorted(groups[k], np.arange(4) * 3 ** m_sites)
+            assert size == groups[k].size
+            assert [(r.start, r.stop) for r in rows] == list(zip(bounds[:-1], bounds[1:]))
+            assert len(plans) == m_sites
+            for (src, flipped), plan in zip(plans, whole):
+                ref_src, ref_flipped = plan[k]
+                assert src.dtype == ref_src.dtype and np.array_equal(src, ref_src)
+                assert (flipped is None) == (ref_flipped is None)
+                assert flipped is None or (flipped.shape == ref_flipped.shape
+                                           and np.array_equal(flipped, ref_flipped))
+
+
+def test_a_cold_block_read_builds_no_whole_space_table(monkeypatch):
+    # the block path names each run by its sector and aux letter: it partitions
+    # H alone and builds no plan over the 3^(M+1) rows of aux (x) H
+    spec = ChainSpec(M=5)
+    partitioned = []
+    original = chain._content_partition
+
+    def recorded(n_factors):
+        partitioned.append(n_factors)
+        return original(n_factors)
+
+    monkeypatch.setattr(chain, "_content_partition", recorded)
+    for cache in (chain._gather, chain._run, chain._block_map):
+        cache.cache_clear()
+    transfer_blocks(spec, 2.1 + 0.4j, sectors=all_sectors(spec))
+    assert chain._gather.cache_info().currsize == 0
+    assert partitioned == [spec.M]
+    assert chain._run.cache_info().currsize == 3 * len(all_sectors(spec))
 
 
 def test_sites_must_be_in_range_and_strictly_ascending():

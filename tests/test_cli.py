@@ -525,7 +525,7 @@ def test_twisted_duals_read_each_sectors_probe_entries_once(monkeypatch):
 
 
 def test_rtt_and_vacuum_build_only_the_vacuum_groups(tmp_path, monkeypatch):
-    from gradedbethe import chain, cli
+    from gradedbethe import cli
 
     scenario = Scenario.from_dict(default_scenario_dict(m=4, seed=1))
     scenario.checks = ["rtt", "vacuum"]
@@ -534,12 +534,9 @@ def test_rtt_and_vacuum_build_only_the_vacuum_groups(tmp_path, monkeypatch):
     assert code == 0
     # with no spectral check requested the spectrum is never diagonalized, and
     # the rtt rows and the zero-mode limit act on probe columns: the only
-    # groups built are the three aux (x) H groups of the vacuum's content,
-    # vacuum + e_j, for the vacuum rows on the full chain and its split ranges
-    m = scenario.chain.M
-    aux_contents = chain._content_partition(m + 1)[2]
-    vacuum_groups = {aux_contents.index(s) for s in ((m + 1, 0, 0), (m, 1, 0), (m, 0, 1))}
-    assert {k for k, _, _ in built["other"]} == vacuum_groups
+    # runs built are the vacuum's three, (vacuum, j), for the vacuum rows on
+    # the full chain and its split ranges
+    assert set(built["other"]) == {((0, 0), j) for j in (1, 2, 3)}
     assert not built["swept"] and not built["rest"]
 
 

@@ -161,8 +161,20 @@ def test_only_chain_knows_a_letter_content():
     assert "_content_partition" in identifiers(PACKAGE / "chain.py")
 
 
+def test_chain_partitions_h_alone():
+    # a column run is named by its H sector and aux letter, and its plans come
+    # off the one graded swap at its own rows: chain partitions H alone, on M
+    # factors, and has no per-group restriction of a whole-space plan
+    tree = ast.parse((PACKAGE / "chain.py").read_text(encoding="utf-8"))
+    partitioned = [ast.unparse(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                   == "_content_partition"]
+    assert partitioned == ["m_sites", "spec.M"]
+    assert not identifiers(PACKAGE / "chain.py") & {"_step_plan", "_l_steps"}
+
+
 def test_chain_reads_only_the_grading_from_graded():
-    # the graded swap is written once, in chain (_gather): chain imports the
+    # the graded swap is written once, in chain (_swap): chain imports the
     # grading alone, and outside graded and the package's exports no module
     # names a graded type or a second swap
     tree = ast.parse((PACKAGE / "chain.py").read_text(encoding="utf-8"))
