@@ -4,21 +4,21 @@ monodromy, transfer, zero modes.
 The chain lives on M three-dimensional graded sites with grading (0,0,1),
 the one grading source (``_PAR``) of the swap, BLOCK_SIGNS and the letter
 rule.  Every L-operator permutes tensor factors, so every chain operator
-preserves the local letter content.  Outside this module an H content group
-is named only by its weight sector (a, b) = (M - n1, n3), the Bethe root
-cardinalities of its states (``sector_indices``).  An entry T_ij maps each
-H sector s onto s + ``sector_step(i, j)``.  Entries are read with
+preserves the local letter content.  The states of one content form the
+weight sector (a, b) = (M - n1, n3), the Bethe root cardinalities of its
+states, listed from its magnon positions (``sector_indices``).  An entry
+T_ij maps each H sector s onto s + ``sector_step(i, j)``.  Entries are read with
 ``monodromy_entries(spec, u, pairs, sites, sectors=)``: the named entries on
 the sectors every read names, as {(i, j): {s: (image, block)}}, signed with
 BLOCK_SIGNS.  T_ij on s is the aux-letter-i rows of the column run (s, j),
 the identity columns e_j (x) s carried through the site steps
 (``_group_product``) on the run's own rows, for each aux letter a the sector
 T_aj maps s onto (``_run``); a run is built once for every entry it holds
-and dropped before the next, and the block path keeps no table over
-aux (x) H.  Products of L-operators are O(N^2) signed row gathers, never
-O(N^3) matrix products: the graded swap P_xy is one formula (``_swap``),
-read at a run's rows or at every row (``_gather``), and every product, of
-run columns, of vectors or of R-matrices, runs on one kernel, ``_apply``.
+and dropped before the next.  Products of L-operators are O(N^2) signed row
+gathers, never O(N^3) matrix products: the graded swap P_xy is one formula
+(``_swap``), read at a run's rows or, for the whole grid, as an axis swap
+(``_gather``); no index table spans the grid, and every product, of run
+columns, of vectors or of R-matrices, runs on one kernel, ``_apply``.
 ``transfer_blocks`` sums the three diagonal entries.  The zero modes T_ij[0]
 come straight from their closed form, one letter rule (``_site_moves``),
 in the same {s: (image, block)} form (``zero_mode_entry``) or applied to
@@ -203,33 +203,16 @@ class ChainSpec:
 # -- sectors, swaps and column runs --------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _content_partition(n_factors: int):
-    """Basis index groups of equal letter content, global-to-local map, contents.
+def _sector_rows(m_sites: int, a: int, b: int) -> np.ndarray:
+    """The basis indices of H sector (a, b), ascending, from its magnon positions.
 
-    Every L-operator permutes tensor factors, so it preserves the multiset
-    of local indices; on H (n_factors = M) the groups are the weight sectors.
-    Each group lists its indices in ascending order; ``contents[k]`` holds
-    the letter counts (n1, n2, n3) of group k.
+    a sites hold base-3 digit 1 or 2 (letter 2 or 3), b of them digit 2; an
+    index is sum_n digit_n 3^(M - n), site 1 the leading digit.
     """
-    n = 3**n_factors
-    idx = np.arange(n)
-    key = np.zeros(n, dtype=np.int64)
-    rest = idx.copy()
-    for _ in range(n_factors):
-        digit = rest % 3
-        key += np.where(digit == 0, 1, 0) + np.where(digit == 1, n_factors + 1, 0)
-        rest //= 3
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    splits = np.nonzero(np.diff(sorted_key))[0] + 1
-    groups = tuple(np.split(order, splits))
-    g2l = np.empty(n, dtype=np.int64)
-    for ix in groups:
-        g2l[ix] = np.arange(ix.size)
-    n2, n1 = np.divmod(sorted_key[np.r_[0, splits]], n_factors + 1)
-    contents = tuple((int(a), int(b), n_factors - int(a + b)) for a, b in zip(n1, n2))
-    return groups, g2l, contents
+    place = [3 ** (m_sites - n) for n in range(1, m_sites + 1)]
+    excited = np.array(list(itertools.combinations(place, a)), dtype=np.int64)
+    threes = np.array(list(itertools.combinations(range(a), b)), dtype=np.intp)
+    return np.sort(excited.sum(axis=1)[:, None] + excited[:, threes].sum(axis=2), axis=None)
 
 
 def _swap(n_factors: int, x: int, y: int, rows: np.ndarray) -> tuple:
@@ -257,8 +240,14 @@ def _swap(n_factors: int, x: int, y: int, rows: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=128)
 def _gather(n_factors: int, x: int, y: int) -> tuple:
-    """_swap on every basis row, the plan of the vector path (monodromy_apply, verify_rtt, ybe)."""
-    return _swap(n_factors, x, y, np.arange(3**n_factors))
+    """P_xy, x < y, on every row as (shape, flipped), the plan of the vector path.
+
+    X's rows viewed as ``shape`` with axes 1 and 3 swapped are P_xy X; ``flipped``
+    is _swap at the rows whose only nonzero digits are x..y, broadcast over the rest.
+    """
+    shape = (3**x, 3, 3 ** (y - x - 1), 3, 3 ** (n_factors - 1 - y))
+    rows = np.arange(3 ** (y - x + 1)) * 3 ** (n_factors - 1 - y)
+    return shape, _swap(n_factors, x, y, rows)[1].reshape(1, 3, shape[2], 3, 1, 1)
 
 
 @lru_cache(maxsize=256)
@@ -307,16 +296,15 @@ def sector_step(i: int, j: int) -> tuple[int, int]:
 def _block_map(m_sites: int):
     """The H sectors and where each monodromy entry maps them.
 
-    The H group of sector s = (a, b) holds the basis states of letter content
-    n = (M - a, a - b, b).  Returns ``index`` (H sector -> basis indices, in
-    sector order) and ``entries[i][j]`` (0-based): {s: image} on the sectors
-    where T_ij does not vanish, its image the sector ``sector_step(i, j)`` away.
+    Sector s = (a, b), 0 <= b <= a <= M, holds the states of letter content
+    (M - a, a - b, b).  Returns ``index`` (H sector -> basis indices, in sector
+    order) and ``entries[i][j]`` (0-based): {s: image} on the sectors where
+    T_ij does not vanish, its image the sector ``sector_step(i, j)`` away.
     """
-    h_groups, _, h_contents = _content_partition(m_sites)
-    sectors = [(m_sites - n1, n3) for n1, _, n3 in h_contents]
-    index = dict(sorted(zip(sectors, h_groups), key=lambda item: item[0]))
+    index = {(a, b): _sector_rows(m_sites, a, b)
+             for a in range(m_sites + 1) for b in range(a + 1)}
     entries = [[{} for _ in range(3)] for _ in range(3)]
-    for s, i, j in itertools.product(sectors, range(3), range(3)):
+    for s, i, j in itertools.product(index, range(3), range(3)):
         da, db = sector_step(i + 1, j + 1)
         if (image := (s[0] + da, s[1] + db)) in index:
             entries[i][j][s] = image
@@ -327,8 +315,8 @@ def sector_indices(spec: ChainSpec) -> dict[tuple[int, int], np.ndarray]:
     """Basis indices per sector (a, b) = (M - n1, n3), in sector order, each ordered by index.
 
     Sectors are labelled against the vacuum at local index 1; the labels
-    coincide with the Bethe root cardinalities.  The arrays are shared with
-    the chain's content partition; callers treat them as read-only.
+    coincide with the Bethe root cardinalities.  The arrays, listed from the
+    magnon positions (``_sector_rows``), are shared; callers treat them as read-only.
     """
     return dict(_block_map(spec.M)[0])
 
@@ -396,22 +384,28 @@ def _site_steps(spec: ChainSpec, u: complex, n_factors: int, aux: int) -> list:
 
 
 def _apply(x: np.ndarray, steps) -> np.ndarray:
-    """F_S ... F_1 X for gather steps [((src, flipped), g), ...], F = I + g P.
+    """F_S ... F_1 X for gather steps [(plan, g), ...], F = I + g P.
 
     Runs on a C-ordered complex copy of X as a block of columns (a vector is
     one column), so X itself is never written: row gathers, no matrix and no
     BLAS call.  Each step gathers rows into ``a``, b = g * rows (``g``
     first), then x + b, or x - b on the flipped rows: the bits of
     x + g * (sign * x[src]) with no multiply by the sign, each column on its own.
+    A run's plan (src, flipped) gathers by ``take``, _gather's by an axis swap.
     """
     block = np.array(x.reshape(len(x), -1), dtype=complex, order="C")
     a, b = np.empty_like(block), np.empty_like(block)
-    for (src, flipped), g in steps:
-        block.take(src, axis=0, out=a, mode="clip")
-        np.multiply(g, a, out=b)
-        np.add(block, b, out=a)
+    for (gather, flipped), g in steps:
+        if isinstance(gather, tuple):
+            xv, av, bv = (arr.reshape(gather + (-1,)) for arr in (block, a, b))
+            np.copyto(av, xv.swapaxes(1, 3))
+        else:
+            xv, av, bv = block, a, b
+            block.take(gather, axis=0, out=a, mode="clip")
+        np.multiply(g, av, out=bv)
+        np.add(xv, bv, out=av)
         if flipped is not None:
-            np.subtract(block, b, out=a, where=flipped)
+            np.subtract(xv, bv, out=av, where=flipped)
         block, a = a, block
     return block.reshape(x.shape)
 
@@ -542,14 +536,13 @@ def _site_moves(spec: ChainSpec, i: int, j: int, sites, columns: np.ndarray):
 
 def zero_mode_entry(spec: ChainSpec, i: int, j: int, sites=None, *, sectors) -> dict:
     """The zero mode T_ij[0] (1-based) over a site range as {s: (image, block)} of exact integers."""
-    _, g2l, _ = _content_partition(spec.M)
     index, entries = _block_map(spec.M)
     out = {}
     for s, image in entries[i - 1][j - 1].items():
         if s in sectors:
             blk = np.zeros((index[image].size, index[s].size), dtype=complex)
             for position, target, sign in _site_moves(spec, i, j, sites, index[s]):
-                blk[g2l[target], position] += sign
+                blk[np.searchsorted(index[image], target), position] += sign
             out[s] = (image, blk)
     return out
 

@@ -2,11 +2,12 @@
 
 ``FUNDAMENTAL_PARITIES`` is the grading (0, 0, 1) of e_1, e_2, e_3, and the
 only name the chain reads from here.  The conventions built on it live in
-``chain``: the one graded swap (``_gather``), the entry signs BLOCK_SIGNS and
-the letter rule of the zero modes.  ``GradedSpace`` and ``GradedMatrix``, a
-dense operator with its grading, are public names that the test oracles
-(tests/oracles.py, home of the product space and the graded Kronecker
-product) and the benchmark's tracer use; no module of the package builds one.
+``chain``: the one graded swap (``_swap``, read as an axis swap by ``_gather``),
+the entry signs BLOCK_SIGNS and the letter rule of the zero modes.
+``GradedSpace`` and ``GradedMatrix``, a dense operator with its grading, are
+public names that the test oracles (tests/oracles.py, home of the product
+space and the graded Kronecker product) and the benchmark's tracer use; no
+module of the package builds one.
 """
 
 from __future__ import annotations

@@ -5,18 +5,22 @@ convention of the chain from outside, so the package carries no test-only
 switch.  ``injected(name)`` plants one for the length of a ``with`` block.
 The plans built from the sign rule are cached, and all of them come from
 the one graded-swap formula ``chain._swap``: ``chain._gather`` holds the
-vector path's swaps on every basis row, and ``chain._run`` the block path's
-on the rows of each column run; the twisted duals reuse the diagonal
-entries they read at the probes (``formfactors._probe_diagonals``), signed
-with BLOCK_SIGNS.  A defect that wraps ``_swap`` reaches both paths; the
-three caches built on it are cleared on the way in and on the way out, so
-nothing built under a defect outlives it.  The letter rule of the zero
-modes (``chain._site_moves``) caches nothing.
+vector path's whole-grid plans, each an axis swap with the flip mask
+``_swap`` gives at the rows whose only nonzero digits are x..y, and
+``chain._run`` the block path's source rows and flips at the rows of each
+column run; the twisted duals reuse the diagonal entries they read at the
+probes (``formfactors._probe_diagonals``), signed with BLOCK_SIGNS.  A
+defect that wraps ``_swap`` reaches both paths; the three caches built on
+it are cleared on the way in and on the way out, so nothing built under a
+defect outlives it.  The sectors' basis indices (``chain._block_map``) are
+read off the digits alone, and the letter rule of the zero modes
+(``chain._site_moves``) caches nothing, so no defect reaches either cache.
 
 - ``unsigned-P02``: the graded permutation of factor 0 (the auxiliary
   space) and factor 2 loses its sign, as if site 2 of the chain were
-  ungraded.  ``_swap`` negates no row there, on either path; on V (x) V (x) V this
-  is R13 of the Yang-Baxter check, which then fails.
+  ungraded.  ``_swap`` negates no row there, so neither a run's flips nor
+  the whole-grid flip mask of P_02 negates any; on V (x) V (x) V this is R13
+  of the Yang-Baxter check, which then fails.
 - ``flipped-T22-sign``: the sign BLOCK_SIGNS gives the entry T_22 is flipped.
   This is the twist kappa_2 -> -kappa_2 for every transfer matrix, and the
   twisted transfer matrices commute for any diagonal twist, so no

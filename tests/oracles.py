@@ -7,10 +7,12 @@ digit-table form of the graded swap as a ``SignedPermutation`` with its
 dense ``to_matrix``, and ``dense``, which fills an H operator's blocks into
 a 3^M x 3^M matrix) state the same conventions the textbook way, so the
 tests can compare against them.  The full-set forms of the monodromy and
-transfer_blocks build every aux (x) H content group whole, each product from
-its own identity on the group's restriction of the graded swap
-(``step_plan``), and cut the groups into the column runs (s, j) the package
-names (``runs_of``); ``entry_blocks`` reads any entry off such a set.  The
+transfer_blocks build every aux (x) H content group whole (the index
+partition ``content_partition``, the reference for the package's sectors),
+each product from its own identity on the group's restriction of the
+graded swap (``step_plan``, read off ``whole_swap``, the swap at every
+row), and cut the groups into the column runs (s, j) the package names
+(``runs_of``); ``entry_blocks`` reads any entry off such a set.  The
 package's entry reads, which build only the column runs that hold an entry,
 each on its own rows' plans, must match them to the bit.  The package's
 reads name their H sectors; ``all_sectors`` lists every one.  The package
@@ -24,14 +26,15 @@ compared on every aux (x) H group).  The dense form of the RTT relation,
 tests/test_chain.py.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from gradedbethe import chain
-from gradedbethe.chain import _block_map, _content_partition, combine, compose, g_fun, \
-    sector_indices, sector_step, zero_mode_entry
+from gradedbethe.chain import _block_map, combine, compose, g_fun, sector_indices, sector_step, \
+    zero_mode_entry
 from gradedbethe.graded import FUNDAMENTAL_PARITIES, GradedMatrix, GradedSpace
 from gradedbethe.spectrum import diagonalize_transfer
 
@@ -61,9 +64,10 @@ class SignedPermutation:
 def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
     """The graded swap of factors x and y by a table of the mixed-radix digits of every flat index.
 
-    The reference for the package's index-grid form (``chain._gather``): swap
-    digits x and y of each index, and sign it from the parities of those
-    digits and of the ones between them.
+    The reference for the package's graded swap (``chain._swap``) and its
+    whole-grid axis swap (``chain._gather``): swap digits x and y of each
+    index, and sign it from the parities of those digits and of the ones
+    between them.
     """
     x, y = min(x, y), max(x, y)
     dims = [f.dim for f in factors]
@@ -90,15 +94,52 @@ def permutation_by_digits(factors, x: int, y: int) -> SignedPermutation:
     return SignedPermutation(dest=dest, sign=sign)
 
 
-def step_plan(n_factors: int, x: int, y: int) -> tuple:
-    """The package's graded swap P_xy (``chain._gather``) restricted to each content group.
+@functools.lru_cache(maxsize=16)
+def content_partition(n_factors: int):
+    """Basis index groups of equal letter content, global-to-local map, contents.
 
-    One (local source rows, flipped) per group of ``chain._content_partition``,
+    The partition by a key over all 3^n_factors indices and a stable argsort:
+    the reference for the package's sectors, which list their states from
+    their magnon positions (``chain._sector_rows``), and the aux (x) H groups
+    of the full-set oracles below.  Every L-operator permutes tensor factors,
+    so it preserves the multiset of local indices; on H (n_factors = M) the
+    groups are the weight sectors.  Each group lists its indices in ascending
+    order; ``contents[k]`` holds the letter counts (n1, n2, n3) of group k.
+    """
+    n = 3**n_factors
+    idx = np.arange(n)
+    key = np.zeros(n, dtype=np.int64)
+    rest = idx.copy()
+    for _ in range(n_factors):
+        digit = rest % 3
+        key += np.where(digit == 0, 1, 0) + np.where(digit == 1, n_factors + 1, 0)
+        rest //= 3
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    splits = np.nonzero(np.diff(sorted_key))[0] + 1
+    groups = tuple(np.split(order, splits))
+    g2l = np.empty(n, dtype=np.int64)
+    for ix in groups:
+        g2l[ix] = np.arange(ix.size)
+    n2, n1 = np.divmod(sorted_key[np.r_[0, splits]], n_factors + 1)
+    contents = tuple((int(a), int(b), n_factors - int(a + b)) for a, b in zip(n1, n2))
+    return groups, g2l, contents
+
+
+def whole_swap(n_factors: int, x: int, y: int) -> tuple:
+    """The package's graded swap P_xy (``chain._swap``) at every basis row, as (src, flipped)."""
+    return chain._swap(n_factors, x, y, np.arange(3**n_factors))
+
+
+def step_plan(n_factors: int, x: int, y: int) -> tuple:
+    """The package's graded swap P_xy (``chain._swap``) restricted to each content group.
+
+    One (local source rows, flipped) per group of ``content_partition``,
     ``flipped`` None on a group where P_xy negates no row: the reference for
     the plans of the package's column runs (``chain._run``).
     """
-    groups, g2l, _ = _content_partition(n_factors)
-    src, flipped = chain._gather(n_factors, x, y)
+    groups, g2l, _ = content_partition(n_factors)
+    src, flipped = whole_swap(n_factors, x, y)
     return tuple((g2l[src[ix]], flipped[ix] if flipped[ix].any() else None) for ix in groups)
 
 
@@ -239,7 +280,7 @@ def runs_of(spec, groups: dict) -> dict:
     The columns of group k with aux letter j (the leading digit) are the run
     (s, j) of the H sector s they hold; a run keeps every row of its group.
     """
-    aux_groups = _content_partition(spec.M + 1)[0]
+    aux_groups = content_partition(spec.M + 1)[0]
     sectors = all_sectors(spec)
     label = np.empty(3 ** spec.M, dtype=np.int64)
     for n, ix in enumerate(sector_indices(spec).values()):
@@ -284,7 +325,7 @@ def _group_squares(spec, u, sites=None):
     """(k, block) for every aux (x) H group of the monodromy over ``sites``, each built whole."""
     sites = spec.all_sites() if sites is None else tuple(sites)
     steps = [(step_plan(spec.M + 1, 0, n), g_fun(u, spec.xi[n - 1])) for n in sites]
-    for k, ix in enumerate(_content_partition(spec.M + 1)[0]):
+    for k, ix in enumerate(content_partition(spec.M + 1)[0]):
         yield k, chain._apply(np.eye(ix.size, dtype=bool), [(plan[k], g) for plan, g in steps])
 
 
@@ -299,7 +340,7 @@ def monodromy_group_set(spec, u, sites=None) -> dict:
 def monodromy_apply_full_set(spec, u, x: np.ndarray) -> np.ndarray:
     """T(u) X by the whole aux (x) H groups of the monodromy, each times its rows of X."""
     out = np.empty_like(x)
-    groups = _content_partition(spec.M + 1)[0]
+    groups = content_partition(spec.M + 1)[0]
     for k, block in _group_squares(spec, u):
         out[groups[k]] = block @ x[groups[k]]
     return out

@@ -10,7 +10,6 @@ from gradedbethe.chain import (
     ChainSpec,
     PoleError,
     TwistConfig,
-    _content_partition,
     combine,
     compose,
     g_fun,
@@ -29,10 +28,10 @@ from gradedbethe.graded import FUNDAMENTAL_PARITIES
 from gradedbethe.spectrum import EigenState, sandwich
 
 from conftest import embed, peak_bytes, record_builds
-from oracles import FUND, all_sectors, dense, entry_blocks, image_of, largest, \
+from oracles import FUND, all_sectors, content_partition, dense, entry_blocks, image_of, largest, \
     monodromy_apply_full_set, monodromy_group_set, permutation_by_digits, r_matrix, read_off, \
-    runs_of, step_plan, supertrace_over_aux, transfer_blocks_full_set, zero_mode_algebra_worst, \
-    zero_mode_limit_groups, zero_modes
+    runs_of, step_plan, supertrace_over_aux, transfer_blocks_full_set, whole_swap, \
+    zero_mode_algebra_worst, zero_mode_limit_groups, zero_modes
 
 PAR = FUNDAMENTAL_PARITIES
 ALL_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -58,10 +57,10 @@ def structural_zero_mode_groups(spec, sites=None):
     (tests/faults.py) reaches this oracle too.
     """
     sites = spec.all_sites() if sites is None else tuple(sites)
-    groups, g2l, _ = _content_partition(spec.M + 1)
+    groups, g2l, _ = content_partition(spec.M + 1)
     blocks = {k: np.zeros((ix.size, ix.size), dtype=complex) for k, ix in enumerate(groups)}
     for n in sites:
-        src, flipped = chain._gather(spec.M + 1, 0, n)
+        src, flipped = whole_swap(spec.M + 1, 0, n)
         sign = np.where(flipped[:, 0], -1.0, 1.0)
         for k, ix in enumerate(groups):
             blocks[k][g2l[src[ix]], g2l[ix]] += sign[ix]
@@ -524,9 +523,9 @@ def site_outer_apply(blocks, n_factors, steps):
     """The former kernel: each step (x, y, g) = I + g P_xy, or P_xy if g is None, on every
     group, then the next.  P_xy is read through the chain module, as the package reads it,
     so a defect planted there (tests/faults.py) reaches this oracle too."""
-    groups, g2l, _ = _content_partition(n_factors)
+    groups, g2l, _ = content_partition(n_factors)
     for x, y, g in steps:
-        src, flipped = chain._gather(n_factors, x, y)
+        src, flipped = whole_swap(n_factors, x, y)
         sign = np.where(flipped, -1.0, 1.0)
         for k, ix in enumerate(groups):
             if blocks[k] is None:
@@ -539,7 +538,7 @@ def site_outer_apply(blocks, n_factors, steps):
 
 def site_outer_monodromy(spec, u, sites):
     sites = spec.all_sites() if sites is None else sites
-    eye = [np.eye(ix.size, dtype=complex) for ix in _content_partition(spec.M + 1)[0]]
+    eye = [np.eye(ix.size, dtype=complex) for ix in content_partition(spec.M + 1)[0]]
     return site_outer_apply(eye, spec.M + 1, [(0, n, g_fun(u, spec.xi[n - 1]))
                                               for n in sites])
 
@@ -553,7 +552,7 @@ def site_outer_rtt(spec, u, v):
         return [(aux, n + 1, g_fun(w, spec.xi[n - 1])) for n in spec.all_sites()]
 
     def t_b(w):
-        eye = [np.eye(ix.size, dtype=complex) for ix in _content_partition(n_factors)[0]]
+        eye = [np.eye(ix.size, dtype=complex) for ix in content_partition(n_factors)[0]]
         return site_outer_apply(eye, n_factors, t(1, w))
 
     lhs = site_outer_apply(t_b(v), n_factors, t(0, u) + [(0, 1, g)])
@@ -674,11 +673,11 @@ def test_rtt_fails_with_an_ungraded_swap(monkeypatch):
     graded = chain._gather
 
     def ungraded(n_factors, x, y):
-        src, flipped = graded(n_factors, x, y)
+        shape, flipped = graded(n_factors, x, y)
         if (n_factors, x, y) != (spec.M + 2, 0, 1):
-            return src, flipped
+            return shape, flipped
         # the swap of the two auxiliary spaces flips no row
-        return src, np.zeros_like(flipped)
+        return shape, np.zeros_like(flipped)
 
     monkeypatch.setattr(chain, "_gather", ungraded)
     assert verify_rtt(spec, 1.3 + 2.1j, -2.2 + 0.7j) > 0.1
@@ -719,10 +718,10 @@ def test_step_plans_invert_the_digit_table_swap(n_factors):
     # the plans by inversion: the whole space's and each group's image of the
     # swap inverted, and the signs read at the source rows; the group plans
     # (the oracle's step_plan) are the reference for the column runs' plans
-    groups, g2l, _ = _content_partition(n_factors)
+    groups, g2l, _ = content_partition(n_factors)
     for x, y in itertools.combinations(range(n_factors), 2):
         perm = permutation_by_digits([FUND] * n_factors, x, y)
-        src, flipped = chain._gather(n_factors, x, y)
+        src, flipped = whole_swap(n_factors, x, y)
         assert np.array_equal(src, np.argsort(perm.dest))
         assert np.array_equal(flipped[:, 0], perm.sign[src] < 0)
         for ix, (local, flip) in zip(groups, step_plan(n_factors, x, y)):
@@ -738,7 +737,7 @@ def test_step_plans_invert_the_digit_table_swap(n_factors):
 def test_swap_at_any_rows_reads_the_whole_space_plan(n_factors):
     rng = np.random.default_rng(100 + n_factors)
     for x, y in itertools.product(range(n_factors), repeat=2):
-        src, flipped = chain._gather(n_factors, x, y)
+        src, flipped = whole_swap(n_factors, x, y)
         rows = np.sort(rng.choice(3 ** n_factors, size=rng.integers(1, 3 ** n_factors + 1),
                                   replace=False))
         got_src, got_flipped = chain._swap(n_factors, x, y, rows)
@@ -752,7 +751,7 @@ def test_run_plans_are_the_whole_group_restriction(m_sites):
     # the run (s, j) holds the rows of the aux (x) H group of content n + e_j,
     # n the letter content of s, in ascending order, and its plans are that
     # group's restriction of P_0n to the bit
-    groups, _, contents = _content_partition(m_sites + 1)
+    groups, _, contents = content_partition(m_sites + 1)
     whole = [step_plan(m_sites + 1, 0, n) for n in range(1, m_sites + 1)]
     for s in sector_indices(ChainSpec(M=m_sites)):
         content = (m_sites - s[0], s[0] - s[1], s[1])
@@ -772,23 +771,67 @@ def test_run_plans_are_the_whole_group_restriction(m_sites):
 
 
 def test_a_cold_block_read_builds_no_whole_space_table(monkeypatch):
-    # the block path names each run by its sector and aux letter: it partitions
-    # H alone and builds no plan over the 3^(M+1) rows of aux (x) H
+    # the block path lists each H sector from its magnon positions and names
+    # each run by its sector and aux letter: every graded swap it reads is at
+    # a run's own rows, never at the 3^(M+1) rows of aux (x) H, and it builds
+    # no whole-grid plan
     spec = ChainSpec(M=5)
-    partitioned = []
-    original = chain._content_partition
+    read = []
+    original = chain._swap
 
-    def recorded(n_factors):
-        partitioned.append(n_factors)
-        return original(n_factors)
+    def recorded(n_factors, x, y, rows):
+        read.append(rows.size)
+        return original(n_factors, x, y, rows)
 
-    monkeypatch.setattr(chain, "_content_partition", recorded)
+    monkeypatch.setattr(chain, "_swap", recorded)
     for cache in (chain._gather, chain._run, chain._block_map):
         cache.cache_clear()
     transfer_blocks(spec, 2.1 + 0.4j, sectors=all_sectors(spec))
     assert chain._gather.cache_info().currsize == 0
-    assert partitioned == [spec.M]
     assert chain._run.cache_info().currsize == 3 * len(all_sectors(spec))
+    # M plans for each run; the largest run is the largest aux (x) H group, 90 rows
+    assert len(read) == spec.M * 3 * len(all_sectors(spec))
+    assert max(read) == max(ix.size for ix in content_partition(spec.M + 1)[0]) == 90
+
+
+def test_listing_the_sectors_holds_no_index_table():
+    # the sectors' own indices are what a cold listing keeps, 8 bytes a state;
+    # measured 1.24x that at M=10, where the partition by a content key over
+    # all 3^M indices and an argsort peaked at 7.1x
+    chain._block_map.cache_clear()
+    assert peak_bytes(lambda: chain._block_map(10)) < 1.5 * 8 * 3 ** 10
+
+
+@pytest.mark.parametrize("m_sites", range(1, 9))
+def test_sectors_from_magnon_positions_are_the_content_partition(m_sites):
+    # each sector lists its states from the sites off the vacuum letter and
+    # those of them that hold letter 3; the reference partitions all 3^M
+    # indices by a content key and a stable argsort
+    groups, _, contents = content_partition(m_sites)
+    ref = sorted(zip(((m_sites - n1, n3) for n1, _, n3 in contents), groups),
+                 key=lambda item: item[0])
+    index, _ = chain._block_map(m_sites)
+    assert list(index) == [s for s, _ in ref]
+    for rows, (_, ix) in zip(index.values(), ref):
+        assert rows.dtype == ix.dtype and np.array_equal(rows, ix)
+    assert np.array_equal(np.sort(np.concatenate(list(index.values()))), np.arange(3 ** m_sites))
+
+
+@pytest.mark.parametrize("n_factors", [2, 3, 4, 5])
+def test_whole_grid_plan_is_the_signed_permutation(n_factors):
+    # one _gather step with g = 1 on the identity is I + P_xy: the axis swap
+    # with its flip mask is the signed permutation of _swap at every row, and
+    # of the digit table, to the bit
+    eye = np.eye(3 ** n_factors)
+    for x, y in itertools.combinations(range(n_factors), 2):
+        shape, flipped = chain._gather(n_factors, x, y)
+        assert flipped.shape == (1, 3, 3 ** (y - x - 1), 3, 1, 1)
+        got = chain._apply(eye, [((shape, flipped), 1.0)]) - eye
+        src, flip = whole_swap(n_factors, x, y)
+        ref = np.zeros_like(got)
+        ref[np.arange(src.size), src] = np.where(flip[:, 0], -1.0, 1.0)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got, permutation_by_digits([FUND] * n_factors, x, y).to_matrix())
 
 
 def test_sites_must_be_in_range_and_strictly_ascending():
@@ -877,7 +920,7 @@ def test_restricted_reads_allocate_a_fraction_of_the_group_set(pairs5):
     spec, pc, pb = pairs5
     u = 2.1 + 0.4j
     # every content-group block of one aux (x) H operator
-    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
+    group_set = 16 * sum(ix.size ** 2 for ix in content_partition(spec.M + 1)[0])
     universal_form_factor(spec, pc, pb, 2, 2)  # warm the partition and plan caches
     vacuum_eigenvalue(spec, 1, None, u)
     # measured 0.12x and 0.03x; building every group made both 1.7x
@@ -890,7 +933,7 @@ def test_full_chain_builds_peak_below_two_group_sets():
 
     spec = ChainSpec(M=5)
     u, v = 1.3 + 2.1j, -2.2 + 0.7j
-    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(spec.M + 1)[0])
+    group_set = 16 * sum(ix.size ** 2 for ix in content_partition(spec.M + 1)[0])
     tm1_residual(spec, u, v, (1, 2, 2, 3))  # warm the partition and plan caches
     # measured 0.21x and 0.96x; tm1 on vectors holds a few columns (reading off
     # its six entries made it 1.40x, holding both group sets 2.57x), and the
@@ -907,7 +950,7 @@ def test_transfer_blocks_peak_below_one_group_set(m_sites):
     spec = ChainSpec(M=m_sites)
     u = 2.1 + 0.4j
     every = all_sectors(spec)
-    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(m_sites + 1)[0])
+    group_set = 16 * sum(ix.size ** 2 for ix in content_partition(m_sites + 1)[0])
     transfer_blocks(spec, u, sectors=every)  # warm the partition and plan caches
     # measured 0.78x and 0.62x; whole groups in three scratch buffers, each
     # diagonal block held until its content had all three, made them 1.05x and 1.01x

@@ -21,7 +21,7 @@ from gradedbethe.cli import (
 )
 
 from conftest import peak_bytes, record_builds
-from oracles import all_sectors, zero_mode_limit_by_groups
+from oracles import all_sectors, content_partition, zero_mode_limit_by_groups
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedbethe.__file__)))
 
@@ -633,13 +633,12 @@ def test_theorem1_retains_no_zero_mode_blocks():
     import tracemalloc
 
     from gradedbethe import cli
-    from gradedbethe.chain import _content_partition
 
     scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
     ws = cli._Workspace(scenario)
     ws.classified()
     # every content-group block of one aux (x) H operator
-    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
+    group_set = 16 * sum(ix.size ** 2 for ix in content_partition(scenario.chain.M + 1)[0])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -654,11 +653,10 @@ def test_theorem1_retains_no_zero_mode_blocks():
 
 def test_zero_mode_limit_peaks_below_one_group_set():
     from gradedbethe import cli
-    from gradedbethe.chain import _content_partition
 
     scenario = Scenario.from_dict(default_scenario_dict(m=5, seed=1))
     ws = cli._Workspace(scenario)
-    group_set = 16 * sum(ix.size ** 2 for ix in _content_partition(scenario.chain.M + 1)[0])
+    group_set = 16 * sum(ix.size ** 2 for ix in content_partition(scenario.chain.M + 1)[0])
     cli._run_vacuum(ws)  # warm the partition, plan and letter caches
     reports = []
     # measured 0.18x, the limit on the probe columns; comparing it on every

@@ -3,16 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from gradedbethe import chain
 from gradedbethe.graded import GradedMatrix, GradedSpace
 
 from oracles import FUND, graded_commutator, graded_kron, permutation_by_digits, supertrace, \
-    supertrace_over_aux, tensor
+    supertrace_over_aux, tensor, whole_swap
 
 
 def swap_matrix(n_factors, x, y):
-    """The package's graded swap P_xy (``chain._gather``) as a dense matrix: row q is +-e_src[q]."""
-    src, flipped = chain._gather(n_factors, x, y)
+    """The package's graded swap P_xy (``chain._swap`` at every row) as a dense matrix.
+
+    Row q is +-e_src[q].
+    """
+    src, flipped = whole_swap(n_factors, x, y)
     m = np.zeros((src.size, src.size))
     m[np.arange(src.size), src] = np.where(flipped[:, 0], -1.0, 1.0)
     return m
@@ -133,11 +135,11 @@ def test_permutation_between_matches_adjacent_composition():
 
 @pytest.mark.parametrize("n_factors", range(1, 9))
 def test_permutation_between_matches_the_digit_table(n_factors):
-    # the package's plan of the graded swap between two factors, read off the
-    # index grid, against the digit table, bit for bit; at x == y both give
-    # the rule's degenerate case, the grading (-1)^{p_x} of factor x
+    # the package's graded swap between two factors, read off the base-3
+    # digits of every row, against the digit table, bit for bit; at x == y
+    # both give the rule's degenerate case, the grading (-1)^{p_x} of factor x
     for x, y in itertools.product(range(n_factors), repeat=2):
-        src, flipped = chain._gather(n_factors, x, y)
+        src, flipped = whole_swap(n_factors, x, y)
         ref = permutation_by_digits([FUND] * n_factors, x, y)
         assert src.dtype == ref.dest.dtype and np.array_equal(src, ref.dest)
         assert flipped.shape == (3 ** n_factors, 1)

@@ -3,6 +3,7 @@ the CLI's options, and what the benchmark tracer wraps."""
 
 import argparse
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from gradedbethe import cli
+from gradedbethe import chain, cli
 from gradedbethe.chain import ChainSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,25 +153,35 @@ def identifiers(path: Path) -> set[str]:
 
 
 def test_only_chain_knows_a_letter_content():
-    # outside chain a weight sector is named by (a, b) alone: no module reads
-    # the content partition or converts a sector to its letter content
-    content_names = {"_content", "_content_partition"}
+    # outside chain a weight sector is named by (a, b) alone: no module lists
+    # a sector's states or converts a sector to its letter content, and no
+    # module of src/ partitions the index grid (tests/oracles.py keeps that
+    # partition as the reference)
+    content_names = {"_content", "_sector_rows"}
     named = {(p.name, n) for p in PACKAGE.glob("*.py") if p.name != "chain.py"
              for n in identifiers(p) & content_names}
     assert named == set()
-    assert "_content_partition" in identifiers(PACKAGE / "chain.py")
+    assert "_sector_rows" in identifiers(PACKAGE / "chain.py")
+    grid_tables = {(p.name, n) for p in PACKAGE.glob("*.py")
+                   for n in identifiers(p) & {"_content_partition", "g2l"}}
+    assert grid_tables == set()
 
 
 def test_chain_partitions_h_alone():
-    # a column run is named by its H sector and aux letter, and its plans come
-    # off the one graded swap at its own rows: chain partitions H alone, on M
-    # factors, and has no per-group restriction of a whole-space plan
+    # chain lists each H sector (a, b) from its magnon positions, in the block
+    # map alone, and has no per-group restriction of a whole-space plan; the
+    # vector path's whole-grid plans are axis swaps: a view shape and a flip
+    # mask over the digits x..y, and no index array
     tree = ast.parse((PACKAGE / "chain.py").read_text(encoding="utf-8"))
-    partitioned = [ast.unparse(node.args[0]) for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-                   == "_content_partition"]
-    assert partitioned == ["m_sites", "spec.M"]
+    listed = [[ast.unparse(arg) for arg in node.args] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sector_rows"]
+    assert listed == [["m_sites", "a", "b"]]
     assert not identifiers(PACKAGE / "chain.py") & {"_step_plan", "_l_steps"}
+    for n_factors in range(2, 7):
+        for x, y in itertools.combinations(range(n_factors), 2):
+            shape, flipped = chain._gather(n_factors, x, y)
+            assert all(type(d) is int for d in shape)
+            assert flipped.dtype == bool and flipped.size == 3 ** (y - x + 1)
 
 
 def test_chain_reads_only_the_grading_from_graded():
